@@ -133,6 +133,18 @@ def _verdict_models(terms: int) -> list[ModelClass]:
     return models
 
 
+def _require_coverage(table, chain: SettingsChain) -> None:
+    """Refuse a table without coincidences at some setting pair of the chain."""
+    for i, j, _ in chain.term_order:
+        phi, psi = chain.site1_settings[i], chain.site2_settings[j]
+        if not table.has(phi, psi):
+            raise ConfigError(
+                "events do not cover every setting pair of the "
+                f"{chain.terms}-term chain: no coincidences at (phi, psi) = "
+                f"({phi.phase!r}, {psi.phase!r})"
+            )
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -177,6 +189,7 @@ def _pipeline_tables(
             slot[1] += e.detected
             slot[2] += e.coincident
         all_events.append(events)
+    _require_coverage(table, chain)
     if events_csv:
         write_events_csv(events_csv, np.concatenate(all_events))
     entries = [
@@ -489,12 +502,7 @@ def _cmd_report(args) -> dict:
     result = postselect(events, timing)
     table = correlation_from_pairs(result.pairs)
     chain = chain_settings(int(args.terms))
-    for i, j, _ in chain.term_order:
-        if not table.has(chain.site1_settings[i], chain.site2_settings[j]):
-            raise ConfigError(
-                "events do not cover every setting pair of the "
-                f"{chain.terms}-term chain; check --terms"
-            )
+    _require_coverage(table, chain)
     if args.model_class:
         models = [_model_class(args.model_class, args.eta)]
     else:

@@ -1,8 +1,8 @@
 """Shared vocabulary for the interferometric Bell-test simulator.
 
-Phase settings, binary outcomes, arrival-time classes, hidden variables,
-chained measurement schedules, and a counter-based random source whose
-draws are pure functions of (seed, stream, index).
+Phase settings, binary outcomes, arrival-time classes, chained
+measurement schedules, and a counter-based random source whose draws are
+pure functions of (seed, stream, index).
 """
 
 from __future__ import annotations
@@ -80,20 +80,6 @@ class DelayClass(Enum):
 
     EARLY = "early"
     LATE = "late"
-
-
-@dataclass(frozen=True)
-class HiddenVariable:
-    """One sample of the local-model hidden variable: an angle and a uniform."""
-
-    theta: float
-    r: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.theta < TWO_PI):
-            raise ValueError(f"theta must lie in [0, 2*pi), got {self.theta}")
-        if not (0.0 <= self.r < 1.0):
-            raise ValueError(f"r must lie in [0, 1), got {self.r}")
 
 
 @dataclass(frozen=True)

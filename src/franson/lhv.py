@@ -1,37 +1,23 @@
 """Local hidden-variable side of the simulator.
 
-Holds the local-response interfaces, the explicit delay-based local model
-that reproduces the coincident interferometric correlation cos(phi+psi)
-while remaining local and deterministic per hidden variable, Monte Carlo
-trial runners, and deterministic quadrature evaluators for model statistics.
+A local strategy is a pair of batch responders, one per station, that see
+only their own setting and the shared hidden variables.  Holds the explicit
+delay-based local model that reproduces the coincident interferometric
+correlation cos(phi+psi) while remaining local and deterministic per hidden
+variable, the Monte Carlo trial runner, and deterministic evaluators for
+model statistics.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from ._gauss import panel_nodes
-from .core import (
-    TWO_PI,
-    DelayClass,
-    HiddenVariable,
-    RandomSource,
-    draw_uniforms,
-    reduce_phase,
-)
-
-
-class LocalResponse(NamedTuple):
-    """What one station reports for a single pair."""
-
-    outcome: int              # +1 or -1
-    delay: DelayClass
-    detected: bool = True
-
+from .core import TWO_PI, RandomSource, draw_uniforms
 
 # Batch response: arrays (outcome int8, late bool, detected bool) from
 # (setting, theta array, r array).
@@ -40,62 +26,27 @@ BatchResponder = Callable[[float, np.ndarray, np.ndarray], tuple[np.ndarray, np.
 
 @dataclass(frozen=True)
 class LocalStrategy:
-    """A pair of per-site response functions sharing only the hidden variable.
+    """A pair of per-site batch responders sharing only the hidden variable.
 
-    Locality is structural: each callable sees its own site's setting and
-    the hidden variable, nothing else.  Optional vectorized responders let
-    simulations run over arrays of hidden variables.
+    Each responder is called as ``respond(setting, theta, r)``, where theta
+    (in [0, 2*pi)) and r (in [0, 1)) are equal-length arrays of hidden
+    variables, and returns arrays of that length: outcome (int8, +1 or
+    -1), late (bool) and detected (bool).  Locality is structural: each
+    callable sees its own site's setting and the hidden variables, nothing
+    else.  A single trial is a one-element batch.
     """
 
-    respond_site1: Callable[[float, HiddenVariable], LocalResponse]
-    respond_site2: Callable[[float, HiddenVariable], LocalResponse]
-    batch_site1: BatchResponder | None = field(default=None, compare=False)
-    batch_site2: BatchResponder | None = field(default=None, compare=False)
-
-
-def run_lhv_trial(
-    strategy: LocalStrategy, phi: float, psi: float, hv: HiddenVariable
-) -> tuple[LocalResponse, LocalResponse]:
-    """Evaluate both stations on one shared hidden variable."""
-    return strategy.respond_site1(phi, hv), strategy.respond_site2(psi, hv)
+    batch_site1: BatchResponder
+    batch_site2: BatchResponder
 
 
 # ---------------------------------------------------------------------------
 # the explicit delay-based local model
 
 
-def _half_width(u: float) -> float:
-    # early-window half width; integrates to 1/4 over the circle
-    return (math.pi / 4.0) * abs(math.cos(u))
-
-
-def aklz_site1(phi: float, hv: HiddenVariable) -> LocalResponse:
-    """Site-1 response of the delay-based local model.
-
-    With u = theta + phi: the outcome is the sign of cos(u) (ties count as
-    +1) and the arrival is early iff r < h/2 or 1/2 <= r < 1 - h/2, where
-    h = (pi/4)*|cos(u)|.  The early probability is 1/2 for every setting.
-    """
-    u = reduce_phase(hv.theta + phi)
-    cu = math.cos(u)
-    outcome = 1 if cu >= 0.0 else -1
-    ht = _half_width(u) / 2.0
-    early = hv.r < ht or (0.5 <= hv.r < 1.0 - ht)
-    return LocalResponse(outcome, DelayClass.EARLY if early else DelayClass.LATE)
-
-
-def aklz_site2(psi: float, hv: HiddenVariable) -> LocalResponse:
-    """Site-2 response: outcome sign(cos(theta - psi)), early iff r < 1/2.
-
-    The arrival class does not depend on the setting at this site.
-    """
-    cw = math.cos(hv.theta - psi)
-    outcome = 1 if cw >= 0.0 else -1
-    early = hv.r < 0.5
-    return LocalResponse(outcome, DelayClass.EARLY if early else DelayClass.LATE)
-
-
 def _aklz_site1_arrays(phi: float, theta: np.ndarray, r: np.ndarray):
+    # with u = theta + phi: outcome sign(cos u) (ties +1); early iff r < h/2
+    # or 1/2 <= r < 1 - h/2, h = (pi/4)|cos u|, so P(early) = 1/2 per setting
     cu = np.cos(theta + phi)
     outcome = np.where(cu >= 0.0, 1, -1).astype(np.int8)
     ht = (np.pi / 8.0) * np.abs(cu)
@@ -105,6 +56,7 @@ def _aklz_site1_arrays(phi: float, theta: np.ndarray, r: np.ndarray):
 
 
 def _aklz_site2_arrays(psi: float, theta: np.ndarray, r: np.ndarray):
+    # outcome sign(cos(theta - psi)); early iff r < 1/2, whatever the setting
     cw = np.cos(theta - psi)
     outcome = np.where(cw >= 0.0, 1, -1).astype(np.int8)
     early = r < 0.5
@@ -113,26 +65,12 @@ def _aklz_site2_arrays(psi: float, theta: np.ndarray, r: np.ndarray):
 
 
 def aklz_strategy() -> LocalStrategy:
-    """The delay-based local model as a LocalStrategy with fast batch paths."""
-    return LocalStrategy(
-        respond_site1=aklz_site1,
-        respond_site2=aklz_site2,
-        batch_site1=_aklz_site1_arrays,
-        batch_site2=_aklz_site2_arrays,
-    )
+    """The delay-based local model as a LocalStrategy."""
+    return LocalStrategy(batch_site1=_aklz_site1_arrays, batch_site2=_aklz_site2_arrays)
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo
-
-
-def draw_hidden_variable(rs: RandomSource, trial: int) -> HiddenVariable:
-    """Hidden variable for a trial: theta uniform on [0, 2*pi), r on [0, 1).
-
-    Trial t consumes draws 2t and 2t+1 of ``rs``.
-    """
-    u = draw_uniforms(rs, 2 * int(trial), 2)
-    return HiddenVariable(theta=float(u[0]) * TWO_PI, r=float(u[1]))
 
 
 class TrialBatch(NamedTuple):
@@ -156,30 +94,15 @@ def simulate_strategy_pairs(
 ) -> TrialBatch:
     """Run ``trials`` shared-hidden-variable trials at fixed settings.
 
-    Uses the strategy's batch responders when available, otherwise falls
-    back to the scalar interface.  Results are identical either way and
-    deterministic given (rs, start_trial).
+    Trial t draws theta = 2*pi*u[2t] and r = u[2t+1] from the uniforms of
+    ``rs``, so results are deterministic given (rs, start_trial) and blocks
+    run from consecutive start trials concatenate to one longer run.
     """
     n = int(trials)
     u = draw_uniforms(rs, 2 * int(start_trial), 2 * n)
     theta = u[0::2] * TWO_PI
     r = u[1::2]
-    if strategy.batch_site1 is not None and strategy.batch_site2 is not None:
-        o1, l1, d1 = strategy.batch_site1(phi, theta, r)
-        o2, l2, d2 = strategy.batch_site2(psi, theta, r)
-        return TrialBatch(o1, l1, d1, o2, l2, d2)
-    o1 = np.empty(n, dtype=np.int8)
-    l1 = np.empty(n, dtype=bool)
-    d1 = np.empty(n, dtype=bool)
-    o2 = np.empty(n, dtype=np.int8)
-    l2 = np.empty(n, dtype=bool)
-    d2 = np.empty(n, dtype=bool)
-    for k in range(n):
-        hv = HiddenVariable(theta=float(theta[k]), r=float(r[k]))
-        r1, r2 = run_lhv_trial(strategy, phi, psi, hv)
-        o1[k], l1[k], d1[k] = r1.outcome, r1.delay is DelayClass.LATE, r1.detected
-        o2[k], l2[k], d2[k] = r2.outcome, r2.delay is DelayClass.LATE, r2.detected
-    return TrialBatch(o1, l1, d1, o2, l2, d2)
+    return TrialBatch(*strategy.batch_site1(phi, theta, r), *strategy.batch_site2(psi, theta, r))
 
 
 def monte_carlo_statistics(batch: TrialBatch) -> "ModelStatistics":
@@ -271,47 +194,20 @@ def strategy_grid_statistics(
 ) -> ModelStatistics:
     """Midpoint-rule statistics of an arbitrary strategy on a (theta, r) grid.
 
-    Generic and derivative-free; accuracy is limited by how the grid
-    resolves the strategy's decision boundaries (roughly 1/n).  Use
-    ``aklz_quadrature`` for the built-in model when tight tolerances
+    The strategy answers at the midpoint of each of the n_theta * n_r
+    equal-weight cells, and the midpoint rule is then the sample mean
+    computed by ``monte_carlo_statistics``; ``count`` is the number of
+    coincident cells.  Generic and derivative-free; accuracy is limited by
+    how the grid resolves the strategy's decision boundaries (roughly 1/n).
+    Use ``aklz_quadrature`` for the built-in model when tight tolerances
     matter.
     """
     theta = (np.arange(n_theta) + 0.5) * TWO_PI / n_theta
     r = (np.arange(n_r) + 0.5) / n_r
     tg = np.repeat(theta, n_r)
     rg = np.tile(r, n_theta)
-    if strategy.batch_site1 is not None and strategy.batch_site2 is not None:
-        o1, l1, d1 = strategy.batch_site1(phi, tg, rg)
-        o2, l2, d2 = strategy.batch_site2(psi, tg, rg)
-    else:
-        o1 = np.empty(tg.size, dtype=np.int8)
-        l1 = np.empty(tg.size, dtype=bool)
-        d1 = np.empty(tg.size, dtype=bool)
-        o2 = np.empty(tg.size, dtype=np.int8)
-        l2 = np.empty(tg.size, dtype=bool)
-        d2 = np.empty(tg.size, dtype=bool)
-        for k in range(tg.size):
-            hv = HiddenVariable(theta=float(tg[k]), r=float(rg[k]))
-            r1 = strategy.respond_site1(phi, hv)
-            r2 = strategy.respond_site2(psi, hv)
-            o1[k], l1[k], d1[k] = r1.outcome, r1.delay is DelayClass.LATE, r1.detected
-            o2[k], l2[k], d2[k] = r2.outcome, r2.delay is DelayClass.LATE, r2.detected
-    batch = TrialBatch(o1, l1, d1, o2, l2, d2)
-    cells = tg.size
-    both = batch.detected1 & batch.detected2
-    coinc = both & (batch.late1 == batch.late2)
-    prod = batch.outcome1.astype(np.float64) * batch.outcome2.astype(np.float64)
-    den = float(coinc.sum()) / cells
-    num = float(prod[coinc].sum()) / cells
-    ee = float((both & ~batch.late1 & ~batch.late2).sum()) / cells
-    ll = float((both & batch.late1 & batch.late2).sum()) / cells
-    return ModelStatistics(
-        conditional_correlation=num / den if den else float("nan"),
-        coincidence_mass=den,
-        mass_ee=ee,
-        mass_ll=ll,
-        marginal1=float((batch.outcome1 == 1).mean()),
-        marginal2=float((batch.outcome2 == 1).mean()),
+    return monte_carlo_statistics(
+        TrialBatch(*strategy.batch_site1(phi, tg, rg), *strategy.batch_site2(psi, tg, rg))
     )
 
 
@@ -323,7 +219,7 @@ def early_measure_overlap_sum(u: float, n_r: int = 1024) -> float:
     to the closed-form measure 1/2 used by ``aklz_quadrature``; this helper
     exists so tests can verify that equivalence cell by cell.
     """
-    ht = _half_width(u) / 2.0
+    ht = (math.pi / 8.0) * abs(math.cos(u))
     edges = np.linspace(0.0, 1.0, n_r + 1)
     lo, hi = edges[:-1], edges[1:]
 

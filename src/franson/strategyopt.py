@@ -24,14 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._gauss import panel_nodes
-from .core import (
-    TWO_PI,
-    DelayClass,
-    HiddenVariable,
-    SettingsChain,
-)
+from .core import TWO_PI, SettingsChain, setting_key
 from .inequalities import ModelClass, ModelKind, bound_for
-from .lhv import LocalResponse, LocalStrategy
+from .lhv import LocalStrategy
 
 PASS_TOLERANCE = 1e-6
 CONSTRAINT_TOLERANCE = 1e-9
@@ -1022,35 +1017,31 @@ def strategy_from_mixture(mixed: MixedStrategy, chain: SettingsChain) -> LocalSt
     The hidden variable's angle selects the vertex (its quantile over the
     mixture weights); each station then answers from its own map.  Only
     single-phase vertices translate; the two-phase emission-time vertices
-    have no single-setting response to give.
+    have no single-setting response to give.  A setting outside the chain
+    raises KeyError.
     """
     if any(v.site1.late_outcomes is not None for v in mixed.vertices):
         raise ValueError("two-phase vertices cannot run the single-setting pipeline")
     cum = np.cumsum(np.asarray(mixed.weights))
-    lut1 = {s.key: i for i, s in enumerate(chain.site1_settings)}
-    lut2 = {s.key: i for i, s in enumerate(chain.site2_settings)}
+    last = len(mixed.vertices) - 1
 
-    def pick(hv: HiddenVariable) -> DeterministicVertex:
-        q = hv.theta / TWO_PI
-        k = int(np.searchsorted(cum, q, side="right"))
-        return mixed.vertices[min(k, len(mixed.vertices) - 1)]
+    def responder(settings, sides: list[SiteVertex]):
+        lut = {s.key: i for i, s in enumerate(settings)}
+        # (vertices, settings) response tables
+        outcomes = np.array([sv.outcomes for sv in sides], dtype=np.int8)
+        late = ~np.array([sv.early for sv in sides], dtype=bool)
+        detected = np.array([sv.detected for sv in sides], dtype=bool)
 
-    def respond(site: int, setting: float, hv: HiddenVariable) -> LocalResponse:
-        from .core import setting_key
+        def respond(setting: float, theta: np.ndarray, r: np.ndarray):
+            idx = lut.get(setting_key(setting))
+            if idx is None:
+                raise KeyError(f"setting {setting} is not part of the chain")
+            k = np.minimum(np.searchsorted(cum, theta / TWO_PI, side="right"), last)
+            return outcomes[k, idx], late[k, idx], detected[k, idx]
 
-        lut = lut1 if site == 1 else lut2
-        idx = lut.get(setting_key(setting))
-        if idx is None:
-            raise KeyError(f"setting {setting} is not part of the chain")
-        v = pick(hv)
-        sv = v.site1 if site == 1 else v.site2
-        return LocalResponse(
-            outcome=sv.outcomes[idx],
-            delay=DelayClass.EARLY if sv.early[idx] else DelayClass.LATE,
-            detected=sv.detected[idx],
-        )
+        return respond
 
     return LocalStrategy(
-        respond_site1=lambda phi, hv: respond(1, phi, hv),
-        respond_site2=lambda psi, hv: respond(2, psi, hv),
+        batch_site1=responder(chain.site1_settings, [v.site1 for v in mixed.vertices]),
+        batch_site2=responder(chain.site2_settings, [v.site2 for v in mixed.vertices]),
     )

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _KEY_QUANTUM, _KEY_WRAP, TWO_PI, DelayClass
+from .core import _KEY_QUANTUM, _KEY_WRAP, TWO_PI
 from .inequalities import CorrelationTable
-from .lhv import LocalResponse, TrialBatch
+from .lhv import TrialBatch
 
 EVENT_DTYPE = np.dtype(
     [
@@ -49,26 +49,6 @@ class InterferometerTiming:
             raise ValueError("window must satisfy 0 < W < path difference")
         if self.short_arm_ns < 0.0:
             raise ValueError("short arm delay cannot be negative")
-
-
-@dataclass(frozen=True)
-class DetectionEvent:
-    """One detector click."""
-
-    site: int
-    trial: int
-    timestamp_ns: float
-    outcome: int
-    setting_rad: float
-
-
-def event_records(events: np.ndarray) -> list[DetectionEvent]:
-    """View a structured event array as DetectionEvent objects."""
-    return [
-        DetectionEvent(int(e["site"]), int(e["trial"]), float(e["timestamp_ns"]),
-                       int(e["outcome"]), float(e["setting_rad"]))
-        for e in events
-    ]
 
 
 def _check_emission_times(emission_times: np.ndarray, timing: InterferometerTiming) -> np.ndarray:
@@ -123,28 +103,6 @@ def emit_events_from_batch(
     events = np.concatenate(rows)
     events = events[np.argsort(events["timestamp_ns"], kind="stable")]
     return events
-
-
-def emit_events(
-    responses: list[tuple[LocalResponse, LocalResponse]],
-    emission_times,
-    timing: InterferometerTiming,
-    phi: float,
-    psi: float,
-) -> np.ndarray:
-    """Event emission from per-trial response pairs (record interface)."""
-    n = len(responses)
-    batch = TrialBatch(
-        outcome1=np.array([r1.outcome for r1, _ in responses], dtype=np.int8),
-        late1=np.array([r1.delay is DelayClass.LATE for r1, _ in responses], dtype=bool),
-        detected1=np.array([r1.detected for r1, _ in responses], dtype=bool),
-        outcome2=np.array([r2.outcome for _, r2 in responses], dtype=np.int8),
-        late2=np.array([r2.delay is DelayClass.LATE for _, r2 in responses], dtype=bool),
-        detected2=np.array([r2.detected for _, r2 in responses], dtype=bool),
-    )
-    if n == 0:
-        return np.empty(0, dtype=EVENT_DTYPE)
-    return emit_events_from_batch(batch, emission_times, timing, phi, psi)
 
 
 # ---------------------------------------------------------------------------

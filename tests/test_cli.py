@@ -251,6 +251,20 @@ class TestSimulate:
         assert code == 2
         assert "4-term" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--source", "aklz"], ["--pipeline"]],
+        ids=["aklz", "quantum-pipeline"],
+    )
+    def test_uncovered_setting_pair_is_a_clean_error(self, argv, capsys):
+        # one trial per pair leaves some pair without a coincidence
+        code, p, err = run_cli(["simulate", *argv, "--trials", "1", "--seed", "1"], capsys)
+        assert code == 2
+        assert p is None
+        assert err.startswith("error:")
+        assert "no coincidences at (phi, psi)" in err
+        assert "Traceback" not in err
+
     def test_variant_comparison(self, capsys):
         code, p, _ = run_cli(
             [

@@ -1,12 +1,13 @@
 import math
+import types
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import franson
 from franson import (
     DelayClass,
-    HiddenVariable,
     OutcomeValue,
     RandomSource,
     Setting,
@@ -94,15 +95,13 @@ def test_delay_class_members():
     assert DelayClass("early") is DelayClass.EARLY
 
 
-class TestHiddenVariable:
-    def test_accepts_valid(self):
-        hv = HiddenVariable(theta=1.0, r=0.5)
-        assert hv.theta == 1.0
-
-    @pytest.mark.parametrize("theta,r", [(-0.1, 0.5), (TWO_PI, 0.5), (1.0, 1.0), (1.0, -0.01)])
-    def test_rejects_out_of_range(self, theta, r):
-        with pytest.raises(ValueError):
-            HiddenVariable(theta=theta, r=r)
+def test_all_lists_every_public_name():
+    bound = {
+        name
+        for name, value in vars(franson).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert set(franson.__all__) == bound
 
 
 class TestChainSettings:

@@ -5,24 +5,39 @@ import pytest
 
 from franson import (
     DelayClass,
-    HiddenVariable,
-    LocalResponse,
     LocalStrategy,
     RandomSource,
     TrialBatch,
     aklz_quadrature,
-    aklz_site1,
-    aklz_site2,
     aklz_strategy,
-    draw_hidden_variable,
+    draw_uniforms,
     monte_carlo_statistics,
-    run_lhv_trial,
     simulate_strategy_pairs,
     strategy_grid_statistics,
 )
 from franson.lhv import early_measure_overlap_sum
 
 E, L = DelayClass.EARLY, DelayClass.LATE
+
+
+# Plain-Python reference of the delay model, one hidden variable at a time:
+# (outcome, late, detected) per site, written from the model's definition.
+def reference_site1(phi, theta, r):
+    cu = math.cos(theta + phi)
+    h = (math.pi / 4.0) * abs(cu)
+    early = r < h / 2.0 or (0.5 <= r < 1.0 - h / 2.0)
+    return (1 if cu >= 0.0 else -1), not early, True
+
+
+def reference_site2(psi, theta, r):
+    return (1 if math.cos(theta - psi) >= 0.0 else -1), not r < 0.5, True
+
+
+def respond_one(responder, setting, theta, r):
+    """A single trial as a one-element batch."""
+    o, late, det = responder(setting, np.array([theta]), np.array([r]))
+    assert o.shape == late.shape == det.shape == (1,)
+    return int(o[0]), bool(late[0]), bool(det[0])
 
 
 class TestSiteResponses:
@@ -38,10 +53,8 @@ class TestSiteResponses:
         ],
     )
     def test_site1(self, phi, theta, r, outcome, delay):
-        resp = aklz_site1(phi, HiddenVariable(theta=theta, r=r))
-        assert resp.outcome == outcome
-        assert resp.delay is delay
-        assert resp.detected
+        got = respond_one(aklz_strategy().batch_site1, phi, theta, r)
+        assert got == (outcome, delay is L, True)
 
     @pytest.mark.parametrize(
         "psi,theta,r,outcome,delay",
@@ -52,14 +65,13 @@ class TestSiteResponses:
         ],
     )
     def test_site2(self, psi, theta, r, outcome, delay):
-        resp = aklz_site2(psi, HiddenVariable(theta=theta, r=r))
-        assert resp.outcome == outcome
-        assert resp.delay is delay
+        got = respond_one(aklz_strategy().batch_site2, psi, theta, r)
+        assert got == (outcome, delay is L, True)
 
     def test_site2_delay_ignores_setting(self):
-        hv = HiddenVariable(theta=1.3, r=0.37)
-        delays = {aklz_site2(psi, hv).delay for psi in np.linspace(0, 6.2, 20)}
-        assert delays == {E}
+        site2 = aklz_strategy().batch_site2
+        lates = {respond_one(site2, psi, 1.3, 0.37)[1] for psi in np.linspace(0, 6.2, 20)}
+        assert lates == {False}
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(11)
@@ -70,16 +82,9 @@ class TestSiteResponses:
         o1, l1, d1 = strat.batch_site1(phi, theta, r)
         o2, l2, d2 = strat.batch_site2(psi, theta, r)
         for k in range(1000):
-            hv = HiddenVariable(theta=float(theta[k]), r=float(r[k]))
-            r1, r2 = run_lhv_trial(strat, phi, psi, hv)
-            assert r1.outcome == o1[k]
-            assert (r1.delay is L) == bool(l1[k])
-            assert r1.detected == bool(d1[k])
-            assert r2.outcome == o2[k]
-            assert (r2.delay is L) == bool(l2[k])
-
-    def test_local_response_defaults_detected(self):
-        assert LocalResponse(1, E).detected is True
+            t, u = float(theta[k]), float(r[k])
+            assert reference_site1(phi, t, u) == (o1[k], l1[k], d1[k])
+            assert reference_site2(psi, t, u) == (o2[k], l2[k], d2[k])
 
 
 class TestQuadrature:
@@ -120,16 +125,20 @@ class TestQuadrature:
         )
         assert grid.coincidence_mass == pytest.approx(0.5, abs=2e-3)
         assert grid.mass_ee == pytest.approx(0.25, abs=2e-3)
+        # the midpoint rule is the sample mean over equal-weight cells
+        assert grid.count == round(grid.coincidence_mass * 2048 * 512)
 
 
 class TestSimulatePairs:
     def test_batch_and_scalar_paths_identical(self):
-        scalar_only = LocalStrategy(respond_site1=aklz_site1, respond_site2=aklz_site2)
+        # the batch run equals the plain-Python reference trial by trial
         rs = RandomSource(seed=21)
         fast = simulate_strategy_pairs(aklz_strategy(), 0.8, 1.7, 500, rs)
-        slow = simulate_strategy_pairs(scalar_only, 0.8, 1.7, 500, rs)
-        for a, b in zip(fast, slow):
-            assert np.array_equal(a, b)
+        u = draw_uniforms(rs, 0, 1000)
+        for k in range(500):
+            t, r = float(u[2 * k]) * 2 * math.pi, float(u[2 * k + 1])
+            assert reference_site1(0.8, t, r) == (fast.outcome1[k], fast.late1[k], fast.detected1[k])
+            assert reference_site2(1.7, t, r) == (fast.outcome2[k], fast.late2[k], fast.detected2[k])
 
     def test_start_trial_concatenation(self):
         rs = RandomSource(seed=22)
@@ -190,18 +199,36 @@ class TestMonteCarloStatistics:
         assert math.isnan(stats.conditional_correlation)
 
 
+def probe_strategy():
+    """A strategy whose outcomes record the hidden variables it was shown."""
+    seen = []
+
+    def site(setting, theta, r):
+        seen.append((theta.copy(), r.copy()))
+        ones = np.ones(theta.shape, dtype=bool)
+        return np.ones(theta.shape, dtype=np.int8), ~ones, ones
+
+    return LocalStrategy(batch_site1=site, batch_site2=site), seen
+
+
 class TestDrawHiddenVariable:
     def test_ranges_and_determinism(self, rs):
-        for t in range(50):
-            hv = draw_hidden_variable(rs, t)
-            assert 0.0 <= hv.theta < 2 * math.pi
-            assert 0.0 <= hv.r < 1.0
-            assert hv == draw_hidden_variable(rs, t)
+        strategy, seen = probe_strategy()
+        simulate_strategy_pairs(strategy, 0.0, 0.0, 50, rs)
+        simulate_strategy_pairs(strategy, 0.0, 0.0, 50, rs)
+        theta, r = seen[0]
+        assert np.all((0.0 <= theta) & (theta < 2 * math.pi))
+        assert np.all((0.0 <= r) & (r < 1.0))
+        # both sites see the same hidden variables, and reruns repeat them
+        for t, u in seen[1:]:
+            assert np.array_equal(t, theta) and np.array_equal(u, r)
 
     def test_consumes_paired_draws(self, rs):
-        from franson import draw_uniforms
-
-        hv = draw_hidden_variable(rs, 7)
+        # trial t uses draws 2t and 2t+1
+        strat = aklz_strategy()
+        batch = simulate_strategy_pairs(strat, 0.8, 1.7, 1, rs, start_trial=7)
         u = draw_uniforms(rs, 14, 2)
-        assert hv.theta == pytest.approx(float(u[0]) * 2 * math.pi, abs=0)
-        assert hv.r == float(u[1])
+        theta, r = np.array([u[0] * 2 * math.pi]), np.array([u[1]])
+        expected = (*strat.batch_site1(0.8, theta, r), *strat.batch_site2(1.7, theta, r))
+        for got, want in zip(batch, expected):
+            assert np.array_equal(got, want)

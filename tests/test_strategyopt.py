@@ -7,9 +7,9 @@ import pytest
 
 from franson import (
     BoundReport,
+    CorrelationTable,
     DeterministicVertex,
     GameSpec,
-    HiddenVariable,
     MixedStrategy,
     ModelClass,
     OptimizerBudget,
@@ -17,11 +17,15 @@ from franson import (
     SiteVertex,
     aklz_mixed_strategy,
     chain_settings,
+    chained_statistic,
     emission_time_lp_value,
     enumerate_vertices,
     evaluate_mixed,
     max_statistic,
+    monte_carlo_statistics,
     random_settings_chain,
+    simulate_strategy_pairs,
+    statistic_stderr,
     strategy_from_mixture,
     verify_bound,
 )
@@ -372,24 +376,26 @@ class TestModelWitnessBridge:
         result = max_statistic(g)
         strategy = strategy_from_mixture(result.witness, chain4m)
         v = result.witness.vertices[0]
-        hv = HiddenVariable(theta=0.0, r=0.3)
+        theta, r = np.array([0.0]), np.array([0.3])
         for idx, setting in enumerate(chain4m.site1_settings):
-            resp = strategy.respond_site1(setting.phase, hv)
-            assert resp.outcome == v.site1.outcomes[idx]
+            outcome, _, _ = strategy.batch_site1(setting.phase, theta, r)
+            assert outcome.tolist() == [v.site1.outcomes[idx]]
         for idx, setting in enumerate(chain4m.site2_settings):
-            resp = strategy.respond_site2(setting.phase, hv)
-            assert resp.outcome == v.site2.outcomes[idx]
+            outcome, _, _ = strategy.batch_site2(setting.phase, theta, r)
+            assert outcome.tolist() == [v.site2.outcomes[idx]]
 
     def test_mixture_quantiles_select_vertices(self, chain4m):
         g = game(ModelClass.plain_local_realism, chain4m)
         vertices = tuple(enumerate_vertices(g)[:2])
         mixed = MixedStrategy(vertices=vertices, weights=(0.25, 0.75))
         strategy = strategy_from_mixture(mixed, chain4m)
-        phi = chain4m.site1_settings[0].phase
-        lo = strategy.respond_site1(phi, HiddenVariable(theta=0.1 * 2 * math.pi, r=0.5))
-        hi = strategy.respond_site1(phi, HiddenVariable(theta=0.9 * 2 * math.pi, r=0.5))
-        assert lo.outcome == vertices[0].site1.outcomes[0]
-        assert hi.outcome == vertices[1].site1.outcomes[0]
+        psi = chain4m.site2_settings[0].phase
+        quantiles = np.array([0.1, 0.25, 0.9])
+        outcome, _, _ = strategy.batch_site2(psi, quantiles * 2 * math.pi, np.full(3, 0.5))
+        # quantiles below the first weight pick the first vertex
+        picks = [vertices[k].site2.outcomes[0] for k in (0, 1, 1)]
+        assert picks[0] != picks[1]
+        assert outcome.tolist() == picks
 
     def test_two_phase_vertices_refuse_single_setting_pipeline(self, et4_result):
         g, result = et4_result
@@ -400,4 +406,40 @@ class TestModelWitnessBridge:
         g = game(ModelClass.plain_local_realism, chain4m)
         strategy = strategy_from_mixture(max_statistic(g).witness, chain4m)
         with pytest.raises(KeyError):
-            strategy.respond_site1(1.2345, HiddenVariable(theta=0.0, r=0.0))
+            strategy.batch_site1(1.2345, np.array([0.0]), np.array([0.0]))
+
+
+def simulated_statistic(strategy, chain, trials, rs):
+    """Chained statistic and its stderr of a strategy run through the simulator."""
+    table = CorrelationTable()
+    for p, (i, j, _) in enumerate(chain.term_order):
+        phi, psi = chain.site1_settings[i], chain.site2_settings[j]
+        batch = simulate_strategy_pairs(strategy, phi.phase, psi.phase, trials, rs.substream(p + 1))
+        stats = monte_carlo_statistics(batch)
+        table.set_counts(phi, psi, round(stats.conditional_correlation * stats.count), stats.count)
+    return chained_statistic(table, chain), statistic_stderr(table, chain)
+
+
+class TestMixtureThroughSimulator:
+    def test_mixture_statistic_matches_game_value(self, chain4m):
+        g = game(ModelClass.plain_local_realism, chain4m)
+        vertices = enumerate_vertices(g)
+        # all outcomes +1 against site 2 answering -1: every cell correlates
+        # at 0.25 - 0.75, so the value 1.0 depends on the weights
+        mixed = MixedStrategy(vertices=(vertices[0], vertices[3]), weights=(0.25, 0.75))
+        expected = evaluate_mixed(g, mixed).statistic
+        assert expected == pytest.approx(1.0, abs=1e-12)
+        stat, se = simulated_statistic(
+            strategy_from_mixture(mixed, chain4m), chain4m, 20_000, RandomSource(seed=31)
+        )
+        assert se > 0.0
+        assert abs(stat - expected) < 4 * se
+
+    def test_single_vertex_witness_is_exact(self, chain4m):
+        g = game(ModelClass.plain_local_realism, chain4m)
+        witness = max_statistic(g).witness
+        assert len(witness.vertices) == 1
+        stat, _ = simulated_statistic(
+            strategy_from_mixture(witness, chain4m), chain4m, 1_000, RandomSource(seed=32)
+        )
+        assert stat == 2.0

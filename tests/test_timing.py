@@ -5,20 +5,15 @@ import pytest
 
 from franson import (
     EVENT_DTYPE,
-    DelayClass,
     InterferometerTiming,
-    LocalResponse,
     TrialBatch,
     correlation_from_pairs,
-    emit_events,
     emit_events_from_batch,
     postselect,
     read_events_csv,
     write_events_csv,
 )
-from franson.timing import CSV_COLUMNS, event_records
-
-E, L = DelayClass.EARLY, DelayClass.LATE
+from franson.timing import CSV_COLUMNS
 
 TIMING = InterferometerTiming(path_difference_ns=100.0, window_ns=1.0)
 
@@ -101,33 +96,11 @@ class TestEmitEvents:
         with pytest.raises(ValueError, match="per trial"):
             emit_events_from_batch(self._batch(), np.array([0.0, 1000.0]), TIMING, 0, 0)
 
-    def test_record_interface_matches_batch(self):
-        batch = self._batch()
-        responses = []
-        for k in range(3):
-            responses.append(
-                (
-                    LocalResponse(int(batch.outcome1[k]), L if batch.late1[k] else E,
-                                  bool(batch.detected1[k])),
-                    LocalResponse(int(batch.outcome2[k]), L if batch.late2[k] else E,
-                                  bool(batch.detected2[k])),
-                )
-            )
-        emission = np.array([0.0, 1000.0, 2000.0])
-        a = emit_events_from_batch(batch, emission, TIMING, 0.1, 0.2)
-        b = emit_events(responses, emission, TIMING, 0.1, 0.2)
-        assert np.array_equal(a, b)
-
     def test_empty_responses(self):
-        events = emit_events([], np.array([]), TIMING, 0.0, 0.0)
+        empty = TrialBatch(*(np.empty(0, dtype=d) for d in (np.int8, bool, bool) * 2))
+        events = emit_events_from_batch(empty, np.array([]), TIMING, 0.0, 0.0)
         assert events.size == 0
-
-    def test_event_records_view(self):
-        ev = make_events(1, [5.0], [1], 0.3)
-        rec = event_records(ev)[0]
-        assert rec.site == 1
-        assert rec.timestamp_ns == 5.0
-        assert rec.outcome == 1
+        assert events.dtype == EVENT_DTYPE
 
 
 class TestPostselect:
