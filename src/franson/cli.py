@@ -357,6 +357,8 @@ def _cmd_simulate(args) -> dict:
             "emission_gap_ns": 1000.0,
         },
     )
+    if int(args.trials) < 1:
+        raise ConfigError(f"--trials must be at least 1, got {args.trials}")
     if args.scenario == "table1":
         return _scenario_table1()
     if args.scenario == "aklz-demo":

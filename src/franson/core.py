@@ -30,6 +30,9 @@ def reduce_phase(phase: float) -> float:
     r = math.fmod(float(phase), TWO_PI)
     if r < 0.0:
         r += TWO_PI
+    elif r == 0.0:
+        # fmod keeps the sign of a zero; -0.0 would print as "-0.0"
+        r = 0.0
     if r >= TWO_PI:
         # fmod output plus 2*pi can round up to exactly 2*pi
         r -= TWO_PI

@@ -24,11 +24,14 @@ class CellEstimate:
 
     ``count`` is the number of coincident pairs behind the estimate; zero
     means the value is exact (analytic) and carries no sampling error.
+    ``product_sum`` is the integer sum of outcome products behind an
+    empirical estimate (0 for an exact one), so merged blocks stay exact.
     """
 
     estimate: float
     count: int = 0
     stderr: float = 0.0
+    product_sum: int = 0
 
     def __post_init__(self) -> None:
         if not (-1.0 <= self.estimate <= 1.0):
@@ -72,7 +75,7 @@ class CorrelationTable:
             raise ValueError("empirical cells need a positive coincidence count")
         est = product_sum / count
         k = self._key(phi, psi)
-        self._cells[k] = CellEstimate(est, count, binomial_stderr(est, count))
+        self._cells[k] = CellEstimate(est, count, binomial_stderr(est, count), product_sum)
         self._phases[k] = (float(phi) if not isinstance(phi, Setting) else phi.phase,
                            float(psi) if not isinstance(psi, Setting) else psi.phase)
 

@@ -77,31 +77,34 @@ def emit_events_from_batch(
 
     A detected response produces one event with timestamp
     emission + short arm (+ path difference when the arrival is late).
-    Returns a structured array sorted by timestamp.
+    Returns a structured array sorted by timestamp; equal timestamps keep
+    site 1 before site 2, each in trial order.
+
+    Each site's stream is sorted by construction: emission gaps exceed twice
+    the path difference, so a late arrival never overtakes the next trial.
+    One stable sort of the two concatenated runs is then a linear merge.
     """
     t = _check_emission_times(emission_times, timing)
     n = len(batch.outcome1)
     if t.size != n:
         raise ValueError("one emission time is required per trial")
     dt = timing.path_difference_ns
-    rows = []
-    for site, (out, late, det, setting) in enumerate(
-        (
-            (batch.outcome1, batch.late1, batch.detected1, phi),
-            (batch.outcome2, batch.late2, batch.detected2, psi),
-        ),
-        start=1,
-    ):
-        idx = np.flatnonzero(det)
-        ev = np.empty(idx.size, dtype=EVENT_DTYPE)
-        ev["site"] = site
-        ev["trial"] = idx + trial_offset
-        ev["timestamp_ns"] = t[idx] + timing.short_arm_ns + np.where(late[idx], dt, 0.0)
-        ev["outcome"] = out[idx]
-        ev["setting_rad"] = setting
-        rows.append(ev)
-    events = np.concatenate(rows)
-    events = events[np.argsort(events["timestamp_ns"], kind="stable")]
+    idx1 = np.flatnonzero(batch.detected1)
+    idx2 = np.flatnonzero(batch.detected2)
+    ts = np.concatenate(
+        [
+            t[idx] + timing.short_arm_ns + np.where(late[idx], dt, 0.0)
+            for idx, late in ((idx1, batch.late1), (idx2, batch.late2))
+        ]
+    )
+    order = np.argsort(ts, kind="stable")
+    from_site2 = order >= idx1.size
+    events = np.empty(ts.size, dtype=EVENT_DTYPE)
+    events["site"] = from_site2 + np.uint8(1)
+    events["trial"] = np.concatenate([idx1, idx2])[order] + trial_offset
+    events["timestamp_ns"] = ts[order]
+    events["outcome"] = np.concatenate([batch.outcome1[idx1], batch.outcome2[idx2]])[order]
+    events["setting_rad"] = np.where(from_site2, psi, phi)
     return events
 
 
@@ -176,54 +179,86 @@ def _setting_keys(phases: np.ndarray) -> np.ndarray:
     return np.round(reduced / _KEY_QUANTUM).astype(np.int64) % _KEY_WRAP
 
 
+def _setting_runs(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group the runs of equal rows of phase columns by their setting keys.
+
+    Returns ``(bounds, code, first)``: run ``r`` spans rows
+    ``bounds[r]:bounds[r + 1]`` and has index ``code[r]`` among the distinct
+    key rows in sorted order, and ``first[k]`` is the first row with key
+    row ``k``.  Keys are computed only at the run heads, so columns with a
+    handful of runs cost O(n) however long they are.
+    """
+    n = columns[0].size
+    head = np.zeros(n, dtype=bool)
+    head[:1] = True
+    for c in columns:
+        head[1:] |= c[1:] != c[:-1]
+    heads = np.flatnonzero(head)
+    keys = np.stack([_setting_keys(c[heads]) for c in columns], axis=1)
+    _, first, code = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    return np.append(heads, n), code.reshape(-1), heads[first]
+
+
+def _sum_by_key(code: np.ndarray, size: int, per_run: np.ndarray) -> np.ndarray:
+    """Exact integer totals per key of values given per run."""
+    total = np.zeros(size, dtype=np.int64)
+    np.add.at(total, code, per_run)
+    return total
+
+
 def postselect(events: np.ndarray, timing: InterferometerTiming) -> PostselectionResult:
     """Pair events across sites through the coincidence window.
 
-    Two detections coincide when they come from opposite sites and their
-    timestamps differ by strictly less than the window.  Each site-1 event
-    is matched to the earliest unused site-2 event inside its window; with
-    emission gaps above twice the path difference that partner is unique.
-    Ambiguous data (one site-2 event claimed twice) raises.
+    Events are first ordered by timestamp with a stable sort, so equal
+    timestamps keep their input order.  Two detections coincide when they
+    come from opposite sites and their timestamps differ by strictly less
+    than the window.  Each site-1 event is paired with the earliest site-2
+    event inside its window (the first in that order when several share a
+    timestamp), whether or not another site-1 event claims it too.  A
+    site-2 event claimed twice makes the data ambiguous and raises; with
+    emission gaps above twice the path difference that cannot happen.
     """
     ev = np.asarray(events, dtype=EVENT_DTYPE)
-    ev = ev[np.argsort(ev["timestamp_ns"], kind="stable")]
-    e1 = ev[ev["site"] == 1]
-    e2 = ev[ev["site"] == 2]
-    t1 = e1["timestamp_ns"]
-    t2 = e2["timestamp_ns"]
+    ts = ev["timestamp_ns"]
+    # a stable sort of nondecreasing timestamps is the identity
+    if not np.all(ts[1:] >= ts[:-1]):
+        ev = ev[np.argsort(ts, kind="stable")]
+        ts = ev["timestamp_ns"]
+    i1 = np.flatnonzero(ev["site"] == 1)
+    i2 = np.flatnonzero(ev["site"] == 2)
+    t1 = ts[i1]
+    t2 = ts[i2]
     w = timing.window_ns
-    # first site-2 index with timestamp > t1 - w
+    # first site-2 index with timestamp > t1 - w; nondecreasing, since t1 is
     cand = np.searchsorted(t2, t1 - w, side="right")
-    ok = cand < t2.size
-    hit = np.zeros(t1.size, dtype=bool)
-    hit[ok] = np.abs(t2[cand[ok]] - t1[ok]) < w
-    i_idx = np.flatnonzero(hit)
-    j_idx = cand[hit]
-    if j_idx.size and np.unique(j_idx).size != j_idx.size:
+    # past the last site-2 event the partner is +inf, never inside the window
+    i_idx = np.flatnonzero(np.abs(np.append(t2, np.inf)[cand] - t1) < w)
+    j_idx = cand[i_idx]
+    if np.any(j_idx[1:] == j_idx[:-1]):
         raise ValueError("ambiguous coincidences: one event matches several partners")
+    phases1 = ev["setting_rad"][i1]
+    phases2 = ev["setting_rad"][i2]
     out = np.empty(i_idx.size, dtype=PAIR_DTYPE)
     out["timestamp1_ns"] = t1[i_idx]
     out["timestamp2_ns"] = t2[j_idx]
-    out["outcome1"] = e1["outcome"][i_idx]
-    out["outcome2"] = e2["outcome"][j_idx]
-    out["setting1_rad"] = e1["setting_rad"][i_idx]
-    out["setting2_rad"] = e2["setting_rad"][j_idx]
-    matched1 = hit
-    matched2 = np.zeros(t2.size, dtype=bool)
-    matched2[j_idx] = True
+    out["outcome1"] = ev["outcome"][i1[i_idx]]
+    out["outcome2"] = ev["outcome"][i2[j_idx]]
+    out["setting1_rad"] = phases1[i_idx]
+    out["setting2_rad"] = phases2[j_idx]
     entries = []
-    for site, e, matched in ((1, e1, matched1), (2, e2, matched2)):
-        keys = _setting_keys(e["setting_rad"])
-        for key in np.unique(keys):
-            sel = keys == key
-            entries.append(
-                EfficiencyEntry(
-                    site=site,
-                    setting_rad=float(e["setting_rad"][sel][0]),
-                    detected=int(sel.sum()),
-                    coincident=int(matched[sel].sum()),
-                )
+    for site, phases, matched in ((1, phases1, i_idx), (2, phases2, j_idx)):
+        bounds, code, first = _setting_runs(phases)
+        detected = _sum_by_key(code, first.size, np.diff(bounds))
+        coincident = _sum_by_key(code, first.size, np.diff(np.searchsorted(matched, bounds)))
+        entries.extend(
+            EfficiencyEntry(
+                site=site,
+                setting_rad=float(phases[f]),
+                detected=int(d),
+                coincident=int(c),
             )
+            for f, d, c in zip(first, detected, coincident)
+        )
     eta = min((x.ratio for x in entries), default=float("nan"))
     return PostselectionResult(pairs=out, report=EfficiencyReport(tuple(entries), eta))
 
@@ -231,29 +266,30 @@ def postselect(events: np.ndarray, timing: InterferometerTiming) -> Postselectio
 def correlation_from_pairs(pairs: np.ndarray, table: CorrelationTable | None = None) -> CorrelationTable:
     """Accumulate coincident outcome products into a correlation table.
 
-    A setting pair already present in ``table`` (from an earlier block of
-    the same run) has its counts merged, not replaced.
+    Cells come in sorted order of their (site-1, site-2) setting keys, each
+    labelled with the phases of its first pair.  A setting pair already
+    present in ``table`` (from an earlier block of the same run) has its
+    integer counts merged, not replaced.
     """
     if table is None:
         table = CorrelationTable()
     if pairs.size == 0:
         return table
-    k1 = _setting_keys(pairs["setting1_rad"])
-    k2 = _setting_keys(pairs["setting2_rad"])
-    prod = pairs["outcome1"].astype(np.int64) * pairs["outcome2"].astype(np.int64)
-    for row in np.unique(np.stack([k1, k2], axis=1), axis=0):
-        sel = (k1 == row[0]) & (k2 == row[1])
-        first = int(np.flatnonzero(sel)[0])
-        phi = float(pairs["setting1_rad"][first])
-        psi = float(pairs["setting2_rad"][first])
-        prod_sum = int(prod[sel].sum())
-        count = int(sel.sum())
+    s1 = pairs["setting1_rad"]
+    s2 = pairs["setting2_rad"]
+    bounds, code, first = _setting_runs(s1, s2)
+    prod = pairs["outcome1"].astype(np.int64) * pairs["outcome2"]
+    count = _sum_by_key(code, first.size, np.diff(bounds))
+    prod_sum = _sum_by_key(code, first.size, np.add.reduceat(prod, bounds[:-1]))
+    for f, total, n in zip(first.tolist(), prod_sum.tolist(), count.tolist()):
+        phi = float(s1[f])
+        psi = float(s2[f])
         if table.has(phi, psi):
             prev = table.cell(phi, psi)
             if prev.count > 0:
-                prod_sum += round(prev.estimate * prev.count)
-                count += prev.count
-        table.set_counts(phi, psi, prod_sum, count)
+                total += prev.product_sum
+                n += prev.count
+        table.set_counts(phi, psi, total, n)
     return table
 
 

@@ -1,0 +1,47 @@
+"""The traced benchmark still sees every layer of the timing pipeline.
+
+``bench/spans.py`` rebinds the pipeline functions that ``franson.cli`` calls
+and reads their arguments by parameter name (``events``, ``pairs``,
+``path``).  A renamed function or parameter would silently zero a layer of
+the trace, so this loads the file as it is and checks each timing layer
+records spans with non-zero counts.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from franson.cli import main
+
+SPANS_PY = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+
+TIMING_LAYERS = (
+    "timing.emit",
+    "timing.postselect",
+    "timing.tabulate",
+    "timing.csv_write",
+    "timing.csv_read",
+)
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS_PY)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_timing_layers_record_spans_with_counts(tmp_path, capsys):
+    spans = load_spans()
+    tracer = spans.Tracer()
+    events = str(tmp_path / "events.csv")
+    with spans.layers_traced(tracer):
+        assert main(["simulate", "--source", "aklz", "--trials", "2000", "--seed", "1"]) == 0
+        assert main(["simulate", "--trials", "200", "--seed", "1", "--events-csv", events]) == 0
+        assert main(["report", "--events", events]) == 0
+    capsys.readouterr()
+    for layer in TIMING_LAYERS:
+        recorded = [s for s in tracer.spans if s["name"] == layer]
+        assert recorded, layer
+        for span in recorded:
+            assert span["counts"], layer
+            assert all(v > 0 for v in span["counts"].values()), (layer, span["counts"])

@@ -243,6 +243,11 @@ class TestSimulate:
         assert verdicts["plain-local-realism"]["violated"] is True
         assert verdicts["path-realism"]["violated"] is True
         assert verdicts["outcomes-only"]["violated"] is False
+        # the site-2 setting at phase 0 prints as 0.0, never as -0.0
+        phases = [c["psi_rad"] for c in p["table"]["cells"]]
+        phases += [e["setting_rad"] for e in p["efficiency"]["entries"]]
+        assert 0.0 in phases
+        assert all(math.copysign(1.0, x) == 1.0 for x in phases)
 
     def test_aklz_needs_four_terms(self, capsys):
         code, p, err = run_cli(
@@ -263,6 +268,27 @@ class TestSimulate:
         assert p is None
         assert err.startswith("error:")
         assert "no coincidences at (phi, psi)" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("trials", ["-5", "0"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["--source", "aklz"],
+            ["--pipeline"],
+            ["--variant", "polarization-entangled"],
+            ["--scenario", "chained6"],
+            ["--scenario", "table1"],
+        ],
+        ids=["quantum", "aklz", "quantum-pipeline", "variant", "chained6", "table1"],
+    )
+    def test_trials_below_one_is_rejected_up_front(self, argv, trials, capsys):
+        code, p, err = run_cli(["simulate", *argv, "--trials", trials], capsys)
+        assert code == 2
+        assert p is None
+        assert err.startswith("error:")
+        assert "--trials" in err
         assert "Traceback" not in err
 
     def test_variant_comparison(self, capsys):

@@ -7,7 +7,7 @@ values, each property must hold on whatever inputs hypothesis invents.
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from franson.core import TWO_PI, phase_distance, reduce_phase, setting_key
@@ -27,6 +27,13 @@ def test_reduce_phase_lands_in_the_principal_interval(phase):
     # same angle up to a whole number of turns
     turns = (phase - reduced) / TWO_PI
     assert abs(turns - round(turns)) < 1e-6
+
+
+@given(finite_phase)
+@example(-0.0)
+@example(-TWO_PI)
+def test_reduce_phase_never_sets_the_sign_bit(phase):
+    assert math.copysign(1.0, reduce_phase(phase)) == 1.0
 
 
 @given(finite_phase)

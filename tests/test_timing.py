@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from franson import (
     EVENT_DTYPE,
+    CorrelationTable,
     InterferometerTiming,
     TrialBatch,
     correlation_from_pairs,
@@ -13,7 +16,8 @@ from franson import (
     read_events_csv,
     write_events_csv,
 )
-from franson.timing import CSV_COLUMNS
+from franson.core import setting_key
+from franson.timing import CSV_COLUMNS, PAIR_DTYPE
 
 TIMING = InterferometerTiming(path_difference_ns=100.0, window_ns=1.0)
 
@@ -215,6 +219,7 @@ class TestCorrelationFromPairs:
             (a["outcome1"].astype(int) * a["outcome2"]).sum()
             + (b["outcome1"].astype(int) * b["outcome2"]).sum()
         )
+        assert cell.product_sum == total
         assert cell.estimate == pytest.approx(total / 500)
 
     def test_multiple_setting_pairs(self):
@@ -259,3 +264,178 @@ class TestCsvRoundTrip:
 
     def test_columns_constant(self):
         assert CSV_COLUMNS == ("site", "trial", "timestamp_ns", "outcome", "setting_rad")
+
+
+# ---------------------------------------------------------------------------
+# brute-force referee for postselect and correlation_from_pairs
+
+
+def reference_postselect(events, window):
+    """O(n^2) matcher for the rule ``postselect`` documents.
+
+    After a stable sort by timestamp, each site-1 event takes the first
+    site-2 event with |dt| < window; a site-2 event taken twice raises.
+    Returns the pairs and the efficiency entries as plain tuples.
+    """
+    rows = sorted(events.tolist(), key=lambda r: r[2])
+    site1 = [r for r in rows if r[0] == 1]
+    site2 = [r for r in rows if r[0] == 2]
+    pairs, matched1, matched2 = [], set(), set()
+    for a_idx, a in enumerate(site1):
+        for b_idx, b in enumerate(site2):
+            if abs(b[2] - a[2]) < window:
+                if b_idx in matched2:
+                    raise ValueError("ambiguous")
+                matched1.add(a_idx)
+                matched2.add(b_idx)
+                pairs.append((a[2], b[2], a[3], b[3], a[4], b[4]))
+                break
+    entries = []
+    for site, evs, matched in ((1, site1, matched1), (2, site2, matched2)):
+        by_key = {}
+        for idx, r in enumerate(evs):
+            slot = by_key.setdefault(setting_key(r[4]), [r[4], 0, 0])
+            slot[1] += 1
+            slot[2] += idx in matched
+        entries.extend((site, *by_key[k]) for k in sorted(by_key))
+    return pairs, entries
+
+
+def reference_tabulate(blocks, cells=None):
+    """Dict-based merge of pair blocks into (phi, psi, product sum, count).
+
+    Within a block, cells follow sorted setting keys and carry the phases of
+    their first pair; a cell seen in an earlier block adds its counts.
+    """
+    cells = {} if cells is None else cells
+    for block in blocks:
+        acc = {}
+        for t1, t2, o1, o2, s1, s2 in block:
+            slot = acc.setdefault((setting_key(s1), setting_key(s2)), [s1, s2, 0, 0])
+            slot[2] += o1 * o2
+            slot[3] += 1
+        for key in sorted(acc):
+            phi, psi, total, n = acc[key]
+            if key in cells and cells[key][3] > 0:
+                total += cells[key][2]
+                n += cells[key][3]
+            cells[key] = (phi, psi, total, n)
+    return list(cells.values())
+
+
+def table_rows(table):
+    return [(phi, psi, cell.product_sum, cell.count) for (phi, psi), cell in table.items()]
+
+
+# Timestamps are whole multiples of TICK ns well below 2**40, so every
+# timestamp difference and every t - W is exact in binary floating point;
+# the referee then tests the matching rule, not rounding at the window edge.
+TICK = 0.25
+W_TICKS = round(TIMING.window_ns / TICK)
+# 0.3 and 0.3 + 2 pi share a setting key but differ as floats; -0.0 and 0.0 too
+PHASES = (0.0, -0.0, 0.3, 0.3 + 2 * math.pi, math.pi / 4, 5.5)
+
+
+def events_from_rows(rows):
+    """EVENT_DTYPE array from (site, tick, outcome, phase) rows, in order."""
+    ev = np.empty(len(rows), dtype=EVENT_DTYPE)
+    for k, (site, tick, outcome, phase) in enumerate(rows):
+        ev[k] = (site, k, tick * TICK, outcome, phase)
+    return ev
+
+
+raw_event = st.tuples(
+    st.sampled_from((1, 2)),
+    st.integers(-8, 120),
+    st.sampled_from((-1, 1)),
+    st.sampled_from(PHASES),
+)
+
+
+@st.composite
+def dense_streams(draw):
+    """Unsorted events packed into a few windows: ties, +-W gaps, clashes."""
+    return events_from_rows(draw(st.lists(raw_event, max_size=30)))
+
+
+@st.composite
+def trial_streams(draw):
+    """Trials with detection loss, late arrivals, jitter and dark counts.
+
+    Trials sit 16 ns apart and a late arrival adds 8 ns, so jitter of up to
+    +-1.5 ns moves pairs across the window edge, exactly onto it, or into a
+    neighbour's window.  Each trial draws its own settings, so settings
+    interleave; the stream is shuffled before it is returned.
+    """
+    rows = []
+    for trial in range(draw(st.integers(0, 12))):
+        for site in (1, 2):
+            if draw(st.integers(0, 3)) == 0:
+                continue  # not detected
+            tick = 64 * trial + 32 * draw(st.booleans()) + draw(st.integers(-6, 6))
+            rows.append(
+                (site, tick, draw(st.sampled_from((-1, 1))), draw(st.sampled_from(PHASES)))
+            )
+    rows.extend(draw(st.lists(raw_event, max_size=3)))  # dark counts
+    return events_from_rows(draw(st.permutations(rows)))
+
+
+streams = st.one_of(dense_streams(), trial_streams())
+
+
+class TestReferee:
+    @settings(max_examples=400, deadline=None)
+    @given(streams)
+    @example(events_from_rows([(1, 0, 1, 0.3), (2, -W_TICKS, 1, 0.3), (2, W_TICKS, -1, 0.3)]))
+    @example(events_from_rows([(2, 3, 1, -0.0), (1, 3, -1, 0.0), (1, 3, 1, 0.0), (2, 3, 1, 0.0)]))
+    @example(events_from_rows([(1, 0, 1, 0.3), (2, W_TICKS - 1, 1, 0.3 + 2 * math.pi)]))
+    def test_postselect_and_tabulate_match_reference(self, events):
+        try:
+            pairs, entries = reference_postselect(events, TIMING.window_ns)
+        except ValueError:
+            with pytest.raises(ValueError, match="ambiguous"):
+                postselect(events, TIMING)
+            return
+        result = postselect(events, TIMING)
+        # repr tells -0.0 from 0.0, so representative phases must match bitwise
+        assert repr(result.pairs.tolist()) == repr(pairs)
+        got = [(e.site, e.setting_rad, e.detected, e.coincident) for e in result.report.entries]
+        assert repr(got) == repr(entries)
+        eta = min((c / d for _, _, d, c in entries), default=math.nan)
+        assert repr(result.report.eta) == repr(eta)
+        table = correlation_from_pairs(result.pairs)
+        assert repr(table_rows(table)) == repr(reference_tabulate([pairs]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.tuples(
+                    st.sampled_from((-1, 1)),
+                    st.sampled_from((-1, 1)),
+                    st.sampled_from(PHASES),
+                    st.sampled_from(PHASES[:3]),
+                ),
+                max_size=20,
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        st.booleans(),
+    )
+    def test_merged_blocks_match_reference(self, blocks, seed_exact_cell):
+        table = CorrelationTable()
+        cells = {}
+        if seed_exact_cell:
+            # an analytic cell is replaced by counts, never merged with them
+            table.set_exact(0.3, 0.0, 0.5)
+            cells[(setting_key(0.3), setting_key(0.0))] = (0.3, 0.0, 0, 0)
+        rows = [[(0.0, 0.0, o1, o2, s1, s2) for o1, o2, s1, s2 in b] for b in blocks]
+        for block in rows:
+            pairs = np.array(block, dtype=PAIR_DTYPE) if block else np.empty(0, PAIR_DTYPE)
+            assert correlation_from_pairs(pairs, table) is table
+        expected = reference_tabulate(rows, cells)
+        assert repr(table_rows(table)) == repr(expected)
+        for (phi, psi), cell in table.items():
+            if cell.count:
+                assert cell.estimate == cell.product_sum / cell.count
