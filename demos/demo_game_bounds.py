@@ -7,7 +7,7 @@ mixtures over deterministic per-setting response maps.  Small games can
 be solved exactly by enumerating the deterministic vertices.  Larger
 ones (and the equal-mass-constrained one) get a multi-start projected
 gradient search, cross-checked for the constrained game by an exact
-linear program.
+linear program solved by column generation.
 
 The local delay model itself appears here as a witness: projected onto
 game vertices it is a feasible mixture of the outcomes-only class, and
@@ -52,8 +52,9 @@ for model, chain, bound in (
     )
 
 print()
-lp = emission_time_lp_value(GameSpec(ModelClass.emission_time_realism(), chain4))
-print(f"exact LP value of the equal-mass game, 4 terms: {lp:.9f}")
+for chain in (chain4, chain6):
+    lp = emission_time_lp_value(GameSpec(ModelClass.emission_time_realism(), chain))
+    print(f"exact LP value of the equal-mass game, {chain.terms} terms: {lp:.9f}")
 
 mixed = aklz_mixed_strategy(chain4)
 ev = evaluate_mixed(GameSpec(ModelClass.outcomes_only(), chain4), mixed)

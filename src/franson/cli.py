@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -66,7 +67,9 @@ class ConfigError(ValueError):
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    # strict JSON (RFC 8259): a non-finite float raises instead of printing
+    # NaN or Infinity
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -198,11 +201,11 @@ def _pipeline_tables(
             "setting_rad": rad,
             "detected": det,
             "coincident": coinc,
-            "ratio": coinc / det if det else float("nan"),
+            "ratio": coinc / det if det else None,
         }
         for (site, _), (rad, det, coinc) in sorted(pooled.items())
     ]
-    eta = min((e["ratio"] for e in entries), default=float("nan"))
+    eta = min((e["ratio"] for e in entries if e["ratio"] is not None), default=None)
     return table, coincidences / total_trials, {"eta": eta, "entries": entries}
 
 
@@ -474,13 +477,15 @@ def _cmd_geometry(args) -> dict:
         switch_period_ns=float(args.switch_period_ns),
     )
     premise = check_emission_time_premise(geometry)
+    sw = geometry.switch_period_ns
     order = classify_event_order(geometry)
     return {
         "command": "geometry",
         "geometry": {
             "path_difference_ns": geometry.path_difference_ns,
             "modulator_to_detector_ns": geometry.modulator_to_detector_ns,
-            "switch_period_ns": geometry.switch_period_ns,
+            # null: a static setting, never switched
+            "switch_period_ns": sw if math.isfinite(sw) else None,
         },
         "premise": premise.to_json_dict(),
         "timeline": [
@@ -623,13 +628,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _merge_config(args)
         payload = args.func(args)
+        _emit(payload, args.out)
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    _emit(payload, args.out)
     return EXIT_OK
 
 

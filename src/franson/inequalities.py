@@ -279,7 +279,7 @@ class Verdict:
     bound: float
     excess: float
     stderr: float
-    significance: float
+    significance: float | None
     violated: bool
 
     def to_json_dict(self) -> dict:
@@ -302,21 +302,14 @@ def evaluate(table: CorrelationTable, chain: SettingsChain, model: ModelClass) -
     """Compare the chained statistic on ``table`` with the model bound.
 
     ``violated`` is strict: any positive excess counts.  Significance is
-    excess over the propagated standard error; with an exact table
-    (stderr 0) it is +-inf for a nonzero excess and 0 otherwise.
+    excess over the propagated standard error.  With an exact table
+    (stderr 0) it is None, which reports print as null: the ratio has no
+    finite value, and its sign is already carried by ``excess``.
     """
     stat = chained_statistic(table, chain)
     bound = bound_for(model, chain.terms)
     excess = stat - bound
     se = statistic_stderr(table, chain)
-    if se > 0.0:
-        significance = excess / se
-    elif excess > 0.0:
-        significance = math.inf
-    elif excess < 0.0:
-        significance = -math.inf
-    else:
-        significance = 0.0
     return Verdict(
         model=model,
         terms=chain.terms,
@@ -324,6 +317,6 @@ def evaluate(table: CorrelationTable, chain: SettingsChain, model: ModelClass) -
         bound=bound,
         excess=excess,
         stderr=se,
-        significance=significance,
+        significance=excess / se if se > 0.0 else None,
         violated=excess > 0.0,
     )

@@ -140,6 +140,7 @@ def simulate_setup(
 
     Each pair uses an independent substream of ``rs`` (pair index p maps to
     stream offset p+1), so the run is reproducible under any scheduling.
+    A setting pair without a single coincidence raises ValueError naming it.
     """
     table = CorrelationTable()
     n = int(trials_per_pair)
@@ -149,6 +150,12 @@ def simulate_setup(
         phi = chain.site1_settings[i].phase
         psi = chain.site2_settings[j].phase
         x1, x2, mask = sample_setup_pairs(variant, phi, psi, visibility, rs.substream(p + 1), 0, n)
+        if not mask.any():
+            raise ValueError(
+                f"no coincidences at (phi, psi) = ({phi!r}, {psi!r}) of the "
+                f"{chain.terms}-term chain in {n} trial(s) per setting pair; "
+                "raise the trial count"
+            )
         prod = (x1.astype(np.int64) * x2.astype(np.int64))[mask]
         table.set_counts(phi, psi, int(prod.sum()), int(mask.sum()))
         total += n

@@ -8,6 +8,7 @@ that is pure arithmetic on three delays, collected here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -28,21 +29,27 @@ class StationGeometry:
     switch_period_ns: float
 
     def __post_init__(self) -> None:
-        if self.path_difference_ns <= 0.0 or self.modulator_to_detector_ns <= 0.0:
-            raise ValueError("delays must be positive")
+        delays = (self.path_difference_ns, self.modulator_to_detector_ns)
+        if not all(math.isfinite(d) and d > 0.0 for d in delays):
+            raise ValueError("delays must be positive and finite")
         if not (self.switch_period_ns > 0.0):
             raise ValueError("switch period must be positive (inf allowed)")
 
 
 @dataclass(frozen=True)
 class PremiseCheck:
-    """Result of the two-setting timing test."""
+    """Result of the two-setting timing test.
+
+    A static setting (infinite switch period) has margin -inf, which the
+    JSON form writes as null.
+    """
 
     satisfied: bool
     margin_ns: float
 
     def to_json_dict(self) -> dict:
-        return {"satisfied": self.satisfied, "margin_ns": self.margin_ns}
+        margin = self.margin_ns if math.isfinite(self.margin_ns) else None
+        return {"satisfied": self.satisfied, "margin_ns": margin}
 
 
 def check_emission_time_premise(geometry: StationGeometry) -> PremiseCheck:

@@ -242,6 +242,52 @@ def _site_vertex(sides: _SideArrays, k: int) -> SiteVertex:
     )
 
 
+@dataclass(frozen=True)
+class _SiteFactors:
+    """One site's vertices as float64 columns, one per entry of ``cols``.
+
+    A joint vertex's per-term masses and products are products of a site-1
+    and a site-2 factor, so whole (S1, S2) score matrices are a few matrix
+    products of these.
+    """
+
+    early: np.ndarray                    # (S, k) 1.0 for an early arrival
+    outcomes: np.ndarray                 # (S, k)
+    late_outcomes: np.ndarray | None     # (S, k) or None
+    detected: np.ndarray                 # (S, k)
+    late_share: np.ndarray               # (S,) n_late / n
+
+
+def _site_factors(sides: _SideArrays, cols: np.ndarray) -> _SiteFactors:
+    late = sides.late_outcomes
+    return _SiteFactors(
+        early=sides.early[:, cols].astype(np.float64),
+        outcomes=sides.outcomes[:, cols].astype(np.float64),
+        late_outcomes=None if late is None else late[:, cols].astype(np.float64),
+        detected=sides.detected[:, cols].astype(np.float64),
+        late_share=sides.n_late / sides.outcomes.shape[1],
+    )
+
+
+def _et_vertex_index(n: int, outcome_map, late_map, arrival_map):
+    """Row of an emission-time site vertex in ``_side_arrays``, by map index."""
+    return (outcome_map * 2**n + late_map) * 2**n + arrival_map
+
+
+def _arrival_core(n: int) -> tuple[tuple[int, int], ...]:
+    """The four all-early / all-late (site-1, site-2) arrival maps.
+
+    Weight 1/4 on each pair meets every equal-mass constraint, whatever the
+    outcome maps.
+    """
+    all_early = 2**n - 1  # bool pattern index with every bit set
+    all_late = 0
+    return (
+        (all_early, all_early), (all_early, all_late),
+        (all_late, all_early), (all_late, all_late),
+    )
+
+
 DEFAULT_VERTEX_LIMIT = 1 << 21
 
 
@@ -604,23 +650,17 @@ def _restart_support(game, s1, s2, budget, rng):
     picks1: list[int] = []
     picks2: list[int] = []
     if game.has_equal_mass_constraint:
-        # the four all-early / all-late arrival patterns with random outcome
-        # maps keep the equal-mass system solvable from the first iterate
-        def et_index(out_i, late_i, early_i):
-            return (out_i * 2**n + late_i) * 2**n + early_i
-
-        all_early = 2**n - 1  # bool pattern index with every bit set
-        all_late = 0
-        for ep1, ep2 in ((all_early, all_early), (all_early, all_late),
-                         (all_late, all_early), (all_late, all_late)):
-            picks1.append(et_index(rng.integers(2**n), rng.integers(2**n), ep1))
-            picks2.append(et_index(rng.integers(2**n), rng.integers(2**n), ep2))
+        # the arrival core with random outcome maps keeps the equal-mass
+        # system solvable from the first iterate
+        for ep1, ep2 in _arrival_core(n):
+            picks1.append(_et_vertex_index(n, rng.integers(2**n), rng.integers(2**n), ep1))
+            picks2.append(_et_vertex_index(n, rng.integers(2**n), rng.integers(2**n), ep2))
         # single-early arrival maps let the search place early mass per cell
         for a in range(n):
             for b in range(n):
                 for _ in range(2):
-                    picks1.append(et_index(rng.integers(2**n), rng.integers(2**n), 1 << a))
-                    picks2.append(et_index(rng.integers(2**n), rng.integers(2**n), 1 << b))
+                    picks1.append(_et_vertex_index(n, rng.integers(2**n), rng.integers(2**n), 1 << a))
+                    picks2.append(_et_vertex_index(n, rng.integers(2**n), rng.integers(2**n), 1 << b))
     k = len(picks1)
     extra = max(budget.support_size - k, 8)
     picks1.extend(int(x) for x in rng.integers(S1, size=extra))
@@ -644,31 +684,24 @@ def _cg_scores(game, s1, s2, coef_over_m, corr_vec):
     whole (S1, S2) score matrix is a handful of small matrix products.
     """
     a_idx, b_idx, _ = _cell_indices(game)
-    n = game.n_settings
     c = coef_over_m
     d = coef_over_m * corr_vec
-    kind = game.model.kind
 
     def prod(f1, f2, coeff):
         return (f1 * coeff[None, :]) @ f2.T
 
-    o1 = s1.outcomes[:, a_idx].astype(np.float64)
-    o2 = s2.outcomes[:, b_idx].astype(np.float64)
-    e1 = s1.early[:, a_idx].astype(np.float64)
-    e2 = s2.early[:, b_idx].astype(np.float64)
-    if kind is ModelKind.EMISSION_TIME_REALISM:
-        l1 = s1.late_outcomes[:, a_idx].astype(np.float64)
-        l2 = s2.late_outcomes[:, b_idx].astype(np.float64)
-        nl1 = (s1.n_late / n).astype(np.float64)
-        nl2 = (s2.n_late / n).astype(np.float64)
+    f1 = _site_factors(s1, a_idx)
+    f2 = _site_factors(s2, b_idx)
+    o1, o2, e1, e2 = f1.outcomes, f2.outcomes, f1.early, f2.early
+    if game.model.kind is ModelKind.EMISSION_TIME_REALISM:
+        nl1, nl2 = f1.late_share, f2.late_share
         score = prod(e1 * o1, e2 * o2, c) - prod(e1, e2, d)
         score += (
-            prod(nl1[:, None] * l1, nl2[:, None] * l2, c)
+            prod(nl1[:, None] * f1.late_outcomes, nl2[:, None] * f2.late_outcomes, c)
             - np.outer(nl1, nl2) * d.sum()
         )
         return score
-    det1 = s1.detected[:, a_idx].astype(np.float64)
-    det2 = s2.detected[:, b_idx].astype(np.float64)
+    det1, det2 = f1.detected, f2.detected
     # selection = det1*det2*(e1*e2 + (1-e1)(1-e2))
     g1, g2 = det1 * e1, det2 * e2
     h1, h2 = det1 * (1.0 - e1), det2 * (1.0 - e2)
@@ -810,55 +843,140 @@ def max_statistic(game: GameSpec, budget: OptimizerBudget | None = None) -> MaxS
 # linear-programming cross-check for the emission-time game
 
 
+# column generation: columns added per round, pricing block size in matrix
+# entries, the reduced profit that certifies optimality, and a round cap
+_LP_COLUMNS_PER_ROUND = 64
+_LP_PRICING_BLOCK = 1 << 21
+LP_OPTIMALITY_TOLERANCE = 1e-10
+_LP_MAX_ROUNDS = 1000
+
+
+class _EmissionTimeLP:
+    """The emission-time game's LPs, one per sign pattern.
+
+    Column (i, j) is the joint vertex of site-1 vertex i and site-2 vertex
+    j, flat index i * size + j.  The equality rows are the per-cell
+    early-early masses, the late-late mass and the total mass.  See
+    ``emission_time_lp_value`` for the method.
+    """
+
+    def __init__(self, game: GameSpec) -> None:
+        self.n = n = game.n_settings
+        sides = _side_arrays(game.model.kind, n)  # both sites share one vertex set
+        a_idx, b_idx, self.signs = _cell_indices(game)
+        self.terms = a_idx.size
+        self.size = sides.size
+        self.f1 = _site_factors(sides, np.arange(n))  # one column per site-1 setting
+        self.f2 = _site_factors(sides, b_idx)  # one column per term
+        self.e1 = self.f1.early[:, a_idx]
+        self.o1 = self.f1.outcomes[:, a_idx]
+        self.l1 = self.f1.late_outcomes[:, a_idx]
+        # summing the site-2 factors over the two terms of each site-1
+        # setting keeps the pricing product at rank 3n + 2
+        self.terms_of = (a_idx[None, :] == np.arange(n)[:, None]).astype(np.float64)
+        f1 = self.f1
+        self.left = np.hstack([
+            f1.early * f1.outcomes,
+            f1.late_share[:, None] * f1.late_outcomes,
+            f1.early,
+            f1.late_share[:, None],
+            np.ones((self.size, 1)),
+        ])
+        self.b_eq = np.array([0.25] * self.terms + [0.25, 1.0])
+
+    def coef(self, pattern: np.ndarray) -> np.ndarray:
+        # corr_t = 2 * (early part + late part) once masses are pinned
+        return 2.0 * np.repeat(pattern, 2) * self.signs
+
+    def columns(self, i: np.ndarray, j: np.ndarray, coef: np.ndarray):
+        """Equality rows and objective of the columns (i, j)."""
+        f2 = self.f2
+        ee = self.e1[i] * f2.early[j]
+        ll = self.f1.late_share[i] * f2.late_share[j]
+        A_eq = np.vstack([ee.T, ll, np.ones(i.size)])
+        late = ll[:, None] * self.l1[i] * f2.late_outcomes[j]
+        obj = (ee * self.o1[i] * f2.outcomes[j] + late) @ coef
+        return A_eq, obj
+
+    def profit_right(self, coef: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Site-2 factor: ``left @ right.T`` is obj - y^T A for every column."""
+        f2, T, to = self.f2, self.terms, self.terms_of.T
+        return np.hstack([
+            (f2.early * f2.outcomes * coef) @ to,
+            (f2.late_share[:, None] * f2.late_outcomes * coef) @ to,
+            -(f2.early * y[:T]) @ to,
+            -y[T] * f2.late_share[:, None],
+            np.full((self.size, 1), -y[T + 1]),
+        ])
+
+    def value(self, pattern: np.ndarray) -> float:
+        """Exact LP value under one sign pattern, by column generation."""
+        from scipy.optimize import linprog
+
+        S = self.size
+        coef = self.coef(pattern)
+        # the arrival core with the all-+1 outcome maps, at weight 1/4 each
+        n = self.n
+        i = np.array([_et_vertex_index(n, 0, 0, a) for a, _ in _arrival_core(n)])
+        j = np.array([_et_vertex_index(n, 0, 0, a) for _, a in _arrival_core(n)])
+        block = max(1, _LP_PRICING_BLOCK // S)
+        k = min(_LP_COLUMNS_PER_ROUND, S)
+        for _ in range(_LP_MAX_ROUNDS):
+            A_eq, obj = self.columns(i, j, coef)
+            res = linprog(-obj, A_eq=A_eq, b_eq=self.b_eq, bounds=(0.0, None), method="highs")
+            if not res.success:
+                raise RuntimeError(f"LP cross-check failed: {res.message}")
+            right = self.profit_right(coef, -res.eqlin.marginals)  # duals of the max
+            row_best = np.concatenate(
+                [(self.left[r:r + block] @ right.T).max(axis=1) for r in range(0, S, block)]
+            )
+            if row_best.max() <= LP_OPTIMALITY_TOLERANCE:
+                return float(-res.fun)
+            # the k best entries lie in the k rows with the best maxima
+            rows = np.argpartition(row_best, -k)[-k:]
+            profit = (self.left[rows] @ right.T).ravel()
+            top = np.argpartition(profit, -k)[-k:]
+            top = top[profit[top] > LP_OPTIMALITY_TOLERANCE]
+            new = np.setdiff1d(rows[top // S] * S + top % S, i * S + j)
+            if new.size == 0:
+                raise RuntimeError(
+                    "LP column generation stalled: the priced columns are "
+                    "already in the master"
+                )
+            i = np.concatenate([i, new // S])
+            j = np.concatenate([j, new % S])
+        raise RuntimeError(f"LP column generation did not converge in {_LP_MAX_ROUNDS} rounds")
+
+
 def emission_time_lp_value(game: GameSpec) -> float:
     """Exact in-game maximum of the emission-time statistic, via LPs.
 
     On the equal-mass manifold every cell mass equals 1/(2 n^2), so each
     absolute-value sign pattern turns the statistic into a linear
     functional of the mixture; the maximum over the 2^(terms/2) patterns of
-    the LP optima is the exact game value.  Independent of the
+    the LP optima is the exact game value.  Flipping every site-1 outcome,
+    early and late, negates all correlations and keeps every mass, so a
+    pattern and its negation have the same value: only the 2^(terms/2 - 1)
+    patterns with a leading +1 are solved.
+
+    Each LP is solved by column generation (Gilmore and Gomory, 1961), not
+    over all S1*S2 joint vertices.  The restricted master starts from the
+    four all-early / all-late vertex pairs at weight 1/4, which meet every
+    constraint.  Each round prices every joint vertex at once: the reduced
+    profit obj - y^T A under the master's duals y factorizes over the two
+    sites, so it is one product of per-site factor matrices, built in
+    blocks of site-1 rows; the columns with the largest profits join the
+    master.  The weights sum to 1, so y^T b + max(0, largest profit) bounds
+    the LP from above, and the loop stops once the largest profit is at
+    most 1e-10: the master's value is then within 1e-10 of the optimum.
+    Any other ending raises RuntimeError.  Independent of the
     projected-gradient search path.
     """
-    from scipy.optimize import linprog
-
     if game.model.kind is not ModelKind.EMISSION_TIME_REALISM:
         raise ValueError("the LP cross-check applies to the emission-time game")
-    n = game.n_settings
-    s1 = _side_arrays(game.model.kind, n)
-    s2 = _side_arrays(game.model.kind, n)
-    a_idx, b_idx, signs = _cell_indices(game)
-    T = len(a_idx)
-    S1, S2 = s1.size, s2.size
-    e1 = s1.early[:, a_idx].astype(np.float64)
-    e2 = s2.early[:, b_idx].astype(np.float64)
-    o1 = s1.outcomes[:, a_idx].astype(np.float64)
-    o2 = s2.outcomes[:, b_idx].astype(np.float64)
-    l1 = s1.late_outcomes[:, a_idx].astype(np.float64)
-    l2 = s2.late_outcomes[:, b_idx].astype(np.float64)
-    nl1 = s1.n_late.astype(np.float64) / n
-    nl2 = s2.n_late.astype(np.float64) / n
-    # equality rows: per-cell early-early mass, the late-late mass, total mass
-    rows = [np.outer(e1[:, t], e2[:, t]).ravel() for t in range(T)]
-    rows.append(np.outer(nl1, nl2).ravel())
-    rows.append(np.ones(S1 * S2))
-    A_eq = np.vstack(rows)
-    b_eq = np.array([0.25] * T + [0.25, 1.0])
-    best = -math.inf
-    half = T // 2
-    for pattern in itertools.product((1.0, -1.0), repeat=half):
-        coef = np.repeat(np.array(pattern), 2) * signs
-        obj = np.zeros(S1 * S2)
-        for t in range(T):
-            # corr_t = 2 * (early part + late part) once masses are pinned
-            obj += 2.0 * coef[t] * (
-                np.outer(e1[:, t] * o1[:, t], e2[:, t] * o2[:, t]).ravel()
-                + np.outer(nl1 * l1[:, t], nl2 * l2[:, t]).ravel()
-            )
-        res = linprog(-obj, A_eq=A_eq, b_eq=b_eq, bounds=(0.0, None), method="highs")
-        if not res.success:
-            raise RuntimeError(f"LP cross-check failed: {res.message}")
-        best = max(best, float(-res.fun))
-    return best
+    lp = _EmissionTimeLP(game)
+    # rows of _sign_patterns with an even index lead with +1
+    return max(lp.value(p) for p in _sign_patterns(game.chain.terms // 2)[0::2])
 
 
 # ---------------------------------------------------------------------------

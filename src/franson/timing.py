@@ -43,12 +43,12 @@ class InterferometerTiming:
     short_arm_ns: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.path_difference_ns <= 0.0:
-            raise ValueError("path difference must be positive")
+        if not (0.0 < self.path_difference_ns < np.inf):
+            raise ValueError("path difference must be positive and finite")
         if not (0.0 < self.window_ns < self.path_difference_ns):
             raise ValueError("window must satisfy 0 < W < path difference")
-        if self.short_arm_ns < 0.0:
-            raise ValueError("short arm delay cannot be negative")
+        if not (0.0 <= self.short_arm_ns < np.inf):
+            raise ValueError("short arm delay must be nonnegative and finite")
 
 
 def _check_emission_times(emission_times: np.ndarray, timing: InterferometerTiming) -> np.ndarray:
@@ -131,8 +131,9 @@ class EfficiencyEntry:
     coincident: int
 
     @property
-    def ratio(self) -> float:
-        return self.coincident / self.detected if self.detected else float("nan")
+    def ratio(self) -> float | None:
+        """P(coincident | detected); None without detections."""
+        return self.coincident / self.detected if self.detected else None
 
 
 @dataclass(frozen=True)
@@ -141,11 +142,11 @@ class EfficiencyReport:
 
     ``eta`` is the minimum over sites and settings of
     P(coincident | locally detected), the quantity the inefficiency and
-    delay bounds are written in.
+    delay bounds are written in; None when no entry has a detection.
     """
 
     entries: tuple[EfficiencyEntry, ...]
-    eta: float
+    eta: float | None
 
     def to_json_dict(self) -> dict:
         return {
@@ -259,7 +260,7 @@ def postselect(events: np.ndarray, timing: InterferometerTiming) -> Postselectio
             )
             for f, d, c in zip(first, detected, coincident)
         )
-    eta = min((x.ratio for x in entries), default=float("nan"))
+    eta = min((x.ratio for x in entries if x.ratio is not None), default=None)
     return PostselectionResult(pairs=out, report=EfficiencyReport(tuple(entries), eta))
 
 
@@ -316,15 +317,55 @@ def write_events_csv(path, events: np.ndarray) -> None:
 
 
 def read_events_csv(path) -> np.ndarray:
-    """Read events written by write_events_csv; round trips exactly."""
+    """Read events written by write_events_csv; round trips exactly.
+
+    Every row must have site 1 or 2, outcome -1 or +1 and a finite
+    timestamp and setting; the first row that does not raises ValueError
+    naming its line (the header is line 1).
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != CSV_COLUMNS:
+        header = next(reader, None)
+        if header is None or tuple(header) != CSV_COLUMNS:
             raise ValueError(f"unexpected CSV header: {header}")
-        rows = [
-            (int(r[0]), int(r[1]), float(r[2]), int(r[3]), float(r[4]))
-            for r in reader
-        ]
-    out = np.array(rows, dtype=EVENT_DTYPE) if rows else np.empty(0, dtype=EVENT_DTYPE)
+        try:
+            rows = [
+                (int(r[0]), int(r[1]), float(r[2]), int(r[3]), float(r[4]))
+                for r in reader
+            ]
+        except (ValueError, IndexError) as exc:
+            raise ValueError(f"{path}, line {reader.line_num}: malformed event row ({exc})") from exc
+    try:
+        out = np.array(rows, dtype=EVENT_DTYPE) if rows else np.empty(0, dtype=EVENT_DTYPE)
+    except OverflowError:
+        # a site, trial or outcome outside its column's integer range; the
+        # vectorized check below names any other bad row
+        k = next(k for k, row in enumerate(rows) if _overflows(row))
+        raise ValueError(_bad_row_message(path, k, rows[k])) from None
+    bad = (
+        ((out["site"] != 1) & (out["site"] != 2))
+        | ((out["outcome"] != 1) & (out["outcome"] != -1))
+        | ~np.isfinite(out["timestamp_ns"])
+        | ~np.isfinite(out["setting_rad"])
+    )
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(_bad_row_message(path, k, rows[k]))
     return out
+
+
+def _overflows(row: tuple) -> bool:
+    try:
+        np.array([row], dtype=EVENT_DTYPE)
+    except OverflowError:
+        return True
+    return False
+
+
+def _bad_row_message(path, k: int, row: tuple) -> str:
+    site, trial, ts, outcome, setting = row
+    return (
+        f"{path}, line {k + 2}: site must be 1 or 2, outcome -1 or +1, timestamp "
+        f"and setting finite; got site={site}, trial={trial}, timestamp_ns={ts!r}, "
+        f"outcome={outcome}, setting_rad={setting!r}"
+    )

@@ -1,10 +1,11 @@
-"""The traced benchmark still sees every layer of the timing pipeline.
+"""The traced benchmark still sees the timing pipeline and the game LP.
 
-``bench/spans.py`` rebinds the pipeline functions that ``franson.cli`` calls
-and reads their arguments by parameter name (``events``, ``pairs``,
-``path``).  A renamed function or parameter would silently zero a layer of
-the trace, so this loads the file as it is and checks each timing layer
-records spans with non-zero counts.
+``bench/spans.py`` rebinds the pipeline functions that ``franson.cli`` calls,
+``emission_time_lp_value`` and ``scipy.optimize.linprog``, and reads their
+arguments by parameter name (``events``, ``pairs``, ``path``, ``c``).  A
+renamed function or parameter, or a module-level ``linprog`` import, would
+silently zero a layer of the trace, so this loads the file as it is and
+checks that each timing layer and the LP record spans with non-zero counts.
 """
 
 import importlib.util
@@ -45,3 +46,20 @@ def test_timing_layers_record_spans_with_counts(tmp_path, capsys):
         for span in recorded:
             assert span["counts"], layer
             assert all(v > 0 for v in span["counts"].values()), (layer, span["counts"])
+
+
+def test_lp_layers_record_spans_with_columns(capsys):
+    spans = load_spans()
+    tracer = spans.Tracer()
+    with spans.layers_traced(tracer):
+        assert main(["verify-bounds", "--lp-check", "--terms", "4",
+                     "--restarts", "1", "--iterations", "20"]) == 0
+    capsys.readouterr()
+    names = [s["name"] for s in tracer.spans]
+    assert names.count("strategyopt.lp") == 1
+    solves = [s for s in tracer.spans if s["name"] == "strategyopt.lp.solve"]
+    # every master solve is a child of the LP span and hands over columns
+    assert len(solves) > 2
+    (lp,) = [s for s in tracer.spans if s["name"] == "strategyopt.lp"]
+    assert all(s["parent"] == lp["id"] for s in solves)
+    assert all(s["counts"]["columns"] > 0 for s in solves)

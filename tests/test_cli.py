@@ -118,6 +118,16 @@ class TestVerifyBounds:
         assert p["best_value"] == 2.0
         assert p["margin"] == 0.0
 
+    def test_six_term_lp_is_exact(self, capsys):
+        code, p, _ = run_cli(
+            ["verify-bounds", "--terms", "6", "--restarts", "1", "--iterations", "20",
+             "--lp-check"],
+            capsys,
+        )
+        assert code == 0
+        assert p["bound"] == 5.0
+        assert p["lp_value"] == pytest.approx(5.0, abs=1e-9)
+
     def test_oversized_game_exits_with_resource_code(self, capsys):
         code, p, err = run_cli(
             ["verify-bounds", "--model-class", "emission-time-realism", "--terms", "8"],
@@ -258,8 +268,8 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "argv",
-        [["--source", "aklz"], ["--pipeline"]],
-        ids=["aklz", "quantum-pipeline"],
+        [["--source", "aklz"], ["--pipeline"], [], ["--variant", "cross-coupled"]],
+        ids=["aklz", "quantum-pipeline", "quantum", "variant"],
     )
     def test_uncovered_setting_pair_is_a_clean_error(self, argv, capsys):
         # one trial per pair leaves some pair without a coincidence
@@ -375,6 +385,25 @@ class TestEventsRoundtrip:
         assert code == 2
         assert "setting pair" in err
 
+    @pytest.mark.parametrize(
+        "row,shown",
+        [("2,0,10.0,5,0.0", "outcome=5"), ("3,0,10.0,1,0.0", "site=3")],
+        ids=["outcome-5", "site-3"],
+    )
+    def test_bad_event_row_is_named(self, tmp_path, capsys, row, shown):
+        csv = tmp_path / "events.csv"
+        csv.write_text(
+            "site,trial,timestamp_ns,outcome,setting_rad\n"
+            f"1,0,10.0,1,0.5\n{row}\n1,1,2010.0,1,0.5\n"
+        )
+        code, p, err = run_cli(["report", "--events", str(csv)], capsys)
+        assert code == 2
+        assert p is None
+        assert err.startswith("error:")
+        assert "line 3" in err
+        assert shown in err
+        assert "correlation estimate" not in err
+
     def test_missing_events_file(self, tmp_path, capsys):
         code, p, err = run_cli(
             ["report", "--events", str(tmp_path / "nope.csv")], capsys
@@ -443,3 +472,58 @@ class TestOutputFile:
         payload = json.loads(out.read_text())
         assert payload["command"] == "visibility"
         assert payload["best_terms"] == 10
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+STRICT_CASES = {
+    "simulate-quantum": ["simulate", "--trials", "200", "--seed", "1"],
+    "simulate-pipeline": ["simulate", "--trials", "200", "--seed", "1", "--pipeline"],
+    "simulate-aklz": ["simulate", "--source", "aklz", "--trials", "200", "--seed", "1"],
+    "simulate-aklz-demo": ["simulate", "--scenario", "aklz-demo", "--trials", "200"],
+    "simulate-table1": ["simulate", "--scenario", "table1"],
+    "simulate-chained6": ["simulate", "--scenario", "chained6", "--trials", "200"],
+    # one trial: an exact table, stderr 0
+    "simulate-polarization-1": ["simulate", "--variant", "polarization-entangled",
+                                "--trials", "1"],
+    "simulate-switched-mirrors-1": ["simulate", "--variant", "switched-mirrors",
+                                    "--trials", "1"],
+    "simulate-cross-coupled": ["simulate", "--variant", "cross-coupled", "--trials", "200"],
+    "bounds": ["bounds"],
+    "bounds-6": ["bounds", "--terms", "6"],
+    "bounds-eta": ["bounds", "--eta", "0.9"],
+    "visibility": ["visibility"],
+    "verify-bounds-plain": ["verify-bounds", "--model-class", "plain-local-realism",
+                            "--witness"],
+    "verify-bounds-lp": ["verify-bounds", "--restarts", "1", "--iterations", "20",
+                         "--lp-check", "--witness"],
+    "verify-bounds-outcomes-only": ["verify-bounds", "--model-class", "outcomes-only",
+                                    "--restarts", "1", "--iterations", "20"],
+    "geometry": ["geometry", "--path-difference-ns", "100",
+                 "--modulator-to-detector-ns", "20", "--switch-period-ns", "50"],
+    "geometry-static": ["geometry", "--path-difference-ns", "100",
+                        "--modulator-to-detector-ns", "20", "--switch-period-ns", "inf"],
+}
+
+
+@pytest.mark.parametrize("argv", list(STRICT_CASES.values()), ids=list(STRICT_CASES))
+def test_every_report_is_strict_json(argv, capsys):
+    assert main(argv) == 0
+    json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+
+
+def test_report_is_strict_json(tmp_path, capsys):
+    csv = str(tmp_path / "events.csv")
+    assert main(["simulate", "--trials", "200", "--seed", "1", "--events-csv", csv]) == 0
+    capsys.readouterr()
+    assert main(["report", "--events", csv]) == 0
+    json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+
+
+def test_static_switch_period_prints_null(capsys):
+    code, p, _ = run_cli(STRICT_CASES["geometry-static"], capsys)
+    assert code == 0
+    assert p["geometry"]["switch_period_ns"] is None
+    assert p["premise"] == {"margin_ns": None, "satisfied": False}

@@ -251,13 +251,14 @@ class TestEvaluate:
         assert verdict.statistic == pytest.approx(2 * SQRT2, abs=1e-9)
         assert verdict.bound == 2.0
         assert verdict.excess == pytest.approx(2 * SQRT2 - 2, abs=1e-9)
-        assert verdict.significance == math.inf
+        # an exact table has stderr 0, so the ratio has no finite value
+        assert verdict.significance is None
 
     def test_emission_time_not_violated_by_four_terms(self, chain4):
         verdict = evaluate(exact_table(chain4), chain4, ModelClass.emission_time_realism())
         assert not verdict.violated
         assert verdict.bound == 3.0
-        assert verdict.significance == -math.inf
+        assert verdict.significance is None
 
     def test_emission_time_violated_by_six_terms(self, chain6):
         verdict = evaluate(exact_table(chain6), chain6, ModelClass.emission_time_realism())
@@ -265,16 +266,30 @@ class TestEvaluate:
         assert verdict.excess == pytest.approx(6 * math.cos(math.pi / 6) - 5, abs=1e-9)
 
     def test_zero_excess_gives_zero_significance(self, chain4):
-        # cell values chosen so the statistic equals the plain bound exactly
+        # counted cells of exactly +-0.5 put the statistic on the plain
+        # bound with a positive stderr
+        table = CorrelationTable()
+        table.set_counts(chain4.site1_settings[0], chain4.site2_settings[0], 50, 100)
+        table.set_counts(chain4.site1_settings[0], chain4.site2_settings[1], 50, 100)
+        table.set_counts(chain4.site1_settings[1], chain4.site2_settings[1], 50, 100)
+        table.set_counts(chain4.site1_settings[1], chain4.site2_settings[0], -50, 100)
+        verdict = evaluate(table, chain4, ModelClass.plain_local_realism())
+        assert not verdict.violated
+        assert verdict.excess == 0.0
+        assert verdict.stderr > 0.0
+        assert verdict.significance == 0.0
+
+    def test_exact_table_has_null_significance(self, chain4):
         table = CorrelationTable()
         table.set_exact(chain4.site1_settings[0], chain4.site2_settings[0], 0.5)
         table.set_exact(chain4.site1_settings[0], chain4.site2_settings[1], 0.5)
         table.set_exact(chain4.site1_settings[1], chain4.site2_settings[1], 0.5)
         table.set_exact(chain4.site1_settings[1], chain4.site2_settings[0], -0.5)
         verdict = evaluate(table, chain4, ModelClass.plain_local_realism())
-        assert not verdict.violated
         assert verdict.excess == 0.0
-        assert verdict.significance == 0.0
+        assert verdict.stderr == 0.0
+        assert verdict.significance is None
+        assert json.loads(verdict.to_json())["significance"] is None
 
     def test_empirical_significance(self, chain4):
         table = CorrelationTable()

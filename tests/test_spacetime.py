@@ -27,6 +27,11 @@ class TestStationGeometry:
         with pytest.raises(ValueError):
             StationGeometry(dt, mdd, sw)
 
+    @pytest.mark.parametrize("dt,mdd", [(math.nan, 20.0), (math.inf, 20.0), (100.0, math.nan)])
+    def test_rejects_non_finite_delays(self, dt, mdd):
+        with pytest.raises(ValueError, match="finite"):
+            StationGeometry(dt, mdd, 50.0)
+
 
 class TestPremiseCheck:
     def test_satisfied_with_margin(self):
@@ -48,6 +53,8 @@ class TestPremiseCheck:
     def test_static_setting_never_satisfies(self):
         check = check_emission_time_premise(StationGeometry(100.0, 20.0, math.inf))
         assert not check.satisfied
+        # the -inf margin is written as null, keeping the JSON strict
+        assert check.to_json_dict() == {"satisfied": False, "margin_ns": None}
 
     def test_margin_monotone_in_geometry(self):
         rng = np.random.default_rng(13)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -14,6 +15,8 @@ from franson import (
     ModelClass,
     OptimizerBudget,
     ResourceLimitError,
+    Setting,
+    SettingsChain,
     SiteVertex,
     aklz_mixed_strategy,
     chain_settings,
@@ -32,10 +35,12 @@ from franson import (
 from franson.core import RandomSource
 from franson.strategyopt import (
     _cell_indices,
+    _EmissionTimeLP,
     _cg_scores,
     _project_affine_nonneg,
     _project_simplex,
     _side_arrays,
+    _sign_patterns,
     _statistic,
     _support_matrices,
 )
@@ -225,14 +230,141 @@ class TestEvaluateMixed:
         assert not ev.feasible
 
 
+def full_lp_matrices(g):
+    """Dense LP over every joint vertex: equality rows, right-hand side and
+    one objective per sign pattern, in ``itertools.product((1, -1), ...)``
+    order.  Column i * S2 + j is site-1 vertex i with site-2 vertex j."""
+    n = g.n_settings
+    s1 = _side_arrays(g.model.kind, n)
+    s2 = _side_arrays(g.model.kind, n)
+    a_idx, b_idx, signs = _cell_indices(g)
+    T = len(a_idx)
+    S1, S2 = s1.size, s2.size
+    e1 = s1.early[:, a_idx].astype(np.float64)
+    e2 = s2.early[:, b_idx].astype(np.float64)
+    o1 = s1.outcomes[:, a_idx].astype(np.float64)
+    o2 = s2.outcomes[:, b_idx].astype(np.float64)
+    l1 = s1.late_outcomes[:, a_idx].astype(np.float64)
+    l2 = s2.late_outcomes[:, b_idx].astype(np.float64)
+    nl1 = s1.n_late.astype(np.float64) / n
+    nl2 = s2.n_late.astype(np.float64) / n
+    # per-cell early-early mass, the late-late mass, total mass
+    rows = [np.outer(e1[:, t], e2[:, t]).ravel() for t in range(T)]
+    rows.append(np.outer(nl1, nl2).ravel())
+    rows.append(np.ones(S1 * S2))
+    A_eq = np.vstack(rows)
+    b_eq = np.array([0.25] * T + [0.25, 1.0])
+    objs = {}
+    for pattern in itertools.product((1.0, -1.0), repeat=T // 2):
+        coef = np.repeat(np.array(pattern), 2) * signs
+        obj = np.zeros(S1 * S2)
+        for t in range(T):
+            # corr_t = 2 * (early part + late part) once masses are pinned
+            obj += 2.0 * coef[t] * (
+                np.outer(e1[:, t] * o1[:, t], e2[:, t] * o2[:, t]).ravel()
+                + np.outer(nl1 * l1[:, t], nl2 * l2[:, t]).ravel()
+            )
+        objs[pattern] = obj
+    return A_eq, b_eq, objs
+
+
+def full_lp_pattern_values(g):
+    """Reference LP values per sign pattern, every joint vertex handed to
+    HiGHS at once.  Slow (262,144 columns at 6 terms), so the tests use it
+    at 4 terms."""
+    from scipy.optimize import linprog
+
+    A_eq, b_eq, objs = full_lp_matrices(g)
+    values = {}
+    for pattern, obj in objs.items():
+        res = linprog(-obj, A_eq=A_eq, b_eq=b_eq, bounds=(0.0, None), method="highs")
+        assert res.success, res.message
+        values[pattern] = float(-res.fun)
+    return values
+
+
+def random_term_chain(terms, rng):
+    """A chain with random phases, a random term order and the minus sign
+    on a random term, so the absolute-value groups pair other cells."""
+    base = chain_settings(terms)
+    half = terms // 2
+    while True:
+        cells = [base.term_order[k][:2] for k in rng.permutation(terms)]
+        minus = int(rng.integers(terms))
+        order = tuple((i, j, -1 if k == minus else 1) for k, (i, j) in enumerate(cells))
+        try:
+            return SettingsChain(
+                terms,
+                tuple(Setting(float(x)) for x in rng.uniform(0, 2 * math.pi, half)),
+                tuple(Setting(float(x)) for x in rng.uniform(0, 2 * math.pi, half)),
+                order,
+            )
+        except ValueError:
+            continue
+
+
 class TestLpCrossCheck:
     def test_exact_value_four_terms(self, chain4m):
         g = game(ModelClass.emission_time_realism, chain4m)
-        assert emission_time_lp_value(g) == pytest.approx(3.0, abs=1e-7)
+        assert emission_time_lp_value(g) == pytest.approx(3.0, abs=1e-9)
 
     def test_only_for_emission_time(self, chain4m):
         with pytest.raises(ValueError):
             emission_time_lp_value(game(ModelClass.plain_local_realism, chain4m))
+
+    def test_matches_full_lp_on_standard_and_random_chains(self, chain4m):
+        rng = np.random.default_rng(41)
+        chains = [chain4m] + [random_term_chain(4, rng) for _ in range(6)]
+        assert len({c.term_order for c in chains}) > 3
+        for chain in chains:
+            g = game(ModelClass.emission_time_realism, chain)
+            reference = max(full_lp_pattern_values(g).values())
+            assert emission_time_lp_value(g) == pytest.approx(reference, abs=1e-9)
+
+    def test_factorized_columns_and_profits_match_dense_lp(self, chain4m):
+        rng = np.random.default_rng(43)
+        for chain in (chain4m, random_term_chain(4, rng)):
+            g = game(ModelClass.emission_time_realism, chain)
+            lp = _EmissionTimeLP(g)
+            A_eq, b_eq, objs = full_lp_matrices(g)
+            assert np.array_equal(lp.b_eq, b_eq)
+            i, j = np.divmod(np.arange(lp.size**2), lp.size)
+            for pattern, obj in objs.items():
+                coef = lp.coef(np.array(pattern))
+                A, o = lp.columns(i, j, coef)
+                assert np.allclose(A, A_eq, rtol=0.0, atol=1e-12)
+                assert np.allclose(o, obj, rtol=0.0, atol=1e-12)
+                # reduced profits under arbitrary duals, from the site factors
+                y = rng.normal(size=b_eq.size)
+                profit = lp.left @ lp.profit_right(coef, y).T
+                assert np.allclose(profit.ravel(), obj - A_eq.T @ y, rtol=0.0, atol=1e-9)
+
+    def test_every_pattern_matches_full_lp_and_its_negation(self, chain4m):
+        rng = np.random.default_rng(42)
+        for chain in (chain4m, random_term_chain(4, rng)):
+            g = game(ModelClass.emission_time_realism, chain)
+            lp = _EmissionTimeLP(g)
+            reference = full_lp_pattern_values(g)
+            values = {p: lp.value(np.array(p)) for p in reference}
+            for pattern, value in values.items():
+                assert value == pytest.approx(reference[pattern], abs=1e-9)
+                # flipping every site-1 outcome negates all correlations
+                negated = tuple(-x for x in pattern)
+                assert value == pytest.approx(values[negated], abs=1e-9)
+
+    def test_six_term_patterns_pair_up_under_negation(self, chain6m):
+        lp = _EmissionTimeLP(game(ModelClass.emission_time_realism, chain6m))
+        patterns = _sign_patterns(3)
+        values = [lp.value(p) for p in patterns]
+        # row k and row 7 - k of _sign_patterns are negations of each other
+        for k in range(4):
+            assert np.array_equal(patterns[7 - k], -patterns[k])
+            assert values[k] == pytest.approx(values[7 - k], abs=1e-9)
+        assert max(values) == pytest.approx(5.0, abs=1e-9)
+
+    def test_eight_term_game_is_solved_exactly(self):
+        g = game(ModelClass.emission_time_realism, chain_settings(8))
+        assert emission_time_lp_value(g) == pytest.approx(7.0, abs=1e-9)
 
 
 class TestVerifyBound:

@@ -51,6 +51,14 @@ class TestInterferometerTiming:
         with pytest.raises(ValueError):
             InterferometerTiming(dt, w, short_arm_ns=short)
 
+    @pytest.mark.parametrize(
+        "dt,w,short",
+        [(math.nan, 1.0, 0.0), (math.inf, 1.0, 0.0), (100.0, 1.0, math.nan), (100.0, 1.0, math.inf)],
+    )
+    def test_rejects_non_finite(self, dt, w, short):
+        with pytest.raises(ValueError, match="finite"):
+            InterferometerTiming(dt, w, short_arm_ns=short)
+
 
 class TestEmitEvents:
     def _batch(self):
@@ -255,6 +263,35 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="header"):
             read_events_csv(path)
 
+    @pytest.mark.parametrize(
+        "row,shown",
+        [
+            ("2,0,10.0,5,0.0", "outcome=5"),
+            ("3,0,10.0,1,0.0", "site=3"),
+            ("0,0,10.0,1,0.0", "site=0"),
+            ("2,0,10.0,0,0.0", "outcome=0"),
+            ("2,0,inf,1,0.0", "timestamp_ns=inf"),
+            ("2,0,nan,1,0.0", "timestamp_ns=nan"),
+            ("2,0,10.0,1,nan", "setting_rad=nan"),
+            ("300,0,10.0,1,0.0", "site=300"),
+            ("2,0,10.0,-200,0.0", "outcome=-200"),
+        ],
+    )
+    def test_bad_row_names_its_line(self, tmp_path, row, shown):
+        path = tmp_path / "bad.csv"
+        good = "1,0,10.0,1,0.5\n"
+        path.write_text(",".join(CSV_COLUMNS) + "\n" + good + row + "\n" + good)
+        with pytest.raises(ValueError, match="line 3") as exc:
+            read_events_csv(path)
+        assert shown in str(exc.value)
+
+    @pytest.mark.parametrize("row", ["1,0,x,1,0.5", "1,0"])
+    def test_malformed_row_names_its_line(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(CSV_COLUMNS) + "\n1,0,10.0,1,0.5\n" + row + "\n")
+        with pytest.raises(ValueError, match="line 3: malformed"):
+            read_events_csv(path)
+
     def test_empty_file_roundtrip(self, tmp_path):
         path = tmp_path / "empty.csv"
         write_events_csv(path, np.empty(0, dtype=EVENT_DTYPE))
@@ -401,7 +438,7 @@ class TestReferee:
         assert repr(result.pairs.tolist()) == repr(pairs)
         got = [(e.site, e.setting_rad, e.detected, e.coincident) for e in result.report.entries]
         assert repr(got) == repr(entries)
-        eta = min((c / d for _, _, d, c in entries), default=math.nan)
+        eta = min((c / d for _, _, d, c in entries), default=None)
         assert repr(result.report.eta) == repr(eta)
         table = correlation_from_pairs(result.pairs)
         assert repr(table_rows(table)) == repr(reference_tabulate([pairs]))
