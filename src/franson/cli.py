@@ -587,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--model-class", choices=_SEARCHABLE)
     p_verify.add_argument("--terms", type=int)
     p_verify.add_argument("--restarts", type=int)
-    p_verify.add_argument("--iterations", type=int)
+    p_verify.add_argument("--iterations", type=int, help="ascent steps per column round")
     p_verify.add_argument("--support-size", type=int)
     p_verify.add_argument("--seed", type=int)
     p_verify.add_argument(

@@ -6,12 +6,14 @@ Classes whose statistic is linear in the mixture (plain local realism,
 path realism) are maximized exactly by enumeration.  Classes with
 strategy-dependent postselection (outcomes-only selection, emission-time
 realism) have a ratio-form statistic and are searched by multi-start
-projected-gradient ascent over mixture weights with analytic gradients of
-the linear-fractional terms; reports carry the best value found and never
-claim exactness for the searched classes.  The emission-time game admits
-an independent linear-programming cross-check because its equal-mass
-constraints pin every cell mass, making the statistic piecewise linear on
-the feasible set.
+ascent over mixture weights; reports carry the best value found and never
+claim exactness for the searched classes.  In the emission-time game the
+equal-mass constraints pin every cell mass to 1/2, making the statistic
+piecewise linear on the feasible set: each ascent step is one exact LP
+under the current sign pattern (successive LP, the full conditional-
+gradient step of Frank and Wolfe), and an independent LP over every joint
+vertex gives the exact value.  Outcomes-only selection is climbed by
+projected gradient with analytic gradients of the linear-fractional terms.
 """
 
 from __future__ import annotations
@@ -352,25 +354,22 @@ def _support_matrices(
     return sel, sel * o
 
 
-def _constraints(game: GameSpec, mass_components) -> tuple[np.ndarray, np.ndarray]:
-    """Equality system A w = b for the game (always includes the simplex sum)."""
-    ee, llw, K = mass_components
-    rows = [np.ones(K)]
-    b = [1.0]
-    if game.has_equal_mass_constraint:
-        rows = [ee[:, t] for t in range(ee.shape[1])] + [llw[:, 0]] + rows
-        b = [0.25] * ee.shape[1] + [0.25] + b
-    return np.vstack(rows), np.array(b)
+def _constraints(game: GameSpec, s1, s2, idx1, idx2) -> tuple[np.ndarray, np.ndarray]:
+    """Equality system A w = b over the atoms (idx1, idx2).
 
-
-def _mass_parts(game: GameSpec, s1, s2, idx1, idx2):
+    The last row is always the simplex sum.  The equal-mass game puts the
+    per-cell early-early masses and the late-late mass, each pinned to 1/4,
+    in front of it.
+    """
+    ones = np.ones((1, idx1.size))
+    if not game.has_equal_mass_constraint:
+        return ones, np.ones(1)
     a_idx, b_idx, _ = _cell_indices(game)
     n = game.n_settings
-    e1 = s1.early[idx1][:, a_idx]
-    e2 = s2.early[idx2][:, b_idx]
-    ee = (e1 & e2).astype(np.float64)
-    llw = (s1.n_late[idx1] * s2.n_late[idx2]).astype(np.float64)[:, None] / n**2
-    return ee, llw, idx1.size
+    ee = s1.early[idx1][:, a_idx] & s2.early[idx2][:, b_idx]
+    ll = (s1.n_late[idx1] * s2.n_late[idx2]) / n**2
+    A = np.vstack([ee.T.astype(np.float64), ll, ones])
+    return A, np.array([0.25] * a_idx.size + [0.25, 1.0])
 
 
 MIN_CELL_MASS = 1e-12
@@ -387,10 +386,11 @@ def _statistic(w, mass, num, signs):
     return stat, corr, m, groups
 
 
-def _gradient(w, mass, num, signs, corr, m, groups):
+def _pattern_coef(signs, m, groups):
+    """Per-cell coefficients c_t of the groups' current sign pattern; at
+    the current point the statistic is sum_t c_t * (w @ num[:, t])."""
     sig = np.where(groups >= 0.0, 1.0, -1.0)
-    coef = np.repeat(sig, 2) * signs / np.maximum(m, MIN_CELL_MASS)
-    return (num - corr[None, :] * mass) @ coef
+    return np.repeat(sig, 2) * signs / np.maximum(m, MIN_CELL_MASS)
 
 
 @dataclass(frozen=True)
@@ -440,14 +440,8 @@ def evaluate_mixed(game: GameSpec, strategy: MixedStrategy) -> GameEvaluation:
     _, _, signs = _cell_indices(game)
     mass, num = _support_matrices(game, s1, s2, idx1, idx2)
     stat, corr, m, _ = _statistic(w, mass, num, signs)
-    residual = abs(float(w.sum()) - 1.0)
-    if game.has_equal_mass_constraint:
-        ee, llw, _ = _mass_parts(game, s1, s2, idx1, idx2)
-        residual = max(
-            residual,
-            float(np.max(np.abs(w @ ee - 0.25))),
-            abs(float(w @ llw[:, 0]) - 0.25),
-        )
+    A, b = _constraints(game, s1, s2, idx1, idx2)
+    residual = float(np.max(np.abs(A @ w - b)))
     feasible = bool(np.all(m > MIN_CELL_MASS)) and residual <= CONSTRAINT_TOLERANCE
     return GameEvaluation(
         statistic=stat,
@@ -471,129 +465,40 @@ def _project_simplex(y: np.ndarray) -> np.ndarray:
     return np.maximum(y - tau, 0.0)
 
 
-def _project_affine_nonneg(
-    y: np.ndarray, A: np.ndarray, b: np.ndarray, nu0: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Euclidean projection onto {w >= 0, A w = b} by a dual Newton method.
-
-    The dual of the projection is the smooth convex program
-    min over nu of f(nu) = 0.5*||max(0, y - A^T nu)||^2 + b^T nu, whose
-    gradient is b - A w(nu) with w(nu) = max(0, y - A^T nu); at any nu with
-    zero gradient, w(nu) is the exact projection (KKT of a strongly convex
-    program).  Three phases: semismooth Newton with Armijo backtracking on
-    f (fast and almost always sufficient), then a quasi-Newton pass on the
-    dual when the line search stalls, then pure Newton steps judged by the
-    constraint residual, which stay informative after differences in f have
-    shrunk below float resolution.  A False flag therefore means the
-    constraint set itself is infeasible or pathologically conditioned.
-    """
-    m = A.shape[0]
-    nu = np.zeros(m) if nu0 is None or nu0.shape != (m,) else nu0.copy()
-
-    def w_of(v):
-        return np.maximum(y - A.T @ v, 0.0)
-
-    def f(v):
-        w = w_of(v)
-        return 0.5 * float(np.square(w).sum()) + float(b @ v), w
-
-    def newton_step(v, resid):
-        active = (y - A.T @ v) > 0.0
-        As = A[:, active]
-        G = As @ As.T
-        # minimum-norm solve: the active set can be smaller than the
-        # constraint count, leaving G rank deficient, and any null-space
-        # component of the step is useless but unbounded
-        try:
-            return np.linalg.lstsq(G, resid, rcond=1e-10)[0]
-        except np.linalg.LinAlgError:
-            return resid.copy()
-
-    fv, w = f(nu)
-    for _ in range(80):
-        resid = A @ w - b
-        if float(np.max(np.abs(resid))) < 5e-12:
-            return w, nu, True
-        step = newton_step(nu, resid)
-        # grad f = -resid, so a descent direction d needs resid @ d > 0
-        improved = False
-        for direction in (step, resid):
-            slope = float(-resid @ direction)
-            if -slope < 1e-17 * (1.0 + abs(fv)):
-                continue
-            alpha = 1.0
-            for _ in range(40):
-                f_try, w_try = f(nu + alpha * direction)
-                if f_try <= fv + 1e-4 * alpha * slope:
-                    nu = nu + alpha * direction
-                    fv, w = f_try, w_try
-                    improved = True
-                    break
-                alpha *= 0.5
-            if improved:
-                break
-        if not improved:
-            break  # f comparisons hit their numerical floor
-
-    def local_polish(v):
-        # Undamped Newton accepted only on strict residual decrease.  Near
-        # the solution this is superlinear while f-based tests are blind,
-        # because |f| can exceed the residual by fifteen orders of magnitude.
-        w = w_of(v)
-        rn = float(np.max(np.abs(A @ w - b)))
-        best = (rn, w, v)
-        for _ in range(15):
-            if rn < 5e-12:
-                break
-            step = newton_step(v, A @ w - b)
-            v2 = v + step
-            w2 = w_of(v2)
-            rn2 = float(np.max(np.abs(A @ w2 - b)))
-            if rn2 >= rn:
-                break
-            v, w, rn = v2, w2, rn2
-            if rn < best[0]:
-                best = (rn, w, v)
-        return best
-
-    rn, w, nu = local_polish(nu)
-    if rn >= 1e-10:
-        # Global rescue for the rare instances where the Newton system is
-        # inconsistent with the residual and the Armijo loop cannot tell
-        # progress from noise.  BFGS on the smooth dual lands close enough
-        # for the polish above to finish the job.
-        from scipy.optimize import minimize
-
-        def fg(v):
-            wv = w_of(v)
-            value = 0.5 * float(np.square(wv).sum()) + float(b @ v)
-            return value, b - A @ wv
-
-        res = minimize(
-            fg, nu, jac=True, method="BFGS",
-            options={"maxiter": 1000, "gtol": 1e-12},
-        )
-        rn2, w2, nu2 = local_polish(res.x)
-        if rn2 < rn:
-            rn, w, nu = rn2, w2, nu2
-    return w, nu, bool(rn < 1e-10)
-
-
 # ---------------------------------------------------------------------------
 # the optimizer
 
 
+# column rounds after each restart's first climb, with the candidate window
+# and the columns added per round; the first projected-gradient step length
+_COLUMN_ROUNDS = 2
+_COLUMN_WINDOW = 4 * 16
+_COLUMNS_PER_ROUND = 16
+_INITIAL_STEP = 0.25
+
+
 @dataclass(frozen=True)
 class OptimizerBudget:
-    """Effort knobs for the mixture search."""
+    """Effort knobs for the mixture search.
+
+    ``restarts`` independent starts, each running to completion; at most
+    ``iterations`` ascent steps per column round (LP steps in the
+    emission-time game, projected-gradient steps under outcomes-only
+    selection); ``support_size`` atoms in a restart's restricted support.
+    Each of the three must be at least 1.
+    """
 
     restarts: int = 64
     iterations: int = 220
     support_size: int = 192
-    column_rounds: int = 2
-    initial_step: float = 0.25
     seed: int = 0
     vertex_limit: int = DEFAULT_VERTEX_LIMIT
+
+    def __post_init__(self) -> None:
+        for name in ("restarts", "iterations", "support_size"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -710,12 +615,41 @@ def _cg_scores(game, s1, s2, coef_over_m, corr_vec):
     return score
 
 
+def _lp_climb(w, mass, num, A, b, signs, iterations):
+    """Successive LP from a feasible ``w`` of the equal-mass game.
+
+    Every cell mass is 1/2 there, so the statistic is at least the linear
+    objective of the current sign pattern, with equality at ``w``.  Each
+    step maximizes that objective over {A w = b, w >= 0}, and is taken
+    while the statistic rises; a step that keeps its sign pattern ends the
+    climb, because the next LP would be the same one.
+    """
+    from scipy.optimize import linprog
+
+    stat, corr, m, groups = _statistic(w, mass, num, signs)
+    for _ in range(iterations):
+        pattern = groups >= 0.0
+        obj = num @ _pattern_coef(signs, m, groups)
+        res = linprog(-obj, A_eq=A, b_eq=b, bounds=(0.0, None), method="highs")
+        if not res.success:
+            raise RuntimeError(f"successive-LP step failed: {res.message}")
+        trial = _statistic(res.x, mass, num, signs)
+        if trial[0] <= stat + 1e-12:
+            break
+        w = res.x
+        stat, corr, m, groups = trial
+        if np.array_equal(groups >= 0.0, pattern):
+            break
+    return w, stat, corr, m, groups
+
+
 def max_statistic(game: GameSpec, budget: OptimizerBudget | None = None) -> MaxStatisticResult:
     """Largest statistic found within the class, with a witness mixture.
 
-    Exact (enumeration) for plain local realism and path realism; a
-    multi-start projected-gradient search for outcomes-only selection and
-    emission-time realism.
+    Exact (enumeration) for plain local realism and path realism.  Else a
+    multi-start search with column rounds: successive LP for emission-time
+    realism, projected-gradient ascent for outcomes-only selection.  Every
+    restart runs to completion; a failed LP step raises RuntimeError.
     """
     kind = game.model.kind
     if kind in (ModelKind.PLAIN_LOCAL_REALISM, ModelKind.PATH_REALISM):
@@ -735,6 +669,7 @@ def max_statistic(game: GameSpec, budget: OptimizerBudget | None = None) -> MaxS
             f"{budget.vertex_limit}"
         )
     _, _, signs = _cell_indices(game)
+    equal_mass = game.has_equal_mass_constraint
     best_value = -math.inf
     best_support = None
     rng_master = np.random.default_rng(budget.seed)
@@ -748,72 +683,50 @@ def max_statistic(game: GameSpec, budget: OptimizerBudget | None = None) -> MaxS
             w += 0.5 / idx1.size
         else:
             idx1, idx2, w = _restart_support(game, s1, s2, budget, rng)
-        mass, num = _support_matrices(game, s1, s2, idx1, idx2)
-        A, b = _constraints(game, _mass_parts(game, s1, s2, idx1, idx2))
-        nu = None
-        simplex_only = A.shape[0] == 1
-
-        def project(vec, nu_state):
-            if simplex_only:
-                return _project_simplex(vec), nu_state, True
-            return _project_affine_nonneg(vec, A, b, nu_state)
-
-        w, nu, ok = project(w, nu)
-        if not ok:
-            continue
-        step = budget.initial_step
-        stat, corr, m, groups = _statistic(w, mass, num, signs)
-        for round_no in range(budget.column_rounds + 1):
-            stale = 0
-            for _ in range(budget.iterations):
-                grad = _gradient(w, mass, num, signs, corr, m, groups)
-                gmax = float(np.max(np.abs(grad)))
-                if gmax == 0.0:
-                    break
-                w_try, nu_try, ok = project(w + step * grad / gmax, nu)
-                if not ok:
-                    break
-                s_try, corr_t, m_t, groups_t = _statistic(w_try, mass, num, signs)
-                if s_try >= stat - 1e-12:
-                    stale = stale + 1 if s_try - stat < 1e-11 else 0
-                    w, stat, corr, m, groups, nu = w_try, s_try, corr_t, m_t, groups_t, nu_try
-                    step = min(step * 1.15, 1.0)
-                else:
-                    step *= 0.5
-                    stale += 1
-                    if step < 1e-7:
+        if not equal_mass:
+            w = _project_simplex(w)
+        step = _INITIAL_STEP
+        for round_no in range(_COLUMN_ROUNDS + 1):
+            mass, num = _support_matrices(game, s1, s2, idx1, idx2)
+            if equal_mass:
+                A, b = _constraints(game, s1, s2, idx1, idx2)
+                w, stat, corr, m, groups = _lp_climb(w, mass, num, A, b, signs, budget.iterations)
+            else:
+                stat, corr, m, groups = _statistic(w, mass, num, signs)
+                stale = 0
+                for _ in range(budget.iterations):
+                    grad = (num - corr[None, :] * mass) @ _pattern_coef(signs, m, groups)
+                    gmax = float(np.max(np.abs(grad)))
+                    if gmax == 0.0:
                         break
-                if stale >= 25:
-                    break
-            if full_support or round_no == budget.column_rounds:
+                    w_try = _project_simplex(w + step * grad / gmax)
+                    s_try, corr_t, m_t, groups_t = _statistic(w_try, mass, num, signs)
+                    if s_try >= stat - 1e-12:
+                        stale = stale + 1 if s_try - stat < 1e-11 else 0
+                        w, stat, corr, m, groups = w_try, s_try, corr_t, m_t, groups_t
+                        step = min(step * 1.15, 1.0)
+                    else:
+                        step *= 0.5
+                        stale += 1
+                        if step < 1e-7:
+                            break
+                    if stale >= 25:
+                        break
+            if full_support or round_no == _COLUMN_ROUNDS:
                 break
             # column generation: pull in the vertices with the largest
             # insertion derivative and keep climbing
-            sig = np.where(groups >= 0.0, 1.0, -1.0)
-            coef = np.repeat(sig, 2) * signs / np.maximum(m, MIN_CELL_MASS)
-            scores = _cg_scores(game, s1, s2, coef, corr)
+            scores = _cg_scores(game, s1, s2, _pattern_coef(signs, m, groups), corr)
+            top = np.argpartition(scores, -_COLUMN_WINDOW, axis=None)[-_COLUMN_WINDOW:]
+            top = top[np.argsort(scores.flat[top])[::-1]]
             taken = set(zip(idx1.tolist(), idx2.tolist()))
-            flat_order = np.argsort(scores, axis=None)[::-1]
-            added = 0
-            new1, new2 = [], []
-            for f in flat_order[: 4 * 16]:
-                i, j = np.unravel_index(int(f), scores.shape)
-                if (int(i), int(j)) in taken:
-                    continue
-                new1.append(int(i))
-                new2.append(int(j))
-                added += 1
-                if added >= 16:
-                    break
-            if not added:
+            new = [ij for ij in zip(*np.unravel_index(top, scores.shape)) if ij not in taken]
+            if not new:
                 break
-            idx1 = np.concatenate([idx1, np.array(new1, dtype=np.int64)])
-            idx2 = np.concatenate([idx2, np.array(new2, dtype=np.int64)])
-            w = np.concatenate([w, np.zeros(added)])
-            mass, num = _support_matrices(game, s1, s2, idx1, idx2)
-            A, b = _constraints(game, _mass_parts(game, s1, s2, idx1, idx2))
-            nu = None
-            stat, corr, m, groups = _statistic(w, mass, num, signs)
+            new1, new2 = np.array(new[:_COLUMNS_PER_ROUND], dtype=np.int64).T
+            idx1 = np.concatenate([idx1, new1])
+            idx2 = np.concatenate([idx2, new2])
+            w = np.concatenate([w, np.zeros(new1.size)])
         feasible = bool(np.all(m > MIN_CELL_MASS))
         if feasible and stat > best_value:
             best_value = stat
@@ -827,9 +740,10 @@ def max_statistic(game: GameSpec, budget: OptimizerBudget | None = None) -> MaxS
         for i, j in zip(idx1, idx2)
     )
     witness = MixedStrategy(vertices=vertices, weights=tuple(float(x) for x in w / w.sum()))
-    notes = "multi-start projected gradient over mixture weights"
-    if game.has_equal_mass_constraint:
-        notes += "; " + EMISSION_TIME_NOTE
+    if equal_mass:
+        notes = "multi-start successive LP over mixture weights; " + EMISSION_TIME_NOTE
+    else:
+        notes = "multi-start projected gradient over mixture weights"
     return MaxStatisticResult(
         value=float(best_value),
         witness=witness,
@@ -970,7 +884,8 @@ def emission_time_lp_value(game: GameSpec) -> float:
     the LP from above, and the loop stops once the largest profit is at
     most 1e-10: the master's value is then within 1e-10 of the optimum.
     Any other ending raises RuntimeError.  Independent of the
-    projected-gradient search path.
+    successive-LP search, which solves only its restart's support under
+    the sign pattern it climbs.
     """
     if game.model.kind is not ModelKind.EMISSION_TIME_REALISM:
         raise ValueError("the LP cross-check applies to the emission-time game")
@@ -1027,7 +942,10 @@ def verify_bound(
     PASS means the best value found does not exceed the closed-form bound
     beyond a 1e-6 numerical allowance.  For searched (non-exact) classes a
     PASS is evidence, not proof; the margin and budget are reported so the
-    search can be judged.
+    search can be judged.  ``method`` names how the value was found:
+    "enumeration", "successive-lp" (the emission-time game) or
+    "projected-gradient" (outcomes-only selection).  With ``lp_check`` the
+    emission-time game also gets its exact value, ``lp_value``.
     """
     result = max_statistic(game, budget)
     bound = bound_for(game.model, game.chain.terms)
@@ -1035,11 +953,12 @@ def verify_bound(
     if lp_check and game.model.kind is ModelKind.EMISSION_TIME_REALISM:
         lp_value = emission_time_lp_value(game)
     best = result.value
+    search = "successive-lp" if game.has_equal_mass_constraint else "projected-gradient"
     return BoundReport(
         model=game.model,
         terms=game.chain.terms,
         bound=bound,
-        method="enumeration" if result.exact else "projected-gradient",
+        method="enumeration" if result.exact else search,
         best_value=best,
         margin=bound - best,
         passed=best <= bound + PASS_TOLERANCE,

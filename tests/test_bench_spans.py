@@ -57,9 +57,14 @@ def test_lp_layers_record_spans_with_columns(capsys):
     capsys.readouterr()
     names = [s["name"] for s in tracer.spans]
     assert names.count("strategyopt.lp") == 1
-    solves = [s for s in tracer.spans if s["name"] == "strategyopt.lp.solve"]
-    # every master solve is a child of the LP span and hands over columns
-    assert len(solves) > 2
     (lp,) = [s for s in tracer.spans if s["name"] == "strategyopt.lp"]
-    assert all(s["parent"] == lp["id"] for s in solves)
-    assert all(s["counts"]["columns"] > 0 for s in solves)
+    solves = [s for s in tracer.spans if s["name"] == "strategyopt.lp.solve"]
+    # the LP's master solves are children of its span and hand over columns
+    masters = [s for s in solves if s["parent"] == lp["id"]]
+    assert len(masters) > 2
+    assert all(s["counts"]["columns"] > 0 for s in masters)
+    # every other solve is a successive-LP step of the search
+    search_ids = {s["id"] for s in tracer.spans if s["name"] == "strategyopt.search"}
+    steps = [s for s in solves if s["parent"] != lp["id"]]
+    assert steps
+    assert all(s["parent"] in search_ids for s in steps)

@@ -105,7 +105,7 @@ class TestVerifyBounds:
         assert p["bound"] == 3.0
         assert p["best_value"] <= 3.0 + 1e-6
         assert p["lp_value"] == pytest.approx(3.0, abs=1e-9)
-        assert p["method"] == "projected-gradient"
+        assert p["method"] == "successive-lp"
         assert "witness" in p
 
     def test_plain_class_is_exact(self, capsys):
@@ -136,6 +136,18 @@ class TestVerifyBounds:
         assert code == 3
         assert p is None
         assert "resource limit" in err
+
+    @pytest.mark.parametrize(
+        "flag, field",
+        [("--restarts", "restarts"), ("--iterations", "iterations"),
+         ("--support-size", "support_size")],
+    )
+    def test_budget_below_one_is_a_clean_error(self, capsys, flag, field):
+        code, p, err = run_cli(["verify-bounds", flag, "0"], capsys)
+        assert code == 2
+        assert p is None
+        assert f"{field} must be at least 1" in err
+        assert "Traceback" not in err
 
     def test_efficiency_class_is_rejected(self, capsys):
         # analytic bounds have no finite game to search

@@ -37,7 +37,6 @@ from franson.strategyopt import (
     _cell_indices,
     _EmissionTimeLP,
     _cg_scores,
-    _project_affine_nonneg,
     _project_simplex,
     _side_arrays,
     _sign_patterns,
@@ -190,6 +189,26 @@ class TestOptimizer:
         # equal early-early and late-late mass forces every cell to 1/2
         for m in ev.masses:
             assert m == pytest.approx(0.5, abs=1e-8)
+
+    def test_six_term_search_reaches_lp_value_with_feasible_witness(self, chain6m):
+        rs = RandomSource(seed=5)
+        chains = [chain6m] + [random_settings_chain(6, rs.substream(k)) for k in range(2)]
+        for k, chain in enumerate(chains):
+            g = game(ModelClass.emission_time_realism, chain)
+            result = max_statistic(g, OptimizerBudget(restarts=8, seed=k))
+            assert result.restarts_used == 8
+            assert result.value == pytest.approx(emission_time_lp_value(g), abs=1e-9)
+            ev = evaluate_mixed(g, result.witness)
+            assert ev.feasible
+            assert ev.constraint_residual <= 1e-9
+            assert ev.statistic == pytest.approx(result.value, abs=1e-9)
+            for m in ev.masses:
+                assert m == pytest.approx(0.5, abs=1e-9)
+
+    @pytest.mark.parametrize("field", ["restarts", "iterations", "support_size"])
+    def test_budget_counts_must_be_positive(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be at least 1"):
+            OptimizerBudget(**{field: 0})
 
     def test_outcomes_only_reaches_algebraic_max(self, chain4m):
         g = game(ModelClass.outcomes_only, chain4m)
@@ -381,7 +400,7 @@ class TestVerifyBound:
         report = verify_bound(g, OptimizerBudget(restarts=6, seed=3), lp_check=True)
         assert report.passed
         assert not report.exact
-        assert report.method == "projected-gradient"
+        assert report.method == "successive-lp"
         assert report.lp_value == pytest.approx(3.0, abs=1e-7)
         assert report.best_value == pytest.approx(report.lp_value, abs=1e-6)
 
@@ -408,31 +427,6 @@ class TestProjections:
             y = rng.normal(size=10)
             w = _project_simplex(y)
             assert np.allclose(_project_simplex(w), w, atol=1e-12)
-
-    def test_affine_nonneg_matches_slsqp(self):
-        from scipy.optimize import minimize
-
-        rng = np.random.default_rng(18)
-        for _ in range(10):
-            k, m = 25, 4
-            A = np.vstack([np.ones(k), rng.random((m - 1, k))])
-            x0 = rng.random(k)
-            x0 /= x0.sum()
-            b = A @ x0
-            y = rng.normal(size=k)
-            w, _, ok = _project_affine_nonneg(y, A, b)
-            assert ok
-            assert np.max(np.abs(A @ w - b)) < 1e-10
-            assert np.all(w >= -1e-12)
-            ref = minimize(
-                lambda x: 0.5 * np.sum((x - y) ** 2),
-                x0,
-                jac=lambda x: x - y,
-                constraints=[{"type": "eq", "fun": lambda x: A @ x - b}],
-                bounds=[(0.0, None)] * k,
-                method="SLSQP",
-            )
-            assert 0.5 * np.sum((w - y) ** 2) <= ref.fun + 1e-7
 
 
 class TestInsertionScores:
