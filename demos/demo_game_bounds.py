@@ -55,7 +55,7 @@ for model, chain, bound in (
     )
 
 print()
-for chain in (chain4, chain6):
+for chain in (chain4, chain6, chain_settings(8)):
     lp = emission_time_lp_value(GameSpec(ModelClass.emission_time_realism(), chain))
     print(f"exact LP value of the equal-mass game, {chain.terms} terms: {lp:.9f}")
 

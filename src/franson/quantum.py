@@ -14,7 +14,6 @@ import numpy as np
 
 from .core import (
     DelayClass,
-    OutcomeValue,
     RandomSource,
     SettingsChain,
     draw_uniforms,
@@ -171,23 +170,6 @@ def sample_franson_events(
     late1 = (pattern == 1) | (pattern == 3)
     late2 = (pattern == 1) | (pattern == 2)
     return x1, x2, late1, late2
-
-
-def sample_franson_event(
-    phi: float,
-    psi: float,
-    visibility: float | Visibility,
-    rs: RandomSource,
-    trial: int,
-) -> tuple[OutcomeValue, DelayClass, OutcomeValue, DelayClass]:
-    """Sample one pair: (X1, D1, X2, D2), deterministic given (rs, trial)."""
-    x1, x2, late1, late2 = sample_franson_events(phi, psi, visibility, rs, trial, 1)
-    return (
-        OutcomeValue(int(x1[0])),
-        DelayClass.LATE if late1[0] else DelayClass.EARLY,
-        OutcomeValue(int(x2[0])),
-        DelayClass.LATE if late2[0] else DelayClass.EARLY,
-    )
 
 
 def exact_correlation_entries(

@@ -12,13 +12,16 @@ equal-mass constraints pin every cell mass to 1/2, making the statistic
 piecewise linear on the feasible set: each ascent step is one exact LP
 under the current sign pattern (successive LP, the full conditional-
 gradient step of Frank and Wolfe), and an independent LP over every joint
-vertex gives the exact value.  Outcomes-only selection is climbed by
-projected gradient with analytic gradients of the linear-fractional terms.
+vertex gives the exact value.  Both price the game's joint vertices with
+one structured oracle, ``_et_best_columns``: a linear price there is
+maximized over arrival and site-1 outcome maps, the rest in closed form,
+so no joint-vertex array is ever built.  Outcomes-only selection is
+climbed by projected gradient with analytic gradients of the
+linear-fractional terms, its column rounds priced by a dense score matrix.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -244,33 +247,6 @@ def _site_vertex(sides: _SideArrays, k: int) -> SiteVertex:
     )
 
 
-@dataclass(frozen=True)
-class _SiteFactors:
-    """One site's vertices as float64 columns, one per entry of ``cols``.
-
-    A joint vertex's per-term masses and products are products of a site-1
-    and a site-2 factor, so whole (S1, S2) score matrices are a few matrix
-    products of these.
-    """
-
-    early: np.ndarray                    # (S, k) 1.0 for an early arrival
-    outcomes: np.ndarray                 # (S, k)
-    late_outcomes: np.ndarray | None     # (S, k) or None
-    detected: np.ndarray                 # (S, k)
-    late_share: np.ndarray               # (S,) n_late / n
-
-
-def _site_factors(sides: _SideArrays, cols: np.ndarray) -> _SiteFactors:
-    late = sides.late_outcomes
-    return _SiteFactors(
-        early=sides.early[:, cols].astype(np.float64),
-        outcomes=sides.outcomes[:, cols].astype(np.float64),
-        late_outcomes=None if late is None else late[:, cols].astype(np.float64),
-        detected=sides.detected[:, cols].astype(np.float64),
-        late_share=sides.n_late / sides.outcomes.shape[1],
-    )
-
-
 def _et_vertex_index(n: int, outcome_map, late_map, arrival_map):
     """Row of an emission-time site vertex in ``_side_arrays``, by map index."""
     return (outcome_map * 2**n + late_map) * 2**n + arrival_map
@@ -290,26 +266,27 @@ def _arrival_core(n: int) -> tuple[tuple[int, int], ...]:
     )
 
 
-DEFAULT_VERTEX_LIMIT = 1 << 21
+# pricing size a searched game may reach: 8^n map triples times terms in
+# the emission-time oracle, S^2 scores under outcomes-only selection; the
+# 12-term emission-time game and the 6-term outcomes-only game fit
+_PRICING_LIMIT = 1 << 22
 
 
-def enumerate_vertices(game: GameSpec, limit: int = DEFAULT_VERTEX_LIMIT) -> list[DeterministicVertex]:
-    """All joint deterministic strategies of the game.
+def _check_pricing_size(game: GameSpec) -> None:
+    """Refuse a game whose pricing would outgrow ``_PRICING_LIMIT``.
 
-    Raises ResourceLimitError when the joint count exceeds ``limit``.
+    Both searched classes have S = 8^n vertices per site.  The
+    emission-time oracle prices 8^n (arrival, outcome, arrival) map
+    triples, each summed over every term; the outcomes-only scores are a
+    dense S x S matrix.
     """
     n = game.n_settings
-    s1 = _side_arrays(game.model.kind, n)
-    s2 = _side_arrays(game.model.kind, n)
-    total = s1.size * s2.size
-    if total > limit:
-        raise ResourceLimitError(
-            f"{total} joint vertices exceed the limit of {limit}; raise the "
-            "limit or use the mixture optimizer"
-        )
-    v1 = [_site_vertex(s1, k) for k in range(s1.size)]
-    v2 = [_site_vertex(s2, k) for k in range(s2.size)]
-    return [DeterministicVertex(a, b) for a, b in itertools.product(v1, v2)]
+    if game.has_equal_mass_constraint:
+        size, what = 8**n * game.chain.terms, "emission-time pricing entries"
+    else:
+        size, what = 64**n, "joint vertices"
+    if size > _PRICING_LIMIT:
+        raise ResourceLimitError(f"{size} {what} exceed the limit {_PRICING_LIMIT}")
 
 
 # ---------------------------------------------------------------------------
@@ -404,43 +381,55 @@ class GameEvaluation:
     feasible: bool
 
 
-def _mixture_indices(game: GameSpec, strategy: MixedStrategy, s1: _SideArrays, s2: _SideArrays):
-    """Map a MixedStrategy's vertices onto rows of the side arrays."""
+_MAPS = ("outcomes", "early", "detected", "late_outcomes")
 
-    def row_key(v: SiteVertex):
-        return (v.outcomes, v.early, v.detected, v.late_outcomes)
 
-    def side_lookup(s: _SideArrays):
-        table = {}
-        for k in range(s.size):
-            table[row_key(_site_vertex(s, k))] = k
-        return table
+def _side_rows(sides: _SideArrays, vertices: list[SiteVertex]) -> np.ndarray:
+    """Rows of ``sides`` holding ``vertices``, looked up by bit-packed maps.
 
-    t1 = side_lookup(s1)
-    t2 = side_lookup(s2)
-    idx1 = np.empty(len(strategy.vertices), dtype=np.int64)
-    idx2 = np.empty(len(strategy.vertices), dtype=np.int64)
-    for k, v in enumerate(strategy.vertices):
-        k1 = t1.get(row_key(v.site1))
-        k2 = t2.get(row_key(v.site2))
-        if k1 is None or k2 is None:
-            raise ValueError("strategy contains a vertex outside this game's class")
-        idx1[k], idx2[k] = k1, k2
-    return idx1, idx2
+    A vertex outside the game's class raises ValueError.
+    """
+    two_phase = sides.late_outcomes is not None
+    fields = _MAPS if two_phase else _MAPS[:3]
+    outside = ValueError("strategy contains a vertex outside this game's class")
+    if any((v.late_outcomes is not None) != two_phase for v in vertices):
+        raise outside
+    table = [getattr(sides, f) for f in fields]
+    shape = (len(vertices), sides.outcomes.shape[1])
+    try:  # ragged, non-integer or wrong-length maps fail here
+        query = [
+            np.array([getattr(v, f) for v in vertices], dtype=np.int64).reshape(shape)
+            for f in fields
+        ]
+    except (TypeError, ValueError, OverflowError):
+        raise outside from None
+
+    def keys(maps):
+        bits = np.hstack([m == 1 for m in maps]).astype(np.int64)
+        return bits @ (1 << np.arange(bits.shape[1], dtype=np.int64))
+
+    side_keys = keys(table)
+    order = np.argsort(side_keys)
+    pos = np.searchsorted(side_keys, keys(query), sorter=order)
+    rows = order[np.minimum(pos, order.size - 1)]
+    # the keys only locate a row; the maps must match it exactly
+    if not all(np.array_equal(t[rows], q) for t, q in zip(table, query)):
+        raise outside
+    return rows
 
 
 def evaluate_mixed(game: GameSpec, strategy: MixedStrategy) -> GameEvaluation:
     """Re-evaluate a mixture in the game; checks class membership and
     constraint residuals rather than trusting the caller."""
-    n = game.n_settings
-    s1 = _side_arrays(game.model.kind, n)
-    s2 = _side_arrays(game.model.kind, n)
-    idx1, idx2 = _mixture_indices(game, strategy, s1, s2)
+    sides = _side_arrays(game.model.kind, game.n_settings)  # both sites alike
+    vs = strategy.vertices
+    rows = _side_rows(sides, [v.site1 for v in vs] + [v.site2 for v in vs])
+    idx1, idx2 = rows[: len(vs)], rows[len(vs):]
     w = np.asarray(strategy.weights, dtype=float)
     _, _, signs = _cell_indices(game)
-    mass, num = _support_matrices(game, s1, s2, idx1, idx2)
+    mass, num = _support_matrices(game, sides, sides, idx1, idx2)
     stat, corr, m, _ = _statistic(w, mass, num, signs)
-    A, b = _constraints(game, s1, s2, idx1, idx2)
+    A, b = _constraints(game, sides, sides, idx1, idx2)
     residual = float(np.max(np.abs(A @ w - b)))
     feasible = bool(np.all(m > MIN_CELL_MASS)) and residual <= CONSTRAINT_TOLERANCE
     return GameEvaluation(
@@ -492,7 +481,6 @@ class OptimizerBudget:
     iterations: int = 220
     support_size: int = 192
     seed: int = 0
-    vertex_limit: int = DEFAULT_VERTEX_LIMIT
 
     def __post_init__(self) -> None:
         for name in ("restarts", "iterations", "support_size"):
@@ -582,7 +570,8 @@ def _restart_support(game, s1, s2, budget, rng):
 
 
 def _cg_scores(game, s1, s2, coef_over_m, corr_vec):
-    """Insertion derivative of the statistic for every joint vertex.
+    """Insertion derivative of the statistic for every joint vertex of the
+    outcomes-only game.
 
     score(v) = sum_t c_t * (NUM_v[t] - corr_t * MASS_v[t]) with
     c_t = coef_t / m_t; every component factorizes over the sites, so the
@@ -595,24 +584,80 @@ def _cg_scores(game, s1, s2, coef_over_m, corr_vec):
     def prod(f1, f2, coeff):
         return (f1 * coeff[None, :]) @ f2.T
 
-    f1 = _site_factors(s1, a_idx)
-    f2 = _site_factors(s2, b_idx)
-    o1, o2, e1, e2 = f1.outcomes, f2.outcomes, f1.early, f2.early
-    if game.model.kind is ModelKind.EMISSION_TIME_REALISM:
-        nl1, nl2 = f1.late_share, f2.late_share
-        score = prod(e1 * o1, e2 * o2, c) - prod(e1, e2, d)
-        score += (
-            prod(nl1[:, None] * f1.late_outcomes, nl2[:, None] * f2.late_outcomes, c)
-            - np.outer(nl1, nl2) * d.sum()
-        )
-        return score
-    det1, det2 = f1.detected, f2.detected
+    o1, e1, det1 = (x[:, a_idx].astype(np.float64) for x in (s1.outcomes, s1.early, s1.detected))
+    o2, e2, det2 = (x[:, b_idx].astype(np.float64) for x in (s2.outcomes, s2.early, s2.detected))
     # selection = det1*det2*(e1*e2 + (1-e1)(1-e2))
     g1, g2 = det1 * e1, det2 * e2
     h1, h2 = det1 * (1.0 - e1), det2 * (1.0 - e2)
     score = prod(g1 * o1, g2 * o2, c) + prod(h1 * o1, h2 * o2, c)
     score -= prod(g1, g2, d) + prod(h1, h2, d)
     return score
+
+
+def _sign_index(x: np.ndarray) -> np.ndarray:
+    """Row of ``_sign_patterns`` holding sign(x) along the last axis, +1 at 0."""
+    return (x < 0) @ (1 << np.arange(x.shape[-1]))
+
+
+def _et_best_columns(game: GameSpec, c: np.ndarray, y: np.ndarray, k: int):
+    """The k best emission-time joint columns for a linear price.
+
+    Joint vertex (i, j) is priced
+
+        sum_t c_t E_t o1 o2 - sum_t y_t E_t
+            + lam1 lam2 (sum_t c_t l1 l2 - y_T) - y_(T+1),
+
+    with E_t = e1 e2 the early-early mask of term t, o and l the early and
+    late outcomes and e the arrival class at the term's settings, lam a
+    site's late share, and y one entry per term, then a late-late and a
+    total entry.  This is the LP's reduced profit (c the pattern's
+    objective, y the master's duals) and the search's insertion derivative
+    (y = (c corr, sum c corr, 0)).  The late part depends on the arrival
+    maps only through lam1 lam2 >= 0, so one pair of late maps is best for
+    every arrival pair.  Given the arrival maps and the site-1 outcome map,
+    the best site-2 outcome per setting is the sign of its column sum, so
+    the early part is a maximum over 8^n (arrival, outcome, arrival)
+    triples.  No (S, .) array is built.
+
+    Returns the k arrival pairs of highest price, each with its best maps,
+    as (price, site-1 rows, site-2 rows) of ``_side_arrays``, highest first.
+    """
+    n = game.n_settings
+    a_idx, b_idx, _ = _cell_indices(game)
+    T = a_idx.size
+    signs = _sign_patterns(n).astype(np.float64)     # row = outcome map
+    arrivals = _bool_patterns(n).astype(np.float64)  # row = arrival map
+    to_b = (b_idx[:, None] == np.arange(n)).astype(np.float64)
+
+    def column_sums(x):
+        """Site-1 values per setting -> sum_t c_t x[a_t], per site-2 setting."""
+        return (x[..., a_idx] * c) @ to_b
+
+    late = column_sums(signs)
+    late_gain = np.abs(late).sum(axis=1)
+    l1 = int(np.argmax(late_gain))
+    l2 = int(_sign_index(late[l1]))
+    early = column_sums(arrivals[:, None, :] * signs[None, :, :])  # (e1, o1, b)
+    gain = np.abs(early) @ arrivals.T                               # (e1, o1, e2)
+    o1 = gain.argmax(axis=1)                                        # (e1, e2)
+    lam = 1.0 - arrivals.mean(axis=1)
+    price = (
+        gain.max(axis=1)
+        - (arrivals[:, a_idx] * y[:T]) @ arrivals[:, b_idx].T
+        + np.outer(lam, lam) * (late_gain[l1] - y[T])
+        - y[T + 1]
+    )
+    k = min(k, price.size)
+    top = np.argpartition(price, -k, axis=None)[-k:]
+    top = top[np.argsort(-price.flat[top], kind="stable")]
+    e1, e2 = np.divmod(top, 2**n)
+    o1 = o1[e1, e2]
+    o2 = _sign_index(early[e1, o1])
+    return (
+        price.flat[top],
+        _et_vertex_index(n, o1, l1, e1),
+        _et_vertex_index(n, o2, l2, e2),
+    )
 
 
 def _lp_climb(w, mass, num, A, b, signs, iterations):
@@ -648,8 +693,13 @@ def max_statistic(game: GameSpec, budget: OptimizerBudget | None = None) -> MaxS
 
     Exact (enumeration) for plain local realism and path realism.  Else a
     multi-start search with column rounds: successive LP for emission-time
-    realism, projected-gradient ascent for outcomes-only selection.  Every
-    restart runs to completion; a failed LP step raises RuntimeError.
+    realism, projected-gradient ascent for outcomes-only selection.  A
+    column round adds the joint vertices of largest insertion derivative:
+    in the emission-time game from the structured oracle
+    ``_et_best_columns``, which opens games up to 12 terms; under
+    outcomes-only selection from a dense score matrix, up to 6 terms.  A
+    larger game raises ResourceLimitError.  Every restart runs to
+    completion; a failed LP step raises RuntimeError.
     """
     kind = game.model.kind
     if kind in (ModelKind.PLAIN_LOCAL_REALISM, ModelKind.PATH_REALISM):
@@ -659,15 +709,10 @@ def max_statistic(game: GameSpec, budget: OptimizerBudget | None = None) -> MaxS
             f"{kind.value} has no finite-settings game here; its bound is "
             "analytic in the efficiency (see bound_for)"
         )
+    _check_pricing_size(game)
     budget = budget or OptimizerBudget()
     n = game.n_settings
-    s1 = _side_arrays(kind, n)
-    s2 = _side_arrays(kind, n)
-    if s1.size * s2.size > budget.vertex_limit:
-        raise ResourceLimitError(
-            f"{s1.size * s2.size} joint vertices exceed the budget limit "
-            f"{budget.vertex_limit}"
-        )
+    s1 = s2 = _side_arrays(kind, n)  # both sites share one vertex set
     _, _, signs = _cell_indices(game)
     equal_mass = game.has_equal_mass_constraint
     best_value = -math.inf
@@ -716,11 +761,19 @@ def max_statistic(game: GameSpec, budget: OptimizerBudget | None = None) -> MaxS
                 break
             # column generation: pull in the vertices with the largest
             # insertion derivative and keep climbing
-            scores = _cg_scores(game, s1, s2, _pattern_coef(signs, m, groups), corr)
-            top = np.argpartition(scores, -_COLUMN_WINDOW, axis=None)[-_COLUMN_WINDOW:]
-            top = top[np.argsort(scores.flat[top])[::-1]]
+            coef = _pattern_coef(signs, m, groups)
+            if equal_mass:
+                d = coef * corr
+                _, top1, top2 = _et_best_columns(
+                    game, coef, np.append(d, [d.sum(), 0.0]), _COLUMN_WINDOW
+                )
+            else:
+                scores = _cg_scores(game, s1, s2, coef, corr)
+                top = np.argpartition(scores, -_COLUMN_WINDOW, axis=None)[-_COLUMN_WINDOW:]
+                top = top[np.argsort(scores.flat[top])[::-1]]
+                top1, top2 = np.unravel_index(top, scores.shape)
             taken = set(zip(idx1.tolist(), idx2.tolist()))
-            new = [ij for ij in zip(*np.unravel_index(top, scores.shape)) if ij not in taken]
+            new = [ij for ij in zip(top1.tolist(), top2.tolist()) if ij not in taken]
             if not new:
                 break
             new1, new2 = np.array(new[:_COLUMNS_PER_ROUND], dtype=np.int64).T
@@ -757,109 +810,47 @@ def max_statistic(game: GameSpec, budget: OptimizerBudget | None = None) -> MaxS
 # linear-programming cross-check for the emission-time game
 
 
-# column generation: columns added per round, pricing block size in matrix
-# entries, the reduced profit that certifies optimality, and a round cap
+# column generation: columns added per round, the reduced profit that
+# certifies optimality, and a round cap
 _LP_COLUMNS_PER_ROUND = 64
-_LP_PRICING_BLOCK = 1 << 21
 LP_OPTIMALITY_TOLERANCE = 1e-10
 _LP_MAX_ROUNDS = 1000
 
 
-class _EmissionTimeLP:
-    """The emission-time game's LPs, one per sign pattern.
+def _et_lp_value(game: GameSpec, sides: _SideArrays, pattern: np.ndarray) -> float:
+    """Exact emission-time LP value under one sign pattern, by column
+    generation; see ``emission_time_lp_value``."""
+    from scipy.optimize import linprog
 
-    Column (i, j) is the joint vertex of site-1 vertex i and site-2 vertex
-    j, flat index i * size + j.  The equality rows are the per-cell
-    early-early masses, the late-late mass and the total mass.  See
-    ``emission_time_lp_value`` for the method.
-    """
-
-    def __init__(self, game: GameSpec) -> None:
-        self.n = n = game.n_settings
-        sides = _side_arrays(game.model.kind, n)  # both sites share one vertex set
-        a_idx, b_idx, self.signs = _cell_indices(game)
-        self.terms = a_idx.size
-        self.size = sides.size
-        self.f1 = _site_factors(sides, np.arange(n))  # one column per site-1 setting
-        self.f2 = _site_factors(sides, b_idx)  # one column per term
-        self.e1 = self.f1.early[:, a_idx]
-        self.o1 = self.f1.outcomes[:, a_idx]
-        self.l1 = self.f1.late_outcomes[:, a_idx]
-        # summing the site-2 factors over the two terms of each site-1
-        # setting keeps the pricing product at rank 3n + 2
-        self.terms_of = (a_idx[None, :] == np.arange(n)[:, None]).astype(np.float64)
-        f1 = self.f1
-        self.left = np.hstack([
-            f1.early * f1.outcomes,
-            f1.late_share[:, None] * f1.late_outcomes,
-            f1.early,
-            f1.late_share[:, None],
-            np.ones((self.size, 1)),
-        ])
-        self.b_eq = np.array([0.25] * self.terms + [0.25, 1.0])
-
-    def coef(self, pattern: np.ndarray) -> np.ndarray:
-        # corr_t = 2 * (early part + late part) once masses are pinned
-        return 2.0 * np.repeat(pattern, 2) * self.signs
-
-    def columns(self, i: np.ndarray, j: np.ndarray, coef: np.ndarray):
-        """Equality rows and objective of the columns (i, j)."""
-        f2 = self.f2
-        ee = self.e1[i] * f2.early[j]
-        ll = self.f1.late_share[i] * f2.late_share[j]
-        A_eq = np.vstack([ee.T, ll, np.ones(i.size)])
-        late = ll[:, None] * self.l1[i] * f2.late_outcomes[j]
-        obj = (ee * self.o1[i] * f2.outcomes[j] + late) @ coef
-        return A_eq, obj
-
-    def profit_right(self, coef: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Site-2 factor: ``left @ right.T`` is obj - y^T A for every column."""
-        f2, T, to = self.f2, self.terms, self.terms_of.T
-        return np.hstack([
-            (f2.early * f2.outcomes * coef) @ to,
-            (f2.late_share[:, None] * f2.late_outcomes * coef) @ to,
-            -(f2.early * y[:T]) @ to,
-            -y[T] * f2.late_share[:, None],
-            np.full((self.size, 1), -y[T + 1]),
-        ])
-
-    def value(self, pattern: np.ndarray) -> float:
-        """Exact LP value under one sign pattern, by column generation."""
-        from scipy.optimize import linprog
-
-        S = self.size
-        coef = self.coef(pattern)
-        # the arrival core with the all-+1 outcome maps, at weight 1/4 each
-        n = self.n
-        i = np.array([_et_vertex_index(n, 0, 0, a) for a, _ in _arrival_core(n)])
-        j = np.array([_et_vertex_index(n, 0, 0, a) for _, a in _arrival_core(n)])
-        block = max(1, _LP_PRICING_BLOCK // S)
-        k = min(_LP_COLUMNS_PER_ROUND, S)
-        for _ in range(_LP_MAX_ROUNDS):
-            A_eq, obj = self.columns(i, j, coef)
-            res = linprog(-obj, A_eq=A_eq, b_eq=self.b_eq, bounds=(0.0, None), method="highs")
-            if not res.success:
-                raise RuntimeError(f"LP cross-check failed: {res.message}")
-            right = self.profit_right(coef, -res.eqlin.marginals)  # duals of the max
-            row_best = np.concatenate(
-                [(self.left[r:r + block] @ right.T).max(axis=1) for r in range(0, S, block)]
+    n = game.n_settings
+    S = sides.size
+    _, _, signs = _cell_indices(game)
+    # corr_t = 2 * (early part + late part) once masses are pinned
+    coef = 2.0 * np.repeat(pattern, 2) * signs
+    # the arrival core with the all-+1 outcome maps, at weight 1/4 each
+    i = np.array([_et_vertex_index(n, 0, 0, a) for a, _ in _arrival_core(n)])
+    j = np.array([_et_vertex_index(n, 0, 0, a) for _, a in _arrival_core(n)])
+    for _ in range(_LP_MAX_ROUNDS):
+        _, num = _support_matrices(game, sides, sides, i, j)
+        A_eq, b_eq = _constraints(game, sides, sides, i, j)
+        res = linprog(-(num @ coef), A_eq=A_eq, b_eq=b_eq, bounds=(0.0, None), method="highs")
+        if not res.success:
+            raise RuntimeError(f"LP cross-check failed: {res.message}")
+        profit, new_i, new_j = _et_best_columns(
+            game, coef, -res.eqlin.marginals, _LP_COLUMNS_PER_ROUND  # duals of the max
+        )
+        if profit[0] <= LP_OPTIMALITY_TOLERANCE:
+            return float(-res.fun)
+        priced = profit > LP_OPTIMALITY_TOLERANCE
+        new = np.setdiff1d(new_i[priced] * S + new_j[priced], i * S + j)
+        if new.size == 0:
+            raise RuntimeError(
+                "LP column generation stalled: the priced columns are "
+                "already in the master"
             )
-            if row_best.max() <= LP_OPTIMALITY_TOLERANCE:
-                return float(-res.fun)
-            # the k best entries lie in the k rows with the best maxima
-            rows = np.argpartition(row_best, -k)[-k:]
-            profit = (self.left[rows] @ right.T).ravel()
-            top = np.argpartition(profit, -k)[-k:]
-            top = top[profit[top] > LP_OPTIMALITY_TOLERANCE]
-            new = np.setdiff1d(rows[top // S] * S + top % S, i * S + j)
-            if new.size == 0:
-                raise RuntimeError(
-                    "LP column generation stalled: the priced columns are "
-                    "already in the master"
-                )
-            i = np.concatenate([i, new // S])
-            j = np.concatenate([j, new % S])
-        raise RuntimeError(f"LP column generation did not converge in {_LP_MAX_ROUNDS} rounds")
+        i = np.concatenate([i, new // S])
+        j = np.concatenate([j, new % S])
+    raise RuntimeError(f"LP column generation did not converge in {_LP_MAX_ROUNDS} rounds")
 
 
 def emission_time_lp_value(game: GameSpec) -> float:
@@ -876,22 +867,28 @@ def emission_time_lp_value(game: GameSpec) -> float:
     Each LP is solved by column generation (Gilmore and Gomory, 1961), not
     over all S1*S2 joint vertices.  The restricted master starts from the
     four all-early / all-late vertex pairs at weight 1/4, which meet every
-    constraint.  Each round prices every joint vertex at once: the reduced
-    profit obj - y^T A under the master's duals y factorizes over the two
-    sites, so it is one product of per-site factor matrices, built in
-    blocks of site-1 rows; the columns with the largest profits join the
-    master.  The weights sum to 1, so y^T b + max(0, largest profit) bounds
-    the LP from above, and the loop stops once the largest profit is at
-    most 1e-10: the master's value is then within 1e-10 of the optimum.
-    Any other ending raises RuntimeError.  Independent of the
-    successive-LP search, which solves only its restart's support under
-    the sign pattern it climbs.
+    constraint; its rows and objective come from the search's own row
+    builders.  Each round prices every joint vertex at once with the
+    structured oracle ``_et_best_columns``, the pricing subproblem of
+    Dantzig-Wolfe decomposition: the reduced profit obj - y^T A under the
+    master's duals y is maximized over arrival maps and site-1 outcome
+    maps, with the site-2 outcome maps and the late maps solved in closed
+    form, in O(8^n terms) work.  The best columns of the 64 most profitable
+    arrival pairs join the master.  The weights sum to 1, so
+    y^T b + max(0, largest profit) bounds the LP from above, and the loop
+    stops once the largest profit is at most 1e-10: the master's value is
+    then within 1e-10 of the optimum.  Any other ending raises
+    RuntimeError; a game beyond the pricing size limit (more than 12 terms)
+    raises ResourceLimitError.  Independent of the successive-LP search,
+    which solves only its restart's support under the sign pattern it
+    climbs.
     """
     if game.model.kind is not ModelKind.EMISSION_TIME_REALISM:
         raise ValueError("the LP cross-check applies to the emission-time game")
-    lp = _EmissionTimeLP(game)
+    _check_pricing_size(game)
+    sides = _side_arrays(game.model.kind, game.n_settings)
     # rows of _sign_patterns with an even index lead with +1
-    return max(lp.value(p) for p in _sign_patterns(game.chain.terms // 2)[0::2])
+    return max(_et_lp_value(game, sides, p) for p in _sign_patterns(game.n_settings)[0::2])
 
 
 # ---------------------------------------------------------------------------

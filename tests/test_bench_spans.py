@@ -6,12 +6,16 @@ arguments by parameter name (``events``, ``pairs``, ``path``, ``c``).  A
 renamed function or parameter, or a module-level ``linprog`` import, would
 silently zero a layer of the trace, so this loads the file as it is and
 checks that each timing layer and the LP record spans with non-zero counts.
+Its search counter calls the private ``strategyopt._side_arrays``, so the
+search span's vertex count is checked too.
 """
 
 import importlib.util
 from pathlib import Path
 
 from franson.cli import main
+from franson.inequalities import ModelKind
+from franson.strategyopt import _side_arrays
 
 SPANS_PY = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -57,6 +61,11 @@ def test_lp_layers_record_spans_with_columns(capsys):
     capsys.readouterr()
     names = [s["name"] for s in tracer.spans]
     assert names.count("strategyopt.lp") == 1
+    # the search span's counts read the private side arrays by name
+    (search,) = [s for s in tracer.spans if s["name"] == "strategyopt.search"]
+    side = _side_arrays(ModelKind.EMISSION_TIME_REALISM, 2)
+    assert search["counts"]["joint_vertices"] == side.size**2
+    assert search["counts"]["restarts_budgeted"] > 0
     (lp,) = [s for s in tracer.spans if s["name"] == "strategyopt.lp"]
     solves = [s for s in tracer.spans if s["name"] == "strategyopt.lp.solve"]
     # the LP's master solves are children of its span and hand over columns

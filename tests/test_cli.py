@@ -129,13 +129,23 @@ class TestVerifyBounds:
         assert p["lp_value"] == pytest.approx(5.0, abs=1e-9)
 
     def test_oversized_game_exits_with_resource_code(self, capsys):
-        code, p, err = run_cli(
-            ["verify-bounds", "--model-class", "emission-time-realism", "--terms", "8"],
-            capsys,
+        for model_class, terms in (("outcomes-only", "8"), ("emission-time-realism", "14")):
+            code, p, err = run_cli(
+                ["verify-bounds", "--model-class", model_class, "--terms", terms], capsys
+            )
+            assert code == 3
+            assert p is None
+            assert "resource limit" in err
+
+    def test_eight_term_search_and_lp(self, capsys):
+        code, p, _ = run_cli(
+            ["verify-bounds", "--terms", "8", "--lp-check", "--restarts", "4"], capsys
         )
-        assert code == 3
-        assert p is None
-        assert "resource limit" in err
+        assert code == 0
+        assert p["passed"] is True
+        assert p["bound"] == 7.0
+        assert p["lp_value"] == pytest.approx(7.0, abs=1e-9)
+        assert p["best_value"] == pytest.approx(7.0, abs=1e-6)
 
     @pytest.mark.parametrize(
         "flag, field",

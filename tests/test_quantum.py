@@ -14,7 +14,6 @@ from franson import (
     exact_correlation_entries,
     franson_correlation,
     franson_joint,
-    sample_franson_event,
     sample_franson_events,
     singlet_correlation,
 )
@@ -140,15 +139,13 @@ class TestCellSplit:
 
 
 class TestSampler:
-    def test_batch_matches_scalar(self, rs):
+    def test_one_element_batches_match_batch(self, rs):
         phi, psi, v = 0.7, 2.1, 0.9
-        x1, x2, late1, late2 = sample_franson_events(phi, psi, v, rs, 10, 40)
+        whole = sample_franson_events(phi, psi, v, rs, 10, 40)
         for k in range(40):
-            o1, d1, o2, d2 = sample_franson_event(phi, psi, v, rs, 10 + k)
-            assert int(o1) == x1[k]
-            assert int(o2) == x2[k]
-            assert (d1 is L) == bool(late1[k])
-            assert (d2 is L) == bool(late2[k])
+            single = sample_franson_events(phi, psi, v, rs, 10 + k, 1)
+            for part, full in zip(single, whole):
+                assert part.tolist() == [full[k]]
 
     def test_concatenation_invariance(self, rs):
         a = sample_franson_events(0.3, 0.5, 1.0, rs, 0, 50)

@@ -22,7 +22,6 @@ from franson import (
     chain_settings,
     chained_statistic,
     emission_time_lp_value,
-    enumerate_vertices,
     evaluate_mixed,
     max_statistic,
     monte_carlo_statistics,
@@ -35,11 +34,15 @@ from franson import (
 from franson.core import RandomSource
 from franson.strategyopt import (
     _cell_indices,
-    _EmissionTimeLP,
     _cg_scores,
+    _check_pricing_size,
+    _et_best_columns,
+    _et_lp_value,
     _project_simplex,
     _side_arrays,
+    _side_rows,
     _sign_patterns,
+    _site_vertex,
     _statistic,
     _support_matrices,
 )
@@ -49,6 +52,12 @@ SQRT2 = math.sqrt(2.0)
 
 def game(kind_factory, chain):
     return GameSpec(model=kind_factory(), chain=chain)
+
+
+def joint_vertex(g, i, j):
+    """Joint vertex of site-1 row i and site-2 row j of the game's sides."""
+    sides = _side_arrays(g.model.kind, g.n_settings)
+    return DeterministicVertex(_site_vertex(sides, i), _site_vertex(sides, j))
 
 
 @pytest.fixture(scope="module")
@@ -120,19 +129,24 @@ class TestEnumeration:
         ],
     )
     def test_joint_vertex_counts(self, chain4m, factory, count):
-        assert len(enumerate_vertices(game(factory, chain4m))) == count
+        g = game(factory, chain4m)
+        sides = _side_arrays(g.model.kind, g.n_settings)
+        assert sides.size**2 == count
+        # every row is a distinct vertex
+        assert len({_site_vertex(sides, k) for k in range(sides.size)}) == sides.size
 
     def test_emission_time_vertices_carry_late_maps(self, chain4m):
-        v = enumerate_vertices(game(ModelClass.emission_time_realism, chain4m))[0]
+        v = joint_vertex(game(ModelClass.emission_time_realism, chain4m), 0, 0)
         assert v.site1.late_outcomes is not None
         assert len(v.site1.late_outcomes) == 2
 
-    def test_resource_limit(self, chain4m):
-        with pytest.raises(ResourceLimitError):
-            enumerate_vertices(game(ModelClass.plain_local_realism, chain4m), limit=8)
-        big = game(ModelClass.emission_time_realism, chain_settings(8))
-        with pytest.raises(ResourceLimitError):
-            enumerate_vertices(big)
+    def test_resource_limit(self):
+        # the 12-term emission-time and 6-term outcomes-only games fit
+        _check_pricing_size(game(ModelClass.emission_time_realism, chain_settings(12)))
+        _check_pricing_size(game(ModelClass.outcomes_only, chain_settings(6)))
+        big = game(ModelClass.emission_time_realism, chain_settings(14))
+        with pytest.raises(ResourceLimitError, match="emission-time pricing entries"):
+            emission_time_lp_value(big)
 
 
 class TestExactMaxima:
@@ -225,9 +239,21 @@ class TestOptimizer:
         assert plain <= et + 1e-9 <= oo + 1e-9
 
     def test_resource_limit_in_optimizer(self):
-        g = game(ModelClass.emission_time_realism, chain_settings(8))
-        with pytest.raises(ResourceLimitError):
-            max_statistic(g, OptimizerBudget(restarts=1, vertex_limit=1000))
+        for g in (
+            game(ModelClass.emission_time_realism, chain_settings(14)),
+            game(ModelClass.outcomes_only, chain_settings(8)),
+        ):
+            with pytest.raises(ResourceLimitError):
+                max_statistic(g, OptimizerBudget(restarts=1))
+
+    def test_ten_term_search_witness_is_feasible(self):
+        g = game(ModelClass.emission_time_realism, chain_settings(10))
+        result = max_statistic(g, OptimizerBudget(restarts=4, seed=1))
+        assert result.value == pytest.approx(9.0, abs=1e-6)
+        ev = evaluate_mixed(g, result.witness)
+        assert ev.feasible
+        assert ev.constraint_residual <= 1e-9
+        assert ev.statistic == pytest.approx(result.value, abs=1e-9)
 
 
 class TestEvaluateMixed:
@@ -239,14 +265,43 @@ class TestEvaluateMixed:
         )
         with pytest.raises(ValueError, match="outside this game's class"):
             evaluate_mixed(g, foreign)
+        # malformed maps: a value off the outcome or flag alphabet, a wrong
+        # length, a missing late map
+        g = game(ModelClass.emission_time_realism, chain4m)
+        v = joint_vertex(g, 5, 9)
+        for bad in (
+            {"outcomes": (1, 0)},
+            {"outcomes": (1, -1, 1)},
+            {"early": (True, 2)},
+            {"late_outcomes": None},
+        ):
+            odd = DeterministicVertex(replace(v.site1, **bad), v.site2)
+            with pytest.raises(ValueError, match="outside this game's class"):
+                evaluate_mixed(g, MixedStrategy(vertices=(v, odd), weights=(0.5, 0.5)))
 
     def test_constraint_residual_reported(self, chain4m):
         # a single emission-time vertex cannot satisfy the equal-mass rule
         g = game(ModelClass.emission_time_realism, chain4m)
-        v = enumerate_vertices(g)[0]
+        v = joint_vertex(g, 0, 0)
         ev = evaluate_mixed(g, MixedStrategy(vertices=(v,), weights=(1.0,)))
         assert ev.constraint_residual > 1e-3
         assert not ev.feasible
+
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            ModelClass.plain_local_realism,
+            ModelClass.path_realism,
+            ModelClass.emission_time_realism,
+            ModelClass.outcomes_only,
+        ],
+    )
+    def test_side_rows_find_every_vertex(self, chain4m, factory):
+        g = game(factory, chain4m)
+        sides = _side_arrays(g.model.kind, g.n_settings)
+        rows = np.random.default_rng(23).permutation(sides.size)
+        found = _side_rows(sides, [_site_vertex(sides, int(k)) for k in rows])
+        assert found.tolist() == rows.tolist()
 
 
 def full_lp_matrices(g):
@@ -340,31 +395,33 @@ class TestLpCrossCheck:
             reference = max(full_lp_pattern_values(g).values())
             assert emission_time_lp_value(g) == pytest.approx(reference, abs=1e-9)
 
-    def test_factorized_columns_and_profits_match_dense_lp(self, chain4m):
-        rng = np.random.default_rng(43)
-        for chain in (chain4m, random_term_chain(4, rng)):
+    @pytest.mark.parametrize("terms", [4, 6])
+    def test_oracle_price_matches_dense_lp(self, chain4m, terms):
+        rng = np.random.default_rng(43 + terms)
+        base = chain4m if terms == 4 else chain_settings(6)
+        chains = [base] + [random_term_chain(terms, rng) for _ in range(2 if terms == 4 else 1)]
+        for chain in chains:
             g = game(ModelClass.emission_time_realism, chain)
-            lp = _EmissionTimeLP(g)
             A_eq, b_eq, objs = full_lp_matrices(g)
-            assert np.array_equal(lp.b_eq, b_eq)
-            i, j = np.divmod(np.arange(lp.size**2), lp.size)
+            S = _side_arrays(g.model.kind, g.n_settings).size
+            _, _, signs = _cell_indices(g)
             for pattern, obj in objs.items():
-                coef = lp.coef(np.array(pattern))
-                A, o = lp.columns(i, j, coef)
-                assert np.allclose(A, A_eq, rtol=0.0, atol=1e-12)
-                assert np.allclose(o, obj, rtol=0.0, atol=1e-12)
-                # reduced profits under arbitrary duals, from the site factors
+                coef = 2.0 * np.repeat(np.array(pattern), 2) * signs
                 y = rng.normal(size=b_eq.size)
-                profit = lp.left @ lp.profit_right(coef, y).T
-                assert np.allclose(profit.ravel(), obj - A_eq.T @ y, rtol=0.0, atol=1e-9)
+                dense = obj - A_eq.T @ y
+                price, i, j = _et_best_columns(g, coef, y, 16)
+                assert price[0] == pytest.approx(dense.max(), abs=1e-9)
+                assert np.all(np.diff(price) <= 0.0)
+                # each returned column carries its own dense price
+                assert np.allclose(price, dense[i * S + j], rtol=0.0, atol=1e-9)
 
     def test_every_pattern_matches_full_lp_and_its_negation(self, chain4m):
         rng = np.random.default_rng(42)
         for chain in (chain4m, random_term_chain(4, rng)):
             g = game(ModelClass.emission_time_realism, chain)
-            lp = _EmissionTimeLP(g)
+            sides = _side_arrays(g.model.kind, g.n_settings)
             reference = full_lp_pattern_values(g)
-            values = {p: lp.value(np.array(p)) for p in reference}
+            values = {p: _et_lp_value(g, sides, np.array(p)) for p in reference}
             for pattern, value in values.items():
                 assert value == pytest.approx(reference[pattern], abs=1e-9)
                 # flipping every site-1 outcome negates all correlations
@@ -372,9 +429,10 @@ class TestLpCrossCheck:
                 assert value == pytest.approx(values[negated], abs=1e-9)
 
     def test_six_term_patterns_pair_up_under_negation(self, chain6m):
-        lp = _EmissionTimeLP(game(ModelClass.emission_time_realism, chain6m))
+        g = game(ModelClass.emission_time_realism, chain6m)
+        sides = _side_arrays(g.model.kind, g.n_settings)
         patterns = _sign_patterns(3)
-        values = [lp.value(p) for p in patterns]
+        values = [_et_lp_value(g, sides, p) for p in patterns]
         # row k and row 7 - k of _sign_patterns are negations of each other
         for k in range(4):
             assert np.array_equal(patterns[7 - k], -patterns[k])
@@ -384,6 +442,10 @@ class TestLpCrossCheck:
     def test_eight_term_game_is_solved_exactly(self):
         g = game(ModelClass.emission_time_realism, chain_settings(8))
         assert emission_time_lp_value(g) == pytest.approx(7.0, abs=1e-9)
+
+    def test_twelve_term_game_is_solved_exactly(self):
+        g = game(ModelClass.emission_time_realism, chain_settings(12))
+        assert emission_time_lp_value(g) == pytest.approx(11.0, abs=1e-9)
 
 
 class TestVerifyBound:
@@ -448,11 +510,17 @@ class TestInsertionScores:
         stat0, corr, m, groups = _statistic(w, mass, num, signs)
         sig = np.where(groups >= 0.0, 1.0, -1.0)
         coef_over_m = np.repeat(sig, 2) * signs / np.maximum(m, 1e-12)
-        scores = _cg_scores(g, s1, s2, coef_over_m, corr)
+        if g.has_equal_mass_constraint:
+            # the oracle's price with y = (c corr, sum c corr, 0)
+            d = coef_over_m * corr
+            scores, v1s, v2s = _et_best_columns(g, coef_over_m, np.append(d, [d.sum(), 0.0]), 6)
+            picks = zip(v1s.tolist(), v2s.tolist(), scores.tolist())
+        else:
+            dense = _cg_scores(g, s1, s2, coef_over_m, corr)
+            v1s, v2s = rng.integers(0, s1.size, 6), rng.integers(0, s2.size, 6)
+            picks = zip(v1s.tolist(), v2s.tolist(), dense[v1s, v2s].tolist())
         eps = 1e-6
-        for _ in range(6):
-            v1 = int(rng.integers(0, s1.size))
-            v2 = int(rng.integers(0, s2.size))
+        for v1, v2, score in picks:
             mass_aug, num_aug = _support_matrices(
                 g, s1, s2, np.append(idx1, v1), np.append(idx2, v2)
             )
@@ -460,7 +528,7 @@ class TestInsertionScores:
                 np.append(w, eps), mass_aug, num_aug, signs
             )
             fd = (stat_eps - stat0) / eps
-            assert scores[v1, v2] == pytest.approx(fd, abs=2e-4)
+            assert score == pytest.approx(fd, abs=2e-4)
 
 
 class TestModelWitnessBridge:
@@ -512,7 +580,7 @@ class TestModelWitnessBridge:
 
     def test_mixture_quantiles_select_vertices(self, chain4m):
         g = game(ModelClass.plain_local_realism, chain4m)
-        vertices = tuple(enumerate_vertices(g)[:2])
+        vertices = (joint_vertex(g, 0, 0), joint_vertex(g, 0, 1))
         mixed = MixedStrategy(vertices=vertices, weights=(0.25, 0.75))
         strategy = strategy_from_mixture(mixed, chain4m)
         psi = chain4m.site2_settings[0].phase
@@ -549,10 +617,11 @@ def simulated_statistic(strategy, chain, trials, rs):
 class TestMixtureThroughSimulator:
     def test_mixture_statistic_matches_game_value(self, chain4m):
         g = game(ModelClass.plain_local_realism, chain4m)
-        vertices = enumerate_vertices(g)
         # all outcomes +1 against site 2 answering -1: every cell correlates
         # at 0.25 - 0.75, so the value 1.0 depends on the weights
-        mixed = MixedStrategy(vertices=(vertices[0], vertices[3]), weights=(0.25, 0.75))
+        mixed = MixedStrategy(
+            vertices=(joint_vertex(g, 0, 0), joint_vertex(g, 0, 3)), weights=(0.25, 0.75)
+        )
         expected = evaluate_mixed(g, mixed).statistic
         assert expected == pytest.approx(1.0, abs=1e-12)
         stat, se = simulated_statistic(
