@@ -9,6 +9,8 @@ setting.
 from __future__ import annotations
 
 import csv
+import functools
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -298,68 +300,127 @@ def correlation_from_pairs(pairs: np.ndarray, table: CorrelationTable | None = N
 # CSV round trip
 
 
+# Rows per block of the writer: big enough that the per-block Python calls
+# are amortised, small enough that a block's strings stay a few MB.
+_CSV_BLOCK_ROWS = 1 << 14
+
+# How each column is written: integers in decimal, floats as their shortest
+# round-trip repr.
+_CSV_FORMATS = (str, str, repr, str, repr)
+
+# The reader parses every integer column as int64 so that an out-of-range
+# site or outcome is caught by the row checks before narrowing.
+_CSV_PARSE_DTYPE = np.dtype(
+    [(name, np.float64 if EVENT_DTYPE[name].kind == "f" else np.int64) for name in CSV_COLUMNS]
+)
+
+
 def write_events_csv(path, events: np.ndarray) -> None:
-    """Write events as CSV with columns site,trial,timestamp_ns,outcome,setting_rad."""
+    """Write events as CSV with columns site,trial,timestamp_ns,outcome,setting_rad.
+
+    Rows end in ``\\r\\n`` and floats are written as their shortest
+    round-trip repr, so :func:`read_events_csv` gives back the same bits.
+    """
     ev = np.asarray(events, dtype=EVENT_DTYPE)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for e in ev:
-            writer.writerow(
-                [
-                    int(e["site"]),
-                    int(e["trial"]),
-                    repr(float(e["timestamp_ns"])),
-                    int(e["outcome"]),
-                    repr(float(e["setting_rad"])),
-                ]
-            )
+        fh.write(",".join(CSV_COLUMNS) + "\r\n")
+        for start in range(0, len(ev), _CSV_BLOCK_ROWS):
+            block = ev[start : start + _CSV_BLOCK_ROWS]
+            columns = [
+                map(fmt, block[name].tolist()) for name, fmt in zip(CSV_COLUMNS, _CSV_FORMATS)
+            ]
+            fh.write("".join([",".join(row) + "\r\n" for row in zip(*columns)]))
 
 
 def read_events_csv(path) -> np.ndarray:
     """Read events written by write_events_csv; round trips exactly.
 
-    Every row must have site 1 or 2, outcome -1 or +1 and a finite
-    timestamp and setting; the first row that does not raises ValueError
-    naming its line (the header is line 1).
+    Every row must have exactly five fields, site 1 or 2, outcome -1 or +1
+    and a finite timestamp and setting; the first row that does not raises
+    ValueError naming its line (the header is line 1).  A blank line is a
+    malformed row.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != CSV_COLUMNS:
-            raise ValueError(f"unexpected CSV header: {header}")
+        _check_header(csv.reader(fh))
+        rows = _count_lines(path) - 1
+        if rows == 0:
+            return np.empty(0, dtype=EVENT_DTYPE)
         try:
-            rows = [
-                (int(r[0]), int(r[1]), float(r[2]), int(r[3]), float(r[4]))
-                for r in reader
-            ]
-        except (ValueError, IndexError) as exc:
-            raise ValueError(f"{path}, line {reader.line_num}: malformed event row ({exc})") from exc
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                parsed = np.loadtxt(
+                    fh, dtype=_CSV_PARSE_DTYPE, delimiter=",", comments=None, ndmin=1
+                )
+        except (ValueError, Warning):
+            parsed = None
+    # loadtxt skips blank lines, which are malformed rows here, so a row count
+    # short of the line count sends the file to the row-by-row pass, as does a
+    # parse error, a warning or a failed row check.
+    if parsed is None or len(parsed) != rows or _bad_rows(parsed).any():
+        return _read_rows(path)
+    return parsed.astype(EVENT_DTYPE)
+
+
+def _check_header(reader) -> None:
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:  # e.g. a field past csv's size limit
+        raise ValueError(f"unexpected CSV header ({exc})") from None
+    if header is None or tuple(header) != CSV_COLUMNS:
+        raise ValueError(f"unexpected CSV header: {header}")
+
+
+def _count_lines(path) -> int:
+    """Lines in the file, ended by \\n, \\r\\n or a lone \\r as csv.reader splits them."""
+    lines, last = 0, b"\n"
+    with open(path, "rb") as fh:
+        for chunk in iter(functools.partial(fh.read, 1 << 20), b""):
+            lines += chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
+            if last == b"\r" and chunk[:1] == b"\n":
+                lines -= 1  # a \r\n split across two chunks
+            last = chunk[-1:]
+    return lines + (last not in (b"\r", b"\n"))
+
+
+def _bad_rows(ev: np.ndarray) -> np.ndarray:
+    return (
+        ((ev["site"] != 1) & (ev["site"] != 2))
+        | ((ev["outcome"] != 1) & (ev["outcome"] != -1))
+        | ~np.isfinite(ev["timestamp_ns"])
+        | ~np.isfinite(ev["setting_rad"])
+    )
+
+
+def _read_rows(path) -> np.ndarray:
+    """Row-by-row reader: accepts what int() and float() accept and names the first bad line."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        _check_header(reader)
+        rows = []
+        try:
+            for r in reader:
+                if len(r) != len(CSV_COLUMNS):
+                    raise ValueError(f"expected {len(CSV_COLUMNS)} fields, got {len(r)}")
+                rows.append((int(r[0]), int(r[1]), float(r[2]), int(r[3]), float(r[4])))
+        except (ValueError, csv.Error) as exc:
+            raise ValueError(
+                f"{path}, line {reader.line_num}: malformed event row ({exc})"
+            ) from exc
     try:
         out = np.array(rows, dtype=EVENT_DTYPE) if rows else np.empty(0, dtype=EVENT_DTYPE)
     except OverflowError:
-        # a site, trial or outcome outside its column's integer range; the
-        # vectorized check below names any other bad row
-        k = next(k for k, row in enumerate(rows) if _overflows(row))
-        raise ValueError(_bad_row_message(path, k, rows[k])) from None
-    bad = (
-        ((out["site"] != 1) & (out["site"] != 2))
-        | ((out["outcome"] != 1) & (out["outcome"] != -1))
-        | ~np.isfinite(out["timestamp_ns"])
-        | ~np.isfinite(out["setting_rad"])
-    )
-    if bad.any():
-        k = int(np.argmax(bad))
+        out = None  # a site, trial or outcome outside its column's integer range
+    if out is None or _bad_rows(out).any():
+        k = next(k for k, row in enumerate(rows) if _row_is_bad(row))
         raise ValueError(_bad_row_message(path, k, rows[k]))
     return out
 
 
-def _overflows(row: tuple) -> bool:
+def _row_is_bad(row: tuple) -> bool:
     try:
-        np.array([row], dtype=EVENT_DTYPE)
+        return bool(_bad_rows(np.array([row], dtype=EVENT_DTYPE))[0])
     except OverflowError:
         return True
-    return False
 
 
 def _bad_row_message(path, k: int, row: tuple) -> str:

@@ -6,9 +6,13 @@ as a shell user would drive it.
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import franson
 from franson.cli import main
 
 SQRT2 = math.sqrt(2.0)
@@ -409,8 +413,9 @@ class TestEventsRoundtrip:
 
     @pytest.mark.parametrize(
         "row,shown",
-        [("2,0,10.0,5,0.0", "outcome=5"), ("3,0,10.0,1,0.0", "site=3")],
-        ids=["outcome-5", "site-3"],
+        [("2,0,10.0,5,0.0", "outcome=5"), ("3,0,10.0,1,0.0", "site=3"),
+         ("", "expected 5 fields, got 0")],
+        ids=["outcome-5", "site-3", "blank-line"],
     )
     def test_bad_event_row_is_named(self, tmp_path, capsys, row, shown):
         csv = tmp_path / "events.csv"
@@ -549,3 +554,19 @@ def test_static_switch_period_prints_null(capsys):
     assert code == 0
     assert p["geometry"]["switch_period_ns"] is None
     assert p["premise"] == {"margin_ns": None, "satisfied": False}
+
+
+def test_python_dash_m_runs_the_same_command_line(capsys):
+    assert main(["bounds", "--terms", "4"]) == 0
+    in_process = capsys.readouterr().out
+    src = os.path.dirname(os.path.dirname(os.path.abspath(franson.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "franson", "bounds", "--terms", "4"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == in_process

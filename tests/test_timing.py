@@ -1,4 +1,6 @@
+import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,8 +18,9 @@ from franson import (
     read_events_csv,
     write_events_csv,
 )
+from franson import timing
 from franson.core import setting_key
-from franson.timing import CSV_COLUMNS, PAIR_DTYPE
+from franson.timing import _CSV_BLOCK_ROWS, CSV_COLUMNS, PAIR_DTYPE
 
 TIMING = InterferometerTiming(path_difference_ns=100.0, window_ns=1.0)
 
@@ -301,6 +304,239 @@ class TestCsvRoundTrip:
 
     def test_columns_constant(self):
         assert CSV_COLUMNS == ("site", "trial", "timestamp_ns", "outcome", "setting_rad")
+
+    @pytest.mark.parametrize(
+        "row,fields", [("1,0", 2), ("", 0), ("1,0,10.0,1,0.5,", 6)],
+        ids=["short", "blank", "trailing-comma"],
+    )
+    def test_wrong_field_count_is_named(self, tmp_path, row, fields):
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(CSV_COLUMNS) + "\n1,0,10.0,1,0.5\n" + row + "\n")
+        expected = f"line 3: malformed event row (expected 5 fields, got {fields})"
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            read_events_csv(path)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("end", ["\r\n", ""], ids=["crlf", "no-newline"])
+    def test_header_only_skips_the_parser(self, tmp_path, monkeypatch, end):
+        def no_parse(*args, **kwargs):
+            raise AssertionError("np.loadtxt called on a file without rows")
+
+        monkeypatch.setattr(np, "loadtxt", no_parse)
+        path = tmp_path / "empty.csv"
+        path.write_bytes((",".join(CSV_COLUMNS) + end).encode())
+        back = read_events_csv(path)
+        assert back.size == 0
+        assert back.dtype == EVENT_DTYPE
+
+    def test_first_bad_row_is_named_before_a_later_overflow(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(CSV_COLUMNS) + "\n3,0,10.0,1,0.0\n300,0,10.0,1,0.0\n")
+        with pytest.raises(ValueError, match="line 2: .*site=3,"):
+            read_events_csv(path)
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"", b"a", b"a\r\n", b"a\rb", b"a\n\r\nb", b"a\r\r\n", b"\r\n\r", b"a\n\n",
+         b"x" * (2**20 - 1) + b"\r\nb", b"x" * (2**20 - 1) + b"\r\rb", b"x" * 2**20 + b"\nb"],
+        ids=["empty", "no-end", "crlf", "cr", "lf-crlf", "cr-crlf", "crlf-cr", "lf-lf",
+             "crlf-across-chunks", "cr-cr-across-chunks", "lf-after-chunk"],
+    )
+    def test_line_count_matches_python_line_splitting(self, tmp_path, content):
+        path = tmp_path / "lines.csv"
+        path.write_bytes(content)
+        with open(path, newline="") as fh:
+            expected = sum(1 for _ in fh)
+        assert timing._count_lines(path) == expected
+
+    @pytest.mark.parametrize("line", [2, 3])
+    def test_overlong_field_is_named(self, tmp_path, line):
+        path = tmp_path / "bad.csv"
+        rows = ["1,0,10.0,1,0.5", "1,0," + "1" * 200_000 + ",1,0.5"]
+        path.write_text(",".join(CSV_COLUMNS) + "\n" + "\n".join(rows[3 - line :]) + "\n")
+        with pytest.raises(ValueError, match=f"line {line}: malformed event row .*field limit"):
+            read_events_csv(path)
+
+    def test_overlong_header_is_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("x" * 200_000 + "\n")
+        with pytest.raises(ValueError, match="unexpected CSV header .*field limit"):
+            read_events_csv(path)
+
+    def test_zero_byte_file_has_no_header(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_bytes(b"")
+        with pytest.raises(ValueError, match="unexpected CSV header: None"):
+            read_events_csv(path)
+
+    def test_written_file_is_read_by_the_column_parser(self, tmp_path, monkeypatch):
+        def no_rows(path):
+            raise AssertionError("a valid file fell back to the row-by-row reader")
+
+        monkeypatch.setattr(timing, "_read_rows", no_rows)
+        ev = random_events(np.random.default_rng(3), 1000)
+        ev["site"] = np.where(ev["site"] == 1, 1, 2)
+        ev["outcome"] = np.where(ev["outcome"] > 0, 1, -1)
+        ev["timestamp_ns"][~np.isfinite(ev["timestamp_ns"])] = 0.0
+        ev["setting_rad"][~np.isfinite(ev["setting_rad"])] = -0.0
+        path = tmp_path / "events.csv"
+        write_events_csv(path, ev)
+        assert read_events_csv(path).tobytes() == ev.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# row-by-row referee for the CSV kernels: the writer and reader as they were
+# before the column kernels, with two rules stated outright: a row has
+# exactly five fields, and the first bad row is named even when a later row
+# overflows its column
+
+
+def reference_write_events_csv(path, events):
+    ev = np.asarray(events, dtype=EVENT_DTYPE)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_COLUMNS)
+        for e in ev:
+            writer.writerow(
+                [
+                    int(e["site"]),
+                    int(e["trial"]),
+                    repr(float(e["timestamp_ns"])),
+                    int(e["outcome"]),
+                    repr(float(e["setting_rad"])),
+                ]
+            )
+
+
+def reference_read_events_csv(path):
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or tuple(header) != CSV_COLUMNS:
+            raise ValueError(f"unexpected CSV header: {header}")
+        rows = []
+        for r in reader:
+            if len(r) != 5:
+                raise ValueError(
+                    f"{path}, line {reader.line_num}: malformed event row "
+                    f"(expected 5 fields, got {len(r)})"
+                )
+            try:
+                rows.append((int(r[0]), int(r[1]), float(r[2]), int(r[3]), float(r[4])))
+            except ValueError as exc:
+                raise ValueError(
+                    f"{path}, line {reader.line_num}: malformed event row ({exc})"
+                ) from exc
+    for k, (site, trial, ts, outcome, setting) in enumerate(rows):
+        if (
+            site not in (1, 2)
+            or outcome not in (-1, 1)
+            or not -(2**63) <= trial < 2**63
+            or not math.isfinite(ts)
+            or not math.isfinite(setting)
+        ):
+            raise ValueError(
+                f"{path}, line {k + 2}: site must be 1 or 2, outcome -1 or +1, timestamp "
+                f"and setting finite; got site={site}, trial={trial}, timestamp_ns={ts!r}, "
+                f"outcome={outcome}, setting_rad={setting!r}"
+            )
+    return np.array(rows, dtype=EVENT_DTYPE) if rows else np.empty(0, dtype=EVENT_DTYPE)
+
+
+def random_events(rng, n):
+    """Events with arbitrary bits: int64 trials at both ends, subnormals, -0.0, nan, inf."""
+    ev = np.empty(n, dtype=EVENT_DTYPE)
+    ev["site"] = rng.integers(0, 256, n)
+    ev["trial"] = rng.integers(-(2**63), 2**63 - 1, n, endpoint=True)
+    ev["outcome"] = rng.integers(-128, 128, n)
+    for name in ("timestamp_ns", "setting_rad"):
+        bits = rng.integers(0, 2**64 - 1, n, dtype=np.uint64, endpoint=True)
+        values = bits.view(np.float64).copy()
+        values[rng.random(n) < 0.1] = -0.0
+        subnormal = rng.random(n) < 0.1
+        values[subnormal] = rng.integers(1, 2**52, subnormal.sum()) * 5e-324
+        ev[name] = values
+    return ev
+
+
+def read_outcome(read, path):
+    try:
+        out = read(path)
+    except ValueError as exc:
+        return str(exc)
+    return out.dtype, out.tobytes()
+
+
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_VALID_ROWS = st.lists(
+    st.tuples(st.sampled_from([1, 2]), _INT64, _FINITE, st.sampled_from([-1, 1]), _FINITE),
+    min_size=1,
+    max_size=6,
+)
+
+
+def _with_field(line, j, edit):
+    fields = line.split(",")
+    fields[j] = edit(fields[j])
+    return ",".join(fields)
+
+
+# one change to one row of a valid file, given the row and a field index;
+# the _FILE_EDITS act on the blank lines and line ends of the whole file
+_ROW_EDITS = {
+    "quoted": lambda line, j: _with_field(line, j, lambda f: f'"{f}"'),
+    "padded": lambda line, j: _with_field(line, j, lambda f: f" {f} "),
+    "plus-one": lambda line, j: _with_field(line, j, lambda f: "+1"),
+    "underscore": lambda line, j: _with_field(line, j, lambda f: "1_0"),
+    "comment": lambda line, j: "#" + line,
+    "trailing-comma": lambda line, j: line + ",",
+    "1e400": lambda line, j: _with_field(line, j, lambda f: "1e400"),
+    "0x10": lambda line, j: _with_field(line, j, lambda f: "0x10"),
+    "trial-overflow": lambda line, j: _with_field(line, 1, lambda f: str(2**63)),
+    "site-300": lambda line, j: _with_field(line, 0, lambda f: "300"),
+}
+_FILE_EDITS = ("blank-line", "cr-only", "no-final-newline")
+
+
+class TestCsvReferee:
+    @pytest.mark.parametrize(
+        "n", [0, 1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1]
+    )
+    def test_writer_bytes_match_reference(self, tmp_path, n):
+        ev = random_events(np.random.default_rng(n), n)
+        write_events_csv(tmp_path / "new.csv", ev)
+        reference_write_events_csv(tmp_path / "ref.csv", ev)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=_VALID_ROWS,
+        edit=st.sampled_from(sorted(_ROW_EDITS) + list(_FILE_EDITS)),
+        at=st.integers(0, 10),
+        field=st.integers(0, 4),
+    )
+    def test_reader_matches_reference_after_one_change(
+        self, tmp_path_factory, rows, edit, at, field
+    ):
+        lines = [",".join(CSV_COLUMNS)] + [
+            f"{s},{t},{ts!r},{o},{phi!r}" for s, t, ts, o, phi in rows
+        ]
+        k = 1 + at % len(rows)
+        end, tail = "\r\n", "\r\n"
+        if edit in _ROW_EDITS:
+            lines[k] = _ROW_EDITS[edit](lines[k], field)
+        elif edit == "blank-line":
+            lines.insert(1 + at % len(lines), "")
+        elif edit == "cr-only":
+            end = tail = "\r"
+        else:
+            tail = ""
+        path = tmp_path_factory.getbasetemp() / "mutated.csv"
+        path.write_bytes((end.join(lines) + tail).encode())
+        assert read_outcome(read_events_csv, path) == read_outcome(
+            reference_read_events_csv, path
+        )
 
 
 # ---------------------------------------------------------------------------
