@@ -18,8 +18,9 @@ import sys
 
 import numpy as np
 
-from .core import RandomSource, SettingsChain, chain_settings
+from .core import RandomSource, SettingsChain, chain_settings, setting_key
 from .inequalities import (
+    CorrelationTable,
     ModelClass,
     ModelKind,
     bound_for,
@@ -40,6 +41,8 @@ from .strategyopt import (
     verify_bound,
 )
 from .timing import (
+    EfficiencyEntry,
+    EfficiencyReport,
     InterferometerTiming,
     correlation_from_pairs,
     emit_events_from_batch,
@@ -77,11 +80,47 @@ def _emit(payload: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
+def _config_value(action: argparse.Action, key: str, value):
+    """A config value through its flag's checks, converted as argparse would.
+
+    On/off flags take only JSON booleans and multi-value flags a non-empty
+    list.  Every other value is checked by the flag's type and choices in
+    its JSON spelling, as if typed after the flag: 4.7 is not an int, and
+    only a string stands for an option without a type.
+    """
+    if action.nargs == 0:
+        if not isinstance(value, bool):
+            raise ConfigError(f"config key {key!r}: expected true or false, got {json.dumps(value)}")
+        return value
+    if action.nargs == "+" and not (isinstance(value, list) and value):
+        raise ConfigError(f"config key {key!r}: expected a non-empty list, got {json.dumps(value)}")
+    what = getattr(action.type, "__name__", "string")
+    items = []
+    for item in value if action.nargs == "+" else [value]:
+        invalid = ConfigError(f"config key {key!r}: invalid {what} value {json.dumps(item)}")
+        if isinstance(item, str):
+            text = item
+        elif action.type is not None and type(item) in (int, float):
+            text = json.dumps(item)
+        else:
+            raise invalid
+        try:
+            items.append(text if action.type is None else action.type(text))
+        except ValueError:
+            raise invalid from None
+        if action.choices is not None and items[-1] not in action.choices:
+            raise ConfigError(
+                f"config key {key!r}: unknown {action.dest.replace('_', ' ')} {items[-1]!r} "
+                f"(choose from {', '.join(action.choices)})"
+            )
+    return items if action.nargs == "+" else items[0]
+
+
+def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> argparse.Namespace:
     """Fill unset options from the JSON config file, if one was given.
 
     Explicit command line flags win; config keys use the flag names with
-    dashes or underscores.
+    dashes or underscores, and each value passes its flag's checks.
     """
     path = getattr(args, "config", None)
     if not path:
@@ -93,10 +132,14 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
+    # argparse has no public accessor for a parser's actions
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    actions = {a.dest: a for a in subparsers.choices[args.subcommand]._actions if a.dest != "help"}
     for key, value in raw.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        if attr not in actions:
             raise ConfigError(f"unknown config key: {key}")
+        value = _config_value(actions[attr], key, value)
         if getattr(args, attr) is None or getattr(args, attr) is False:
             setattr(args, attr, value)
     return args
@@ -164,9 +207,6 @@ def _pipeline_tables(
     Each pair's block starts far beyond the previous one so a single merged
     event file still pairs correctly.
     """
-    from .core import setting_key
-    from .inequalities import CorrelationTable
-
     table = CorrelationTable()
     all_events = []
     coincidences = 0
@@ -195,18 +235,13 @@ def _pipeline_tables(
     _require_coverage(table, chain)
     if events_csv:
         write_events_csv(events_csv, np.concatenate(all_events))
-    entries = [
-        {
-            "site": site,
-            "setting_rad": rad,
-            "detected": det,
-            "coincident": coinc,
-            "ratio": coinc / det if det else None,
-        }
-        for (site, _), (rad, det, coinc) in sorted(pooled.items())
-    ]
-    eta = min((e["ratio"] for e in entries if e["ratio"] is not None), default=None)
-    return table, coincidences / total_trials, {"eta": eta, "entries": entries}
+    report = EfficiencyReport(
+        tuple(
+            EfficiencyEntry(site, rad, det, coinc)
+            for (site, _), (rad, det, coinc) in sorted(pooled.items())
+        )
+    )
+    return table, coincidences / total_trials, report.to_json_dict()
 
 
 def _simulate_quantum(args) -> dict:
@@ -369,15 +404,11 @@ def _cmd_simulate(args) -> dict:
         return _simulate_aklz(args)
     if args.scenario == "chained6":
         return _scenario_chained6(args)
-    if args.scenario is not None:
-        raise ConfigError(f"unknown scenario: {args.scenario}")
     if args.variant is not None and args.variant != "franson":
         return _simulate_variant(args)
     if args.source == "aklz":
         return _simulate_aklz(args)
-    if args.source == "quantum":
-        return _simulate_quantum(args)
-    raise ConfigError(f"unknown source: {args.source}")
+    return _simulate_quantum(args)
 
 
 # ---------------------------------------------------------------------------
@@ -450,11 +481,6 @@ def _cmd_verify_bounds(args) -> dict:
             "seed": 0,
         },
     )
-    if args.model_class not in _SEARCHABLE:
-        raise ConfigError(
-            f"--model-class must be one of {', '.join(_SEARCHABLE)}; "
-            "efficiency-based bounds are closed-form (see the bounds command)"
-        )
     model = _model_class(args.model_class, None)
     chain = chain_settings(int(args.terms))
     game = GameSpec(model=model, chain=chain)
@@ -584,7 +610,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser(
         "verify-bounds", help="search a model class for bound violations"
     )
-    p_verify.add_argument("--model-class", choices=_SEARCHABLE)
+    p_verify.add_argument(
+        "--model-class",
+        choices=_SEARCHABLE,
+        help="efficiency-based bounds are closed-form (see the bounds command)",
+    )
     p_verify.add_argument("--terms", type=int)
     p_verify.add_argument("--restarts", type=int)
     p_verify.add_argument("--iterations", type=int, help="ascent steps per column round")
@@ -626,7 +656,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _merge_config(args)
+        args = _merge_config(args, parser)
         payload = args.func(args)
         _emit(payload, args.out)
     except ResourceLimitError as exc:

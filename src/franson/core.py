@@ -1,26 +1,23 @@
 """Shared vocabulary for the interferometric Bell-test simulator.
 
-Phase settings, binary outcomes, arrival-time classes, chained
-measurement schedules, and a counter-based random source whose draws are
-pure functions of (seed, stream, index).
+Phase settings, chained measurement schedules, and a counter-based random
+source whose draws are pure functions of (seed, stream, index).  Outcomes
+are plain +1/-1 integers and arrival classes plain late flags, in numpy
+arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum, IntEnum
 
 import numpy as np
 from numpy.random import Generator, Philox
 
 TWO_PI = 2.0 * math.pi
 
-# absolute tolerance, in radians, for treating two phases as the same setting
-PHASE_TOL = 1e-12
-
-# quantization used for dictionary keys; coarser than PHASE_TOL on purpose so
-# that re-reduced phases land in the same bucket
+# quantization used for dictionary keys; coarse on purpose so that
+# re-reduced phases land in the same bucket
 _KEY_QUANTUM = 1e-10
 _KEY_WRAP = round(TWO_PI / _KEY_QUANTUM)
 
@@ -39,17 +36,11 @@ def reduce_phase(phase: float) -> float:
     return r
 
 
-def phase_distance(a: float, b: float) -> float:
-    """Shortest circular distance between two angles, in radians."""
-    d = abs(reduce_phase(a) - reduce_phase(b))
-    return min(d, TWO_PI - d)
-
-
 def setting_key(phase: float) -> int:
     """Quantized integer key for a phase, stable under re-reduction.
 
-    Buckets are 1e-10 rad wide, far coarser than PHASE_TOL, so settings
-    produced by the same constructor always collide onto one key.
+    Buckets are 1e-10 rad wide, far coarser than double rounding, so
+    settings produced by the same constructor always collide onto one key.
     """
     return round(reduce_phase(phase) / _KEY_QUANTUM) % _KEY_WRAP
 
@@ -63,26 +54,9 @@ class Setting:
     def __post_init__(self) -> None:
         object.__setattr__(self, "phase", reduce_phase(self.phase))
 
-    def isclose(self, other: "Setting", tol: float = PHASE_TOL) -> bool:
-        return phase_distance(self.phase, other.phase) <= tol
-
     @property
     def key(self) -> int:
         return setting_key(self.phase)
-
-
-class OutcomeValue(IntEnum):
-    """Detector outcome; behaves as the integer +1 or -1 in arithmetic."""
-
-    PLUS = +1
-    MINUS = -1
-
-
-class DelayClass(Enum):
-    """Which interferometer arm the detection time is consistent with."""
-
-    EARLY = "early"
-    LATE = "late"
 
 
 @dataclass(frozen=True)
@@ -230,19 +204,12 @@ def _generator(rs: RandomSource, block: int) -> Generator:
     return Generator(Philox(key=key, counter=counter))
 
 
-def draw_uniform(rs: RandomSource, index: int) -> float:
-    """The index-th uniform variate of this source, in [0, 1)."""
-    index = int(index)
-    if index < 0:
-        raise ValueError("draw index must be nonnegative")
-    block, offset = divmod(index, 4)
-    return float(_generator(rs, block).random(offset + 1)[-1])
-
-
 def draw_uniforms(rs: RandomSource, start: int, count: int) -> np.ndarray:
-    """Contiguous uniform draws [start, start+count), vectorized.
+    """Uniform draws with indices [start, start+count), each in [0, 1).
 
-    Identical to ``[draw_uniform(rs, i) for i in range(start, start + count)]``.
+    Draw i is the same value whichever call produces it: any slice of a
+    longer call equals the shorter call over the same indices, and a
+    single draw is a one-element call.
     """
     start, count = int(start), int(count)
     if start < 0 or count < 0:

@@ -8,7 +8,6 @@ comparison in a Verdict with propagated uncertainty.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -55,17 +54,20 @@ class CorrelationTable:
         self._phases: dict[tuple[int, int], tuple[float, float]] = {}
 
     @staticmethod
-    def _key(phi: float | Setting, psi: float | Setting) -> tuple[int, int]:
-        p = phi.phase if isinstance(phi, Setting) else float(phi)
-        q = psi.phase if isinstance(psi, Setting) else float(psi)
+    def _phase_pair(phi: float | Setting, psi: float | Setting) -> tuple[float, float]:
+        """The two phases as floats, given as Setting objects or numbers."""
+        return tuple(s.phase if isinstance(s, Setting) else float(s) for s in (phi, psi))
+
+    @classmethod
+    def _key(cls, phi: float | Setting, psi: float | Setting) -> tuple[int, int]:
+        p, q = cls._phase_pair(phi, psi)
         return setting_key(p), setting_key(q)
 
     def set_exact(self, phi: float | Setting, psi: float | Setting, value: float) -> None:
         """Record an analytic correlation (no sampling error)."""
         k = self._key(phi, psi)
         self._cells[k] = CellEstimate(value, 0, 0.0)
-        self._phases[k] = (float(phi) if not isinstance(phi, Setting) else phi.phase,
-                           float(psi) if not isinstance(psi, Setting) else psi.phase)
+        self._phases[k] = self._phase_pair(phi, psi)
 
     def set_counts(
         self, phi: float | Setting, psi: float | Setting, product_sum: int, count: int
@@ -76,8 +78,7 @@ class CorrelationTable:
         est = product_sum / count
         k = self._key(phi, psi)
         self._cells[k] = CellEstimate(est, count, binomial_stderr(est, count), product_sum)
-        self._phases[k] = (float(phi) if not isinstance(phi, Setting) else phi.phase,
-                           float(psi) if not isinstance(psi, Setting) else psi.phase)
+        self._phases[k] = self._phase_pair(phi, psi)
 
     def cell(self, phi: float | Setting, psi: float | Setting) -> CellEstimate:
         k = self._key(phi, psi)
@@ -176,10 +177,6 @@ class ModelClass:
     def to_json_dict(self) -> dict:
         return {"kind": self.kind.value, "eta": self.eta}
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ModelClass":
-        return cls(ModelKind(d["kind"]), d.get("eta"))
-
 
 def bound_for(model: ModelClass, terms: int) -> float:
     """Largest chained-statistic value reachable by the model class.
@@ -253,13 +250,6 @@ def chained_statistic(table: CorrelationTable, chain: SettingsChain) -> float:
     return total
 
 
-def chsh_statistic(table: CorrelationTable, chain: SettingsChain) -> float:
-    """The 4-term special case of the chained statistic."""
-    if chain.terms != 4:
-        raise ValueError("chsh_statistic requires a 4-term chain")
-    return chained_statistic(table, chain)
-
-
 def statistic_stderr(table: CorrelationTable, chain: SettingsChain) -> float:
     """Quadrature-propagated standard error of the chained statistic."""
     var = 0.0
@@ -293,9 +283,6 @@ class Verdict:
             "significance": self.significance,
             "violated": self.violated,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def evaluate(table: CorrelationTable, chain: SettingsChain, model: ModelClass) -> Verdict:

@@ -12,7 +12,6 @@ path-realism bound applies.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from .core import RandomSource, SettingsChain, draw_uniforms
 from .inequalities import CorrelationTable, ModelClass, Verdict, evaluate
-from .quantum import _cell_split, _vis, sample_franson_events
+from .quantum import _cell_split, franson_correlation, sample_franson_events
 
 
 class SetupVariant(Enum):
@@ -81,10 +80,9 @@ def _sample_full_coincidence(phi, psi, visibility, rs, start, count):
     from the ideal conditional distribution (draw 2t+1).  Every trial is a
     coincidence.
     """
-    v = _vis(visibility)
+    c = np.full(count, franson_correlation(phi, psi, visibility))
     u = draw_uniforms(rs, 2 * start, 2 * count)
     u_out = u[1::2]
-    c = np.full(count, v * math.cos(phi + psi))
     x1, x2 = _cell_split(u_out, c)
     coincident = np.ones(count, dtype=bool)
     return x1, x2, coincident
@@ -94,11 +92,10 @@ def _sample_cross_coupled(phi, psi, visibility, rs, start, count):
     """Cross-coupled interferometers: half of the pairs leave through the
     same port and never form a two-site coincidence; the rest carry the
     ideal correlation."""
-    v = _vis(visibility)
+    c = np.full(count, franson_correlation(phi, psi, visibility))
     u = draw_uniforms(rs, 2 * start, 2 * count)
     u_route, u_out = u[0::2], u[1::2]
     coincident = u_route < 0.5
-    c = np.full(count, v * math.cos(phi + psi))
     x1, x2 = _cell_split(u_out, c)
     return x1, x2, coincident
 

@@ -22,7 +22,6 @@ linear-fractional terms, its column rounds priced by a dense score matrix.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -120,9 +119,6 @@ class MixedStrategy:
         )
         return cls(vertices=vertices, weights=tuple(float(x) for x in d["weights"]))
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
 
 @dataclass(frozen=True)
 class GameSpec:
@@ -192,20 +188,6 @@ def _side_arrays(kind: ModelKind, n: int) -> _SideArrays:
         early = np.repeat(flags[:, None], n, axis=1)
         det = np.ones_like(early)
         late = None
-    elif kind is ModelKind.INEFFICIENCY:
-        # outcome map x detection map; arrivals all early
-        oi, di = np.divmod(np.arange(signs.shape[0] * bools.shape[0]), bools.shape[0])
-        out = signs[oi]
-        det = bools[di]
-        early = np.ones_like(det)
-        late = None
-    elif kind is ModelKind.DELAYS:
-        # outcome map x arrival map; always detected
-        oi, ei = np.divmod(np.arange(signs.shape[0] * bools.shape[0]), bools.shape[0])
-        out = signs[oi]
-        early = bools[ei]
-        det = np.ones_like(early)
-        late = None
     elif kind is ModelKind.OUTCOMES_ONLY:
         # outcome map x arrival map x detection map
         total = signs.shape[0] * bools.shape[0] * bools.shape[0]
@@ -226,8 +208,8 @@ def _side_arrays(kind: ModelKind, n: int) -> _SideArrays:
         late = signs[li]
         early = bools[ei]
         det = np.ones_like(early)
-    else:  # pragma: no cover
-        raise ValueError(f"unsupported model kind {kind}")
+    else:
+        raise ValueError(f"{kind.value} has no finite-settings game here")
     return _SideArrays(
         outcomes=out,
         early=early,
@@ -474,7 +456,7 @@ class OptimizerBudget:
     ``iterations`` ascent steps per column round (LP steps in the
     emission-time game, projected-gradient steps under outcomes-only
     selection); ``support_size`` atoms in a restart's restricted support.
-    Each of the three must be at least 1.
+    Each of the three must be at least 1, and ``seed`` at least 0.
     """
 
     restarts: int = 64
@@ -487,6 +469,8 @@ class OptimizerBudget:
             value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -140,15 +140,17 @@ class EfficiencyEntry:
 
 @dataclass(frozen=True)
 class EfficiencyReport:
-    """Apparent postselection efficiency table.
-
-    ``eta`` is the minimum over sites and settings of
-    P(coincident | locally detected), the quantity the inefficiency and
-    delay bounds are written in; None when no entry has a detection.
-    """
+    """Apparent postselection efficiency table, one entry per site and
+    setting."""
 
     entries: tuple[EfficiencyEntry, ...]
-    eta: float | None
+
+    @property
+    def eta(self) -> float | None:
+        """Minimum over sites and settings of P(coincident | locally
+        detected), the quantity the inefficiency and delay bounds are
+        written in; None when no entry has a detection."""
+        return min((e.ratio for e in self.entries if e.ratio is not None), default=None)
 
     def to_json_dict(self) -> dict:
         return {
@@ -262,8 +264,7 @@ def postselect(events: np.ndarray, timing: InterferometerTiming) -> Postselectio
             )
             for f, d, c in zip(first, detected, coincident)
         )
-    eta = min((x.ratio for x in entries if x.ratio is not None), default=None)
-    return PostselectionResult(pairs=out, report=EfficiencyReport(tuple(entries), eta))
+    return PostselectionResult(pairs=out, report=EfficiencyReport(tuple(entries)))
 
 
 def correlation_from_pairs(pairs: np.ndarray, table: CorrelationTable | None = None) -> CorrelationTable:

@@ -154,13 +154,15 @@ class TestVerifyBounds:
     @pytest.mark.parametrize(
         "flag, field",
         [("--restarts", "restarts"), ("--iterations", "iterations"),
-         ("--support-size", "support_size")],
+         ("--support-size", "support_size"), ("--seed", "seed")],
     )
     def test_budget_below_one_is_a_clean_error(self, capsys, flag, field):
-        code, p, err = run_cli(["verify-bounds", flag, "0"], capsys)
+        # the seed's floor is 0, the counts' floor 1
+        least = 0 if field == "seed" else 1
+        code, p, err = run_cli(["verify-bounds", flag, str(least - 3)], capsys)
         assert code == 2
         assert p is None
-        assert f"{field} must be at least 1" in err
+        assert f"{field} must be at least {least}" in err
         assert "Traceback" not in err
 
     def test_efficiency_class_is_rejected(self, capsys):
@@ -482,12 +484,52 @@ class TestConfigFile:
 
     def test_config_injected_bad_scenario(self, tmp_path, capsys):
         # scenario names typed on the command line are vetted by argparse;
-        # a config file can smuggle anything, so the command revalidates
+        # a config value goes through the same choices check
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"scenario": "bogus"}))
         code, p, err = run_cli(["simulate", "--config", str(cfg)], capsys)
         assert code == 2
         assert "unknown scenario" in err
+
+
+    @pytest.mark.parametrize(
+        "command, config, shown",
+        [
+            ("bounds", {"terms": 4.7}, "'terms': invalid int value 4.7"),
+            ("bounds", {"terms": True}, "'terms': invalid int value true"),
+            ("bounds", {"eta": "high"}, "'eta': invalid float value \"high\""),
+            ("simulate", {"trials": "12x"}, "'trials': invalid int value \"12x\""),
+            ("simulate", {"pipeline": 1}, "'pipeline': expected true or false, got 1"),
+            ("simulate", {"events-csv": 5}, "'events-csv': invalid string value 5"),
+            ("simulate", {"source": "classical"}, "'source': unknown source 'classical'"),
+            ("verify-bounds", {"lp_check": "no"}, "'lp_check': expected true or false"),
+            ("visibility", {"terms": 6}, "'terms': expected a non-empty list, got 6"),
+            ("visibility", {"terms": [4, 6.5]}, "'terms': invalid int value 6.5"),
+        ],
+        ids=["float-for-int", "bool-for-int", "text-for-float", "bad-int-text",
+             "number-for-switch", "number-for-path", "bad-choice", "text-for-switch",
+             "scalar-for-list", "float-in-list"],
+    )
+    def test_config_value_fails_its_flag_check(self, tmp_path, capsys, command, config, shown):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, p, err = run_cli([command, "--config", str(cfg)], capsys)
+        assert code == 2
+        assert p is None
+        assert f"config key {shown}" in err
+        assert "Traceback" not in err
+
+    def test_config_values_take_their_flag_types(self, tmp_path, capsys):
+        # what the flag would accept as text, the config accepts as JSON
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"terms": "6", "eta": 1}))
+        code, p, _ = run_cli(["bounds", "--config", str(cfg)], capsys)
+        assert code == 0
+        assert (p["terms"], p["eta"]) == (6, 1.0)
+        cfg.write_text(json.dumps({"terms": [4, 6]}))
+        code, p, _ = run_cli(["visibility", "--config", str(cfg)], capsys)
+        assert code == 0
+        assert [r["terms"] for r in p["rows"]] == [4, 6]
 
 
 class TestOutputFile:

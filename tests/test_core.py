@@ -1,4 +1,6 @@
 import math
+import pathlib
+import re
 import types
 
 import numpy as np
@@ -7,15 +9,11 @@ from numpy.testing import assert_allclose
 
 import franson
 from franson import (
-    DelayClass,
-    OutcomeValue,
     RandomSource,
     Setting,
     SettingsChain,
     chain_settings,
-    draw_uniform,
     draw_uniforms,
-    phase_distance,
     random_settings_chain,
     reduce_phase,
     setting_key,
@@ -49,19 +47,6 @@ class TestReducePhase:
             assert reduce_phase(reduce_phase(x)) == reduce_phase(x)
 
 
-class TestPhaseDistance:
-    def test_wraps_the_short_way(self):
-        assert phase_distance(0.1, TWO_PI - 0.1) == pytest.approx(0.2, abs=1e-12)
-
-    def test_symmetric(self):
-        rng = np.random.default_rng(1)
-        for a, b in rng.uniform(-10, 10, size=(100, 2)):
-            assert phase_distance(a, b) == pytest.approx(phase_distance(b, a))
-
-    def test_max_is_pi(self):
-        assert phase_distance(0.0, math.pi) == pytest.approx(math.pi)
-
-
 class TestSettingKey:
     def test_stable_under_wrapping(self):
         for p in [0.0, 0.3, math.pi / 4, 5.5]:
@@ -79,20 +64,9 @@ class TestSetting:
     def test_phase_reduced_on_construction(self):
         assert Setting(-math.pi / 2).phase == pytest.approx(3 * math.pi / 2)
 
-    def test_isclose(self):
-        assert Setting(0.0).isclose(Setting(TWO_PI))
-        assert not Setting(0.0).isclose(Setting(0.1))
-
-
-def test_outcome_value_arithmetic():
-    assert OutcomeValue.PLUS * OutcomeValue.MINUS == -1
-    assert int(OutcomeValue.PLUS) == 1
-    assert OutcomeValue(-1) is OutcomeValue.MINUS
-
-
-def test_delay_class_members():
-    assert DelayClass.EARLY is not DelayClass.LATE
-    assert DelayClass("early") is DelayClass.EARLY
+    def test_whole_turns_are_the_same_setting(self):
+        assert Setting(0.0) == Setting(TWO_PI)
+        assert Setting(0.0) != Setting(0.1)
 
 
 def test_all_lists_every_public_name():
@@ -102,6 +76,25 @@ def test_all_lists_every_public_name():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert set(franson.__all__) == bound
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    # public API that only the tests call is dead weight: each exported name
+    # must appear in the package beyond its own definition, in a demo, in
+    # the benchmark, or in the README
+    root = pathlib.Path(__file__).resolve().parents[1]
+    package = root / "src" / "franson"
+    texts = [p.read_text() for p in package.glob("*.py") if p.name != "__init__.py"]
+    texts += [p.read_text() for d in ("demos", "bench") for p in (root / d).glob("*.py")]
+    texts.append((root / "README.md").read_text())
+    unused = []
+    for name in franson.__all__:
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        definition = re.compile(rf"^(?:def|class) {re.escape(name)}\b|^{re.escape(name)} = ", re.M)
+        uses = sum(len(word.findall(t)) - len(definition.findall(t)) for t in texts)
+        if uses < 1:
+            unused.append(name)
+    assert unused == []
 
 
 class TestChainSettings:
@@ -209,11 +202,14 @@ class TestRandomSource:
         assert np.all((u >= 0.0) & (u < 1.0))
 
     def test_scalar_matches_batch_across_block_boundaries(self, rs):
-        # draws live in counter blocks of four; check every offset
+        # draws live in counter blocks of four; check every offset against
+        # slices of one longer call and against one-element calls
+        longer = draw_uniforms(rs, 0, 32)
         for start in range(8):
             for count in range(1, 10):
                 batch = draw_uniforms(rs, start, count)
-                scalar = [draw_uniform(rs, i) for i in range(start, start + count)]
+                assert_allclose(batch, longer[start : start + count], rtol=0, atol=0)
+                scalar = [draw_uniforms(rs, i, 1)[0] for i in range(start, start + count)]
                 assert_allclose(batch, scalar, rtol=0, atol=0)
 
     def test_batch_split_invariance(self, rs):
@@ -233,9 +229,9 @@ class TestRandomSource:
 
     def test_negative_index_rejected(self, rs):
         with pytest.raises(ValueError):
-            draw_uniform(rs, -1)
-        with pytest.raises(ValueError):
             draw_uniforms(rs, -1, 4)
+        with pytest.raises(ValueError):
+            draw_uniforms(rs, 0, -1)
 
     def test_paired_streams_look_independent(self):
         # chi-square independence of (stream 0, stream 1) pairs on a

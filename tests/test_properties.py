@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from franson.core import TWO_PI, phase_distance, reduce_phase, setting_key
+from franson.core import TWO_PI, reduce_phase, setting_key
 from franson.inequalities import binomial_stderr
 from franson.spacetime import StationGeometry, check_emission_time_premise
 from franson.strategyopt import _project_simplex
@@ -40,14 +40,6 @@ def test_reduce_phase_never_sets_the_sign_bit(phase):
 def test_reduce_phase_is_idempotent(phase):
     reduced = reduce_phase(phase)
     assert reduce_phase(reduced) == reduced
-
-
-@given(finite_phase, finite_phase)
-def test_phase_distance_is_a_symmetric_half_turn_metric(a, b):
-    d = phase_distance(a, b)
-    assert 0.0 <= d <= math.pi + 1e-12
-    assert d == phase_distance(b, a)
-    assert phase_distance(a, a) == 0.0
 
 
 @given(st.floats(min_value=-50.0, max_value=50.0, allow_nan=False))

@@ -5,31 +5,17 @@ import pytest
 from numpy.testing import assert_allclose
 
 from franson import (
-    DelayClass,
-    FransonJointDistribution,
     RandomSource,
-    Visibility,
     chain_settings,
     chained_quantum_value,
-    exact_correlation_entries,
     franson_correlation,
-    franson_joint,
     sample_franson_events,
-    singlet_correlation,
 )
+from franson import quantum
 from franson.quantum import _cell_split
-
-E, L = DelayClass.EARLY, DelayClass.LATE
 
 
 class TestCorrelationFunctions:
-    def test_singlet_worked_values(self):
-        assert singlet_correlation(0.0, 0.0) == pytest.approx(-1.0)
-        assert singlet_correlation(0.0, math.pi) == pytest.approx(1.0)
-        assert singlet_correlation(math.pi / 4, -math.pi / 4) == pytest.approx(
-            -math.cos(math.pi / 2)
-        )
-
     def test_interferometric_worked_values(self):
         assert franson_correlation(0.0, 0.0) == pytest.approx(1.0)
         assert franson_correlation(math.pi / 6, math.pi / 6) == pytest.approx(0.5)
@@ -38,21 +24,18 @@ class TestCorrelationFunctions:
         )
 
     def test_sign_flip_maps_between_the_two_forms(self):
-        # E_franson(phi, -psi) = -E_singlet(phi, psi)
+        # E_franson(phi, -psi) = -E_singlet(phi, psi), where the maximally
+        # entangled spin pair has E_singlet(phi, psi) = -cos(phi - psi)
         rng = np.random.default_rng(3)
         for phi, psi in rng.uniform(0, 2 * math.pi, size=(50, 2)):
-            assert franson_correlation(phi, -psi) == pytest.approx(
-                -singlet_correlation(phi, psi), abs=1e-12
-            )
+            singlet = -math.cos(phi - psi)
+            assert franson_correlation(phi, -psi) == pytest.approx(-singlet, abs=1e-12)
 
     def test_visibility_validation(self):
-        with pytest.raises(ValueError):
-            Visibility(1.2)
-        with pytest.raises(ValueError):
-            Visibility(-0.01)
-        with pytest.raises(ValueError):
-            franson_correlation(0.0, 0.0, visibility=2.0)
-        assert float(Visibility(0.95)) == 0.95
+        for bad in (1.2, -0.01, 2.0):
+            with pytest.raises(ValueError, match="visibility"):
+                franson_correlation(0.0, 0.0, visibility=bad)
+        assert franson_correlation(0.0, 0.0, visibility=0.95) == 0.95
 
 
 class TestChainedQuantumValue:
@@ -71,53 +54,57 @@ class TestChainedQuantumValue:
             chained_quantum_value(terms)
 
 
+def comb_events(monkeypatch, phi, psi, v, m=10_000):
+    """``sample_franson_events`` on 4*m trials whose draws form a comb.
+
+    Trial t gets the pattern draw (t // m + 1/2) / 4 and the outcome draw
+    (t % m + 1/2) / m, so each arm pattern gets exactly m trials and, within
+    a pattern, the outcome draws sweep [0, 1) evenly: frequencies are the
+    sampler's exact cell measures up to the comb spacing 1/m.
+    """
+    t = np.arange(4 * m)
+    u = np.empty(8 * m)
+    u[0::2] = (t // m + 0.5) / 4.0
+    u[1::2] = (t % m + 0.5) / m
+    monkeypatch.setattr(quantum, "draw_uniforms", lambda rs, start, count: u[start:start + count])
+    return sample_franson_events(phi, psi, v, RandomSource(seed=0), 0, 4 * m), 1.0 / m
+
+
 class TestJointDistribution:
+    # the joint law of (arm pattern, outcomes) as the sampler realizes it
     @pytest.mark.parametrize("phi,psi,v", [(0.0, 0.0, 1.0), (0.7, 1.9, 1.0), (2.0, 4.0, 0.6)])
-    def test_normalization_and_masses(self, phi, psi, v):
-        joint = franson_joint(phi, psi, v)
-        arr = joint.as_array()
-        assert arr.shape == (4, 2, 2)
-        assert np.all(arr >= 0)
-        assert arr.sum() == pytest.approx(1.0, abs=1e-12)
-        for d1, d2 in [(E, E), (L, L), (E, L), (L, E)]:
-            assert joint.pattern_mass(d1, d2) == pytest.approx(0.25)
-        assert joint.coincidence_mass() == pytest.approx(0.5)
+    def test_normalization_and_masses(self, monkeypatch, phi, psi, v):
+        (x1, x2, late1, late2), _ = comb_events(monkeypatch, phi, psi, v)
+        assert set(np.unique(x1)) <= {-1, 1} and set(np.unique(x2)) <= {-1, 1}
+        for l1, l2 in [(False, False), (True, True), (False, True), (True, False)]:
+            assert np.mean((late1 == l1) & (late2 == l2)) == 0.25
+        assert np.mean(late1 == late2) == 0.5
 
     @pytest.mark.parametrize("phi,psi,v", [(0.0, 0.0, 1.0), (0.7, 1.9, 0.8), (5.1, 0.2, 0.0)])
-    def test_marginals_are_unbiased(self, phi, psi, v):
-        joint = franson_joint(phi, psi, v)
-        assert joint.marginal(1) == pytest.approx(0.5, abs=1e-12)
-        assert joint.marginal(2) == pytest.approx(0.5, abs=1e-12)
+    def test_marginals_are_unbiased(self, monkeypatch, phi, psi, v):
+        (x1, x2, _, _), tol = comb_events(monkeypatch, phi, psi, v)
+        assert np.mean(x1 == 1) == pytest.approx(0.5, abs=2 * tol)
+        assert np.mean(x2 == 1) == pytest.approx(0.5, abs=2 * tol)
 
-    def test_conditional_correlation_matches_closed_form(self):
-        joint = franson_joint(0.4, 1.1, 0.9)
-        arr = joint.as_array()
-        vals = np.array([[1, -1], [-1, 1]], dtype=float)
-        cond = (arr[0] * vals).sum() + (arr[1] * vals).sum()
-        cond /= arr[0].sum() + arr[1].sum()
-        assert cond == pytest.approx(joint.conditional_correlation(), abs=1e-12)
-        assert joint.conditional_correlation() == pytest.approx(
-            0.9 * math.cos(1.5), abs=1e-12
-        )
+    def test_conditional_correlation_matches_closed_form(self, monkeypatch):
+        (x1, x2, late1, late2), tol = comb_events(monkeypatch, 0.4, 1.1, 0.9)
+        coinc = late1 == late2
+        prod = x1[coinc].astype(float) * x2[coinc]
+        assert prod.mean() == pytest.approx(franson_correlation(0.4, 1.1, 0.9), abs=4 * tol)
+        assert franson_correlation(0.4, 1.1, 0.9) == pytest.approx(0.9 * math.cos(1.5), abs=1e-12)
 
-    def test_cross_patterns_are_independent_unbiased(self):
-        joint = franson_joint(0.4, 1.1)
-        for d1, d2 in [(E, L), (L, E)]:
-            for x1 in (1, -1):
-                for x2 in (1, -1):
-                    assert joint.probability(d1, d2, x1, x2) == pytest.approx(1 / 16)
+    def test_cross_patterns_are_independent_unbiased(self, monkeypatch):
+        (x1, x2, late1, late2), tol = comb_events(monkeypatch, 0.4, 1.1, 1.0)
+        for cross in (~late1 & late2, late1 & ~late2):
+            for a in (1, -1):
+                for b in (1, -1):
+                    share = np.mean((x1[cross] == a) & (x2[cross] == b))
+                    assert share == pytest.approx(0.25, abs=2 * tol)
 
-    def test_probability_validates_outcomes(self):
-        with pytest.raises(ValueError):
-            franson_joint(0.0, 0.0).probability(E, E, 0, 1)
-
-    def test_marginal_validates_site(self):
-        with pytest.raises(ValueError):
-            franson_joint(0.0, 0.0).marginal(3)
-
-    def test_visibility_validated_on_construction(self):
-        with pytest.raises(ValueError):
-            FransonJointDistribution(0.0, 0.0, visibility=1.5)
+    def test_visibility_validated_on_construction(self, rs):
+        for bad in (1.5, -0.01):
+            with pytest.raises(ValueError, match="visibility"):
+                sample_franson_events(0.0, 0.0, bad, rs, 0, 10)
 
 
 class TestCellSplit:
@@ -182,19 +169,13 @@ class TestSampler:
 
 
 class TestExactEntries:
-    def test_matches_closed_form(self, chain6):
-        entries = exact_correlation_entries(chain6, 0.9)
-        assert len(entries) == 6
-        for (i, j), value in entries.items():
-            phi = chain6.site1_settings[i].phase
-            psi = chain6.site2_settings[j].phase
-            assert value == pytest.approx(franson_correlation(phi, psi, 0.9), abs=1e-12)
-
     def test_signed_sum_reaches_quantum_value(self):
         for terms in (4, 6, 10):
             chain = chain_settings(terms)
-            entries = exact_correlation_entries(chain)
             total = sum(
-                sign * entries[(i, j)] for i, j, sign in chain.term_order
+                sign * franson_correlation(
+                    chain.site1_settings[i].phase, chain.site2_settings[j].phase
+                )
+                for i, j, sign in chain.term_order
             )
             assert total == pytest.approx(chained_quantum_value(terms), abs=1e-9)

@@ -103,7 +103,7 @@ class TestMixedStrategy:
         strategy = MixedStrategy(
             vertices=(self._vertex(late), self._vertex(late)), weights=(0.25, 0.75)
         )
-        again = MixedStrategy.from_json_dict(json.loads(strategy.to_json()))
+        again = MixedStrategy.from_json_dict(json.loads(json.dumps(strategy.to_json_dict())))
         assert again == strategy
 
 
@@ -183,9 +183,13 @@ class TestExactMaxima:
             assert result.value == pytest.approx(4.0, abs=1e-12)
 
     def test_no_finite_game_for_efficiency_classes(self, chain4m):
+        side = SiteVertex(outcomes=(1, 1), early=(True, True), detected=(True, True))
+        witness = MixedStrategy(vertices=(DeterministicVertex(side, side),), weights=(1.0,))
         for model in (ModelClass.inefficiency(0.9), ModelClass.delays(0.9)):
             with pytest.raises(ValueError, match="analytic"):
                 max_statistic(GameSpec(model=model, chain=chain4m))
+            with pytest.raises(ValueError, match="no finite-settings game"):
+                evaluate_mixed(GameSpec(model=model, chain=chain4m), witness)
 
 
 class TestOptimizer:
