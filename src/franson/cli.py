@@ -43,6 +43,7 @@ from .strategyopt import (
 from .timing import (
     EfficiencyEntry,
     EfficiencyReport,
+    EventColumns,
     InterferometerTiming,
     correlation_from_pairs,
     emit_events_from_batch,
@@ -205,10 +206,11 @@ def _pipeline_tables(
     """Emit timed events per setting pair, postselect, and accumulate.
 
     Each pair's block starts far beyond the previous one so a single merged
-    event file still pairs correctly.
+    event file still pairs correctly.  A block's events are kept only when
+    they are to be written to ``events_csv``.
     """
     table = CorrelationTable()
-    all_events = []
+    kept_events = []
     coincidences = 0
     total_trials = 0
     pooled: dict[tuple[int, int], list] = {}
@@ -231,10 +233,11 @@ def _pipeline_tables(
             )
             slot[1] += e.detected
             slot[2] += e.coincident
-        all_events.append(events)
+        if events_csv:
+            kept_events.append(events)
     _require_coverage(table, chain)
     if events_csv:
-        write_events_csv(events_csv, np.concatenate(all_events))
+        write_events_csv(events_csv, EventColumns.concatenate(kept_events))
     report = EfficiencyReport(
         tuple(
             EfficiencyEntry(site, rad, det, coinc)
@@ -291,6 +294,12 @@ def _simulate_aklz(args) -> dict:
     terms = int(args.terms)
     if terms != 4:
         raise ConfigError("the delay-model source is a 4-term demonstration")
+    if float(args.visibility) != 1.0:
+        # the report states visibility 1.0, the delay model's only value
+        raise ConfigError(
+            f"--visibility {args.visibility!r} does not apply: the delay-model "
+            "source has visibility 1"
+        )
     chain = chain_settings(terms)
     rs = RandomSource(seed=int(args.seed))
     trials = int(args.trials)
@@ -335,6 +344,12 @@ def _simulate_aklz(args) -> dict:
 
 
 def _simulate_variant(args) -> dict:
+    for flag, value in (("--events-csv", args.events_csv), ("--pipeline", args.pipeline)):
+        if value:
+            raise ConfigError(
+                f"{flag} needs the timing pipeline, which only the franson variant "
+                f"runs; got --variant {args.variant}"
+            )
     variant = SetupVariant(args.variant)
     chain = chain_settings(int(args.terms))
     rs = RandomSource(seed=int(args.seed))

@@ -93,9 +93,6 @@ class CorrelationTable:
         for k, cell in self._cells.items():
             yield self._phases[k], cell
 
-    def __len__(self) -> int:
-        return len(self._cells)
-
     def to_json_dict(self) -> dict:
         rows = []
         for (phi, psi), cell in sorted(self.items()):
@@ -168,11 +165,6 @@ class ModelClass:
     @classmethod
     def outcomes_only(cls) -> "ModelClass":
         return cls(ModelKind.OUTCOMES_ONLY)
-
-    def label(self) -> str:
-        if self.eta is not None:
-            return f"{self.kind.value}(eta={self.eta:g})"
-        return self.kind.value
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind.value, "eta": self.eta}

@@ -1,9 +1,14 @@
 """Time-tagged detection events and coincidence-window postselection.
 
-Turns per-trial station responses into timestamped detection records, pairs
+Turns per-trial station responses into timestamped detection events, pairs
 them back up through a coincidence window the way a counting experiment
 would, and reports the apparent postselection efficiency per site and
 setting.
+
+Events and coincident pairs are columns: :class:`EventColumns` and
+:class:`PairColumns` hold one contiguous 1-d array per field, so each step
+reads and writes only the fields it needs.  The events CSV has one column
+per event field, in the same order.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 import csv
 import functools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -19,17 +24,69 @@ from .core import _KEY_QUANTUM, _KEY_WRAP, TWO_PI
 from .inequalities import CorrelationTable
 from .lhv import TrialBatch
 
-EVENT_DTYPE = np.dtype(
-    [
-        ("site", np.uint8),
-        ("trial", np.int64),
-        ("timestamp_ns", np.float64),
-        ("outcome", np.int8),
-        ("setting_rad", np.float64),
-    ]
-)
+def _column(dtype):
+    return field(metadata={"dtype": np.dtype(dtype)})
 
-CSV_COLUMNS = ("site", "trial", "timestamp_ns", "outcome", "setting_rad")
+
+@dataclass(frozen=True, eq=False)
+class _Columns:
+    """One contiguous 1-d array per field, all of one length.
+
+    Each field is converted to its column's dtype on construction.
+    ``len()`` is the row count and ``columns[name]`` is a column.
+    """
+
+    def __post_init__(self) -> None:
+        sizes = set()
+        for f in fields(self):
+            col = np.asarray(getattr(self, f.name), dtype=f.metadata["dtype"])
+            if col.ndim != 1:
+                raise ValueError(f"column {f.name} must be 1-d, got shape {col.shape}")
+            object.__setattr__(self, f.name, np.ascontiguousarray(col))
+            sizes.add(col.size)
+        if len(sizes) > 1:
+            raise ValueError(
+                f"columns of one {type(self).__name__} differ in length: {sorted(sizes)}"
+            )
+
+    def __len__(self) -> int:
+        return getattr(self, fields(self)[0].name).size
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        if name not in self.__dataclass_fields__:
+            raise KeyError(name)
+        return getattr(self, name)
+
+    @classmethod
+    def concatenate(cls, blocks):
+        """The blocks' rows one after another."""
+        return cls(*(np.concatenate([b[f.name] for b in blocks]) for f in fields(cls)))
+
+
+@dataclass(frozen=True, eq=False)
+class EventColumns(_Columns):
+    """Detection events, one row per click."""
+
+    site: np.ndarray = _column(np.uint8)            # 1 or 2
+    trial: np.ndarray = _column(np.int64)
+    timestamp_ns: np.ndarray = _column(np.float64)
+    outcome: np.ndarray = _column(np.int8)          # -1 or +1
+    setting_rad: np.ndarray = _column(np.float64)
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(EventColumns))
+
+
+@dataclass(frozen=True, eq=False)
+class PairColumns(_Columns):
+    """Coincident pairs, one row per coincidence."""
+
+    timestamp1_ns: np.ndarray = _column(np.float64)
+    timestamp2_ns: np.ndarray = _column(np.float64)
+    outcome1: np.ndarray = _column(np.int8)
+    outcome2: np.ndarray = _column(np.int8)
+    setting1_rad: np.ndarray = _column(np.float64)
+    setting2_rad: np.ndarray = _column(np.float64)
 
 
 @dataclass(frozen=True)
@@ -74,13 +131,13 @@ def emit_events_from_batch(
     phi: float,
     psi: float,
     trial_offset: int = 0,
-) -> np.ndarray:
+) -> EventColumns:
     """Vectorized event emission for a block of trials at fixed settings.
 
     A detected response produces one event with timestamp
-    emission + short arm (+ path difference when the arrival is late).
-    Returns a structured array sorted by timestamp; equal timestamps keep
-    site 1 before site 2, each in trial order.
+    (emission + short arm) + path difference when the arrival is late, or
+    + 0.0 when it is early.  Events come sorted by timestamp; equal
+    timestamps keep site 1 before site 2, each in trial order.
 
     Each site's stream is sorted by construction: emission gaps exceed twice
     the path difference, so a late arrival never overtakes the next trial.
@@ -93,37 +150,29 @@ def emit_events_from_batch(
     dt = timing.path_difference_ns
     idx1 = np.flatnonzero(batch.detected1)
     idx2 = np.flatnonzero(batch.detected2)
+    # a late flag times dt is dt or +0.0
     ts = np.concatenate(
         [
-            t[idx] + timing.short_arm_ns + np.where(late[idx], dt, 0.0)
+            t[idx] + timing.short_arm_ns + late[idx] * dt
             for idx, late in ((idx1, batch.late1), (idx2, batch.late2))
         ]
     )
     order = np.argsort(ts, kind="stable")
     from_site2 = order >= idx1.size
-    events = np.empty(ts.size, dtype=EVENT_DTYPE)
-    events["site"] = from_site2 + np.uint8(1)
-    events["trial"] = np.concatenate([idx1, idx2])[order] + trial_offset
-    events["timestamp_ns"] = ts[order]
-    events["outcome"] = np.concatenate([batch.outcome1[idx1], batch.outcome2[idx2]])[order]
-    events["setting_rad"] = np.where(from_site2, psi, phi)
-    return events
+    trial = np.concatenate([idx1, idx2])[order]
+    if trial_offset:
+        trial += trial_offset
+    return EventColumns(
+        site=from_site2.view(np.uint8) + np.uint8(1),
+        trial=trial,
+        timestamp_ns=ts[order],
+        outcome=np.concatenate([batch.outcome1[idx1], batch.outcome2[idx2]])[order],
+        setting_rad=np.where(from_site2, psi, phi),
+    )
 
 
 # ---------------------------------------------------------------------------
 # postselection
-
-PAIR_DTYPE = np.dtype(
-    [
-        ("timestamp1_ns", np.float64),
-        ("timestamp2_ns", np.float64),
-        ("outcome1", np.int8),
-        ("outcome2", np.int8),
-        ("setting1_rad", np.float64),
-        ("setting2_rad", np.float64),
-    ]
-)
-
 
 @dataclass(frozen=True)
 class EfficiencyEntry:
@@ -170,12 +219,12 @@ class EfficiencyReport:
 
 @dataclass(frozen=True)
 class PostselectionResult:
-    pairs: np.ndarray            # PAIR_DTYPE records, one per coincidence
+    pairs: PairColumns
     report: EfficiencyReport
 
     @property
     def coincidences(self) -> int:
-        return int(self.pairs.size)
+        return len(self.pairs)
 
 
 def _setting_keys(phases: np.ndarray) -> np.ndarray:
@@ -211,7 +260,7 @@ def _sum_by_key(code: np.ndarray, size: int, per_run: np.ndarray) -> np.ndarray:
     return total
 
 
-def postselect(events: np.ndarray, timing: InterferometerTiming) -> PostselectionResult:
+def postselect(events: EventColumns, timing: InterferometerTiming) -> PostselectionResult:
     """Pair events across sites through the coincidence window.
 
     Events are first ordered by timestamp with a stable sort, so equal
@@ -223,33 +272,46 @@ def postselect(events: np.ndarray, timing: InterferometerTiming) -> Postselectio
     site-2 event claimed twice makes the data ambiguous and raises; with
     emission gaps above twice the path difference that cannot happen.
     """
-    ev = np.asarray(events, dtype=EVENT_DTYPE)
-    ts = ev["timestamp_ns"]
+    ts = events["timestamp_ns"]
+    site, outcome, setting = events["site"], events["outcome"], events["setting_rad"]
     # a stable sort of nondecreasing timestamps is the identity
     if not np.all(ts[1:] >= ts[:-1]):
-        ev = ev[np.argsort(ts, kind="stable")]
-        ts = ev["timestamp_ns"]
-    i1 = np.flatnonzero(ev["site"] == 1)
-    i2 = np.flatnonzero(ev["site"] == 2)
+        order = np.argsort(ts, kind="stable")
+        ts, site, outcome, setting = ts[order], site[order], outcome[order], setting[order]
+    is2 = site == 2
+    i1 = np.flatnonzero(site == 1)
+    i2 = np.flatnonzero(is2)
     t1 = ts[i1]
-    t2 = ts[i2]
+    # past the last site-2 event the partner is +inf, never inside the window;
+    # t2[-1] is that +inf too
+    t2 = np.append(ts[i2], np.inf)
     w = timing.window_ns
-    # first site-2 index with timestamp > t1 - w; nondecreasing, since t1 is
-    cand = np.searchsorted(t2, t1 - w, side="right")
-    # past the last site-2 event the partner is +inf, never inside the window
-    i_idx = np.flatnonzero(np.abs(np.append(t2, np.inf)[cand] - t1) < w)
+    lo = t1 - w
+    # cand: the first site-2 index with timestamp > t1 - w, as a binary
+    # search would find it; nondecreasing, since t1 is.  The count of site-2
+    # events ahead of a site-1 event in the stream is that index whenever
+    # t2[cand - 1] <= t1 - w < t2[cand]; only where this fails (a site-2
+    # event just ahead inside the window, t1 - w rounded up to t1, or no
+    # site-2 event ahead) is the index searched for.
+    cand = np.cumsum(is2)[i1]
+    partner = t2[cand]
+    miss = np.flatnonzero((t2[cand - 1] > lo) | (partner <= lo))
+    cand[miss] = np.searchsorted(t2, lo[miss], side="right")
+    partner[miss] = t2[cand[miss]]
+    i_idx = np.flatnonzero(np.abs(partner - t1) < w)
     j_idx = cand[i_idx]
     if np.any(j_idx[1:] == j_idx[:-1]):
         raise ValueError("ambiguous coincidences: one event matches several partners")
-    phases1 = ev["setting_rad"][i1]
-    phases2 = ev["setting_rad"][i2]
-    out = np.empty(i_idx.size, dtype=PAIR_DTYPE)
-    out["timestamp1_ns"] = t1[i_idx]
-    out["timestamp2_ns"] = t2[j_idx]
-    out["outcome1"] = ev["outcome"][i1[i_idx]]
-    out["outcome2"] = ev["outcome"][i2[j_idx]]
-    out["setting1_rad"] = phases1[i_idx]
-    out["setting2_rad"] = phases2[j_idx]
+    phases1 = setting[i1]
+    phases2 = setting[i2]
+    pairs = PairColumns(
+        timestamp1_ns=t1[i_idx],
+        timestamp2_ns=t2[j_idx],
+        outcome1=outcome[i1[i_idx]],
+        outcome2=outcome[i2[j_idx]],
+        setting1_rad=phases1[i_idx],
+        setting2_rad=phases2[j_idx],
+    )
     entries = []
     for site, phases, matched in ((1, phases1, i_idx), (2, phases2, j_idx)):
         bounds, code, first = _setting_runs(phases)
@@ -264,10 +326,12 @@ def postselect(events: np.ndarray, timing: InterferometerTiming) -> Postselectio
             )
             for f, d, c in zip(first, detected, coincident)
         )
-    return PostselectionResult(pairs=out, report=EfficiencyReport(tuple(entries)))
+    return PostselectionResult(pairs=pairs, report=EfficiencyReport(tuple(entries)))
 
 
-def correlation_from_pairs(pairs: np.ndarray, table: CorrelationTable | None = None) -> CorrelationTable:
+def correlation_from_pairs(
+    pairs: PairColumns, table: CorrelationTable | None = None
+) -> CorrelationTable:
     """Accumulate coincident outcome products into a correlation table.
 
     Cells come in sorted order of their (site-1, site-2) setting keys, each
@@ -277,7 +341,7 @@ def correlation_from_pairs(pairs: np.ndarray, table: CorrelationTable | None = N
     """
     if table is None:
         table = CorrelationTable()
-    if pairs.size == 0:
+    if len(pairs) == 0:
         return table
     s1 = pairs["setting1_rad"]
     s2 = pairs["setting2_rad"]
@@ -305,35 +369,40 @@ def correlation_from_pairs(pairs: np.ndarray, table: CorrelationTable | None = N
 # are amortised, small enough that a block's strings stay a few MB.
 _CSV_BLOCK_ROWS = 1 << 14
 
-# How each column is written: integers in decimal, floats as their shortest
-# round-trip repr.
-_CSV_FORMATS = (str, str, repr, str, repr)
-
 # The reader parses every integer column as int64 so that an out-of-range
 # site or outcome is caught by the row checks before narrowing.
 _CSV_PARSE_DTYPE = np.dtype(
-    [(name, np.float64 if EVENT_DTYPE[name].kind == "f" else np.int64) for name in CSV_COLUMNS]
+    [
+        (f.name, np.float64 if f.metadata["dtype"].kind == "f" else np.int64)
+        for f in fields(EventColumns)
+    ]
 )
 
 
-def write_events_csv(path, events: np.ndarray) -> None:
+def write_events_csv(path, events: EventColumns) -> None:
     """Write events as CSV with columns site,trial,timestamp_ns,outcome,setting_rad.
 
-    Rows end in ``\\r\\n`` and floats are written as their shortest
-    round-trip repr, so :func:`read_events_csv` gives back the same bits.
+    Rows end in ``\\r\\n``; integers are written in decimal and floats as
+    their shortest round-trip repr, so :func:`read_events_csv` gives back
+    the same bits.
     """
-    ev = np.asarray(events, dtype=EVENT_DTYPE)
+    # settings take a handful of values: repr each distinct bit pattern once
+    # (bits, not values, so that -0.0 keeps its sign)
+    bits, setting_code = np.unique(events["setting_rad"].view(np.uint64), return_inverse=True)
+    setting_text = [repr(x) for x in bits.view(np.float64).tolist()]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\r\n")
-        for start in range(0, len(ev), _CSV_BLOCK_ROWS):
-            block = ev[start : start + _CSV_BLOCK_ROWS]
+        for start in range(0, len(events), _CSV_BLOCK_ROWS):
+            block = slice(start, start + _CSV_BLOCK_ROWS)
             columns = [
-                map(fmt, block[name].tolist()) for name, fmt in zip(CSV_COLUMNS, _CSV_FORMATS)
+                map(fmt, events[name][block].tolist())
+                for name, fmt in zip(CSV_COLUMNS[:4], (str, str, repr, str))
             ]
+            columns.append(map(setting_text.__getitem__, setting_code[block].tolist()))
             fh.write("".join([",".join(row) + "\r\n" for row in zip(*columns)]))
 
 
-def read_events_csv(path) -> np.ndarray:
+def read_events_csv(path) -> EventColumns:
     """Read events written by write_events_csv; round trips exactly.
 
     Every row must have exactly five fields, site 1 or 2, outcome -1 or +1
@@ -345,7 +414,7 @@ def read_events_csv(path) -> np.ndarray:
         _check_header(csv.reader(fh))
         rows = _count_lines(path) - 1
         if rows == 0:
-            return np.empty(0, dtype=EVENT_DTYPE)
+            return _event_columns(np.empty(0, dtype=_CSV_PARSE_DTYPE))
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -359,7 +428,12 @@ def read_events_csv(path) -> np.ndarray:
     # parse error, a warning or a failed row check.
     if parsed is None or len(parsed) != rows or _bad_rows(parsed).any():
         return _read_rows(path)
-    return parsed.astype(EVENT_DTYPE)
+    return _event_columns(parsed)
+
+
+def _event_columns(records: np.ndarray) -> EventColumns:
+    """Checked records of the parse dtype as event columns."""
+    return EventColumns(*(records[name] for name in CSV_COLUMNS))
 
 
 def _check_header(reader) -> None:
@@ -383,7 +457,7 @@ def _count_lines(path) -> int:
     return lines + (last not in (b"\r", b"\n"))
 
 
-def _bad_rows(ev: np.ndarray) -> np.ndarray:
+def _bad_rows(ev) -> np.ndarray:
     return (
         ((ev["site"] != 1) & (ev["site"] != 2))
         | ((ev["outcome"] != 1) & (ev["outcome"] != -1))
@@ -392,7 +466,7 @@ def _bad_rows(ev: np.ndarray) -> np.ndarray:
     )
 
 
-def _read_rows(path) -> np.ndarray:
+def _read_rows(path) -> EventColumns:
     """Row-by-row reader: accepts what int() and float() accept and names the first bad line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -408,18 +482,18 @@ def _read_rows(path) -> np.ndarray:
                 f"{path}, line {reader.line_num}: malformed event row ({exc})"
             ) from exc
     try:
-        out = np.array(rows, dtype=EVENT_DTYPE) if rows else np.empty(0, dtype=EVENT_DTYPE)
+        out = np.array(rows, dtype=_CSV_PARSE_DTYPE)
     except OverflowError:
-        out = None  # a site, trial or outcome outside its column's integer range
+        out = None  # an integer outside int64
     if out is None or _bad_rows(out).any():
         k = next(k for k, row in enumerate(rows) if _row_is_bad(row))
         raise ValueError(_bad_row_message(path, k, rows[k]))
-    return out
+    return _event_columns(out)
 
 
 def _row_is_bad(row: tuple) -> bool:
     try:
-        return bool(_bad_rows(np.array([row], dtype=EVENT_DTYPE))[0])
+        return bool(_bad_rows(np.array([row], dtype=_CSV_PARSE_DTYPE))[0])
     except OverflowError:
         return True
 

@@ -11,6 +11,7 @@ search span's vertex count is checked too.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 from franson.cli import main
@@ -39,17 +40,37 @@ def test_timing_layers_record_spans_with_counts(tmp_path, capsys):
     spans = load_spans()
     tracer = spans.Tracer()
     events = str(tmp_path / "events.csv")
+
+    def run(argv):
+        start = len(tracer.spans)
+        assert main(argv) == 0
+        return json.loads(capsys.readouterr().out), tracer.spans[start:]
+
+    def counts(recorded, layer, key):
+        return [s["counts"][key] for s in recorded if s["name"] == layer]
+
     with spans.layers_traced(tracer):
-        assert main(["simulate", "--source", "aklz", "--trials", "2000", "--seed", "1"]) == 0
-        assert main(["simulate", "--trials", "200", "--seed", "1", "--events-csv", events]) == 0
-        assert main(["report", "--events", events]) == 0
-    capsys.readouterr()
+        aklz, aklz_spans = run(["simulate", "--source", "aklz", "--trials", "2000", "--seed", "1"])
+        run(["simulate", "--trials", "200", "--seed", "1", "--events-csv", events])
+        run(["report", "--events", events])
     for layer in TIMING_LAYERS:
         recorded = [s for s in tracer.spans if s["name"] == layer]
         assert recorded, layer
         for span in recorded:
             assert span["counts"], layer
             assert all(v > 0 for v in span["counts"].values()), (layer, span["counts"])
+    # counts are rows, not fields: the delay model detects every photon, so
+    # each setting pair's block holds 2 x trials events
+    assert sum(e["detected"] for e in aklz["efficiency"]["entries"]) == 4 * 2 * 2000
+    assert counts(aklz_spans, "timing.emit", "events") == [2 * 2000] * 4
+    assert counts(aklz_spans, "timing.postselect", "events") == [2 * 2000] * 4
+    assert counts(aklz_spans, "timing.tabulate", "pairs") == counts(
+        aklz_spans, "timing.postselect", "coincidences"
+    )
+    with open(events, newline="") as fh:
+        lines = sum(1 for _ in fh)
+    assert counts(tracer.spans, "timing.csv_write", "rows") == [lines - 1]
+    assert counts(tracer.spans, "timing.csv_read", "rows") == [lines - 1]
 
 
 def test_lp_layers_record_spans_with_columns(capsys):

@@ -329,6 +329,43 @@ class TestSimulate:
         assert "--trials" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flags", [["--events-csv", "EVENTS"], ["--pipeline"]],
+                             ids=["events-csv", "pipeline"])
+    @pytest.mark.parametrize("variant", ["switched-mirrors", "polarization-entangled"])
+    def test_variant_rejects_pipeline_flags(self, tmp_path, capsys, variant, flags):
+        events = tmp_path / "events.csv"
+        argv = ["simulate", "--variant", variant, "--trials", "100"]
+        argv += [str(events) if f == "EVENTS" else f for f in flags]
+        code, p, err = run_cli(argv, capsys)
+        assert code == 2
+        assert p is None
+        assert err.startswith("error:")
+        assert flags[0] in err
+        assert not events.exists()
+
+    @pytest.mark.parametrize("route", [["--source", "aklz"], ["--scenario", "aklz-demo"]],
+                             ids=["aklz", "aklz-demo"])
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+    def test_aklz_rejects_another_visibility(self, tmp_path, capsys, route, via_config):
+        argv = ["simulate", *route, "--trials", "2000"]
+        cfg = tmp_path / "cfg.json"
+        for visibility in (0.5, 1.0):
+            if via_config:
+                cfg.write_text(json.dumps({"visibility": visibility}))
+                extra = ["--config", str(cfg)]
+            else:
+                extra = ["--visibility", str(visibility)]
+            code, p, err = run_cli(argv + extra, capsys)
+            if visibility == 1.0:
+                # the one visibility the delay model has, and its report states
+                assert code == 0
+                assert p["visibility"] == 1.0
+            else:
+                assert code == 2
+                assert p is None
+                assert err.startswith("error:")
+                assert "--visibility 0.5" in err
+
     def test_variant_comparison(self, capsys):
         code, p, _ = run_cli(
             [

@@ -103,7 +103,7 @@ class TestSimulateSetup:
         run = simulate_setup(
             SetupVariant.FRANSON, chain4, 1.0, 2_000, RandomSource(seed=35)
         )
-        assert len(run.table) == 4
+        assert len(list(run.table.items())) == 4
         for i, j, _ in chain4.term_order:
             assert run.table.has(chain4.site1_settings[i], chain4.site2_settings[j])
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 import re
 
@@ -8,9 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from franson import (
-    EVENT_DTYPE,
     CorrelationTable,
+    EventColumns,
     InterferometerTiming,
+    PairColumns,
     TrialBatch,
     correlation_from_pairs,
     emit_events_from_batch,
@@ -20,19 +22,70 @@ from franson import (
 )
 from franson import timing
 from franson.core import setting_key
-from franson.timing import _CSV_BLOCK_ROWS, CSV_COLUMNS, PAIR_DTYPE
+from franson.timing import _CSV_BLOCK_ROWS, CSV_COLUMNS
 
 TIMING = InterferometerTiming(path_difference_ns=100.0, window_ns=1.0)
+PAIR_FIELDS = (
+    "timestamp1_ns", "timestamp2_ns", "outcome1", "outcome2", "setting1_rad", "setting2_rad",
+)
 
 
 def make_events(site, times, outcomes, setting, trials=None):
-    ev = np.empty(len(times), dtype=EVENT_DTYPE)
-    ev["site"] = site
-    ev["trial"] = np.arange(len(times)) if trials is None else trials
-    ev["timestamp_ns"] = times
-    ev["outcome"] = outcomes
-    ev["setting_rad"] = setting
-    return ev
+    n = len(times)
+    return EventColumns(
+        site=np.full(n, site),
+        trial=np.arange(n) if trials is None else trials,
+        timestamp_ns=times,
+        outcome=outcomes,
+        setting_rad=np.full(n, setting),
+    )
+
+
+def rows_of(columns, names):
+    """The rows of a column container as tuples of Python scalars."""
+    return list(zip(*(columns[name].tolist() for name in names)))
+
+
+def column_bytes(events):
+    """Each event column's dtype and bits, to compare containers exactly."""
+    return [(events[name].dtype, events[name].tobytes()) for name in CSV_COLUMNS]
+
+
+class TestColumns:
+    def test_len_is_the_row_count(self):
+        ev = make_events(1, [0.0, 1.0, 2.0], [1, -1, 1], 0.5)
+        assert len(ev) == 3
+        pairs = PairColumns(*([0.0] * 2 for _ in PAIR_FIELDS))
+        assert len(pairs) == 2
+
+    def test_fields_are_contiguous_columns_of_their_dtypes(self):
+        strided = np.arange(6.0)[::2]
+        ev = EventColumns(site=[1, 2, 1], trial=[0, 1, 2], timestamp_ns=strided,
+                          outcome=[1, -1, 1], setting_rad=[0.0, 0.5, 0.0])
+        dtypes = [np.uint8, np.int64, np.float64, np.int8, np.float64]
+        assert [ev[name].dtype for name in CSV_COLUMNS] == [np.dtype(d) for d in dtypes]
+        assert all(ev[name].flags.c_contiguous for name in CSV_COLUMNS)
+        assert ev["timestamp_ns"].tolist() == [0.0, 2.0, 4.0]
+        assert ev["site"] is ev.site
+
+    def test_unknown_column_is_a_key_error(self):
+        ev = make_events(1, [0.0], [1], 0.0)
+        with pytest.raises(KeyError):
+            ev["concatenate"]
+
+    @pytest.mark.parametrize("bad", ["ragged", "scalar", "2-d"])
+    def test_rejects_malformed_columns(self, bad):
+        columns = {name: [0, 0] for name in CSV_COLUMNS}
+        columns["trial"] = {"ragged": [0], "scalar": 0, "2-d": [[0, 0]]}[bad]
+        with pytest.raises(ValueError, match="length" if bad == "ragged" else "1-d"):
+            EventColumns(**columns)
+
+    def test_concatenate_keeps_the_rows_in_order(self):
+        a = make_events(1, [0.0, 1.0], [1, -1], 0.5)
+        b = make_events(2, [0.5], [-1], -0.0, trials=[7])
+        both = EventColumns.concatenate([a, b])
+        assert rows_of(both, CSV_COLUMNS) == rows_of(a, CSV_COLUMNS) + rows_of(b, CSV_COLUMNS)
+        assert math.copysign(1.0, both["setting_rad"][2]) == -1.0
 
 
 class TestInterferometerTiming:
@@ -79,18 +132,18 @@ class TestEmitEvents:
         emission = np.array([0.0, 1000.0, 2000.0])
         events = emit_events_from_batch(self._batch(), emission, timing, 0.25, 0.75)
         # detected1 drops trial 2, detected2 drops trial 1: four events remain
-        assert events.size == 4
+        assert len(events) == 4
         ts = events["timestamp_ns"]
         assert np.all(np.diff(ts) >= 0)
-        site1 = events[events["site"] == 1]
-        site2 = events[events["site"] == 2]
+        site1 = events["site"] == 1
+        site2 = events["site"] == 2
         # trial 0 site 1 early: 0 + 10; trial 1 site 1 late: 1000 + 10 + 100
-        assert site1["timestamp_ns"].tolist() == [10.0, 1110.0]
-        assert site1["trial"].tolist() == [0, 1]
+        assert ts[site1].tolist() == [10.0, 1110.0]
+        assert events["trial"][site1].tolist() == [0, 1]
         # site 2 late events at trials 0 and 2
-        assert site2["timestamp_ns"].tolist() == [110.0, 2110.0]
-        assert np.all(site1["setting_rad"] == 0.25)
-        assert np.all(site2["setting_rad"] == 0.75)
+        assert ts[site2].tolist() == [110.0, 2110.0]
+        assert np.all(events["setting_rad"][site1] == 0.25)
+        assert np.all(events["setting_rad"][site2] == 0.75)
 
     def test_trial_offset(self):
         emission = np.array([0.0, 1000.0, 2000.0])
@@ -114,8 +167,8 @@ class TestEmitEvents:
     def test_empty_responses(self):
         empty = TrialBatch(*(np.empty(0, dtype=d) for d in (np.int8, bool, bool) * 2))
         events = emit_events_from_batch(empty, np.array([]), TIMING, 0.0, 0.0)
-        assert events.size == 0
-        assert events.dtype == EVENT_DTYPE
+        assert len(events) == 0
+        assert column_bytes(events) == column_bytes(make_events(1, [], [], 0.0))
 
 
 class TestPostselect:
@@ -124,7 +177,7 @@ class TestPostselect:
         # only on the third
         e1 = make_events(1, [0.0, 1000.0, 2000.0, 3000.0], [1, 1, -1, -1], 0.3)
         e2 = make_events(2, [0.5, 1000.4, 2100.0, 3000.2], [1, -1, -1, 1], 0.5)
-        result = postselect(np.concatenate([e1, e2]), TIMING)
+        result = postselect(EventColumns.concatenate([e1, e2]), TIMING)
         assert result.coincidences == 3
         pairs = result.pairs
         assert pairs["timestamp1_ns"].tolist() == [0.0, 1000.0, 3000.0]
@@ -141,29 +194,44 @@ class TestPostselect:
     def test_window_boundary_is_strict(self):
         e1 = make_events(1, [0.0], [1], 0.0)
         e2 = make_events(2, [1.0], [1], 0.0)
-        result = postselect(np.concatenate([e1, e2]), TIMING)
+        result = postselect(EventColumns.concatenate([e1, e2]), TIMING)
         assert result.coincidences == 0
         just_inside = make_events(2, [1.0 - 1e-9], [1], 0.0)
-        result = postselect(np.concatenate([e1, just_inside]), TIMING)
+        result = postselect(EventColumns.concatenate([e1, just_inside]), TIMING)
         assert result.coincidences == 1
 
     def test_ambiguous_match_raises(self):
         e1 = make_events(1, [0.0, 0.5], [1, 1], 0.0)
         e2 = make_events(2, [0.3], [1], 0.0)
         with pytest.raises(ValueError, match="ambiguous"):
-            postselect(np.concatenate([e1, e2]), TIMING)
+            postselect(EventColumns.concatenate([e1, e2]), TIMING)
+
+    def test_window_edge_is_rounded_like_the_timestamps(self):
+        # at 2**60 ns the spacing of doubles is 256 ns and t - W rounds to t:
+        # the window is t2 > fl(t1 - W), so the site-2 event ahead of the
+        # site-1 event and the one behind it, all at one timestamp, fall on
+        # the edge and neither coincides
+        t = 2.0**60
+        ev = EventColumns(site=[2, 1, 2], trial=[0, 0, 0], timestamp_ns=[t, t, t],
+                          outcome=[1, 1, 1], setting_rad=[0.0, 0.0, 0.0])
+        assert postselect(ev, TIMING).coincidences == 0
+        # away from that scale the site-2 event ahead is the partner
+        near = EventColumns.concatenate([make_events(2, [5.0], [1], 0.0),
+                                         make_events(1, [5.0], [1], 0.0),
+                                         make_events(2, [5.0], [-1], 0.0)])
+        assert postselect(near, TIMING).pairs["outcome2"].tolist() == [1]
 
     def test_unsorted_input_is_handled(self):
         e1 = make_events(1, [1000.0, 0.0], [1, -1], 0.0, trials=[1, 0])
         e2 = make_events(2, [0.2, 1000.3], [1, 1], 0.0)
-        result = postselect(np.concatenate([e1, e2]), TIMING)
+        result = postselect(EventColumns.concatenate([e1, e2]), TIMING)
         assert result.coincidences == 2
 
     def test_efficiency_split_by_setting(self):
         e1a = make_events(1, [0.0], [1], 0.3)
         e1b = make_events(1, [1000.0], [1], 0.7)
         e2 = make_events(2, [0.1], [1], 0.5)
-        result = postselect(np.concatenate([e1a, e1b, e2]), TIMING)
+        result = postselect(EventColumns.concatenate([e1a, e1b, e2]), TIMING)
         by_site_setting = {
             (e.site, round(e.setting_rad, 3)): e for e in result.report.entries
         }
@@ -200,16 +268,15 @@ class TestPostselect:
 class TestCorrelationFromPairs:
     def _pairs(self, n, phi, psi, seed):
         rng = np.random.default_rng(seed)
-        from franson.timing import PAIR_DTYPE
-
-        out = np.empty(n, dtype=PAIR_DTYPE)
-        out["timestamp1_ns"] = np.arange(n) * 1000.0
-        out["timestamp2_ns"] = out["timestamp1_ns"] + 0.1
-        out["outcome1"] = rng.choice([-1, 1], n)
-        out["outcome2"] = rng.choice([-1, 1], n)
-        out["setting1_rad"] = phi
-        out["setting2_rad"] = psi
-        return out
+        t1 = np.arange(n) * 1000.0
+        return PairColumns(
+            timestamp1_ns=t1,
+            timestamp2_ns=t1 + 0.1,
+            outcome1=rng.choice([-1, 1], n),
+            outcome2=rng.choice([-1, 1], n),
+            setting1_rad=np.full(n, phi),
+            setting2_rad=np.full(n, psi),
+        )
 
     def test_single_block(self):
         pairs = self._pairs(500, 0.3, 0.4, seed=1)
@@ -236,29 +303,30 @@ class TestCorrelationFromPairs:
     def test_multiple_setting_pairs(self):
         a = self._pairs(100, 0.1, 0.2, seed=4)
         b = self._pairs(100, 0.5, 0.6, seed=5)
-        table = correlation_from_pairs(np.concatenate([a, b]))
-        assert len(table) == 2
+        table = correlation_from_pairs(PairColumns.concatenate([a, b]))
+        assert len(list(table.items())) == 2
         assert table.cell(0.1, 0.2).count == 100
 
     def test_empty_pairs(self):
         table = correlation_from_pairs(self._pairs(0, 0, 0, seed=6))
-        assert len(table) == 0
+        assert list(table.items()) == []
 
 
 class TestCsvRoundTrip:
     def test_exact_roundtrip(self, tmp_path):
         rng = np.random.default_rng(9)
         n = 200
-        ev = np.empty(n, dtype=EVENT_DTYPE)
-        ev["site"] = rng.integers(1, 3, n)
-        ev["trial"] = np.arange(n)
-        ev["timestamp_ns"] = np.sort(rng.uniform(0, 1e9, n))
-        ev["outcome"] = rng.choice([-1, 1], n)
-        ev["setting_rad"] = rng.uniform(0, 2 * math.pi, n)
+        ev = EventColumns(
+            site=rng.integers(1, 3, n),
+            trial=np.arange(n),
+            timestamp_ns=np.sort(rng.uniform(0, 1e9, n)),
+            outcome=rng.choice([-1, 1], n),
+            setting_rad=rng.uniform(0, 2 * math.pi, n),
+        )
         path = tmp_path / "events.csv"
         write_events_csv(path, ev)
         back = read_events_csv(path)
-        assert np.array_equal(ev, back)
+        assert column_bytes(back) == column_bytes(ev)
 
     def test_header_is_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -297,10 +365,11 @@ class TestCsvRoundTrip:
 
     def test_empty_file_roundtrip(self, tmp_path):
         path = tmp_path / "empty.csv"
-        write_events_csv(path, np.empty(0, dtype=EVENT_DTYPE))
+        empty = make_events(1, [], [], 0.0)
+        write_events_csv(path, empty)
         back = read_events_csv(path)
-        assert back.size == 0
-        assert back.dtype == EVENT_DTYPE
+        assert len(back) == 0
+        assert column_bytes(back) == column_bytes(empty)
 
     def test_columns_constant(self):
         assert CSV_COLUMNS == ("site", "trial", "timestamp_ns", "outcome", "setting_rad")
@@ -326,8 +395,8 @@ class TestCsvRoundTrip:
         path = tmp_path / "empty.csv"
         path.write_bytes((",".join(CSV_COLUMNS) + end).encode())
         back = read_events_csv(path)
-        assert back.size == 0
-        assert back.dtype == EVENT_DTYPE
+        assert len(back) == 0
+        assert column_bytes(back) == column_bytes(make_events(1, [], [], 0.0))
 
     def test_first_bad_row_is_named_before_a_later_overflow(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -374,14 +443,18 @@ class TestCsvRoundTrip:
             raise AssertionError("a valid file fell back to the row-by-row reader")
 
         monkeypatch.setattr(timing, "_read_rows", no_rows)
-        ev = random_events(np.random.default_rng(3), 1000)
-        ev["site"] = np.where(ev["site"] == 1, 1, 2)
-        ev["outcome"] = np.where(ev["outcome"] > 0, 1, -1)
-        ev["timestamp_ns"][~np.isfinite(ev["timestamp_ns"])] = 0.0
-        ev["setting_rad"][~np.isfinite(ev["setting_rad"])] = -0.0
+        raw = random_events(np.random.default_rng(3), 1000)
+        ts, setting = raw["timestamp_ns"], raw["setting_rad"]
+        ev = EventColumns(
+            site=np.where(raw["site"] == 1, 1, 2),
+            trial=raw["trial"],
+            timestamp_ns=np.where(np.isfinite(ts), ts, 0.0),
+            outcome=np.where(raw["outcome"] > 0, 1, -1),
+            setting_rad=np.where(np.isfinite(setting), setting, -0.0),
+        )
         path = tmp_path / "events.csv"
         write_events_csv(path, ev)
-        assert read_events_csv(path).tobytes() == ev.tobytes()
+        assert column_bytes(read_events_csv(path)) == column_bytes(ev)
 
 
 # ---------------------------------------------------------------------------
@@ -392,18 +465,17 @@ class TestCsvRoundTrip:
 
 
 def reference_write_events_csv(path, events):
-    ev = np.asarray(events, dtype=EVENT_DTYPE)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for e in ev:
+        for k in range(len(events)):
             writer.writerow(
                 [
-                    int(e["site"]),
-                    int(e["trial"]),
-                    repr(float(e["timestamp_ns"])),
-                    int(e["outcome"]),
-                    repr(float(e["setting_rad"])),
+                    int(events["site"][k]),
+                    int(events["trial"][k]),
+                    repr(float(events["timestamp_ns"][k])),
+                    int(events["outcome"][k]),
+                    repr(float(events["setting_rad"][k])),
                 ]
             )
 
@@ -440,23 +512,24 @@ def reference_read_events_csv(path):
                 f"and setting finite; got site={site}, trial={trial}, timestamp_ns={ts!r}, "
                 f"outcome={outcome}, setting_rad={setting!r}"
             )
-    return np.array(rows, dtype=EVENT_DTYPE) if rows else np.empty(0, dtype=EVENT_DTYPE)
+    return EventColumns(*(list(zip(*rows)) or [()] * len(CSV_COLUMNS)))
 
 
 def random_events(rng, n):
     """Events with arbitrary bits: int64 trials at both ends, subnormals, -0.0, nan, inf."""
-    ev = np.empty(n, dtype=EVENT_DTYPE)
-    ev["site"] = rng.integers(0, 256, n)
-    ev["trial"] = rng.integers(-(2**63), 2**63 - 1, n, endpoint=True)
-    ev["outcome"] = rng.integers(-128, 128, n)
+    columns = {
+        "site": rng.integers(0, 256, n),
+        "trial": rng.integers(-(2**63), 2**63 - 1, n, endpoint=True),
+        "outcome": rng.integers(-128, 128, n),
+    }
     for name in ("timestamp_ns", "setting_rad"):
         bits = rng.integers(0, 2**64 - 1, n, dtype=np.uint64, endpoint=True)
         values = bits.view(np.float64).copy()
         values[rng.random(n) < 0.1] = -0.0
         subnormal = rng.random(n) < 0.1
         values[subnormal] = rng.integers(1, 2**52, subnormal.sum()) * 5e-324
-        ev[name] = values
-    return ev
+        columns[name] = values
+    return EventColumns(**columns)
 
 
 def read_outcome(read, path):
@@ -464,7 +537,7 @@ def read_outcome(read, path):
         out = read(path)
     except ValueError as exc:
         return str(exc)
-    return out.dtype, out.tobytes()
+    return column_bytes(out)
 
 
 _INT64 = st.integers(-(2**63), 2**63 - 1)
@@ -509,6 +582,24 @@ class TestCsvReferee:
         reference_write_events_csv(tmp_path / "ref.csv", ev)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
+    def test_writer_bytes_match_reference_on_repeated_settings(self, tmp_path):
+        # a few settings repeated over blocks, as a simulation writes them:
+        # -0.0, nan, inf and subnormals each keep their own text
+        rng = np.random.default_rng(5)
+        n = 2 * _CSV_BLOCK_ROWS + 3
+        values = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 0.1])
+        ev = dataclasses.replace(
+            random_events(rng, n), setting_rad=values[rng.integers(0, values.size, n)]
+        )
+        write_events_csv(tmp_path / "new.csv", ev)
+        reference_write_events_csv(tmp_path / "ref.csv", ev)
+        written = (tmp_path / "new.csv").read_bytes()
+        assert written == (tmp_path / "ref.csv").read_bytes()
+        settings_written = {line.rsplit(b",", 1)[1] for line in written.splitlines()[1:]}
+        assert settings_written == {
+            b"0.0", b"-0.0", b"nan", b"inf", b"-inf", b"5e-324", b"-5e-324", b"0.1"
+        }
+
     @settings(max_examples=300, deadline=None)
     @given(
         rows=_VALID_ROWS,
@@ -550,7 +641,7 @@ def reference_postselect(events, window):
     site-2 event with |dt| < window; a site-2 event taken twice raises.
     Returns the pairs and the efficiency entries as plain tuples.
     """
-    rows = sorted(events.tolist(), key=lambda r: r[2])
+    rows = sorted(rows_of(events, CSV_COLUMNS), key=lambda r: r[2])
     site1 = [r for r in rows if r[0] == 1]
     site2 = [r for r in rows if r[0] == 2]
     pairs, matched1, matched2 = [], set(), set()
@@ -610,11 +701,14 @@ PHASES = (0.0, -0.0, 0.3, 0.3 + 2 * math.pi, math.pi / 4, 5.5)
 
 
 def events_from_rows(rows):
-    """EVENT_DTYPE array from (site, tick, outcome, phase) rows, in order."""
-    ev = np.empty(len(rows), dtype=EVENT_DTYPE)
-    for k, (site, tick, outcome, phase) in enumerate(rows):
-        ev[k] = (site, k, tick * TICK, outcome, phase)
-    return ev
+    """Event columns from (site, tick, outcome, phase) rows, in order."""
+    return EventColumns(
+        site=[site for site, _, _, _ in rows],
+        trial=range(len(rows)),
+        timestamp_ns=[tick * TICK for _, tick, _, _ in rows],
+        outcome=[outcome for _, _, outcome, _ in rows],
+        setting_rad=[phase for _, _, _, phase in rows],
+    )
 
 
 raw_event = st.tuples(
@@ -671,7 +765,7 @@ class TestReferee:
             return
         result = postselect(events, TIMING)
         # repr tells -0.0 from 0.0, so representative phases must match bitwise
-        assert repr(result.pairs.tolist()) == repr(pairs)
+        assert repr(rows_of(result.pairs, PAIR_FIELDS)) == repr(pairs)
         got = [(e.site, e.setting_rad, e.detected, e.coincident) for e in result.report.entries]
         assert repr(got) == repr(entries)
         eta = min((c / d for _, _, d, c in entries), default=None)
@@ -705,7 +799,7 @@ class TestReferee:
             cells[(setting_key(0.3), setting_key(0.0))] = (0.3, 0.0, 0, 0)
         rows = [[(0.0, 0.0, o1, o2, s1, s2) for o1, o2, s1, s2 in b] for b in blocks]
         for block in rows:
-            pairs = np.array(block, dtype=PAIR_DTYPE) if block else np.empty(0, PAIR_DTYPE)
+            pairs = PairColumns(*(list(zip(*block)) or [()] * len(PAIR_FIELDS)))
             assert correlation_from_pairs(pairs, table) is table
         expected = reference_tabulate(rows, cells)
         assert repr(table_rows(table)) == repr(expected)
