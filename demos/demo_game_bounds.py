@@ -5,12 +5,12 @@ Checking the bounds by brute force and by search
 Every bound used in the verdicts is a statement about a finite game:
 mixtures over deterministic per-setting response maps.  Small games can
 be solved exactly by enumerating the deterministic vertices.  The
-ratio-form games get a multi-start search.  In the equal-mass game every
-cell mass is pinned to 1/2, so each ascent step there is one exact LP
-under the current sign pattern (successive LP); the outcomes-only game
-is climbed by projected gradient.  The equal-mass game is cross-checked
-by an exact linear program over every vertex, solved by column
-generation.
+ratio-form games get a multi-start search by successive LP.  With every
+cell mass held fixed, each ascent step is one exact LP under the current
+sign pattern: the equal-mass game pins every cell mass to 1/2, and the
+outcomes-only game pins them at the start of each column round.  The
+equal-mass game is cross-checked by an exact linear program over every
+vertex, solved by column generation.
 
 The local delay model itself appears here as a witness: projected onto
 game vertices it is a feasible mixture of the outcomes-only class, and

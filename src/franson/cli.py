@@ -551,6 +551,8 @@ def _cmd_report(args) -> dict:
     table = correlation_from_pairs(result.pairs)
     chain = chain_settings(int(args.terms))
     _require_coverage(table, chain)
+    if args.eta is not None and args.model_class not in ("inefficiency", "delays"):
+        raise ConfigError("--eta needs --model-class inefficiency or delays")
     if args.model_class:
         models = [_model_class(args.model_class, args.eta)]
     else:

@@ -7,17 +7,20 @@ path realism) are maximized exactly by enumeration.  Classes with
 strategy-dependent postselection (outcomes-only selection, emission-time
 realism) have a ratio-form statistic and are searched by multi-start
 ascent over mixture weights; reports carry the best value found and never
-claim exactness for the searched classes.  In the emission-time game the
-equal-mass constraints pin every cell mass to 1/2, making the statistic
-piecewise linear on the feasible set: each ascent step is one exact LP
-under the current sign pattern (successive LP, the full conditional-
-gradient step of Frank and Wolfe), and an independent LP over every joint
-vertex gives the exact value.  Both price the game's joint vertices with
-one structured oracle, ``_et_best_columns``: a linear price there is
-maximized over arrival and site-1 outcome maps, the rest in closed form,
-so no joint-vertex array is ever built.  Outcomes-only selection is
-climbed by projected gradient with analytic gradients of the
-linear-fractional terms, its column rounds priced by a dense score matrix.
+claim exactness for the searched classes.  Both are climbed by successive
+LP.  With every cell mass held fixed the statistic is at least the linear
+objective of its current sign pattern, with equality at the current
+point, so each ascent step is one exact LP under that pattern (the full
+conditional-gradient step of Frank and Wolfe).  In the emission-time game
+the equal-mass constraints pin every cell mass to 1/2; under outcomes-only
+selection each column round pins the masses at its starting point.  An
+independent LP over every emission-time joint vertex gives that game's
+exact value.  The search's column rounds and the LP price the
+emission-time joint vertices with one structured oracle,
+``_et_best_columns``: a linear price there is maximized over arrival and
+site-1 outcome maps, the rest in closed form, so no joint-vertex array is
+ever built.  Outcomes-only column rounds are priced by a dense score
+matrix.
 """
 
 from __future__ import annotations
@@ -102,22 +105,6 @@ class MixedStrategy:
                 {"site1": side(v.site1), "site2": side(v.site2)} for v in self.vertices
             ],
         }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "MixedStrategy":
-        def side(s: dict) -> SiteVertex:
-            late = s.get("late_outcomes")
-            return SiteVertex(
-                outcomes=tuple(int(x) for x in s["outcomes"]),
-                early=tuple(bool(x) for x in s["early"]),
-                detected=tuple(bool(x) for x in s["detected"]),
-                late_outcomes=None if late is None else tuple(int(x) for x in late),
-            )
-
-        vertices = tuple(
-            DeterministicVertex(side(v["site1"]), side(v["site2"])) for v in d["vertices"]
-        )
-        return cls(vertices=vertices, weights=tuple(float(x) for x in d["weights"]))
 
 
 @dataclass(frozen=True)
@@ -424,28 +411,15 @@ def evaluate_mixed(game: GameSpec, strategy: MixedStrategy) -> GameEvaluation:
 
 
 # ---------------------------------------------------------------------------
-# projections
-
-
-def _project_simplex(y: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
-    u = np.sort(y)[::-1]
-    css = np.cumsum(u) - 1.0
-    rho = np.nonzero(u * np.arange(1, y.size + 1) > css)[0][-1]
-    tau = css[rho] / (rho + 1.0)
-    return np.maximum(y - tau, 0.0)
-
-
-# ---------------------------------------------------------------------------
 # the optimizer
 
 
-# column rounds after each restart's first climb, with the candidate window
-# and the columns added per round; the first projected-gradient step length
+# column rounds after each restart's first climb, with the candidate window,
+# the columns added per round and the best insertion price that ends a restart
 _COLUMN_ROUNDS = 2
 _COLUMN_WINDOW = 4 * 16
 _COLUMNS_PER_ROUND = 16
-_INITIAL_STEP = 0.25
+_PRICE_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -453,9 +427,8 @@ class OptimizerBudget:
     """Effort knobs for the mixture search.
 
     ``restarts`` independent starts, each running to completion; at most
-    ``iterations`` ascent steps per column round (LP steps in the
-    emission-time game, projected-gradient steps under outcomes-only
-    selection); ``support_size`` atoms in a restart's restricted support.
+    ``iterations`` LP steps per column round; ``support_size`` atoms in a
+    restart's restricted support.
     Each of the three must be at least 1, and ``seed`` at least 0.
     """
 
@@ -645,13 +618,13 @@ def _et_best_columns(game: GameSpec, c: np.ndarray, y: np.ndarray, k: int):
 
 
 def _lp_climb(w, mass, num, A, b, signs, iterations):
-    """Successive LP from a feasible ``w`` of the equal-mass game.
+    """Successive LP from a feasible ``w`` of {A w = b, w >= 0}.
 
-    Every cell mass is 1/2 there, so the statistic is at least the linear
-    objective of the current sign pattern, with equality at ``w``.  Each
-    step maximizes that objective over {A w = b, w >= 0}, and is taken
-    while the statistic rises; a step that keeps its sign pattern ends the
-    climb, because the next LP would be the same one.
+    The rows of ``A`` hold every cell mass fixed, so the statistic is at
+    least the linear objective of the current sign pattern, with equality
+    at ``w``.  Each step maximizes that objective over the feasible set,
+    and is taken while the statistic rises; a step that keeps its sign
+    pattern ends the climb, because the next LP would be the same one.
     """
     from scipy.optimize import linprog
 
@@ -676,14 +649,17 @@ def max_statistic(game: GameSpec, budget: OptimizerBudget | None = None) -> MaxS
     """Largest statistic found within the class, with a witness mixture.
 
     Exact (enumeration) for plain local realism and path realism.  Else a
-    multi-start search with column rounds: successive LP for emission-time
-    realism, projected-gradient ascent for outcomes-only selection.  A
-    column round adds the joint vertices of largest insertion derivative:
-    in the emission-time game from the structured oracle
-    ``_et_best_columns``, which opens games up to 12 terms; under
-    outcomes-only selection from a dense score matrix, up to 6 terms.  A
-    larger game raises ResourceLimitError.  Every restart runs to
-    completion; a failed LP step raises RuntimeError.
+    multi-start successive-LP search with column rounds.  Each round's LP
+    steps keep every cell mass fixed: at 1/2 by the equal-mass constraints
+    of emission-time realism, at the round's starting masses under
+    outcomes-only selection.  A column round adds the joint vertices of
+    largest insertion derivative: in the emission-time game from the
+    structured oracle ``_et_best_columns``, which opens games up to 12
+    terms; under outcomes-only selection from a dense score matrix, up to
+    6 terms.  A larger game raises ResourceLimitError.  A restart ends
+    after its last round, or earlier once no column has a positive price
+    (above 1e-12).  Every restart runs to completion; a failed LP step
+    raises RuntimeError.
     """
     kind = game.model.kind
     if kind in (ModelKind.PLAIN_LOCAL_REALISM, ModelKind.PATH_REALISM):
@@ -695,67 +671,42 @@ def max_statistic(game: GameSpec, budget: OptimizerBudget | None = None) -> MaxS
         )
     _check_pricing_size(game)
     budget = budget or OptimizerBudget()
-    n = game.n_settings
-    s1 = s2 = _side_arrays(kind, n)  # both sites share one vertex set
+    s1 = s2 = _side_arrays(kind, game.n_settings)  # both sites share one vertex set
     _, _, signs = _cell_indices(game)
     equal_mass = game.has_equal_mass_constraint
     best_value = -math.inf
     best_support = None
     rng_master = np.random.default_rng(budget.seed)
-    full_support = kind is ModelKind.OUTCOMES_ONLY and s1.size * s2.size <= 4096
     for restart in range(budget.restarts):
         rng = np.random.default_rng(rng_master.integers(2**63))
-        if full_support:
-            g1, g2 = np.meshgrid(np.arange(s1.size), np.arange(s2.size), indexing="ij")
-            idx1, idx2 = g1.ravel(), g2.ravel()
-            w = rng.dirichlet(np.ones(idx1.size)) * 0.5
-            w += 0.5 / idx1.size
-        else:
-            idx1, idx2, w = _restart_support(game, s1, s2, budget, rng)
-        if not equal_mass:
-            w = _project_simplex(w)
-        step = _INITIAL_STEP
+        idx1, idx2, w = _restart_support(game, s1, s2, budget, rng)
         for round_no in range(_COLUMN_ROUNDS + 1):
             mass, num = _support_matrices(game, s1, s2, idx1, idx2)
             if equal_mass:
                 A, b = _constraints(game, s1, s2, idx1, idx2)
-                w, stat, corr, m, groups = _lp_climb(w, mass, num, A, b, signs, budget.iterations)
             else:
-                stat, corr, m, groups = _statistic(w, mass, num, signs)
-                stale = 0
-                for _ in range(budget.iterations):
-                    grad = (num - corr[None, :] * mass) @ _pattern_coef(signs, m, groups)
-                    gmax = float(np.max(np.abs(grad)))
-                    if gmax == 0.0:
-                        break
-                    w_try = _project_simplex(w + step * grad / gmax)
-                    s_try, corr_t, m_t, groups_t = _statistic(w_try, mass, num, signs)
-                    if s_try >= stat - 1e-12:
-                        stale = stale + 1 if s_try - stat < 1e-11 else 0
-                        w, stat, corr, m, groups = w_try, s_try, corr_t, m_t, groups_t
-                        step = min(step * 1.15, 1.0)
-                    else:
-                        step *= 0.5
-                        stale += 1
-                        if step < 1e-7:
-                            break
-                    if stale >= 25:
-                        break
-            if full_support or round_no == _COLUMN_ROUNDS:
+                # pin every cell mass at the current point for this round
+                A = np.vstack([mass.T, np.ones(idx1.size)])
+                b = np.append(w @ mass, 1.0)
+            w, stat, corr, m, groups = _lp_climb(w, mass, num, A, b, signs, budget.iterations)
+            if round_no == _COLUMN_ROUNDS:
                 break
             # column generation: pull in the vertices with the largest
             # insertion derivative and keep climbing
             coef = _pattern_coef(signs, m, groups)
             if equal_mass:
                 d = coef * corr
-                _, top1, top2 = _et_best_columns(
+                price, top1, top2 = _et_best_columns(
                     game, coef, np.append(d, [d.sum(), 0.0]), _COLUMN_WINDOW
                 )
             else:
                 scores = _cg_scores(game, s1, s2, coef, corr)
                 top = np.argpartition(scores, -_COLUMN_WINDOW, axis=None)[-_COLUMN_WINDOW:]
                 top = top[np.argsort(scores.flat[top])[::-1]]
+                price = scores.flat[top]
                 top1, top2 = np.unravel_index(top, scores.shape)
+            if price[0] <= _PRICE_TOLERANCE:
+                break  # no column raises the statistic to first order
             taken = set(zip(idx1.tolist(), idx2.tolist()))
             new = [ij for ij in zip(top1.tolist(), top2.tolist()) if ij not in taken]
             if not new:
@@ -777,10 +728,9 @@ def max_statistic(game: GameSpec, budget: OptimizerBudget | None = None) -> MaxS
         for i, j in zip(idx1, idx2)
     )
     witness = MixedStrategy(vertices=vertices, weights=tuple(float(x) for x in w / w.sum()))
+    notes = "multi-start successive LP over mixture weights"
     if equal_mass:
-        notes = "multi-start successive LP over mixture weights; " + EMISSION_TIME_NOTE
-    else:
-        notes = "multi-start projected gradient over mixture weights"
+        notes += "; " + EMISSION_TIME_NOTE
     return MaxStatisticResult(
         value=float(best_value),
         witness=witness,
@@ -924,22 +874,19 @@ def verify_bound(
     beyond a 1e-6 numerical allowance.  For searched (non-exact) classes a
     PASS is evidence, not proof; the margin and budget are reported so the
     search can be judged.  ``method`` names how the value was found:
-    "enumeration", "successive-lp" (the emission-time game) or
-    "projected-gradient" (outcomes-only selection).  With ``lp_check`` the
-    emission-time game also gets its exact value, ``lp_value``.
+    "enumeration" or "successive-lp" (both searched classes).  With
+    ``lp_check`` the emission-time game also gets its exact value,
+    ``lp_value``; any other class raises ValueError before the search.
     """
+    lp_value = emission_time_lp_value(game) if lp_check else None
     result = max_statistic(game, budget)
     bound = bound_for(game.model, game.chain.terms)
-    lp_value = None
-    if lp_check and game.model.kind is ModelKind.EMISSION_TIME_REALISM:
-        lp_value = emission_time_lp_value(game)
     best = result.value
-    search = "successive-lp" if game.has_equal_mass_constraint else "projected-gradient"
     return BoundReport(
         model=game.model,
         terms=game.chain.terms,
         bound=bound,
-        method="enumeration" if result.exact else search,
+        method="enumeration" if result.exact else "successive-lp",
         best_value=best,
         margin=bound - best,
         passed=best <= bound + PASS_TOLERANCE,

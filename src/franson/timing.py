@@ -130,7 +130,6 @@ def emit_events_from_batch(
     timing: InterferometerTiming,
     phi: float,
     psi: float,
-    trial_offset: int = 0,
 ) -> EventColumns:
     """Vectorized event emission for a block of trials at fixed settings.
 
@@ -159,12 +158,9 @@ def emit_events_from_batch(
     )
     order = np.argsort(ts, kind="stable")
     from_site2 = order >= idx1.size
-    trial = np.concatenate([idx1, idx2])[order]
-    if trial_offset:
-        trial += trial_offset
     return EventColumns(
         site=from_site2.view(np.uint8) + np.uint8(1),
-        trial=trial,
+        trial=np.concatenate([idx1, idx2])[order],
         timestamp_ns=ts[order],
         outcome=np.concatenate([batch.outcome1[idx1], batch.outcome2[idx2]])[order],
         setting_rad=np.where(from_site2, psi, phi),

@@ -171,6 +171,34 @@ class TestVerifyBounds:
             main(["verify-bounds", "--model-class", "inefficiency"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("model_class", ["outcomes-only", "plain-local-realism"])
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+    def test_lp_check_outside_emission_time_is_an_error(
+        self, tmp_path, capsys, model_class, via_config
+    ):
+        argv = ["verify-bounds", "--model-class", model_class, "--restarts", "1"]
+        if via_config:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"lp-check": True}))
+            argv += ["--config", str(cfg)]
+        else:
+            argv.append("--lp-check")
+        code, p, err = run_cli(argv, capsys)
+        assert code == 2
+        assert p is None
+        assert "emission-time game" in err
+
+    def test_outcomes_only_search_is_successive_lp(self, capsys):
+        code, p, _ = run_cli(
+            ["verify-bounds", "--model-class", "outcomes-only", "--restarts", "4",
+             "--seed", "1", "--witness"],
+            capsys,
+        )
+        assert code == 0
+        assert p["method"] == "successive-lp"
+        assert p["best_value"] == pytest.approx(4.0, abs=1e-9)
+        assert len(p["witness"]["vertices"]) <= 5
+
 
 class TestGeometry:
     def test_satisfied_premise(self, capsys):
@@ -469,6 +497,27 @@ class TestEventsRoundtrip:
         assert "line 3" in err
         assert shown in err
         assert "correlation estimate" not in err
+
+    @pytest.mark.parametrize("model_class", [None, "emission-time-realism"])
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+    def test_unused_eta_is_an_error(self, tmp_path, capsys, model_class, via_config):
+        csv = str(tmp_path / "events.csv")
+        run_cli(
+            ["simulate", "--trials", "200", "--seed", "1", "--events-csv", csv], capsys
+        )
+        argv = ["report", "--events", csv]
+        if model_class:
+            argv += ["--model-class", model_class]
+        if via_config:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"eta": 0.5}))
+            argv += ["--config", str(cfg)]
+        else:
+            argv += ["--eta", "0.5"]
+        code, p, err = run_cli(argv, capsys)
+        assert code == 2
+        assert p is None
+        assert "--eta" in err
 
     def test_missing_events_file(self, tmp_path, capsys):
         code, p, err = run_cli(

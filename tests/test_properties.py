@@ -6,14 +6,12 @@ values, each property must hold on whatever inputs hypothesis invents.
 
 import math
 
-import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from franson.core import TWO_PI, reduce_phase, setting_key
 from franson.inequalities import binomial_stderr
 from franson.spacetime import StationGeometry, check_emission_time_premise
-from franson.strategyopt import _project_simplex
 
 finite_phase = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -78,20 +76,3 @@ def test_premise_margin_grows_with_path_difference(dt, mdd, sw, delta):
 def test_binomial_stderr_bounds(p, n):
     se = binomial_stderr(2.0 * p - 1.0, n)
     assert 0.0 <= se <= 1.0 / math.sqrt(n) + 1e-15
-
-
-@settings(max_examples=60)
-@given(
-    st.lists(
-        st.floats(min_value=-100.0, max_value=100.0, allow_nan=False),
-        min_size=1,
-        max_size=40,
-    )
-)
-def test_simplex_projection_is_a_feasible_fixed_point(values):
-    y = np.asarray(values, dtype=float)
-    w = _project_simplex(y)
-    assert w.min() >= 0.0
-    assert abs(w.sum() - 1.0) < 1e-9
-    again = _project_simplex(w)
-    assert np.max(np.abs(again - w)) < 1e-12

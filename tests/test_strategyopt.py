@@ -38,7 +38,6 @@ from franson.strategyopt import (
     _check_pricing_size,
     _et_best_columns,
     _et_lp_value,
-    _project_simplex,
     _side_arrays,
     _side_rows,
     _sign_patterns,
@@ -103,7 +102,23 @@ class TestMixedStrategy:
         strategy = MixedStrategy(
             vertices=(self._vertex(late), self._vertex(late)), weights=(0.25, 0.75)
         )
-        again = MixedStrategy.from_json_dict(json.loads(json.dumps(strategy.to_json_dict())))
+        d = json.loads(json.dumps(strategy.to_json_dict()))
+
+        def side(s):
+            late = s["late_outcomes"]
+            return SiteVertex(
+                outcomes=tuple(s["outcomes"]),
+                early=tuple(s["early"]),
+                detected=tuple(s["detected"]),
+                late_outcomes=None if late is None else tuple(late),
+            )
+
+        again = MixedStrategy(
+            vertices=tuple(
+                DeterministicVertex(side(v["site1"]), side(v["site2"])) for v in d["vertices"]
+            ),
+            weights=tuple(d["weights"]),
+        )
         assert again == strategy
 
 
@@ -233,6 +248,19 @@ class TestOptimizer:
         result = max_statistic(g, OptimizerBudget(restarts=4, seed=1))
         assert result.value == pytest.approx(4.0, abs=1e-6)
         assert result.value <= 4.0 + 1e-6
+
+    @pytest.mark.parametrize("terms", [4, 6])
+    def test_outcomes_only_search_is_exact_with_a_basic_witness(self, terms):
+        chains = [chain_settings(terms), random_settings_chain(terms, RandomSource(seed=9))]
+        for k, chain in enumerate(chains):
+            g = game(ModelClass.outcomes_only, chain)
+            result = max_statistic(g, OptimizerBudget(restarts=8, seed=k))
+            assert result.value == pytest.approx(terms, abs=1e-9)
+            ev = evaluate_mixed(g, result.witness)
+            assert ev.feasible
+            assert ev.statistic == pytest.approx(result.value, abs=1e-9)
+            # each LP step ends at a basic solution: one atom per row at most
+            assert len(result.witness.vertices) <= terms + 1
 
     def test_class_ordering(self, chain4m, et4_result):
         plain = max_statistic(game(ModelClass.plain_local_realism, chain4m)).value
@@ -477,22 +505,6 @@ class TestVerifyBound:
         without = report.to_json_dict(include_witness=False)
         assert "witness" not in without
         json.dumps(with_witness)
-
-
-class TestProjections:
-    def test_simplex_known_case(self):
-        w = _project_simplex(np.array([0.8, 0.8, -1.0]))
-        assert w.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.all(w >= 0)
-        assert w[0] == pytest.approx(0.5)
-        assert w[2] == 0.0
-
-    def test_simplex_idempotent(self):
-        rng = np.random.default_rng(17)
-        for _ in range(50):
-            y = rng.normal(size=10)
-            w = _project_simplex(y)
-            assert np.allclose(_project_simplex(w), w, atol=1e-12)
 
 
 class TestInsertionScores:

@@ -145,13 +145,6 @@ class TestEmitEvents:
         assert np.all(events["setting_rad"][site1] == 0.25)
         assert np.all(events["setting_rad"][site2] == 0.75)
 
-    def test_trial_offset(self):
-        emission = np.array([0.0, 1000.0, 2000.0])
-        events = emit_events_from_batch(
-            self._batch(), emission, TIMING, 0.0, 0.0, trial_offset=50
-        )
-        assert events["trial"].min() == 50
-
     def test_emission_gap_validation(self):
         batch = self._batch()
         with pytest.raises(ValueError, match="gaps"):
