@@ -13,9 +13,14 @@ objective of its current sign pattern, with equality at the current
 point, so each ascent step is one exact LP under that pattern (the full
 conditional-gradient step of Frank and Wolfe).  In the emission-time game
 the equal-mass constraints pin every cell mass to 1/2; under outcomes-only
-selection each column round pins the masses at its starting point.  An
-independent LP over every emission-time joint vertex gives that game's
-exact value.  The search's column rounds and the LP price the
+selection each column round pins the masses at its starting point.  The
+restarts climb in lockstep: each step stacks the LPs of every restart
+still climbing into one block-diagonal LP, which is separable, so one
+solve gives each restart its own optimum.  Only the columns that can be
+in an optimum go to the solver: of atoms sharing a column of constraint
+rows, those of the largest objective, one per set of interchangeable
+atoms.  An independent LP over every emission-time joint vertex gives
+that game's exact value.  The search's column rounds and the LP price the
 emission-time joint vertices with one structured oracle,
 ``_et_best_columns``: a linear price there is maximized over arrival and
 site-1 outcome maps, the rest in closed form, so no joint-vertex array is
@@ -426,9 +431,10 @@ _PRICE_TOLERANCE = 1e-12
 class OptimizerBudget:
     """Effort knobs for the mixture search.
 
-    ``restarts`` independent starts, each running to completion; at most
-    ``iterations`` LP steps per column round; ``support_size`` atoms in a
-    restart's restricted support.
+    ``restarts`` independent starts, each running to completion; the
+    restarts advance in lockstep, one stacked LP per step, and each takes
+    at most ``iterations`` LP steps per column round; ``support_size``
+    atoms in a restart's restricted support.
     Each of the three must be at least 1, and ``seed`` at least 0.
     """
 
@@ -617,32 +623,155 @@ def _et_best_columns(game: GameSpec, c: np.ndarray, y: np.ndarray, k: int):
     )
 
 
-def _lp_climb(w, mass, num, A, b, signs, iterations):
-    """Successive LP from a feasible ``w`` of {A w = b, w >= 0}.
+@dataclass
+class _Restart:
+    """One restart of the search: its support and weights, the statistic
+    at ``w``, and the LP of the column round it is climbing.
 
-    The rows of ``A`` hold every cell mass fixed, so the statistic is at
-    least the linear objective of the current sign pattern, with equality
-    at ``w``.  Each step maximizes that objective over the feasible set,
-    and is taken while the statistic rises; a step that keeps its sign
-    pattern ends the climb, because the next LP would be the same one.
+    The round's LP keeps one atom of each set of interchangeable atoms
+    (equal columns of the round's constraint rows and equal numerators, so
+    equal in every LP and in the statistic): ``atoms`` are their support
+    indices.  ``A`` holds the distinct constraint columns, and ``cls`` the
+    column of each atom in ``atoms``.
+    """
+
+    idx1: np.ndarray
+    idx2: np.ndarray
+    w: np.ndarray
+    stat: float = -math.inf
+    corr: np.ndarray | None = None
+    m: np.ndarray | None = None
+    groups: np.ndarray | None = None
+    mass: np.ndarray | None = None
+    num: np.ndarray | None = None
+    A: np.ndarray | None = None
+    b: np.ndarray | None = None
+    atoms: np.ndarray | None = None
+    cls: np.ndarray | None = None
+
+
+def _open_round(game: GameSpec, s1, s2, r: _Restart, signs) -> None:
+    """Set up a column round's LP for restart ``r`` at its current point."""
+    r.mass, r.num = _support_matrices(game, s1, s2, r.idx1, r.idx2)
+    if game.has_equal_mass_constraint:
+        A, r.b = _constraints(game, s1, s2, r.idx1, r.idx2)
+    else:
+        # pin every cell mass at the current point for this round
+        A = np.vstack([r.mass.T, np.ones(r.idx1.size)])
+        r.b = np.append(r.w @ r.mass, 1.0)
+    r.stat, r.corr, r.m, r.groups = _statistic(r.w, r.mass, r.num, signs)
+    r.atoms = np.sort(np.unique(np.vstack([A, r.num.T]), axis=1, return_index=True)[1])
+    r.A, cls = np.unique(A[:, r.atoms], axis=1, return_inverse=True)
+    r.cls = cls.reshape(-1)
+
+
+def _stacked_lp(objs, As, bs) -> list[np.ndarray]:
+    """Maximize every ``objs[k] @ x`` over {As[k] x = bs[k], x >= 0} in one LP.
+
+    The blocks share no variable and no row, so the stacked LP is separable
+    (Dantzig and Wolfe, 1960): its optimum restricted to each block is that
+    block's optimum, and one solve serves every block.  Returns the
+    solution split back by block; a failed solve raises RuntimeError.
     """
     from scipy.optimize import linprog
+    from scipy.sparse import block_diag, csc_array
 
-    stat, corr, m, groups = _statistic(w, mass, num, signs)
+    res = linprog(
+        -np.concatenate(objs),
+        A_eq=block_diag([csc_array(A) for A in As], format="csc"),
+        b_eq=np.concatenate(bs),
+        bounds=(0.0, None),
+        method="highs",
+    )
+    if not res.success:
+        raise RuntimeError(f"successive-LP step failed: {res.message}")
+    return np.split(res.x, np.cumsum([o.size for o in objs[:-1]]))
+
+
+def _lp_step(restarts: list[_Restart], signs) -> list[np.ndarray]:
+    """One successive-LP step of every restart, in one stacked LP.
+
+    Each restart maximizes the linear objective of its current sign pattern
+    over its round's feasible set.  Of the atoms sharing a constraint
+    column, only those of the largest objective go to the solver: moving
+    weight from any other to one of them raises the objective, so no
+    optimum uses it.  Returns each restart's new weights over its whole
+    support.
+    """
+    objs, cols = [], []
+    for r in restarts:
+        obj = (r.num @ _pattern_coef(signs, r.m, r.groups))[r.atoms]
+        best = np.full(r.cls.max() + 1, -np.inf)
+        np.maximum.at(best, r.cls, obj)
+        keep = np.flatnonzero(obj >= best[r.cls])
+        objs.append(obj[keep])
+        cols.append(keep)
+    xs = _stacked_lp(
+        objs, [r.A[:, r.cls[c]] for r, c in zip(restarts, cols)], [r.b for r in restarts]
+    )
+    ws = []
+    for r, c, x in zip(restarts, cols, xs):
+        w = np.zeros(r.w.size)
+        w[r.atoms[c]] = x
+        ws.append(w)
+    return ws
+
+
+def _climb_in_lockstep(restarts: list[_Restart], signs, iterations: int) -> None:
+    """Successive LP for every restart at once, each from a feasible ``w``.
+
+    The rows of a restart's ``A`` hold every cell mass fixed, so its
+    statistic is at least the linear objective of its current sign pattern,
+    with equality at ``w``.  Each step maximizes that objective for every
+    climbing restart (``_lp_step``).  A restart takes the step only while
+    its statistic rises; a step that keeps its sign pattern ends its climb,
+    because its next LP would be the same one.  At most ``iterations``
+    steps.
+    """
+    climbing = restarts
     for _ in range(iterations):
-        pattern = groups >= 0.0
-        obj = num @ _pattern_coef(signs, m, groups)
-        res = linprog(-obj, A_eq=A, b_eq=b, bounds=(0.0, None), method="highs")
-        if not res.success:
-            raise RuntimeError(f"successive-LP step failed: {res.message}")
-        trial = _statistic(res.x, mass, num, signs)
-        if trial[0] <= stat + 1e-12:
+        if not climbing:
             break
-        w = res.x
-        stat, corr, m, groups = trial
-        if np.array_equal(groups >= 0.0, pattern):
-            break
-    return w, stat, corr, m, groups
+        patterns = [r.groups >= 0.0 for r in climbing]
+        still = []
+        for r, w, pattern in zip(climbing, _lp_step(climbing, signs), patterns):
+            trial = _statistic(w, r.mass, r.num, signs)
+            if trial[0] <= r.stat + 1e-12:
+                continue
+            r.w = w
+            r.stat, r.corr, r.m, r.groups = trial
+            if not np.array_equal(r.groups >= 0.0, pattern):
+                still.append(r)
+        climbing = still
+
+
+def _add_columns(game: GameSpec, s1, s2, r: _Restart, signs) -> bool:
+    """Column generation for one restart: pull in the joint vertices with
+    the largest insertion derivative.  False when none has a positive price
+    or every priced one is already in the support: the restart is done."""
+    coef = _pattern_coef(signs, r.m, r.groups)
+    if game.has_equal_mass_constraint:
+        d = coef * r.corr
+        price, top1, top2 = _et_best_columns(
+            game, coef, np.append(d, [d.sum(), 0.0]), _COLUMN_WINDOW
+        )
+    else:
+        scores = _cg_scores(game, s1, s2, coef, r.corr)
+        top = np.argpartition(scores, -_COLUMN_WINDOW, axis=None)[-_COLUMN_WINDOW:]
+        top = top[np.argsort(scores.flat[top])[::-1]]
+        price = scores.flat[top]
+        top1, top2 = np.unravel_index(top, scores.shape)
+    if price[0] <= _PRICE_TOLERANCE:
+        return False  # no column raises the statistic to first order
+    taken = set(zip(r.idx1.tolist(), r.idx2.tolist()))
+    new = [ij for ij in zip(top1.tolist(), top2.tolist()) if ij not in taken]
+    if not new:
+        return False
+    new1, new2 = np.array(new[:_COLUMNS_PER_ROUND], dtype=np.int64).T
+    r.idx1 = np.concatenate([r.idx1, new1])
+    r.idx2 = np.concatenate([r.idx2, new2])
+    r.w = np.concatenate([r.w, np.zeros(new1.size)])
+    return True
 
 
 def max_statistic(game: GameSpec, budget: OptimizerBudget | None = None) -> MaxStatisticResult:
@@ -658,8 +787,15 @@ def max_statistic(game: GameSpec, budget: OptimizerBudget | None = None) -> MaxS
     terms; under outcomes-only selection from a dense score matrix, up to
     6 terms.  A larger game raises ResourceLimitError.  A restart ends
     after its last round, or earlier once no column has a positive price
-    (above 1e-12).  Every restart runs to completion; a failed LP step
-    raises RuntimeError.
+    (above 1e-12).  The restarts advance through the rounds in lockstep:
+    each LP step is one stacked LP over every restart still climbing
+    (``_lp_step``), and ``iterations`` still caps the steps of each
+    restart per round.  Each restart draws its support from its own
+    generator, seeded in turn from ``seed``, and gets the same LP values
+    as a solve of its own; only the choice among optimal vertices of a
+    degenerate LP can differ.  Every restart runs to completion, and the
+    first restart with the largest value gives the witness.  A failed LP
+    step raises RuntimeError.
     """
     kind = game.model.kind
     if kind in (ModelKind.PLAIN_LOCAL_REALISM, ModelKind.PATH_REALISM):
@@ -673,53 +809,26 @@ def max_statistic(game: GameSpec, budget: OptimizerBudget | None = None) -> MaxS
     budget = budget or OptimizerBudget()
     s1 = s2 = _side_arrays(kind, game.n_settings)  # both sites share one vertex set
     _, _, signs = _cell_indices(game)
-    equal_mass = game.has_equal_mass_constraint
+    rng_master = np.random.default_rng(budget.seed)
+    restarts = [
+        _Restart(*_restart_support(game, s1, s2, budget, np.random.default_rng(seed)))
+        for seed in rng_master.integers(2**63, size=budget.restarts)
+    ]
+    # restarts still in their column rounds, climbing in lockstep
+    open_restarts = restarts
+    for round_no in range(_COLUMN_ROUNDS + 1):
+        for r in open_restarts:
+            _open_round(game, s1, s2, r, signs)
+        _climb_in_lockstep(open_restarts, signs, budget.iterations)
+        if round_no < _COLUMN_ROUNDS:
+            open_restarts = [r for r in open_restarts if _add_columns(game, s1, s2, r, signs)]
     best_value = -math.inf
     best_support = None
-    rng_master = np.random.default_rng(budget.seed)
-    for restart in range(budget.restarts):
-        rng = np.random.default_rng(rng_master.integers(2**63))
-        idx1, idx2, w = _restart_support(game, s1, s2, budget, rng)
-        for round_no in range(_COLUMN_ROUNDS + 1):
-            mass, num = _support_matrices(game, s1, s2, idx1, idx2)
-            if equal_mass:
-                A, b = _constraints(game, s1, s2, idx1, idx2)
-            else:
-                # pin every cell mass at the current point for this round
-                A = np.vstack([mass.T, np.ones(idx1.size)])
-                b = np.append(w @ mass, 1.0)
-            w, stat, corr, m, groups = _lp_climb(w, mass, num, A, b, signs, budget.iterations)
-            if round_no == _COLUMN_ROUNDS:
-                break
-            # column generation: pull in the vertices with the largest
-            # insertion derivative and keep climbing
-            coef = _pattern_coef(signs, m, groups)
-            if equal_mass:
-                d = coef * corr
-                price, top1, top2 = _et_best_columns(
-                    game, coef, np.append(d, [d.sum(), 0.0]), _COLUMN_WINDOW
-                )
-            else:
-                scores = _cg_scores(game, s1, s2, coef, corr)
-                top = np.argpartition(scores, -_COLUMN_WINDOW, axis=None)[-_COLUMN_WINDOW:]
-                top = top[np.argsort(scores.flat[top])[::-1]]
-                price = scores.flat[top]
-                top1, top2 = np.unravel_index(top, scores.shape)
-            if price[0] <= _PRICE_TOLERANCE:
-                break  # no column raises the statistic to first order
-            taken = set(zip(idx1.tolist(), idx2.tolist()))
-            new = [ij for ij in zip(top1.tolist(), top2.tolist()) if ij not in taken]
-            if not new:
-                break
-            new1, new2 = np.array(new[:_COLUMNS_PER_ROUND], dtype=np.int64).T
-            idx1 = np.concatenate([idx1, new1])
-            idx2 = np.concatenate([idx2, new2])
-            w = np.concatenate([w, np.zeros(new1.size)])
-        feasible = bool(np.all(m > MIN_CELL_MASS))
-        if feasible and stat > best_value:
-            best_value = stat
-            keep = w > 0.0
-            best_support = (idx1[keep], idx2[keep], w[keep])
+    for r in restarts:
+        if np.all(r.m > MIN_CELL_MASS) and r.stat > best_value:
+            best_value = r.stat
+            keep = r.w > 0.0
+            best_support = (r.idx1[keep], r.idx2[keep], r.w[keep])
     if best_support is None:
         raise RuntimeError("optimizer found no feasible mixture; raise the budget")
     idx1, idx2, w = best_support
@@ -729,7 +838,7 @@ def max_statistic(game: GameSpec, budget: OptimizerBudget | None = None) -> MaxS
     )
     witness = MixedStrategy(vertices=vertices, weights=tuple(float(x) for x in w / w.sum()))
     notes = "multi-start successive LP over mixture weights"
-    if equal_mass:
+    if game.has_equal_mass_constraint:
         notes += "; " + EMISSION_TIME_NOTE
     return MaxStatisticResult(
         value=float(best_value),

@@ -274,35 +274,43 @@ def postselect(events: EventColumns, timing: InterferometerTiming) -> Postselect
     if not np.all(ts[1:] >= ts[:-1]):
         order = np.argsort(ts, kind="stable")
         ts, site, outcome, setting = ts[order], site[order], outcome[order], setting[order]
-    is2 = site == 2
     i1 = np.flatnonzero(site == 1)
-    i2 = np.flatnonzero(is2)
+    i2 = np.flatnonzero(site == 2)
     t1 = ts[i1]
-    # past the last site-2 event the partner is +inf, never inside the window;
-    # t2[-1] is that +inf too
-    t2 = np.append(ts[i2], np.inf)
+    # t2 is padded with -inf in front and +inf behind: neither is ever a partner
+    t2 = np.concatenate([[-np.inf], ts[i2], [np.inf]])
     w = timing.window_ns
-    lo = t1 - w
-    # cand: the first site-2 index with timestamp > t1 - w, as a binary
-    # search would find it; nondecreasing, since t1 is.  The count of site-2
-    # events ahead of a site-1 event in the stream is that index whenever
-    # t2[cand - 1] <= t1 - w < t2[cand]; only where this fails (a site-2
-    # event just ahead inside the window, t1 - w rounded up to t1, or no
-    # site-2 event ahead) is the index searched for.
-    cand = np.cumsum(is2)[i1]
+    # cand: the first index j of t2 with t2[j] - t1 > -w, the lower half of
+    # the |dt| < w rule as the rounded difference gives it.  The difference
+    # is nondecreasing in t2, and exact for t2 within a factor 2 of t1
+    # (Sterbenz's lemma), so it does not round onto the edge the way t1 - w
+    # does at large timestamps.  The first site-2 event behind a site-1
+    # event in the stream has t2 >= t1 and passes; its index, one past the
+    # count of site-2 events ahead, is cand unless the site-2 event before
+    # it passes too.  There the index is bisected: every site-2 event below
+    # fl(t1 - w) fails.
+    cand = i1 - np.arange(i1.size) + 1
+    miss = np.flatnonzero(t2[cand - 1] - t1 > -w)
+    if miss.size:
+        t1m = t1[miss]
+        lo = np.searchsorted(t2, t1m - w) - 1
+        hi = cand[miss]
+        while np.any(hi - lo > 1):
+            mid = (lo + hi) // 2
+            inside = t2[mid] - t1m > -w
+            hi = np.where(inside, mid, hi)
+            lo = np.where(inside, lo, mid)
+        cand[miss] = hi
     partner = t2[cand]
-    miss = np.flatnonzero((t2[cand - 1] > lo) | (partner <= lo))
-    cand[miss] = np.searchsorted(t2, lo[miss], side="right")
-    partner[miss] = t2[cand[miss]]
     i_idx = np.flatnonzero(np.abs(partner - t1) < w)
-    j_idx = cand[i_idx]
+    j_idx = cand[i_idx] - 1  # index among the site-2 events
     if np.any(j_idx[1:] == j_idx[:-1]):
         raise ValueError("ambiguous coincidences: one event matches several partners")
     phases1 = setting[i1]
     phases2 = setting[i2]
     pairs = PairColumns(
         timestamp1_ns=t1[i_idx],
-        timestamp2_ns=t2[j_idx],
+        timestamp2_ns=partner[i_idx],
         outcome1=outcome[i1[i_idx]],
         outcome2=outcome[i2[j_idx]],
         setting1_rad=phases1[i_idx],
@@ -390,12 +398,13 @@ def write_events_csv(path, events: EventColumns) -> None:
         fh.write(",".join(CSV_COLUMNS) + "\r\n")
         for start in range(0, len(events), _CSV_BLOCK_ROWS):
             block = slice(start, start + _CSV_BLOCK_ROWS)
-            columns = [
-                map(fmt, events[name][block].tolist())
-                for name, fmt in zip(CSV_COLUMNS[:4], (str, str, repr, str))
-            ]
-            columns.append(map(setting_text.__getitem__, setting_code[block].tolist()))
-            fh.write("".join([",".join(row) + "\r\n" for row in zip(*columns)]))
+            codes = setting_code[block].tolist()
+            # the block's values row by row, formatted by one %-template
+            values = [None] * (5 * len(codes))
+            for k, name in enumerate(CSV_COLUMNS[:4]):
+                values[k::5] = events[name][block].tolist()
+            values[4::5] = map(setting_text.__getitem__, codes)
+            fh.write("%d,%d,%r,%d,%s\r\n" * len(codes) % tuple(values))
 
 
 def read_events_csv(path) -> EventColumns:

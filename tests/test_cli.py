@@ -112,6 +112,15 @@ class TestVerifyBounds:
         assert p["method"] == "successive-lp"
         assert "witness" in p
 
+    def test_witness_report_is_deterministic(self, capsys):
+        argv = ["verify-bounds", "--terms", "4", "--restarts", "6", "--seed", "3",
+                "--lp-check", "--witness"]
+        outs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
     def test_plain_class_is_exact(self, capsys):
         code, p, _ = run_cli(
             ["verify-bounds", "--model-class", "plain-local-realism"], capsys

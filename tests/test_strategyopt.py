@@ -31,17 +31,27 @@ from franson import (
     strategy_from_mixture,
     verify_bound,
 )
+from franson import strategyopt
 from franson.core import RandomSource
 from franson.strategyopt import (
+    _COLUMN_ROUNDS,
+    _Restart,
     _cell_indices,
     _cg_scores,
     _check_pricing_size,
+    _climb_in_lockstep,
+    _constraints,
     _et_best_columns,
     _et_lp_value,
+    _lp_step,
+    _open_round,
+    _pattern_coef,
+    _restart_support,
     _side_arrays,
     _side_rows,
     _sign_patterns,
     _site_vertex,
+    _stacked_lp,
     _statistic,
     _support_matrices,
 )
@@ -286,6 +296,127 @@ class TestOptimizer:
         assert ev.feasible
         assert ev.constraint_residual <= 1e-9
         assert ev.statistic == pytest.approx(result.value, abs=1e-9)
+
+    @pytest.mark.parametrize("terms", [4, 6, 8])
+    def test_emission_time_witness_is_basic(self, terms):
+        g = game(ModelClass.emission_time_realism, chain_settings(terms))
+        result = max_statistic(g, OptimizerBudget(restarts=8, seed=terms))
+        ev = evaluate_mixed(g, result.witness)
+        assert ev.feasible
+        assert ev.constraint_residual <= 1e-9
+        assert ev.statistic == pytest.approx(result.value, abs=1e-9)
+        # a basic solution of its restart's LP: one atom per row of A at most
+        assert len(result.witness.vertices) <= terms + 2
+
+    def test_restarts_share_each_lp_step(self, chain4m, monkeypatch):
+        import scipy.optimize
+
+        rows = []
+        solve = scipy.optimize.linprog
+
+        def counting_linprog(*args, **kwargs):
+            rows.append(kwargs["A_eq"].shape[0])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "linprog", counting_linprog)
+        budget = OptimizerBudget(restarts=48, iterations=3, seed=0)
+        # rows per restart: one per cell, the late-late mass under emission-time
+        # realism, and the simplex row
+        for factory, block_rows in (
+            (ModelClass.emission_time_realism, 4 + 2), (ModelClass.outcomes_only, 4 + 1)
+        ):
+            rows.clear()
+            max_statistic(game(factory, chain4m), budget)
+            # one stacked LP per step, not one or more per restart
+            assert 1 <= len(rows) <= (_COLUMN_ROUNDS + 1) * budget.iterations
+            assert rows[0] == budget.restarts * block_rows
+
+    def test_lockstep_climb_keeps_each_restarts_stopping_rule(self, monkeypatch):
+        # one group of two cells at unit mass: the statistic is |w @ (-2, 1, 2)|
+        signs = np.ones(2)
+        mass = np.ones((3, 2))
+        num = np.array([[-1.0, -1.0], [1.0, 0.0], [1.0, 1.0]])
+
+        def restart(w):
+            r = _Restart(np.zeros(3, int), np.zeros(3, int), np.array(w), mass=mass, num=num)
+            r.stat, r.corr, r.m, r.groups = _statistic(r.w, mass, num, signs)
+            return r
+
+        script, calls = {}, []
+
+        def scripted_step(restarts, signs):
+            calls.append([script[id(r)][0] for r in restarts])
+            return [np.array(script[id(r)].pop(1)) for r in restarts]
+
+        monkeypatch.setattr(strategyopt, "_lp_step", scripted_step)
+        # "a" rises and flips its sign pattern, then rises and keeps it;
+        # "b" is offered a step that does not rise
+        a, b = restart([0.9, 0.1, 0.0]), restart([0.0, 0.0, 1.0])
+        script[id(a)] = ["a", [0.0, 0.1, 0.9], [0.0, 0.0, 1.0]]
+        script[id(b)] = ["b", [0.5, 0.0, 0.5]]
+        _climb_in_lockstep([a, b], signs, iterations=5)
+        assert calls == [["a", "b"], ["a"]]
+        assert a.w.tolist() == [0.0, 0.0, 1.0] and a.stat == 2.0
+        assert b.w.tolist() == [0.0, 0.0, 1.0] and b.stat == 2.0
+        # iterations caps the steps even while the pattern keeps changing
+        a = restart([0.9, 0.1, 0.0])
+        script[id(a)] = ["a", [0.0, 0.1, 0.9]]
+        calls.clear()
+        _climb_in_lockstep([a], signs, iterations=1)
+        assert calls == [["a"]]
+        assert a.w.tolist() == [0.0, 0.1, 0.9]
+
+    @pytest.mark.parametrize("terms", [4, 6])
+    @pytest.mark.parametrize(
+        "factory", [ModelClass.emission_time_realism, ModelClass.outcomes_only]
+    )
+    def test_stacked_lp_solves_each_block_like_a_separate_lp(self, terms, factory, monkeypatch):
+        from scipy.optimize import linprog
+
+        g = game(factory, random_settings_chain(terms, RandomSource(seed=terms)))
+        sides = _side_arrays(g.model.kind, g.n_settings)
+        _, _, signs = _cell_indices(g)
+        rng = np.random.default_rng(terms)
+        restarts, blocks = [], []
+        for size in (8, 40, 192, 192):
+            r = _Restart(*_restart_support(g, sides, sides, OptimizerBudget(support_size=size), rng))
+            _open_round(g, sides, sides, r, signs)
+            restarts.append(r)
+            # the block's whole LP, built here from the row builders
+            mass, num = _support_matrices(g, sides, sides, r.idx1, r.idx2)
+            if g.has_equal_mass_constraint:
+                A, b = _constraints(g, sides, sides, r.idx1, r.idx2)
+            else:
+                A, b = np.vstack([mass.T, np.ones(r.idx1.size)]), np.append(r.w @ mass, 1.0)
+            blocks.append((num @ _pattern_coef(signs, r.m, r.groups), A, b))
+            # one atom per set alike in every row of A and every cell
+            keys = [tuple(A[:, k]) + tuple(num[k]) for k in range(r.idx1.size)]
+            assert sorted({keys[k] for k in r.atoms}) == sorted(set(keys))
+            assert len(r.atoms) == len(set(keys))
+        passed = []
+
+        def recording_stacked_lp(objs, As, bs):
+            passed.extend(zip(objs, As))
+            return _stacked_lp(objs, As, bs)
+
+        monkeypatch.setattr(strategyopt, "_stacked_lp", recording_stacked_lp)
+        steps = _lp_step(restarts, signs)
+        # the step hands over only columns of the largest objective among
+        # those sharing their column of constraint rows
+        for (obj, A, _), (obj_k, A_k) in zip(blocks, passed):
+            assert obj_k.size < obj.size
+            for j in range(obj_k.size):
+                assert obj_k[j] == obj[np.all(A == A_k[:, [j]], axis=0)].max()
+        # every column stacked, and the climb's step over the columns it keeps
+        for xs in (_stacked_lp(*zip(*blocks)), steps):
+            assert len(xs) == len(blocks)
+            for (obj, A, b), x in zip(blocks, xs):
+                res = linprog(-obj, A_eq=A, b_eq=b, bounds=(0.0, None), method="highs")
+                assert res.success, res.message
+                assert x.shape == obj.shape
+                assert np.all(x >= 0.0)
+                assert np.max(np.abs(A @ x - b)) <= 1e-9
+                assert obj @ x == pytest.approx(-res.fun, abs=1e-9)
 
 
 class TestEvaluateMixed:

@@ -200,14 +200,23 @@ class TestPostselect:
             postselect(EventColumns.concatenate([e1, e2]), TIMING)
 
     def test_window_edge_is_rounded_like_the_timestamps(self):
-        # at 2**60 ns the spacing of doubles is 256 ns and t - W rounds to t:
-        # the window is t2 > fl(t1 - W), so the site-2 event ahead of the
-        # site-1 event and the one behind it, all at one timestamp, fall on
-        # the edge and neither coincides
+        # at 2**60 ns the spacing of doubles is 256 ns and t - W rounds to t,
+        # but t2 - t1 is exact: equal timestamps differ by 0 < W, so the
+        # site-1 event pairs with the site-2 event ahead of it, as the
+        # referee pairs them
         t = 2.0**60
         ev = EventColumns(site=[2, 1, 2], trial=[0, 0, 0], timestamp_ns=[t, t, t],
-                          outcome=[1, 1, 1], setting_rad=[0.0, 0.0, 0.0])
-        assert postselect(ev, TIMING).coincidences == 0
+                          outcome=[1, 1, -1], setting_rad=[0.0, 0.0, 0.0])
+        result = postselect(ev, TIMING)
+        assert result.pairs["outcome2"].tolist() == [1]
+        assert reference_postselect(ev, TIMING.window_ns)[0] == rows_of(result.pairs, PAIR_FIELDS)
+        # near zero t1 - W is exact but t2 - t1 rounds: 1e-20 - 1 is -W, so
+        # the partner is the site-2 event at 0.5
+        ev = EventColumns(site=[2, 2, 1], trial=[0, 0, 0], timestamp_ns=[1e-20, 0.5, 1.0],
+                          outcome=[1, -1, 1], setting_rad=[0.0, 0.0, 0.0])
+        result = postselect(ev, TIMING)
+        assert result.pairs["timestamp2_ns"].tolist() == [0.5]
+        assert reference_postselect(ev, TIMING.window_ns)[0] == rows_of(result.pairs, PAIR_FIELDS)
         # away from that scale the site-2 event ahead is the partner
         near = EventColumns.concatenate([make_events(2, [5.0], [1], 0.0),
                                          make_events(1, [5.0], [1], 0.0),
