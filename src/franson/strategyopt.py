@@ -426,6 +426,13 @@ _COLUMN_WINDOW = 4 * 16
 _COLUMNS_PER_ROUND = 16
 _PRICE_TOLERANCE = 1e-12
 
+# support atoms the restarts of one search may hold at once.  The search's
+# memory (the restarts' matrices and the stacked LP, whose columns are at
+# most these atoms) grows with them: peak RSS rose by 0.26 kB per atom at
+# 4 terms and 1.6 kB at 12 terms, and a 12-term search at the limit
+# peaked at 875 MB.  1000 restarts at 4 terms hold 224,000.
+_SEARCH_ATOM_LIMIT = 1 << 19
+
 
 @dataclass(frozen=True)
 class OptimizerBudget:
@@ -451,6 +458,25 @@ class OptimizerBudget:
         if self.seed < 0:
             raise ValueError(f"seed must be at least 0, got {self.seed}")
 
+
+def _check_search_size(game: GameSpec, budget: OptimizerBudget) -> None:
+    """Refuse a budget whose supports could outgrow ``_SEARCH_ATOM_LIMIT``.
+
+    After its last column round a restart's support holds
+    ``_restart_support``'s draw, at least ``support_size`` atoms and at
+    least 8 beyond the emission-time core (the four ``_arrival_core`` pairs
+    and two pairs per cell), plus ``_COLUMNS_PER_ROUND`` per round.
+    """
+    n = game.n_settings
+    core = len(_arrival_core(n)) + 2 * n * n if game.has_equal_mass_constraint else 0
+    added = _COLUMN_ROUNDS * _COLUMNS_PER_ROUND
+    atoms = budget.restarts * (max(budget.support_size, core + 8) + added)
+    if atoms > _SEARCH_ATOM_LIMIT:
+        raise ResourceLimitError(
+            f"{atoms} support atoms (restarts x (support of {core} core atoms "
+            f"and at least 8 more, plus {added} added columns)) exceed the "
+            f"limit {_SEARCH_ATOM_LIMIT}"
+        )
 
 @dataclass(frozen=True)
 class MaxStatisticResult:
@@ -500,29 +526,31 @@ def _exact_vertex_max(game: GameSpec) -> MaxStatisticResult:
 
 
 def _restart_support(game, s1, s2, budget, rng):
-    """Support atoms for one restart: a feasibility core plus random atoms."""
+    """Support atoms for one restart: a feasibility core plus random atoms.
+
+    In the emission-time game the core is the four ``_arrival_core`` pairs,
+    which keep the equal-mass system solvable from the first iterate, then
+    two pairs of single-early arrival maps per cell, which let the search
+    place early mass cell by cell.  Each core pick draws its (site-1
+    outcome, site-1 late, site-2 outcome, site-2 late) maps as one row of
+    a single ``rng.integers`` call, in pick order; the random atoms are one
+    call per site.
+    """
     n = game.n_settings
-    S1, S2 = s1.size, s2.size
-    picks1: list[int] = []
-    picks2: list[int] = []
+    arrivals1 = arrivals2 = np.zeros(0, dtype=np.int64)
     if game.has_equal_mass_constraint:
-        # the arrival core with random outcome maps keeps the equal-mass
-        # system solvable from the first iterate
-        for ep1, ep2 in _arrival_core(n):
-            picks1.append(_et_vertex_index(n, rng.integers(2**n), rng.integers(2**n), ep1))
-            picks2.append(_et_vertex_index(n, rng.integers(2**n), rng.integers(2**n), ep2))
-        # single-early arrival maps let the search place early mass per cell
-        for a in range(n):
-            for b in range(n):
-                for _ in range(2):
-                    picks1.append(_et_vertex_index(n, rng.integers(2**n), rng.integers(2**n), 1 << a))
-                    picks2.append(_et_vertex_index(n, rng.integers(2**n), rng.integers(2**n), 1 << b))
-    k = len(picks1)
-    extra = max(budget.support_size - k, 8)
-    picks1.extend(int(x) for x in rng.integers(S1, size=extra))
-    picks2.extend(int(x) for x in rng.integers(S2, size=extra))
-    idx1 = np.array(picks1, dtype=np.int64)
-    idx2 = np.array(picks2, dtype=np.int64)
+        single = 1 << np.arange(n, dtype=np.int64)
+        core1, core2 = np.array(_arrival_core(n), dtype=np.int64).T
+        arrivals1 = np.concatenate([core1, np.repeat(single, 2 * n)])
+        arrivals2 = np.concatenate([core2, np.tile(np.repeat(single, 2), n)])
+    o1, l1, o2, l2 = rng.integers(2**n, size=(arrivals1.size, 4)).T
+    extra = max(budget.support_size - arrivals1.size, 8)
+    idx1 = np.concatenate(
+        [_et_vertex_index(n, o1, l1, arrivals1), rng.integers(s1.size, size=extra)]
+    )
+    idx2 = np.concatenate(
+        [_et_vertex_index(n, o2, l2, arrivals2), rng.integers(s2.size, size=extra)]
+    )
     w0 = np.zeros(idx1.size)
     if game.has_equal_mass_constraint:
         w0[:4] = 0.25
@@ -630,9 +658,10 @@ class _Restart:
 
     The round's LP keeps one atom of each set of interchangeable atoms
     (equal columns of the round's constraint rows and equal numerators, so
-    equal in every LP and in the statistic): ``atoms`` are their support
-    indices.  ``A`` holds the distinct constraint columns, and ``cls`` the
-    column of each atom in ``atoms``.
+    equal in every LP and in the statistic, compared by value):
+    ``atoms`` are their smallest support indices, ascending.  ``A`` holds
+    the distinct constraint columns, and ``cls`` the column of each atom in
+    ``atoms``.  ``_column_classes`` finds all three with one sort.
     """
 
     idx1: np.ndarray
@@ -650,8 +679,36 @@ class _Restart:
     cls: np.ndarray | None = None
 
 
+def _column_classes(A: np.ndarray, num: np.ndarray):
+    """Interchangeable atoms and distinct constraint columns of a support.
+
+    ``A`` has one column per atom, ``num`` one row.  One stable
+    ``np.lexsort`` with the rows of ``A`` as the primary keys makes the
+    atoms with equal columns of ``A`` neighbours, and within them those
+    with equal numerators, in support order.  A change anywhere in ``A``
+    between neighbours starts a constraint class; a change in ``A`` or
+    ``num`` starts an atom class, led by its smallest support index.
+    Entries are compared by value, so 0.0 and -0.0 are one class.
+
+    Returns (atoms, distinct columns, cls): the leading support index of
+    each atom class in ascending order, the columns of ``A`` that differ,
+    and the index among them of each atom's column.
+    """
+    keys = np.vstack([num.T, A])
+    order = np.lexsort(keys)
+    ordered = keys[:, order]
+    step = ordered[:, 1:] != ordered[:, :-1]
+    new_a = np.concatenate([[True], step[num.shape[1]:].any(axis=0)])
+    new_atom = new_a | np.concatenate([[False], step[: num.shape[1]].any(axis=0)])
+    by_index = np.argsort(order[new_atom])
+    cls = (np.cumsum(new_a) - 1)[new_atom]
+    return order[new_atom][by_index], A[:, order[new_a]], cls[by_index]
+
+
 def _open_round(game: GameSpec, s1, s2, r: _Restart, signs) -> None:
-    """Set up a column round's LP for restart ``r`` at its current point."""
+    """Set up a column round's LP for restart ``r`` at its current point:
+    the support's rows and numerators, the statistic at ``w``, and the
+    atom and constraint classes of ``_column_classes``."""
     r.mass, r.num = _support_matrices(game, s1, s2, r.idx1, r.idx2)
     if game.has_equal_mass_constraint:
         A, r.b = _constraints(game, s1, s2, r.idx1, r.idx2)
@@ -660,9 +717,28 @@ def _open_round(game: GameSpec, s1, s2, r: _Restart, signs) -> None:
         A = np.vstack([r.mass.T, np.ones(r.idx1.size)])
         r.b = np.append(r.w @ r.mass, 1.0)
     r.stat, r.corr, r.m, r.groups = _statistic(r.w, r.mass, r.num, signs)
-    r.atoms = np.sort(np.unique(np.vstack([A, r.num.T]), axis=1, return_index=True)[1])
-    r.A, cls = np.unique(A[:, r.atoms], axis=1, return_inverse=True)
-    r.cls = cls.reshape(-1)
+    r.atoms, r.A, r.cls = _column_classes(A, r.num)
+
+
+def _block_diagonal(As):
+    """The block-diagonal CSC matrix of dense blocks with equal row counts.
+
+    One ``np.nonzero`` over the blocks placed side by side gives the
+    nonzeros' rows and columns; each block's row indices are offset by the
+    rows of the blocks before it.  The indices are int32, as scipy's own
+    sparse constructors pick at these sizes: int64 ones are copied again on
+    their way into HiGHS, which raises the solve's peak memory.
+    """
+    from scipy.sparse import csc_array
+
+    side_by_side = np.hstack(As)
+    rows, cols = side_by_side.shape
+    row, col = np.nonzero(side_by_side)
+    data = side_by_side[row, col]
+    row += rows * np.repeat(np.arange(len(As)), [A.shape[1] for A in As])[col]
+    return csc_array(
+        (data, (row.astype(np.int32), col.astype(np.int32))), shape=(rows * len(As), cols)
+    )
 
 
 def _stacked_lp(objs, As, bs) -> list[np.ndarray]:
@@ -670,15 +746,16 @@ def _stacked_lp(objs, As, bs) -> list[np.ndarray]:
 
     The blocks share no variable and no row, so the stacked LP is separable
     (Dantzig and Wolfe, 1960): its optimum restricted to each block is that
-    block's optimum, and one solve serves every block.  Returns the
-    solution split back by block; a failed solve raises RuntimeError.
+    block's optimum, and one solve serves every block.  Every block has the
+    same number of rows, and ``A_eq`` is their ``_block_diagonal``, built
+    before the solve so that its dense scratch is freed by then.  Returns
+    the solution split back by block; a failed solve raises RuntimeError.
     """
     from scipy.optimize import linprog
-    from scipy.sparse import block_diag, csc_array
 
     res = linprog(
         -np.concatenate(objs),
-        A_eq=block_diag([csc_array(A) for A in As], format="csc"),
+        A_eq=_block_diagonal(As),
         b_eq=np.concatenate(bs),
         bounds=(0.0, None),
         method="highs",
@@ -785,7 +862,9 @@ def max_statistic(game: GameSpec, budget: OptimizerBudget | None = None) -> MaxS
     largest insertion derivative: in the emission-time game from the
     structured oracle ``_et_best_columns``, which opens games up to 12
     terms; under outcomes-only selection from a dense score matrix, up to
-    6 terms.  A larger game raises ResourceLimitError.  A restart ends
+    6 terms.  A larger game raises ResourceLimitError, as does a budget
+    whose supports could outgrow ``_SEARCH_ATOM_LIMIT`` atoms
+    (``_check_search_size``), before any support is drawn.  A restart ends
     after its last round, or earlier once no column has a positive price
     (above 1e-12).  The restarts advance through the rounds in lockstep:
     each LP step is one stacked LP over every restart still climbing
@@ -807,6 +886,7 @@ def max_statistic(game: GameSpec, budget: OptimizerBudget | None = None) -> MaxS
         )
     _check_pricing_size(game)
     budget = budget or OptimizerBudget()
+    _check_search_size(game, budget)
     s1 = s2 = _side_arrays(kind, game.n_settings)  # both sites share one vertex set
     _, _, signs = _cell_indices(game)
     rng_master = np.random.default_rng(budget.seed)
@@ -986,7 +1066,11 @@ def verify_bound(
     "enumeration" or "successive-lp" (both searched classes).  With
     ``lp_check`` the emission-time game also gets its exact value,
     ``lp_value``; any other class raises ValueError before the search.
+    An oversized game or budget raises ResourceLimitError before the LP.
     """
+    if lp_check and game.has_equal_mass_constraint:
+        _check_pricing_size(game)
+        _check_search_size(game, budget or OptimizerBudget())
     lp_value = emission_time_lp_value(game) if lp_check else None
     result = max_statistic(game, budget)
     bound = bound_for(game.model, game.chain.terms)

@@ -142,13 +142,24 @@ class TestVerifyBounds:
         assert p["lp_value"] == pytest.approx(5.0, abs=1e-9)
 
     def test_oversized_game_exits_with_resource_code(self, capsys):
-        for model_class, terms in (("outcomes-only", "8"), ("emission-time-realism", "14")):
-            code, p, err = run_cli(
-                ["verify-bounds", "--model-class", model_class, "--terms", terms], capsys
-            )
+        for flags in (
+            ("--model-class", "outcomes-only", "--terms", "8"),
+            ("--model-class", "emission-time-realism", "--terms", "14"),
+            # games that fit, with budgets whose supports would not
+            ("--restarts", "1000000"),
+            ("--model-class", "outcomes-only", "--support-size", "1000000"),
+            ("--terms", "12", "--support-size", "1", "--restarts", "5000", "--lp-check"),
+        ):
+            code, p, err = run_cli(["verify-bounds", *flags], capsys)
             assert code == 3
             assert p is None
             assert "resource limit" in err
+
+    def test_thousand_restarts_at_four_terms_run(self, capsys):
+        code, p, _ = run_cli(["verify-bounds", "--restarts", "1000"], capsys)
+        assert code == 0
+        assert p["restarts"] == 1000
+        assert p["passed"] is True
 
     def test_eight_term_search_and_lp(self, capsys):
         code, p, _ = run_cli(

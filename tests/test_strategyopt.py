@@ -35,14 +35,20 @@ from franson import strategyopt
 from franson.core import RandomSource
 from franson.strategyopt import (
     _COLUMN_ROUNDS,
+    _COLUMNS_PER_ROUND,
+    _SEARCH_ATOM_LIMIT,
     _Restart,
+    _arrival_core,
     _cell_indices,
     _cg_scores,
     _check_pricing_size,
+    _check_search_size,
     _climb_in_lockstep,
+    _column_classes,
     _constraints,
     _et_best_columns,
     _et_lp_value,
+    _et_vertex_index,
     _lp_step,
     _open_round,
     _pattern_coef,
@@ -393,6 +399,8 @@ class TestOptimizer:
             keys = [tuple(A[:, k]) + tuple(num[k]) for k in range(r.idx1.size)]
             assert sorted({keys[k] for k in r.atoms}) == sorted(set(keys))
             assert len(r.atoms) == len(set(keys))
+            # each atom is the smallest support index of its key
+            assert all(keys.index(keys[k]) == k for k in r.atoms)
         passed = []
 
         def recording_stacked_lp(objs, As, bs):
@@ -417,6 +425,151 @@ class TestOptimizer:
                 assert np.all(x >= 0.0)
                 assert np.max(np.abs(A @ x - b)) <= 1e-9
                 assert obj @ x == pytest.approx(-res.fun, abs=1e-9)
+
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_column_classes_match_two_unique_calls(self, seed):
+        rng = np.random.default_rng(seed)
+        rows, cells, size = rng.integers(1, 4), rng.integers(1, 4), rng.integers(1, 60)
+        # few distinct values, so columns repeat, with signed zeros among them
+        A = rng.integers(-1, 2, size=(rows, size)).astype(np.float64)
+        num = rng.integers(-1, 2, size=(size, cells)).astype(np.float64)
+        A[A == 0.0] *= np.where(rng.random((A == 0.0).sum()) < 0.5, -1.0, 1.0)
+        num[num == 0.0] *= np.where(rng.random((num == 0.0).sum()) < 0.5, -1.0, 1.0)
+        assert np.signbit(A[A == 0.0]).any() or np.signbit(num[num == 0.0]).any()
+        # the referee: first index of each distinct (A; num) column, then
+        # the distinct A columns of those atoms
+        ref_atoms = np.sort(np.unique(np.vstack([A, num.T]), axis=1, return_index=True)[1])
+        ref_A, ref_cls = np.unique(A[:, ref_atoms], axis=1, return_inverse=True)
+        atoms, distinct, cls = _column_classes(A, num)
+        np.testing.assert_array_equal(atoms, ref_atoms)
+        np.testing.assert_array_equal(distinct[:, cls], ref_A[:, ref_cls.reshape(-1)])
+        assert distinct.shape == ref_A.shape
+
+    @pytest.mark.parametrize("with_zero_columns", [False, True])
+    @pytest.mark.parametrize("blocks", [1, 4])
+    def test_stacked_constraint_matrix_is_the_block_diagonal(
+        self, blocks, with_zero_columns, monkeypatch
+    ):
+        import scipy.optimize
+        from scipy.sparse import block_diag, csc_array
+
+        rng = np.random.default_rng(blocks)
+        As = [
+            rng.integers(0, 3, size=(5, size)) * rng.choice([-0.5, 0.25, 1.0], size=(5, size))
+            for size in rng.integers(1, 12, size=blocks)
+        ]
+        if with_zero_columns:
+            for A in As:
+                A[:, rng.integers(A.shape[1])] = 0.0
+        A_eqs = []
+
+        def capturing_linprog(c, **kwargs):
+            A_eqs.append(kwargs["A_eq"])
+            return type("Result", (), {"success": True, "x": np.zeros(c.size)})
+
+        monkeypatch.setattr(scipy.optimize, "linprog", capturing_linprog)
+        xs = _stacked_lp([np.ones(A.shape[1]) for A in As], As, [np.ones(5)] * blocks)
+        assert [x.size for x in xs] == [A.shape[1] for A in As]
+        ref = block_diag([csc_array(A) for A in As], format="csc")
+        (got,) = A_eqs
+        assert got.format == "csc"
+        assert got.shape == ref.shape
+        assert got.indices.dtype == got.indptr.dtype == ref.indices.dtype == np.int32
+        np.testing.assert_array_equal(got.indptr, ref.indptr)
+        np.testing.assert_array_equal(got.indices, ref.indices)
+        np.testing.assert_array_equal(got.data, ref.data)
+
+    @pytest.mark.parametrize(
+        "factory, terms",
+        [
+            (ModelClass.emission_time_realism, 4),
+            (ModelClass.emission_time_realism, 6),
+            (ModelClass.emission_time_realism, 8),
+            (ModelClass.outcomes_only, 4),
+        ],
+    )
+    def test_restart_support_matches_scalar_draws(self, factory, terms):
+        def scalar_support(g, sides, budget, rng):
+            """One ``rng.integers`` call per map, pick by pick."""
+            n = g.n_settings
+            picks1, picks2 = [], []
+            if g.has_equal_mass_constraint:
+                arrivals = list(_arrival_core(n)) + [
+                    (1 << a, 1 << b) for a in range(n) for b in range(n) for _ in range(2)
+                ]
+                for ep1, ep2 in arrivals:
+                    o1, l1 = rng.integers(2**n), rng.integers(2**n)
+                    o2, l2 = rng.integers(2**n), rng.integers(2**n)
+                    picks1.append(_et_vertex_index(n, o1, l1, ep1))
+                    picks2.append(_et_vertex_index(n, o2, l2, ep2))
+            extra = max(budget.support_size - len(picks1), 8)
+            picks1.extend(int(x) for x in rng.integers(sides.size, size=extra))
+            picks2.extend(int(x) for x in rng.integers(sides.size, size=extra))
+            w0 = np.zeros(len(picks1))
+            if g.has_equal_mass_constraint:
+                w0[:4] = 0.25
+            else:
+                w0[:] = 1.0 / w0.size
+                w0 = 0.5 * w0 + 0.5 * rng.dirichlet(np.ones(w0.size))
+            return np.array(picks1), np.array(picks2), w0
+
+        g = game(factory, chain_settings(terms))
+        sides = _side_arrays(g.model.kind, g.n_settings)
+        for seed, size in itertools.product((0, 5, 7, 2**40 + 3), (1, 40, 192)):
+            budget = OptimizerBudget(support_size=size)
+            got = _restart_support(g, sides, sides, budget, np.random.default_rng(seed))
+            ref = scalar_support(g, sides, budget, np.random.default_rng(seed))
+            for a, b in zip(got, ref):
+                np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "factory, terms, support",
+        [
+            (ModelClass.emission_time_realism, 4, 192),
+            (ModelClass.emission_time_realism, 4, 1),
+            (ModelClass.emission_time_realism, 10, 40),
+            (ModelClass.emission_time_realism, 12, 1),
+            (ModelClass.outcomes_only, 4, 1),
+            (ModelClass.outcomes_only, 6, 192),
+        ],
+    )
+    def test_search_size_counts_every_atom_a_support_can_hold(self, factory, terms, support):
+        g = game(factory, chain_settings(terms))
+        sides = _side_arrays(g.model.kind, g.n_settings)
+        budget = OptimizerBudget(support_size=support)
+        drawn = _restart_support(g, sides, sides, budget, np.random.default_rng(0))[0].size
+        per_restart = drawn + _COLUMN_ROUNDS * _COLUMNS_PER_ROUND
+        at_limit = _SEARCH_ATOM_LIMIT // per_restart
+        _check_search_size(g, OptimizerBudget(restarts=at_limit, support_size=support))
+        with pytest.raises(ResourceLimitError, match="support atoms"):
+            _check_search_size(g, OptimizerBudget(restarts=at_limit + 1, support_size=support))
+
+    @pytest.mark.parametrize(
+        "budget",
+        [OptimizerBudget(restarts=1000), OptimizerBudget(restarts=320, support_size=400)],
+    )
+    def test_search_size_admits_large_four_term_budgets(self, chain4m, budget):
+        for factory in (ModelClass.emission_time_realism, ModelClass.outcomes_only):
+            _check_search_size(game(factory, chain4m), budget)
+
+    def test_search_size_limit_comes_before_any_draw_or_lp(self, chain4m, monkeypatch):
+        def fail(*args):
+            raise AssertionError("the search or the LP started")
+
+        monkeypatch.setattr(strategyopt, "_restart_support", fail)
+        monkeypatch.setattr(strategyopt, "emission_time_lp_value", fail)
+        for factory in (ModelClass.emission_time_realism, ModelClass.outcomes_only):
+            for budget in (
+                OptimizerBudget(restarts=10**12),
+                OptimizerBudget(restarts=1, support_size=10**12),
+            ):
+                g = game(factory, chain4m)
+                with pytest.raises(ResourceLimitError):
+                    max_statistic(g, budget)
+                if g.has_equal_mass_constraint:
+                    with pytest.raises(ResourceLimitError):
+                        verify_bound(g, budget, lp_check=True)
 
 
 class TestEvaluateMixed:
