@@ -20,18 +20,19 @@ solve gives each restart its own optimum.  Only the columns that can be
 in an optimum go to the solver: of atoms sharing a column of constraint
 rows, those of the largest objective, one per set of interchangeable
 atoms.  An independent LP over every emission-time joint vertex gives
-that game's exact value.  The search's column rounds and the LP price the
-emission-time joint vertices with one structured oracle,
-``_et_best_columns``: a linear price there is maximized over arrival and
-site-1 outcome maps, the rest in closed form, so no joint-vertex array is
-ever built.  Outcomes-only column rounds are priced by a dense score
-matrix.
+that game's exact value.  The column rounds and the LP price joint
+vertices with structured oracles and never build a joint-vertex array:
+``_et_best_columns`` maximizes over arrival and site-1 outcome maps, the
+rest in closed form; ``_oo_best_columns`` separates over the site-2
+settings.  A site vertex is a mixed-radix index of its maps, decoded by
+bit shifts where it is needed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -92,7 +93,8 @@ class MixedStrategy:
         if len(self.vertices) != len(self.weights):
             raise ValueError("one weight per vertex required")
         w = np.asarray(self.weights, dtype=float)
-        if w.size == 0 or np.any(w < -1e-12) or abs(w.sum() - 1.0) > 1e-9:
+        # stated as what must hold: NaN compares False, so it fails the test
+        if not (w.size and np.all(w >= -1e-12) and abs(w.sum() - 1.0) <= 1e-9):
             raise ValueError("weights must be a probability vector")
 
     def to_json_dict(self) -> dict:
@@ -141,74 +143,79 @@ class GameSpec:
 # vertex enumeration
 
 
+def _map_bits(maps: np.ndarray, n: int) -> np.ndarray:
+    """(K, n) bits of indices below 2^64, least significant first."""
+    octets = np.asarray(maps, dtype="<u8").view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(octets, axis=1, count=n, bitorder="little").view(bool)
+
+
 def _sign_patterns(n: int) -> np.ndarray:
-    bits = (np.arange(2**n)[:, None] >> np.arange(n)[None, :]) & 1
-    return (1 - 2 * bits).astype(np.int8)
+    return 1 - 2 * _map_bits(np.arange(2**n), n).view(np.int8)
 
 
-def _bool_patterns(n: int) -> np.ndarray:
-    bits = (np.arange(2**n)[:, None] >> np.arange(n)[None, :]) & 1
-    return bits.astype(bool)
+def _sign_index(x: np.ndarray) -> np.ndarray:
+    """Row of ``_sign_patterns`` holding sign(x) along the last axis, +1 at 0."""
+    return (x < 0) @ (1 << np.arange(x.shape[-1]))
 
 
 @dataclass
 class _SideArrays:
-    outcomes: np.ndarray                 # (S, n) int8
-    early: np.ndarray                    # (S, n) bool
-    detected: np.ndarray                 # (S, n) bool
-    late_outcomes: np.ndarray | None     # (S, n) int8 or None
-    n_late: np.ndarray                   # (S,)
+    outcomes: np.ndarray                 # (K, n) int8
+    early: np.ndarray                    # (K, n) bool
+    detected: np.ndarray                 # (K, n) bool
+    late_outcomes: np.ndarray | None     # (K, n) int8 or None
 
     @property
     def size(self) -> int:
         return self.outcomes.shape[0]
 
+    @cached_property
+    def n_late(self) -> np.ndarray:
+        """(K,) late arrival classes; einsum sums short rows faster than sum."""
+        return self.early.shape[1] - np.einsum("ij->i", self.early.view(np.uint8)).astype(int)
 
-def _side_arrays(kind: ModelKind, n: int) -> _SideArrays:
-    signs = _sign_patterns(n)
-    bools = _bool_patterns(n)
-    ones_b = np.ones((1, n), dtype=bool)
+
+def _side_size(kind: ModelKind, n: int) -> int:
+    """Vertices per site of a class with n settings per site."""
     if kind is ModelKind.PLAIN_LOCAL_REALISM:
-        out = signs
-        early = np.repeat(ones_b, out.shape[0], axis=0)
-        det = early.copy()
-        late = None
+        return 2**n
+    if kind is ModelKind.PATH_REALISM:
+        return 2 ** (n + 1)
+    if kind in (ModelKind.OUTCOMES_ONLY, ModelKind.EMISSION_TIME_REALISM):
+        return 8**n
+    raise ValueError(f"{kind.value} has no finite-settings game here")
+
+
+def _vertex_index(n: int, high, mid, low):
+    """Row of a three-map site vertex by its map indices; see ``_side_arrays``."""
+    return (high * 2**n + mid) * 2**n + low
+
+
+def _side_arrays(kind: ModelKind, n: int, rows=None) -> _SideArrays:
+    """Site vertices of a class, decoded from their rows by bit shifts.
+
+    A row is a mixed-radix index of the vertex's maps, each an n-bit index
+    whose bit i set means -1, early or detected at setting i.  Plain: the
+    outcome map.  Path realism: the outcome map, then a bit for a late
+    constant arrival class.  Outcomes-only: outcome, arrival and detection
+    maps (``_vertex_index``).  Emission-time: early-outcome, late-outcome
+    and arrival maps, always detected.  Decodes ``rows``, or every row.
+    """
+    size = _side_size(kind, n)  # a class without a finite game raises here
+    rows = np.arange(size) if rows is None else np.asarray(rows, dtype=np.int64)
+    bits = _map_bits(rows, size.bit_length() - 1)  # the maps, last first
+    signs = 1 - 2 * bits.view(np.int8)  # outcome maps: -1 where a bit is set
+    ones = np.ones((rows.size, n), dtype=bool)
+    late = None
+    if kind is ModelKind.PLAIN_LOCAL_REALISM:
+        out, early, det = signs, ones, ones
     elif kind is ModelKind.PATH_REALISM:
-        # outcome map x constant arrival class
-        out = np.repeat(signs, 2, axis=0)
-        flags = np.tile(np.array([True, False]), signs.shape[0])
-        early = np.repeat(flags[:, None], n, axis=1)
-        det = np.ones_like(early)
-        late = None
+        out, early, det = signs[:, 1:], ones & ~bits[:, :1], ones
     elif kind is ModelKind.OUTCOMES_ONLY:
-        # outcome map x arrival map x detection map
-        total = signs.shape[0] * bools.shape[0] * bools.shape[0]
-        idx = np.arange(total)
-        oi, rest = np.divmod(idx, bools.shape[0] * bools.shape[0])
-        ei, di = np.divmod(rest, bools.shape[0])
-        out = signs[oi]
-        early = bools[ei]
-        det = bools[di]
-        late = None
-    elif kind is ModelKind.EMISSION_TIME_REALISM:
-        # early-outcome map x late-outcome map x arrival map; always detected
-        total = signs.shape[0] * signs.shape[0] * bools.shape[0]
-        idx = np.arange(total)
-        oi, rest = np.divmod(idx, signs.shape[0] * bools.shape[0])
-        li, ei = np.divmod(rest, bools.shape[0])
-        out = signs[oi]
-        late = signs[li]
-        early = bools[ei]
-        det = np.ones_like(early)
+        out, early, det = signs[:, 2 * n :], bits[:, n : 2 * n], bits[:, :n]
     else:
-        raise ValueError(f"{kind.value} has no finite-settings game here")
-    return _SideArrays(
-        outcomes=out,
-        early=early,
-        detected=det,
-        late_outcomes=late,
-        n_late=(~early).sum(axis=1),
-    )
+        out, early, det, late = signs[:, 2 * n :], bits[:, :n], ones, signs[:, n : 2 * n]
+    return _SideArrays(outcomes=out, early=early, detected=det, late_outcomes=late)
 
 
 def _site_vertex(sides: _SideArrays, k: int) -> SiteVertex:
@@ -221,9 +228,37 @@ def _site_vertex(sides: _SideArrays, k: int) -> SiteVertex:
     )
 
 
-def _et_vertex_index(n: int, outcome_map, late_map, arrival_map):
-    """Row of an emission-time site vertex in ``_side_arrays``, by map index."""
-    return (outcome_map * 2**n + late_map) * 2**n + arrival_map
+def _side_rows(kind: ModelKind, n: int, vertices: list[SiteVertex]) -> np.ndarray:
+    """Rows of ``vertices`` among the class's site vertices: their maps
+    encoded as ``_side_arrays`` lays them out, which must decode to the
+    same maps exactly.  A vertex outside the game's class raises ValueError.
+    """
+    two_phase = kind is ModelKind.EMISSION_TIME_REALISM
+    fields = ("outcomes", "early", "detected", "late_outcomes")[: 3 + two_phase]
+    outside = ValueError("strategy contains a vertex outside this game's class")
+    if any((v.late_outcomes is not None) != two_phase for v in vertices):
+        raise outside
+    try:  # ragged, non-integer or wrong-length maps fail here
+        query = {
+            f: np.array([getattr(v, f) for v in vertices], dtype=np.int64).reshape(len(vertices), n)
+            for f in fields
+        }
+    except (TypeError, ValueError, OverflowError):
+        raise outside from None
+    # a flag map encodes as the outcome map 1 - 2 flag does
+    out, early = _sign_index(query["outcomes"]), _sign_index(1 - 2 * query["early"])
+    if two_phase:
+        rows = _vertex_index(n, out, _sign_index(query["late_outcomes"]), early)
+    elif kind is ModelKind.OUTCOMES_ONLY:
+        rows = _vertex_index(n, out, early, _sign_index(1 - 2 * query["detected"]))
+    elif kind is ModelKind.PATH_REALISM:
+        rows = 2 * out + (query["early"][:, 0] != 1)
+    else:
+        rows = out
+    decoded = _side_arrays(kind, n, rows)  # a class without a finite game raises here
+    if not all(np.array_equal(getattr(decoded, f), query[f]) for f in fields):
+        raise outside
+    return rows
 
 
 def _arrival_core(n: int) -> tuple[tuple[int, int], ...]:
@@ -240,27 +275,21 @@ def _arrival_core(n: int) -> tuple[tuple[int, int], ...]:
     )
 
 
-# pricing size a searched game may reach: 8^n map triples times terms in
-# the emission-time oracle, S^2 scores under outcomes-only selection; the
-# 12-term emission-time game and the 6-term outcomes-only game fit
+# pricing size a searched game may reach; the 12-term games of both fit
 _PRICING_LIMIT = 1 << 22
 
 
 def _check_pricing_size(game: GameSpec) -> None:
     """Refuse a game whose pricing would outgrow ``_PRICING_LIMIT``.
 
-    Both searched classes have S = 8^n vertices per site.  The
-    emission-time oracle prices 8^n (arrival, outcome, arrival) map
-    triples, each summed over every term; the outcomes-only scores are a
-    dense S x S matrix.
+    Both searched classes have 8^n vertices per site, and both oracles sum
+    8^n items over every term: ``_et_best_columns`` (arrival, outcome,
+    arrival) map triples, ``_oo_best_columns`` site-1 vertices.
     """
-    n = game.n_settings
-    if game.has_equal_mass_constraint:
-        size, what = 8**n * game.chain.terms, "emission-time pricing entries"
-    else:
-        size, what = 64**n, "joint vertices"
+    size = 8**game.n_settings * game.chain.terms
     if size > _PRICING_LIMIT:
-        raise ResourceLimitError(f"{size} {what} exceed the limit {_PRICING_LIMIT}")
+        name = "emission-time" if game.has_equal_mass_constraint else "outcomes-only"
+        raise ResourceLimitError(f"{size} {name} pricing entries exceed the limit {_PRICING_LIMIT}")
 
 
 # ---------------------------------------------------------------------------
@@ -274,30 +303,26 @@ def _cell_indices(game: GameSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a_idx, b_idx, signs
 
 
-def _support_matrices(
-    game: GameSpec, s1: _SideArrays, s2: _SideArrays, idx1: np.ndarray, idx2: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-atom cell masses and signed numerators, shapes (K, terms)."""
+def _atoms(game: GameSpec, idx1, idx2) -> tuple[_SideArrays, _SideArrays]:
+    """Site-1 and site-2 vertices of the atoms (idx1, idx2), decoded."""
+    return tuple(_side_arrays(game.model.kind, game.n_settings, idx) for idx in (idx1, idx2))
+
+
+def _support_matrices(game: GameSpec, s1, s2) -> tuple[np.ndarray, np.ndarray]:
+    """Cell masses and signed numerators, shapes (K, terms), of ``_atoms``."""
     a_idx, b_idx, _ = _cell_indices(game)
     n = game.n_settings
-    o = (
-        s1.outcomes[idx1][:, a_idx].astype(np.float64)
-        * s2.outcomes[idx2][:, b_idx].astype(np.float64)
-    )
-    e1 = s1.early[idx1][:, a_idx]
-    e2 = s2.early[idx2][:, b_idx]
     kind = game.model.kind
+    o = s1.outcomes[:, a_idx].astype(np.float64) * s2.outcomes[:, b_idx].astype(np.float64)
+    e1, e2 = s1.early[:, a_idx], s2.early[:, b_idx]
     if kind is ModelKind.EMISSION_TIME_REALISM:
         ee = (e1 & e2).astype(np.float64)
-        llw = (s1.n_late[idx1] * s2.n_late[idx2]).astype(np.float64)[:, None] / n**2
-        ol = (
-            s1.late_outcomes[idx1][:, a_idx].astype(np.float64)
-            * s2.late_outcomes[idx2][:, b_idx].astype(np.float64)
-        )
+        llw = (s1.n_late * s2.n_late).astype(np.float64)[:, None] / n**2
+        ol = s1.late_outcomes[:, a_idx].astype(np.float64) * s2.late_outcomes[:, b_idx]
         mass = ee + llw
         num = ee * o + llw * ol
         return mass, num
-    det = s1.detected[idx1][:, a_idx] & s2.detected[idx2][:, b_idx]
+    det = s1.detected[:, a_idx] & s2.detected[:, b_idx]
     if kind is ModelKind.PLAIN_LOCAL_REALISM:
         sel = np.ones_like(o)
     else:
@@ -305,20 +330,20 @@ def _support_matrices(
     return sel, sel * o
 
 
-def _constraints(game: GameSpec, s1, s2, idx1, idx2) -> tuple[np.ndarray, np.ndarray]:
-    """Equality system A w = b over the atoms (idx1, idx2).
+def _constraints(game: GameSpec, s1, s2) -> tuple[np.ndarray, np.ndarray]:
+    """Equality system A w = b over the atoms of ``_atoms`` s1 and s2.
 
     The last row is always the simplex sum.  The equal-mass game puts the
     per-cell early-early masses and the late-late mass, each pinned to 1/4,
     in front of it.
     """
-    ones = np.ones((1, idx1.size))
+    ones = np.ones((1, s1.size))
     if not game.has_equal_mass_constraint:
         return ones, np.ones(1)
     a_idx, b_idx, _ = _cell_indices(game)
     n = game.n_settings
-    ee = s1.early[idx1][:, a_idx] & s2.early[idx2][:, b_idx]
-    ll = (s1.n_late[idx1] * s2.n_late[idx2]) / n**2
+    ee = s1.early[:, a_idx] & s2.early[:, b_idx]
+    ll = (s1.n_late * s2.n_late) / n**2
     A = np.vstack([ee.T.astype(np.float64), ll, ones])
     return A, np.array([0.25] * a_idx.size + [0.25, 1.0])
 
@@ -355,55 +380,19 @@ class GameEvaluation:
     feasible: bool
 
 
-_MAPS = ("outcomes", "early", "detected", "late_outcomes")
-
-
-def _side_rows(sides: _SideArrays, vertices: list[SiteVertex]) -> np.ndarray:
-    """Rows of ``sides`` holding ``vertices``, looked up by bit-packed maps.
-
-    A vertex outside the game's class raises ValueError.
-    """
-    two_phase = sides.late_outcomes is not None
-    fields = _MAPS if two_phase else _MAPS[:3]
-    outside = ValueError("strategy contains a vertex outside this game's class")
-    if any((v.late_outcomes is not None) != two_phase for v in vertices):
-        raise outside
-    table = [getattr(sides, f) for f in fields]
-    shape = (len(vertices), sides.outcomes.shape[1])
-    try:  # ragged, non-integer or wrong-length maps fail here
-        query = [
-            np.array([getattr(v, f) for v in vertices], dtype=np.int64).reshape(shape)
-            for f in fields
-        ]
-    except (TypeError, ValueError, OverflowError):
-        raise outside from None
-
-    def keys(maps):
-        bits = np.hstack([m == 1 for m in maps]).astype(np.int64)
-        return bits @ (1 << np.arange(bits.shape[1], dtype=np.int64))
-
-    side_keys = keys(table)
-    order = np.argsort(side_keys)
-    pos = np.searchsorted(side_keys, keys(query), sorter=order)
-    rows = order[np.minimum(pos, order.size - 1)]
-    # the keys only locate a row; the maps must match it exactly
-    if not all(np.array_equal(t[rows], q) for t, q in zip(table, query)):
-        raise outside
-    return rows
-
-
 def evaluate_mixed(game: GameSpec, strategy: MixedStrategy) -> GameEvaluation:
     """Re-evaluate a mixture in the game; checks class membership and
     constraint residuals rather than trusting the caller."""
-    sides = _side_arrays(game.model.kind, game.n_settings)  # both sites alike
     vs = strategy.vertices
-    rows = _side_rows(sides, [v.site1 for v in vs] + [v.site2 for v in vs])
+    sites = [v.site1 for v in vs] + [v.site2 for v in vs]  # one vertex set
+    rows = _side_rows(game.model.kind, game.n_settings, sites)
     idx1, idx2 = rows[: len(vs)], rows[len(vs):]
     w = np.asarray(strategy.weights, dtype=float)
     _, _, signs = _cell_indices(game)
-    mass, num = _support_matrices(game, sides, sides, idx1, idx2)
+    s1, s2 = _atoms(game, idx1, idx2)
+    mass, num = _support_matrices(game, s1, s2)
     stat, corr, m, _ = _statistic(w, mass, num, signs)
-    A, b = _constraints(game, sides, sides, idx1, idx2)
+    A, b = _constraints(game, s1, s2)
     residual = float(np.max(np.abs(A @ w - b)))
     feasible = bool(np.all(m > MIN_CELL_MASS)) and residual <= CONSTRAINT_TOLERANCE
     return GameEvaluation(
@@ -487,33 +476,38 @@ class MaxStatisticResult:
     notes: str = ""
 
 
+# entries of the enumeration's (vertex pair, term) arrays: the 20-term plain
+# game fits and peaks at about 0.5 GB, the 22-term one would take several GB
+_ENUMERATION_LIMIT = 1 << 25
+
+
 def _exact_vertex_max(game: GameSpec) -> MaxStatisticResult:
     """Exact maximum for classes whose statistic is linear in the mixture.
 
     Conditional weights then do not depend on the settings, so the maximum
     over mixtures is attained at a single deterministic vertex.
     """
-    n = game.n_settings
-    s1 = _side_arrays(game.model.kind, n)
-    s2 = _side_arrays(game.model.kind, n)
+    kind, n = game.model.kind, game.n_settings
+    size = _side_size(kind, n) ** 2 * game.chain.terms
+    if size > _ENUMERATION_LIMIT:
+        raise ResourceLimitError(
+            f"{size} enumeration entries exceed the limit {_ENUMERATION_LIMIT}"
+        )
+    sides = _side_arrays(kind, n)  # both sites share one vertex set
     a_idx, b_idx, signs = _cell_indices(game)
-    f1 = s1.outcomes[:, a_idx].astype(np.float64)
-    f2 = s2.outcomes[:, b_idx].astype(np.float64)
+    f1 = sides.outcomes[:, a_idx].astype(np.float64)
+    f2 = sides.outcomes[:, b_idx].astype(np.float64)
     corr = f1[:, None, :] * f2[None, :, :]
-    if game.model.kind is ModelKind.PATH_REALISM:
-        # only vertices with matching constant arrival classes coincide at all
-        c1 = s1.early[:, 0]
-        c2 = s2.early[:, 0]
-        valid = c1[:, None] == c2[None, :]
-    else:
-        valid = np.ones((s1.size, s2.size), dtype=bool)
     signed = corr * signs[None, None, :]
     groups = signed[:, :, 0::2] + signed[:, :, 1::2]
     stats = np.abs(groups).sum(axis=2)
-    stats = np.where(valid, stats, -np.inf)
+    if kind is ModelKind.PATH_REALISM:
+        # only vertices with matching constant arrival classes coincide at all
+        c = sides.early[:, 0]
+        stats = np.where(c[:, None] == c[None, :], stats, -np.inf)
     k1, k2 = np.unravel_index(np.argmax(stats), stats.shape)
     witness = MixedStrategy(
-        vertices=(DeterministicVertex(_site_vertex(s1, int(k1)), _site_vertex(s2, int(k2))),),
+        vertices=(DeterministicVertex(_site_vertex(sides, k1), _site_vertex(sides, k2)),),
         weights=(1.0,),
     )
     return MaxStatisticResult(
@@ -525,7 +519,7 @@ def _exact_vertex_max(game: GameSpec) -> MaxStatisticResult:
     )
 
 
-def _restart_support(game, s1, s2, budget, rng):
+def _restart_support(game, budget, rng):
     """Support atoms for one restart: a feasibility core plus random atoms.
 
     In the emission-time game the core is the four ``_arrival_core`` pairs,
@@ -533,8 +527,8 @@ def _restart_support(game, s1, s2, budget, rng):
     two pairs of single-early arrival maps per cell, which let the search
     place early mass cell by cell.  Each core pick draws its (site-1
     outcome, site-1 late, site-2 outcome, site-2 late) maps as one row of
-    a single ``rng.integers`` call, in pick order; the random atoms are one
-    call per site.
+    a single ``rng.integers`` call, in pick order; the random atoms, any
+    of a site's 8^n vertices, are one call per site.
     """
     n = game.n_settings
     arrivals1 = arrivals2 = np.zeros(0, dtype=np.int64)
@@ -545,12 +539,8 @@ def _restart_support(game, s1, s2, budget, rng):
         arrivals2 = np.concatenate([core2, np.tile(np.repeat(single, 2), n)])
     o1, l1, o2, l2 = rng.integers(2**n, size=(arrivals1.size, 4)).T
     extra = max(budget.support_size - arrivals1.size, 8)
-    idx1 = np.concatenate(
-        [_et_vertex_index(n, o1, l1, arrivals1), rng.integers(s1.size, size=extra)]
-    )
-    idx2 = np.concatenate(
-        [_et_vertex_index(n, o2, l2, arrivals2), rng.integers(s2.size, size=extra)]
-    )
+    idx1 = np.concatenate([_vertex_index(n, o1, l1, arrivals1), rng.integers(8**n, size=extra)])
+    idx2 = np.concatenate([_vertex_index(n, o2, l2, arrivals2), rng.integers(8**n, size=extra)])
     w0 = np.zeros(idx1.size)
     if game.has_equal_mass_constraint:
         w0[:4] = 0.25
@@ -558,36 +548,6 @@ def _restart_support(game, s1, s2, budget, rng):
         w0[:] = 1.0 / idx1.size
         w0 = 0.5 * w0 + 0.5 * rng.dirichlet(np.ones(idx1.size))
     return idx1, idx2, w0
-
-
-def _cg_scores(game, s1, s2, coef_over_m, corr_vec):
-    """Insertion derivative of the statistic for every joint vertex of the
-    outcomes-only game.
-
-    score(v) = sum_t c_t * (NUM_v[t] - corr_t * MASS_v[t]) with
-    c_t = coef_t / m_t; every component factorizes over the sites, so the
-    whole (S1, S2) score matrix is a handful of small matrix products.
-    """
-    a_idx, b_idx, _ = _cell_indices(game)
-    c = coef_over_m
-    d = coef_over_m * corr_vec
-
-    def prod(f1, f2, coeff):
-        return (f1 * coeff[None, :]) @ f2.T
-
-    o1, e1, det1 = (x[:, a_idx].astype(np.float64) for x in (s1.outcomes, s1.early, s1.detected))
-    o2, e2, det2 = (x[:, b_idx].astype(np.float64) for x in (s2.outcomes, s2.early, s2.detected))
-    # selection = det1*det2*(e1*e2 + (1-e1)(1-e2))
-    g1, g2 = det1 * e1, det2 * e2
-    h1, h2 = det1 * (1.0 - e1), det2 * (1.0 - e2)
-    score = prod(g1 * o1, g2 * o2, c) + prod(h1 * o1, h2 * o2, c)
-    score -= prod(g1, g2, d) + prod(h1, h2, d)
-    return score
-
-
-def _sign_index(x: np.ndarray) -> np.ndarray:
-    """Row of ``_sign_patterns`` holding sign(x) along the last axis, +1 at 0."""
-    return (x < 0) @ (1 << np.arange(x.shape[-1]))
 
 
 def _et_best_columns(game: GameSpec, c: np.ndarray, y: np.ndarray, k: int):
@@ -616,8 +576,8 @@ def _et_best_columns(game: GameSpec, c: np.ndarray, y: np.ndarray, k: int):
     n = game.n_settings
     a_idx, b_idx, _ = _cell_indices(game)
     T = a_idx.size
-    signs = _sign_patterns(n).astype(np.float64)     # row = outcome map
-    arrivals = _bool_patterns(n).astype(np.float64)  # row = arrival map
+    arrivals = _map_bits(np.arange(2**n), n).astype(np.float64)  # row = arrival map
+    signs = 1.0 - 2.0 * arrivals  # row = outcome map
     to_b = (b_idx[:, None] == np.arange(n)).astype(np.float64)
 
     def column_sums(x):
@@ -646,9 +606,50 @@ def _et_best_columns(game: GameSpec, c: np.ndarray, y: np.ndarray, k: int):
     o2 = _sign_index(early[e1, o1])
     return (
         price.flat[top],
-        _et_vertex_index(n, o1, l1, e1),
-        _et_vertex_index(n, o2, l2, e2),
+        _vertex_index(n, o1, l1, e1),
+        _vertex_index(n, o2, l2, e2),
     )
+
+
+def _oo_best_columns(game: GameSpec, c: np.ndarray, y: np.ndarray, k: int):
+    """The k best outcomes-only joint columns for a linear price.
+
+    Joint vertex (i, j) is priced sum_t sel_t (c_t o1 o2 - y_t), with
+    sel_t = det1 det2 (e1 e2 + (1 - e1)(1 - e2)) the selection of term t;
+    y = c corr gives the search's insertion derivative.  The price
+    separates over the site-2 settings b: undetected is worth 0, detected
+    early or late with the best outcome is worth
+
+        F_b(m) = |sum_{t: b_t = b} c_t m o1| - sum_{t: b_t = b} y_t m
+
+    for the site-1 mask m = det1 e1 or det1 (1 - e1) at a_t.  A site-1
+    vertex's best price is sum_b max(0, F_b(early mask), F_b(late mask)):
+    O(8^n n) for all of them, and no (S, S) array.
+
+    Returns the top k site-1 vertices as ``_et_best_columns`` does, each
+    with its best site-2 vertex: detected only where that earns more than
+    0, early on a tie, else +1 and late.
+    """
+    n = game.n_settings
+    a_idx, b_idx, _ = _cell_indices(game)
+    masks = _map_bits(np.arange(2**n), n).astype(np.float64)[:, a_idx]  # row = mask map
+    signs = 1.0 - 2.0 * masks  # row = outcome map
+    to_b = (b_idx[:, None] == np.arange(n)).astype(np.float64)
+    sums = (masks[:, None, :] * signs[None, :, :] * c) @ to_b  # (mask, o1, b)
+    gain = np.abs(sums) - ((masks * y) @ to_b)[:, None, :]
+    o1, e1, det1 = np.unravel_index(np.arange(8**n), (2**n,) * 3)  # site-1 maps per row
+    early, late = gain[e1 & det1, o1], gain[~e1 & det1, o1]  # (S, b)
+    price = np.maximum(np.maximum(early, late), 0.0).sum(axis=1)
+    k = min(k, price.size)
+    top = np.argpartition(price, -k)[-k:]
+    top = top[np.argsort(-price[top], kind="stable")]
+    o1, e1, det1 = o1[top], e1[top], det1[top]
+    is_early = early[top] >= late[top]
+    detected = np.maximum(early[top], late[top]) > 0.0
+    mask = np.where(is_early, (e1 & det1)[:, None], (~e1 & det1)[:, None])
+    o2 = _sign_index(np.where(detected, sums[mask, o1[:, None], np.arange(n)], 0.0))
+    bit = 1 << np.arange(n)
+    return price[top], top, _vertex_index(n, o2, (detected & is_early) @ bit, detected @ bit)
 
 
 @dataclass
@@ -705,13 +706,14 @@ def _column_classes(A: np.ndarray, num: np.ndarray):
     return order[new_atom][by_index], A[:, order[new_a]], cls[by_index]
 
 
-def _open_round(game: GameSpec, s1, s2, r: _Restart, signs) -> None:
+def _open_round(game: GameSpec, r: _Restart, signs) -> None:
     """Set up a column round's LP for restart ``r`` at its current point:
     the support's rows and numerators, the statistic at ``w``, and the
     atom and constraint classes of ``_column_classes``."""
-    r.mass, r.num = _support_matrices(game, s1, s2, r.idx1, r.idx2)
+    s1, s2 = _atoms(game, r.idx1, r.idx2)
+    r.mass, r.num = _support_matrices(game, s1, s2)
     if game.has_equal_mass_constraint:
-        A, r.b = _constraints(game, s1, s2, r.idx1, r.idx2)
+        A, r.b = _constraints(game, s1, s2)
     else:
         # pin every cell mass at the current point for this round
         A = np.vstack([r.mass.T, np.ones(r.idx1.size)])
@@ -822,22 +824,18 @@ def _climb_in_lockstep(restarts: list[_Restart], signs, iterations: int) -> None
         climbing = still
 
 
-def _add_columns(game: GameSpec, s1, s2, r: _Restart, signs) -> bool:
+def _add_columns(game: GameSpec, r: _Restart, signs) -> bool:
     """Column generation for one restart: pull in the joint vertices with
     the largest insertion derivative.  False when none has a positive price
     or every priced one is already in the support: the restart is done."""
     coef = _pattern_coef(signs, r.m, r.groups)
+    d = coef * r.corr
     if game.has_equal_mass_constraint:
-        d = coef * r.corr
         price, top1, top2 = _et_best_columns(
             game, coef, np.append(d, [d.sum(), 0.0]), _COLUMN_WINDOW
         )
     else:
-        scores = _cg_scores(game, s1, s2, coef, r.corr)
-        top = np.argpartition(scores, -_COLUMN_WINDOW, axis=None)[-_COLUMN_WINDOW:]
-        top = top[np.argsort(scores.flat[top])[::-1]]
-        price = scores.flat[top]
-        top1, top2 = np.unravel_index(top, scores.shape)
+        price, top1, top2 = _oo_best_columns(game, coef, d, _COLUMN_WINDOW)
     if price[0] <= _PRICE_TOLERANCE:
         return False  # no column raises the statistic to first order
     taken = set(zip(r.idx1.tolist(), r.idx2.tolist()))
@@ -854,27 +852,27 @@ def _add_columns(game: GameSpec, s1, s2, r: _Restart, signs) -> bool:
 def max_statistic(game: GameSpec, budget: OptimizerBudget | None = None) -> MaxStatisticResult:
     """Largest statistic found within the class, with a witness mixture.
 
-    Exact (enumeration) for plain local realism and path realism.  Else a
-    multi-start successive-LP search with column rounds.  Each round's LP
-    steps keep every cell mass fixed: at 1/2 by the equal-mass constraints
-    of emission-time realism, at the round's starting masses under
-    outcomes-only selection.  A column round adds the joint vertices of
-    largest insertion derivative: in the emission-time game from the
-    structured oracle ``_et_best_columns``, which opens games up to 12
-    terms; under outcomes-only selection from a dense score matrix, up to
-    6 terms.  A larger game raises ResourceLimitError, as does a budget
-    whose supports could outgrow ``_SEARCH_ATOM_LIMIT`` atoms
-    (``_check_search_size``), before any support is drawn.  A restart ends
-    after its last round, or earlier once no column has a positive price
-    (above 1e-12).  The restarts advance through the rounds in lockstep:
-    each LP step is one stacked LP over every restart still climbing
-    (``_lp_step``), and ``iterations`` still caps the steps of each
-    restart per round.  Each restart draws its support from its own
-    generator, seeded in turn from ``seed``, and gets the same LP values
-    as a solve of its own; only the choice among optimal vertices of a
-    degenerate LP can differ.  Every restart runs to completion, and the
-    first restart with the largest value gives the witness.  A failed LP
-    step raises RuntimeError.
+    Exact (enumeration) for plain local realism and path realism, which
+    raises ResourceLimitError past ``_ENUMERATION_LIMIT`` (plain local
+    realism past 20 terms).  Else a multi-start successive-LP search with
+    column rounds.  Each round's LP steps keep every cell mass fixed: at
+    1/2 by the equal-mass constraints of emission-time realism, at the
+    round's starting masses under outcomes-only selection.  A column round
+    adds the joint vertices of largest insertion derivative from the game's
+    structured oracle, ``_et_best_columns`` or ``_oo_best_columns``, which
+    open both games up to 12 terms.  A larger game raises
+    ResourceLimitError, as does a budget whose supports could outgrow
+    ``_SEARCH_ATOM_LIMIT`` atoms (``_check_search_size``), before any
+    support is drawn.  A restart ends after its last round, or earlier once
+    no column has a positive price (above 1e-12).  The restarts advance
+    through the rounds in lockstep: each LP step is one stacked LP over
+    every restart still climbing (``_lp_step``), and ``iterations`` still
+    caps the steps of each restart per round.  Each restart draws its
+    support from its own generator, seeded in turn from ``seed``, and gets
+    the same LP values as a solve of its own; only the choice among optimal
+    vertices of a degenerate LP can differ.  Every restart runs to
+    completion, and the first restart with the largest value gives the
+    witness.  A failed LP step raises RuntimeError.
     """
     kind = game.model.kind
     if kind in (ModelKind.PLAIN_LOCAL_REALISM, ModelKind.PATH_REALISM):
@@ -887,21 +885,20 @@ def max_statistic(game: GameSpec, budget: OptimizerBudget | None = None) -> MaxS
     _check_pricing_size(game)
     budget = budget or OptimizerBudget()
     _check_search_size(game, budget)
-    s1 = s2 = _side_arrays(kind, game.n_settings)  # both sites share one vertex set
     _, _, signs = _cell_indices(game)
     rng_master = np.random.default_rng(budget.seed)
     restarts = [
-        _Restart(*_restart_support(game, s1, s2, budget, np.random.default_rng(seed)))
+        _Restart(*_restart_support(game, budget, np.random.default_rng(seed)))
         for seed in rng_master.integers(2**63, size=budget.restarts)
     ]
     # restarts still in their column rounds, climbing in lockstep
     open_restarts = restarts
     for round_no in range(_COLUMN_ROUNDS + 1):
         for r in open_restarts:
-            _open_round(game, s1, s2, r, signs)
+            _open_round(game, r, signs)
         _climb_in_lockstep(open_restarts, signs, budget.iterations)
         if round_no < _COLUMN_ROUNDS:
-            open_restarts = [r for r in open_restarts if _add_columns(game, s1, s2, r, signs)]
+            open_restarts = [r for r in open_restarts if _add_columns(game, r, signs)]
     best_value = -math.inf
     best_support = None
     for r in restarts:
@@ -912,9 +909,9 @@ def max_statistic(game: GameSpec, budget: OptimizerBudget | None = None) -> MaxS
     if best_support is None:
         raise RuntimeError("optimizer found no feasible mixture; raise the budget")
     idx1, idx2, w = best_support
+    s1, s2 = _atoms(game, idx1, idx2)
     vertices = tuple(
-        DeterministicVertex(_site_vertex(s1, int(i)), _site_vertex(s2, int(j)))
-        for i, j in zip(idx1, idx2)
+        DeterministicVertex(_site_vertex(s1, k), _site_vertex(s2, k)) for k in range(w.size)
     )
     witness = MixedStrategy(vertices=vertices, weights=tuple(float(x) for x in w / w.sum()))
     notes = "multi-start successive LP over mixture weights"
@@ -940,22 +937,23 @@ LP_OPTIMALITY_TOLERANCE = 1e-10
 _LP_MAX_ROUNDS = 1000
 
 
-def _et_lp_value(game: GameSpec, sides: _SideArrays, pattern: np.ndarray) -> float:
+def _et_lp_value(game: GameSpec, pattern: np.ndarray) -> float:
     """Exact emission-time LP value under one sign pattern, by column
     generation; see ``emission_time_lp_value``."""
     from scipy.optimize import linprog
 
     n = game.n_settings
-    S = sides.size
+    S = _side_size(game.model.kind, n)
     _, _, signs = _cell_indices(game)
     # corr_t = 2 * (early part + late part) once masses are pinned
     coef = 2.0 * np.repeat(pattern, 2) * signs
     # the arrival core with the all-+1 outcome maps, at weight 1/4 each
-    i = np.array([_et_vertex_index(n, 0, 0, a) for a, _ in _arrival_core(n)])
-    j = np.array([_et_vertex_index(n, 0, 0, a) for _, a in _arrival_core(n)])
+    i = np.array([_vertex_index(n, 0, 0, a) for a, _ in _arrival_core(n)])
+    j = np.array([_vertex_index(n, 0, 0, a) for _, a in _arrival_core(n)])
     for _ in range(_LP_MAX_ROUNDS):
-        _, num = _support_matrices(game, sides, sides, i, j)
-        A_eq, b_eq = _constraints(game, sides, sides, i, j)
+        s1, s2 = _atoms(game, i, j)
+        _, num = _support_matrices(game, s1, s2)
+        A_eq, b_eq = _constraints(game, s1, s2)
         res = linprog(-(num @ coef), A_eq=A_eq, b_eq=b_eq, bounds=(0.0, None), method="highs")
         if not res.success:
             raise RuntimeError(f"LP cross-check failed: {res.message}")
@@ -1009,9 +1007,8 @@ def emission_time_lp_value(game: GameSpec) -> float:
     if game.model.kind is not ModelKind.EMISSION_TIME_REALISM:
         raise ValueError("the LP cross-check applies to the emission-time game")
     _check_pricing_size(game)
-    sides = _side_arrays(game.model.kind, game.n_settings)
     # rows of _sign_patterns with an even index lead with +1
-    return max(_et_lp_value(game, sides, p) for p in _sign_patterns(game.n_settings)[0::2])
+    return max(_et_lp_value(game, p) for p in _sign_patterns(game.n_settings)[0::2])
 
 
 # ---------------------------------------------------------------------------
@@ -1065,15 +1062,16 @@ def verify_bound(
     search can be judged.  ``method`` names how the value was found:
     "enumeration" or "successive-lp" (both searched classes).  With
     ``lp_check`` the emission-time game also gets its exact value,
-    ``lp_value``; any other class raises ValueError before the search.
-    An oversized game or budget raises ResourceLimitError before the LP.
+    ``lp_value``.  Any other class, or a 4-term-only bound on a longer
+    chain, raises ValueError before the search; an oversized game or
+    budget raises ResourceLimitError before the LP.
     """
     if lp_check and game.has_equal_mass_constraint:
         _check_pricing_size(game)
         _check_search_size(game, budget or OptimizerBudget())
+    bound = bound_for(game.model, game.chain.terms)
     lp_value = emission_time_lp_value(game) if lp_check else None
     result = max_statistic(game, budget)
-    bound = bound_for(game.model, game.chain.terms)
     best = result.value
     return BoundReport(
         model=game.model,

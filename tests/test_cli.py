@@ -143,8 +143,11 @@ class TestVerifyBounds:
 
     def test_oversized_game_exits_with_resource_code(self, capsys):
         for flags in (
-            ("--model-class", "outcomes-only", "--terms", "8"),
+            ("--model-class", "outcomes-only", "--terms", "14"),
             ("--model-class", "emission-time-realism", "--terms", "14"),
+            # enumerations that would take several GB, or 320 TiB
+            ("--model-class", "plain-local-realism", "--terms", "22"),
+            ("--model-class", "plain-local-realism", "--terms", "40"),
             # games that fit, with budgets whose supports would not
             ("--restarts", "1000000"),
             ("--model-class", "outcomes-only", "--support-size", "1000000"),

@@ -13,6 +13,7 @@ from franson import (
     GameSpec,
     MixedStrategy,
     ModelClass,
+    ModelKind,
     OptimizerBudget,
     ResourceLimitError,
     Setting,
@@ -39,8 +40,8 @@ from franson.strategyopt import (
     _SEARCH_ATOM_LIMIT,
     _Restart,
     _arrival_core,
+    _atoms,
     _cell_indices,
-    _cg_scores,
     _check_pricing_size,
     _check_search_size,
     _climb_in_lockstep,
@@ -48,8 +49,8 @@ from franson.strategyopt import (
     _constraints,
     _et_best_columns,
     _et_lp_value,
-    _et_vertex_index,
     _lp_step,
+    _oo_best_columns,
     _open_round,
     _pattern_coef,
     _restart_support,
@@ -60,6 +61,7 @@ from franson.strategyopt import (
     _stacked_lp,
     _statistic,
     _support_matrices,
+    _vertex_index,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -111,6 +113,10 @@ class TestMixedStrategy:
             MixedStrategy(vertices=(v,), weights=(-0.2,))
         with pytest.raises(ValueError):
             MixedStrategy(vertices=(), weights=())
+        # NaN compares False with every bound, so no violation of one shows
+        for bad in ((math.nan,), (math.inf,), (0.5, math.nan, 0.5)):
+            with pytest.raises(ValueError, match="probability vector"):
+                MixedStrategy(vertices=(v,) * len(bad), weights=bad)
         assert MixedStrategy(vertices=(v,), weights=(1.0,)).weights == (1.0,)
 
     @pytest.mark.parametrize("late", [False, True])
@@ -166,15 +172,63 @@ class TestEnumeration:
         # every row is a distinct vertex
         assert len({_site_vertex(sides, k) for k in range(sides.size)}) == sides.size
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            ModelClass.plain_local_realism,
+            ModelClass.path_realism,
+            ModelClass.emission_time_realism,
+            ModelClass.outcomes_only,
+        ],
+    )
+    def test_rows_decode_in_the_table_order(self, factory, n):
+        """The decoder against the table it replaced: sign and bool
+        patterns tiled in mixed-radix order."""
+        kind = factory().kind
+        P = 2**n
+        bools = ((np.arange(P)[:, None] >> np.arange(n)[None, :]) & 1).astype(bool)
+        signs = (1 - 2 * bools.astype(np.int64)).astype(np.int8)
+        ones = np.ones((P, n), dtype=bool)
+        late = None
+        if kind is ModelKind.PLAIN_LOCAL_REALISM:
+            out, early, det = signs, ones, ones
+        elif kind is ModelKind.PATH_REALISM:
+            out = np.repeat(signs, 2, axis=0)
+            early = np.repeat(np.tile([True, False], P)[:, None], n, axis=1)
+            det = np.ones_like(early)
+        else:
+            high, rest = np.divmod(np.arange(P**3), P * P)
+            mid, low = np.divmod(rest, P)
+            out = signs[high]
+            if kind is ModelKind.OUTCOMES_ONLY:
+                early, det = bools[mid], bools[low]
+            else:
+                late, early, det = signs[mid], bools[low], np.ones((P**3, n), dtype=bool)
+        sides = _side_arrays(kind, n)
+        np.testing.assert_array_equal(sides.outcomes, out)
+        np.testing.assert_array_equal(sides.early, early)
+        np.testing.assert_array_equal(sides.detected, det)
+        assert (sides.late_outcomes is None) == (late is None)
+        if late is not None:
+            np.testing.assert_array_equal(sides.late_outcomes, late)
+        np.testing.assert_array_equal(sides.n_late, (~early).sum(axis=1))
+        # any rows decode like those rows of the whole table
+        rows = np.random.default_rng(n).integers(sides.size, size=9)
+        part = _side_arrays(kind, n, rows)
+        for name in ("outcomes", "early", "detected", "n_late"):
+            np.testing.assert_array_equal(getattr(part, name), getattr(sides, name)[rows])
+
     def test_emission_time_vertices_carry_late_maps(self, chain4m):
         v = joint_vertex(game(ModelClass.emission_time_realism, chain4m), 0, 0)
         assert v.site1.late_outcomes is not None
         assert len(v.site1.late_outcomes) == 2
 
     def test_resource_limit(self):
-        # the 12-term emission-time and 6-term outcomes-only games fit
+        # both oracles price 8^n site-1 vertices over every term, so one
+        # rule lets the 12-term games of both searched classes fit
         _check_pricing_size(game(ModelClass.emission_time_realism, chain_settings(12)))
-        _check_pricing_size(game(ModelClass.outcomes_only, chain_settings(6)))
+        _check_pricing_size(game(ModelClass.outcomes_only, chain_settings(12)))
         big = game(ModelClass.emission_time_realism, chain_settings(14))
         with pytest.raises(ResourceLimitError, match="emission-time pricing entries"):
             emission_time_lp_value(big)
@@ -186,6 +240,21 @@ class TestExactMaxima:
         assert result.exact
         assert result.value == pytest.approx(2.0, abs=1e-12)
         assert len(result.witness.vertices) == 1
+
+    def test_enumeration_limit_comes_before_any_array(self, monkeypatch):
+        class Started(Exception):
+            pass
+
+        def fail(*args):
+            raise Started
+
+        monkeypatch.setattr(strategyopt, "_side_arrays", fail)
+        # the 20-term plain game passes the guard; 22 and 40 terms do not
+        with pytest.raises(Started):
+            max_statistic(game(ModelClass.plain_local_realism, chain_settings(20)))
+        for terms in (22, 40):
+            with pytest.raises(ResourceLimitError, match="enumeration entries"):
+                max_statistic(game(ModelClass.plain_local_realism, chain_settings(terms)))
 
     def test_plain_six_terms(self, chain6m):
         result = max_statistic(game(ModelClass.plain_local_realism, chain6m))
@@ -265,7 +334,7 @@ class TestOptimizer:
         assert result.value == pytest.approx(4.0, abs=1e-6)
         assert result.value <= 4.0 + 1e-6
 
-    @pytest.mark.parametrize("terms", [4, 6])
+    @pytest.mark.parametrize("terms", [4, 6, 8])
     def test_outcomes_only_search_is_exact_with_a_basic_witness(self, terms):
         chains = [chain_settings(terms), random_settings_chain(terms, RandomSource(seed=9))]
         for k, chain in enumerate(chains):
@@ -289,7 +358,7 @@ class TestOptimizer:
     def test_resource_limit_in_optimizer(self):
         for g in (
             game(ModelClass.emission_time_realism, chain_settings(14)),
-            game(ModelClass.outcomes_only, chain_settings(8)),
+            game(ModelClass.outcomes_only, chain_settings(14)),
         ):
             with pytest.raises(ResourceLimitError):
                 max_statistic(g, OptimizerBudget(restarts=1))
@@ -380,18 +449,18 @@ class TestOptimizer:
         from scipy.optimize import linprog
 
         g = game(factory, random_settings_chain(terms, RandomSource(seed=terms)))
-        sides = _side_arrays(g.model.kind, g.n_settings)
         _, _, signs = _cell_indices(g)
         rng = np.random.default_rng(terms)
         restarts, blocks = [], []
         for size in (8, 40, 192, 192):
-            r = _Restart(*_restart_support(g, sides, sides, OptimizerBudget(support_size=size), rng))
-            _open_round(g, sides, sides, r, signs)
+            r = _Restart(*_restart_support(g, OptimizerBudget(support_size=size), rng))
+            _open_round(g, r, signs)
             restarts.append(r)
             # the block's whole LP, built here from the row builders
-            mass, num = _support_matrices(g, sides, sides, r.idx1, r.idx2)
+            atoms = _atoms(g, r.idx1, r.idx2)
+            mass, num = _support_matrices(g, *atoms)
             if g.has_equal_mass_constraint:
-                A, b = _constraints(g, sides, sides, r.idx1, r.idx2)
+                A, b = _constraints(g, *atoms)
             else:
                 A, b = np.vstack([mass.T, np.ones(r.idx1.size)]), np.append(r.w @ mass, 1.0)
             blocks.append((num @ _pattern_coef(signs, r.m, r.groups), A, b))
@@ -501,8 +570,8 @@ class TestOptimizer:
                 for ep1, ep2 in arrivals:
                     o1, l1 = rng.integers(2**n), rng.integers(2**n)
                     o2, l2 = rng.integers(2**n), rng.integers(2**n)
-                    picks1.append(_et_vertex_index(n, o1, l1, ep1))
-                    picks2.append(_et_vertex_index(n, o2, l2, ep2))
+                    picks1.append(_vertex_index(n, o1, l1, ep1))
+                    picks2.append(_vertex_index(n, o2, l2, ep2))
             extra = max(budget.support_size - len(picks1), 8)
             picks1.extend(int(x) for x in rng.integers(sides.size, size=extra))
             picks2.extend(int(x) for x in rng.integers(sides.size, size=extra))
@@ -518,7 +587,7 @@ class TestOptimizer:
         sides = _side_arrays(g.model.kind, g.n_settings)
         for seed, size in itertools.product((0, 5, 7, 2**40 + 3), (1, 40, 192)):
             budget = OptimizerBudget(support_size=size)
-            got = _restart_support(g, sides, sides, budget, np.random.default_rng(seed))
+            got = _restart_support(g, budget, np.random.default_rng(seed))
             ref = scalar_support(g, sides, budget, np.random.default_rng(seed))
             for a, b in zip(got, ref):
                 np.testing.assert_array_equal(a, b)
@@ -536,9 +605,8 @@ class TestOptimizer:
     )
     def test_search_size_counts_every_atom_a_support_can_hold(self, factory, terms, support):
         g = game(factory, chain_settings(terms))
-        sides = _side_arrays(g.model.kind, g.n_settings)
         budget = OptimizerBudget(support_size=support)
-        drawn = _restart_support(g, sides, sides, budget, np.random.default_rng(0))[0].size
+        drawn = _restart_support(g, budget, np.random.default_rng(0))[0].size
         per_restart = drawn + _COLUMN_ROUNDS * _COLUMNS_PER_ROUND
         at_limit = _SEARCH_ATOM_LIMIT // per_restart
         _check_search_size(g, OptimizerBudget(restarts=at_limit, support_size=support))
@@ -581,6 +649,16 @@ class TestEvaluateMixed:
         )
         with pytest.raises(ValueError, match="outside this game's class"):
             evaluate_mixed(g, foreign)
+        # path realism holds one arrival class for every setting
+        g = game(ModelClass.path_realism, chain4m)
+        with pytest.raises(ValueError, match="outside this game's class"):
+            evaluate_mixed(g, foreign)
+        # maps for four settings where the game has two, on every vertex alike
+        wide = SiteVertex(outcomes=(1, -1, 1, 1), early=(True,) * 4, detected=(True,) * 4)
+        with pytest.raises(ValueError, match="outside this game's class"):
+            evaluate_mixed(
+                g, MixedStrategy(vertices=(DeterministicVertex(wide, wide),), weights=(1.0,))
+            )
         # malformed maps: a value off the outcome or flag alphabet, a wrong
         # length, a missing late map
         g = game(ModelClass.emission_time_realism, chain4m)
@@ -616,7 +694,8 @@ class TestEvaluateMixed:
         g = game(factory, chain4m)
         sides = _side_arrays(g.model.kind, g.n_settings)
         rows = np.random.default_rng(23).permutation(sides.size)
-        found = _side_rows(sides, [_site_vertex(sides, int(k)) for k in rows])
+        vertices = [_site_vertex(sides, int(k)) for k in rows]
+        found = _side_rows(g.model.kind, g.n_settings, vertices)
         assert found.tolist() == rows.tolist()
 
 
@@ -735,9 +814,8 @@ class TestLpCrossCheck:
         rng = np.random.default_rng(42)
         for chain in (chain4m, random_term_chain(4, rng)):
             g = game(ModelClass.emission_time_realism, chain)
-            sides = _side_arrays(g.model.kind, g.n_settings)
             reference = full_lp_pattern_values(g)
-            values = {p: _et_lp_value(g, sides, np.array(p)) for p in reference}
+            values = {p: _et_lp_value(g, np.array(p)) for p in reference}
             for pattern, value in values.items():
                 assert value == pytest.approx(reference[pattern], abs=1e-9)
                 # flipping every site-1 outcome negates all correlations
@@ -746,9 +824,8 @@ class TestLpCrossCheck:
 
     def test_six_term_patterns_pair_up_under_negation(self, chain6m):
         g = game(ModelClass.emission_time_realism, chain6m)
-        sides = _side_arrays(g.model.kind, g.n_settings)
         patterns = _sign_patterns(3)
-        values = [_et_lp_value(g, sides, p) for p in patterns]
+        values = [_et_lp_value(g, p) for p in patterns]
         # row k and row 7 - k of _sign_patterns are negations of each other
         for k in range(4):
             assert np.array_equal(patterns[7 - k], -patterns[k])
@@ -782,6 +859,14 @@ class TestVerifyBound:
         assert report.lp_value == pytest.approx(3.0, abs=1e-7)
         assert report.best_value == pytest.approx(report.lp_value, abs=1e-6)
 
+    def test_four_term_bound_is_checked_before_the_search(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("the enumeration started")
+
+        monkeypatch.setattr(strategyopt, "max_statistic", fail)
+        with pytest.raises(ValueError, match="4 terms only"):
+            verify_bound(game(ModelClass.path_realism, chain_settings(6)))
+
     def test_json_dict_witness_toggle(self, chain4m):
         report = verify_bound(game(ModelClass.plain_local_realism, chain4m))
         with_witness = report.to_json_dict()
@@ -791,44 +876,85 @@ class TestVerifyBound:
         json.dumps(with_witness)
 
 
+def dense_outcomes_only_prices(g, c, y):
+    """Price of every outcomes-only joint vertex, the whole (S, S) matrix:
+    sum_t sel_t (c_t o1 o2 - y_t), rows site-1 vertices, columns site-2.
+
+    Every component factorizes over the sites, so the matrix is a handful
+    of small matrix products; the selection is
+    det1 det2 (e1 e2 + (1 - e1)(1 - e2)).  64^n entries, so the tests use
+    it up to 6 terms."""
+    a_idx, b_idx, _ = _cell_indices(g)
+    sides = _side_arrays(g.model.kind, g.n_settings)
+
+    def prod(f1, f2, coeff):
+        return (f1 * coeff[None, :]) @ f2.T
+
+    o1, e1, det1 = (
+        x[:, a_idx].astype(np.float64) for x in (sides.outcomes, sides.early, sides.detected)
+    )
+    o2, e2, det2 = (
+        x[:, b_idx].astype(np.float64) for x in (sides.outcomes, sides.early, sides.detected)
+    )
+    g1, g2 = det1 * e1, det2 * e2
+    h1, h2 = det1 * (1.0 - e1), det2 * (1.0 - e2)
+    score = prod(g1 * o1, g2 * o2, c) + prod(h1 * o1, h2 * o2, c)
+    score -= prod(g1, g2, y) + prod(h1, h2, y)
+    return score
+
+
 class TestInsertionScores:
     @pytest.mark.parametrize(
         "factory", [ModelClass.emission_time_realism, ModelClass.outcomes_only]
     )
     def test_matches_finite_difference(self, chain4m, factory):
         g = game(factory, chain4m)
-        n = g.n_settings
-        s1 = _side_arrays(g.model.kind, n)
-        s2 = _side_arrays(g.model.kind, n)
+        size = _side_arrays(g.model.kind, g.n_settings).size
         rng = np.random.default_rng(19)
         k = 24
-        idx1 = rng.integers(0, s1.size, k)
-        idx2 = rng.integers(0, s2.size, k)
+        idx1 = rng.integers(0, size, k)
+        idx2 = rng.integers(0, size, k)
         w = rng.dirichlet(np.ones(k))
         _, _, signs = _cell_indices(g)
-        mass, num = _support_matrices(g, s1, s2, idx1, idx2)
+        mass, num = _support_matrices(g, *_atoms(g, idx1, idx2))
         stat0, corr, m, groups = _statistic(w, mass, num, signs)
         sig = np.where(groups >= 0.0, 1.0, -1.0)
         coef_over_m = np.repeat(sig, 2) * signs / np.maximum(m, 1e-12)
+        d = coef_over_m * corr
         if g.has_equal_mass_constraint:
             # the oracle's price with y = (c corr, sum c corr, 0)
-            d = coef_over_m * corr
             scores, v1s, v2s = _et_best_columns(g, coef_over_m, np.append(d, [d.sum(), 0.0]), 6)
-            picks = zip(v1s.tolist(), v2s.tolist(), scores.tolist())
         else:
-            dense = _cg_scores(g, s1, s2, coef_over_m, corr)
-            v1s, v2s = rng.integers(0, s1.size, 6), rng.integers(0, s2.size, 6)
-            picks = zip(v1s.tolist(), v2s.tolist(), dense[v1s, v2s].tolist())
+            scores, v1s, v2s = _oo_best_columns(g, coef_over_m, d, 6)
         eps = 1e-6
-        for v1, v2, score in picks:
-            mass_aug, num_aug = _support_matrices(
-                g, s1, s2, np.append(idx1, v1), np.append(idx2, v2)
-            )
+        for v1, v2, score in zip(v1s.tolist(), v2s.tolist(), scores.tolist()):
+            atoms = _atoms(g, np.append(idx1, v1), np.append(idx2, v2))
+            mass_aug, num_aug = _support_matrices(g, *atoms)
             stat_eps, _, _, _ = _statistic(
                 np.append(w, eps), mass_aug, num_aug, signs
             )
             fd = (stat_eps - stat0) / eps
             assert score == pytest.approx(fd, abs=2e-4)
+
+    @pytest.mark.parametrize("terms", [4, 6])
+    def test_outcomes_only_oracle_matches_dense_prices(self, terms):
+        rng = np.random.default_rng(47 + terms)
+        chains = (chain_settings(terms), random_settings_chain(terms, RandomSource(seed=terms)))
+        for chain in chains:
+            g = game(ModelClass.outcomes_only, chain)
+            for _ in range(5):
+                c, y = rng.normal(size=(2, terms))
+                dense = dense_outcomes_only_prices(g, c, y)
+                price, i, j = _oo_best_columns(g, c, y, 64)
+                assert price.size == 64
+                assert price[0] == pytest.approx(dense.max(), abs=1e-12)
+                assert np.all(np.diff(price) <= 0.0)
+                # each pair carries its own dense price, the best of its row
+                np.testing.assert_allclose(price, dense[i, j], rtol=0.0, atol=1e-12)
+                np.testing.assert_allclose(price, dense[i].max(axis=1), rtol=0.0, atol=1e-12)
+                # one pair per site-1 vertex, and no better row left out
+                assert np.unique(i).size == i.size
+                assert np.sort(dense.max(axis=1))[-64] == pytest.approx(price[-1], abs=1e-12)
 
 
 class TestModelWitnessBridge:
