@@ -3,14 +3,17 @@ Checking the bounds by brute force and by search
 ================================================
 
 Every bound used in the verdicts is a statement about a finite game:
-mixtures over deterministic per-setting response maps.  Small games can
-be solved exactly by enumerating the deterministic vertices.  The
-ratio-form games get a multi-start search by successive LP.  With every
-cell mass held fixed, each ascent step is one exact LP under the current
-sign pattern: the equal-mass game pins every cell mass to 1/2, and the
-outcomes-only game pins them at the start of each column round.  The
-equal-mass game is cross-checked by an exact linear program over every
-vertex, solved by column generation.
+mixtures over deterministic per-setting response maps.  One sign pattern
+of the absolute-value groups is enough everywhere: negating a set of
+settings' outcome maps carries any pattern to the all-+1 one and keeps
+every cell mass.  So the linear games are solved exactly over one site's
+outcome maps, the other site answering each setting with the sign of its
+column sum.  The ratio-form games get a multi-start search by successive
+LP.  With every cell mass held fixed, each ascent step is one exact LP
+under the current sign pattern: the equal-mass game pins every cell mass
+to 1/2, and the outcomes-only game pins them at the start of each column
+round.  The equal-mass game is cross-checked by one exact linear program
+over every vertex, solved by column generation.
 
 The local delay model itself appears here as a witness: projected onto
 game vertices it is a feasible mixture of the outcomes-only class, and

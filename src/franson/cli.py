@@ -370,9 +370,7 @@ def _scenario_table1() -> dict:
             {
                 "terms": terms,
                 "quantum_value": chained_quantum_value(terms),
-                "emission_time_bound": bound_for(
-                    ModelClass(kind=ModelKind.EMISSION_TIME_REALISM), terms
-                ),
+                "emission_time_bound": bound_for(ModelClass.emission_time_realism(), terms),
                 "plain_bound": bound_for(
                     ModelClass(kind=ModelKind.PLAIN_LOCAL_REALISM), terms
                 ),
@@ -475,7 +473,7 @@ def _cmd_visibility(args) -> dict:
             {
                 "terms": terms,
                 "quantum_value": chained_quantum_value(terms),
-                "emission_time_bound": terms - 1.0,
+                "emission_time_bound": bound_for(ModelClass.emission_time_realism(), terms),
                 "critical_visibility": cv,
                 "discriminates": cv < 1.0,
             }

@@ -3,12 +3,13 @@
 Deterministic local strategies with finitely many settings form the
 vertices of each model class; mixtures over them span the whole class.
 Classes whose statistic is linear in the mixture (plain local realism,
-path realism) are maximized exactly by enumeration.  Classes with
-strategy-dependent postselection (outcomes-only selection, emission-time
-realism) have a ratio-form statistic and are searched by multi-start
-ascent over mixture weights; reports carry the best value found and never
-claim exactness for the searched classes.  Both are climbed by successive
-LP.  With every cell mass held fixed the statistic is at least the linear
+path realism) are maximized exactly over the site-1 outcome maps, the
+best site-2 response in closed form.  Classes with strategy-dependent
+postselection (outcomes-only selection, emission-time realism) have a
+ratio-form statistic and are searched by multi-start ascent over mixture
+weights; reports carry the best value found and never claim exactness
+for the searched classes.  Both are climbed by successive LP.  With
+every cell mass held fixed the statistic is at least the linear
 objective of its current sign pattern, with equality at the current
 point, so each ascent step is one exact LP under that pattern (the full
 conditional-gradient step of Frank and Wolfe).  In the emission-time game
@@ -19,13 +20,13 @@ still climbing into one block-diagonal LP, which is separable, so one
 solve gives each restart its own optimum.  Only the columns that can be
 in an optimum go to the solver: of atoms sharing a column of constraint
 rows, those of the largest objective, one per set of interchangeable
-atoms.  An independent LP over every emission-time joint vertex gives
-that game's exact value.  The column rounds and the LP price joint
-vertices with structured oracles and never build a joint-vertex array:
-``_et_best_columns`` maximizes over arrival and site-1 outcome maps, the
-rest in closed form; ``_oo_best_columns`` separates over the site-2
-settings.  A site vertex is a mixed-radix index of its maps, decoded by
-bit shifts where it is needed.
+atoms.  An independent LP over every emission-time joint vertex, under
+the all-+1 sign pattern alone, gives that game's exact value.  The
+column rounds and the LP price joint vertices with structured oracles
+and never build a joint-vertex array: ``_et_best_columns`` maximizes
+over arrival and site-1 outcome maps, the rest in closed form;
+``_oo_best_columns`` separates over the site-2 settings.  A site vertex
+is a mixed-radix index of its maps, decoded by bit shifts where needed.
 """
 
 from __future__ import annotations
@@ -149,12 +150,8 @@ def _map_bits(maps: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(octets, axis=1, count=n, bitorder="little").view(bool)
 
 
-def _sign_patterns(n: int) -> np.ndarray:
-    return 1 - 2 * _map_bits(np.arange(2**n), n).view(np.int8)
-
-
 def _sign_index(x: np.ndarray) -> np.ndarray:
-    """Row of ``_sign_patterns`` holding sign(x) along the last axis, +1 at 0."""
+    """Index of the outcome map sign(x) along the last axis, +1 at 0."""
     return (x < 0) @ (1 << np.arange(x.shape[-1]))
 
 
@@ -301,6 +298,15 @@ def _cell_indices(game: GameSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     b_idx = np.array([j for _, j, _ in game.chain.term_order])
     signs = np.array([s for _, _, s in game.chain.term_order], dtype=float)
     return a_idx, b_idx, signs
+
+
+def _column_sums(game: GameSpec, x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """sum_{t: b_t = b} c_t x[..., a_t] per site-2 setting b, for site-1
+    values x per setting.  Against a site-1 outcome map x, the best site-2
+    outcome at b is the sign of its column sum, worth its absolute value."""
+    a_idx, b_idx, _ = _cell_indices(game)
+    to_b = (b_idx[:, None] == np.arange(game.n_settings)).astype(np.float64)
+    return (x[..., a_idx] * c) @ to_b
 
 
 def _atoms(game: GameSpec, idx1, idx2) -> tuple[_SideArrays, _SideArrays]:
@@ -476,8 +482,9 @@ class MaxStatisticResult:
     notes: str = ""
 
 
-# entries of the enumeration's (vertex pair, term) arrays: the 20-term plain
-# game fits and peaks at about 0.5 GB, the 22-term one would take several GB
+# entries of the exact maximum's (site-1 map, term) arrays: the 38-term
+# games fit, and verify-bounds peaks at 293 MB there; at 40 terms it
+# would peak at 565 MB, above the 526 MB of the old 20-term enumeration
 _ENUMERATION_LIMIT = 1 << 25
 
 
@@ -485,33 +492,33 @@ def _exact_vertex_max(game: GameSpec) -> MaxStatisticResult:
     """Exact maximum for classes whose statistic is linear in the mixture.
 
     Conditional weights then do not depend on the settings, so the maximum
-    over mixtures is attained at a single deterministic vertex.
+    over mixtures is attained at a single deterministic vertex.  One sign
+    pattern of the groups, the all-+1 one, has every pattern's maximum
+    (see ``emission_time_lp_value``), and against each site-1 outcome map
+    the best site-2 map is the sign of its ``_column_sums``: a maximum over
+    the 2^n site-1 maps.  Path realism has the same value, with both
+    constant arrival classes early; mismatched classes never coincide.
     """
     kind, n = game.model.kind, game.n_settings
-    size = _side_size(kind, n) ** 2 * game.chain.terms
+    size = 2**n * game.chain.terms
     if size > _ENUMERATION_LIMIT:
         raise ResourceLimitError(
             f"{size} enumeration entries exceed the limit {_ENUMERATION_LIMIT}"
         )
-    sides = _side_arrays(kind, n)  # both sites share one vertex set
-    a_idx, b_idx, signs = _cell_indices(game)
-    f1 = sides.outcomes[:, a_idx].astype(np.float64)
-    f2 = sides.outcomes[:, b_idx].astype(np.float64)
-    corr = f1[:, None, :] * f2[None, :, :]
-    signed = corr * signs[None, None, :]
-    groups = signed[:, :, 0::2] + signed[:, :, 1::2]
-    stats = np.abs(groups).sum(axis=2)
+    _, _, signs = _cell_indices(game)
+    sums = _column_sums(game, _side_arrays(ModelKind.PLAIN_LOCAL_REALISM, n).outcomes, signs)
+    values = np.abs(sums).sum(axis=1)
+    k1 = int(np.argmax(values))
+    rows = np.array([k1, _sign_index(sums[k1])])
     if kind is ModelKind.PATH_REALISM:
-        # only vertices with matching constant arrival classes coincide at all
-        c = sides.early[:, 0]
-        stats = np.where(c[:, None] == c[None, :], stats, -np.inf)
-    k1, k2 = np.unravel_index(np.argmax(stats), stats.shape)
+        rows = 2 * rows  # the same outcome maps, early arrival class
+    sides = _side_arrays(kind, n, rows)
     witness = MixedStrategy(
-        vertices=(DeterministicVertex(_site_vertex(sides, k1), _site_vertex(sides, k2)),),
+        vertices=(DeterministicVertex(_site_vertex(sides, 0), _site_vertex(sides, 1)),),
         weights=(1.0,),
     )
     return MaxStatisticResult(
-        value=float(stats[k1, k2]),
+        value=float(values[k1]),
         witness=witness,
         exact=True,
         restarts_used=0,
@@ -566,9 +573,9 @@ def _et_best_columns(game: GameSpec, c: np.ndarray, y: np.ndarray, k: int):
     (y = (c corr, sum c corr, 0)).  The late part depends on the arrival
     maps only through lam1 lam2 >= 0, so one pair of late maps is best for
     every arrival pair.  Given the arrival maps and the site-1 outcome map,
-    the best site-2 outcome per setting is the sign of its column sum, so
-    the early part is a maximum over 8^n (arrival, outcome, arrival)
-    triples.  No (S, .) array is built.
+    the best site-2 outcome per setting is the sign of its column sum
+    (``_column_sums``), so the early part is a maximum over 8^n (arrival,
+    outcome, arrival) triples.  No (S, .) array is built.
 
     Returns the k arrival pairs of highest price, each with its best maps,
     as (price, site-1 rows, site-2 rows) of ``_side_arrays``, highest first.
@@ -578,17 +585,11 @@ def _et_best_columns(game: GameSpec, c: np.ndarray, y: np.ndarray, k: int):
     T = a_idx.size
     arrivals = _map_bits(np.arange(2**n), n).astype(np.float64)  # row = arrival map
     signs = 1.0 - 2.0 * arrivals  # row = outcome map
-    to_b = (b_idx[:, None] == np.arange(n)).astype(np.float64)
-
-    def column_sums(x):
-        """Site-1 values per setting -> sum_t c_t x[a_t], per site-2 setting."""
-        return (x[..., a_idx] * c) @ to_b
-
-    late = column_sums(signs)
+    late = _column_sums(game, signs, c)
     late_gain = np.abs(late).sum(axis=1)
     l1 = int(np.argmax(late_gain))
     l2 = int(_sign_index(late[l1]))
-    early = column_sums(arrivals[:, None, :] * signs[None, :, :])  # (e1, o1, b)
+    early = _column_sums(game, arrivals[:, None, :] * signs[None, :, :], c)  # (e1, o1, b)
     gain = np.abs(early) @ arrivals.T                               # (e1, o1, e2)
     o1 = gain.argmax(axis=1)                                        # (e1, e2)
     lam = 1.0 - arrivals.mean(axis=1)
@@ -631,12 +632,10 @@ def _oo_best_columns(game: GameSpec, c: np.ndarray, y: np.ndarray, k: int):
     0, early on a tie, else +1 and late.
     """
     n = game.n_settings
-    a_idx, b_idx, _ = _cell_indices(game)
-    masks = _map_bits(np.arange(2**n), n).astype(np.float64)[:, a_idx]  # row = mask map
+    masks = _map_bits(np.arange(2**n), n).astype(np.float64)  # row = mask map
     signs = 1.0 - 2.0 * masks  # row = outcome map
-    to_b = (b_idx[:, None] == np.arange(n)).astype(np.float64)
-    sums = (masks[:, None, :] * signs[None, :, :] * c) @ to_b  # (mask, o1, b)
-    gain = np.abs(sums) - ((masks * y) @ to_b)[:, None, :]
+    sums = _column_sums(game, masks[:, None, :] * signs[None, :, :], c)  # (mask, o1, b)
+    gain = np.abs(sums) - _column_sums(game, masks, y)[:, None, :]
     o1, e1, det1 = np.unravel_index(np.arange(8**n), (2**n,) * 3)  # site-1 maps per row
     early, late = gain[e1 & det1, o1], gain[~e1 & det1, o1]  # (S, b)
     price = np.maximum(np.maximum(early, late), 0.0).sum(axis=1)
@@ -852,27 +851,27 @@ def _add_columns(game: GameSpec, r: _Restart, signs) -> bool:
 def max_statistic(game: GameSpec, budget: OptimizerBudget | None = None) -> MaxStatisticResult:
     """Largest statistic found within the class, with a witness mixture.
 
-    Exact (enumeration) for plain local realism and path realism, which
-    raises ResourceLimitError past ``_ENUMERATION_LIMIT`` (plain local
-    realism past 20 terms).  Else a multi-start successive-LP search with
-    column rounds.  Each round's LP steps keep every cell mass fixed: at
-    1/2 by the equal-mass constraints of emission-time realism, at the
-    round's starting masses under outcomes-only selection.  A column round
-    adds the joint vertices of largest insertion derivative from the game's
-    structured oracle, ``_et_best_columns`` or ``_oo_best_columns``, which
-    open both games up to 12 terms.  A larger game raises
-    ResourceLimitError, as does a budget whose supports could outgrow
-    ``_SEARCH_ATOM_LIMIT`` atoms (``_check_search_size``), before any
-    support is drawn.  A restart ends after its last round, or earlier once
-    no column has a positive price (above 1e-12).  The restarts advance
-    through the rounds in lockstep: each LP step is one stacked LP over
-    every restart still climbing (``_lp_step``), and ``iterations`` still
-    caps the steps of each restart per round.  Each restart draws its
-    support from its own generator, seeded in turn from ``seed``, and gets
-    the same LP values as a solve of its own; only the choice among optimal
-    vertices of a degenerate LP can differ.  Every restart runs to
-    completion, and the first restart with the largest value gives the
-    witness.  A failed LP step raises RuntimeError.
+    Exact for plain local realism and path realism, which raises
+    ResourceLimitError past ``_ENUMERATION_LIMIT`` (beyond 38 terms).  Else
+    a multi-start successive-LP search with column rounds.  Each round's LP
+    steps keep every cell mass fixed: at 1/2 by the equal-mass constraints
+    of emission-time realism, at the round's starting masses under
+    outcomes-only selection.  A column round adds the joint vertices of
+    largest insertion derivative from the game's structured oracle,
+    ``_et_best_columns`` or ``_oo_best_columns``, which open both games up
+    to 12 terms.  A larger game raises ResourceLimitError, as does a budget
+    whose supports could outgrow ``_SEARCH_ATOM_LIMIT`` atoms
+    (``_check_search_size``), before any support is drawn.  A restart ends
+    after its last round, or earlier once no column has a positive price
+    (above 1e-12).  The restarts advance through the rounds in lockstep:
+    each LP step is one stacked LP over every restart still climbing
+    (``_lp_step``), and ``iterations`` still caps the steps of each restart
+    per round.  Each restart draws its support from its own generator,
+    seeded in turn from ``seed``, and gets the same LP values as a solve of
+    its own; only the choice among optimal vertices of a degenerate LP can
+    differ.  Every restart runs to completion, and the first restart with
+    the largest value gives the witness.  A failed LP step raises
+    RuntimeError.
     """
     kind = game.model.kind
     if kind in (ModelKind.PLAIN_LOCAL_REALISM, ModelKind.PATH_REALISM):
@@ -937,16 +936,52 @@ LP_OPTIMALITY_TOLERANCE = 1e-10
 _LP_MAX_ROUNDS = 1000
 
 
-def _et_lp_value(game: GameSpec, pattern: np.ndarray) -> float:
-    """Exact emission-time LP value under one sign pattern, by column
-    generation; see ``emission_time_lp_value``."""
+def emission_time_lp_value(game: GameSpec) -> float:
+    """Exact in-game maximum of the emission-time statistic, by one LP.
+
+    On the equal-mass manifold every cell mass equals 1/(2 n^2), so each
+    absolute-value sign pattern turns the statistic into a linear
+    functional of the mixture, and the game value is the largest of the
+    patterns' LP optima.  One LP, the all-+1 pattern, has that value.
+    Negating site-1 setting k's outcome maps, early and late, in every
+    vertex maps vertices one-to-one onto vertices, keeps every arrival map
+    (so every mass and constraint row) and negates the two terms that use
+    setting k.  Flipping a set of settings thus negates the terms that
+    cross it: a cut of the setting graph, whose nodes are the settings and
+    whose edges are the terms.  ``SettingsChain`` requires that graph to
+    be one cycle, and the cuts of a cycle are its even-size edge sets.  A
+    union of groups has even size, so every pattern becomes the all-+1
+    pattern under some flip, with the same LP value.
+
+    The LP is solved by column generation (Gilmore and Gomory, 1961), not
+    over all S1*S2 joint vertices.  The restricted master starts from the
+    four all-early / all-late vertex pairs at weight 1/4, which meet every
+    constraint; its rows and objective come from the search's own row
+    builders.  Each round prices every joint vertex at once with the
+    structured oracle ``_et_best_columns``, the pricing subproblem of
+    Dantzig-Wolfe decomposition: the reduced profit obj - y^T A under the
+    master's duals y is maximized over arrival maps and site-1 outcome
+    maps, with the site-2 outcome maps and the late maps solved in closed
+    form, in O(8^n terms) work.  The best columns of the 64 most profitable
+    arrival pairs join the master.  The weights sum to 1, so
+    y^T b + max(0, largest profit) bounds the LP from above, and the loop
+    stops once the largest profit is at most 1e-10: the master's value is
+    then within 1e-10 of the optimum.  Any other ending raises
+    RuntimeError; a game beyond the pricing size limit (more than 12 terms)
+    raises ResourceLimitError.  Independent of the successive-LP search,
+    which solves only its restart's support under the sign pattern it
+    climbs.
+    """
     from scipy.optimize import linprog
 
+    if game.model.kind is not ModelKind.EMISSION_TIME_REALISM:
+        raise ValueError("the LP cross-check applies to the emission-time game")
+    _check_pricing_size(game)
     n = game.n_settings
     S = _side_size(game.model.kind, n)
     _, _, signs = _cell_indices(game)
-    # corr_t = 2 * (early part + late part) once masses are pinned
-    coef = 2.0 * np.repeat(pattern, 2) * signs
+    # the all-+1 pattern; corr_t = 2 * (early part + late part) once masses are pinned
+    coef = 2.0 * signs
     # the arrival core with the all-+1 outcome maps, at weight 1/4 each
     i = np.array([_vertex_index(n, 0, 0, a) for a, _ in _arrival_core(n)])
     j = np.array([_vertex_index(n, 0, 0, a) for _, a in _arrival_core(n)])
@@ -972,43 +1007,6 @@ def _et_lp_value(game: GameSpec, pattern: np.ndarray) -> float:
         i = np.concatenate([i, new // S])
         j = np.concatenate([j, new % S])
     raise RuntimeError(f"LP column generation did not converge in {_LP_MAX_ROUNDS} rounds")
-
-
-def emission_time_lp_value(game: GameSpec) -> float:
-    """Exact in-game maximum of the emission-time statistic, via LPs.
-
-    On the equal-mass manifold every cell mass equals 1/(2 n^2), so each
-    absolute-value sign pattern turns the statistic into a linear
-    functional of the mixture; the maximum over the 2^(terms/2) patterns of
-    the LP optima is the exact game value.  Flipping every site-1 outcome,
-    early and late, negates all correlations and keeps every mass, so a
-    pattern and its negation have the same value: only the 2^(terms/2 - 1)
-    patterns with a leading +1 are solved.
-
-    Each LP is solved by column generation (Gilmore and Gomory, 1961), not
-    over all S1*S2 joint vertices.  The restricted master starts from the
-    four all-early / all-late vertex pairs at weight 1/4, which meet every
-    constraint; its rows and objective come from the search's own row
-    builders.  Each round prices every joint vertex at once with the
-    structured oracle ``_et_best_columns``, the pricing subproblem of
-    Dantzig-Wolfe decomposition: the reduced profit obj - y^T A under the
-    master's duals y is maximized over arrival maps and site-1 outcome
-    maps, with the site-2 outcome maps and the late maps solved in closed
-    form, in O(8^n terms) work.  The best columns of the 64 most profitable
-    arrival pairs join the master.  The weights sum to 1, so
-    y^T b + max(0, largest profit) bounds the LP from above, and the loop
-    stops once the largest profit is at most 1e-10: the master's value is
-    then within 1e-10 of the optimum.  Any other ending raises
-    RuntimeError; a game beyond the pricing size limit (more than 12 terms)
-    raises ResourceLimitError.  Independent of the successive-LP search,
-    which solves only its restart's support under the sign pattern it
-    climbs.
-    """
-    if game.model.kind is not ModelKind.EMISSION_TIME_REALISM:
-        raise ValueError("the LP cross-check applies to the emission-time game")
-    _check_pricing_size(game)
-    # rows of _sign_patterns with an even index lead with +1
-    return max(_et_lp_value(game, p) for p in _sign_patterns(game.n_settings)[0::2])
 
 
 # ---------------------------------------------------------------------------
@@ -1064,14 +1062,13 @@ def verify_bound(
     ``lp_check`` the emission-time game also gets its exact value,
     ``lp_value``.  Any other class, or a 4-term-only bound on a longer
     chain, raises ValueError before the search; an oversized game or
-    budget raises ResourceLimitError before the LP.
+    budget raises ResourceLimitError from the search, before any LP.
     """
-    if lp_check and game.has_equal_mass_constraint:
-        _check_pricing_size(game)
-        _check_search_size(game, budget or OptimizerBudget())
     bound = bound_for(game.model, game.chain.terms)
-    lp_value = emission_time_lp_value(game) if lp_check else None
+    if lp_check and not game.has_equal_mass_constraint:
+        raise ValueError("the LP cross-check applies to the emission-time game")
     result = max_statistic(game, budget)
+    lp_value = emission_time_lp_value(game) if lp_check else None
     best = result.value
     return BoundReport(
         model=game.model,

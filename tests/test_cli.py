@@ -145,9 +145,9 @@ class TestVerifyBounds:
         for flags in (
             ("--model-class", "outcomes-only", "--terms", "14"),
             ("--model-class", "emission-time-realism", "--terms", "14"),
-            # enumerations that would take several GB, or 320 TiB
-            ("--model-class", "plain-local-realism", "--terms", "22"),
+            # exact maxima over 2^20 and 2^65 site-1 maps, past the 38-term limit
             ("--model-class", "plain-local-realism", "--terms", "40"),
+            ("--model-class", "plain-local-realism", "--terms", "130"),
             # games that fit, with budgets whose supports would not
             ("--restarts", "1000000"),
             ("--model-class", "outcomes-only", "--support-size", "1000000"),

@@ -1,3 +1,4 @@
+import ast
 import math
 import pathlib
 import re
@@ -95,6 +96,30 @@ def test_every_public_name_is_used_outside_the_tests():
         if uses < 1:
             unused.append(name)
     assert unused == []
+
+
+def test_every_private_name_is_used_in_the_package():
+    # a private helper that only the tests call is dead weight too: each
+    # module-level name with a leading underscore must be read somewhere in
+    # the package, as a name or an attribute, beyond its own definition
+    package = pathlib.Path(__file__).resolve().parents[1] / "src" / "franson"
+    defined, read = set(), set()
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    private = {n for n in defined if n.startswith("_") and not n.endswith("__")}
+    assert private
+    assert sorted(private - read) == []
 
 
 class TestChainSettings:

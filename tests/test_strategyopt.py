@@ -48,7 +48,6 @@ from franson.strategyopt import (
     _column_classes,
     _constraints,
     _et_best_columns,
-    _et_lp_value,
     _lp_step,
     _oo_best_columns,
     _open_round,
@@ -56,7 +55,6 @@ from franson.strategyopt import (
     _restart_support,
     _side_arrays,
     _side_rows,
-    _sign_patterns,
     _site_vertex,
     _stacked_lp,
     _statistic,
@@ -234,6 +232,20 @@ class TestEnumeration:
             emission_time_lp_value(big)
 
 
+def enumerated_vertex_max(g):
+    """Largest statistic over every joint vertex of a linear class, from
+    the whole (S, S, terms) array of signed correlations.  Path-realism
+    vertices coincide only when their constant arrival classes match."""
+    sides = _side_arrays(g.model.kind, g.n_settings)
+    a_idx, b_idx, signs = _cell_indices(g)
+    signed = sides.outcomes[:, None, a_idx] * sides.outcomes[None, :, b_idx] * signs
+    stats = np.abs(signed[:, :, 0::2] + signed[:, :, 1::2]).sum(axis=2)
+    if g.model.kind is ModelKind.PATH_REALISM:
+        c = sides.early[:, 0]
+        stats = np.where(c[:, None] == c[None, :], stats, -np.inf)
+    return stats.max()
+
+
 class TestExactMaxima:
     def test_plain_four_terms(self, chain4m):
         result = max_statistic(game(ModelClass.plain_local_realism, chain4m))
@@ -249,12 +261,32 @@ class TestExactMaxima:
             raise Started
 
         monkeypatch.setattr(strategyopt, "_side_arrays", fail)
-        # the 20-term plain game passes the guard; 22 and 40 terms do not
-        with pytest.raises(Started):
-            max_statistic(game(ModelClass.plain_local_realism, chain_settings(20)))
-        for terms in (22, 40):
-            with pytest.raises(ResourceLimitError, match="enumeration entries"):
-                max_statistic(game(ModelClass.plain_local_realism, chain_settings(terms)))
+        # the guard counts 2^n site-1 maps times the terms for both classes:
+        # the 38-term games pass it; 40 and 130 terms do not
+        for factory in (ModelClass.plain_local_realism, ModelClass.path_realism):
+            with pytest.raises(Started):
+                max_statistic(game(factory, chain_settings(38)))
+            for terms in (40, 130):
+                with pytest.raises(ResourceLimitError, match="enumeration entries"):
+                    max_statistic(game(factory, chain_settings(terms)))
+
+    @pytest.mark.parametrize(
+        "factory, terms",
+        [(ModelClass.plain_local_realism, t) for t in (4, 6, 8, 10)]
+        + [(ModelClass.path_realism, t) for t in (4, 6, 8)],
+    )
+    def test_matches_the_whole_vertex_enumeration(self, factory, terms):
+        rng = np.random.default_rng(terms)
+        chains = [chain_settings(terms)] + [random_term_chain(terms, rng) for _ in range(2)]
+        for chain in chains:
+            g = game(factory, chain)
+            result = max_statistic(g)
+            assert result.exact
+            assert result.value == enumerated_vertex_max(g) == terms - 2
+            assert len(result.witness.vertices) == 1
+            ev = evaluate_mixed(g, result.witness)
+            assert ev.feasible
+            assert ev.statistic == result.value
 
     def test_plain_six_terms(self, chain6m):
         result = max_statistic(game(ModelClass.plain_local_realism, chain6m))
@@ -772,6 +804,73 @@ def random_term_chain(terms, rng):
             continue
 
 
+def groups_share_a_setting(chain):
+    """Whether the two terms of every group share a setting on some site."""
+    return all(a[0] == b[0] or a[1] == b[1] for a, b in chain.groups)
+
+
+class TestOneSignPattern:
+    """Why the all-+1 sign pattern alone gives the exact maximum: negating
+    a set of settings' outcome maps in every vertex negates exactly the
+    terms that cross that set, a cut of the chain's setting graph, and
+    keeps every mass; every union of groups is such a cut."""
+
+    @pytest.mark.parametrize("terms", [4, 6, 8])
+    def test_every_union_of_groups_is_a_cut(self, terms):
+        rng = np.random.default_rng(terms)
+        chains = [chain_settings(terms)] + [random_term_chain(terms, rng) for _ in range(3)]
+        assert not all(groups_share_a_setting(c) for c in chains)
+        n = terms // 2
+        for chain in chains:
+            # nodes 0..n-1 are the site-1 settings, n..2n-1 the site-2 ones;
+            # a set of nodes is a bit mask, and so is a set of terms
+            ends = [(i, n + j) for i, j, _ in chain.term_order]
+            cuts = {
+                sum(1 << t for t, (u, v) in enumerate(ends) if (nodes >> u ^ nodes >> v) & 1)
+                for nodes in range(2**terms)
+            }
+            # a connected graph has 2^(nodes - 1) cuts; a cycle's are its
+            # 2^(terms - 1) even-size edge sets
+            assert len(cuts) == 2 ** (terms - 1)
+            assert all(bin(cut).count("1") % 2 == 0 for cut in cuts)
+            for groups in range(2**n):
+                union = sum(0b11 << 2 * k for k in range(n) if groups >> k & 1)
+                assert union in cuts
+
+    @pytest.mark.parametrize(
+        "factory",
+        [ModelClass.plain_local_realism, ModelClass.path_realism,
+         ModelClass.emission_time_realism, ModelClass.outcomes_only],
+    )
+    def test_flipping_settings_negates_the_terms_that_cross(self, factory):
+        rng = np.random.default_rng(7)
+        g = game(factory, random_term_chain(6, rng))
+        n = g.n_settings
+        size = _side_arrays(g.model.kind, n).size
+        a_idx, b_idx, _ = _cell_indices(g)
+
+        def flip(sides, settings):
+            sign = np.where(settings, -1, 1).astype(np.int8)
+            late = sides.late_outcomes
+            return replace(
+                sides,
+                outcomes=sides.outcomes * sign,
+                late_outcomes=None if late is None else late * sign,
+            )
+
+        for _ in range(4):
+            s1, s2 = _atoms(g, *rng.integers(size, size=(2, 50)))
+            x1, x2 = rng.random((2, n)) < 0.5
+            mass, num = _support_matrices(g, s1, s2)
+            f1, f2 = flip(s1, x1), flip(s2, x2)
+            flipped_mass, flipped_num = _support_matrices(g, f1, f2)
+            crossing = x1[a_idx] != x2[b_idx]
+            np.testing.assert_array_equal(flipped_mass, mass)
+            np.testing.assert_array_equal(flipped_num, np.where(crossing, -num, num))
+            for before, after in zip(_constraints(g, s1, s2), _constraints(g, f1, f2)):
+                np.testing.assert_array_equal(after, before)
+
+
 class TestLpCrossCheck:
     def test_exact_value_four_terms(self, chain4m):
         g = game(ModelClass.emission_time_realism, chain4m)
@@ -782,13 +881,20 @@ class TestLpCrossCheck:
             emission_time_lp_value(game(ModelClass.plain_local_realism, chain4m))
 
     def test_matches_full_lp_on_standard_and_random_chains(self, chain4m):
+        # every sign pattern's dense LP has the one LP's value, on term
+        # orders whose groups share a setting and on ones whose groups do not
         rng = np.random.default_rng(41)
         chains = [chain4m] + [random_term_chain(4, rng) for _ in range(6)]
         assert len({c.term_order for c in chains}) > 3
+        assert groups_share_a_setting(chain4m)
+        assert not all(groups_share_a_setting(c) for c in chains)
         for chain in chains:
             g = game(ModelClass.emission_time_realism, chain)
-            reference = max(full_lp_pattern_values(g).values())
-            assert emission_time_lp_value(g) == pytest.approx(reference, abs=1e-9)
+            value = emission_time_lp_value(g)
+            reference = full_lp_pattern_values(g)
+            assert len(reference) == 4
+            for pattern_value in reference.values():
+                assert pattern_value == pytest.approx(value, abs=1e-9)
 
     @pytest.mark.parametrize("terms", [4, 6])
     def test_oracle_price_matches_dense_lp(self, chain4m, terms):
@@ -809,28 +915,6 @@ class TestLpCrossCheck:
                 assert np.all(np.diff(price) <= 0.0)
                 # each returned column carries its own dense price
                 assert np.allclose(price, dense[i * S + j], rtol=0.0, atol=1e-9)
-
-    def test_every_pattern_matches_full_lp_and_its_negation(self, chain4m):
-        rng = np.random.default_rng(42)
-        for chain in (chain4m, random_term_chain(4, rng)):
-            g = game(ModelClass.emission_time_realism, chain)
-            reference = full_lp_pattern_values(g)
-            values = {p: _et_lp_value(g, np.array(p)) for p in reference}
-            for pattern, value in values.items():
-                assert value == pytest.approx(reference[pattern], abs=1e-9)
-                # flipping every site-1 outcome negates all correlations
-                negated = tuple(-x for x in pattern)
-                assert value == pytest.approx(values[negated], abs=1e-9)
-
-    def test_six_term_patterns_pair_up_under_negation(self, chain6m):
-        g = game(ModelClass.emission_time_realism, chain6m)
-        patterns = _sign_patterns(3)
-        values = [_et_lp_value(g, p) for p in patterns]
-        # row k and row 7 - k of _sign_patterns are negations of each other
-        for k in range(4):
-            assert np.array_equal(patterns[7 - k], -patterns[k])
-            assert values[k] == pytest.approx(values[7 - k], abs=1e-9)
-        assert max(values) == pytest.approx(5.0, abs=1e-9)
 
     def test_eight_term_game_is_solved_exactly(self):
         g = game(ModelClass.emission_time_realism, chain_settings(8))
@@ -861,11 +945,14 @@ class TestVerifyBound:
 
     def test_four_term_bound_is_checked_before_the_search(self, monkeypatch):
         def fail(*args):
-            raise AssertionError("the enumeration started")
+            raise AssertionError("the search started")
 
         monkeypatch.setattr(strategyopt, "max_statistic", fail)
         with pytest.raises(ValueError, match="4 terms only"):
             verify_bound(game(ModelClass.path_realism, chain_settings(6)))
+        # so is the class of an LP check, which the search now precedes
+        with pytest.raises(ValueError, match="emission-time game"):
+            verify_bound(game(ModelClass.outcomes_only, chain_settings(4)), lp_check=True)
 
     def test_json_dict_witness_toggle(self, chain4m):
         report = verify_bound(game(ModelClass.plain_local_realism, chain4m))
