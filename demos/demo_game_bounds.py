@@ -13,7 +13,9 @@ LP.  With every cell mass held fixed, each ascent step is one exact LP
 under the current sign pattern: the equal-mass game pins every cell mass
 to 1/2, and the outcomes-only game pins them at the start of each column
 round.  The equal-mass game is cross-checked by one exact linear program
-over every vertex, solved by column generation.
+with one column per pair of arrival maps: every vertex with the same
+arrival maps has the same constraint column, so only the best of them
+can matter.
 
 The local delay model itself appears here as a witness: projected onto
 game vertices it is a feasible mixture of the outcomes-only class, and
@@ -38,10 +40,10 @@ from franson import (
 chain4 = chain_settings(4)
 chain6 = chain_settings(6)
 
-print("exact enumeration, four-term games")
+print("exact maxima, four-term games")
 for model in (ModelClass.plain_local_realism(), ModelClass.path_realism()):
     result = max_statistic(GameSpec(model, chain4))
-    print(f"  {model.kind.value:>22}: max = {result.value:.6f} over {result.notes}")
+    print(f"  {model.kind.value:>22}: max = {result.value:.6f} ({result.notes})")
 
 print()
 print("multi-start search, equal-mass and outcomes-only games")

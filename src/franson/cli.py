@@ -162,7 +162,7 @@ def _timing(args) -> InterferometerTiming:
 
 def _model_class(name: str, eta: float | None) -> ModelClass:
     kind = ModelKind(name)
-    if kind in (ModelKind.INEFFICIENCY, ModelKind.DELAYS):
+    if kind.takes_efficiency:
         if eta is None:
             raise ConfigError(f"{name} requires --eta")
         return ModelClass(kind=kind, eta=float(eta))
@@ -170,14 +170,13 @@ def _model_class(name: str, eta: float | None) -> ModelClass:
 
 
 def _verdict_models(terms: int) -> list[ModelClass]:
-    models = [
-        ModelClass(kind=ModelKind.EMISSION_TIME_REALISM),
-        ModelClass(kind=ModelKind.PLAIN_LOCAL_REALISM),
-        ModelClass(kind=ModelKind.OUTCOMES_ONLY),
+    """Every class without an efficiency whose bound is defined at ``terms``:
+    emission-time realism, the paper's claim, first, the 4-term-only ones last."""
+    kinds = [
+        k for k in ModelKind if not k.takes_efficiency and (terms == 4 or not k.four_term_only)
     ]
-    if terms == 4:
-        models.append(ModelClass(kind=ModelKind.PATH_REALISM))
-    return models
+    kinds.sort(key=lambda k: (k is not ModelKind.EMISSION_TIME_REALISM, k.four_term_only))
+    return [ModelClass(kind=k) for k in kinds]
 
 
 def _require_coverage(table, chain: SettingsChain) -> None:
@@ -435,18 +434,12 @@ def _cmd_bounds(args) -> dict:
     rows = []
     for kind in ModelKind:
         row: dict = {"model": kind.value}
-        needs_eta = kind in (ModelKind.INEFFICIENCY, ModelKind.DELAYS)
-        applicable = terms == 4 or kind in (
-            ModelKind.PLAIN_LOCAL_REALISM,
-            ModelKind.EMISSION_TIME_REALISM,
-            ModelKind.OUTCOMES_ONLY,
-        )
-        if needs_eta:
+        if kind.takes_efficiency:
             row["threshold_efficiency"] = threshold_efficiency(kind)
-        if not applicable:
+        if kind.four_term_only and terms != 4:
             row["bound"] = None
             row["note"] = "defined for 4 terms only"
-        elif needs_eta and eta is None:
+        elif kind.takes_efficiency and eta is None:
             row["bound"] = None
             row["note"] = "pass --eta for a numeric bound"
         else:
@@ -549,7 +542,9 @@ def _cmd_report(args) -> dict:
     table = correlation_from_pairs(result.pairs)
     chain = chain_settings(int(args.terms))
     _require_coverage(table, chain)
-    if args.eta is not None and args.model_class not in ("inefficiency", "delays"):
+    if args.eta is not None and not (
+        args.model_class and ModelKind(args.model_class).takes_efficiency
+    ):
         raise ConfigError("--eta needs --model-class inefficiency or delays")
     if args.model_class:
         models = [_model_class(args.model_class, args.eta)]

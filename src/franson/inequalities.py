@@ -122,6 +122,16 @@ class ModelKind(Enum):
     EMISSION_TIME_REALISM = "emission-time-realism"
     OUTCOMES_ONLY = "outcomes-only"
 
+    @property
+    def takes_efficiency(self) -> bool:
+        """Whether the class's bound depends on a detection efficiency."""
+        return self in _KINDS_WITH_ETA
+
+    @property
+    def four_term_only(self) -> bool:
+        """Whether the class's bound is defined for the 4-term statistic only."""
+        return self in _CHSH_ONLY
+
 
 _KINDS_WITH_ETA = {ModelKind.INEFFICIENCY, ModelKind.DELAYS}
 # classes whose bound is only defined for the 4-term statistic
@@ -136,7 +146,7 @@ class ModelClass:
     eta: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind in _KINDS_WITH_ETA:
+        if self.kind.takes_efficiency:
             if self.eta is None or not (0.0 < self.eta <= 1.0):
                 raise ValueError(f"{self.kind.value} requires an efficiency in (0, 1]")
         elif self.eta is not None:
@@ -182,7 +192,7 @@ def bound_for(model: ModelClass, terms: int) -> float:
     """
     if terms < 4 or terms % 2 != 0:
         raise ValueError(f"terms must be an even number >= 4, got {terms}")
-    if model.kind in _CHSH_ONLY and terms != 4:
+    if model.kind.four_term_only and terms != 4:
         raise ValueError(f"{model.kind.value} bound is defined for 4 terms only")
     if model.kind is ModelKind.PLAIN_LOCAL_REALISM:
         raw = terms - 2.0

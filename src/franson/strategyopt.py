@@ -17,16 +17,22 @@ the equal-mass constraints pin every cell mass to 1/2; under outcomes-only
 selection each column round pins the masses at its starting point.  The
 restarts climb in lockstep: each step stacks the LPs of every restart
 still climbing into one block-diagonal LP, which is separable, so one
-solve gives each restart its own optimum.  Only the columns that can be
-in an optimum go to the solver: of atoms sharing a column of constraint
-rows, those of the largest objective, one per set of interchangeable
-atoms.  An independent LP over every emission-time joint vertex, under
-the all-+1 sign pattern alone, gives that game's exact value.  The
-column rounds and the LP price joint vertices with structured oracles
-and never build a joint-vertex array: ``_et_best_columns`` maximizes
-over arrival and site-1 outcome maps, the rest in closed form;
-``_oo_best_columns`` separates over the site-2 settings.  A site vertex
-is a mixed-radix index of its maps, decoded by bit shifts where needed.
+solve gives each restart its own optimum.
+
+Every LP here rests on one argument.  Two columns with the same
+constraint column are alike in every row, so moving weight from one to
+the other keeps the LP feasible, and moving it to the one of larger
+objective does not lower the objective: an LP that keeps only the best
+column of each constraint column has the same value.  So each search
+step hands the solver one atom per distinct constraint column of its
+support, and the emission-time game's exact value, under the all-+1
+sign pattern alone, is one LP over its 4^n arrival pairs, each with its
+best outcome maps.  The column rounds and the LP find those with
+structured oracles and never build a joint-vertex array:
+``_et_best_columns`` maximizes over arrival and site-1 outcome maps, the
+rest in closed form; ``_oo_best_columns`` separates over the site-2
+settings.  A site vertex is a mixed-radix index of its maps, decoded by
+bit shifts where needed.
 """
 
 from __future__ import annotations
@@ -522,7 +528,10 @@ def _exact_vertex_max(game: GameSpec) -> MaxStatisticResult:
         witness=witness,
         exact=True,
         restarts_used=0,
-        notes="complete vertex enumeration",
+        notes=(
+            "exact maximum over the site-1 outcome maps, "
+            "the site-2 best response in closed form"
+        ),
     )
 
 
@@ -568,9 +577,9 @@ def _et_best_columns(game: GameSpec, c: np.ndarray, y: np.ndarray, k: int):
     with E_t = e1 e2 the early-early mask of term t, o and l the early and
     late outcomes and e the arrival class at the term's settings, lam a
     site's late share, and y one entry per term, then a late-late and a
-    total entry.  This is the LP's reduced profit (c the pattern's
-    objective, y the master's duals) and the search's insertion derivative
-    (y = (c corr, sum c corr, 0)).  The late part depends on the arrival
+    total entry.  At y = 0 this is the LP's objective (c the pattern's
+    coefficients); at y = (c corr, sum c corr, 0) it is the search's
+    insertion derivative.  The late part depends on the arrival
     maps only through lam1 lam2 >= 0, so one pair of late maps is best for
     every arrival pair.  Given the arrival maps and the site-1 outcome map,
     the best site-2 outcome per setting is the sign of its column sum
@@ -656,12 +665,9 @@ class _Restart:
     """One restart of the search: its support and weights, the statistic
     at ``w``, and the LP of the column round it is climbing.
 
-    The round's LP keeps one atom of each set of interchangeable atoms
-    (equal columns of the round's constraint rows and equal numerators, so
-    equal in every LP and in the statistic, compared by value):
-    ``atoms`` are their smallest support indices, ascending.  ``A`` holds
-    the distinct constraint columns, and ``cls`` the column of each atom in
-    ``atoms``.  ``_column_classes`` finds all three with one sort.
+    ``A`` holds the distinct columns of the round's constraint rows, and
+    ``cls`` the index among them of each support atom's column, both from
+    ``_column_classes``.
     """
 
     idx1: np.ndarray
@@ -675,40 +681,30 @@ class _Restart:
     num: np.ndarray | None = None
     A: np.ndarray | None = None
     b: np.ndarray | None = None
-    atoms: np.ndarray | None = None
     cls: np.ndarray | None = None
 
 
-def _column_classes(A: np.ndarray, num: np.ndarray):
-    """Interchangeable atoms and distinct constraint columns of a support.
+def _column_classes(A: np.ndarray):
+    """Distinct columns of ``A`` and the class of each column among them.
 
-    ``A`` has one column per atom, ``num`` one row.  One stable
-    ``np.lexsort`` with the rows of ``A`` as the primary keys makes the
-    atoms with equal columns of ``A`` neighbours, and within them those
-    with equal numerators, in support order.  A change anywhere in ``A``
-    between neighbours starts a constraint class; a change in ``A`` or
-    ``num`` starts an atom class, led by its smallest support index.
-    Entries are compared by value, so 0.0 and -0.0 are one class.
-
-    Returns (atoms, distinct columns, cls): the leading support index of
-    each atom class in ascending order, the columns of ``A`` that differ,
-    and the index among them of each atom's column.
+    One stable ``np.lexsort`` with the rows of ``A`` as keys makes equal
+    columns neighbours; a change anywhere between neighbours starts a
+    class.  Entries are compared by value.  Returns (distinct columns, cls):
+    the columns that differ, in sorted order, and the index among them of
+    each column of ``A``.
     """
-    keys = np.vstack([num.T, A])
-    order = np.lexsort(keys)
-    ordered = keys[:, order]
-    step = ordered[:, 1:] != ordered[:, :-1]
-    new_a = np.concatenate([[True], step[num.shape[1]:].any(axis=0)])
-    new_atom = new_a | np.concatenate([[False], step[: num.shape[1]].any(axis=0)])
-    by_index = np.argsort(order[new_atom])
-    cls = (np.cumsum(new_a) - 1)[new_atom]
-    return order[new_atom][by_index], A[:, order[new_a]], cls[by_index]
+    order = np.lexsort(A)
+    ordered = A[:, order]
+    new = np.concatenate([[True], (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)])
+    cls = np.empty(order.size, dtype=np.int64)
+    cls[order] = np.cumsum(new) - 1
+    return ordered[:, new], cls
 
 
 def _open_round(game: GameSpec, r: _Restart, signs) -> None:
     """Set up a column round's LP for restart ``r`` at its current point:
     the support's rows and numerators, the statistic at ``w``, and the
-    atom and constraint classes of ``_column_classes``."""
+    constraint classes of ``_column_classes``."""
     s1, s2 = _atoms(game, r.idx1, r.idx2)
     r.mass, r.num = _support_matrices(game, s1, s2)
     if game.has_equal_mass_constraint:
@@ -718,7 +714,7 @@ def _open_round(game: GameSpec, r: _Restart, signs) -> None:
         A = np.vstack([r.mass.T, np.ones(r.idx1.size)])
         r.b = np.append(r.w @ r.mass, 1.0)
     r.stat, r.corr, r.m, r.groups = _statistic(r.w, r.mass, r.num, signs)
-    r.atoms, r.A, r.cls = _column_classes(A, r.num)
+    r.A, r.cls = _column_classes(A)
 
 
 def _block_diagonal(As):
@@ -770,27 +766,27 @@ def _lp_step(restarts: list[_Restart], signs) -> list[np.ndarray]:
     """One successive-LP step of every restart, in one stacked LP.
 
     Each restart maximizes the linear objective of its current sign pattern
-    over its round's feasible set.  Of the atoms sharing a constraint
-    column, only those of the largest objective go to the solver: moving
-    weight from any other to one of them raises the objective, so no
-    optimum uses it.  Returns each restart's new weights over its whole
-    support.
+    over its round's feasible set.  Two atoms with the same constraint
+    column are alike in every row, so moving weight from one to the other
+    keeps the LP feasible, and moving it to the one of larger objective
+    does not lower the objective.  The LP over one atom of largest
+    objective per constraint column, the first in support order, thus has
+    the whole support's optimum, and its constraint matrix is ``r.A``
+    itself.  Returns each restart's new weights over its whole support.
     """
-    objs, cols = [], []
+    objs, keeps = [], []
     for r in restarts:
-        obj = (r.num @ _pattern_coef(signs, r.m, r.groups))[r.atoms]
-        best = np.full(r.cls.max() + 1, -np.inf)
-        np.maximum.at(best, r.cls, obj)
-        keep = np.flatnonzero(obj >= best[r.cls])
+        obj = r.num @ _pattern_coef(signs, r.m, r.groups)
+        # by class, largest objective first, ties in support order
+        by_class = np.lexsort((-obj, r.cls))
+        keep = by_class[np.flatnonzero(np.diff(r.cls[by_class], prepend=-1))]
         objs.append(obj[keep])
-        cols.append(keep)
-    xs = _stacked_lp(
-        objs, [r.A[:, r.cls[c]] for r, c in zip(restarts, cols)], [r.b for r in restarts]
-    )
+        keeps.append(keep)
+    xs = _stacked_lp(objs, [r.A for r in restarts], [r.b for r in restarts])
     ws = []
-    for r, c, x in zip(restarts, cols, xs):
+    for r, keep, x in zip(restarts, keeps, xs):
         w = np.zeros(r.w.size)
-        w[r.atoms[c]] = x
+        w[keep] = x
         ws.append(w)
     return ws
 
@@ -876,7 +872,7 @@ def max_statistic(game: GameSpec, budget: OptimizerBudget | None = None) -> MaxS
     kind = game.model.kind
     if kind in (ModelKind.PLAIN_LOCAL_REALISM, ModelKind.PATH_REALISM):
         return _exact_vertex_max(game)
-    if kind in (ModelKind.INEFFICIENCY, ModelKind.DELAYS):
+    if kind.takes_efficiency:
         raise ValueError(
             f"{kind.value} has no finite-settings game here; its bound is "
             "analytic in the efficiency (see bound_for)"
@@ -929,13 +925,6 @@ def max_statistic(game: GameSpec, budget: OptimizerBudget | None = None) -> MaxS
 # linear-programming cross-check for the emission-time game
 
 
-# column generation: columns added per round, the reduced profit that
-# certifies optimality, and a round cap
-_LP_COLUMNS_PER_ROUND = 64
-LP_OPTIMALITY_TOLERANCE = 1e-10
-_LP_MAX_ROUNDS = 1000
-
-
 def emission_time_lp_value(game: GameSpec) -> float:
     """Exact in-game maximum of the emission-time statistic, by one LP.
 
@@ -953,60 +942,37 @@ def emission_time_lp_value(game: GameSpec) -> float:
     union of groups has even size, so every pattern becomes the all-+1
     pattern under some flip, with the same LP value.
 
-    The LP is solved by column generation (Gilmore and Gomory, 1961), not
-    over all S1*S2 joint vertices.  The restricted master starts from the
-    four all-early / all-late vertex pairs at weight 1/4, which meet every
-    constraint; its rows and objective come from the search's own row
-    builders.  Each round prices every joint vertex at once with the
-    structured oracle ``_et_best_columns``, the pricing subproblem of
-    Dantzig-Wolfe decomposition: the reduced profit obj - y^T A under the
-    master's duals y is maximized over arrival maps and site-1 outcome
-    maps, with the site-2 outcome maps and the late maps solved in closed
-    form, in O(8^n terms) work.  The best columns of the 64 most profitable
-    arrival pairs join the master.  The weights sum to 1, so
-    y^T b + max(0, largest profit) bounds the LP from above, and the loop
-    stops once the largest profit is at most 1e-10: the master's value is
-    then within 1e-10 of the optimum.  Any other ending raises
-    RuntimeError; a game beyond the pricing size limit (more than 12 terms)
-    raises ResourceLimitError.  Independent of the successive-LP search,
-    which solves only its restart's support under the sign pattern it
-    climbs.
+    The LP has one column per arrival pair, 4^n in all, not one per joint
+    vertex.  A joint vertex's constraint column (the early-early mass per
+    cell, the late-late mass and the simplex entry) depends only on its
+    two arrival maps.  Moving weight between two columns with the same
+    constraint column keeps every row, and moving it to the one of larger
+    objective does not lower the objective, so the LP over the best joint
+    vertex of each arrival pair has the value of the LP over all of them.
+    ``_et_best_columns`` at zero prices returns every arrival pair with
+    its best outcome maps, in closed form; the rows and objective come
+    from the search's own row builders.  A failed solve raises
+    RuntimeError; a game beyond the pricing size limit (more than 12
+    terms) raises ResourceLimitError.  Independent of the successive-LP
+    search, which solves only its restart's support under the sign pattern
+    it climbs.
     """
     from scipy.optimize import linprog
 
     if game.model.kind is not ModelKind.EMISSION_TIME_REALISM:
         raise ValueError("the LP cross-check applies to the emission-time game")
     _check_pricing_size(game)
-    n = game.n_settings
-    S = _side_size(game.model.kind, n)
     _, _, signs = _cell_indices(game)
     # the all-+1 pattern; corr_t = 2 * (early part + late part) once masses are pinned
     coef = 2.0 * signs
-    # the arrival core with the all-+1 outcome maps, at weight 1/4 each
-    i = np.array([_vertex_index(n, 0, 0, a) for a, _ in _arrival_core(n)])
-    j = np.array([_vertex_index(n, 0, 0, a) for _, a in _arrival_core(n)])
-    for _ in range(_LP_MAX_ROUNDS):
-        s1, s2 = _atoms(game, i, j)
-        _, num = _support_matrices(game, s1, s2)
-        A_eq, b_eq = _constraints(game, s1, s2)
-        res = linprog(-(num @ coef), A_eq=A_eq, b_eq=b_eq, bounds=(0.0, None), method="highs")
-        if not res.success:
-            raise RuntimeError(f"LP cross-check failed: {res.message}")
-        profit, new_i, new_j = _et_best_columns(
-            game, coef, -res.eqlin.marginals, _LP_COLUMNS_PER_ROUND  # duals of the max
-        )
-        if profit[0] <= LP_OPTIMALITY_TOLERANCE:
-            return float(-res.fun)
-        priced = profit > LP_OPTIMALITY_TOLERANCE
-        new = np.setdiff1d(new_i[priced] * S + new_j[priced], i * S + j)
-        if new.size == 0:
-            raise RuntimeError(
-                "LP column generation stalled: the priced columns are "
-                "already in the master"
-            )
-        i = np.concatenate([i, new // S])
-        j = np.concatenate([j, new % S])
-    raise RuntimeError(f"LP column generation did not converge in {_LP_MAX_ROUNDS} rounds")
+    _, i, j = _et_best_columns(game, coef, np.zeros(game.chain.terms + 2), 4**game.n_settings)
+    s1, s2 = _atoms(game, i, j)
+    _, num = _support_matrices(game, s1, s2)
+    A_eq, b_eq = _constraints(game, s1, s2)
+    res = linprog(-(num @ coef), A_eq=A_eq, b_eq=b_eq, bounds=(0.0, None), method="highs")
+    if not res.success:
+        raise RuntimeError(f"LP cross-check failed: {res.message}")
+    return float(-res.fun)
 
 
 # ---------------------------------------------------------------------------

@@ -89,10 +89,9 @@ def test_lp_layers_record_spans_with_columns(capsys):
     assert search["counts"]["restarts_budgeted"] > 0
     (lp,) = [s for s in tracer.spans if s["name"] == "strategyopt.lp"]
     solves = [s for s in tracer.spans if s["name"] == "strategyopt.lp.solve"]
-    # the LP's master solves are children of its span and hand over columns
-    masters = [s for s in solves if s["parent"] == lp["id"]]
-    assert len(masters) > 2
-    assert all(s["counts"]["columns"] > 0 for s in masters)
+    # the LP is one solve, a child of its span, over the 4^2 arrival pairs
+    lp_solves = [s for s in solves if s["parent"] == lp["id"]]
+    assert [s["counts"]["columns"] for s in lp_solves] == [16]
     # every other solve is a successive-LP step of the search
     search_ids = {s["id"] for s in tracer.spans if s["name"] == "strategyopt.search"}
     steps = [s for s in solves if s["parent"] != lp["id"]]

@@ -128,6 +128,10 @@ class TestVerifyBounds:
         assert code == 0
         assert p["exact"] is True
         assert p["method"] == "enumeration"
+        assert p["notes"] == (
+            "exact maximum over the site-1 outcome maps, "
+            "the site-2 best response in closed form"
+        )
         assert p["best_value"] == 2.0
         assert p["margin"] == 0.0
 

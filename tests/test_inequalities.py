@@ -116,6 +116,14 @@ class TestModelClass:
         assert ModelClass.inefficiency(0.9).eta == 0.9
         assert ModelClass.plain_local_realism().eta is None
 
+    def test_kind_properties(self):
+        # the one home of which classes take an efficiency and which bounds
+        # are 4-term only; the CLI's bound rows and verdicts read them
+        efficiency = {ModelKind.INEFFICIENCY, ModelKind.DELAYS}
+        assert {k for k in ModelKind if k.takes_efficiency} == efficiency
+        four_term = efficiency | {ModelKind.PATH_REALISM}
+        assert {k for k in ModelKind if k.four_term_only} == four_term
+
     def test_labels(self):
         # a report names a model class by its kind's value and its eta
         assert ModelClass.path_realism().kind.value == "path-realism"

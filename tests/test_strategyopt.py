@@ -283,6 +283,10 @@ class TestExactMaxima:
             result = max_statistic(g)
             assert result.exact
             assert result.value == enumerated_vertex_max(g) == terms - 2
+            assert result.notes == (
+                "exact maximum over the site-1 outcome maps, "
+                "the site-2 best response in closed form"
+            )
             assert len(result.witness.vertices) == 1
             ev = evaluate_mixed(g, result.witness)
             assert ev.feasible
@@ -496,26 +500,30 @@ class TestOptimizer:
             else:
                 A, b = np.vstack([mass.T, np.ones(r.idx1.size)]), np.append(r.w @ mass, 1.0)
             blocks.append((num @ _pattern_coef(signs, r.m, r.groups), A, b))
-            # one atom per set alike in every row of A and every cell
-            keys = [tuple(A[:, k]) + tuple(num[k]) for k in range(r.idx1.size)]
-            assert sorted({keys[k] for k in r.atoms}) == sorted(set(keys))
-            assert len(r.atoms) == len(set(keys))
-            # each atom is the smallest support index of its key
-            assert all(keys.index(keys[k]) == k for k in r.atoms)
+        steps = _lp_step(restarts, signs)
         passed = []
 
-        def recording_stacked_lp(objs, As, bs):
+        def marking_stacked_lp(objs, As, bs):
+            # weight k + 1 on the k-th column handed over, to see its atom
             passed.extend(zip(objs, As))
-            return _stacked_lp(objs, As, bs)
+            return [np.arange(1.0, obj.size + 1) for obj in objs]
 
-        monkeypatch.setattr(strategyopt, "_stacked_lp", recording_stacked_lp)
-        steps = _lp_step(restarts, signs)
-        # the step hands over only columns of the largest objective among
-        # those sharing their column of constraint rows
-        for (obj, A, _), (obj_k, A_k) in zip(blocks, passed):
-            assert obj_k.size < obj.size
+        monkeypatch.setattr(strategyopt, "_stacked_lp", marking_stacked_lp)
+        marked = _lp_step(restarts, signs)
+        # each block hands over its own distinct constraint columns, one
+        # atom each: of those sharing the column, the first of the largest
+        # objective in support order
+        for r, (obj, A, _), (obj_k, A_k), w in zip(restarts, blocks, passed, marked):
+            assert A_k is r.A
+            distinct = np.unique(A, axis=1)
+            assert obj_k.size == distinct.shape[1] < obj.size
+            assert np.unique(A_k, axis=1).shape == distinct.shape
             for j in range(obj_k.size):
-                assert obj_k[j] == obj[np.all(A == A_k[:, [j]], axis=0)].max()
+                alike = np.flatnonzero(np.all(A == A_k[:, [j]], axis=0))
+                best = obj[alike].max()
+                assert obj_k[j] == best
+                assert w[alike[obj[alike] == best][0]] == j + 1
+            assert np.count_nonzero(w) == obj_k.size
         # every column stacked, and the climb's step over the columns it keeps
         for xs in (_stacked_lp(*zip(*blocks)), steps):
             assert len(xs) == len(blocks)
@@ -529,23 +537,21 @@ class TestOptimizer:
 
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_column_classes_match_two_unique_calls(self, seed):
+    def test_column_classes_match_one_unique_call(self, seed):
         rng = np.random.default_rng(seed)
-        rows, cells, size = rng.integers(1, 4), rng.integers(1, 4), rng.integers(1, 60)
+        rows, size = rng.integers(1, 4), rng.integers(1, 60)
         # few distinct values, so columns repeat, with signed zeros among them
         A = rng.integers(-1, 2, size=(rows, size)).astype(np.float64)
-        num = rng.integers(-1, 2, size=(size, cells)).astype(np.float64)
         A[A == 0.0] *= np.where(rng.random((A == 0.0).sum()) < 0.5, -1.0, 1.0)
-        num[num == 0.0] *= np.where(rng.random((num == 0.0).sum()) < 0.5, -1.0, 1.0)
-        assert np.signbit(A[A == 0.0]).any() or np.signbit(num[num == 0.0]).any()
-        # the referee: first index of each distinct (A; num) column, then
-        # the distinct A columns of those atoms
-        ref_atoms = np.sort(np.unique(np.vstack([A, num.T]), axis=1, return_index=True)[1])
-        ref_A, ref_cls = np.unique(A[:, ref_atoms], axis=1, return_inverse=True)
-        atoms, distinct, cls = _column_classes(A, num)
-        np.testing.assert_array_equal(atoms, ref_atoms)
-        np.testing.assert_array_equal(distinct[:, cls], ref_A[:, ref_cls.reshape(-1)])
+        assert np.signbit(A[A == 0.0]).any()
+        # the referee: np.unique's classes, compared as a partition of the
+        # columns, so 0.0 and -0.0 fall in one class in both
+        ref_A, ref_cls = np.unique(A, axis=1, return_inverse=True)
+        ref_cls = ref_cls.reshape(-1)
+        distinct, cls = _column_classes(A)
         assert distinct.shape == ref_A.shape
+        np.testing.assert_array_equal(cls[:, None] == cls, ref_cls[:, None] == ref_cls)
+        np.testing.assert_array_equal(distinct[:, cls], A)
 
     @pytest.mark.parametrize("with_zero_columns", [False, True])
     @pytest.mark.parametrize("blocks", [1, 4])
@@ -915,6 +921,43 @@ class TestLpCrossCheck:
                 assert np.all(np.diff(price) <= 0.0)
                 # each returned column carries its own dense price
                 assert np.allclose(price, dense[i * S + j], rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("terms", [4, 6])
+    def test_zero_prices_give_each_arrival_pairs_best_vertex(self, terms):
+        # at y = 0 the oracle's price is the all-+1 objective, and each
+        # arrival pair comes back once, with the best of the joint vertices
+        # that share its constraint column
+        rng = np.random.default_rng(53 + terms)
+        for chain in (chain_settings(terms), random_term_chain(terms, rng)):
+            g = game(ModelClass.emission_time_realism, chain)
+            n = g.n_settings
+            _, _, objs = full_lp_matrices(g)
+            obj = objs[(1.0,) * n]
+            S = _side_arrays(g.model.kind, n).size
+            # a row's arrival map is its lowest n bits (_vertex_index)
+            best = obj.reshape((2**n,) * 6).max(axis=(0, 1, 3, 4))
+            _, _, signs = _cell_indices(g)
+            price, i, j = _et_best_columns(g, 2.0 * signs, np.zeros(2 * n + 2), 4**n)
+            e1, e2 = i % 2**n, j % 2**n
+            assert sorted((e1 * 2**n + e2).tolist()) == list(range(4**n))
+            np.testing.assert_allclose(price, best[e1, e2], rtol=0.0, atol=1e-9)
+            np.testing.assert_allclose(obj[i * S + j], price, rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("terms", [4, 6, 8])
+    def test_one_solve_over_the_arrival_pairs(self, terms, monkeypatch):
+        import scipy.optimize
+
+        columns = []
+        solve = scipy.optimize.linprog
+
+        def counting_linprog(c, *args, **kwargs):
+            columns.append(len(c))
+            return solve(c, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "linprog", counting_linprog)
+        g = game(ModelClass.emission_time_realism, chain_settings(terms))
+        assert emission_time_lp_value(g) == pytest.approx(terms - 1.0, abs=1e-9)
+        assert columns == [4 ** (terms // 2)]
 
     def test_eight_term_game_is_solved_exactly(self):
         g = game(ModelClass.emission_time_realism, chain_settings(8))
