@@ -160,6 +160,18 @@ def _timing(args) -> InterferometerTiming:
     )
 
 
+def _emission_gap(args, timing: InterferometerTiming) -> float:
+    """``--emission-gap-ns``: finite and larger than twice the path
+    difference, so that late arrivals never overtake the next trial."""
+    gap = float(args.emission_gap_ns)
+    if not (2.0 * timing.path_difference_ns < gap < math.inf):
+        raise ConfigError(
+            "--emission-gap-ns must be finite and larger than twice the path "
+            f"difference ({2.0 * timing.path_difference_ns!r} ns), got {gap!r}"
+        )
+    return gap
+
+
 def _model_class(name: str, eta: float | None) -> ModelClass:
     kind = ModelKind(name)
     if kind.takes_efficiency:
@@ -204,9 +216,11 @@ def _pipeline_tables(
 ):
     """Emit timed events per setting pair, postselect, and accumulate.
 
+    Emit groups a block's events by site and postselect takes them so.
     Each pair's block starts far beyond the previous one so a single merged
     event file still pairs correctly.  A block's events are kept only when
-    they are to be written to ``events_csv``.
+    they are to be written to ``events_csv``, and only then merged into
+    the file's time order.
     """
     table = CorrelationTable()
     kept_events = []
@@ -218,8 +232,15 @@ def _pipeline_tables(
         phi = chain.site1_settings[i].phase
         psi = chain.site2_settings[j].phase
         start = p * (n + 8) * gap_ns
-        emission = start + gap_ns * np.arange(n, dtype=np.float64)
+        with np.errstate(over="ignore"):  # emit refuses an overflowed, infinite time
+            emission = start + gap_ns * np.arange(n, dtype=np.float64)
         events = emit_events_from_batch(batch, emission, timing, phi, psi)
+        if events_csv:
+            # the file's time order: one stable sort by timestamp merges the
+            # block's two site runs, site 1 first at equal timestamps, each
+            # in trial order; blocks follow one another in time
+            events = events.take(np.argsort(events["timestamp_ns"], kind="stable"))
+            kept_events.append(events)
         result = postselect(events, timing)
         correlation_from_pairs(result.pairs, table)
         coincidences += result.coincidences
@@ -232,8 +253,6 @@ def _pipeline_tables(
             )
             slot[1] += e.detected
             slot[2] += e.coincident
-        if events_csv:
-            kept_events.append(events)
     _require_coverage(table, chain)
     if events_csv:
         write_events_csv(events_csv, EventColumns.concatenate(kept_events))
@@ -262,8 +281,9 @@ def _simulate_quantum(args) -> dict:
             )
             ones = np.ones(trials, dtype=bool)
             batches.append(TrialBatch(x1, late1, ones, x2, late2, ones.copy()))
+        timing = _timing(args)
         table, coinc_fraction, efficiency = _pipeline_tables(
-            batches, chain, _timing(args), float(args.emission_gap_ns), args.events_csv
+            batches, chain, timing, _emission_gap(args, timing), args.events_csv
         )
     else:
         run = simulate_setup(SetupVariant.FRANSON, chain, visibility, trials, rs)
@@ -313,8 +333,9 @@ def _simulate_aklz(args) -> dict:
         )
         for p, (i, j, _) in enumerate(chain.term_order)
     ]
+    timing = _timing(args)
     table, coinc_fraction, efficiency = _pipeline_tables(
-        batches, chain, _timing(args), float(args.emission_gap_ns), args.events_csv
+        batches, chain, timing, _emission_gap(args, timing), args.events_csv
     )
     stat = chained_statistic(table, chain)
     models = [

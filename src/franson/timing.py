@@ -57,6 +57,10 @@ class _Columns:
             raise KeyError(name)
         return getattr(self, name)
 
+    def take(self, rows):
+        """The rows at the indices ``rows``, in that order."""
+        return type(self)(*(getattr(self, f.name)[rows] for f in fields(self)))
+
     @classmethod
     def concatenate(cls, blocks):
         """The blocks' rows one after another."""
@@ -111,16 +115,50 @@ class InterferometerTiming:
 
 
 def _check_emission_times(emission_times: np.ndarray, timing: InterferometerTiming) -> np.ndarray:
+    """Emission times as a float64 array, refused unless their timestamps
+    pair up unambiguously.
+
+    The times must be finite, with gaps larger than twice the path
+    difference d, and fine enough for float64 to resolve d: the spacing u
+    of doubles at M = max|e| + s + d (e the emission times, s the short
+    arm, computed in float64) must be at most (d - W)/2, W the window.
+
+    Proof that this suffices.  A timestamp is fl(fl(e + s) + L*d), L 0 or
+    1.  Rounding is monotone, so no rounded value here exceeds M in
+    magnitude, and rounding to nearest errs by at most half the spacing at
+    its result, at most u/2: a timestamp lies within u of e + s + L*d.
+    Within one site, trials k < k' have exact timestamps more than
+    2d - d = d apart, so their rounded timestamps are more than
+    d - 2u >= W apart: each site stays sorted, and events of different
+    trials never share a window.  Within one trial both sites round e + s
+    alike, to y, so two early or two late arrivals get equal timestamps,
+    and an early and a late one differ by fl(y + d) - y >= d - u/2 > W.
+    Rounding the difference of two timestamps is monotone and W is a
+    double, so no rounded difference crosses the window either.
+    """
     t = np.asarray(emission_times, dtype=np.float64)
     if t.ndim != 1:
         raise ValueError("emission times must be a 1-d sequence")
-    if t.size > 1:
-        gaps = np.diff(t)
-        if not np.all(gaps > 2.0 * timing.path_difference_ns):
-            raise ValueError(
-                "emission times must be strictly increasing with gaps larger "
-                "than twice the path difference, so coincidences stay unambiguous"
-            )
+    if t.size == 0:
+        return t
+    if not np.all(np.isfinite(t)):
+        raise ValueError("emission times must be finite")
+    dt = timing.path_difference_ns
+    if not np.all(np.diff(t) > 2.0 * dt):
+        raise ValueError(
+            "emission times must be strictly increasing with gaps larger "
+            "than twice the path difference, so coincidences stay unambiguous"
+        )
+    # the largest |e| is at one end of the increasing times
+    reach = max(abs(t[0]), abs(t[-1])) + timing.short_arm_ns + dt
+    limit = (dt - timing.window_ns) / 2.0
+    if not np.spacing(reach) <= limit:
+        raise ValueError(
+            f"emission times give timestamps up to {float(reach)!r} ns, where "
+            f"doubles are {float(np.spacing(reach))!r} ns apart: more than (path "
+            f"difference - window)/2 = {limit!r} ns, too coarse to resolve the "
+            "path difference"
+        )
     return t
 
 
@@ -135,35 +173,41 @@ def emit_events_from_batch(
 
     A detected response produces one event with timestamp
     (emission + short arm) + path difference when the arrival is late, or
-    + 0.0 when it is early.  Events come sorted by timestamp; equal
-    timestamps keep site 1 before site 2, each in trial order.
+    + 0.0 when it is early.  Events come grouped by site: site 1's events,
+    then site 2's, each in trial order.
 
-    Each site's stream is sorted by construction: emission gaps exceed twice
-    the path difference, so a late arrival never overtakes the next trial.
-    One stable sort of the two concatenated runs is then a linear merge.
+    Each site's run is sorted by timestamp by construction: emission gaps
+    exceed twice the path difference, so a late arrival never overtakes the
+    next trial.  :func:`postselect` takes the runs as they are; only the
+    events CSV needs them merged into one time-ordered stream.
     """
     t = _check_emission_times(emission_times, timing)
     n = len(batch.outcome1)
     if t.size != n:
         raise ValueError("one emission time is required per trial")
     dt = timing.path_difference_ns
-    idx1 = np.flatnonzero(batch.detected1)
-    idx2 = np.flatnonzero(batch.detected2)
-    # a late flag times dt is dt or +0.0
-    ts = np.concatenate(
-        [
-            t[idx] + timing.short_arm_ns + late[idx] * dt
-            for idx, late in ((idx1, batch.late1), (idx2, batch.late2))
-        ]
-    )
-    order = np.argsort(ts, kind="stable")
-    from_site2 = order >= idx1.size
+    early = t + timing.short_arm_ns
+    # a site that detected every trial takes its rows as views
+    rows = [
+        slice(None) if d.all() else np.flatnonzero(d) for d in (batch.detected1, batch.detected2)
+    ]
+    trials = [np.arange(n)[r] for r in rows]
+    n1 = trials[0].size
+    timestamps = np.empty(n1 + trials[1].size)
+    for out, r, late in zip((timestamps[:n1], timestamps[n1:]), rows, (batch.late1, batch.late2)):
+        # a late flag times dt is dt or +0.0, added to emission + short arm
+        np.multiply(late[r], dt, out=out)
+        out += early[r]
+    site = np.full(timestamps.size, 2, dtype=np.uint8)
+    site[:n1] = 1
+    setting = np.full(timestamps.size, psi, dtype=np.float64)
+    setting[:n1] = phi
     return EventColumns(
-        site=from_site2.view(np.uint8) + np.uint8(1),
-        trial=np.concatenate([idx1, idx2])[order],
-        timestamp_ns=ts[order],
-        outcome=np.concatenate([batch.outcome1[idx1], batch.outcome2[idx2]])[order],
-        setting_rad=np.where(from_site2, psi, phi),
+        site=site,
+        trial=np.concatenate(trials),
+        timestamp_ns=timestamps,
+        outcome=np.concatenate([batch.outcome1[rows[0]], batch.outcome2[rows[1]]]),
+        setting_rad=setting,
     )
 
 
@@ -256,63 +300,100 @@ def _sum_by_key(code: np.ndarray, size: int, per_run: np.ndarray) -> np.ndarray:
     return total
 
 
+def _site_streams(events: EventColumns):
+    """Each site's (timestamps, outcomes, settings) in timestamp order, and
+    each site-1 event's place in one time order of both sites.
+
+    Rows grouped by site (site 1's, then site 2's) are sliced as they are;
+    other orders are split by site first.  A site whose timestamps are not
+    nondecreasing is sorted with a stable sort, so equal timestamps keep
+    their input order.  The places are the site-1 rows themselves when all
+    rows are in time order, and otherwise come from one stable sort of the
+    two sorted runs, which is a linear merge.
+    """
+    ts, site = events["timestamp_ns"], events["site"]
+    is1 = site == 1
+    n1 = int(np.count_nonzero(is1))
+    grouped = bool(is1[:n1].all() and (site[n1:] == 2).all())
+    if grouped:
+        rows = (slice(0, n1), slice(n1, None))
+    else:
+        rows = (np.flatnonzero(is1), np.flatnonzero(site == 2))
+        if n1 + rows[1].size != site.size:
+            raise ValueError("every event's site must be 1 or 2")
+        if np.all(ts[1:] >= ts[:-1]):
+            return [(ts[r], events["outcome"][r], events["setting_rad"][r]) for r in rows], rows[0]
+    # the two sorted runs as one column: grouped rows already are one
+    streams, runs = [], ts if grouped else None
+    for r in rows:
+        t, outcome, setting = ts[r], events["outcome"][r], events["setting_rad"][r]
+        if not np.all(t[1:] >= t[:-1]):
+            order = np.argsort(t, kind="stable")
+            t, outcome, setting = t[order], outcome[order], setting[order]
+            runs = None
+        streams.append((t, outcome, setting))
+    if runs is None:
+        runs = np.concatenate([streams[0][0], streams[1][0]])
+    return streams, np.flatnonzero(np.argsort(runs, kind="stable") < n1)
+
+
 def postselect(events: EventColumns, timing: InterferometerTiming) -> PostselectionResult:
     """Pair events across sites through the coincidence window.
 
-    Events are first ordered by timestamp with a stable sort, so equal
-    timestamps keep their input order.  Two detections coincide when they
-    come from opposite sites and their timestamps differ by strictly less
-    than the window.  Each site-1 event is paired with the earliest site-2
-    event inside its window (the first in that order when several share a
-    timestamp), whether or not another site-1 event claims it too.  A
-    site-2 event claimed twice makes the data ambiguous and raises; with
-    emission gaps above twice the path difference that cannot happen.
+    Rows may come in any order: each site's events are taken in timestamp
+    order, equal timestamps of one site in their input order.  Two
+    detections coincide when they come from opposite sites and their
+    timestamps differ by strictly less than the window.  Each site-1 event
+    is paired with the earliest site-2 event inside its window (the first
+    in that order when several share a timestamp), whether or not another
+    site-1 event claims it too.  A site-2 event claimed twice makes the
+    data ambiguous and raises; with emission gaps above twice the path
+    difference that cannot happen.  Pairs come in site-1 order.
     """
-    ts = events["timestamp_ns"]
-    site, outcome, setting = events["site"], events["outcome"], events["setting_rad"]
-    # a stable sort of nondecreasing timestamps is the identity
-    if not np.all(ts[1:] >= ts[:-1]):
-        order = np.argsort(ts, kind="stable")
-        ts, site, outcome, setting = ts[order], site[order], outcome[order], setting[order]
-    i1 = np.flatnonzero(site == 1)
-    i2 = np.flatnonzero(site == 2)
-    t1 = ts[i1]
-    # t2 is padded with -inf in front and +inf behind: neither is ever a partner
-    t2 = np.concatenate([[-np.inf], ts[i2], [np.inf]])
+    ((t1, outcome1, phases1), (t2, outcome2, phases2)), ahead = _site_streams(events)
+    # a site-1 event's place less its index among the site-1 events is the
+    # count of site-2 events ahead of it: the index in t2 of its candidate
+    ahead -= np.arange(t1.size)
+    # t2 padded with -inf in front and +inf behind, neither ever a partner:
+    # at[j] is t2[j] and before[j] the site-2 time ahead of it
+    padded = np.concatenate([[-np.inf], t2, [np.inf]])
+    before, at = padded[:-1], padded[1:]
     w = timing.window_ns
-    # cand: the first index j of t2 with t2[j] - t1 > -w, the lower half of
-    # the |dt| < w rule as the rounded difference gives it.  The difference
-    # is nondecreasing in t2, and exact for t2 within a factor 2 of t1
+    # The partner is the first j with t2[j] - t1 > -w, the lower half of the
+    # |dt| < w rule as the rounded difference gives it.  The difference is
+    # nondecreasing in t2, and exact for t2 within a factor 2 of t1
     # (Sterbenz's lemma), so it does not round onto the edge the way t1 - w
     # does at large timestamps.  The first site-2 event behind a site-1
-    # event in the stream has t2 >= t1 and passes; its index, one past the
-    # count of site-2 events ahead, is cand unless the site-2 event before
-    # it passes too.  There the index is bisected: every site-2 event below
-    # fl(t1 - w) fails.
-    cand = i1 - np.arange(i1.size) + 1
-    miss = np.flatnonzero(t2[cand - 1] - t1 > -w)
+    # event in the merge has t2 >= t1 and passes; its index is ahead unless
+    # the site-2 event before it passes too.  There the index is bisected:
+    # every site-2 event below fl(t1 - w) fails.  Which of equal timestamps
+    # the merge puts first moves ahead only between passing indices, so it
+    # changes no pair.
+    dist = before[ahead]
+    dist -= t1
+    miss = np.flatnonzero(dist > -w)
     if miss.size:
+        # bisected in padded indices, where index 0 (-inf) fails
         t1m = t1[miss]
-        lo = np.searchsorted(t2, t1m - w) - 1
-        hi = cand[miss]
+        lo = np.searchsorted(t2, t1m - w)
+        hi = ahead[miss] + 1
         while np.any(hi - lo > 1):
             mid = (lo + hi) // 2
-            inside = t2[mid] - t1m > -w
+            inside = padded[mid] - t1m > -w
             hi = np.where(inside, mid, hi)
             lo = np.where(inside, lo, mid)
-        cand[miss] = hi
-    partner = t2[cand]
-    i_idx = np.flatnonzero(np.abs(partner - t1) < w)
-    j_idx = cand[i_idx] - 1  # index among the site-2 events
+        ahead[miss] = hi - 1
+    dist = at[ahead]
+    dist -= t1
+    i_idx = np.flatnonzero(np.abs(dist, out=dist) < w)
+    j_idx = ahead[i_idx]
     if np.any(j_idx[1:] == j_idx[:-1]):
         raise ValueError("ambiguous coincidences: one event matches several partners")
-    phases1 = setting[i1]
-    phases2 = setting[i2]
     pairs = PairColumns(
         timestamp1_ns=t1[i_idx],
-        timestamp2_ns=partner[i_idx],
-        outcome1=outcome[i1[i_idx]],
-        outcome2=outcome[i2[j_idx]],
+        timestamp2_ns=t2[j_idx],
+        outcome1=outcome1[i_idx],
+        outcome2=outcome2[j_idx],
         setting1_rad=phases1[i_idx],
         setting2_rad=phases2[j_idx],
     )

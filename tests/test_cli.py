@@ -10,9 +10,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import franson
+from franson import read_events_csv
 from franson.cli import main
 
 SQRT2 = math.sqrt(2.0)
@@ -23,6 +25,20 @@ def run_cli(argv, capsys):
     captured = capsys.readouterr()
     payload = json.loads(captured.out) if captured.out else None
     return code, payload, captured.err
+
+
+def run_module(argv):
+    """``python -m franson`` in a fresh process: its stderr shows the
+    warnings that pytest captures in process."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(franson.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "franson", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
 
 
 class TestBounds:
@@ -421,6 +437,42 @@ class TestSimulate:
                 assert err.startswith("error:")
                 assert "--visibility 0.5" in err
 
+    @pytest.mark.parametrize("gap", ["inf", "nan", "0", "-5", "200"])
+    @pytest.mark.parametrize("route", [["--source", "aklz"], ["--pipeline"]],
+                             ids=["aklz", "quantum-pipeline"])
+    def test_emission_gap_is_checked_up_front(self, capsys, route, gap):
+        argv = ["simulate", *route, "--trials", "200", "--emission-gap-ns", gap]
+        code, p, err = run_cli(argv, capsys)
+        assert code == 2
+        assert p is None
+        assert err.startswith("error: --emission-gap-ns")
+        assert "twice the path difference" in err
+
+    def test_infinite_emission_gap_prints_no_warning(self):
+        run = run_module(["simulate", "--source", "aklz", "--trials", "200",
+                          "--emission-gap-ns", "inf"])
+        assert run.returncode == 2
+        assert run.stdout == ""
+        assert run.stderr.startswith("error: --emission-gap-ns")
+        assert "Warning" not in run.stderr
+
+    def test_timestamps_too_coarse_for_the_path_difference_are_refused(self, capsys):
+        argv = ["simulate", "--source", "aklz", "--trials", "20000", "--seed", "1"]
+        # at 1e14 ns per trial the last timestamps are near 8e18 ns, where
+        # doubles are 1024 ns apart and swallow the 100 ns path difference
+        code, p, err = run_cli(argv + ["--emission-gap-ns", "1e14"], capsys)
+        assert code == 2
+        assert p is None
+        assert err.startswith("error: emission times")
+        assert "resolve the path difference" in err
+        # at 1e12 ns they are 16 ns apart: the same report as the default gap
+        code, coarse, _ = run_cli(argv + ["--emission-gap-ns", "1e12"], capsys)
+        assert code == 0
+        assert coarse["statistic"] == 2.8320781463132376
+        code, default, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert coarse == default
+
     def test_variant_comparison(self, capsys):
         code, p, _ = run_cli(
             [
@@ -493,6 +545,35 @@ class TestEventsRoundtrip:
         assert rep["table"] == sim["table"]
         verdicts = {v["model"]["kind"]: v for v in rep["verdicts"]}
         assert verdicts["plain-local-realism"]["violated"] is True
+
+    @pytest.mark.parametrize(
+        "source", [["--source", "aklz"], ["--terms", "6", "--visibility", "0.99"]],
+        ids=["aklz", "quantum"],
+    )
+    def test_events_csv_is_in_time_order(self, tmp_path, capsys, source):
+        csv = str(tmp_path / "events.csv")
+        trials = 2000
+        code, _, _ = run_cli(
+            ["simulate", *source, "--trials", str(trials), "--seed", "5", "--events-csv", csv],
+            capsys,
+        )
+        assert code == 0
+        events = read_events_csv(csv)
+        ts, site, trial = events["timestamp_ns"], events["site"], events["trial"]
+        step = np.diff(ts)
+        assert np.all(step >= 0)
+        # equal timestamps are coincident pairs, site 1's event first
+        tie = np.flatnonzero(step == 0)
+        assert tie.size > trials
+        assert np.all(site[tie] == 1) and np.all(site[tie + 1] == 2)
+        # each setting pair's block starts (trials + 8) default gaps of
+        # 1000 ns after the last; trials increase within a block and site
+        block = ts // ((trials + 8) * 1000.0)
+        for s in (1, 2):
+            mine = site == s
+            same_block = block[mine][1:] == block[mine][:-1]
+            assert np.all(np.diff(trial[mine])[same_block] > 0)
+            assert np.count_nonzero(~same_block) == len(set(block.tolist())) - 1
 
     def test_wrong_terms_is_detected(self, tmp_path, capsys):
         csv = str(tmp_path / "events.csv")

@@ -131,19 +131,17 @@ class TestEmitEvents:
         timing = InterferometerTiming(100.0, 1.0, short_arm_ns=10.0)
         emission = np.array([0.0, 1000.0, 2000.0])
         events = emit_events_from_batch(self._batch(), emission, timing, 0.25, 0.75)
-        # detected1 drops trial 2, detected2 drops trial 1: four events remain
+        # detected1 drops trial 2, detected2 drops trial 1: four events
+        # remain, grouped by site (site 1's, then site 2's), each in trial
+        # order, which is time order within a site
         assert len(events) == 4
-        ts = events["timestamp_ns"]
-        assert np.all(np.diff(ts) >= 0)
-        site1 = events["site"] == 1
-        site2 = events["site"] == 2
-        # trial 0 site 1 early: 0 + 10; trial 1 site 1 late: 1000 + 10 + 100
-        assert ts[site1].tolist() == [10.0, 1110.0]
-        assert events["trial"][site1].tolist() == [0, 1]
+        assert events["site"].tolist() == [1, 1, 2, 2]
+        assert events["trial"].tolist() == [0, 1, 0, 2]
+        # trial 0 site 1 early: 0 + 10; trial 1 site 1 late: 1000 + 10 + 100;
         # site 2 late events at trials 0 and 2
-        assert ts[site2].tolist() == [110.0, 2110.0]
-        assert np.all(events["setting_rad"][site1] == 0.25)
-        assert np.all(events["setting_rad"][site2] == 0.75)
+        assert events["timestamp_ns"].tolist() == [10.0, 1110.0, 110.0, 2110.0]
+        assert events["outcome"].tolist() == [1, -1, -1, 1]
+        assert events["setting_rad"].tolist() == [0.25, 0.25, 0.75, 0.75]
 
     def test_emission_gap_validation(self):
         batch = self._batch()
@@ -152,6 +150,36 @@ class TestEmitEvents:
         # a gap of exactly twice the path difference is still ambiguous
         with pytest.raises(ValueError, match="gaps"):
             emit_events_from_batch(batch, np.array([0.0, 200.0, 1000.0]), TIMING, 0, 0)
+
+    @pytest.mark.parametrize(
+        "emission,ok",
+        [
+            # dt = 100, W = 1: doubles must be at most 49.5 ns apart at the
+            # largest |emission| + short arm + dt; they are 32 ns apart below
+            # 2**58 and 64 ns from there on
+            ([0.0, 2.0**57], True),
+            ([0.0, 2.0**58 - 128.0], True),
+            ([0.0, 2.0**58 - 64.0], False),  # + short arm + dt crosses 2**58
+            ([0.0, 2.0**58], False),
+            ([-(2.0**58), 0.0], False),  # the largest |emission| comes first
+            ([1e14, 2e14], True),
+        ],
+        ids=["2**57", "below-2**58", "crossing-2**58", "2**58", "-2**58", "1e14"],
+    )
+    def test_emission_times_must_resolve_the_path_difference(self, emission, ok):
+        timing = InterferometerTiming(100.0, 1.0, short_arm_ns=10.0)
+        batch = TrialBatch(*(a[:2] for a in self._batch()))
+        if ok:
+            events = emit_events_from_batch(batch, np.array(emission), timing, 0, 0)
+            assert np.all(np.diff(events["timestamp_ns"][events["site"] == 1]) > 0)
+        else:
+            with pytest.raises(ValueError, match="resolve the path difference"):
+                emit_events_from_batch(batch, np.array(emission), timing, 0, 0)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_emission_times_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            emit_events_from_batch(self._batch(), np.array([0.0, 1000.0, bad]), TIMING, 0, 0)
 
     def test_count_mismatch(self):
         with pytest.raises(ValueError, match="per trial"):
@@ -752,6 +780,38 @@ def trial_streams(draw):
 streams = st.one_of(dense_streams(), trial_streams())
 
 
+@st.composite
+def site_distinct_rows(draw):
+    """(site, tick, outcome, phase) rows whose ticks are distinct within a
+    site, merged in time order with site 1 first at equal ticks.
+
+    Across sites ticks tie and sit +-W apart; with no tie inside a site,
+    every input order of the rows has one time order per site.
+    """
+    rows = [
+        (site, tick, draw(st.sampled_from((-1, 1))), draw(st.sampled_from(PHASES)))
+        for site in (1, 2)
+        for tick in draw(st.lists(st.integers(-8, 60), unique=True, max_size=12))
+    ]
+    return sorted(rows, key=lambda r: r[1])
+
+
+def row_orders(rows, shuffled):
+    """The same rows merged (site 1 or site 2 first at equal ticks),
+    grouped by site in time order or not, and in a given shuffled order."""
+    merged2 = sorted(rows, key=lambda r: (r[1], -r[0]))
+    grouped = sorted(rows, key=lambda r: r[0])
+    grouped_reversed = [r for site in (1, 2) for r in reversed(rows) if r[0] == site]
+    return {
+        "merged, site 1 first": rows,
+        "merged, site 2 first": merged2,
+        "grouped": grouped,
+        "grouped, unsorted": grouped_reversed,
+        "site 2 then site 1": grouped[::-1],
+        "shuffled": shuffled,
+    }
+
+
 class TestReferee:
     @settings(max_examples=400, deadline=None)
     @given(streams)
@@ -774,6 +834,53 @@ class TestReferee:
         assert repr(result.report.eta) == repr(eta)
         table = correlation_from_pairs(result.pairs)
         assert repr(table_rows(table)) == repr(reference_tabulate([pairs]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(site_distinct_rows().flatmap(lambda r: st.tuples(st.just(r), st.permutations(r))))
+    @example(([(1, 0, 1, 0.3), (2, 0, -1, 0.5)], [(2, 0, -1, 0.5), (1, 0, 1, 0.3)]))
+    @example(([(2, 0, 1, 0.5), (1, 3, -1, 0.3), (2, 6, -1, 0.5)],) * 2)
+    def test_postselect_does_not_depend_on_row_order(self, rows_and_shuffled):
+        rows, shuffled = rows_and_shuffled
+        try:
+            expected = reference_postselect(events_from_rows(rows), TIMING.window_ns)
+        except ValueError:
+            expected = None
+        for label, order in row_orders(rows, shuffled).items():
+            events = events_from_rows(order)
+            if expected is None:
+                with pytest.raises(ValueError, match="ambiguous"):
+                    postselect(events, TIMING)
+                continue
+            result = postselect(events, TIMING)
+            got = [(e.site, e.setting_rad, e.detected, e.coincident) for e in result.report.entries]
+            assert repr(rows_of(result.pairs, PAIR_FIELDS)) == repr(expected[0]), label
+            assert repr(got) == repr(expected[1]), label
+
+    @pytest.mark.parametrize(
+        "rows,entries,eta",
+        [
+            # exactly one window apart, either way round: no coincidence
+            ([(1, 0, 1, 0.3), (2, W_TICKS, 1, 0.5)], [(1, 0.3, 1, 0), (2, 0.5, 1, 0)], 0.0),
+            ([(2, 0, 1, 0.5), (1, W_TICKS, 1, 0.3)], [(1, 0.3, 1, 0), (2, 0.5, 1, 0)], 0.0),
+            ([(2, 0, 1, 0.5), (2, 9, -1, 0.5)], [(2, 0.5, 2, 0)], 0.0),
+            ([(1, 9, 1, 0.3), (1, 0, -1, 0.3)], [(1, 0.3, 2, 0)], 0.0),
+            ([], [], None),
+        ],
+        ids=["window-edge", "window-edge-site-2-first", "site-2-only", "site-1-only", "empty"],
+    )
+    def test_inputs_without_coincidences(self, rows, entries, eta):
+        for order in (rows, rows[::-1]):
+            result = postselect(events_from_rows(order), TIMING)
+            assert result.coincidences == 0
+            got = [(e.site, e.setting_rad, e.detected, e.coincident) for e in result.report.entries]
+            assert got == entries
+            assert result.report.eta == eta
+            assert result.report.to_json_dict()["eta"] == eta
+
+    def test_sites_other_than_1_and_2_are_refused(self):
+        events = events_from_rows([(1, 0, 1, 0.3), (3, 0, 1, 0.3), (2, 0, 1, 0.5)])
+        with pytest.raises(ValueError, match="site must be 1 or 2"):
+            postselect(events, TIMING)
 
     @settings(max_examples=200, deadline=None)
     @given(
