@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+import threading
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .inequalities import (
     threshold_efficiency,
 )
 from .lhv import TrialBatch, aklz_strategy, simulate_strategy_pairs
-from .quantum import chained_quantum_value, sample_franson_events
+from .quantum import chained_quantum_value, franson_correlation, sample_franson_events
 from .setups import SetupVariant, simulate_setup
 from .spacetime import StationGeometry, check_emission_time_premise, classify_event_order
 from .strategyopt import (
@@ -45,6 +46,7 @@ from .timing import (
     EfficiencyReport,
     EventColumns,
     InterferometerTiming,
+    check_emission_schedule,
     correlation_from_pairs,
     emit_events_from_batch,
     postselect,
@@ -160,14 +162,23 @@ def _timing(args) -> InterferometerTiming:
     )
 
 
-def _emission_gap(args, timing: InterferometerTiming) -> float:
+def _emission_gap(args, timing: InterferometerTiming, chain: SettingsChain) -> float:
     """``--emission-gap-ns``: finite and larger than twice the path
-    difference, so that late arrivals never overtake the next trial."""
+    difference, so that late arrivals never overtake the next trial, and
+    small enough that the last setting pair's last emission time is finite."""
     gap = float(args.emission_gap_ns)
     if not (2.0 * timing.path_difference_ns < gap < math.inf):
         raise ConfigError(
             "--emission-gap-ns must be finite and larger than twice the path "
             f"difference ({2.0 * timing.path_difference_ns!r} ns), got {gap!r}"
+        )
+    trials = int(args.trials)
+    last = (chain.terms - 1) * (trials + 8) * gap + gap * (trials - 1)
+    if not math.isfinite(last):
+        raise ConfigError(
+            f"--emission-gap-ns {gap!r} is too large: the last emission time, "
+            f"(terms - 1)*(trials + 8)*gap + (trials - 1)*gap, overflows at "
+            f"{chain.terms} terms and {trials} trials per setting pair"
         )
     return gap
 
@@ -207,8 +218,66 @@ def _require_coverage(table, chain: SettingsChain) -> None:
 # simulate
 
 
+# Trials per chunk of a setting pair's block.  The pipeline holds about two
+# chunks' arrays at a time, one analysed while the next is sampled, however
+# many trials a pair has.
+_CHUNK_TRIALS = 1 << 18
+
+# Chunks of fewer trials are sampled on the main thread: handing them to a
+# thread costs about what overlapping their sampling saves (at 10^4 trials a
+# chunk the thread was slower, from 3*10^4 on faster, on 2 vCPUs).
+_BACKGROUND_MIN_TRIALS = 1 << 15
+
+
+class _Sampling:
+    """One chunk's ``sample(p, first, count)``, started on a background
+    thread, or run at once when the chunk is small."""
+
+    def __init__(self, sample, p: int, first: int, count: int) -> None:
+        self._batch = self._error = None
+        self._thread = None
+        if count < _BACKGROUND_MIN_TRIALS:
+            self._run(sample, p, first, count)
+        else:
+            self._thread = threading.Thread(
+                target=self._run,
+                args=(sample, p, first, count),
+                name="franson-sampler",
+                daemon=True,
+            )
+            self._thread.start()
+
+    def _run(self, sample, *chunk: int) -> None:
+        try:
+            self._batch = sample(*chunk)
+        except BaseException as exc:  # re-raised on the main thread by result()
+            self._error = exc
+
+    def join(self) -> None:
+        if self._thread is not None:
+            self._thread.join()
+
+    def result(self) -> TrialBatch:
+        """Wait for the batch; raise what the sampler raised."""
+        self.join()
+        if self._error is not None:
+            raise self._error
+        return self._batch
+
+
+def _pair_emission_times(p: int, trials: int, gap_ns: float):
+    """Setting pair ``p``'s emission times ``first`` to ``first + count - 1``
+    as ``times(first, count)``: one gap apart, each pair's block starting 8
+    gaps after the previous one ends."""
+    start = p * (trials + 8) * gap_ns
+    return lambda first, count: start + gap_ns * np.arange(
+        first, first + count, dtype=np.float64
+    )
+
+
 def _pipeline_tables(
-    batches: list[TrialBatch],
+    sample,
+    trials: int,
     chain: SettingsChain,
     timing: InterferometerTiming,
     gap_ns: float,
@@ -216,43 +285,67 @@ def _pipeline_tables(
 ):
     """Emit timed events per setting pair, postselect, and accumulate.
 
-    Emit groups a block's events by site and postselect takes them so.
+    ``sample(p, first, count)`` gives trials ``first`` to
+    ``first + count - 1`` of setting pair ``p``, equal to that slice of one
+    call for the whole pair.  Each pair runs in chunks of ``_CHUNK_TRIALS``
+    trials, pair after pair; while the main thread emits, postselects and
+    tabulates one chunk, a background thread samples the next (a chunk of
+    fewer than ``_BACKGROUND_MIN_TRIALS`` trials is sampled on the main
+    thread before the chunk ahead of it is analysed).  Emission gaps above
+    twice the path difference keep every coincidence inside one trial, so
+    chunks pair and count exactly as the whole block would.
+
+    Emit groups a chunk's events by site and postselect takes them so.
     Each pair's block starts far beyond the previous one so a single merged
-    event file still pairs correctly.  A block's events are kept only when
+    event file still pairs correctly.  A chunk's events are kept only when
     they are to be written to ``events_csv``, and only then merged into
     the file's time order.
     """
+    chunk = _CHUNK_TRIALS
+    chunks = [
+        (p, first, min(chunk, trials - first))
+        for p in range(len(chain.term_order))
+        for first in range(0, trials, chunk)
+    ]
     table = CorrelationTable()
     kept_events = []
     coincidences = 0
-    total_trials = 0
     pooled: dict[tuple[int, int], list] = {}
-    for p, ((i, j, _), batch) in enumerate(zip(chain.term_order, batches)):
-        n = len(batch.outcome1)
-        phi = chain.site1_settings[i].phase
-        psi = chain.site2_settings[j].phase
-        start = p * (n + 8) * gap_ns
-        with np.errstate(over="ignore"):  # emit refuses an overflowed, infinite time
-            emission = start + gap_ns * np.arange(n, dtype=np.float64)
-        events = emit_events_from_batch(batch, emission, timing, phi, psi)
-        if events_csv:
-            # the file's time order: one stable sort by timestamp merges the
-            # block's two site runs, site 1 first at equal timestamps, each
-            # in trial order; blocks follow one another in time
-            events = events.take(np.argsort(events["timestamp_ns"], kind="stable"))
-            kept_events.append(events)
-        result = postselect(events, timing)
-        correlation_from_pairs(result.pairs, table)
-        coincidences += result.coincidences
-        total_trials += n
-        # each setting shows up in two chain terms; pool its counts so the
-        # efficiency matches a re-analysis of the merged event file
-        for e in result.report.entries:
-            slot = pooled.setdefault(
-                (e.site, setting_key(e.setting_rad)), [e.setting_rad, 0, 0]
+    pending = _Sampling(sample, *chunks[0]) if chunks else None
+    try:
+        for k, (p, first, count) in enumerate(chunks):
+            batch = pending.result()
+            pending = _Sampling(sample, *chunks[k + 1]) if k + 1 < len(chunks) else None
+            if first == 0:
+                times = _pair_emission_times(p, trials, gap_ns)
+                check_emission_schedule(times, trials, timing, chunk)
+            i, j, _ = chain.term_order[p]
+            phi = chain.site1_settings[i].phase
+            psi = chain.site2_settings[j].phase
+            events = emit_events_from_batch(
+                batch, times(first, count), timing, phi, psi, first_trial=first
             )
-            slot[1] += e.detected
-            slot[2] += e.coincident
+            if events_csv:
+                # the file's time order: one stable sort by timestamp merges
+                # the chunk's two site runs, site 1 first at equal
+                # timestamps, each in trial order; chunks follow one another
+                # in time
+                events = events.take(np.argsort(events["timestamp_ns"], kind="stable"))
+                kept_events.append(events)
+            result = postselect(events, timing)
+            correlation_from_pairs(result.pairs, table)
+            coincidences += result.coincidences
+            # each setting shows up in two chain terms; pool its counts so
+            # the efficiency matches a re-analysis of the merged event file
+            for e in result.report.entries:
+                slot = pooled.setdefault(
+                    (e.site, setting_key(e.setting_rad)), [e.setting_rad, 0, 0]
+                )
+                slot[1] += e.detected
+                slot[2] += e.coincident
+    finally:
+        if pending is not None:
+            pending.join()
     _require_coverage(table, chain)
     if events_csv:
         write_events_csv(events_csv, EventColumns.concatenate(kept_events))
@@ -262,7 +355,7 @@ def _pipeline_tables(
             for (site, _), (rad, det, coinc) in sorted(pooled.items())
         )
     )
-    return table, coincidences / total_trials, report.to_json_dict()
+    return table, coincidences / (len(chain.term_order) * trials), report.to_json_dict()
 
 
 def _simulate_quantum(args) -> dict:
@@ -272,18 +365,24 @@ def _simulate_quantum(args) -> dict:
     visibility = float(args.visibility)
     use_pipeline = bool(args.events_csv) or bool(args.pipeline)
     if use_pipeline:
-        batches = []
-        for p, (i, j, _) in enumerate(chain.term_order):
-            phi = chain.site1_settings[i].phase
-            psi = chain.site2_settings[j].phase
+        franson_correlation(0.0, 0.0, visibility)  # refuses a visibility outside [0, 1]
+
+        def sample(p, first, count):
+            i, j, _ = chain.term_order[p]
             x1, x2, late1, late2 = sample_franson_events(
-                phi, psi, visibility, rs.substream(p + 1), 0, trials
+                chain.site1_settings[i].phase,
+                chain.site2_settings[j].phase,
+                visibility,
+                rs.substream(p + 1),
+                first,
+                count,
             )
-            ones = np.ones(trials, dtype=bool)
-            batches.append(TrialBatch(x1, late1, ones, x2, late2, ones.copy()))
+            ones = np.ones(count, dtype=bool)
+            return TrialBatch(x1, late1, ones, x2, late2, ones.copy())
+
         timing = _timing(args)
         table, coinc_fraction, efficiency = _pipeline_tables(
-            batches, chain, timing, _emission_gap(args, timing), args.events_csv
+            sample, trials, chain, timing, _emission_gap(args, timing, chain), args.events_csv
         )
     else:
         run = simulate_setup(SetupVariant.FRANSON, chain, visibility, trials, rs)
@@ -323,19 +422,21 @@ def _simulate_aklz(args) -> dict:
     rs = RandomSource(seed=int(args.seed))
     trials = int(args.trials)
     strategy = aklz_strategy()
-    batches = [
-        simulate_strategy_pairs(
+
+    def sample(p, first, count):
+        i, j, _ = chain.term_order[p]
+        return simulate_strategy_pairs(
             strategy,
             chain.site1_settings[i].phase,
             chain.site2_settings[j].phase,
-            trials,
+            count,
             rs.substream(p + 1),
+            first,
         )
-        for p, (i, j, _) in enumerate(chain.term_order)
-    ]
+
     timing = _timing(args)
     table, coinc_fraction, efficiency = _pipeline_tables(
-        batches, chain, timing, _emission_gap(args, timing), args.events_csv
+        sample, trials, chain, timing, _emission_gap(args, timing, chain), args.events_csv
     )
     stat = chained_statistic(table, chain)
     models = [

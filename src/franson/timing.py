@@ -114,6 +114,40 @@ class InterferometerTiming:
             raise ValueError("short arm delay must be nonnegative and finite")
 
 
+_NOT_FINITE = "emission times must be finite"
+_GAPS_TOO_SMALL = (
+    "emission times must be strictly increasing with gaps larger "
+    "than twice the path difference, so coincidences stay unambiguous"
+)
+
+
+def _check_emission_gaps(t: np.ndarray, timing: InterferometerTiming) -> None:
+    """Refuse times that are not finite, or not increasing by more than
+    twice the path difference from one to the next."""
+    if not np.all(np.isfinite(t)):
+        raise ValueError(_NOT_FINITE)
+    if not np.all(np.diff(t) > 2.0 * timing.path_difference_ns):
+        raise ValueError(_GAPS_TOO_SMALL)
+
+
+def _coarse_timestamps(first, last, timing: InterferometerTiming) -> str | None:
+    """Why increasing emission times from ``first`` to ``last`` give
+    timestamps too coarse to resolve the path difference, or None when
+    they do not."""
+    dt = timing.path_difference_ns
+    # the largest |e| is at one end of the increasing times
+    reach = max(abs(first), abs(last)) + timing.short_arm_ns + dt
+    limit = (dt - timing.window_ns) / 2.0
+    if np.spacing(reach) <= limit:
+        return None
+    return (
+        f"emission times give timestamps up to {float(reach)!r} ns, where "
+        f"doubles are {float(np.spacing(reach))!r} ns apart: more than (path "
+        f"difference - window)/2 = {limit!r} ns, too coarse to resolve the "
+        "path difference"
+    )
+
+
 def _check_emission_times(emission_times: np.ndarray, timing: InterferometerTiming) -> np.ndarray:
     """Emission times as a float64 array, refused unless their timestamps
     pair up unambiguously.
@@ -141,25 +175,38 @@ def _check_emission_times(emission_times: np.ndarray, timing: InterferometerTimi
         raise ValueError("emission times must be a 1-d sequence")
     if t.size == 0:
         return t
-    if not np.all(np.isfinite(t)):
-        raise ValueError("emission times must be finite")
-    dt = timing.path_difference_ns
-    if not np.all(np.diff(t) > 2.0 * dt):
-        raise ValueError(
-            "emission times must be strictly increasing with gaps larger "
-            "than twice the path difference, so coincidences stay unambiguous"
-        )
-    # the largest |e| is at one end of the increasing times
-    reach = max(abs(t[0]), abs(t[-1])) + timing.short_arm_ns + dt
-    limit = (dt - timing.window_ns) / 2.0
-    if not np.spacing(reach) <= limit:
-        raise ValueError(
-            f"emission times give timestamps up to {float(reach)!r} ns, where "
-            f"doubles are {float(np.spacing(reach))!r} ns apart: more than (path "
-            f"difference - window)/2 = {limit!r} ns, too coarse to resolve the "
-            "path difference"
-        )
+    _check_emission_gaps(t, timing)
+    coarse = _coarse_timestamps(t[0], t[-1], timing)
+    if coarse:
+        raise ValueError(coarse)
     return t
+
+
+def check_emission_schedule(times, count: int, timing: InterferometerTiming, chunk: int) -> None:
+    """Refuse ``count`` emission times, made a chunk at a time, as
+    :func:`emit_events_from_batch` refuses all of them in one call: with the
+    same message, the reach taken over all of them.
+
+    ``times(first, n)`` makes times ``first`` to ``first + n - 1``, each
+    chunk equal to the same slice of one whole call, and the times must be
+    meant to increase.  Increasing times are finite when both ends are, and
+    reach furthest at one end, so only the ends and the gap across each
+    boundary between chunks of ``chunk`` times are made here; emit checks
+    the gaps inside each chunk it is given.  One call refuses a gap before
+    coarse timestamps, so coarse timestamps first have every gap scanned.
+    """
+    if count == 0:
+        return
+    ends = np.concatenate([times(0, 1), times(count - 1, 1)])
+    if not np.all(np.isfinite(ends)):
+        raise ValueError(_NOT_FINITE)
+    for first in range(chunk, count, chunk):
+        _check_emission_gaps(times(first - 1, 2), timing)
+    coarse = _coarse_timestamps(ends[0], ends[1], timing)
+    if coarse:
+        for first in range(0, count, chunk):
+            _check_emission_gaps(times(first, min(chunk, count - first)), timing)
+        raise ValueError(coarse)
 
 
 def emit_events_from_batch(
@@ -168,13 +215,15 @@ def emit_events_from_batch(
     timing: InterferometerTiming,
     phi: float,
     psi: float,
+    first_trial: int = 0,
 ) -> EventColumns:
     """Vectorized event emission for a block of trials at fixed settings.
 
     A detected response produces one event with timestamp
     (emission + short arm) + path difference when the arrival is late, or
     + 0.0 when it is early.  Events come grouped by site: site 1's events,
-    then site 2's, each in trial order.
+    then site 2's, each in trial order.  The block's trials are numbered
+    from ``first_trial``.
 
     Each site's run is sorted by timestamp by construction: emission gaps
     exceed twice the path difference, so a late arrival never overtakes the
@@ -191,7 +240,7 @@ def emit_events_from_batch(
     rows = [
         slice(None) if d.all() else np.flatnonzero(d) for d in (batch.detected1, batch.detected2)
     ]
-    trials = [np.arange(n)[r] for r in rows]
+    trials = [np.arange(first_trial, first_trial + n)[r] for r in rows]
     n1 = trials[0].size
     timestamps = np.empty(n1 + trials[1].size)
     for out, r, late in zip((timestamps[:n1], timestamps[n1:]), rows, (batch.late1, batch.late2)):

@@ -9,12 +9,14 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
 import franson
-from franson import read_events_csv
+from franson import cli, read_events_csv
 from franson.cli import main
 
 SQRT2 = math.sqrt(2.0)
@@ -472,6 +474,141 @@ class TestSimulate:
         code, default, _ = run_cli(argv, capsys)
         assert code == 0
         assert coarse == default
+
+    def test_chunks_are_refused_and_reported_as_whole_pairs(self, capsys, monkeypatch):
+        # the refusal and the report of the test above, with 7 trials a chunk:
+        # the schedule is checked per pair, with the whole pair's reach
+        argv = ["simulate", "--source", "aklz", "--trials", "20000", "--seed", "1"]
+        runs = []
+        for chunk in (cli._CHUNK_TRIALS, 7):
+            monkeypatch.setattr(cli, "_CHUNK_TRIALS", chunk)
+            runs.append([run_cli(argv + ["--emission-gap-ns", gap], capsys)
+                         for gap in ("1e14", "1e12")])
+        assert runs[1] == runs[0]
+        (code, _, err), (coarse_code, coarse, _) = runs[1]
+        assert code == 2
+        assert err.startswith("error: emission times give timestamps up to 1.9999e+18 ns")
+        assert coarse_code == 0
+        assert coarse["statistic"] == 2.8320781463132376
+
+    @pytest.mark.parametrize("chunk", [None, 1000])
+    def test_a_refused_gap_comes_before_coarse_timestamps(self, capsys, monkeypatch, chunk):
+        # gaps of 200.00000001 ns round to 200 ns, twice the path difference,
+        # in the second pair's block, whose timestamps are too coarse too
+        if chunk:
+            monkeypatch.setattr(cli, "_CHUNK_TRIALS", chunk)
+        code, p, err = run_cli(
+            ["simulate", "--source", "aklz", "--trials", "200000",
+             "--window-ns", "99.9999999", "--emission-gap-ns", "200.00000001",
+             "--short-arm-ns", "2e8"],
+            capsys,
+        )
+        assert code == 2
+        assert p is None
+        assert err.startswith("error: emission times must be strictly increasing with gaps")
+
+    @pytest.mark.parametrize("route", [["--source", "aklz"], ["--pipeline"]],
+                             ids=["aklz", "quantum-pipeline"])
+    def test_overflowing_emission_times_are_refused_up_front(self, capsys, route):
+        argv = ["simulate", *route, "--trials", "20000"]
+        code, p, err = run_cli(argv + ["--emission-gap-ns", "1e305"], capsys)
+        assert code == 2
+        assert p is None
+        assert err.startswith("error: --emission-gap-ns 1e+305 is too large")
+        # the last time, 3*20008*gap + 19999*gap, is finite at 2e303 ns: the
+        # timestamps are refused as too coarse instead
+        code, p, err = run_cli(argv + ["--emission-gap-ns", "2e303"], capsys)
+        assert code == 2
+        assert err.startswith("error: emission times give timestamps up to")
+
+    @pytest.mark.parametrize("background", ["threads", "main"])
+    @pytest.mark.parametrize("trials", ["0", "1", "3", "300"])
+    @pytest.mark.parametrize("route", [["--source", "aklz"], ["--pipeline", "--terms", "6"]],
+                             ids=["aklz", "quantum-pipeline-6"])
+    def test_chunk_size_changes_no_output(
+        self, tmp_path, capsys, monkeypatch, route, trials, background
+    ):
+        # every chunk sampled on a background thread, or every one on the
+        # main thread as chunks this small are by default
+        if background == "threads":
+            monkeypatch.setattr(cli, "_BACKGROUND_MIN_TRIALS", 1)
+        events = tmp_path / "events.csv"
+        argv = ["simulate", *route, "--trials", trials, "--seed", "5", "--events-csv", str(events)]
+        runs, threads = [], threading.active_count()
+        for chunk in (1, 7, 1 << 18, 10**9):
+            monkeypatch.setattr(cli, "_CHUNK_TRIALS", chunk)
+            code = main(argv)
+            out, err = capsys.readouterr()
+            runs.append((code, out, err, events.read_bytes() if events.exists() else None))
+            events.unlink(missing_ok=True)
+        assert all(run == runs[0] for run in runs[1:])
+        # no sampler thread outlives a run
+        assert threading.active_count() == threads
+        if trials == "0":
+            assert runs[0][0] == 2
+        if trials == "300":
+            assert runs[0][0] == 0
+            assert runs[0][3].count(b"\n") > 300
+
+    def test_only_large_chunks_are_sampled_in_the_background(self, capsys, monkeypatch):
+        sample, on_main = cli.simulate_strategy_pairs, []
+
+        def traced(*args):
+            on_main.append(threading.current_thread() is threading.main_thread())
+            return sample(*args)
+
+        monkeypatch.setattr(cli, "simulate_strategy_pairs", traced)
+        for trials in (cli._BACKGROUND_MIN_TRIALS - 1, cli._BACKGROUND_MIN_TRIALS):
+            assert run_cli(["simulate", "--source", "aklz", "--trials", str(trials)], capsys)[0] == 0
+        assert on_main == [True] * 4 + [False] * 4
+
+    @pytest.mark.parametrize("stage", ["sampler", "postselect"])
+    @pytest.mark.parametrize(
+        "route,sampler",
+        [
+            (["--source", "aklz"], "simulate_strategy_pairs"),
+            (["--pipeline"], "sample_franson_events"),
+        ],
+        ids=["aklz", "quantum-pipeline"],
+    )
+    def test_a_failing_stage_leaves_no_thread_behind(
+        self, capsys, monkeypatch, route, sampler, stage
+    ):
+        # the second chunk's sampling or the second chunk's postselection
+        # fails; the chunk after it is still being sampled
+        monkeypatch.setattr(cli, "_CHUNK_TRIALS", 100)
+        monkeypatch.setattr(cli, "_BACKGROUND_MIN_TRIALS", 100)
+        calls = []  # (stage, on the main thread)
+
+        def traced(name, fn):
+            def call(*args, **kwargs):
+                calls.append((name, threading.current_thread() is threading.main_thread()))
+                if name == stage and [n for n, _ in calls].count(name) == 2:
+                    raise ValueError(f"{stage} failed")
+                if name == "sampler":
+                    time.sleep(0.05)
+                return fn(*args, **kwargs)
+
+            return call
+
+        for name, attr in [
+            ("sampler", sampler),
+            ("emit", "emit_events_from_batch"),
+            ("postselect", "postselect"),
+            ("tabulate", "correlation_from_pairs"),
+        ]:
+            monkeypatch.setattr(cli, attr, traced(name, getattr(cli, attr)))
+        threads = threading.active_count()
+        code, p, err = run_cli(["simulate", *route, "--trials", "300", "--seed", "1"], capsys)
+        assert (code, p, err) == (2, None, f"error: {stage} failed\n")
+        assert threading.active_count() == threads
+        # sampling runs off the main thread; the analysis runs on it, in order
+        assert all(not main for name, main in calls if name == "sampler")
+        analysis = [(name, main) for name, main in calls if name != "sampler"]
+        expected = ["emit", "postselect", "tabulate"]
+        if stage == "postselect":
+            expected += ["emit", "postselect"]
+        assert analysis == [(name, True) for name in expected]
 
     def test_variant_comparison(self, capsys):
         code, p, _ = run_cli(

@@ -142,6 +142,9 @@ class TestEmitEvents:
         assert events["timestamp_ns"].tolist() == [10.0, 1110.0, 110.0, 2110.0]
         assert events["outcome"].tolist() == [1, -1, -1, 1]
         assert events["setting_rad"].tolist() == [0.25, 0.25, 0.75, 0.75]
+        # a chunk of a longer run numbers its trials from its first
+        events = emit_events_from_batch(self._batch(), emission, timing, 0.25, 0.75, 5)
+        assert events["trial"].tolist() == [5, 6, 5, 7]
 
     def test_emission_gap_validation(self):
         batch = self._batch()
@@ -190,6 +193,78 @@ class TestEmitEvents:
         events = emit_events_from_batch(empty, np.array([]), TIMING, 0.0, 0.0)
         assert len(events) == 0
         assert column_bytes(events) == column_bytes(make_events(1, [], [], 0.0))
+
+
+def _schedule(values):
+    base = np.array(values, dtype=np.float64)
+    return lambda first, count: base[first : first + count]
+
+
+_STEPS = 1000.0 * np.arange(60)
+_COARSE = 1e16 * np.arange(60)
+
+
+class TestEmissionSchedule:
+    """``check_emission_schedule`` with emit's check of each chunk refuses
+    what one check of all the times refuses, with the same message."""
+
+    @staticmethod
+    def refusal(check) -> str | None:
+        try:
+            check()
+        except ValueError as exc:
+            return str(exc)
+        return None
+
+    @pytest.mark.parametrize(
+        "values,shown",
+        [
+            (_STEPS, None),
+            (np.append(_STEPS[:-1], math.inf), "finite"),
+            # one gap of 150 ns, between times 29 and 30
+            (np.append(_STEPS[:30], _STEPS[30:] - 850.0), "gaps"),
+            # doubles are 64 ns apart from 2**58 ns on
+            (_COARSE, "resolve the path difference"),
+            # coarse, and a 128 ns gap after time 29: the gap is refused first
+            (np.concatenate([_COARSE[:30], [_COARSE[29] + 100.0], _COARSE[31:]]), "gaps"),
+        ],
+        ids=["accepted", "not-finite", "gap", "coarse", "coarse-and-gap"],
+    )
+    @pytest.mark.parametrize("chunk", [*range(1, 12), 30, 60, 1000])
+    def test_chunks_are_refused_as_one_call(self, values, shown, chunk):
+        times, count = _schedule(values), len(values)
+        whole = self.refusal(lambda: timing._check_emission_times(times(0, count), TIMING))
+        assert (whole is None) == (shown is None)
+        assert shown is None or shown in whole
+
+        def chunked():
+            timing.check_emission_schedule(times, count, TIMING, chunk)
+            for first in range(0, count, chunk):
+                timing._check_emission_times(times(first, min(chunk, count - first)), TIMING)
+
+        assert self.refusal(chunked) == whole
+
+    @pytest.mark.parametrize("short_arm_ns", [0.0, 3e8])
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 60])
+    def test_rounded_gaps_are_refused_as_one_call(self, short_arm_ns, chunk):
+        # at 1e8 ns doubles are 2**-26 ns apart, so gaps of 200.00000001 ns
+        # round to 200 ns, twice the path difference, now and then; with a
+        # 3e8 ns short arm the timestamps are too coarse as well
+        tm = InterferometerTiming(100.0, 99.9999999, short_arm_ns=short_arm_ns)
+        count = 60
+
+        def times(first, n):
+            return 1e8 + 200.00000001 * np.arange(first, first + n, dtype=np.float64)
+
+        whole = self.refusal(lambda: timing._check_emission_times(times(0, count), tm))
+        assert "gaps" in whole
+
+        def chunked():
+            timing.check_emission_schedule(times, count, tm, chunk)
+            for first in range(0, count, chunk):
+                timing._check_emission_times(times(first, min(chunk, count - first)), tm)
+
+        assert self.refusal(chunked) == whole
 
 
 class TestPostselect:
