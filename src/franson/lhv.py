@@ -44,24 +44,52 @@ class LocalStrategy:
 # the explicit delay-based local model
 
 
+# For a double |x| <= 2*pi, cos(x) >= 0 exactly when |x| <= _HALF_PI or
+# |x| > _THREE_HALVES_PI.  Each constant is the largest double below its
+# multiple of pi, so no double lies between a constant and the zero it
+# stands for, and the comparisons give the sign of the true cosine.
+_HALF_PI = 0.5 * math.pi
+_THREE_HALVES_PI = 1.5 * math.pi
+
+
+def _signs(positive: np.ndarray) -> np.ndarray:
+    """+1 where ``positive`` holds and -1 elsewhere, as int8, written over
+    the bool array."""
+    out = positive.view(np.int8)
+    out <<= 1
+    out -= 1
+    return out
+
+
 def _aklz_site1_arrays(phi: float, theta: np.ndarray, r: np.ndarray):
     # with u = theta + phi: outcome sign(cos u) (ties +1); early iff r < h/2
     # or 1/2 <= r < 1 - h/2, h = (pi/4)|cos u|, so P(early) = 1/2 per setting
-    cu = np.cos(theta + phi)
-    outcome = np.where(cu >= 0.0, 1, -1).astype(np.int8)
-    ht = (np.pi / 8.0) * np.abs(cu)
-    early = (r < ht) | ((r >= 0.5) & (r < 1.0 - ht))
-    detected = np.ones(theta.shape, dtype=bool)
-    return outcome, ~early, detected
+    cu = np.add(theta, phi)
+    np.cos(cu, out=cu)
+    outcome = _signs(cu >= 0.0)
+    ht = np.abs(cu, out=cu)
+    ht *= np.pi / 8.0
+    early = r < ht
+    np.subtract(1.0, ht, out=ht)
+    window = r < ht
+    window &= r >= 0.5
+    early |= window
+    return outcome, np.invert(early, out=early), np.ones(theta.shape, dtype=bool)
 
 
 def _aklz_site2_arrays(psi: float, theta: np.ndarray, r: np.ndarray):
-    # outcome sign(cos(theta - psi)); early iff r < 1/2, whatever the setting
-    cw = np.cos(theta - psi)
-    outcome = np.where(cw >= 0.0, 1, -1).astype(np.int8)
-    early = r < 0.5
-    detected = np.ones(theta.shape, dtype=bool)
-    return outcome, ~early, detected
+    # outcome sign(cos(theta - psi)), read off |theta - psi| as above;
+    # early iff r < 1/2, whatever the setting
+    x = np.subtract(theta, psi)
+    np.abs(x, out=x)
+    if x.size and not x.max() <= TWO_PI:
+        raise ValueError(
+            f"the delay model's site 2 needs |theta - psi| <= 2*pi, got up to "
+            f"{float(x.max())!r} at psi = {psi!r}"
+        )
+    positive = x <= _HALF_PI
+    positive |= x > _THREE_HALVES_PI
+    return _signs(positive), ~(r < 0.5), np.ones(theta.shape, dtype=bool)
 
 
 def aklz_strategy() -> LocalStrategy:
@@ -101,7 +129,9 @@ def simulate_strategy_pairs(
     n = int(trials)
     u = draw_uniforms(rs, 2 * int(start_trial), 2 * n)
     theta = u[0::2] * TWO_PI
-    r = u[1::2]
+    # contiguous: the responders compare r four times, and one comparison
+    # on the strided view costs about as much as this copy
+    r = np.ascontiguousarray(u[1::2])
     return TrialBatch(*strategy.batch_site1(phi, theta, r), *strategy.batch_site2(psi, theta, r))
 
 

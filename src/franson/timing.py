@@ -337,9 +337,18 @@ def _setting_runs(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     for c in columns:
         head[1:] |= c[1:] != c[:-1]
     heads = np.flatnonzero(head)
-    keys = np.stack([_setting_keys(c[heads]) for c in columns], axis=1)
-    _, first, code = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    return np.append(heads, n), code.reshape(-1), heads[first]
+    keys = [_setting_keys(c[heads]) for c in columns]
+    # a stable sort of the key rows, first column first, puts each key
+    # row's first run at the front of its group
+    order = np.lexsort(keys[::-1])
+    new = np.zeros(order.size, dtype=bool)
+    new[:1] = True
+    for k in keys:
+        k = k[order]
+        new[1:] |= k[1:] != k[:-1]
+    code = np.empty(order.size, dtype=np.intp)
+    code[order] = np.cumsum(new) - 1
+    return np.append(heads, n), code, heads[order[new]]
 
 
 def _sum_by_key(code: np.ndarray, size: int, per_run: np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@ Every assertion goes through ``main(argv)`` with captured stdout, exactly
 as a shell user would drive it.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -320,6 +321,22 @@ class TestSimulate:
         assert verdicts["plain-local-realism"]["violated"] is True
         assert verdicts["emission-time-realism"]["violated"] is False
         assert verdicts["outcomes-only"]["violated"] is False
+
+    @pytest.mark.parametrize(
+        "seed,digest",
+        [
+            (1, "7587ea88a6eb022774adb7fd24d53e64a98e5ccdabf5983685feaaa4de0a0b90"),
+            (2, "4d8af6d336cacb3dca87f4f14083acc4968411c57aba1906e1d34539f138ec13"),
+            (3, "c99b5192d157edbb4fae124eb1cc1bdaba3713d4a642cad751e00c65c2474f13"),
+        ],
+    )
+    def test_delay_model_reports_are_pinned(self, seed, digest, capsys):
+        # SHA-256 of the whole report: a faster sampler or pipeline must
+        # print the same bytes, down to the last digit of every count
+        argv = ["simulate", "--source", "aklz", "--trials", "50000", "--seed", str(seed)]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_reruns_are_byte_identical(self, capsys):
         argv = ["simulate", "--terms", "4", "--trials", "3000", "--seed", "11"]

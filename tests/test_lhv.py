@@ -1,5 +1,6 @@
 import math
 from enum import Enum
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,11 +11,14 @@ from franson import (
     TrialBatch,
     aklz_quadrature,
     aklz_strategy,
+    chain_settings,
     draw_uniforms,
     monte_carlo_statistics,
     simulate_strategy_pairs,
     strategy_grid_statistics,
 )
+from franson.core import TWO_PI
+from franson.lhv import _HALF_PI, _THREE_HALVES_PI
 
 
 class DelayClass(Enum):
@@ -92,6 +96,124 @@ class TestSiteResponses:
             t, u = float(theta[k]), float(r[k])
             assert reference_site1(phi, t, u) == (o1[k], l1[k], d1[k])
             assert reference_site2(psi, t, u) == (o2[k], l2[k], d2[k])
+
+
+# The responders as they were first written, one cosine per site: the
+# referee for the comparisons and reused buffers that replaced them.
+def cosine_site1(phi, theta, r):
+    cu = np.cos(theta + phi)
+    outcome = np.where(cu >= 0.0, 1, -1).astype(np.int8)
+    ht = (np.pi / 8.0) * np.abs(cu)
+    early = (r < ht) | ((r >= 0.5) & (r < 1.0 - ht))
+    detected = np.ones(theta.shape, dtype=bool)
+    return outcome, ~early, detected
+
+
+def cosine_site2(psi, theta, r):
+    cw = np.cos(theta - psi)
+    outcome = np.where(cw >= 0.0, 1, -1).astype(np.int8)
+    early = r < 0.5
+    detected = np.ones(theta.shape, dtype=bool)
+    return outcome, ~early, detected
+
+
+def assert_same_responses(setting, theta, r):
+    strategy = aklz_strategy()
+    for responder, reference in (
+        (strategy.batch_site1, cosine_site1),
+        (strategy.batch_site2, cosine_site2),
+    ):
+        got = responder(setting, theta, r)
+        want = reference(setting, theta, r)
+        assert len(got) == len(want) == 3
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert np.array_equal(g, w)
+
+
+# pi to 60 places, far finer than the spacing of doubles near 2*pi
+PI = Fraction("3.14159265358979323846264338327950288419716939937510582097494459")
+
+CHAIN_PHASES = sorted(
+    {
+        s.phase
+        for terms in (4, 6, 8)
+        for s in (*chain_settings(terms).site1_settings, *chain_settings(terms).site2_settings)
+    }
+)
+
+# the largest uniform draw, 1 - 2**-53, times 2*pi
+LARGEST_THETA = float(np.nextafter(1.0, 0.0)) * TWO_PI
+
+
+def doubles_around(x: float, ulps: int) -> np.ndarray:
+    """Every double within ``ulps`` ulps of the positive double ``x``."""
+    bits = np.array([x]).view(np.int64) + np.arange(-ulps, ulps + 1)
+    return bits.view(np.float64)
+
+
+class TestCosineReferee:
+    @pytest.fixture(scope="class")
+    def hidden(self):
+        rng = np.random.default_rng(2872)
+        n = 1_000_000
+        return rng.random(n) * TWO_PI, rng.random(n)
+
+    @pytest.mark.parametrize("setting", CHAIN_PHASES)
+    def test_random_hidden_variables(self, hidden, setting):
+        assert_same_responses(setting, *hidden)
+
+    @pytest.mark.parametrize(
+        "zero,psi,sign",
+        [
+            (_HALF_PI, 0.0, 1),
+            (_THREE_HALVES_PI, 0.0, 1),
+            (_HALF_PI, math.pi, -1),
+            (_THREE_HALVES_PI, 6.0, -1),
+        ],
+    )
+    def test_every_double_near_the_zeros_of_the_cosine(self, zero, psi, sign):
+        # theta - psi runs over every double within 10^4 ulps of +-pi/2 or
+        # +-3*pi/2, with theta and psi in [0, 2*pi)
+        x = sign * doubles_around(zero, 10_000)
+        theta = x + psi
+        assert np.array_equal(theta - psi, x)
+        assert np.all((0.0 <= theta) & (theta < TWO_PI))
+        r = np.random.default_rng(1999).random(x.size)
+        assert_same_responses(psi, theta, r)
+
+    @pytest.mark.parametrize("setting", CHAIN_PHASES)
+    def test_extreme_hidden_variables(self, setting):
+        theta = np.repeat([0.0, LARGEST_THETA], 5)
+        r = np.tile([0.0, 0.25, 0.5, 0.75, float(np.nextafter(1.0, 0.0))], 2)
+        assert_same_responses(setting, theta, r)
+
+    def test_sign_constants_are_the_largest_doubles_below_their_zeros(self):
+        for c, zero in ((_HALF_PI, PI / 2), (_THREE_HALVES_PI, 3 * PI / 2)):
+            assert Fraction(c) < zero < Fraction(float(np.nextafter(c, math.inf)))
+        # so is the largest |theta - psi| accepted, 2*pi rounded down, and
+        # the rule holds on all of [0, 2*pi]
+        assert Fraction(TWO_PI) < 2 * PI
+
+    def test_angles_beyond_two_pi_are_refused(self):
+        site2 = aklz_strategy().batch_site2
+        r = np.array([0.5])
+        # |theta - psi| = 2*pi rounded down is the largest accepted
+        assert_same_responses(0.0, np.array([TWO_PI]), r)
+        assert_same_responses(TWO_PI, np.array([0.0]), r)
+        for psi, theta in (
+            (0.0, float(np.nextafter(TWO_PI, math.inf))),
+            (0.0, -7.0),
+            (-1.0, 6.0),
+            (7.0, 0.5),
+            (0.0, math.nan),
+            (math.inf, 1.0),
+            (math.nan, 1.0),
+        ):
+            with pytest.raises(ValueError, match=r"\|theta - psi\| <= 2\*pi"):
+                site2(psi, np.array([1.0, theta, 2.0]), np.full(3, 0.5))
+        # an empty batch has nothing to refuse
+        assert all(a.size == 0 for a in site2(9.0, np.empty(0), np.empty(0)))
 
 
 def early_measure_overlap_sum(u: float, n_r: int = 1024) -> float:

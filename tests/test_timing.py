@@ -417,6 +417,41 @@ class TestCorrelationFromPairs:
         assert list(table.items()) == []
 
 
+def reference_setting_runs(*columns):
+    """``timing._setting_runs`` as np.unique over the run heads' key rows."""
+    n = columns[0].size
+    head = np.zeros(n, dtype=bool)
+    head[:1] = True
+    for c in columns:
+        head[1:] |= c[1:] != c[:-1]
+    heads = np.flatnonzero(head)
+    keys = np.stack([timing._setting_keys(c[heads]) for c in columns], axis=1)
+    _, first, code = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    return np.append(heads, n), code.reshape(-1), heads[first]
+
+
+class TestSettingRuns:
+    # -0.0 and 0.0 share a run; 2*pi less an ulp and 0.0 share a key but
+    # not a run, as do 0.3 and 0.3 + 2*pi
+    RUN_PHASES = (
+        0.0, -0.0, np.nextafter(2 * math.pi, 0.0), 0.3, 0.3 + 2 * math.pi, math.pi / 4, 5.5,
+    )
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_matches_unique_on_random_runs(self, width):
+        rng = np.random.default_rng(40 + width)
+        for _ in range(500):
+            runs = int(rng.integers(0, 12))
+            lengths = rng.integers(1, 5, runs)
+            columns = [
+                np.repeat(rng.choice(self.RUN_PHASES, runs), lengths) for _ in range(width)
+            ]
+            got = timing._setting_runs(*columns)
+            want = reference_setting_runs(*columns)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
 class TestCsvRoundTrip:
     def test_exact_roundtrip(self, tmp_path):
         rng = np.random.default_rng(9)
