@@ -15,7 +15,7 @@ import argparse
 import json
 import math
 import sys
-import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -214,6 +214,17 @@ def _require_coverage(table, chain: SettingsChain) -> None:
             )
 
 
+def _table_report(table: CorrelationTable, chain: SettingsChain, models) -> dict:
+    """A report's account of its correlation table: the chained statistic,
+    its standard error, the table, and a verdict per model class."""
+    return {
+        "statistic": chained_statistic(table, chain),
+        "stderr": statistic_stderr(table, chain),
+        "table": table.to_json_dict(),
+        "verdicts": [evaluate(table, chain, m).to_json_dict() for m in models],
+    }
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -223,46 +234,10 @@ def _require_coverage(table, chain: SettingsChain) -> None:
 # many trials a pair has.
 _CHUNK_TRIALS = 1 << 18
 
-# Chunks of fewer trials are sampled on the main thread: handing them to a
-# thread costs about what overlapping their sampling saves (at 10^4 trials a
-# chunk the thread was slower, from 3*10^4 on faster, on 2 vCPUs).
+# Chunks of fewer trials are sampled on the main thread: handing them to the
+# worker thread costs about what overlapping their sampling saves (at 10^4
+# trials a chunk the thread was slower, from 3*10^4 on faster, on 2 vCPUs).
 _BACKGROUND_MIN_TRIALS = 1 << 15
-
-
-class _Sampling:
-    """One chunk's ``sample(p, first, count)``, started on a background
-    thread, or run at once when the chunk is small."""
-
-    def __init__(self, sample, p: int, first: int, count: int) -> None:
-        self._batch = self._error = None
-        self._thread = None
-        if count < _BACKGROUND_MIN_TRIALS:
-            self._run(sample, p, first, count)
-        else:
-            self._thread = threading.Thread(
-                target=self._run,
-                args=(sample, p, first, count),
-                name="franson-sampler",
-                daemon=True,
-            )
-            self._thread.start()
-
-    def _run(self, sample, *chunk: int) -> None:
-        try:
-            self._batch = sample(*chunk)
-        except BaseException as exc:  # re-raised on the main thread by result()
-            self._error = exc
-
-    def join(self) -> None:
-        if self._thread is not None:
-            self._thread.join()
-
-    def result(self) -> TrialBatch:
-        """Wait for the batch; raise what the sampler raised."""
-        self.join()
-        if self._error is not None:
-            raise self._error
-        return self._batch
 
 
 def _pair_emission_times(p: int, trials: int, gap_ns: float):
@@ -289,9 +264,9 @@ def _pipeline_tables(
     ``first + count - 1`` of setting pair ``p``, equal to that slice of one
     call for the whole pair.  Each pair runs in chunks of ``_CHUNK_TRIALS``
     trials, pair after pair; while the main thread emits, postselects and
-    tabulates one chunk, a background thread samples the next (a chunk of
-    fewer than ``_BACKGROUND_MIN_TRIALS`` trials is sampled on the main
-    thread before the chunk ahead of it is analysed).  Emission gaps above
+    tabulates one chunk, one worker thread, kept for the whole call, samples
+    the next (a chunk of fewer than ``_BACKGROUND_MIN_TRIALS`` trials is
+    sampled on the main thread when its turn comes).  Emission gaps above
     twice the path difference keep every coincidence inside one trial, so
     chunks pair and count exactly as the whole block would.
 
@@ -311,11 +286,20 @@ def _pipeline_tables(
     kept_events = []
     coincidences = 0
     pooled: dict[tuple[int, int], list] = {}
-    pending = _Sampling(sample, *chunks[0]) if chunks else None
-    try:
+    with ThreadPoolExecutor(1, thread_name_prefix="franson-sampler") as pool:
+
+        def prefetch(p, first, count):
+            # the chunk's batch as a call that waits for it: a large chunk is
+            # sampled from now on by the worker, a small one when called
+            if count < _BACKGROUND_MIN_TRIALS:
+                return lambda: sample(p, first, count)
+            return pool.submit(sample, p, first, count).result
+
+        pending = prefetch(*chunks[0]) if chunks else None
         for k, (p, first, count) in enumerate(chunks):
-            batch = pending.result()
-            pending = _Sampling(sample, *chunks[k + 1]) if k + 1 < len(chunks) else None
+            batch = pending()
+            if k + 1 < len(chunks):
+                pending = prefetch(*chunks[k + 1])
             if first == 0:
                 times = _pair_emission_times(p, trials, gap_ns)
                 check_emission_schedule(times, trials, timing, chunk)
@@ -343,9 +327,6 @@ def _pipeline_tables(
                 )
                 slot[1] += e.detected
                 slot[2] += e.coincident
-    finally:
-        if pending is not None:
-            pending.join()
     _require_coverage(table, chain)
     if events_csv:
         write_events_csv(events_csv, EventColumns.concatenate(kept_events))
@@ -358,13 +339,47 @@ def _pipeline_tables(
     return table, coincidences / (len(chain.term_order) * trials), report.to_json_dict()
 
 
+def _simulate_report(
+    args, source: str, visibility: float, chain: SettingsChain, sample, models
+) -> dict:
+    """A ``simulate`` report of the franson variant.
+
+    ``sample(p, first, count)`` runs the timing pipeline (see
+    ``_pipeline_tables``); without it the table comes from the setup's
+    distribution, with no timestamps and no efficiency.
+    """
+    trials = int(args.trials)
+    if sample is None:
+        rs = RandomSource(seed=int(args.seed))
+        run = simulate_setup(SetupVariant.FRANSON, chain, visibility, trials, rs)
+        table, coinc_fraction, efficiency = run.table, run.coincidence_fraction, None
+    else:
+        timing = _timing(args)
+        table, coinc_fraction, efficiency = _pipeline_tables(
+            sample, trials, chain, timing, _emission_gap(args, timing, chain), args.events_csv
+        )
+    return {
+        "command": "simulate",
+        "source": source,
+        "variant": "franson",
+        "terms": chain.terms,
+        "visibility": visibility,
+        "trials_per_pair": trials,
+        "seed": int(args.seed),
+        "quantum_value": chained_quantum_value(chain.terms),
+        "coincidence_fraction": coinc_fraction,
+        "efficiency": efficiency,
+        "events_csv": args.events_csv,
+        **_table_report(table, chain, models),
+    }
+
+
 def _simulate_quantum(args) -> dict:
     chain = chain_settings(int(args.terms))
     rs = RandomSource(seed=int(args.seed))
-    trials = int(args.trials)
     visibility = float(args.visibility)
-    use_pipeline = bool(args.events_csv) or bool(args.pipeline)
-    if use_pipeline:
+    sample = None
+    if args.events_csv or args.pipeline:
         franson_correlation(0.0, 0.0, visibility)  # refuses a visibility outside [0, 1]
 
         def sample(p, first, count):
@@ -380,38 +395,17 @@ def _simulate_quantum(args) -> dict:
             ones = np.ones(count, dtype=bool)
             return TrialBatch(x1, late1, ones, x2, late2, ones.copy())
 
-        timing = _timing(args)
-        table, coinc_fraction, efficiency = _pipeline_tables(
-            sample, trials, chain, timing, _emission_gap(args, timing, chain), args.events_csv
-        )
-    else:
-        run = simulate_setup(SetupVariant.FRANSON, chain, visibility, trials, rs)
-        table, coinc_fraction, efficiency = run.table, run.coincidence_fraction, None
-    stat = chained_statistic(table, chain)
-    verdicts = [evaluate(table, chain, m) for m in _verdict_models(chain.terms)]
-    return {
-        "command": "simulate",
-        "source": "quantum",
-        "variant": "franson",
-        "terms": chain.terms,
-        "visibility": visibility,
-        "trials_per_pair": trials,
-        "seed": int(args.seed),
-        "statistic": stat,
-        "stderr": statistic_stderr(table, chain),
-        "quantum_value": chained_quantum_value(chain.terms),
-        "coincidence_fraction": coinc_fraction,
-        "efficiency": efficiency,
-        "table": table.to_json_dict(),
-        "verdicts": [v.to_json_dict() for v in verdicts],
-        "events_csv": args.events_csv,
-    }
+    return _simulate_report(
+        args, "quantum", visibility, chain, sample, _verdict_models(chain.terms)
+    )
 
 
 def _simulate_aklz(args) -> dict:
     terms = int(args.terms)
     if terms != 4:
-        raise ConfigError("the delay-model source is a 4-term demonstration")
+        raise ConfigError(
+            f"--terms {terms} does not apply: the delay-model source is a 4-term demonstration"
+        )
     if float(args.visibility) != 1.0:
         # the report states visibility 1.0, the delay model's only value
         raise ConfigError(
@@ -420,7 +414,6 @@ def _simulate_aklz(args) -> dict:
         )
     chain = chain_settings(terms)
     rs = RandomSource(seed=int(args.seed))
-    trials = int(args.trials)
     strategy = aklz_strategy()
 
     def sample(p, first, count):
@@ -434,43 +427,15 @@ def _simulate_aklz(args) -> dict:
             first,
         )
 
-    timing = _timing(args)
-    table, coinc_fraction, efficiency = _pipeline_tables(
-        sample, trials, chain, timing, _emission_gap(args, timing, chain), args.events_csv
-    )
-    stat = chained_statistic(table, chain)
     models = [
         ModelClass(kind=ModelKind.PLAIN_LOCAL_REALISM),
         ModelClass(kind=ModelKind.OUTCOMES_ONLY),
         ModelClass(kind=ModelKind.PATH_REALISM),
     ]
-    verdicts = [evaluate(table, chain, m) for m in models]
-    return {
-        "command": "simulate",
-        "source": "aklz",
-        "variant": "franson",
-        "terms": terms,
-        "visibility": 1.0,
-        "trials_per_pair": trials,
-        "seed": int(args.seed),
-        "statistic": stat,
-        "stderr": statistic_stderr(table, chain),
-        "quantum_value": chained_quantum_value(terms),
-        "coincidence_fraction": coinc_fraction,
-        "efficiency": efficiency,
-        "table": table.to_json_dict(),
-        "verdicts": [v.to_json_dict() for v in verdicts],
-        "events_csv": args.events_csv,
-    }
+    return _simulate_report(args, "aklz", 1.0, chain, sample, models)
 
 
 def _simulate_variant(args) -> dict:
-    for flag, value in (("--events-csv", args.events_csv), ("--pipeline", args.pipeline)):
-        if value:
-            raise ConfigError(
-                f"{flag} needs the timing pipeline, which only the franson variant "
-                f"runs; got --variant {args.variant}"
-            )
     variant = SetupVariant(args.variant)
     chain = chain_settings(int(args.terms))
     rs = RandomSource(seed=int(args.seed))
@@ -508,10 +473,30 @@ def _scenario_chained6(args) -> dict:
         sub = argparse.Namespace(**vars(args))
         sub.terms = 6
         sub.visibility = vis
-        sub.events_csv = None
-        sub.pipeline = False
         rows.append(_simulate_quantum(sub))
     return {"command": "simulate", "scenario": "chained6", "rows": rows}
+
+
+def _refuse_dropped_flags(args) -> None:
+    """Refuse, naming it, a flag that the chosen route would drop.
+
+    A scenario runs its own source on the franson variant, and only
+    aklz-demo, the delay-model source, runs the timing pipeline.  A variant
+    other than franson simulates the quantum source with no timestamps.
+    """
+    other_variant = args.variant not in (None, "franson")
+    if args.scenario is None and not other_variant:
+        return
+    route = f"--scenario {args.scenario}" if args.scenario else f"--variant {args.variant}"
+    aklz_demo = args.scenario == "aklz-demo"
+    for flag, dropped in (
+        (f"--variant {args.variant}", other_variant and args.scenario is not None),
+        ("--source aklz", args.source == "aklz" and not aklz_demo),
+        ("--events-csv", bool(args.events_csv) and not aklz_demo),
+        ("--pipeline", args.pipeline and not aklz_demo),
+    ):
+        if dropped:
+            raise ConfigError(f"{flag} does not apply to {route}")
 
 
 def _cmd_simulate(args) -> dict:
@@ -531,16 +516,14 @@ def _cmd_simulate(args) -> dict:
     )
     if int(args.trials) < 1:
         raise ConfigError(f"--trials must be at least 1, got {args.trials}")
+    _refuse_dropped_flags(args)
     if args.scenario == "table1":
         return _scenario_table1()
-    if args.scenario == "aklz-demo":
-        args.terms = 4
-        return _simulate_aklz(args)
     if args.scenario == "chained6":
         return _scenario_chained6(args)
-    if args.variant is not None and args.variant != "franson":
+    if args.variant not in (None, "franson"):
         return _simulate_variant(args)
-    if args.source == "aklz":
+    if args.scenario == "aklz-demo" or args.source == "aklz":
         return _simulate_aklz(args)
     return _simulate_quantum(args)
 
@@ -672,17 +655,13 @@ def _cmd_report(args) -> dict:
         models = [_model_class(args.model_class, args.eta)]
     else:
         models = _verdict_models(chain.terms)
-    verdicts = [evaluate(table, chain, m) for m in models]
     return {
         "command": "report",
         "events": args.events,
         "terms": chain.terms,
         "coincidences": result.coincidences,
-        "statistic": chained_statistic(table, chain),
-        "stderr": statistic_stderr(table, chain),
         "efficiency": result.report.to_json_dict(),
-        "table": table.to_json_dict(),
-        "verdicts": [v.to_json_dict() for v in verdicts],
+        **_table_report(table, chain, models),
     }
 
 

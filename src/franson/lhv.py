@@ -218,25 +218,3 @@ def aklz_quadrature(
         marginal2=m2,
     )
 
-
-def strategy_grid_statistics(
-    strategy: LocalStrategy, phi: float, psi: float, n_theta: int = 4096, n_r: int = 1024
-) -> ModelStatistics:
-    """Midpoint-rule statistics of an arbitrary strategy on a (theta, r) grid.
-
-    The strategy answers at the midpoint of each of the n_theta * n_r
-    equal-weight cells, and the midpoint rule is then the sample mean
-    computed by ``monte_carlo_statistics``; ``count`` is the number of
-    coincident cells.  Generic and derivative-free; accuracy is limited by
-    how the grid resolves the strategy's decision boundaries (roughly 1/n).
-    Use ``aklz_quadrature`` for the built-in model when tight tolerances
-    matter.
-    """
-    theta = (np.arange(n_theta) + 0.5) * TWO_PI / n_theta
-    r = (np.arange(n_r) + 0.5) / n_r
-    tg = np.repeat(theta, n_r)
-    rg = np.tile(r, n_theta)
-    return monte_carlo_statistics(
-        TrialBatch(*strategy.batch_site1(phi, tg, rg), *strategy.batch_site2(psi, tg, rg))
-    )
-

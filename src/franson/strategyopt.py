@@ -44,9 +44,8 @@ from functools import cached_property
 import numpy as np
 
 from ._gauss import panel_nodes
-from .core import TWO_PI, SettingsChain, setting_key
+from .core import TWO_PI, SettingsChain
 from .inequalities import ModelClass, ModelKind, bound_for
-from .lhv import LocalStrategy
 
 PASS_TOLERANCE = 1e-6
 CONSTRAINT_TOLERANCE = 1e-9
@@ -1129,38 +1128,3 @@ def aklz_mixed_strategy(chain: SettingsChain, n_base: int = 512, order: int = 16
         weights.append(wgt / total)
     return MixedStrategy(vertices=tuple(vertices), weights=tuple(weights))
 
-
-def strategy_from_mixture(mixed: MixedStrategy, chain: SettingsChain) -> LocalStrategy:
-    """Run a finite-game mixture through the event-level simulator.
-
-    The hidden variable's angle selects the vertex (its quantile over the
-    mixture weights); each station then answers from its own map.  Only
-    single-phase vertices translate; the two-phase emission-time vertices
-    have no single-setting response to give.  A setting outside the chain
-    raises KeyError.
-    """
-    if any(v.site1.late_outcomes is not None for v in mixed.vertices):
-        raise ValueError("two-phase vertices cannot run the single-setting pipeline")
-    cum = np.cumsum(np.asarray(mixed.weights))
-    last = len(mixed.vertices) - 1
-
-    def responder(settings, sides: list[SiteVertex]):
-        lut = {s.key: i for i, s in enumerate(settings)}
-        # (vertices, settings) response tables
-        outcomes = np.array([sv.outcomes for sv in sides], dtype=np.int8)
-        late = ~np.array([sv.early for sv in sides], dtype=bool)
-        detected = np.array([sv.detected for sv in sides], dtype=bool)
-
-        def respond(setting: float, theta: np.ndarray, r: np.ndarray):
-            idx = lut.get(setting_key(setting))
-            if idx is None:
-                raise KeyError(f"setting {setting} is not part of the chain")
-            k = np.minimum(np.searchsorted(cum, theta / TWO_PI, side="right"), last)
-            return outcomes[k, idx], late[k, idx], detected[k, idx]
-
-        return respond
-
-    return LocalStrategy(
-        batch_site1=responder(chain.site1_settings, [v.site1 for v in mixed.vertices]),
-        batch_site2=responder(chain.site2_settings, [v.site2 for v in mixed.vertices]),
-    )

@@ -338,6 +338,33 @@ class TestSimulate:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "seed,digests",
+        [
+            (1, ("ebfa636551d9dfc48dc6f2b007f46247319e45cba3a682f1311919cac47845f6",
+                 "6404e1c88893583654a2f043a0a38d2e8465c0a6197232ed0fd5355c46b4de90",
+                 "39f2bc31e8395392e7698d8aeefc4471be4136a80ea98cbb2142d0bf19e978dc")),
+            (2, ("67960cced54f01b31aa227f7a050e5e3a718413d5b823248f8967fe60d6f4bcb",
+                 "9963f3a04e42a50d98b31ea04f2a9c20991d942c3d55a321d8e907eb8ab9ae5c",
+                 "f92e9adaa902c6d1603f42b9fa442e34e391a23b0a5dd467a83a7226b6c54342")),
+        ],
+    )
+    def test_quantum_events_and_their_report_are_pinned(
+        self, tmp_path, monkeypatch, capsys, seed, digests
+    ):
+        # SHA-256 of the quantum source's report, of the CSV it writes and
+        # of the report command's analysis of that CSV; the printed path is
+        # relative, so the bytes do not depend on where the test runs
+        monkeypatch.chdir(tmp_path)
+        argv = ["simulate", "--terms", "6", "--visibility", "0.99", "--trials", "10000",
+                "--seed", str(seed), "--events-csv", "events.csv"]
+        assert main(argv) == 0
+        simulated = capsys.readouterr().out
+        assert main(["report", "--events", "events.csv", "--terms", "6"]) == 0
+        reported = capsys.readouterr().out
+        texts = (simulated.encode(), (tmp_path / "events.csv").read_bytes(), reported.encode())
+        assert tuple(hashlib.sha256(t).hexdigest() for t in texts) == digests
+
     def test_reruns_are_byte_identical(self, capsys):
         argv = ["simulate", "--terms", "4", "--trials", "3000", "--seed", "11"]
         code1 = main(argv)
@@ -431,6 +458,37 @@ class TestSimulate:
         assert p is None
         assert err.startswith("error:")
         assert flags[0] in err
+        assert not events.exists()
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["--source", "aklz", "--variant", "cross-coupled"], "--source aklz"),
+            (["--scenario", "chained6", "--source", "aklz"], "--source aklz"),
+            (["--scenario", "table1", "--source", "aklz"], "--source aklz"),
+            (["--scenario", "chained6", "--events-csv", "EVENTS"], "--events-csv"),
+            (["--scenario", "table1", "--events-csv", "EVENTS"], "--events-csv"),
+            (["--scenario", "chained6", "--pipeline"], "--pipeline"),
+            (["--scenario", "table1", "--pipeline"], "--pipeline"),
+            (["--scenario", "chained6", "--variant", "cross-coupled"], "--variant cross-coupled"),
+            (["--scenario", "table1", "--variant", "switched-mirrors"],
+             "--variant switched-mirrors"),
+            (["--scenario", "aklz-demo", "--variant", "polarization-entangled"],
+             "--variant polarization-entangled"),
+            (["--scenario", "aklz-demo", "--terms", "6"], "--terms 6"),
+        ],
+        ids=["variant-source", "chained6-source", "table1-source", "chained6-events-csv",
+             "table1-events-csv", "chained6-pipeline", "table1-pipeline", "chained6-variant",
+             "table1-variant", "aklz-demo-variant", "aklz-demo-terms"],
+    )
+    def test_dropped_flags_are_refused(self, tmp_path, capsys, argv, flag):
+        events = tmp_path / "events.csv"
+        argv = ["simulate", *[str(events) if a == "EVENTS" else a for a in argv]]
+        code, p, err = run_cli(argv + ["--trials", "100"], capsys)
+        assert code == 2
+        assert p is None
+        assert err.startswith("error:")
+        assert flag in err
         assert not events.exists()
 
     @pytest.mark.parametrize("route", [["--source", "aklz"], ["--scenario", "aklz-demo"]],
@@ -568,16 +626,20 @@ class TestSimulate:
             assert runs[0][3].count(b"\n") > 300
 
     def test_only_large_chunks_are_sampled_in_the_background(self, capsys, monkeypatch):
-        sample, on_main = cli.simulate_strategy_pairs, []
+        sample, on_main, workers = cli.simulate_strategy_pairs, [], set()
 
         def traced(*args):
             on_main.append(threading.current_thread() is threading.main_thread())
+            if not on_main[-1]:
+                workers.add(threading.current_thread())
             return sample(*args)
 
         monkeypatch.setattr(cli, "simulate_strategy_pairs", traced)
         for trials in (cli._BACKGROUND_MIN_TRIALS - 1, cli._BACKGROUND_MIN_TRIALS):
             assert run_cli(["simulate", "--source", "aklz", "--trials", str(trials)], capsys)[0] == 0
         assert on_main == [True] * 4 + [False] * 4
+        # the four background chunks of one run share one worker thread
+        assert len(workers) == 1
 
     @pytest.mark.parametrize("stage", ["sampler", "postselect"])
     @pytest.mark.parametrize(

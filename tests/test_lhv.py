@@ -7,6 +7,7 @@ import pytest
 
 from franson import (
     LocalStrategy,
+    ModelStatistics,
     RandomSource,
     TrialBatch,
     aklz_quadrature,
@@ -15,10 +16,31 @@ from franson import (
     draw_uniforms,
     monte_carlo_statistics,
     simulate_strategy_pairs,
-    strategy_grid_statistics,
 )
 from franson.core import TWO_PI
 from franson.lhv import _HALF_PI, _THREE_HALVES_PI
+
+
+def strategy_grid_statistics(
+    strategy: LocalStrategy, phi: float, psi: float, n_theta: int = 4096, n_r: int = 1024
+) -> ModelStatistics:
+    """Midpoint-rule statistics of an arbitrary strategy on a (theta, r) grid.
+
+    The strategy answers at the midpoint of each of the n_theta * n_r
+    equal-weight cells, and the midpoint rule is then the sample mean
+    computed by ``monte_carlo_statistics``; ``count`` is the number of
+    coincident cells.  Generic and derivative-free; accuracy is limited by
+    how the grid resolves the strategy's decision boundaries (roughly 1/n).
+    Use ``aklz_quadrature`` for the built-in model when tight tolerances
+    matter.
+    """
+    theta = (np.arange(n_theta) + 0.5) * TWO_PI / n_theta
+    r = (np.arange(n_r) + 0.5) / n_r
+    tg = np.repeat(theta, n_r)
+    rg = np.tile(r, n_theta)
+    return monte_carlo_statistics(
+        TrialBatch(*strategy.batch_site1(phi, tg, rg), *strategy.batch_site2(psi, tg, rg))
+    )
 
 
 class DelayClass(Enum):

@@ -11,6 +11,7 @@ from franson import (
     CorrelationTable,
     DeterministicVertex,
     GameSpec,
+    LocalStrategy,
     MixedStrategy,
     ModelClass,
     ModelKind,
@@ -27,13 +28,13 @@ from franson import (
     max_statistic,
     monte_carlo_statistics,
     random_settings_chain,
+    setting_key,
     simulate_strategy_pairs,
     statistic_stderr,
-    strategy_from_mixture,
     verify_bound,
 )
 from franson import strategyopt
-from franson.core import RandomSource
+from franson.core import TWO_PI, RandomSource
 from franson.strategyopt import (
     _COLUMN_ROUNDS,
     _COLUMNS_PER_ROUND,
@@ -73,6 +74,42 @@ def joint_vertex(g, i, j):
     """Joint vertex of site-1 row i and site-2 row j of the game's sides."""
     sides = _side_arrays(g.model.kind, g.n_settings)
     return DeterministicVertex(_site_vertex(sides, i), _site_vertex(sides, j))
+
+
+def strategy_from_mixture(mixed: MixedStrategy, chain: SettingsChain) -> LocalStrategy:
+    """Run a finite-game mixture through the event-level simulator.
+
+    The hidden variable's angle selects the vertex (its quantile over the
+    mixture weights); each station then answers from its own map.  Only
+    single-phase vertices translate; the two-phase emission-time vertices
+    have no single-setting response to give.  A setting outside the chain
+    raises KeyError.
+    """
+    if any(v.site1.late_outcomes is not None for v in mixed.vertices):
+        raise ValueError("two-phase vertices cannot run the single-setting pipeline")
+    cum = np.cumsum(np.asarray(mixed.weights))
+    last = len(mixed.vertices) - 1
+
+    def responder(settings, sides: list[SiteVertex]):
+        lut = {s.key: i for i, s in enumerate(settings)}
+        # (vertices, settings) response tables
+        outcomes = np.array([sv.outcomes for sv in sides], dtype=np.int8)
+        late = ~np.array([sv.early for sv in sides], dtype=bool)
+        detected = np.array([sv.detected for sv in sides], dtype=bool)
+
+        def respond(setting: float, theta: np.ndarray, r: np.ndarray):
+            idx = lut.get(setting_key(setting))
+            if idx is None:
+                raise KeyError(f"setting {setting} is not part of the chain")
+            k = np.minimum(np.searchsorted(cum, theta / TWO_PI, side="right"), last)
+            return outcomes[k, idx], late[k, idx], detected[k, idx]
+
+        return respond
+
+    return LocalStrategy(
+        batch_site1=responder(chain.site1_settings, [v.site1 for v in mixed.vertices]),
+        batch_site2=responder(chain.site2_settings, [v.site2 for v in mixed.vertices]),
+    )
 
 
 @pytest.fixture(scope="module")
