@@ -231,8 +231,10 @@ def _table_report(table: CorrelationTable, chain: SettingsChain, models) -> dict
 
 # Trials per chunk of a setting pair's block.  The pipeline holds about two
 # chunks' arrays at a time, one analysed while the next is sampled, however
-# many trials a pair has.
-_CHUNK_TRIALS = 1 << 18
+# many trials a pair has.  At 2^16 trials a float column is 512 kB, so the
+# numpy passes over a chunk run in cache (2^15, 2^17 and 2^18 trials were
+# slower on 2 vCPUs).
+_CHUNK_TRIALS = 1 << 16
 
 # Chunks of fewer trials are sampled on the main thread: handing them to the
 # worker thread costs about what overlapping their sampling saves (at 10^4
@@ -481,8 +483,11 @@ def _refuse_dropped_flags(args) -> None:
     """Refuse, naming it, a flag that the chosen route would drop.
 
     A scenario runs its own source on the franson variant, and only
-    aklz-demo, the delay-model source, runs the timing pipeline.  A variant
-    other than franson simulates the quantum source with no timestamps.
+    aklz-demo, the delay-model source, runs the timing pipeline; chained6
+    sets its own terms and visibilities, and table1 simulates nothing.  A
+    variant other than franson simulates the quantum source with no
+    timestamps.  Runs before the defaults are filled in, so that a flag
+    given at its default value is told from one not given.
     """
     other_variant = args.variant not in (None, "franson")
     if args.scenario is None and not other_variant:
@@ -497,9 +502,28 @@ def _refuse_dropped_flags(args) -> None:
     ):
         if dropped:
             raise ConfigError(f"{flag} does not apply to {route}")
+    ignores = {
+        "table1": (
+            "source",
+            "terms",
+            "visibility",
+            "trials",
+            "seed",
+            "path_difference_ns",
+            "window_ns",
+            "short_arm_ns",
+            "emission_gap_ns",
+        ),
+        "chained6": ("terms", "visibility"),
+    }
+    for attr in ignores.get(args.scenario, ()):
+        value = getattr(args, attr)
+        if value is not None:
+            raise ConfigError(f"--{attr.replace('_', '-')} {value} does not apply to {route}")
 
 
 def _cmd_simulate(args) -> dict:
+    _refuse_dropped_flags(args)
     _fill_defaults(
         args,
         {
@@ -516,7 +540,6 @@ def _cmd_simulate(args) -> dict:
     )
     if int(args.trials) < 1:
         raise ConfigError(f"--trials must be at least 1, got {args.trials}")
-    _refuse_dropped_flags(args)
     if args.scenario == "table1":
         return _scenario_table1()
     if args.scenario == "chained6":

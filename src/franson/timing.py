@@ -337,6 +337,9 @@ def _setting_runs(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     for c in columns:
         head[1:] |= c[1:] != c[:-1]
     heads = np.flatnonzero(head)
+    if heads.size == 1:
+        # one run, as in every pipeline chunk: one key row, nothing to sort
+        return np.append(heads, n), np.zeros(1, dtype=np.intp), heads
     keys = [_setting_keys(c[heads]) for c in columns]
     # a stable sort of the key rows, first column first, puts each key
     # row's first run at the front of its group
@@ -354,20 +357,26 @@ def _setting_runs(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
 def _sum_by_key(code: np.ndarray, size: int, per_run: np.ndarray) -> np.ndarray:
     """Exact integer totals per key of values given per run."""
     total = np.zeros(size, dtype=np.int64)
-    np.add.at(total, code, per_run)
+    if code.size == size:
+        # one run per key: the totals are the runs' values
+        total[code] = per_run
+    else:
+        np.add.at(total, code, per_run)
     return total
 
 
 def _site_streams(events: EventColumns):
     """Each site's (timestamps, outcomes, settings) in timestamp order, and
-    each site-1 event's place in one time order of both sites.
+    for each site-1 event the count of site-2 events ahead of it in one
+    time order of both sites, site 1 first at equal timestamps.
 
     Rows grouped by site (site 1's, then site 2's) are sliced as they are;
     other orders are split by site first.  A site whose timestamps are not
     nondecreasing is sorted with a stable sort, so equal timestamps keep
-    their input order.  The places are the site-1 rows themselves when all
-    rows are in time order, and otherwise come from one stable sort of the
-    two sorted runs, which is a linear merge.
+    their input order.  The counts come from the rows themselves when all
+    rows are in time order; from the runs' interleaving when grouped rows
+    alternate one to one, as the pipeline emits them; and otherwise from
+    one stable sort of the two sorted runs, which is a linear merge.
     """
     ts, site = events["timestamp_ns"], events["site"]
     is1 = site == 1
@@ -380,7 +389,8 @@ def _site_streams(events: EventColumns):
         if n1 + rows[1].size != site.size:
             raise ValueError("every event's site must be 1 or 2")
         if np.all(ts[1:] >= ts[:-1]):
-            return [(ts[r], events["outcome"][r], events["setting_rad"][r]) for r in rows], rows[0]
+            streams = [(ts[r], events["outcome"][r], events["setting_rad"][r]) for r in rows]
+            return streams, rows[0] - np.arange(n1)
     # the two sorted runs as one column: grouped rows already are one
     streams, runs = [], ts if grouped else None
     for r in rows:
@@ -390,9 +400,24 @@ def _site_streams(events: EventColumns):
             t, outcome, setting = t[order], outcome[order], setting[order]
             runs = None
         streams.append((t, outcome, setting))
+    t1, t2 = streams[0][0], streams[1][0]
+    # Equal runs of n > 1 that interleave, t1[i-1] <= t2[i] and t2[i-1] <
+    # t1[i]: site-2 events 0..i-1 lie below t1[i] and i+1.. at or above it,
+    # so i + (t2[i] < t1[i]) of them are ahead, ties putting site 1 first.
+    # A NaN fails a comparison (every time takes part in one when n > 1),
+    # so the counts are the stable merge's exactly.
+    if (
+        grouped
+        and n1 == t2.size > 1
+        and np.all(t2[:-1] < t1[1:])
+        and np.all(t1[:-1] <= t2[1:])
+    ):
+        return streams, np.arange(n1) + (t2 < t1)
     if runs is None:
-        runs = np.concatenate([streams[0][0], streams[1][0]])
-    return streams, np.flatnonzero(np.argsort(runs, kind="stable") < n1)
+        runs = np.concatenate([t1, t2])
+    # a site-1 event's place in the merge less its index among site 1's
+    places = np.flatnonzero(np.argsort(runs, kind="stable") < n1)
+    return streams, places - np.arange(n1)
 
 
 def postselect(events: EventColumns, timing: InterferometerTiming) -> PostselectionResult:
@@ -408,10 +433,9 @@ def postselect(events: EventColumns, timing: InterferometerTiming) -> Postselect
     data ambiguous and raises; with emission gaps above twice the path
     difference that cannot happen.  Pairs come in site-1 order.
     """
+    # the count of site-2 events ahead of a site-1 event is the index in t2
+    # of its candidate
     ((t1, outcome1, phases1), (t2, outcome2, phases2)), ahead = _site_streams(events)
-    # a site-1 event's place less its index among the site-1 events is the
-    # count of site-2 events ahead of it: the index in t2 of its candidate
-    ahead -= np.arange(t1.size)
     # t2 padded with -inf in front and +inf behind, neither ever a partner:
     # at[j] is t2[j] and before[j] the site-2 time ahead of it
     padded = np.concatenate([[-np.inf], t2, [np.inf]])

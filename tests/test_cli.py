@@ -12,6 +12,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -339,6 +340,50 @@ class TestSimulate:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize(
+        "trials,digest",
+        [
+            (65535, "68ebf0e118d2ae41a8cbee63993f400403cd49a661bbdf236abbf3b2a5212cca"),
+            (65537, "69ebfcb6a57b32f8b0c9e3114bd8292ad28e481aa09c5011a54394b291247199"),
+            (200000, "676247984182f5300b6c6dde97a8115c22f59978dfd4d476a47ab872e799b91f"),
+        ],
+    )
+    def test_delay_model_reports_over_several_chunks_are_pinned(self, trials, digest, capsys):
+        # one trial short of and one past 2^16 trials a pair, and 200,000:
+        # pinned with 2^18-trial chunks, so each chunk boundary of the
+        # default size changes no byte
+        argv = ["simulate", "--source", "aklz", "--trials", str(trials), "--seed", "1"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_delay_model_events_csv_is_pinned(self, tmp_path, capsys):
+        events = tmp_path / "events.csv"
+        argv = ["simulate", "--source", "aklz", "--trials", "100000", "--seed", "1",
+                "--events-csv", str(events)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        digest = hashlib.sha256(events.read_bytes()).hexdigest()
+        assert digest == "d03114297db08654c9f179cfbe4fcb2b8e7b19ceeee479c38802512ec9338171"
+
+    def test_delay_model_run_holds_a_few_chunks_of_arrays(self, capsys):
+        # the arrays a run allocates on both threads (numpy reports them to
+        # tracemalloc) peak at a few chunks' worth: about 14 MB with 2^16
+        # trials a chunk, and about 39 MB with 2^18
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            assert main(["simulate", "--source", "aklz", "--trials", "400000"]) == 0
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        capsys.readouterr()
+        assert peak < 20e6
+
+    @pytest.mark.parametrize(
         "seed,digests",
         [
             (1, ("ebfa636551d9dfc48dc6f2b007f46247319e45cba3a682f1311919cac47845f6",
@@ -476,10 +521,20 @@ class TestSimulate:
             (["--scenario", "aklz-demo", "--variant", "polarization-entangled"],
              "--variant polarization-entangled"),
             (["--scenario", "aklz-demo", "--terms", "6"], "--terms 6"),
+            # chained6 runs 6 terms at its own visibilities: a given value is
+            # refused even where it equals a default
+            (["--scenario", "chained6", "--terms", "4"], "--terms 4"),
+            (["--scenario", "chained6", "--terms", "6"], "--terms 6"),
+            (["--scenario", "chained6", "--visibility", "0.5"], "--visibility 0.5"),
+            (["--scenario", "chained6", "--visibility", "1"], "--visibility 1.0"),
+            (["--scenario", "table1", "--terms", "6"], "--terms 6"),
+            (["--scenario", "table1", "--visibility", "1"], "--visibility 1.0"),
         ],
         ids=["variant-source", "chained6-source", "table1-source", "chained6-events-csv",
              "table1-events-csv", "chained6-pipeline", "table1-pipeline", "chained6-variant",
-             "table1-variant", "aklz-demo-variant", "aklz-demo-terms"],
+             "table1-variant", "aklz-demo-variant", "aklz-demo-terms", "chained6-terms-4",
+             "chained6-terms-6", "chained6-visibility", "chained6-visibility-1",
+             "table1-terms", "table1-visibility"],
     )
     def test_dropped_flags_are_refused(self, tmp_path, capsys, argv, flag):
         events = tmp_path / "events.csv"
@@ -490,6 +545,28 @@ class TestSimulate:
         assert err.startswith("error:")
         assert flag in err
         assert not events.exists()
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--source", "quantum"), ("--terms", "4"), ("--visibility", "1.0"),
+         ("--trials", "200000"), ("--seed", "1"), ("--path-difference-ns", "100.0"),
+         ("--window-ns", "5.0"), ("--short-arm-ns", "10.0"), ("--emission-gap-ns", "1000.0")],
+    )
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+    def test_table1_refuses_every_simulation_flag(self, tmp_path, capsys, flag, value,
+                                                  via_config):
+        # table1 prints closed forms only, so even a default value is dropped
+        argv = ["simulate", "--scenario", "table1"]
+        if via_config:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({flag[2:]: value}))
+            argv += ["--config", str(cfg)]
+        else:
+            argv += [flag, value]
+        code, p, err = run_cli(argv, capsys)
+        assert code == 2
+        assert p is None
+        assert err == f"error: {flag} {value} does not apply to --scenario table1\n"
 
     @pytest.mark.parametrize("route", [["--source", "aklz"], ["--scenario", "aklz-demo"]],
                              ids=["aklz", "aklz-demo"])

@@ -1025,3 +1025,170 @@ class TestReferee:
         for (phi, psi), cell in table.items():
             if cell.count:
                 assert cell.estimate == cell.product_sum / cell.count
+
+
+# ---------------------------------------------------------------------------
+# referee for the merge rank of grouped site runs
+
+
+def stable_merge_counts(t1, t2):
+    """For each site-1 time, the site-2 times ahead of it in one stable sort
+    of t1 then t2: NaN last, site 1 first at equal times."""
+    places = np.flatnonzero(np.argsort(np.concatenate([t1, t2]), kind="stable") < t1.size)
+    return places - np.arange(t1.size)
+
+
+def interleave(t1, t2):
+    """Equal sorted runs of two or more times, one site-2 time between
+    consecutive site-1 times and the reverse."""
+    return bool(
+        t1.size == t2.size > 1
+        and np.all(t1[1:] >= t1[:-1])
+        and np.all(t2[1:] >= t2[:-1])
+        and np.all(t2[:-1] < t1[1:])
+        and np.all(t1[:-1] <= t2[1:])
+    )
+
+
+def postselect_outcome(events):
+    """postselect's pairs and efficiency entries as text, or ("raises",
+    its error message)."""
+    try:
+        # inf - inf is NaN, which is never inside the window: no warning
+        with np.errstate(invalid="ignore"):
+            result = postselect(events, TIMING)
+    except ValueError as exc:
+        return "raises", str(exc)
+    entries = [(e.site, e.setting_rad, e.detected, e.coincident) for e in result.report.entries]
+    return repr(rows_of(result.pairs, PAIR_FIELDS)), repr(entries)
+
+
+def reference_outcome(events):
+    """reference_postselect in postselect_outcome's terms; NaN times sort
+    last, as numpy sorts them."""
+    rows = sorted(rows_of(events, CSV_COLUMNS), key=lambda r: (math.isnan(r[2]), r[2]))
+    try:
+        pairs, entries = reference_postselect(
+            EventColumns(*(list(col) for col in zip(*rows))) if rows else events,
+            TIMING.window_ns,
+        )
+    except ValueError:
+        return "raises", "ambiguous coincidences: one event matches several partners"
+    return repr(pairs), repr(entries)
+
+
+def grouped_events(t1, t2, rng):
+    """Site 1's rows, then site 2's, with random outcomes and phases."""
+    n = t1.size + t2.size
+    return EventColumns(
+        site=np.repeat([1, 2], [t1.size, t2.size]),
+        trial=np.arange(n),
+        timestamp_ns=np.concatenate([t1, t2]),
+        outcome=rng.choice([-1, 1], n),
+        setting_rad=rng.choice(PHASES, n),
+    )
+
+
+EDGE_TIMES = (0.0, -0.0, np.inf, -np.inf, np.nan)
+
+
+def random_runs(rng):
+    """Two runs of times in ticks, often equal in length and interleaving,
+    with ties across sites and the odd edge value; mostly sorted."""
+    n1 = int(rng.integers(0, 7))
+    n2 = n1 if rng.random() < 0.7 else int(rng.integers(0, 7))
+    if n1 == n2 and rng.random() < 0.5:
+        # trials 16 ticks apart, a late arrival 8 ticks on, jitter up to a
+        # window: the pipeline's runs, moved onto and across the window edge
+        base = 16 * np.arange(n1)
+        t1, t2 = (base + 8 * rng.integers(0, 2, n1) + rng.integers(-4, 5, n1) for _ in "12")
+    elif n1 == n2 and rng.random() < 0.5:
+        # sorted times dealt in turn, either site taking the smaller
+        both = np.sort(rng.integers(-6, 20, 2 * n1)).reshape(n1, 2)
+        first = rng.integers(0, 2, n1)
+        t1, t2 = both[np.arange(n1), first], both[np.arange(n1), 1 - first]
+    else:
+        t1, t2 = rng.integers(-6, 20, n1), rng.integers(-6, 20, n2)
+    runs = []
+    for t in (t1 * TICK, t2 * TICK):
+        edge = rng.random(t.size) < 0.08
+        t[edge] = rng.choice(EDGE_TIMES, int(edge.sum()))
+        runs.append(np.sort(t) if rng.random() < 0.9 else rng.permutation(t))
+    return runs
+
+
+class TestMergeRank:
+    def check(self, events, n1):
+        """Grouped rows against the stable merge, the same rows with site 2
+        first and the brute-force referee."""
+        (s1, s2), ahead = timing._site_streams(events)
+        assert ahead.dtype == np.intp
+        assert np.array_equal(ahead, stable_merge_counts(s1[0], s2[0]))
+        outcome = postselect_outcome(events)
+        n = len(events)
+        swapped = events.take(np.r_[n1:n, 0:n1])
+        assert postselect_outcome(swapped) == outcome
+        assert outcome == reference_outcome(events)
+        return outcome
+
+    def test_random_grouped_runs_match_the_stable_merge(self):
+        rng = np.random.default_rng(2024)
+        interleaved = paired = 0
+        for _ in range(2000):
+            t1, t2 = random_runs(rng)
+            interleaved += interleave(t1, t2)
+            pairs, _ = self.check(grouped_events(t1, t2, rng), t1.size)
+            paired += interleave(t1, t2) and pairs not in ("raises", "[]")
+        # the interleaving runs, with and without pairs, are well covered
+        assert interleaved > 400
+        assert paired > 250
+
+    @pytest.mark.parametrize(
+        "t1,t2",
+        [
+            ([0.0, 8.0], [0.0, 8.0]),                    # ties across sites
+            ([0.0, 8.0], [-0.0, 8.0]),                   # -0.0 ties 0.0
+            ([-0.0, 0.0], [0.0, -0.0]),
+            ([-np.inf, 8.0], [-np.inf, 8.25]),
+            ([0.0, np.inf], [0.25, np.inf]),
+            ([0.0, np.nan], [0.25, 8.0]),                # NaN: not sorted, no pair
+            ([0.0, 8.0], [0.25, np.nan]),
+            ([np.nan], [0.25]),
+            ([0.25], [np.nan]),
+            ([0.0, 1.0, 2.0], [0.5, 1.5, 2.5]),          # interleave, every pair ambiguous
+            ([0.0, 8.0], [16.0, 24.0]),                  # equal runs that do not interleave
+            ([16.0, 24.0], [0.0, 8.0]),
+            ([0.0, 8.0, 16.0], [8.25]),                  # n1 != n2
+            ([], [0.0, 8.0]),                            # an empty run
+            ([0.0, 8.0], []),
+            ([], []),
+        ],
+    )
+    def test_edge_runs_match_the_stable_merge(self, t1, t2):
+        t1, t2 = np.array(t1, dtype=float), np.array(t2, dtype=float)
+        self.check(grouped_events(t1, t2, np.random.default_rng(5)), t1.size)
+
+    @pytest.mark.parametrize("lost", ["neither", "site 1", "site 2", "both alike", "both apart"])
+    def test_batches_with_detection_loss_match_the_stable_merge(self, lost):
+        # loss at one site, or apart at both, leaves runs of unequal length;
+        # the same loss at both sites leaves equal runs that interleave
+        rng = np.random.default_rng(len(lost))
+        n = 40
+        for _ in range(50):
+            loss = [rng.random(n) < 0.2 for _ in "12"]
+            if lost == "both alike":
+                loss[1] = loss[0]
+            detected = [
+                ~loss[k] if lost in (site, "both alike", "both apart") else np.ones(n, dtype=bool)
+                for k, site in enumerate(("site 1", "site 2"))
+            ]
+            batch = TrialBatch(
+                outcome1=rng.choice([-1, 1], n).astype(np.int8),
+                late1=rng.random(n) < 0.5,
+                detected1=detected[0],
+                outcome2=rng.choice([-1, 1], n).astype(np.int8),
+                late2=rng.random(n) < 0.5,
+                detected2=detected[1],
+            )
+            events = emit_events_from_batch(batch, np.arange(n) * 1000.0, TIMING, 0.1, 0.2)
+            self.check(events, int(detected[0].sum()))
