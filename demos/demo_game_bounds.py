@@ -1,21 +1,25 @@
 """
-Checking the bounds by brute force and by search
-================================================
+Checking the bounds exactly, and by search
+==========================================
 
 Every bound used in the verdicts is a statement about a finite game:
 mixtures over deterministic per-setting response maps.  One sign pattern
 of the absolute-value groups is enough everywhere: negating a set of
 settings' outcome maps carries any pattern to the all-+1 one and keeps
-every cell mass.  So the linear games are solved exactly over one site's
-outcome maps, the other site answering each setting with the sign of its
-column sum.  The ratio-form games get a multi-start search by successive
-LP.  With every cell mass held fixed, each ascent step is one exact LP
-under the current sign pattern: the equal-mass game pins every cell mass
-to 1/2, and the outcomes-only game pins them at the start of each column
-round.  The equal-mass game is cross-checked by one exact linear program
-with one column per pair of arrival maps: every vertex with the same
-arrival maps has the same constraint column, so only the best of them
-can matter.
+every cell mass.  So each game has an exact answer.  The linear games
+are solved over one site's outcome maps, the other site answering each
+setting with the sign of its column sum.  The equal-mass game is one
+linear program with one column per pair of arrival maps (every vertex
+with the same arrival maps has the same constraint column, so only the
+best of them can matter), and its duals certify the value against every
+joint vertex.  Outcomes-only selection reaches the algebraic maximum
+with a closed-form mixture.
+
+The ratio-form games also get a multi-start search by successive LP,
+which tries to beat the exact answers.  With every cell mass held fixed,
+each ascent step is one exact LP under the current sign pattern: the
+equal-mass game pins every cell mass to 1/2, and the outcomes-only game
+pins them at the start of each column round.
 
 The local delay model itself appears here as a witness: projected onto
 game vertices it is a feasible mixture of the outcomes-only class, and
@@ -32,18 +36,35 @@ from franson import (
     OptimizerBudget,
     aklz_mixed_strategy,
     chain_settings,
-    emission_time_lp_value,
     evaluate_mixed,
     max_statistic,
+    verify_bound,
 )
 
 chain4 = chain_settings(4)
 chain6 = chain_settings(6)
 
-print("exact maxima, four-term games")
-for model in (ModelClass.plain_local_realism(), ModelClass.path_realism()):
-    result = max_statistic(GameSpec(model, chain4))
-    print(f"  {model.kind.value:>22}: max = {result.value:.6f} ({result.notes})")
+print("exact answers, six-term games")
+for model in (
+    ModelClass.plain_local_realism(),
+    ModelClass.path_realism(),
+    ModelClass.emission_time_realism(),
+    ModelClass.outcomes_only(),
+):
+    report = verify_bound(GameSpec(model, chain6))
+    print(
+        f"  {model.kind.value:>22}: max = {report.best_value:.6f}, bound {report.bound}"
+        f" ({report.method}, {len(report.witness.vertices)}-vertex witness)"
+    )
+
+print()
+for chain in (chain4, chain6, chain_settings(8)):
+    report = verify_bound(GameSpec(ModelClass.emission_time_realism(), chain))
+    cert = report.certificate
+    print(
+        f"equal-mass game, {chain.terms} terms: LP value {report.best_value:.9f},"
+        f" dual certificate closed {cert.closed} (largest profit {cert.largest_profit:.1e})"
+    )
 
 print()
 print("multi-start search, equal-mass and outcomes-only games")
@@ -58,11 +79,6 @@ for model, chain, bound in (
         f"  {model.kind.value:>22}, {chain.terms} terms:"
         f" best found {result.value:.9f}, bound {bound}"
     )
-
-print()
-for chain in (chain4, chain6, chain_settings(8)):
-    lp = emission_time_lp_value(GameSpec(ModelClass.emission_time_realism(), chain))
-    print(f"exact LP value of the equal-mass game, {chain.terms} terms: {lp:.9f}")
 
 mixed = aklz_mixed_strategy(chain4)
 ev = evaluate_mixed(GameSpec(ModelClass.outcomes_only(), chain4), mixed)

@@ -192,13 +192,13 @@ def _model_class(name: str, eta: float | None) -> ModelClass:
     return ModelClass(kind=kind)
 
 
-def _verdict_models(terms: int) -> list[ModelClass]:
-    """Every class without an efficiency whose bound is defined at ``terms``:
-    emission-time realism, the paper's claim, first, the 4-term-only ones last."""
-    kinds = [
-        k for k in ModelKind if not k.takes_efficiency and (terms == 4 or not k.four_term_only)
-    ]
-    kinds.sort(key=lambda k: (k is not ModelKind.EMISSION_TIME_REALISM, k.four_term_only))
+def _verdict_models() -> list[ModelClass]:
+    """Every class without an efficiency: emission-time realism, the
+    paper's claim, first, path realism last, as 4-term reports list them."""
+    kinds = [k for k in ModelKind if not k.takes_efficiency]
+    kinds.sort(
+        key=lambda k: (k is not ModelKind.EMISSION_TIME_REALISM, k is ModelKind.PATH_REALISM)
+    )
     return [ModelClass(kind=k) for k in kinds]
 
 
@@ -398,7 +398,7 @@ def _simulate_quantum(args) -> dict:
             return TrialBatch(x1, late1, ones, x2, late2, ones.copy())
 
     return _simulate_report(
-        args, "quantum", visibility, chain, sample, _verdict_models(chain.terms)
+        args, "quantum", visibility, chain, sample, _verdict_models()
     )
 
 
@@ -479,6 +479,10 @@ def _scenario_chained6(args) -> dict:
     return {"command": "simulate", "scenario": "chained6", "rows": rows}
 
 
+# the flags that only the timing pipeline reads
+_TIMING_FLAGS = ("path_difference_ns", "window_ns", "short_arm_ns", "emission_gap_ns")
+
+
 def _refuse_dropped_flags(args) -> None:
     """Refuse, naming it, a flag that the chosen route would drop.
 
@@ -486,37 +490,35 @@ def _refuse_dropped_flags(args) -> None:
     aklz-demo, the delay-model source, runs the timing pipeline; chained6
     sets its own terms and visibilities, and table1 simulates nothing.  A
     variant other than franson simulates the quantum source with no
-    timestamps.  Runs before the defaults are filled in, so that a flag
-    given at its default value is told from one not given.
+    timestamps, and so does the quantum source without ``--pipeline`` or
+    ``--events-csv``, so the timing flags apply to neither.  Runs before
+    the defaults are filled in, so that a flag given at its default value
+    is told from one not given.
     """
     other_variant = args.variant not in (None, "franson")
-    if args.scenario is None and not other_variant:
-        return
-    route = f"--scenario {args.scenario}" if args.scenario else f"--variant {args.variant}"
     aklz_demo = args.scenario == "aklz-demo"
-    for flag, dropped in (
-        (f"--variant {args.variant}", other_variant and args.scenario is not None),
-        ("--source aklz", args.source == "aklz" and not aklz_demo),
-        ("--events-csv", bool(args.events_csv) and not aklz_demo),
-        ("--pipeline", args.pipeline and not aklz_demo),
-    ):
-        if dropped:
-            raise ConfigError(f"{flag} does not apply to {route}")
-    ignores = {
-        "table1": (
-            "source",
-            "terms",
-            "visibility",
-            "trials",
-            "seed",
-            "path_difference_ns",
-            "window_ns",
-            "short_arm_ns",
-            "emission_gap_ns",
-        ),
+    if args.scenario or other_variant:
+        route = f"--scenario {args.scenario}" if args.scenario else f"--variant {args.variant}"
+        for flag, dropped in (
+            (f"--variant {args.variant}", other_variant and args.scenario is not None),
+            ("--source aklz", args.source == "aklz" and not aklz_demo),
+            ("--source quantum", args.source == "quantum" and aklz_demo),
+            ("--events-csv", bool(args.events_csv) and not aklz_demo),
+            ("--pipeline", args.pipeline and not aklz_demo),
+        ):
+            if dropped:
+                raise ConfigError(f"{flag} does not apply to {route}")
+    elif args.source == "aklz" or args.events_csv or args.pipeline:
+        return  # the timing pipeline, which reads every flag
+    else:
+        route = "the quantum source without --pipeline or --events-csv"
+    ignored = {
+        "table1": ("source", "terms", "visibility", "trials", "seed"),
         "chained6": ("terms", "visibility"),
-    }
-    for attr in ignores.get(args.scenario, ()):
+    }.get(args.scenario, ())
+    if not aklz_demo:
+        ignored += _TIMING_FLAGS
+    for attr in ignored:
         value = getattr(args, attr)
         if value is not None:
             raise ConfigError(f"--{attr.replace('_', '-')} {value} does not apply to {route}")
@@ -603,7 +605,12 @@ def _cmd_visibility(args) -> dict:
     return {"command": "visibility", "rows": rows, "best_terms": best["terms"]}
 
 
+# verify-bounds flags that budget the search; giving any of them runs it
+_SEARCH_BUDGET = ("restarts", "iterations", "support_size")
+
+
 def _cmd_verify_bounds(args) -> dict:
+    search = any(getattr(args, a) is not None for a in _SEARCH_BUDGET)
     _fill_defaults(
         args,
         {
@@ -618,13 +625,14 @@ def _cmd_verify_bounds(args) -> dict:
     model = _model_class(args.model_class, None)
     chain = chain_settings(int(args.terms))
     game = GameSpec(model=model, chain=chain)
+    # checked even when no search runs, so a bad --seed is never ignored
     budget = OptimizerBudget(
         restarts=int(args.restarts),
         iterations=int(args.iterations),
         support_size=int(args.support_size),
         seed=int(args.seed),
     )
-    report = verify_bound(game, budget, lp_check=bool(args.lp_check))
+    report = verify_bound(game, budget if search else None, lp_check=bool(args.lp_check))
     payload = report.to_json_dict(include_witness=bool(args.witness))
     payload["command"] = "verify-bounds"
     return payload
@@ -677,7 +685,7 @@ def _cmd_report(args) -> dict:
     if args.model_class:
         models = [_model_class(args.model_class, args.eta)]
     else:
-        models = _verdict_models(chain.terms)
+        models = _verdict_models()
     return {
         "command": "report",
         "events": args.events,
@@ -742,7 +750,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_vis.set_defaults(func=_cmd_visibility)
 
     p_verify = sub.add_parser(
-        "verify-bounds", help="search a model class for bound violations"
+        "verify-bounds", help="check a model class's bound against its exact maximum"
     )
     p_verify.add_argument(
         "--model-class",
@@ -750,14 +758,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="efficiency-based bounds are closed-form (see the bounds command)",
     )
     p_verify.add_argument("--terms", type=int)
-    p_verify.add_argument("--restarts", type=int)
-    p_verify.add_argument("--iterations", type=int, help="ascent steps per column round")
-    p_verify.add_argument("--support-size", type=int)
-    p_verify.add_argument("--seed", type=int)
+    p_verify.add_argument(
+        "--restarts",
+        type=int,
+        help="search restarts (default 48); any of the three budget flags also "
+        "runs the successive-LP search (emission-time and outcomes-only games)",
+    )
+    p_verify.add_argument(
+        "--iterations", type=int, help="search ascent steps per column round (default 220)"
+    )
+    p_verify.add_argument("--support-size", type=int, help="search support atoms (default 192)")
+    p_verify.add_argument("--seed", type=int, help="seeds the search only")
     p_verify.add_argument(
         "--lp-check",
         action="store_true",
-        help="additionally solve the emission-time game exactly by LP",
+        help="also state the emission-time game's LP value as lp_value",
     )
     p_verify.add_argument(
         "--witness", action="store_true", help="include the witness mixture"

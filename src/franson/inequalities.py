@@ -135,7 +135,7 @@ class ModelKind(Enum):
 
 _KINDS_WITH_ETA = {ModelKind.INEFFICIENCY, ModelKind.DELAYS}
 # classes whose bound is only defined for the 4-term statistic
-_CHSH_ONLY = {ModelKind.INEFFICIENCY, ModelKind.DELAYS, ModelKind.PATH_REALISM}
+_CHSH_ONLY = {ModelKind.INEFFICIENCY, ModelKind.DELAYS}
 
 
 @dataclass(frozen=True)
@@ -185,23 +185,23 @@ def bound_for(model: ModelClass, terms: int) -> float:
 
     Plain local realism: terms - 2.  Detection inefficiency eta (4 terms):
     4/eta - 2.  Setting-dependent delays with efficiency eta (4 terms):
-    6/eta - 4.  Path realism (4 terms): 2.  Emission-time realism with
-    equal early/late coincidence mass: terms - 1.  Outcomes treated as the
-    only elements of reality: the algebraic maximum, terms.  Bounds above
-    the algebraic maximum are clipped to it.
+    6/eta - 4.  Path realism: terms - 2 too, since a path fixed before the
+    settings act makes the coincidence selection setting-independent.
+    Emission-time realism with equal early/late coincidence mass:
+    terms - 1.  Outcomes treated as the only elements of reality: the
+    algebraic maximum, terms.  Bounds above the algebraic maximum are
+    clipped to it.
     """
     if terms < 4 or terms % 2 != 0:
         raise ValueError(f"terms must be an even number >= 4, got {terms}")
     if model.kind.four_term_only and terms != 4:
         raise ValueError(f"{model.kind.value} bound is defined for 4 terms only")
-    if model.kind is ModelKind.PLAIN_LOCAL_REALISM:
+    if model.kind in (ModelKind.PLAIN_LOCAL_REALISM, ModelKind.PATH_REALISM):
         raw = terms - 2.0
     elif model.kind is ModelKind.INEFFICIENCY:
         raw = 4.0 / model.eta - 2.0
     elif model.kind is ModelKind.DELAYS:
         raw = 6.0 / model.eta - 4.0
-    elif model.kind is ModelKind.PATH_REALISM:
-        raw = 2.0
     elif model.kind is ModelKind.EMISSION_TIME_REALISM:
         raw = terms - 1.0
     elif model.kind is ModelKind.OUTCOMES_ONLY:

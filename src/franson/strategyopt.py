@@ -2,13 +2,17 @@
 
 Deterministic local strategies with finitely many settings form the
 vertices of each model class; mixtures over them span the whole class.
-Classes whose statistic is linear in the mixture (plain local realism,
-path realism) are maximized exactly over the site-1 outcome maps, the
-best site-2 response in closed form.  Classes with strategy-dependent
-postselection (outcomes-only selection, emission-time realism) have a
-ratio-form statistic and are searched by multi-start ascent over mixture
-weights; reports carry the best value found and never claim exactness
-for the searched classes.  Both are climbed by successive LP.  With
+Every finite class has an exact answer.  Classes whose statistic is
+linear in the mixture (plain local realism, path realism) are maximized
+exactly over the site-1 outcome maps, the best site-2 response in closed
+form.  The emission-time game's value is one LP, with a dual certificate
+that bounds every joint vertex.  Outcomes-only selection reaches the
+algebraic maximum with a closed-form mixture.
+
+Classes with strategy-dependent postselection (outcomes-only selection,
+emission-time realism) have a ratio-form statistic; a multi-start
+search over mixture weights, run on request, tries to exceed the exact
+answer and never claims exactness.  It climbs by successive LP.  With
 every cell mass held fixed the statistic is at least the linear
 objective of its current sign pattern, with equality at the current
 point, so each ascent step is one exact LP under that pattern (the full
@@ -49,6 +53,11 @@ from .inequalities import ModelClass, ModelKind, bound_for
 
 PASS_TOLERANCE = 1e-6
 CONSTRAINT_TOLERANCE = 1e-9
+# an exact answer's witness must re-evaluate to its value within this
+WITNESS_TOLERANCE = 1e-9
+# a dual certificate closes when no joint vertex has a reduced profit above
+# this and its dual value is within WITNESS_TOLERANCE of the LP's value
+PROFIT_TOLERANCE = 1e-10
 
 # emission-time game formalization note, included in reports
 EMISSION_TIME_NOTE = (
@@ -479,12 +488,49 @@ def _check_search_size(game: GameSpec, budget: OptimizerBudget) -> None:
         )
 
 @dataclass(frozen=True)
+class DualCertificate:
+    """An upper bound on the emission-time game value from the LP's duals.
+
+    ``duals`` are y, one per equality row (the early-early mass of each
+    cell, the late-late mass, the simplex sum), and ``dual_value`` is y.b.
+    No joint vertex of the game, in the LP or not, has a reduced profit
+    obj - A^T y above ``largest_profit``, and the weights sum to 1, so no
+    mixture's objective exceeds y.b + max(0, largest_profit).  ``closed``
+    when that profit is at most ``PROFIT_TOLERANCE`` and y.b is within
+    ``WITNESS_TOLERANCE`` of the LP's value.
+    """
+
+    duals: tuple[float, ...]
+    dual_value: float
+    largest_profit: float
+    closed: bool
+
+    def to_json_dict(self) -> dict:
+        return {
+            "duals": list(self.duals),
+            "dual_value": self.dual_value,
+            "largest_profit": self.largest_profit,
+            "closed": self.closed,
+        }
+
+
+@dataclass(frozen=True)
 class MaxStatisticResult:
+    """A class's largest statistic, with a witness mixture.
+
+    ``method`` names how it was found: "exact-maximum" (plain and path
+    realism), "lp" (the emission-time game, with its ``certificate``),
+    "closed-form" (outcomes-only selection) or "successive-lp" (the
+    search, the one method that is not exact).
+    """
+
     value: float
     witness: MixedStrategy
     exact: bool
     restarts_used: int
+    method: str
     notes: str = ""
+    certificate: DualCertificate | None = None
 
 
 # entries of the exact maximum's (site-1 map, term) arrays: the 38-term
@@ -527,9 +573,62 @@ def _exact_vertex_max(game: GameSpec) -> MaxStatisticResult:
         witness=witness,
         exact=True,
         restarts_used=0,
+        method="exact-maximum",
         notes=(
             "exact maximum over the site-1 outcome maps, "
             "the site-2 best response in closed form"
+        ),
+    )
+
+
+# outcomes-only site rows are 3n-bit indices of int64: n = 21, 42 terms,
+# fills 63 bits
+_INDEX_BITS = 63
+
+
+def _outcomes_only_closed_form(game: GameSpec) -> MaxStatisticResult:
+    """A mixture at the algebraic maximum of outcomes-only selection.
+
+    Vertex k of n = terms/2, each of weight 1/n: site 1 is detected only at
+    setting k, early, with outcome +1; site 2 is detected early at every
+    setting b, with the sign of term (k, b) as its outcome (+1 where no term
+    pairs them).  Every coincidence is early-early, and only vertex a
+    selects cell (a, b), so every cell has mass 1/n and correlation equal
+    to its term's sign: each term contributes +1, the statistic is
+    ``terms``.  A game wider than 42 terms raises ResourceLimitError, as
+    its site rows would not fit int64.
+    """
+    n = game.n_settings
+    if 3 * n > _INDEX_BITS:
+        raise ResourceLimitError(
+            f"{game.chain.terms}-term outcomes-only vertices need {3 * n}-bit "
+            f"site rows; int64 holds {_INDEX_BITS} bits (at most 42 terms)"
+        )
+    a_idx, b_idx, signs = _cell_indices(game)
+    outcomes2 = np.ones((n, n))
+    outcomes2[a_idx, b_idx] = signs
+    single = 1 << np.arange(n, dtype=np.int64)
+    every = 2**n - 1
+    rows1 = _vertex_index(n, 0, every, single)
+    rows2 = _vertex_index(n, _sign_index(outcomes2), every, every)
+    s1, s2 = _atoms(game, rows1, rows2)
+    witness = MixedStrategy(
+        vertices=tuple(
+            DeterministicVertex(_site_vertex(s1, k), _site_vertex(s2, k)) for k in range(n)
+        ),
+        weights=(1.0 / n,) * n,
+    )
+    return MaxStatisticResult(
+        value=float(game.chain.terms),
+        witness=witness,
+        exact=True,
+        restarts_used=0,
+        method="closed-form",
+        notes=(
+            "closed form at the algebraic maximum: n = terms/2 vertices of "
+            "weight 1/n; in vertex k site 1 is detected only at setting k, "
+            "site 2 at every setting with the sign of its term; every "
+            "correlation equals its term's sign"
         ),
     )
 
@@ -916,6 +1015,7 @@ def max_statistic(game: GameSpec, budget: OptimizerBudget | None = None) -> MaxS
         witness=witness,
         exact=False,
         restarts_used=budget.restarts,
+        method="successive-lp",
         notes=notes,
     )
 
@@ -924,7 +1024,7 @@ def max_statistic(game: GameSpec, budget: OptimizerBudget | None = None) -> MaxS
 # linear-programming cross-check for the emission-time game
 
 
-def emission_time_lp_value(game: GameSpec) -> float:
+def emission_time_lp_value(game: GameSpec, solution: bool = False):
     """Exact in-game maximum of the emission-time statistic, by one LP.
 
     On the equal-mass manifold every cell mass equals 1/(2 n^2), so each
@@ -950,11 +1050,29 @@ def emission_time_lp_value(game: GameSpec) -> float:
     vertex of each arrival pair has the value of the LP over all of them.
     ``_et_best_columns`` at zero prices returns every arrival pair with
     its best outcome maps, in closed form; the rows and objective come
-    from the search's own row builders.  A failed solve raises
-    RuntimeError; a game beyond the pricing size limit (more than 12
-    terms) raises ResourceLimitError.  Independent of the successive-LP
-    search, which solves only its restart's support under the sign pattern
-    it climbs.
+    from the search's own row builders.
+
+    The LP's equality duals give a ``DualCertificate``: the same oracle,
+    priced at y, finds the largest reduced profit over every joint
+    vertex.  The duals are 2 on each early-early row, 2(terms - 2) on the
+    late-late row and 0 on the simplex row, so y.b = terms - 1: each
+    early-early part of a correlation is at most its mass, and the
+    late-late part is a plain local-realist chained sum, at most
+    terms - 2, times lam1 lam2 >= 0.  When the certificate closes the value
+    is y.b, else the LP's own value.
+
+    Returns the value; with ``solution``, a ``MaxStatisticResult`` of
+    method "lp" instead, exact when the certificate closes, whose witness
+    is the LP's primal: its positive weights, normalised.  The result is
+    asked for by flag, not built by a separate helper, because
+    ``verify_bound`` must solve the LP through this module-level name,
+    which ``bench/spans.py`` wraps as its ``strategyopt.lp`` span; the
+    float return stays for the public API and the criterion tests.
+
+    A failed solve raises RuntimeError; a game beyond the pricing size
+    limit (more than 12 terms) raises ResourceLimitError.  Independent of
+    the successive-LP search, which solves only its restart's support
+    under the sign pattern it climbs.
     """
     from scipy.optimize import linprog
 
@@ -971,7 +1089,42 @@ def emission_time_lp_value(game: GameSpec) -> float:
     res = linprog(-(num @ coef), A_eq=A_eq, b_eq=b_eq, bounds=(0.0, None), method="highs")
     if not res.success:
         raise RuntimeError(f"LP cross-check failed: {res.message}")
-    return float(-res.fun)
+    lp_value = float(-res.fun)
+    y = -res.eqlin.marginals + 0.0  # + 0.0 turns -0.0 into 0.0
+    dual_value = float(y @ b_eq)
+    (profit,), _, _ = _et_best_columns(game, coef, y, 1)
+    certificate = DualCertificate(
+        duals=tuple(float(v) for v in y),
+        dual_value=dual_value,
+        largest_profit=float(profit),
+        closed=bool(
+            profit <= PROFIT_TOLERANCE and abs(lp_value - dual_value) <= WITNESS_TOLERANCE
+        ),
+    )
+    value = dual_value if certificate.closed else lp_value
+    if not solution:
+        return value
+    keep = np.flatnonzero(res.x > 0.0)
+    w = res.x[keep] / res.x[keep].sum()
+    witness = MixedStrategy(
+        vertices=tuple(
+            DeterministicVertex(_site_vertex(s1, k), _site_vertex(s2, k)) for k in keep
+        ),
+        weights=tuple(float(x) for x in w),
+    )
+    return MaxStatisticResult(
+        value=value,
+        witness=witness,
+        exact=certificate.closed,
+        restarts_used=0,
+        method="lp",
+        notes=(
+            "one LP over the 4^n arrival pairs, each with its best outcome "
+            "maps; its dual certificate bounds every joint vertex; "
+            + EMISSION_TIME_NOTE
+        ),
+        certificate=certificate,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -979,8 +1132,30 @@ def emission_time_lp_value(game: GameSpec) -> float:
 
 
 @dataclass(frozen=True)
+class SearchReport:
+    """The successive-LP search's best value against the bound."""
+
+    best_value: float
+    margin: float
+    passed: bool
+    restarts: int
+    notes: str
+
+    def to_json_dict(self) -> dict:
+        return {
+            "method": "successive-lp",
+            "best_value": self.best_value,
+            "margin": self.margin,
+            "passed": self.passed,
+            "restarts": self.restarts,
+            "notes": self.notes,
+        }
+
+
+@dataclass(frozen=True)
 class BoundReport:
-    """Outcome of checking a class bound against the strategy search."""
+    """Outcome of checking a class bound against its exact maximum, and
+    against the search when one ran."""
 
     model: ModelClass
     terms: int
@@ -990,9 +1165,10 @@ class BoundReport:
     margin: float
     passed: bool
     exact: bool
-    restarts: int
     notes: str
     lp_value: float | None = None
+    certificate: DualCertificate | None = None
+    search: SearchReport | None = None
     witness: MixedStrategy | None = field(default=None, compare=False)
 
     def to_json_dict(self, include_witness: bool = True) -> dict:
@@ -1005,48 +1181,93 @@ class BoundReport:
             "margin": self.margin,
             "passed": self.passed,
             "exact": self.exact,
-            "restarts": self.restarts,
             "notes": self.notes,
             "lp_value": self.lp_value,
+            "certificate": None if self.certificate is None else self.certificate.to_json_dict(),
+            "search": None if self.search is None else self.search.to_json_dict(),
         }
         if include_witness and self.witness is not None:
             d["witness"] = self.witness.to_json_dict()
         return d
 
 
+# the classes with a ratio-form statistic, which the search plays
+_SEARCHED = (ModelKind.EMISSION_TIME_REALISM, ModelKind.OUTCOMES_ONLY)
+
+
+def _exact_answer(game: GameSpec) -> MaxStatisticResult:
+    """The class's exact maximum by its cheapest exact method."""
+    kind = game.model.kind
+    if kind is ModelKind.EMISSION_TIME_REALISM:
+        return emission_time_lp_value(game, solution=True)
+    if kind is ModelKind.OUTCOMES_ONLY:
+        return _outcomes_only_closed_form(game)
+    return max_statistic(game)  # exact for plain and path realism; refuses the rest
+
+
 def verify_bound(
     game: GameSpec, budget: OptimizerBudget | None = None, lp_check: bool = False
 ) -> BoundReport:
-    """Search the class for the bound's worst case and report PASS/FAIL.
+    """Check the class's bound against its exact maximum and report PASS/FAIL.
 
-    PASS means the best value found does not exceed the closed-form bound
-    beyond a 1e-6 numerical allowance.  For searched (non-exact) classes a
-    PASS is evidence, not proof; the margin and budget are reported so the
-    search can be judged.  ``method`` names how the value was found:
-    "enumeration" or "successive-lp" (both searched classes).  With
-    ``lp_check`` the emission-time game also gets its exact value,
-    ``lp_value``.  Any other class, or a 4-term-only bound on a longer
-    chain, raises ValueError before the search; an oversized game or
-    budget raises ResourceLimitError from the search, before any LP.
+    PASS means the value does not exceed the closed-form bound beyond a
+    1e-6 numerical allowance.  ``method`` names the exact method:
+    "exact-maximum" (plain and path realism), "lp" (the emission-time
+    game, with its dual ``certificate``; exact when the certificate
+    closes) or "closed-form" (outcomes-only selection).  The witness is
+    re-checked by ``evaluate_mixed``: unless it is feasible with a
+    statistic within 1e-9 of the value, RuntimeError.
+
+    With a ``budget`` the successive-LP search (``max_statistic``) also
+    runs, on the emission-time and outcomes-only games only, and reports
+    under ``search``; ``passed`` then needs both to pass.  With
+    ``lp_check`` the emission-time report states the LP's value as
+    ``lp_value`` too; the LP is solved once either way.  An LP check or a
+    budget outside its classes, or a 4-term-only bound on a longer chain,
+    raises ValueError before any work; an oversized game or budget raises
+    ResourceLimitError, the search's before the LP.
     """
     bound = bound_for(game.model, game.chain.terms)
+    kind = game.model.kind
     if lp_check and not game.has_equal_mass_constraint:
         raise ValueError("the LP cross-check applies to the emission-time game")
-    result = max_statistic(game, budget)
-    lp_value = emission_time_lp_value(game) if lp_check else None
+    if budget is not None and kind not in _SEARCHED:
+        raise ValueError(
+            "the search applies to the emission-time and outcomes-only games; "
+            f"{kind.value} is solved exactly without one"
+        )
+    search = None
+    if budget is not None:
+        found = max_statistic(game, budget)
+        search = SearchReport(
+            best_value=found.value,
+            margin=bound - found.value,
+            passed=found.value <= bound + PASS_TOLERANCE,
+            restarts=found.restarts_used,
+            notes=found.notes,
+        )
+    result = _exact_answer(game)
+    check = evaluate_mixed(game, result.witness)
+    if not (check.feasible and abs(check.statistic - result.value) <= WITNESS_TOLERANCE):
+        raise RuntimeError(
+            f"the {result.method} witness fails its re-check: feasible "
+            f"{check.feasible}, statistic {check.statistic!r} against {result.value!r}"
+        )
     best = result.value
+    passed = best <= bound + PASS_TOLERANCE
     return BoundReport(
         model=game.model,
         terms=game.chain.terms,
         bound=bound,
-        method="enumeration" if result.exact else "successive-lp",
+        method=result.method,
         best_value=best,
         margin=bound - best,
-        passed=best <= bound + PASS_TOLERANCE,
+        passed=passed and (search is None or search.passed),
         exact=result.exact,
-        restarts=result.restarts_used,
         notes=result.notes,
-        lp_value=lp_value,
+        lp_value=best if lp_check else None,
+        certificate=result.certificate,
+        search=search,
         witness=result.witness,
     )
 

@@ -451,23 +451,26 @@ def postselect(events: EventColumns, timing: InterferometerTiming) -> Postselect
     # every site-2 event below fl(t1 - w) fails.  Which of equal timestamps
     # the merge puts first moves ahead only between passing indices, so it
     # changes no pair.
-    dist = before[ahead]
-    dist -= t1
-    miss = np.flatnonzero(dist > -w)
-    if miss.size:
-        # bisected in padded indices, where index 0 (-inf) fails
-        t1m = t1[miss]
-        lo = np.searchsorted(t2, t1m - w)
-        hi = ahead[miss] + 1
-        while np.any(hi - lo > 1):
-            mid = (lo + hi) // 2
-            inside = padded[mid] - t1m > -w
-            hi = np.where(inside, mid, hi)
-            lo = np.where(inside, lo, mid)
-        ahead[miss] = hi - 1
-    dist = at[ahead]
-    dist -= t1
-    i_idx = np.flatnonzero(np.abs(dist, out=dist) < w)
+    # an infinite timestamp less its own infinity is NaN, never inside the
+    # window, so the invalid-value warning is no news
+    with np.errstate(invalid="ignore"):
+        dist = before[ahead]
+        dist -= t1
+        miss = np.flatnonzero(dist > -w)
+        if miss.size:
+            # bisected in padded indices, where index 0 (-inf) fails
+            t1m = t1[miss]
+            lo = np.searchsorted(t2, t1m - w)
+            hi = ahead[miss] + 1
+            while np.any(hi - lo > 1):
+                mid = (lo + hi) // 2
+                inside = padded[mid] - t1m > -w
+                hi = np.where(inside, mid, hi)
+                lo = np.where(inside, lo, mid)
+            ahead[miss] = hi - 1
+        dist = at[ahead]
+        dist -= t1
+        i_idx = np.flatnonzero(np.abs(dist, out=dist) < w)
     j_idx = ahead[i_idx]
     if np.any(j_idx[1:] == j_idx[:-1]):
         raise ValueError("ambiguous coincidences: one event matches several partners")

@@ -18,7 +18,18 @@ import numpy as np
 import pytest
 
 import franson
-from franson import cli, read_events_csv
+from franson import (
+    DeterministicVertex,
+    GameSpec,
+    MixedStrategy,
+    ModelClass,
+    ModelKind,
+    SiteVertex,
+    chain_settings,
+    cli,
+    evaluate_mixed,
+    read_events_csv,
+)
 from franson.cli import main
 
 SQRT2 = math.sqrt(2.0)
@@ -29,6 +40,26 @@ def run_cli(argv, capsys):
     captured = capsys.readouterr()
     payload = json.loads(captured.out) if captured.out else None
     return code, payload, captured.err
+
+
+def witness_from_json(payload):
+    """The witness mixture of a verify-bounds report, as printed."""
+
+    def side(d):
+        late = d["late_outcomes"]
+        return SiteVertex(
+            outcomes=tuple(d["outcomes"]),
+            early=tuple(d["early"]),
+            detected=tuple(d["detected"]),
+            late_outcomes=None if late is None else tuple(late),
+        )
+
+    return MixedStrategy(
+        vertices=tuple(
+            DeterministicVertex(side(v["site1"]), side(v["site2"])) for v in payload["vertices"]
+        ),
+        weights=tuple(payload["weights"]),
+    )
 
 
 def run_module(argv):
@@ -78,8 +109,12 @@ class TestBounds:
         code, p, _ = run_cli(["bounds", "--terms", "6"], capsys)
         assert code == 0
         by_model = {r["model"]: r for r in p["rows"]}
-        assert by_model["path-realism"]["bound"] is None
-        assert "note" in by_model["path-realism"]
+        for model in ("inefficiency", "delays"):
+            assert by_model[model]["bound"] is None
+            assert by_model[model]["note"] == "defined for 4 terms only"
+        # path realism's bound is the plain one at every term count
+        assert by_model["path-realism"]["bound"] == 4.0
+        assert "note" not in by_model["path-realism"]
         assert by_model["plain-local-realism"]["bound"] == 4.0
         assert by_model["emission-time-realism"]["bound"] == 5.0
 
@@ -127,10 +162,21 @@ class TestVerifyBounds:
         assert p["command"] == "verify-bounds"
         assert p["passed"] is True
         assert p["bound"] == 3.0
-        assert p["best_value"] <= 3.0 + 1e-6
-        assert p["lp_value"] == pytest.approx(3.0, abs=1e-9)
-        assert p["method"] == "successive-lp"
+        # the top level is the exact answer, the LP with a closed certificate
+        assert p["method"] == "lp"
+        assert p["exact"] is True
+        assert p["best_value"] == p["lp_value"] == 3.0
+        assert p["certificate"]["closed"] is True
         assert "witness" in p
+        # a budget flag runs the search beside it
+        search = p["search"]
+        assert search["method"] == "successive-lp"
+        assert search["restarts"] == 6
+        assert search["passed"] is True
+        assert search["best_value"] == pytest.approx(3.0, abs=1e-6)
+        assert search["margin"] == 3.0 - search["best_value"]
+        assert "successive LP" in search["notes"]
+        assert "restarts" not in p
 
     def test_witness_report_is_deterministic(self, capsys):
         argv = ["verify-bounds", "--terms", "4", "--restarts", "6", "--seed", "3",
@@ -147,7 +193,9 @@ class TestVerifyBounds:
         )
         assert code == 0
         assert p["exact"] is True
-        assert p["method"] == "enumeration"
+        assert p["method"] == "exact-maximum"
+        assert p["search"] is None
+        assert p["certificate"] is None
         assert p["notes"] == (
             "exact maximum over the site-1 outcome maps, "
             "the site-2 best response in closed form"
@@ -167,11 +215,15 @@ class TestVerifyBounds:
 
     def test_oversized_game_exits_with_resource_code(self, capsys):
         for flags in (
-            ("--model-class", "outcomes-only", "--terms", "14"),
+            # the closed form's site rows need 66 bits at 44 terms
+            ("--model-class", "outcomes-only", "--terms", "44"),
+            # the search's pricing, past 12 terms
+            ("--model-class", "outcomes-only", "--terms", "14", "--restarts", "48"),
             ("--model-class", "emission-time-realism", "--terms", "14"),
             # exact maxima over 2^20 and 2^65 site-1 maps, past the 38-term limit
             ("--model-class", "plain-local-realism", "--terms", "40"),
             ("--model-class", "plain-local-realism", "--terms", "130"),
+            ("--model-class", "path-realism", "--terms", "40"),
             # games that fit, with budgets whose supports would not
             ("--restarts", "1000000"),
             ("--model-class", "outcomes-only", "--support-size", "1000000"),
@@ -185,7 +237,7 @@ class TestVerifyBounds:
     def test_thousand_restarts_at_four_terms_run(self, capsys):
         code, p, _ = run_cli(["verify-bounds", "--restarts", "1000"], capsys)
         assert code == 0
-        assert p["restarts"] == 1000
+        assert p["search"]["restarts"] == 1000
         assert p["passed"] is True
 
     def test_eight_term_search_and_lp(self, capsys):
@@ -195,8 +247,91 @@ class TestVerifyBounds:
         assert code == 0
         assert p["passed"] is True
         assert p["bound"] == 7.0
-        assert p["lp_value"] == pytest.approx(7.0, abs=1e-9)
-        assert p["best_value"] == pytest.approx(7.0, abs=1e-6)
+        assert p["lp_value"] == p["best_value"] == 7.0
+        assert p["search"]["best_value"] == pytest.approx(7.0, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "model_class, terms, method, value",
+        [("plain-local-realism", 6, "exact-maximum", 4.0),
+         ("path-realism", 6, "exact-maximum", 4.0),
+         ("emission-time-realism", 6, "lp", 5.0),
+         ("outcomes-only", 8, "closed-form", 8.0)],
+    )
+    def test_every_finite_class_is_exact_by_default(
+        self, capsys, model_class, terms, method, value
+    ):
+        argv = ["verify-bounds", "--model-class", model_class, "--terms", str(terms),
+                "--witness"]
+        code, p, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert (p["method"], p["exact"], p["passed"]) == (method, True, True)
+        assert p["best_value"] == p["bound"] == value
+        assert p["margin"] == 0.0
+        assert p["search"] is None
+        assert (p["certificate"] is not None) == (method == "lp")
+        # the printed witness, read back, is feasible at the printed value
+        game = GameSpec(ModelClass(ModelKind(model_class)), chain_settings(terms))
+        check = evaluate_mixed(game, witness_from_json(p["witness"]))
+        assert check.feasible
+        assert check.statistic == pytest.approx(value, abs=1e-9)
+
+    @pytest.mark.parametrize("terms", [4, 6, 8, 10, 12])
+    def test_lp_check_prints_the_certified_value(self, capsys, terms):
+        code, p, _ = run_cli(["verify-bounds", "--lp-check", "--terms", str(terms)], capsys)
+        assert code == 0
+        certificate = p["certificate"]
+        assert certificate["closed"] is True
+        assert certificate["largest_profit"] <= 1e-10
+        assert len(certificate["duals"]) == terms + 2
+        assert p["lp_value"] == p["best_value"] == certificate["dual_value"] == terms - 1
+
+    def test_outcomes_only_runs_to_42_terms(self, capsys):
+        code, p, _ = run_cli(
+            ["verify-bounds", "--model-class", "outcomes-only", "--terms", "42"], capsys
+        )
+        assert code == 0
+        assert (p["method"], p["best_value"]) == ("closed-form", 42.0)
+
+    @pytest.mark.parametrize(
+        "model_class", ["plain-local-realism", "path-realism", "emission-time-realism",
+                        "outcomes-only"],
+    )
+    def test_default_report_does_not_depend_on_the_seed(self, capsys, model_class):
+        outs = []
+        for seed in ("0", "7", "0"):
+            argv = ["verify-bounds", "--model-class", model_class, "--terms", "6",
+                    "--seed", seed, "--witness"]
+            assert main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] == outs[2]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--restarts", "2"], ["--iterations", "5"], ["--support-size", "8"],
+         ["--config", "CONFIG"]],
+        ids=["restarts", "iterations", "support-size", "config-restarts"],
+    )
+    def test_search_runs_on_request(self, tmp_path, capsys, flags):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"restarts": 2}))
+        argv = ["verify-bounds", "--model-class", "outcomes-only", "--seed", "3"]
+        argv += [str(config) if f == "CONFIG" else f for f in flags]
+        code, p, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert p["method"] == "closed-form"
+        assert p["search"]["method"] == "successive-lp"
+        assert p["search"]["best_value"] == pytest.approx(4.0, abs=1e-9)
+        expected = {"--restarts": 2, "--config": 2}.get(flags[0], 48)
+        assert p["search"]["restarts"] == expected
+
+    @pytest.mark.parametrize("flags", [["--restarts", "1"], ["--iterations", "5"]],
+                             ids=["restarts", "iterations"])
+    @pytest.mark.parametrize("model_class", ["plain-local-realism", "path-realism"])
+    def test_search_outside_the_searched_games_is_an_error(self, capsys, model_class, flags):
+        code, p, err = run_cli(["verify-bounds", "--model-class", model_class, *flags], capsys)
+        assert code == 2
+        assert p is None
+        assert "the search applies to the emission-time and outcomes-only games" in err
 
     @pytest.mark.parametrize(
         "flag, field",
@@ -242,9 +377,11 @@ class TestVerifyBounds:
             capsys,
         )
         assert code == 0
-        assert p["method"] == "successive-lp"
-        assert p["best_value"] == pytest.approx(4.0, abs=1e-9)
-        assert len(p["witness"]["vertices"]) <= 5
+        assert p["method"] == "closed-form"
+        assert p["best_value"] == 4.0
+        assert len(p["witness"]["vertices"]) == 2
+        assert p["search"]["method"] == "successive-lp"
+        assert p["search"]["best_value"] == pytest.approx(4.0, abs=1e-9)
 
 
 class TestGeometry:
@@ -323,6 +460,17 @@ class TestSimulate:
         assert verdicts["emission-time-realism"]["violated"] is False
         assert verdicts["outcomes-only"]["violated"] is False
 
+    @pytest.mark.parametrize("terms", [4, 6])
+    def test_verdicts_list_path_realism_last(self, capsys, terms):
+        code, p, _ = run_cli(
+            ["simulate", "--terms", str(terms), "--trials", "2000", "--seed", "1"], capsys
+        )
+        assert code == 0
+        kinds = [v["model"]["kind"] for v in p["verdicts"]]
+        assert kinds == ["emission-time-realism", "plain-local-realism", "outcomes-only",
+                         "path-realism"]
+        assert p["verdicts"][-1]["bound"] == terms - 2
+
     @pytest.mark.parametrize(
         "seed,digest",
         [
@@ -386,12 +534,12 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "seed,digests",
         [
-            (1, ("ebfa636551d9dfc48dc6f2b007f46247319e45cba3a682f1311919cac47845f6",
+            (1, ("b7ae6686bf1ef641c83f4ff91a60b7059e7087170fcfdc100ffca837e07a1d21",
                  "6404e1c88893583654a2f043a0a38d2e8465c0a6197232ed0fd5355c46b4de90",
-                 "39f2bc31e8395392e7698d8aeefc4471be4136a80ea98cbb2142d0bf19e978dc")),
-            (2, ("67960cced54f01b31aa227f7a050e5e3a718413d5b823248f8967fe60d6f4bcb",
+                 "182eac9e2bc33123b328e1aa9b9e99430f5dd17b04ed97cf881d381978a5f179")),
+            (2, ("8eacf52c51a1cc4f266e813ed04bcca9397693330c9825c7558ebc239ce9f705",
                  "9963f3a04e42a50d98b31ea04f2a9c20991d942c3d55a321d8e907eb8ab9ae5c",
-                 "f92e9adaa902c6d1603f42b9fa442e34e391a23b0a5dd467a83a7226b6c54342")),
+                 "e566c2984cec3dca88a0e952c8981a6526249dda5b7de0384e424bc3d3e29db0")),
         ],
     )
     def test_quantum_events_and_their_report_are_pinned(
@@ -529,12 +677,26 @@ class TestSimulate:
             (["--scenario", "chained6", "--visibility", "1"], "--visibility 1.0"),
             (["--scenario", "table1", "--terms", "6"], "--terms 6"),
             (["--scenario", "table1", "--visibility", "1"], "--visibility 1.0"),
+            # aklz-demo is the delay-model source
+            (["--scenario", "aklz-demo", "--source", "quantum"], "--source quantum"),
+            # the timing flags only reach the timing pipeline
+            (["--scenario", "chained6", "--window-ns", "5"],
+             "--window-ns 5.0 does not apply to --scenario chained6"),
+            (["--terms", "4", "--window-ns", "500"],
+             "--window-ns 500.0 does not apply to the quantum source without --pipeline"),
+            (["--source", "quantum", "--path-difference-ns", "50"], "--path-difference-ns 50.0"),
+            (["--short-arm-ns", "10"], "--short-arm-ns 10.0"),
+            (["--emission-gap-ns", "1000"], "--emission-gap-ns 1000.0"),
+            (["--variant", "switched-mirrors", "--window-ns", "1"],
+             "--window-ns 1.0 does not apply to --variant switched-mirrors"),
         ],
         ids=["variant-source", "chained6-source", "table1-source", "chained6-events-csv",
              "table1-events-csv", "chained6-pipeline", "table1-pipeline", "chained6-variant",
              "table1-variant", "aklz-demo-variant", "aklz-demo-terms", "chained6-terms-4",
              "chained6-terms-6", "chained6-visibility", "chained6-visibility-1",
-             "table1-terms", "table1-visibility"],
+             "table1-terms", "table1-visibility", "aklz-demo-quantum", "chained6-window",
+             "quantum-window", "quantum-path-difference", "quantum-short-arm",
+             "quantum-emission-gap", "variant-window"],
     )
     def test_dropped_flags_are_refused(self, tmp_path, capsys, argv, flag):
         events = tmp_path / "events.csv"
@@ -545,6 +707,21 @@ class TestSimulate:
         assert err.startswith("error:")
         assert flag in err
         assert not events.exists()
+
+    @pytest.mark.parametrize(
+        "route",
+        [["--source", "aklz"], ["--scenario", "aklz-demo"], ["--pipeline"],
+         ["--events-csv", "EVENTS"]],
+        ids=["aklz", "aklz-demo", "quantum-pipeline", "quantum-events-csv"],
+    )
+    def test_timing_flags_apply_where_the_pipeline_runs(self, tmp_path, capsys, route):
+        argv = ["simulate", *[str(tmp_path / "events.csv") if a == "EVENTS" else a
+                              for a in route]]
+        flags = ["--trials", "200", "--path-difference-ns", "100", "--window-ns", "2",
+                 "--short-arm-ns", "10", "--emission-gap-ns", "1000"]
+        code, p, _ = run_cli(argv + flags, capsys)
+        assert code == 0
+        assert p["efficiency"] is not None
 
     @pytest.mark.parametrize(
         "flag,value",

@@ -121,8 +121,7 @@ class TestModelClass:
         # are 4-term only; the CLI's bound rows and verdicts read them
         efficiency = {ModelKind.INEFFICIENCY, ModelKind.DELAYS}
         assert {k for k in ModelKind if k.takes_efficiency} == efficiency
-        four_term = efficiency | {ModelKind.PATH_REALISM}
-        assert {k for k in ModelKind if k.four_term_only} == four_term
+        assert {k for k in ModelKind if k.four_term_only} == efficiency
 
     def test_labels(self):
         # a report names a model class by its kind's value and its eta
@@ -160,6 +159,10 @@ class TestBounds:
     def test_path_realism(self):
         assert bound_for(ModelClass.path_realism(), 4) == 2.0
 
+    @pytest.mark.parametrize("terms", [6, 8, 10, 12, 38])
+    def test_path_realism_is_the_plain_bound_at_every_term_count(self, terms):
+        assert bound_for(ModelClass.path_realism(), terms) == terms - 2
+
     def test_inefficiency_formula_and_clip(self):
         assert bound_for(ModelClass.inefficiency(1.0), 4) == pytest.approx(2.0)
         assert bound_for(ModelClass.inefficiency(0.9), 4) == pytest.approx(4 / 0.9 - 2)
@@ -174,7 +177,7 @@ class TestBounds:
 
     @pytest.mark.parametrize(
         "model",
-        [ModelClass.inefficiency(0.9), ModelClass.delays(0.9), ModelClass.path_realism()],
+        [ModelClass.inefficiency(0.9), ModelClass.delays(0.9)],
     )
     def test_four_terms_only_kinds_reject_longer_chains(self, model):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -1005,12 +1006,103 @@ class TestLpCrossCheck:
         assert emission_time_lp_value(g) == pytest.approx(11.0, abs=1e-9)
 
 
+class TestExactDefaults:
+    """Referees for the exact answers ``verify_bound`` reports by default."""
+
+    @pytest.mark.parametrize("terms", [4, 6, 8, 12, 20, 40, 42])
+    def test_outcomes_only_closed_form_reaches_the_algebraic_maximum(self, terms):
+        rs = RandomSource(seed=terms)
+        chains = [chain_settings(terms)]
+        if terms == 8:
+            chains += [random_settings_chain(8, rs.substream(k)) for k in range(3)]
+            chains += [random_term_chain(8, np.random.default_rng(k)) for k in range(2)]
+        for chain in chains:
+            g = game(ModelClass.outcomes_only, chain)
+            result = strategyopt._outcomes_only_closed_form(g)
+            assert (result.method, result.exact, result.value) == ("closed-form", True, terms)
+            assert result.witness.weights == (2.0 / terms,) * (terms // 2)
+            ev = evaluate_mixed(g, result.witness)
+            assert ev.feasible
+            assert ev.statistic == terms
+            assert ev.masses == (2.0 / terms,) * terms
+
+    def test_outcomes_only_closed_form_stops_at_int64_rows(self):
+        g = game(ModelClass.outcomes_only, chain_settings(44))
+        with pytest.raises(ResourceLimitError, match="66-bit site rows"):
+            strategyopt._outcomes_only_closed_form(g)
+
+    @pytest.mark.parametrize("terms", [4, 6, 8, 12])
+    def test_emission_time_lp_witness_is_feasible(self, terms):
+        g = game(ModelClass.emission_time_realism, chain_settings(terms))
+        result = emission_time_lp_value(g, solution=True)
+        assert (result.method, result.exact, result.value) == ("lp", True, terms - 1)
+        assert result.value == emission_time_lp_value(g)
+        certificate = result.certificate
+        assert certificate.closed
+        assert certificate.dual_value == terms - 1
+        assert certificate.largest_profit <= 1e-10
+        # the primal's positive weights only, at most one per equality row
+        assert min(result.witness.weights) > 0.0
+        assert len(result.witness.vertices) <= terms + 2
+        ev = evaluate_mixed(g, result.witness)
+        assert ev.feasible
+        assert ev.constraint_residual <= 1e-9
+        assert ev.statistic == pytest.approx(terms - 1, abs=1e-9)
+        for m in ev.masses:
+            assert m == pytest.approx(0.5, abs=1e-9)
+
+    def test_positive_profit_leaves_the_certificate_open(self, chain4m, monkeypatch):
+        # a joint vertex priced above 1e-10 under the duals: no bound, and
+        # the value is the LP's own, not y.b
+        oracle = strategyopt._et_best_columns
+
+        def profitable(game, c, y, k):
+            price, i, j = oracle(game, c, y, k)
+            return (price + 1e-6 if k == 1 else price), i, j
+
+        monkeypatch.setattr(strategyopt, "_et_best_columns", profitable)
+        g = game(ModelClass.emission_time_realism, chain4m)
+        result = emission_time_lp_value(g, solution=True)
+        assert not result.certificate.closed
+        assert result.certificate.largest_profit == pytest.approx(1e-6, abs=1e-12)
+        assert not result.exact
+        assert result.value == pytest.approx(3.0, abs=1e-9)
+
+    @pytest.mark.parametrize("terms", [4, 6])
+    def test_closed_form_duals_bound_every_joint_vertex(self, terms):
+        # y = 2 on every early-early row, 2(terms - 2) on the late-late row
+        # and 0 on the simplex row, in exact integers: scaled by n^2, every
+        # entry of the dense LP is an integer, and no joint vertex has a
+        # positive reduced profit, while some has profit exactly 0
+        n = terms // 2
+        chains = [chain_settings(terms)]
+        if terms == 4:
+            rng = np.random.default_rng(61)
+            chains += [random_term_chain(4, rng) for _ in range(2)]
+        y = np.array([2] * terms + [2 * (terms - 2), 0], dtype=np.int64)
+        for chain in chains:
+            g = game(ModelClass.emission_time_realism, chain)
+            A_eq, b_eq, objs = full_lp_matrices(g)
+
+            def integers(x):
+                scaled = x * n**2
+                exact = np.rint(scaled)
+                assert np.all(np.abs(scaled - exact) <= 1e-9)
+                return exact.astype(np.int64)
+
+            profit = integers(objs[(1.0,) * n]) - y @ integers(A_eq)
+            assert profit.max() == 0
+            dual_value = sum(int(v) * Fraction(b) for v, b in zip(y, b_eq))
+            assert dual_value == terms - 1
+
+
 class TestVerifyBound:
     def test_plain_report(self, chain4m):
         report = verify_bound(game(ModelClass.plain_local_realism, chain4m))
         assert report.passed
         assert report.exact
-        assert report.method == "enumeration"
+        assert report.method == "exact-maximum"
+        assert report.search is None
         assert report.bound == 2.0
         assert report.margin == pytest.approx(0.0, abs=1e-12)
 
@@ -1018,21 +1110,71 @@ class TestVerifyBound:
         g = game(ModelClass.emission_time_realism, chain4m)
         report = verify_bound(g, OptimizerBudget(restarts=6, seed=3), lp_check=True)
         assert report.passed
-        assert not report.exact
-        assert report.method == "successive-lp"
-        assert report.lp_value == pytest.approx(3.0, abs=1e-7)
-        assert report.best_value == pytest.approx(report.lp_value, abs=1e-6)
+        assert report.exact
+        assert report.method == "lp"
+        assert report.certificate.closed
+        assert report.lp_value == report.best_value == 3.0
+        # the search, on request, reports beside the exact answer
+        assert report.search.restarts == 6
+        assert report.search.passed
+        assert report.search.best_value == pytest.approx(3.0, abs=1e-6)
+
+    def test_lp_is_solved_once_with_lp_check(self, chain4m, monkeypatch):
+        import scipy.optimize
+
+        solves = []
+        solve = scipy.optimize.linprog
+
+        def counting_linprog(*args, **kwargs):
+            solves.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "linprog", counting_linprog)
+        report = verify_bound(game(ModelClass.emission_time_realism, chain4m), lp_check=True)
+        assert report.lp_value == 3.0
+        assert solves == [1]
+
+    def test_a_failed_search_fails_the_report(self, chain4m, monkeypatch):
+        g = game(ModelClass.outcomes_only, chain4m)
+        exact = strategyopt._outcomes_only_closed_form(g)
+        # a search that claims to beat the algebraic maximum
+        monkeypatch.setattr(
+            strategyopt, "max_statistic", lambda g, budget: replace(exact, value=4.5)
+        )
+        report = verify_bound(g, OptimizerBudget(restarts=1))
+        assert report.best_value == 4.0
+        assert not report.search.passed
+        assert report.search.margin == -0.5
+        assert not report.passed
+
+    @pytest.mark.parametrize("broken", ["value", "witness"])
+    def test_witness_failing_its_recheck_raises(self, chain4m, monkeypatch, broken):
+        g = game(ModelClass.emission_time_realism, chain4m)
+        exact = emission_time_lp_value(g, solution=True)
+        if broken == "value":
+            bad = replace(exact, value=5.0)
+        else:
+            # one vertex of the LP's witness alone breaks the equal-mass rows
+            bad = replace(exact, witness=MixedStrategy(exact.witness.vertices[:1], (1.0,)))
+        monkeypatch.setattr(strategyopt, "_exact_answer", lambda g: bad)
+        with pytest.raises(RuntimeError, match="fails its re-check"):
+            verify_bound(g)
 
     def test_four_term_bound_is_checked_before_the_search(self, monkeypatch):
         def fail(*args):
             raise AssertionError("the search started")
 
         monkeypatch.setattr(strategyopt, "max_statistic", fail)
+        monkeypatch.setattr(strategyopt, "emission_time_lp_value", fail)
         with pytest.raises(ValueError, match="4 terms only"):
-            verify_bound(game(ModelClass.path_realism, chain_settings(6)))
+            verify_bound(GameSpec(ModelClass.inefficiency(0.9), chain_settings(6)))
         # so is the class of an LP check, which the search now precedes
         with pytest.raises(ValueError, match="emission-time game"):
             verify_bound(game(ModelClass.outcomes_only, chain_settings(4)), lp_check=True)
+        # and of a search: the linear games need none
+        for factory in (ModelClass.plain_local_realism, ModelClass.path_realism):
+            with pytest.raises(ValueError, match="the search applies"):
+                verify_bound(game(factory, chain_settings(4)), OptimizerBudget(restarts=1))
 
     def test_json_dict_witness_toggle(self, chain4m):
         report = verify_bound(game(ModelClass.plain_local_realism, chain4m))

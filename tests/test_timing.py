@@ -1054,9 +1054,7 @@ def postselect_outcome(events):
     """postselect's pairs and efficiency entries as text, or ("raises",
     its error message)."""
     try:
-        # inf - inf is NaN, which is never inside the window: no warning
-        with np.errstate(invalid="ignore"):
-            result = postselect(events, TIMING)
+        result = postselect(events, TIMING)
     except ValueError as exc:
         return "raises", str(exc)
     entries = [(e.site, e.setting_rad, e.detected, e.coincident) for e in result.report.entries]
