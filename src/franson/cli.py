@@ -12,6 +12,7 @@ limit exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -42,6 +43,7 @@ from .strategyopt import (
     verify_bound,
 )
 from .timing import (
+    CSV_COLUMNS,
     EfficiencyEntry,
     EfficiencyReport,
     EventColumns,
@@ -252,6 +254,40 @@ def _pair_emission_times(p: int, trials: int, gap_ns: float):
     )
 
 
+class _Tally:
+    """Coincidences, correlation table and apparent efficiency added up over
+    the postselected blocks of one event stream.
+
+    A setting shows up in several blocks (the chunks of a setting pair, and
+    two chain terms), so its efficiency counts are pooled by site and
+    setting key, labelled with the first block's phase: the totals, labels
+    and order are those of one postselection of the whole stream.
+    """
+
+    def __init__(self) -> None:
+        self.table = CorrelationTable()
+        self.coincidences = 0
+        self._pooled: dict[tuple[int, int], list] = {}
+
+    def add(self, result) -> None:
+        correlation_from_pairs(result.pairs, self.table)
+        self.coincidences += result.coincidences
+        for e in result.report.entries:
+            slot = self._pooled.setdefault(
+                (e.site, setting_key(e.setting_rad)), [e.setting_rad, 0, 0]
+            )
+            slot[1] += e.detected
+            slot[2] += e.coincident
+
+    def efficiency(self) -> EfficiencyReport:
+        return EfficiencyReport(
+            tuple(
+                EfficiencyEntry(site, rad, det, coinc)
+                for (site, _), (rad, det, coinc) in sorted(self._pooled.items())
+            )
+        )
+
+
 def _pipeline_tables(
     sample,
     trials: int,
@@ -275,8 +311,9 @@ def _pipeline_tables(
     Emit groups a chunk's events by site and postselect takes them so.
     Each pair's block starts far beyond the previous one so a single merged
     event file still pairs correctly.  A chunk's events are kept only when
-    they are to be written to ``events_csv``, and only then merged into
-    the file's time order.
+    they are to be written to ``events_csv``: merged into the file's time
+    order straight into columns with room for the at most two events of
+    every trial, where postselect then reads them.
     """
     chunk = _CHUNK_TRIALS
     chunks = [
@@ -284,10 +321,9 @@ def _pipeline_tables(
         for p in range(len(chain.term_order))
         for first in range(0, trials, chunk)
     ]
-    table = CorrelationTable()
-    kept_events = []
-    coincidences = 0
-    pooled: dict[tuple[int, int], list] = {}
+    tally = _Tally()
+    kept = EventColumns.empty(2 * trials * len(chain.term_order)) if events_csv else None
+    filled = 0
     with ThreadPoolExecutor(1, thread_name_prefix="franson-sampler") as pool:
 
         def prefetch(p, first, count):
@@ -311,34 +347,27 @@ def _pipeline_tables(
             events = emit_events_from_batch(
                 batch, times(first, count), timing, phi, psi, first_trial=first
             )
-            if events_csv:
+            if kept is not None:
                 # the file's time order: one stable sort by timestamp merges
                 # the chunk's two site runs, site 1 first at equal
                 # timestamps, each in trial order; chunks follow one another
                 # in time
-                events = events.take(np.argsort(events["timestamp_ns"], kind="stable"))
-                kept_events.append(events)
-            result = postselect(events, timing)
-            correlation_from_pairs(result.pairs, table)
-            coincidences += result.coincidences
-            # each setting shows up in two chain terms; pool its counts so
-            # the efficiency matches a re-analysis of the merged event file
-            for e in result.report.entries:
-                slot = pooled.setdefault(
-                    (e.site, setting_key(e.setting_rad)), [e.setting_rad, 0, 0]
-                )
-                slot[1] += e.detected
-                slot[2] += e.coincident
-    _require_coverage(table, chain)
-    if events_csv:
-        write_events_csv(events_csv, EventColumns.concatenate(kept_events))
-    report = EfficiencyReport(
-        tuple(
-            EfficiencyEntry(site, rad, det, coinc)
-            for (site, _), (rad, det, coinc) in sorted(pooled.items())
-        )
+                order = np.argsort(events["timestamp_ns"], kind="stable")
+                rows = slice(filled, filled + order.size)
+                for name in CSV_COLUMNS:
+                    np.take(events[name], order, out=kept[name][rows])
+                events, filled = kept.take(rows), rows.stop
+            # each setting shows up in two chain terms; the tally pools its
+            # counts so the efficiency matches a re-analysis of the file
+            tally.add(postselect(events, timing))
+    _require_coverage(tally.table, chain)
+    if kept is not None:
+        write_events_csv(events_csv, kept.take(slice(0, filled)))
+    return (
+        tally.table,
+        tally.coincidences / (len(chain.term_order) * trials),
+        tally.efficiency().to_json_dict(),
     )
-    return table, coincidences / (len(chain.term_order) * trials), report.to_json_dict()
 
 
 def _simulate_report(
@@ -662,6 +691,44 @@ def _cmd_geometry(args) -> dict:
     }
 
 
+# Rows per block of report's postselection.  Each site's columns of a block
+# of 2^15 rows stay in cache: on 2 vCPUs 2^15 rows were faster than 2^16 and
+# 2^17 (0.062 s against 0.076 and 0.086 s for 2*10^6 rows), and held less.
+_REPORT_BLOCK_ROWS = 1 << 15
+
+
+def _postselect_blocks(events: EventColumns, timing: InterferometerTiming) -> _Tally:
+    """Postselect events block by block, as all of them at once.
+
+    Rows in time order (nondecreasing timestamps) are cut into blocks of at
+    least ``_REPORT_BLOCK_ROWS`` rows, each ending at the first row k from
+    there on with fl(t[k] - t[k-1]) >= the window.  Rounding is monotone,
+    so every timestamp difference across the cut rounds to at least the
+    window in magnitude: no pair, partner candidate or ambiguity spans it.
+    Rows not in time order are one block, which postselect sorts.
+    """
+    t, n, size = events["timestamp_ns"], len(events), _REPORT_BLOCK_ROWS
+    # checked a block at a time, so that no temporary is as long as the rows
+    in_order = all(
+        np.all(t[s + 1 : s + size + 1] >= t[s : min(s + size, n - 1)])
+        for s in range(0, n - 1, size)
+    )
+    tally, start = _Tally(), 0
+    while start < n:
+        stop = start + size if in_order else n
+        while stop < n:
+            gaps = np.diff(t[stop - 1 : stop + size])
+            cut = np.flatnonzero(gaps >= timing.window_ns)
+            if cut.size:
+                stop += int(cut[0])
+                break
+            stop += gaps.size
+        stop = min(stop, n)
+        tally.add(postselect(events.take(slice(start, stop)), timing))
+        start = stop
+    return tally
+
+
 def _cmd_report(args) -> dict:
     _fill_defaults(
         args,
@@ -674,10 +741,9 @@ def _cmd_report(args) -> dict:
     )
     events = read_events_csv(args.events)
     timing = _timing(args)
-    result = postselect(events, timing)
-    table = correlation_from_pairs(result.pairs)
+    tally = _postselect_blocks(events, timing)
     chain = chain_settings(int(args.terms))
-    _require_coverage(table, chain)
+    _require_coverage(tally.table, chain)
     if args.eta is not None and not (
         args.model_class and ModelKind(args.model_class).takes_efficiency
     ):
@@ -690,9 +756,9 @@ def _cmd_report(args) -> dict:
         "command": "report",
         "events": args.events,
         "terms": chain.terms,
-        "coincidences": result.coincidences,
-        "efficiency": result.report.to_json_dict(),
-        **_table_report(table, chain, models),
+        "coincidences": tally.coincidences,
+        "efficiency": tally.efficiency().to_json_dict(),
+        **_table_report(tally.table, chain, models),
     }
 
 
@@ -700,7 +766,9 @@ def _cmd_report(args) -> dict:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process: parsing only reads it."""
     parser = argparse.ArgumentParser(
         prog="franson",
         description="Simulate and analyze energy-time entanglement tests.",

@@ -80,6 +80,20 @@ class CorrelationTable:
         self._cells[k] = CellEstimate(est, count, binomial_stderr(est, count), product_sum)
         self._phases[k] = self._phase_pair(phi, psi)
 
+    def add_counts(
+        self, phi: float | Setting, psi: float | Setting, product_sum: int, count: int
+    ) -> None:
+        """Add counts to this setting pair's empirical cell, which keeps the
+        phases it was first recorded with; without one (or over an analytic
+        cell), record them as :meth:`set_counts` does."""
+        k = self._key(phi, psi)
+        prev = self._cells.get(k)
+        if prev is not None and prev.count > 0:
+            phi, psi = self._phases[k]
+            product_sum += prev.product_sum
+            count += prev.count
+        self.set_counts(phi, psi, product_sum, count)
+
     def cell(self, phi: float | Setting, psi: float | Setting) -> CellEstimate:
         k = self._key(phi, psi)
         if k not in self._cells:

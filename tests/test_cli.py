@@ -16,18 +16,24 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import franson
 from franson import (
     DeterministicVertex,
+    EventColumns,
     GameSpec,
+    InterferometerTiming,
     MixedStrategy,
     ModelClass,
     ModelKind,
     SiteVertex,
     chain_settings,
     cli,
+    correlation_from_pairs,
     evaluate_mixed,
+    postselect,
     read_events_csv,
 )
 from franson.cli import main
@@ -40,6 +46,24 @@ def run_cli(argv, capsys):
     captured = capsys.readouterr()
     payload = json.loads(captured.out) if captured.out else None
     return code, payload, captured.err
+
+
+def traced_peak(argv, capsys):
+    """Peak bytes that ``main(argv)`` allocates above what was allocated
+    before it, as tracemalloc sees them; the command must succeed."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    capsys.readouterr()
+    return peak
 
 
 def witness_from_json(payload):
@@ -517,19 +541,20 @@ class TestSimulate:
         # the arrays a run allocates on both threads (numpy reports them to
         # tracemalloc) peak at a few chunks' worth: about 14 MB with 2^16
         # trials a chunk, and about 39 MB with 2^18
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            assert main(["simulate", "--source", "aklz", "--trials", "400000"]) == 0
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if not tracing:
-                tracemalloc.stop()
-        capsys.readouterr()
+        peak = traced_peak(["simulate", "--source", "aklz", "--trials", "400000"], capsys)
         assert peak < 20e6
+
+    def test_events_csv_round_trip_holds_its_rows_once(self, tmp_path, capsys):
+        # 800,000 rows of 26 bytes as EventColumns, and bounded blocks beside
+        # them: simulate's chunks and writer blocks, report's parsed lines
+        # and postselected blocks (about 29 and 23 MB; 75 and 55 MB when each
+        # held whole-file copies)
+        events = str(tmp_path / "events.csv")
+        rows = 4 * 2 * 100_000
+        argv = ["simulate", "--source", "aklz", "--trials", "100000", "--events-csv", events]
+        assert traced_peak(argv, capsys) <= 40 * rows
+        assert len(read_events_csv(events)) == rows
+        assert traced_peak(["report", "--events", events], capsys) <= 40 * rows
 
     @pytest.mark.parametrize(
         "seed,digests",
@@ -1104,6 +1129,136 @@ class TestEventsRoundtrip:
         assert code == 2
 
 
+W = 1.0
+BLOCK_TIMING = InterferometerTiming(path_difference_ns=100.0, window_ns=W)
+# a setting, its other zero, and the largest double below 2*pi, which
+# reduces to the same setting key
+BLOCK_PHASES = (0.0, -0.0, math.nextafter(2 * math.pi, 0), math.pi / 4, 0.3)
+# time steps between rows: ties, a window's width and one ulp less, and gaps
+# inside and beyond the window
+BLOCK_STEPS = (0.0, W, math.nextafter(W, 0), 0.25, 0.5, 3.0)
+
+
+def whole_stream_outcome(events):
+    """One postselect of every row and its table, as report printed them
+    before it postselected in blocks; or ("raises", the message)."""
+    try:
+        result = postselect(events, BLOCK_TIMING)
+    except ValueError as exc:
+        return "raises", str(exc)
+    table = correlation_from_pairs(result.pairs)
+    return (result.coincidences, json.dumps(table.to_json_dict()),
+            json.dumps(result.report.to_json_dict()))
+
+
+def blockwise_outcome(events):
+    try:
+        tally = cli._postselect_blocks(events, BLOCK_TIMING)
+    except ValueError as exc:
+        return "raises", str(exc)
+    return (tally.coincidences, json.dumps(tally.table.to_json_dict()),
+            json.dumps(tally.efficiency().to_json_dict()))
+
+
+@st.composite
+def timed_rows(draw):
+    """Events at the running sum of the steps, in time order unless shuffled."""
+    rows = draw(st.lists(
+        st.tuples(st.sampled_from((1, 2)), st.sampled_from(BLOCK_STEPS),
+                  st.sampled_from((-1, 1)), st.sampled_from(BLOCK_PHASES)),
+        max_size=24,
+    ))
+    times = np.cumsum([step for _, step, _, _ in rows])
+    order = list(range(len(rows)))
+    if draw(st.booleans()):
+        order = draw(st.permutations(order))
+    return EventColumns(
+        site=[rows[k][0] for k in order],
+        trial=order,
+        timestamp_ns=times[order] if rows else [],
+        outcome=[rows[k][2] for k in order],
+        setting_rad=[rows[k][3] for k in order],
+    )
+
+
+class TestBlockwiseReport:
+    """report postselects rows in time order block by block; the blocks must
+    add up to one postselection of the whole stream."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(events=timed_rows(), block=st.integers(1, 4))
+    @example(events=EventColumns([1, 2], [0, 1], [0.0, math.nextafter(W, 0)], [1, 1], [0.0, 0.0]),
+             block=1)
+    @example(events=EventColumns([1, 2], [0, 1], [0.0, W], [1, 1], [0.0, 0.0]), block=1)
+    @example(events=EventColumns([1, 2, 1], [0, 1, 2], [0.0, 0.25, 0.5], [1, 1, -1],
+                                 [0.0, 0.0, 0.0]), block=1)
+    @example(events=EventColumns([], [], [], [], []), block=1)
+    def test_blocks_add_up_to_the_whole_stream(self, events, block):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_REPORT_BLOCK_ROWS", block)
+            assert blockwise_outcome(events) == whole_stream_outcome(events)
+
+    def test_labels_and_order_come_from_the_first_block(self, monkeypatch):
+        # the same cell and setting keys under other bits in later blocks
+        monkeypatch.setattr(cli, "_REPORT_BLOCK_ROWS", 2)
+        twopi = math.nextafter(2 * math.pi, 0)
+        events = EventColumns(
+            site=[1, 2, 1, 2, 1, 2],
+            trial=[0, 0, 1, 1, 2, 2],
+            timestamp_ns=[0.0, 0.5, 10.0, 10.0, 20.0, 20.25],
+            outcome=[1, 1, -1, 1, 1, 1],
+            setting_rad=[0.0, 0.3, -0.0, 0.3, twopi, 0.3],
+        )
+        got = blockwise_outcome(events)
+        assert got == whole_stream_outcome(events)
+        table = json.loads(got[1])
+        assert [(c["phi_rad"], c["count"]) for c in table["cells"]] == [(0.0, 3)]
+        assert json.dumps(table["cells"][0]["phi_rad"]) == "0.0"
+
+    def test_each_block_is_postselected_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "postselect", lambda ev, t: calls.append(len(ev)) or
+                            postselect(ev, t))
+        monkeypatch.setattr(cli, "_REPORT_BLOCK_ROWS", 2)
+        times = [0.0, 0.5, 0.9, 3.9, 3.9, 6.9, 7.15, 7.4, 7.65]
+        n = len(times)
+        ordered = EventColumns([1, 2, 2, 2, 1, 1, 2, 2, 2], range(n), times, [1] * n, [0.0] * n)
+        cli._postselect_blocks(ordered, BLOCK_TIMING)
+        # a block ends at the first gap of a window or more after 2 rows
+        assert calls == [3, 2, 4]
+        calls.clear()
+        cli._postselect_blocks(ordered.take(np.arange(n)[::-1]), BLOCK_TIMING)
+        assert calls == [n]
+
+    @pytest.mark.parametrize("route", [["--source", "aklz"], ["--terms", "6"]],
+                             ids=["aklz", "quantum-6"])
+    def test_block_size_changes_no_report(self, tmp_path, capsys, monkeypatch, route):
+        events = str(tmp_path / "events.csv")
+        argv = ["simulate", *route, "--trials", "300", "--seed", "4", "--events-csv", events]
+        assert run_cli(argv, capsys)[0] == 0
+        terms = route[1] if route[0] == "--terms" else "4"
+        runs = []
+        for block in (cli._REPORT_BLOCK_ROWS, 1, 5, 64):
+            monkeypatch.setattr(cli, "_REPORT_BLOCK_ROWS", block)
+            runs.append(run_cli(["report", "--events", events, "--terms", terms], capsys))
+        assert runs[0][0] == 0
+        assert all(run == runs[0] for run in runs[1:])
+
+    @pytest.mark.parametrize(
+        "content,shown",
+        [(b"", "unexpected CSV header: None"),
+         (b"site,trial,timestamp_ns,outcome,setting_rad\r\n", "events do not cover")],
+        ids=["empty", "header-only"],
+    )
+    def test_files_without_rows(self, tmp_path, capsys, monkeypatch, content, shown):
+        path = tmp_path / "events.csv"
+        path.write_bytes(content)
+        monkeypatch.setattr(cli, "_REPORT_BLOCK_ROWS", 1)
+        code, p, err = run_cli(["report", "--events", str(path)], capsys)
+        assert (code, p) == (2, None)
+        assert shown in err
+
+
 class TestConfigFile:
     def test_config_supplies_defaults(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -1260,6 +1415,31 @@ def test_static_switch_period_prints_null(capsys):
     assert code == 0
     assert p["geometry"]["switch_period_ns"] is None
     assert p["premise"] == {"margin_ns": None, "satisfied": False}
+
+
+def test_one_parser_serves_every_command_of_a_process(tmp_path, capsys, monkeypatch):
+    # main builds the argparse tree once per process; each command, run in
+    # turn in this process, prints the bytes it prints in a fresh one
+    monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps usage at
+    events, config = tmp_path / "events.csv", tmp_path / "config.json"
+    config.write_text(json.dumps({"terms": 6, "eta": 0.9}))
+    commands = [
+        ["simulate", "--trials", "300", "--seed", "2", "--events-csv", str(events)],
+        ["verify-bounds", "--terms", "6"],
+        ["report", "--events", str(events)],
+        ["bounds", "--config", str(config)],
+        ["simulate", "--trials", "many"],
+    ]
+    for argv in commands:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        fresh = run_module(argv)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert code == 2 and "invalid int value: 'many'" in err
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_python_dash_m_runs_the_same_command_line(capsys):

@@ -740,6 +740,38 @@ class TestCsvReferee:
             b"0.0", b"-0.0", b"nan", b"inf", b"-inf", b"5e-324", b"-5e-324", b"0.1"
         }
 
+    @pytest.mark.parametrize("first_seen", [0, 3, 4, 5, 8], ids=lambda k: f"row{k}")
+    def test_writer_text_of_a_setting_first_seen_in_a_later_block(
+        self, tmp_path, monkeypatch, first_seen
+    ):
+        # -0.0 appears first in a later writer block, after blocks of 0.0
+        monkeypatch.setattr(timing, "_CSV_BLOCK_ROWS", 4)
+        setting = np.zeros(10)
+        setting[first_seen:] = -0.0
+        setting[-1] = 0.0
+        ev = dataclasses.replace(make_events(1, np.arange(10.0), [1] * 10, 0.0),
+                                 setting_rad=setting)
+        write_events_csv(tmp_path / "new.csv", ev)
+        reference_write_events_csv(tmp_path / "ref.csv", ev)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("edit", ["site-3", "malformed", "blank-line"])
+    @pytest.mark.parametrize("row", [0, 3, 4, 7, 8, 11], ids=lambda k: f"row{k}")
+    def test_reader_names_a_bad_line_at_a_block_edge(self, tmp_path, monkeypatch, edit, row):
+        # blocks of 4 rows: lines 2-5, 6-9 and 10-13 after the header;
+        # the edited row is the first or last of its block
+        monkeypatch.setattr(timing, "_CSV_BLOCK_ROWS", 4)
+        lines = [",".join(CSV_COLUMNS)] + [f"1,{k},{10.0 * k!r},1,0.5" for k in range(12)]
+        if edit == "blank-line":
+            lines.insert(1 + row, "")
+        else:
+            lines[1 + row] = "3,0,10.0,1,0.5" if edit == "site-3" else "1,0,x,1,0.5"
+        path = tmp_path / "bad.csv"
+        path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+        outcome = read_outcome(read_events_csv, path)
+        assert outcome == read_outcome(reference_read_events_csv, path)
+        assert f", line {row + 2}:" in outcome
+
     @settings(max_examples=300, deadline=None)
     @given(
         rows=_VALID_ROWS,
@@ -809,7 +841,8 @@ def reference_tabulate(blocks, cells=None):
     """Dict-based merge of pair blocks into (phi, psi, product sum, count).
 
     Within a block, cells follow sorted setting keys and carry the phases of
-    their first pair; a cell seen in an earlier block adds its counts.
+    their first pair; a cell seen in an earlier block adds its counts and
+    keeps that block's phases.
     """
     cells = {} if cells is None else cells
     for block in blocks:
@@ -821,6 +854,7 @@ def reference_tabulate(blocks, cells=None):
         for key in sorted(acc):
             phi, psi, total, n = acc[key]
             if key in cells and cells[key][3] > 0:
+                phi, psi = cells[key][:2]
                 total += cells[key][2]
                 n += cells[key][3]
             cells[key] = (phi, psi, total, n)
