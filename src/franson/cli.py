@@ -290,6 +290,7 @@ class _Tally:
 
 def _pipeline_tables(
     sample,
+    rs: RandomSource,
     trials: int,
     chain: SettingsChain,
     timing: InterferometerTiming,
@@ -298,15 +299,18 @@ def _pipeline_tables(
 ):
     """Emit timed events per setting pair, postselect, and accumulate.
 
-    ``sample(p, first, count)`` gives trials ``first`` to
-    ``first + count - 1`` of setting pair ``p``, equal to that slice of one
-    call for the whole pair.  Each pair runs in chunks of ``_CHUNK_TRIALS``
-    trials, pair after pair; while the main thread emits, postselects and
-    tabulates one chunk, one worker thread, kept for the whole call, samples
-    the next (a chunk of fewer than ``_BACKGROUND_MIN_TRIALS`` trials is
-    sampled on the main thread when its turn comes).  Emission gaps above
-    twice the path difference keep every coincidence inside one trial, so
-    chunks pair and count exactly as the whole block would.
+    Setting pair ``p`` is the chain's ``term_order[p]``: it runs at its two
+    settings' phases on ``rs.substream(p + 1)``.  ``sample(phi, psi, rs,
+    first, count)`` gives trials ``first`` to ``first + count - 1`` at site
+    phases ``phi`` and ``psi`` from ``rs`` as a ``TrialBatch``, equal to
+    that slice of one call for the whole pair.  Each pair runs in chunks of
+    ``_CHUNK_TRIALS`` trials, pair after pair; while the main thread emits,
+    postselects and tabulates one chunk, one worker thread, kept for the
+    whole call, samples the next (a chunk of fewer than
+    ``_BACKGROUND_MIN_TRIALS`` trials is sampled on the main thread when
+    its turn comes).  Emission gaps above twice the path difference keep
+    every coincidence inside one trial, so chunks pair and count exactly as
+    the whole block would.
 
     Emit groups a chunk's events by site and postselect takes them so.
     Each pair's block starts far beyond the previous one so a single merged
@@ -315,23 +319,28 @@ def _pipeline_tables(
     order straight into columns with room for the at most two events of
     every trial, where postselect then reads them.
     """
+    pairs = [
+        (chain.site1_settings[i].phase, chain.site2_settings[j].phase, rs.substream(p + 1))
+        for p, (i, j, _) in enumerate(chain.term_order)
+    ]
     chunk = _CHUNK_TRIALS
     chunks = [
         (p, first, min(chunk, trials - first))
-        for p in range(len(chain.term_order))
+        for p in range(len(pairs))
         for first in range(0, trials, chunk)
     ]
     tally = _Tally()
-    kept = EventColumns.empty(2 * trials * len(chain.term_order)) if events_csv else None
+    kept = EventColumns.empty(2 * trials * len(pairs)) if events_csv else None
     filled = 0
     with ThreadPoolExecutor(1, thread_name_prefix="franson-sampler") as pool:
 
         def prefetch(p, first, count):
             # the chunk's batch as a call that waits for it: a large chunk is
             # sampled from now on by the worker, a small one when called
+            args = (*pairs[p], first, count)
             if count < _BACKGROUND_MIN_TRIALS:
-                return lambda: sample(p, first, count)
-            return pool.submit(sample, p, first, count).result
+                return lambda: sample(*args)
+            return pool.submit(sample, *args).result
 
         pending = prefetch(*chunks[0]) if chunks else None
         for k, (p, first, count) in enumerate(chunks):
@@ -341,9 +350,7 @@ def _pipeline_tables(
             if first == 0:
                 times = _pair_emission_times(p, trials, gap_ns)
                 check_emission_schedule(times, trials, timing, chunk)
-            i, j, _ = chain.term_order[p]
-            phi = chain.site1_settings[i].phase
-            psi = chain.site2_settings[j].phase
+            phi, psi, _ = pairs[p]
             events = emit_events_from_batch(
                 batch, times(first, count), timing, phi, psi, first_trial=first
             )
@@ -365,7 +372,7 @@ def _pipeline_tables(
         write_events_csv(events_csv, kept.take(slice(0, filled)))
     return (
         tally.table,
-        tally.coincidences / (len(chain.term_order) * trials),
+        tally.coincidences / (len(pairs) * trials),
         tally.efficiency().to_json_dict(),
     )
 
@@ -375,20 +382,16 @@ def _simulate_report(
 ) -> dict:
     """A ``simulate`` report of the franson variant.
 
-    ``sample(p, first, count)`` runs the timing pipeline (see
-    ``_pipeline_tables``); without it the table comes from the setup's
-    distribution, with no timestamps and no efficiency.
+    Every franson run goes through the timing pipeline with ``sample`` (see
+    ``_pipeline_tables``): timestamps, the coincidence window and the
+    apparent efficiency, as a counting experiment sees them.
     """
+    rs = RandomSource(seed=int(args.seed))
     trials = int(args.trials)
-    if sample is None:
-        rs = RandomSource(seed=int(args.seed))
-        run = simulate_setup(SetupVariant.FRANSON, chain, visibility, trials, rs)
-        table, coinc_fraction, efficiency = run.table, run.coincidence_fraction, None
-    else:
-        timing = _timing(args)
-        table, coinc_fraction, efficiency = _pipeline_tables(
-            sample, trials, chain, timing, _emission_gap(args, timing, chain), args.events_csv
-        )
+    timing = _timing(args)
+    table, coinc_fraction, efficiency = _pipeline_tables(
+        sample, rs, trials, chain, timing, _emission_gap(args, timing, chain), args.events_csv
+    )
     return {
         "command": "simulate",
         "source": source,
@@ -407,24 +410,13 @@ def _simulate_report(
 
 def _simulate_quantum(args) -> dict:
     chain = chain_settings(int(args.terms))
-    rs = RandomSource(seed=int(args.seed))
     visibility = float(args.visibility)
-    sample = None
-    if args.events_csv or args.pipeline:
-        franson_correlation(0.0, 0.0, visibility)  # refuses a visibility outside [0, 1]
+    franson_correlation(0.0, 0.0, visibility)  # refuses a visibility outside [0, 1]
 
-        def sample(p, first, count):
-            i, j, _ = chain.term_order[p]
-            x1, x2, late1, late2 = sample_franson_events(
-                chain.site1_settings[i].phase,
-                chain.site2_settings[j].phase,
-                visibility,
-                rs.substream(p + 1),
-                first,
-                count,
-            )
-            ones = np.ones(count, dtype=bool)
-            return TrialBatch(x1, late1, ones, x2, late2, ones.copy())
+    def sample(phi, psi, rs, first, count):
+        x1, x2, late1, late2 = sample_franson_events(phi, psi, visibility, rs, first, count)
+        ones = np.ones(count, dtype=bool)
+        return TrialBatch(x1, late1, ones, x2, late2, ones.copy())
 
     return _simulate_report(
         args, "quantum", visibility, chain, sample, _verdict_models()
@@ -444,19 +436,10 @@ def _simulate_aklz(args) -> dict:
             "source has visibility 1"
         )
     chain = chain_settings(terms)
-    rs = RandomSource(seed=int(args.seed))
     strategy = aklz_strategy()
 
-    def sample(p, first, count):
-        i, j, _ = chain.term_order[p]
-        return simulate_strategy_pairs(
-            strategy,
-            chain.site1_settings[i].phase,
-            chain.site2_settings[j].phase,
-            count,
-            rs.substream(p + 1),
-            first,
-        )
+    def sample(phi, psi, rs, first, count):
+        return simulate_strategy_pairs(strategy, phi, psi, count, rs, first)
 
     models = [
         ModelClass(kind=ModelKind.PLAIN_LOCAL_REALISM),
@@ -515,37 +498,37 @@ _TIMING_FLAGS = ("path_difference_ns", "window_ns", "short_arm_ns", "emission_ga
 def _refuse_dropped_flags(args) -> None:
     """Refuse, naming it, a flag that the chosen route would drop.
 
-    A scenario runs its own source on the franson variant, and only
-    aklz-demo, the delay-model source, runs the timing pipeline; chained6
-    sets its own terms and visibilities, and table1 simulates nothing.  A
-    variant other than franson simulates the quantum source with no
-    timestamps, and so does the quantum source without ``--pipeline`` or
-    ``--events-csv``, so the timing flags apply to neither.  Runs before
-    the defaults are filled in, so that a flag given at its default value
-    is told from one not given.
+    Every franson run goes through the timing pipeline, which reads every
+    flag; ``--pipeline`` is accepted there and changes nothing.  A scenario
+    runs its own source on the franson variant: aklz-demo the delay model,
+    chained6 the quantum source at its own terms and visibilities, one
+    report per row and so no single events file; table1 simulates nothing.
+    A variant other than franson simulates the quantum source at
+    distribution level, with no timestamps, so neither the timing flags
+    nor ``--pipeline`` apply to it.  Runs before the defaults are filled
+    in, so that a flag given at its default value is told from one not
+    given.
     """
     other_variant = args.variant not in (None, "franson")
+    if not (args.scenario or other_variant):
+        return
+    route = f"--scenario {args.scenario}" if args.scenario else f"--variant {args.variant}"
     aklz_demo = args.scenario == "aklz-demo"
-    if args.scenario or other_variant:
-        route = f"--scenario {args.scenario}" if args.scenario else f"--variant {args.variant}"
-        for flag, dropped in (
-            (f"--variant {args.variant}", other_variant and args.scenario is not None),
-            ("--source aklz", args.source == "aklz" and not aklz_demo),
-            ("--source quantum", args.source == "quantum" and aklz_demo),
-            ("--events-csv", bool(args.events_csv) and not aklz_demo),
-            ("--pipeline", args.pipeline and not aklz_demo),
-        ):
-            if dropped:
-                raise ConfigError(f"{flag} does not apply to {route}")
-    elif args.source == "aklz" or args.events_csv or args.pipeline:
-        return  # the timing pipeline, which reads every flag
-    else:
-        route = "the quantum source without --pipeline or --events-csv"
+    timed = args.scenario in ("aklz-demo", "chained6")
+    for flag, dropped in (
+        (f"--variant {args.variant}", other_variant and args.scenario is not None),
+        ("--source aklz", args.source == "aklz" and not aklz_demo),
+        ("--source quantum", args.source == "quantum" and aklz_demo),
+        ("--events-csv", bool(args.events_csv) and not aklz_demo),
+        ("--pipeline", args.pipeline and not timed),
+    ):
+        if dropped:
+            raise ConfigError(f"{flag} does not apply to {route}")
     ignored = {
         "table1": ("source", "terms", "visibility", "trials", "seed"),
         "chained6": ("terms", "visibility"),
     }.get(args.scenario, ())
-    if not aklz_demo:
+    if not timed:
         ignored += _TIMING_FLAGS
     for attr in ignored:
         value = getattr(args, attr)
@@ -795,7 +778,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument(
         "--pipeline",
         action="store_true",
-        help="force the full timestamp/postselection pipeline",
+        help="accepted for older command lines: every franson run uses the "
+        "timestamp/postselection pipeline",
     )
     p_sim.add_argument("--path-difference-ns", type=float)
     p_sim.add_argument("--window-ns", type=float)

@@ -67,11 +67,6 @@ class _Columns:
         """``size`` rows of uninitialised columns, to be filled in place."""
         return cls(*(np.empty(size, dtype=f.metadata["dtype"]) for f in fields(cls)))
 
-    @classmethod
-    def concatenate(cls, blocks):
-        """The blocks' rows one after another."""
-        return cls(*(np.concatenate([b[f.name] for b in blocks]) for f in fields(cls)))
-
 
 @dataclass(frozen=True, eq=False)
 class EventColumns(_Columns):
@@ -581,32 +576,48 @@ def read_events_csv(path) -> EventColumns:
     """Read events written by write_events_csv; round trips exactly.
 
     Every row must have exactly five fields, site 1 or 2, outcome -1 or +1
-    and a finite timestamp and setting; the first row that does not raises
+    and a finite timestamp and setting; a row that does not raises
     ValueError naming its line (the header is line 1).  A blank line is a
-    malformed row.
+    malformed row.  A malformed row (a wrong field count, or a field that
+    int() or float() refuses) is named wherever it is; otherwise the first
+    row whose values are out of range is.
 
     Blocks of lines are parsed and checked one at a time into columns
-    sized by the file's line count, so the rows are held once.
+    sized by the file's line count, so the rows are held once.  A block
+    that ``np.loadtxt`` does not take as valid rows is parsed row by row,
+    as csv, int() and float() accept them.
     """
     with open(path, newline="") as fh:
         _check_header(csv.reader(fh))
-        rows = _count_lines(path) - 1
-        out = EventColumns.empty(rows)
-        for start in range(0, rows, _CSV_BLOCK_ROWS):
-            block = _parse_block(fh, min(_CSV_BLOCK_ROWS, rows - start))
+        left = _count_lines(path) - 1
+        out = EventColumns.empty(left)
+        line, filled, bad_row = 2, 0, None
+        while left > 0 and (lines := list(itertools.islice(fh, min(_CSV_BLOCK_ROWS, left)))):
+            block, used = _parse_block(lines), len(lines)
             if block is None:
-                # the row-by-row pass names the first bad line of the file
-                return _read_rows(path)
-            for name in CSV_COLUMNS:
-                out[name][start : start + len(block)] = block[name]
-    return out
+                rows, used = _read_rows(path, lines, fh, line)
+                try:
+                    block = np.array(rows, dtype=_CSV_PARSE_DTYPE)
+                except OverflowError:
+                    block = None  # an integer outside int64
+                if bad_row is None and (block is None or _bad_rows(block).any()):
+                    # named once no later row is malformed
+                    k = next(k for k, row in enumerate(rows) if _row_is_bad(row))
+                    bad_row = _bad_row_message(path, filled + k, rows[k])
+            if bad_row is None:
+                for name in CSV_COLUMNS:
+                    out[name][filled : filled + len(block)] = block[name]
+                filled += len(block)
+            line, left = line + used, left - used
+    if bad_row is not None:
+        raise ValueError(bad_row)
+    return out.take(slice(0, filled))
 
 
-def _parse_block(fh, rows: int) -> np.ndarray | None:
-    """The next ``rows`` lines of ``fh`` as checked records of the parse
-    dtype, or None when a line does not parse as a valid row."""
+def _parse_block(lines: list[str]) -> np.ndarray | None:
+    """``lines`` as checked records of the parse dtype, or None when a line
+    does not parse as a valid row."""
     try:
-        lines = list(itertools.islice(fh, rows))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             parsed = np.loadtxt(
@@ -616,14 +627,9 @@ def _parse_block(fh, rows: int) -> np.ndarray | None:
         return None
     # loadtxt skips blank lines, which are malformed rows here, so a row
     # count short of the line count is a bad block, as is a failed row check
-    if len(parsed) != rows or _bad_rows(parsed).any():
+    if len(parsed) != len(lines) or _bad_rows(parsed).any():
         return None
     return parsed
-
-
-def _event_columns(records: np.ndarray) -> EventColumns:
-    """Checked records of the parse dtype as event columns."""
-    return EventColumns(*(records[name] for name in CSV_COLUMNS))
 
 
 def _check_header(reader) -> None:
@@ -656,29 +662,25 @@ def _bad_rows(ev) -> np.ndarray:
     )
 
 
-def _read_rows(path) -> EventColumns:
-    """Row-by-row reader: accepts what int() and float() accept and names the first bad line."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        _check_header(reader)
-        rows = []
-        try:
-            for r in reader:
-                if len(r) != len(CSV_COLUMNS):
-                    raise ValueError(f"expected {len(CSV_COLUMNS)} fields, got {len(r)}")
-                rows.append((int(r[0]), int(r[1]), float(r[2]), int(r[3]), float(r[4])))
-        except (ValueError, csv.Error) as exc:
-            raise ValueError(
-                f"{path}, line {reader.line_num}: malformed event row ({exc})"
-            ) from exc
+def _read_rows(path, lines: list[str], more, line: int) -> tuple[list[tuple], int]:
+    """Row-by-row parse of ``lines``, the first of them line ``line`` of the
+    file: the rows as int() and float() accept them, and the count of lines
+    they span.  A quoted field may carry a row on past ``lines`` into
+    ``more``, the rest of the file.  A malformed row raises ValueError
+    naming its line."""
+    reader = csv.reader(itertools.chain(lines, more))
+    rows = []
     try:
-        out = np.array(rows, dtype=_CSV_PARSE_DTYPE)
-    except OverflowError:
-        out = None  # an integer outside int64
-    if out is None or _bad_rows(out).any():
-        k = next(k for k, row in enumerate(rows) if _row_is_bad(row))
-        raise ValueError(_bad_row_message(path, k, rows[k]))
-    return _event_columns(out)
+        while reader.line_num < len(lines):
+            r = next(reader)
+            if len(r) != len(CSV_COLUMNS):
+                raise ValueError(f"expected {len(CSV_COLUMNS)} fields, got {len(r)}")
+            rows.append((int(r[0]), int(r[1]), float(r[2]), int(r[3]), float(r[4])))
+    except (ValueError, csv.Error) as exc:
+        raise ValueError(
+            f"{path}, line {line - 1 + reader.line_num}: malformed event row ({exc})"
+        ) from exc
+    return rows, reader.line_num
 
 
 def _row_is_bad(row: tuple) -> bool:

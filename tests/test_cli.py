@@ -28,13 +28,19 @@ from franson import (
     MixedStrategy,
     ModelClass,
     ModelKind,
+    RandomSource,
+    SetupVariant,
     SiteVertex,
     chain_settings,
+    chained_statistic,
     cli,
     correlation_from_pairs,
+    evaluate,
     evaluate_mixed,
     postselect,
     read_events_csv,
+    simulate_setup,
+    statistic_stderr,
 )
 from franson.cli import main
 
@@ -478,7 +484,8 @@ class TestSimulate:
         assert p["quantum_value"] == pytest.approx(2 * SQRT2)
         assert p["statistic"] == pytest.approx(2 * SQRT2, abs=0.1)
         assert p["coincidence_fraction"] == pytest.approx(0.5, abs=0.02)
-        assert p["efficiency"] is None
+        # measured by the timing pipeline: half the clicks are coincident
+        assert p["efficiency"]["eta"] == pytest.approx(0.5, abs=0.03)
         verdicts = {v["model"]["kind"]: v for v in p["verdicts"]}
         assert verdicts["plain-local-realism"]["violated"] is True
         assert verdicts["emission-time-realism"]["violated"] is False
@@ -556,6 +563,28 @@ class TestSimulate:
         assert len(read_events_csv(events)) == rows
         assert traced_peak(["report", "--events", events], capsys) <= 40 * rows
 
+    def test_an_odd_field_is_parsed_with_its_block_only(self, tmp_path, capsys):
+        # int() takes 0_0, np.loadtxt does not: only the block holding it is
+        # parsed row by row, so the report and the memory bound are the
+        # unedited file's (a row-by-row parse of the whole file holds a
+        # tuple of five Python objects per row)
+        events, odd = tmp_path / "events.csv", tmp_path / "odd.csv"
+        trials = 25_000
+        argv = ["simulate", "--source", "aklz", "--trials", str(trials), "--events-csv"]
+        assert main(argv + [str(events)]) == 0
+        header, first, rest = events.read_bytes().split(b"\r\n", 2)
+        site, trial, *fields = first.split(b",")
+        assert trial == b"0"
+        odd.write_bytes(b"\r\n".join([header, b",".join([site, b"0_0", *fields]), rest]))
+        reports = []
+        for path in (events, odd):
+            out = tmp_path / f"{path.stem}.json"
+            argv = ["report", "--events", str(path), "--out", str(out)]
+            assert traced_peak(argv, capsys) <= 40 * 4 * 2 * trials
+            reports.append(json.loads(out.read_text()))
+            assert reports[-1].pop("events") == str(path)
+        assert reports[0] == reports[1]
+
     @pytest.mark.parametrize(
         "seed,digests",
         [
@@ -591,6 +620,39 @@ class TestSimulate:
         out2 = capsys.readouterr().out
         assert code1 == code2 == 0
         assert out1 == out2
+
+    @pytest.mark.parametrize("trials", [1000, 65537, 200_000])
+    @pytest.mark.parametrize("visibility", [1.0, 0.9])
+    @pytest.mark.parametrize("terms", [4, 6])
+    def test_the_pipeline_counts_what_the_setup_draws(self, capsys, terms, visibility, trials):
+        # simulate_setup is the referee: the same draws on the same
+        # substreams, and a coincidence wherever both photons took equal arms
+        argv = ["simulate", "--terms", str(terms), "--visibility", str(visibility),
+                "--trials", str(trials), "--seed", "3"]
+        code, p, _ = run_cli(argv, capsys)
+        assert code == 0
+        chain = chain_settings(terms)
+        run = simulate_setup(SetupVariant.FRANSON, chain, visibility, trials,
+                             RandomSource(seed=3))
+        assert p["statistic"] == chained_statistic(run.table, chain)
+        assert p["stderr"] == statistic_stderr(run.table, chain)
+        assert p["table"] == run.table.to_json_dict()
+        assert p["coincidence_fraction"] == run.coincidence_fraction
+        verdicts = [evaluate(run.table, chain, m).to_json_dict() for m in cli._verdict_models()]
+        assert p["verdicts"] == json.loads(json.dumps(verdicts))
+        assert p["verdicts"][0] == json.loads(json.dumps(run.verdict.to_json_dict()))
+
+    @pytest.mark.parametrize(
+        "route", [["--terms", "6", "--visibility", "0.9"], ["--scenario", "chained6"]],
+        ids=["quantum", "chained6"],
+    )
+    def test_the_pipeline_flag_changes_no_byte(self, capsys, route):
+        argv = ["simulate", *route, "--trials", "3000", "--seed", "2"]
+        outs = []
+        for extra in ([], ["--pipeline"]):
+            assert main(argv + extra) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
 
     def test_pipeline_reports_efficiency(self, capsys):
         code, p, _ = run_cli(
@@ -686,7 +748,6 @@ class TestSimulate:
             (["--scenario", "table1", "--source", "aklz"], "--source aklz"),
             (["--scenario", "chained6", "--events-csv", "EVENTS"], "--events-csv"),
             (["--scenario", "table1", "--events-csv", "EVENTS"], "--events-csv"),
-            (["--scenario", "chained6", "--pipeline"], "--pipeline"),
             (["--scenario", "table1", "--pipeline"], "--pipeline"),
             (["--scenario", "chained6", "--variant", "cross-coupled"], "--variant cross-coupled"),
             (["--scenario", "table1", "--variant", "switched-mirrors"],
@@ -704,24 +765,15 @@ class TestSimulate:
             (["--scenario", "table1", "--visibility", "1"], "--visibility 1.0"),
             # aklz-demo is the delay-model source
             (["--scenario", "aklz-demo", "--source", "quantum"], "--source quantum"),
-            # the timing flags only reach the timing pipeline
-            (["--scenario", "chained6", "--window-ns", "5"],
-             "--window-ns 5.0 does not apply to --scenario chained6"),
-            (["--terms", "4", "--window-ns", "500"],
-             "--window-ns 500.0 does not apply to the quantum source without --pipeline"),
-            (["--source", "quantum", "--path-difference-ns", "50"], "--path-difference-ns 50.0"),
-            (["--short-arm-ns", "10"], "--short-arm-ns 10.0"),
-            (["--emission-gap-ns", "1000"], "--emission-gap-ns 1000.0"),
+            # a variant other than franson runs no timing pipeline
             (["--variant", "switched-mirrors", "--window-ns", "1"],
              "--window-ns 1.0 does not apply to --variant switched-mirrors"),
         ],
         ids=["variant-source", "chained6-source", "table1-source", "chained6-events-csv",
-             "table1-events-csv", "chained6-pipeline", "table1-pipeline", "chained6-variant",
+             "table1-events-csv", "table1-pipeline", "chained6-variant",
              "table1-variant", "aklz-demo-variant", "aklz-demo-terms", "chained6-terms-4",
              "chained6-terms-6", "chained6-visibility", "chained6-visibility-1",
-             "table1-terms", "table1-visibility", "aklz-demo-quantum", "chained6-window",
-             "quantum-window", "quantum-path-difference", "quantum-short-arm",
-             "quantum-emission-gap", "variant-window"],
+             "table1-terms", "table1-visibility", "aklz-demo-quantum", "variant-window"],
     )
     def test_dropped_flags_are_refused(self, tmp_path, capsys, argv, flag):
         events = tmp_path / "events.csv"
@@ -736,8 +788,10 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "route",
         [["--source", "aklz"], ["--scenario", "aklz-demo"], ["--pipeline"],
-         ["--events-csv", "EVENTS"]],
-        ids=["aklz", "aklz-demo", "quantum-pipeline", "quantum-events-csv"],
+         ["--events-csv", "EVENTS"], [], ["--scenario", "chained6"],
+         ["--scenario", "chained6", "--pipeline"]],
+        ids=["aklz", "aklz-demo", "quantum-pipeline", "quantum-events-csv", "quantum",
+             "chained6", "chained6-pipeline"],
     )
     def test_timing_flags_apply_where_the_pipeline_runs(self, tmp_path, capsys, route):
         argv = ["simulate", *[str(tmp_path / "events.csv") if a == "EVENTS" else a
@@ -746,7 +800,16 @@ class TestSimulate:
                  "--short-arm-ns", "10", "--emission-gap-ns", "1000"]
         code, p, _ = run_cli(argv + flags, capsys)
         assert code == 0
-        assert p["efficiency"] is not None
+        reports = p.get("rows", [p])
+        assert all(r["efficiency"]["eta"] > 0 for r in reports)
+
+    @pytest.mark.parametrize("route", [["--terms", "4"], ["--scenario", "chained6"]],
+                             ids=["quantum", "chained6"])
+    def test_a_window_wider_than_the_path_difference_is_refused(self, capsys, route):
+        # the pipeline's own check, no longer a refusal of a dropped flag
+        argv = ["simulate", *route, "--window-ns", "500", "--trials", "100"]
+        code, p, err = run_cli(argv, capsys)
+        assert (code, p, err) == (2, None, "error: window must satisfy 0 < W < path difference\n")
 
     @pytest.mark.parametrize(
         "flag,value",

@@ -41,6 +41,12 @@ def make_events(site, times, outcomes, setting, trials=None):
     )
 
 
+def joined(*blocks):
+    """The blocks' rows one after another, in a container of their type."""
+    cls = type(blocks[0])
+    return cls(*(np.concatenate([b[f.name] for b in blocks]) for f in dataclasses.fields(cls)))
+
+
 def rows_of(columns, names):
     """The rows of a column container as tuples of Python scalars."""
     return list(zip(*(columns[name].tolist() for name in names)))
@@ -79,13 +85,6 @@ class TestColumns:
         columns["trial"] = {"ragged": [0], "scalar": 0, "2-d": [[0, 0]]}[bad]
         with pytest.raises(ValueError, match="length" if bad == "ragged" else "1-d"):
             EventColumns(**columns)
-
-    def test_concatenate_keeps_the_rows_in_order(self):
-        a = make_events(1, [0.0, 1.0], [1, -1], 0.5)
-        b = make_events(2, [0.5], [-1], -0.0, trials=[7])
-        both = EventColumns.concatenate([a, b])
-        assert rows_of(both, CSV_COLUMNS) == rows_of(a, CSV_COLUMNS) + rows_of(b, CSV_COLUMNS)
-        assert math.copysign(1.0, both["setting_rad"][2]) == -1.0
 
 
 class TestInterferometerTiming:
@@ -273,7 +272,7 @@ class TestPostselect:
         # only on the third
         e1 = make_events(1, [0.0, 1000.0, 2000.0, 3000.0], [1, 1, -1, -1], 0.3)
         e2 = make_events(2, [0.5, 1000.4, 2100.0, 3000.2], [1, -1, -1, 1], 0.5)
-        result = postselect(EventColumns.concatenate([e1, e2]), TIMING)
+        result = postselect(joined(e1, e2), TIMING)
         assert result.coincidences == 3
         pairs = result.pairs
         assert pairs["timestamp1_ns"].tolist() == [0.0, 1000.0, 3000.0]
@@ -290,17 +289,17 @@ class TestPostselect:
     def test_window_boundary_is_strict(self):
         e1 = make_events(1, [0.0], [1], 0.0)
         e2 = make_events(2, [1.0], [1], 0.0)
-        result = postselect(EventColumns.concatenate([e1, e2]), TIMING)
+        result = postselect(joined(e1, e2), TIMING)
         assert result.coincidences == 0
         just_inside = make_events(2, [1.0 - 1e-9], [1], 0.0)
-        result = postselect(EventColumns.concatenate([e1, just_inside]), TIMING)
+        result = postselect(joined(e1, just_inside), TIMING)
         assert result.coincidences == 1
 
     def test_ambiguous_match_raises(self):
         e1 = make_events(1, [0.0, 0.5], [1, 1], 0.0)
         e2 = make_events(2, [0.3], [1], 0.0)
         with pytest.raises(ValueError, match="ambiguous"):
-            postselect(EventColumns.concatenate([e1, e2]), TIMING)
+            postselect(joined(e1, e2), TIMING)
 
     def test_window_edge_is_rounded_like_the_timestamps(self):
         # at 2**60 ns the spacing of doubles is 256 ns and t - W rounds to t,
@@ -321,22 +320,22 @@ class TestPostselect:
         assert result.pairs["timestamp2_ns"].tolist() == [0.5]
         assert reference_postselect(ev, TIMING.window_ns)[0] == rows_of(result.pairs, PAIR_FIELDS)
         # away from that scale the site-2 event ahead is the partner
-        near = EventColumns.concatenate([make_events(2, [5.0], [1], 0.0),
-                                         make_events(1, [5.0], [1], 0.0),
-                                         make_events(2, [5.0], [-1], 0.0)])
+        near = joined(make_events(2, [5.0], [1], 0.0),
+                      make_events(1, [5.0], [1], 0.0),
+                      make_events(2, [5.0], [-1], 0.0))
         assert postselect(near, TIMING).pairs["outcome2"].tolist() == [1]
 
     def test_unsorted_input_is_handled(self):
         e1 = make_events(1, [1000.0, 0.0], [1, -1], 0.0, trials=[1, 0])
         e2 = make_events(2, [0.2, 1000.3], [1, 1], 0.0)
-        result = postselect(EventColumns.concatenate([e1, e2]), TIMING)
+        result = postselect(joined(e1, e2), TIMING)
         assert result.coincidences == 2
 
     def test_efficiency_split_by_setting(self):
         e1a = make_events(1, [0.0], [1], 0.3)
         e1b = make_events(1, [1000.0], [1], 0.7)
         e2 = make_events(2, [0.1], [1], 0.5)
-        result = postselect(EventColumns.concatenate([e1a, e1b, e2]), TIMING)
+        result = postselect(joined(e1a, e1b, e2), TIMING)
         by_site_setting = {
             (e.site, round(e.setting_rad, 3)): e for e in result.report.entries
         }
@@ -408,7 +407,7 @@ class TestCorrelationFromPairs:
     def test_multiple_setting_pairs(self):
         a = self._pairs(100, 0.1, 0.2, seed=4)
         b = self._pairs(100, 0.5, 0.6, seed=5)
-        table = correlation_from_pairs(PairColumns.concatenate([a, b]))
+        table = correlation_from_pairs(joined(a, b))
         assert len(list(table.items())) == 2
         assert table.cell(0.1, 0.2).count == 100
 
@@ -800,6 +799,58 @@ class TestCsvReferee:
         assert read_outcome(read_events_csv, path) == read_outcome(
             reference_read_events_csv, path
         )
+
+    @staticmethod
+    def block_file(path, edits):
+        """A 12-row file, read in blocks of 4 rows (lines 2-5, 6-9 and
+        10-13), with the given rows replaced."""
+        lines = [",".join(CSV_COLUMNS)] + [f"1,{k},{10.0 * k!r},1,0.5" for k in range(12)]
+        for row, text in edits.items():
+            lines[1 + row] = text
+        path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+
+    def test_only_the_block_with_an_odd_field_is_read_row_by_row(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(timing, "_CSV_BLOCK_ROWS", 4)
+        calls, read_rows_of_block = [], timing._read_rows
+
+        def read_rows(path, lines, more, line):
+            calls.append((line, len(lines)))
+            return read_rows_of_block(path, lines, more, line)
+
+        monkeypatch.setattr(timing, "_read_rows", read_rows)
+        # int() takes 0_5 for 5, np.loadtxt does not
+        self.block_file(tmp_path / "odd.csv", {5: "1,0_5,50.0,1,0.5"})
+        self.block_file(tmp_path / "plain.csv", {})
+        odd = read_events_csv(tmp_path / "odd.csv")
+        assert calls == [(6, 4)]
+        assert column_bytes(odd) == column_bytes(read_events_csv(tmp_path / "plain.csv"))
+        assert column_bytes(odd) == column_bytes(reference_read_events_csv(tmp_path / "odd.csv"))
+
+    @pytest.mark.parametrize("row", [2, 3, 4], ids=lambda k: f"row{k}")
+    def test_a_quoted_row_may_run_across_a_block_edge(self, tmp_path, monkeypatch, row):
+        # a quoted line break inside a field: the row spans two lines, the
+        # second of them in the next block when the row is a block's last
+        monkeypatch.setattr(timing, "_CSV_BLOCK_ROWS", 4)
+        path = tmp_path / "quoted.csv"
+        self.block_file(path, {row: f'1,{row},"{10.0 * row!r}\r\n",1,0.5'})
+        events = read_events_csv(path)
+        assert len(events) == 12
+        assert column_bytes(events) == column_bytes(reference_read_events_csv(path))
+        # a malformed row after it is named by its line, a row out of range
+        # by its row count
+        for text, shown in (("1,0,x,1,0.5", "line 13: malformed"), ("3,0,1.0,1,0.5", "line 12:")):
+            self.block_file(path, {row: f'1,{row},"{10.0 * row!r}\r\n",1,0.5', 10: text})
+            outcome = read_outcome(read_events_csv, path)
+            assert outcome == read_outcome(reference_read_events_csv, path)
+            assert shown in outcome
+
+    def test_a_malformed_row_is_named_before_an_earlier_bad_value(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(timing, "_CSV_BLOCK_ROWS", 4)
+        path = tmp_path / "bad.csv"
+        self.block_file(path, {0: "3,0,1.0,1,0.5", 9: "1,0,x,1,0.5"})
+        outcome = read_outcome(read_events_csv, path)
+        assert outcome == read_outcome(reference_read_events_csv, path)
+        assert ", line 11: malformed" in outcome
 
 
 # ---------------------------------------------------------------------------
