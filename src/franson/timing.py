@@ -536,6 +536,16 @@ def correlation_from_pairs(
 # on 2 vCPUs and left the events round trip's peak memory about 3 MB higher.
 _CSV_BLOCK_ROWS = 1 << 12
 
+# The "site," text of every value of the uint8 site column.  A list: as a
+# module-level object array it raised the events round trip's peak memory
+# by about 0.2 MB, for no gain in speed.
+_SITE_TEXT = ["%d," % site for site in range(256)]
+
+# Bytes per chunk when the reader counts the file's lines: a chunk and its
+# three byte masks take 1 MB and stay in cache.  Chunks of 1 MiB were twice
+# as slow and raised the events round trip's peak memory by about 1 MB.
+_COUNT_CHUNK_BYTES = 1 << 18
+
 # The reader parses every integer column as int64 so that an out-of-range
 # site or outcome is caught by the row checks before narrowing.
 _CSV_PARSE_DTYPE = np.dtype(
@@ -552,24 +562,63 @@ def write_events_csv(path, events: EventColumns) -> None:
     Rows end in ``\\r\\n``; integers are written in decimal and floats as
     their shortest round-trip repr, so :func:`read_events_csv` gives back
     the same bits.
+
+    A block whose timestamps are all whole numbers below 2^53 in magnitude,
+    none of them -0.0, writes them as ``"%d.0"`` of their int64 values,
+    which is their repr.  Proof.  Such a double is exactly an integer n,
+    and every integer of magnitude up to 2^53 is a double.  repr writes the
+    shortest digit string that reads back as the double, the nearest one
+    among equally short strings, so it writes n's own digits unless a
+    shorter string reads back as n.  For n != 0, no other integer does,
+    nor does a decimal more than 1/2 from n, which is nearer the double
+    n - 1 or n + 1.  A non-integer within 1/2 of n has a digit at 10^-1 or
+    below, and its leading digit is at 10^(p-1) or above, where
+    10^p <= |n| < 10^(p+1), so it has at least p + 1 significant digits,
+    and n has at most p + 1.  As |n| < 2^53 < 10^16, repr writes the digits
+    in fixed notation, with the sign and ".0" appended, as "%d.0" does.
+    0.0 is "0.0" either way; -0.0 is "-0.0" by repr and "0.0" by "%d.0".
     """
     with open(path, "w", newline="") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\r\n")
         for start in range(0, len(events), _CSV_BLOCK_ROWS):
             block = slice(start, start + _CSV_BLOCK_ROWS)
-            # settings take a handful of values: repr each distinct bit
-            # pattern of the block once (bits, not values, so that -0.0
-            # keeps its sign)
-            bits, codes = np.unique(
-                events["setting_rad"][block].view(np.uint64), return_inverse=True
-            )
-            setting_text = [repr(x) for x in bits.view(np.float64).tolist()]
+            timestamps = events["timestamp_ns"][block]
+            whole = _whole_numbers(timestamps)
             # the block's values row by row, formatted by one %-template
-            values = [None] * (5 * codes.size)
-            for k, name in enumerate(CSV_COLUMNS[:4]):
-                values[k::5] = events[name][block].tolist()
-            values[4::5] = map(setting_text.__getitem__, codes.tolist())
-            fh.write("%d,%d,%r,%d,%s\r\n" * codes.size % tuple(values))
+            values = [None] * (4 * timestamps.size)
+            values[0::4] = map(_SITE_TEXT.__getitem__, events["site"][block].tolist())
+            values[1::4] = events["trial"][block].tolist()
+            values[2::4] = (timestamps if whole is None else whole).tolist()
+            values[3::4] = _row_tails(events["outcome"][block], events["setting_rad"][block])
+            row = "%s%d,%r%s" if whole is None else "%s%d,%d.0%s"
+            fh.write(row * timestamps.size % tuple(values))
+
+
+def _row_tails(outcome: np.ndarray, setting: np.ndarray) -> list[str]:
+    """Each row's ``",outcome,setting\\r\\n"`` text, formatted once for
+    each distinct (outcome, setting) pair.  Settings are told apart by
+    their bits, not their values, so that -0.0 keeps its sign."""
+    bits, setting_codes = np.unique(setting.view(np.uint64), return_inverse=True)
+    setting_text = [repr(x) for x in bits.view(np.float64).tolist()]
+    # a pair's key: its setting's index, then the int8 outcome's byte
+    pairs, codes = np.unique(setting_codes << 8 | outcome.view(np.uint8), return_inverse=True)
+    outcomes = pairs.astype(np.uint8).view(np.int8).tolist()
+    text = [
+        ",%d,%s\r\n" % (o, setting_text[k]) for o, k in zip(outcomes, (pairs >> 8).tolist())
+    ]
+    return np.array(text, dtype=object)[codes].tolist()
+
+
+def _whole_numbers(t: np.ndarray) -> np.ndarray | None:
+    """``t`` as int64 when every value is a whole number below 2^53 in
+    magnitude and none is -0.0, else None."""
+    if not (np.abs(t) < 2.0**53).all():  # also refuses inf and nan
+        return None
+    n = t.astype(np.int64)
+    # -0.0 has its sign bit set and converts to 0
+    if (n != t).any() or (np.signbit(t) != (n < 0)).any():
+        return None
+    return n
 
 
 def read_events_csv(path) -> EventColumns:
@@ -577,10 +626,11 @@ def read_events_csv(path) -> EventColumns:
 
     Every row must have exactly five fields, site 1 or 2, outcome -1 or +1
     and a finite timestamp and setting; a row that does not raises
-    ValueError naming its line (the header is line 1).  A blank line is a
-    malformed row.  A malformed row (a wrong field count, or a field that
-    int() or float() refuses) is named wherever it is; otherwise the first
-    row whose values are out of range is.
+    ValueError naming its line (the header is line 1; a row that a quoted
+    line break carries over several lines is named by its last).  A blank
+    line is a malformed row.  A malformed row (a wrong field count, or a
+    field that int() or float() refuses) is named wherever it is;
+    otherwise the first row whose values are out of range is.
 
     Blocks of lines are parsed and checked one at a time into columns
     sized by the file's line count, so the rows are held once.  A block
@@ -595,7 +645,8 @@ def read_events_csv(path) -> EventColumns:
         while left > 0 and (lines := list(itertools.islice(fh, min(_CSV_BLOCK_ROWS, left)))):
             block, used = _parse_block(lines), len(lines)
             if block is None:
-                rows, used = _read_rows(path, lines, fh, line)
+                rows, ends = _read_rows(path, lines, fh, line)
+                used = ends[-1]
                 try:
                     block = np.array(rows, dtype=_CSV_PARSE_DTYPE)
                 except OverflowError:
@@ -603,7 +654,7 @@ def read_events_csv(path) -> EventColumns:
                 if bad_row is None and (block is None or _bad_rows(block).any()):
                     # named once no later row is malformed
                     k = next(k for k, row in enumerate(rows) if _row_is_bad(row))
-                    bad_row = _bad_row_message(path, filled + k, rows[k])
+                    bad_row = _bad_row_message(path, line - 1 + ends[k], rows[k])
             if bad_row is None:
                 for name in CSV_COLUMNS:
                     out[name][filled : filled + len(block)] = block[name]
@@ -645,8 +696,11 @@ def _count_lines(path) -> int:
     """Lines in the file, ended by \\n, \\r\\n or a lone \\r as csv.reader splits them."""
     lines, last = 0, b"\n"
     with open(path, "rb") as fh:
-        for chunk in iter(functools.partial(fh.read, 1 << 20), b""):
-            lines += chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
+        for chunk in iter(functools.partial(fh.read, _COUNT_CHUNK_BYTES), b""):
+            text = np.frombuffer(chunk, np.uint8)
+            lf, cr = text == ord("\n"), text == ord("\r")
+            crlf = np.count_nonzero(cr[:-1] & lf[1:])
+            lines += np.count_nonzero(lf) + np.count_nonzero(cr) - crlf
             if last == b"\r" and chunk[:1] == b"\n":
                 lines -= 1  # a \r\n split across two chunks
             last = chunk[-1:]
@@ -662,25 +716,26 @@ def _bad_rows(ev) -> np.ndarray:
     )
 
 
-def _read_rows(path, lines: list[str], more, line: int) -> tuple[list[tuple], int]:
+def _read_rows(path, lines: list[str], more, line: int) -> tuple[list[tuple], list[int]]:
     """Row-by-row parse of ``lines``, the first of them line ``line`` of the
-    file: the rows as int() and float() accept them, and the count of lines
-    they span.  A quoted field may carry a row on past ``lines`` into
-    ``more``, the rest of the file.  A malformed row raises ValueError
-    naming its line."""
+    file: the rows as int() and float() accept them, and for each row the
+    count of lines read up to its end, as csv.reader counts them.  A quoted
+    field may carry a row on past ``lines`` into ``more``, the rest of the
+    file.  A malformed row raises ValueError naming its line."""
     reader = csv.reader(itertools.chain(lines, more))
-    rows = []
+    rows, ends = [], []
     try:
         while reader.line_num < len(lines):
             r = next(reader)
             if len(r) != len(CSV_COLUMNS):
                 raise ValueError(f"expected {len(CSV_COLUMNS)} fields, got {len(r)}")
             rows.append((int(r[0]), int(r[1]), float(r[2]), int(r[3]), float(r[4])))
+            ends.append(reader.line_num)
     except (ValueError, csv.Error) as exc:
         raise ValueError(
             f"{path}, line {line - 1 + reader.line_num}: malformed event row ({exc})"
         ) from exc
-    return rows, reader.line_num
+    return rows, ends
 
 
 def _row_is_bad(row: tuple) -> bool:
@@ -690,10 +745,10 @@ def _row_is_bad(row: tuple) -> bool:
         return True
 
 
-def _bad_row_message(path, k: int, row: tuple) -> str:
+def _bad_row_message(path, line: int, row: tuple) -> str:
     site, trial, ts, outcome, setting = row
     return (
-        f"{path}, line {k + 2}: site must be 1 or 2, outcome -1 or +1, timestamp "
+        f"{path}, line {line}: site must be 1 or 2, outcome -1 or +1, timestamp "
         f"and setting finite; got site={site}, trial={trial}, timestamp_ns={ts!r}, "
         f"outcome={outcome}, setting_rad={setting!r}"
     )

@@ -594,6 +594,10 @@ class TestSimulate:
             (2, ("8eacf52c51a1cc4f266e813ed04bcca9397693330c9825c7558ebc239ce9f705",
                  "9963f3a04e42a50d98b31ea04f2a9c20991d942c3d55a321d8e907eb8ab9ae5c",
                  "e566c2984cec3dca88a0e952c8981a6526249dda5b7de0384e424bc3d3e29db0")),
+            # the run and file of the events_roundtrip benchmark workload
+            (4, ("73ba09f572df25a2c89349f9cec1c17421b36a8f8a8c17b4acd22dc9b6e08fb0",
+                 "e8061883f5d821b38582d4eec305b816af08ba3735f412b06501efc80584ce0f",
+                 "a7e21925318636d9c9cf72cfac0d8dff4a9fd0888095d8afad418040b325f266")),
         ],
     )
     def test_quantum_events_and_their_report_are_pinned(

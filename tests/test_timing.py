@@ -557,6 +557,23 @@ class TestCsvRoundTrip:
             expected = sum(1 for _ in fh)
         assert timing._count_lines(path) == expected
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        content=st.lists(st.sampled_from([b"a", b"\r", b"\n"]), max_size=24).map(b"".join),
+        chunk=st.integers(1, 5),
+    )
+    def test_line_count_matches_python_line_splitting_at_every_chunk_edge(
+        self, tmp_path_factory, content, chunk
+    ):
+        # chunks of 1-5 bytes put a chunk edge between many a \r and \n
+        path = tmp_path_factory.getbasetemp() / "lines.csv"
+        path.write_bytes(content)
+        with open(path, newline="") as fh:
+            expected = sum(1 for _ in fh)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(timing, "_COUNT_CHUNK_BYTES", chunk)
+            assert timing._count_lines(path) == expected
+
     @pytest.mark.parametrize("line", [2, 3])
     def test_overlong_field_is_named(self, tmp_path, line):
         path = tmp_path / "bad.csv"
@@ -625,7 +642,7 @@ def reference_read_events_csv(path):
         header = next(reader, None)
         if header is None or tuple(header) != CSV_COLUMNS:
             raise ValueError(f"unexpected CSV header: {header}")
-        rows = []
+        rows, lines = [], []
         for r in reader:
             if len(r) != 5:
                 raise ValueError(
@@ -634,11 +651,12 @@ def reference_read_events_csv(path):
                 )
             try:
                 rows.append((int(r[0]), int(r[1]), float(r[2]), int(r[3]), float(r[4])))
+                lines.append(reader.line_num)
             except ValueError as exc:
                 raise ValueError(
                     f"{path}, line {reader.line_num}: malformed event row ({exc})"
                 ) from exc
-    for k, (site, trial, ts, outcome, setting) in enumerate(rows):
+    for line, (site, trial, ts, outcome, setting) in zip(lines, rows):
         if (
             site not in (1, 2)
             or outcome not in (-1, 1)
@@ -647,7 +665,7 @@ def reference_read_events_csv(path):
             or not math.isfinite(setting)
         ):
             raise ValueError(
-                f"{path}, line {k + 2}: site must be 1 or 2, outcome -1 or +1, timestamp "
+                f"{path}, line {line}: site must be 1 or 2, outcome -1 or +1, timestamp "
                 f"and setting finite; got site={site}, trial={trial}, timestamp_ns={ts!r}, "
                 f"outcome={outcome}, setting_rad={setting!r}"
             )
@@ -710,6 +728,17 @@ _ROW_EDITS = {
 }
 _FILE_EDITS = ("blank-line", "cr-only", "no-final-newline")
 
+# timestamps at and around the edges of the writer's whole-number template
+_EDGE_TIMESTAMPS = [
+    0.0, -0.0, 1.0, -1.0, 2.0**53 - 1, -(2.0**53 - 1), 2.0**53, -(2.0**53),
+    1e15, -1e15, 1e16, -1e16, math.inf, -math.inf, math.nan, 0.5, -0.5, 2.0**52 - 0.5,
+]
+_TIMESTAMPS = st.one_of(
+    st.sampled_from(_EDGE_TIMESTAMPS),
+    st.integers(-(2**53), 2**53).map(float),
+    st.floats(),
+)
+
 
 class TestCsvReferee:
     @pytest.mark.parametrize(
@@ -753,6 +782,31 @@ class TestCsvReferee:
         write_events_csv(tmp_path / "new.csv", ev)
         reference_write_events_csv(tmp_path / "ref.csv", ev)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(timestamps=st.lists(_TIMESTAMPS, max_size=13))
+    @example(timestamps=[0.0, 1.0, -1.0, 2.0**53 - 1, 0.5, -(2.0**53 - 1), 1e15, 1e16, 7.0])
+    @example(timestamps=[0.0, 1.0, 2.0, 3.0, -0.0, 5.0, 6.0, 7.0, 2.0**53, 9.0])
+    @example(timestamps=[1.0, 2.0, 3.0, math.inf, -(2.0**53), 1.0, 2.0, 3.0, math.nan])
+    def test_writer_bytes_match_reference_with_whole_and_fractional_timestamps(
+        self, tmp_path_factory, timestamps
+    ):
+        # blocks of 4 rows: a block of whole numbers below 2^53, none -0.0,
+        # is written through int64, any other block through repr
+        n = len(timestamps)
+        ev = EventColumns(
+            site=np.arange(n) % 2 + 1,
+            trial=np.arange(n) - 3,
+            timestamp_ns=timestamps,
+            outcome=np.where(np.arange(n) % 3, 1, -1),
+            setting_rad=np.arange(n) % 3 * 0.5,
+        )
+        new, ref = (tmp_path_factory.getbasetemp() / f"{k}.csv" for k in ("new", "ref"))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(timing, "_CSV_BLOCK_ROWS", 4)
+            write_events_csv(new, ev)
+        reference_write_events_csv(ref, ev)
+        assert new.read_bytes() == ref.read_bytes()
 
     @pytest.mark.parametrize("edit", ["site-3", "malformed", "blank-line"])
     @pytest.mark.parametrize("row", [0, 3, 4, 7, 8, 11], ids=lambda k: f"row{k}")
@@ -836,9 +890,13 @@ class TestCsvReferee:
         events = read_events_csv(path)
         assert len(events) == 12
         assert column_bytes(events) == column_bytes(reference_read_events_csv(path))
-        # a malformed row after it is named by its line, a row out of range
-        # by its row count
-        for text, shown in (("1,0,x,1,0.5", "line 13: malformed"), ("3,0,1.0,1,0.5", "line 12:")):
+        # a malformed row after it and a row out of range are both named by
+        # their line
+        for text, shown in (
+            ("1,0,x,1,0.5", "line 13: malformed"),
+            ("3,0,1.0,1,0.5", "line 13:"),
+            ('3,0,"1.0\r\n",1,0.5', "line 14:"),  # a quoted row is named by its last line
+        ):
             self.block_file(path, {row: f'1,{row},"{10.0 * row!r}\r\n",1,0.5', 10: text})
             outcome = read_outcome(read_events_csv, path)
             assert outcome == read_outcome(reference_read_events_csv, path)
