@@ -463,22 +463,30 @@ def _simulate_variant(args) -> dict:
     return payload
 
 
-def _scenario_table1() -> dict:
+def _visibility_rows(terms_list) -> tuple[list[dict], int]:
+    """Closed-form rows per term count, and the term count of the lowest
+    critical visibility: the rows of ``visibility`` and ``--scenario
+    table1``, each of which adds a key of its own."""
     rows = []
-    for terms in _TERM_COUNTS:
+    for terms in map(int, terms_list):
+        cv = critical_visibility(terms)
         rows.append(
             {
                 "terms": terms,
                 "quantum_value": chained_quantum_value(terms),
                 "emission_time_bound": bound_for(ModelClass.emission_time_realism(), terms),
-                "plain_bound": bound_for(
-                    ModelClass(kind=ModelKind.PLAIN_LOCAL_REALISM), terms
-                ),
-                "critical_visibility": critical_visibility(terms),
+                "critical_visibility": cv,
             }
         )
-    best = min(rows, key=lambda r: r["critical_visibility"])
-    return {"command": "simulate", "scenario": "table1", "rows": rows, "best_terms": best["terms"]}
+    return rows, min(rows, key=lambda r: r["critical_visibility"])["terms"]
+
+
+def _scenario_table1() -> dict:
+    rows, best_terms = _visibility_rows(_TERM_COUNTS)
+    plain = ModelClass(kind=ModelKind.PLAIN_LOCAL_REALISM)
+    for row in rows:
+        row["plain_bound"] = bound_for(plain, row["terms"])
+    return {"command": "simulate", "scenario": "table1", "rows": rows, "best_terms": best_terms}
 
 
 def _scenario_chained6(args) -> dict:
@@ -491,78 +499,68 @@ def _scenario_chained6(args) -> dict:
     return {"command": "simulate", "scenario": "chained6", "rows": rows}
 
 
-# the flags that only the timing pipeline reads
-_TIMING_FLAGS = ("path_difference_ns", "window_ns", "short_arm_ns", "emission_gap_ns")
+# simulate's options that a route may read, with their defaults, in the
+# order a refusal names them
+_OPTIONS = {
+    "events_csv": None, "pipeline": False, "terms": 4, "visibility": 1.0,
+    "trials": 200_000, "seed": 1, "path_difference_ns": 100.0, "window_ns": 1.0,
+    "short_arm_ns": 10.0, "emission_gap_ns": 1000.0,
+}
+
+# simulate's routes: each one's own --source (None: it takes none), the
+# options it reads, and its runner.  The timing pipeline of a franson run
+# reads every option; chained6 sets its own terms and visibilities and
+# writes no single events file; table1 prints closed forms only; the other
+# variants run at distribution level, with no timestamps.
+_ROUTES = {
+    "quantum": ("quantum", _OPTIONS, _simulate_quantum),
+    "aklz": ("aklz", _OPTIONS, _simulate_aklz),
+    "chained6": (
+        "quantum",
+        ("pipeline", "trials", "seed",
+         "path_difference_ns", "window_ns", "short_arm_ns", "emission_gap_ns"),
+        _scenario_chained6,
+    ),
+    "table1": (None, (), lambda args: _scenario_table1()),
+    "variant": ("quantum", ("terms", "visibility", "trials", "seed"), _simulate_variant),
+}
 
 
-def _refuse_dropped_flags(args) -> None:
-    """Refuse, naming it, a flag that the chosen route would drop.
-
-    Every franson run goes through the timing pipeline, which reads every
-    flag; ``--pipeline`` is accepted there and changes nothing.  A scenario
-    runs its own source on the franson variant: aklz-demo the delay model,
-    chained6 the quantum source at its own terms and visibilities, one
-    report per row and so no single events file; table1 simulates nothing.
-    A variant other than franson simulates the quantum source at
-    distribution level, with no timestamps, so neither the timing flags
-    nor ``--pipeline`` apply to it.  Runs before the defaults are filled
-    in, so that a flag given at its default value is told from one not
-    given.
+def _route(args):
+    """The runner of a ``simulate`` command from ``_ROUTES``, picked by
+    ``--scenario`` (aklz-demo is the aklz route), else a ``--variant``
+    other than franson, else ``--source``.  The route refuses, naming it,
+    an option given that it does not read, and a ``--source`` or
+    ``--variant`` other than its own (the variant route's own variant is
+    the one it names, every other route's franson).  Runs before the
+    defaults are filled in, so that a default value given is refused too.
     """
-    other_variant = args.variant not in (None, "franson")
-    if not (args.scenario or other_variant):
-        return
-    route = f"--scenario {args.scenario}" if args.scenario else f"--variant {args.variant}"
-    aklz_demo = args.scenario == "aklz-demo"
-    timed = args.scenario in ("aklz-demo", "chained6")
-    for flag, dropped in (
-        (f"--variant {args.variant}", other_variant and args.scenario is not None),
-        ("--source aklz", args.source == "aklz" and not aklz_demo),
-        ("--source quantum", args.source == "quantum" and aklz_demo),
-        ("--events-csv", bool(args.events_csv) and not aklz_demo),
-        ("--pipeline", args.pipeline and not timed),
-    ):
-        if dropped:
-            raise ConfigError(f"{flag} does not apply to {route}")
-    ignored = {
-        "table1": ("source", "terms", "visibility", "trials", "seed"),
-        "chained6": ("terms", "visibility"),
-    }.get(args.scenario, ())
-    if not timed:
-        ignored += _TIMING_FLAGS
-    for attr in ignored:
+    if args.scenario:
+        route = "aklz" if args.scenario == "aklz-demo" else args.scenario
+        chosen_by = f"--scenario {args.scenario}"
+    elif args.variant not in (None, "franson"):
+        route, chosen_by = "variant", f"--variant {args.variant}"
+    else:
+        route = args.source or "quantum"
+        chosen_by = f"--source {route}"
+    source, reads, run = _ROUTES[route]
+    own = {"variant": args.variant if route == "variant" else "franson", "source": source}
+    for attr in ("variant", "source", *_OPTIONS):
         value = getattr(args, attr)
-        if value is not None:
-            raise ConfigError(f"--{attr.replace('_', '-')} {value} does not apply to {route}")
+        # given: not None, or True for an on/off flag; by identity, as 0 == False
+        given = value is not None and value is not False
+        if given and attr not in reads and value != own.get(attr):
+            shown = "--" + attr.replace("_", "-") + ("" if value is True else f" {value}")
+            raise ConfigError(f"{shown} does not apply to {chosen_by}")
+    return run
 
 
 def _cmd_simulate(args) -> dict:
-    _refuse_dropped_flags(args)
-    _fill_defaults(
-        args,
-        {
-            "terms": 4,
-            "visibility": 1.0,
-            "trials": 200_000,
-            "seed": 1,
-            "source": "quantum",
-            "path_difference_ns": 100.0,
-            "window_ns": 1.0,
-            "short_arm_ns": 10.0,
-            "emission_gap_ns": 1000.0,
-        },
-    )
+    run = _route(args)
+    _fill_defaults(args, _OPTIONS)
     if int(args.trials) < 1:
         raise ConfigError(f"--trials must be at least 1, got {args.trials}")
-    if args.scenario == "table1":
-        return _scenario_table1()
-    if args.scenario == "chained6":
-        return _scenario_chained6(args)
-    if args.variant not in (None, "franson"):
-        return _simulate_variant(args)
-    if args.scenario == "aklz-demo" or args.source == "aklz":
-        return _simulate_aklz(args)
-    return _simulate_quantum(args)
+    return run(args)
 
 
 # ---------------------------------------------------------------------------
@@ -599,22 +597,10 @@ def _cmd_bounds(args) -> dict:
 
 
 def _cmd_visibility(args) -> dict:
-    terms_list = args.terms or list(_TERM_COUNTS)
-    rows = []
-    for terms in terms_list:
-        terms = int(terms)
-        cv = critical_visibility(terms)
-        rows.append(
-            {
-                "terms": terms,
-                "quantum_value": chained_quantum_value(terms),
-                "emission_time_bound": bound_for(ModelClass.emission_time_realism(), terms),
-                "critical_visibility": cv,
-                "discriminates": cv < 1.0,
-            }
-        )
-    best = min(rows, key=lambda r: r["critical_visibility"])
-    return {"command": "visibility", "rows": rows, "best_terms": best["terms"]}
+    rows, best_terms = _visibility_rows(args.terms or _TERM_COUNTS)
+    for row in rows:
+        row["discriminates"] = row["critical_visibility"] < 1.0
+    return {"command": "visibility", "rows": rows, "best_terms": best_terms}
 
 
 # verify-bounds flags that budget the search; giving any of them runs it

@@ -73,44 +73,17 @@ class SetupRun:
         }
 
 
-def _sample_full_coincidence(phi, psi, visibility, rs, start, count):
-    """Sources where both photons always reach opposite sites.
-
-    A shared routing bit replaces the arm lottery (draw 2t); outcomes come
-    from the ideal conditional distribution (draw 2t+1).  Every trial is a
-    coincidence.
-    """
+def _sample_routed(variant, phi, psi, visibility, rs, start, count):
+    """Sources that route each pair without an arm lottery: routing draw 2t
+    below the variant's coincidence fraction sends the photons to opposite
+    sites (always, as uniforms are below 1, in the polarization-entangled
+    and switched-mirrors sources; half of the pairs leave through the same
+    port of cross-coupled interferometers).  Outcomes come from the ideal
+    conditional distribution (draw 2t+1)."""
     c = np.full(count, franson_correlation(phi, psi, visibility))
     u = draw_uniforms(rs, 2 * start, 2 * count)
-    u_out = u[1::2]
-    x1, x2 = _cell_split(u_out, c)
-    coincident = np.ones(count, dtype=bool)
-    return x1, x2, coincident
-
-
-def _sample_cross_coupled(phi, psi, visibility, rs, start, count):
-    """Cross-coupled interferometers: half of the pairs leave through the
-    same port and never form a two-site coincidence; the rest carry the
-    ideal correlation."""
-    c = np.full(count, franson_correlation(phi, psi, visibility))
-    u = draw_uniforms(rs, 2 * start, 2 * count)
-    u_route, u_out = u[0::2], u[1::2]
-    coincident = u_route < 0.5
-    x1, x2 = _cell_split(u_out, c)
-    return x1, x2, coincident
-
-
-def _sample_franson_coinc(phi, psi, visibility, rs, start, count):
-    x1, x2, late1, late2 = sample_franson_events(phi, psi, visibility, rs, start, count)
-    return x1, x2, late1 == late2
-
-
-_SAMPLERS = {
-    SetupVariant.FRANSON: _sample_franson_coinc,
-    SetupVariant.POLARIZATION_ENTANGLED: _sample_full_coincidence,
-    SetupVariant.SWITCHED_MIRRORS: _sample_full_coincidence,
-    SetupVariant.CROSS_COUPLED: _sample_cross_coupled,
-}
+    x1, x2 = _cell_split(u[1::2], c)
+    return x1, x2, u[0::2] < expected_coincidence_fraction(variant)
 
 
 def sample_setup_pairs(
@@ -123,7 +96,11 @@ def sample_setup_pairs(
     count: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Outcome arrays (x1, x2) and the coincidence mask for one setting pair."""
-    return _SAMPLERS[variant](phi, psi, visibility, rs, int(start_trial), int(count))
+    start, count = int(start_trial), int(count)
+    if variant is SetupVariant.FRANSON:
+        x1, x2, late1, late2 = sample_franson_events(phi, psi, visibility, rs, start, count)
+        return x1, x2, late1 == late2
+    return _sample_routed(variant, phi, psi, visibility, rs, start, count)
 
 
 def simulate_setup(

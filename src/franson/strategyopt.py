@@ -328,6 +328,17 @@ def _atoms(game: GameSpec, idx1, idx2) -> tuple[_SideArrays, _SideArrays]:
     return tuple(_side_arrays(game.model.kind, game.n_settings, idx) for idx in (idx1, idx2))
 
 
+def _witness(game: GameSpec, idx1, idx2, w) -> MixedStrategy:
+    """The mixture of the atoms (idx1, idx2), decoded, at weights ``w / w.sum()``."""
+    s1, s2 = _atoms(game, idx1, idx2)
+    return MixedStrategy(
+        vertices=tuple(
+            DeterministicVertex(_site_vertex(s1, k), _site_vertex(s2, k)) for k in range(w.size)
+        ),
+        weights=tuple(float(x) for x in w / w.sum()),
+    )
+
+
 def _support_matrices(game: GameSpec, s1, s2) -> tuple[np.ndarray, np.ndarray]:
     """Cell masses and signed numerators, shapes (K, terms), of ``_atoms``."""
     a_idx, b_idx, _ = _cell_indices(game)
@@ -563,14 +574,9 @@ def _exact_vertex_max(game: GameSpec) -> MaxStatisticResult:
     rows = np.array([k1, _sign_index(sums[k1])])
     if kind is ModelKind.PATH_REALISM:
         rows = 2 * rows  # the same outcome maps, early arrival class
-    sides = _side_arrays(kind, n, rows)
-    witness = MixedStrategy(
-        vertices=(DeterministicVertex(_site_vertex(sides, 0), _site_vertex(sides, 1)),),
-        weights=(1.0,),
-    )
     return MaxStatisticResult(
         value=float(values[k1]),
-        witness=witness,
+        witness=_witness(game, rows[:1], rows[1:], np.ones(1)),
         exact=True,
         restarts_used=0,
         method="exact-maximum",
@@ -611,16 +617,9 @@ def _outcomes_only_closed_form(game: GameSpec) -> MaxStatisticResult:
     every = 2**n - 1
     rows1 = _vertex_index(n, 0, every, single)
     rows2 = _vertex_index(n, _sign_index(outcomes2), every, every)
-    s1, s2 = _atoms(game, rows1, rows2)
-    witness = MixedStrategy(
-        vertices=tuple(
-            DeterministicVertex(_site_vertex(s1, k), _site_vertex(s2, k)) for k in range(n)
-        ),
-        weights=(1.0 / n,) * n,
-    )
     return MaxStatisticResult(
         value=float(game.chain.terms),
-        witness=witness,
+        witness=_witness(game, rows1, rows2, np.ones(n)),
         exact=True,
         restarts_used=0,
         method="closed-form",
@@ -1001,12 +1000,7 @@ def max_statistic(game: GameSpec, budget: OptimizerBudget | None = None) -> MaxS
             best_support = (r.idx1[keep], r.idx2[keep], r.w[keep])
     if best_support is None:
         raise RuntimeError("optimizer found no feasible mixture; raise the budget")
-    idx1, idx2, w = best_support
-    s1, s2 = _atoms(game, idx1, idx2)
-    vertices = tuple(
-        DeterministicVertex(_site_vertex(s1, k), _site_vertex(s2, k)) for k in range(w.size)
-    )
-    witness = MixedStrategy(vertices=vertices, weights=tuple(float(x) for x in w / w.sum()))
+    witness = _witness(game, *best_support)
     notes = "multi-start successive LP over mixture weights"
     if game.has_equal_mass_constraint:
         notes += "; " + EMISSION_TIME_NOTE
@@ -1105,16 +1099,9 @@ def emission_time_lp_value(game: GameSpec, solution: bool = False):
     if not solution:
         return value
     keep = np.flatnonzero(res.x > 0.0)
-    w = res.x[keep] / res.x[keep].sum()
-    witness = MixedStrategy(
-        vertices=tuple(
-            DeterministicVertex(_site_vertex(s1, k), _site_vertex(s2, k)) for k in keep
-        ),
-        weights=tuple(float(x) for x in w),
-    )
     return MaxStatisticResult(
         value=value,
-        witness=witness,
+        witness=_witness(game, i[keep], j[keep], res.x[keep]),
         exact=certificate.closed,
         restarts_used=0,
         method="lp",

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import functools
 import itertools
+import math
 import warnings
 from dataclasses import dataclass, field, fields
 
@@ -628,9 +629,9 @@ def read_events_csv(path) -> EventColumns:
     and a finite timestamp and setting; a row that does not raises
     ValueError naming its line (the header is line 1; a row that a quoted
     line break carries over several lines is named by its last).  A blank
-    line is a malformed row.  A malformed row (a wrong field count, or a
-    field that int() or float() refuses) is named wherever it is;
-    otherwise the first row whose values are out of range is.
+    line is a malformed row.  The first bad row, malformed (a wrong field
+    count, or a field that int() or float() refuses) or out of range, is
+    named, and reading stops there.
 
     Blocks of lines are parsed and checked one at a time into columns
     sized by the file's line count, so the rows are held once.  A block
@@ -641,27 +642,16 @@ def read_events_csv(path) -> EventColumns:
         _check_header(csv.reader(fh))
         left = _count_lines(path) - 1
         out = EventColumns.empty(left)
-        line, filled, bad_row = 2, 0, None
+        line, filled = 2, 0
         while left > 0 and (lines := list(itertools.islice(fh, min(_CSV_BLOCK_ROWS, left)))):
             block, used = _parse_block(lines), len(lines)
             if block is None:
-                rows, ends = _read_rows(path, lines, fh, line)
-                used = ends[-1]
-                try:
-                    block = np.array(rows, dtype=_CSV_PARSE_DTYPE)
-                except OverflowError:
-                    block = None  # an integer outside int64
-                if bad_row is None and (block is None or _bad_rows(block).any()):
-                    # named once no later row is malformed
-                    k = next(k for k, row in enumerate(rows) if _row_is_bad(row))
-                    bad_row = _bad_row_message(path, line - 1 + ends[k], rows[k])
-            if bad_row is None:
-                for name in CSV_COLUMNS:
-                    out[name][filled : filled + len(block)] = block[name]
-                filled += len(block)
+                rows, used = _read_rows(path, lines, fh, line)
+                block = np.array(rows, dtype=_CSV_PARSE_DTYPE)
+            for name in CSV_COLUMNS:
+                out[name][filled : filled + len(block)] = block[name]
+            filled += len(block)
             line, left = line + used, left - used
-    if bad_row is not None:
-        raise ValueError(bad_row)
     return out.take(slice(0, filled))
 
 
@@ -716,39 +706,36 @@ def _bad_rows(ev) -> np.ndarray:
     )
 
 
-def _read_rows(path, lines: list[str], more, line: int) -> tuple[list[tuple], list[int]]:
+def _read_rows(path, lines: list[str], more, line: int) -> tuple[list[tuple], int]:
     """Row-by-row parse of ``lines``, the first of them line ``line`` of the
-    file: the rows as int() and float() accept them, and for each row the
-    count of lines read up to its end, as csv.reader counts them.  A quoted
-    field may carry a row on past ``lines`` into ``more``, the rest of the
-    file.  A malformed row raises ValueError naming its line."""
+    file: the rows as int() and float() accept them, and the count of lines
+    read, as csv.reader counts them.  A quoted field may carry a row on past
+    ``lines`` into ``more``, the rest of the file.  A malformed row or one
+    out of range raises ValueError naming its line."""
     reader = csv.reader(itertools.chain(lines, more))
-    rows, ends = [], []
-    try:
-        while reader.line_num < len(lines):
+    rows = []
+    while reader.line_num < len(lines):
+        try:
             r = next(reader)
             if len(r) != len(CSV_COLUMNS):
                 raise ValueError(f"expected {len(CSV_COLUMNS)} fields, got {len(r)}")
-            rows.append((int(r[0]), int(r[1]), float(r[2]), int(r[3]), float(r[4])))
-            ends.append(reader.line_num)
-    except (ValueError, csv.Error) as exc:
-        raise ValueError(
-            f"{path}, line {line - 1 + reader.line_num}: malformed event row ({exc})"
-        ) from exc
-    return rows, ends
-
-
-def _row_is_bad(row: tuple) -> bool:
-    try:
-        return bool(_bad_rows(np.array([row], dtype=_CSV_PARSE_DTYPE))[0])
-    except OverflowError:
-        return True
-
-
-def _bad_row_message(path, line: int, row: tuple) -> str:
-    site, trial, ts, outcome, setting = row
-    return (
-        f"{path}, line {line}: site must be 1 or 2, outcome -1 or +1, timestamp "
-        f"and setting finite; got site={site}, trial={trial}, timestamp_ns={ts!r}, "
-        f"outcome={outcome}, setting_rad={setting!r}"
-    )
+            row = (int(r[0]), int(r[1]), float(r[2]), int(r[3]), float(r[4]))
+        except (ValueError, csv.Error) as exc:
+            raise ValueError(
+                f"{path}, line {line - 1 + reader.line_num}: malformed event row ({exc})"
+            ) from exc
+        site, trial, ts, outcome, setting = row
+        if not (
+            site in (1, 2)
+            and outcome in (1, -1)
+            and -(2**63) <= trial < 2**63
+            and math.isfinite(ts)
+            and math.isfinite(setting)
+        ):
+            raise ValueError(
+                f"{path}, line {line - 1 + reader.line_num}: site must be 1 or 2, outcome "
+                f"-1 or +1, timestamp and setting finite; got site={site}, trial={trial}, "
+                f"timestamp_ns={ts!r}, outcome={outcome}, setting_rad={setting!r}"
+            )
+        rows.append(row)
+    return rows, reader.line_num

@@ -473,6 +473,52 @@ class TestGeometry:
         assert "error" in err
 
 
+# simulate's route selectors, and options each given alone after one
+_ROUTE_SELECTORS = {
+    "quantum": [],
+    "aklz": ["--source", "aklz"],
+    "aklz-demo": ["--scenario", "aklz-demo"],
+    "chained6": ["--scenario", "chained6"],
+    "table1": ["--scenario", "table1"],
+    "variant": ["--variant", "cross-coupled"],
+}
+_ROUTE_OPTIONS = {
+    "variant-franson": ["--variant", "franson"],
+    "variant-other": ["--variant", "switched-mirrors"],
+    "source-quantum": ["--source", "quantum"],
+    "source-aklz": ["--source", "aklz"],
+    "events-csv": ["--events-csv", "EVENTS"],
+    "pipeline": ["--pipeline"],
+    "terms": ["--terms", "4"],
+    "visibility": ["--visibility", "1"],
+    "trials": ["--trials", "64"],
+    "seed-0": ["--seed", "0"],
+    "visibility-0": ["--visibility", "0"],
+    "path-difference-ns": ["--path-difference-ns", "100"],
+    "window-ns": ["--window-ns", "1"],
+    "short-arm-ns": ["--short-arm-ns", "10"],
+    "emission-gap-ns": ["--emission-gap-ns", "1000"],
+}
+_ROUTE_MATRIX = """
+                    quantum  aklz  aklz-demo  chained6  table1  variant
+variant-franson        .      .       .          .        .       .
+variant-other          .      s       x          x        x       .
+source-quantum         .      .       x          .        x       .
+source-aklz            .      .       .          x        x       x
+events-csv             .      .       .          x        x       x
+pipeline               .      .       .          .        x       x
+terms                  .      .       .          x        x       .
+visibility             .      .       .          x        x       .
+trials                 .      .       .          .        x       .
+seed-0                 .      .       .          .        x       .
+visibility-0           .      x       x          x        x       .
+path-difference-ns     .      .       .          .        x       x
+window-ns              .      .       .          .        x       x
+short-arm-ns           .      .       .          .        x       x
+emission-gap-ns        .      .       .          .        x       x
+"""
+
+
 class TestSimulate:
     def test_quantum_distribution_level(self, capsys):
         code, p, _ = run_cli(
@@ -788,6 +834,39 @@ class TestSimulate:
         assert err.startswith("error:")
         assert flag in err
         assert not events.exists()
+
+    @pytest.mark.parametrize("route", list(_ROUTE_SELECTORS))
+    @pytest.mark.parametrize("option", list(_ROUTE_OPTIONS))
+    def test_every_route_against_every_option(self, tmp_path, capsys, route, option):
+        # "." runs; "x" is refused naming the option, "s" naming the
+        # route's own selector (a variant run has no delay-model source)
+        column = _ROUTE_MATRIX.split()[: len(_ROUTE_SELECTORS)].index(route)
+        (row,) = [r.split() for r in _ROUTE_MATRIX.splitlines() if r.split()[:1] == [option]]
+        expected = row[1 + column]
+        events = tmp_path / "events.csv"
+        argv = ["simulate", *_ROUTE_SELECTORS[route]]
+        if route != "table1":
+            argv += ["--trials", "64"]  # every other route reads it
+        argv += [str(events) if a == "EVENTS" else a for a in _ROUTE_OPTIONS[option]]
+        code, p, err = run_cli(argv, capsys)
+        if expected == ".":
+            assert (code, err) == (0, "")
+            assert p is not None
+            return
+        named = _ROUTE_OPTIONS[option] if expected == "x" else _ROUTE_SELECTORS[route]
+        assert (code, p) == (2, None)
+        assert err.startswith(f"error: {named[0]} ")
+        if named[0] != "--events-csv":
+            assert err.startswith(f"error: {' '.join(named)}")  # 1 prints as 1.0
+        assert "does not apply" in err
+        assert not events.exists()
+
+    def test_a_refused_events_csv_is_named_with_its_path(self, tmp_path, capsys):
+        events = tmp_path / "events.csv"
+        argv = ["simulate", "--scenario", "chained6", "--events-csv", str(events)]
+        code, p, err = run_cli(argv, capsys)
+        assert (code, p) == (2, None)
+        assert err == f"error: --events-csv {events} does not apply to --scenario chained6\n"
 
     @pytest.mark.parametrize(
         "route",

@@ -637,12 +637,14 @@ def reference_write_events_csv(path, events):
 
 
 def reference_read_events_csv(path):
+    # each row's range is checked as it is parsed: the first bad row in file
+    # order, malformed or out of range, is named
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(header) != CSV_COLUMNS:
             raise ValueError(f"unexpected CSV header: {header}")
-        rows, lines = [], []
+        rows = []
         for r in reader:
             if len(r) != 5:
                 raise ValueError(
@@ -650,25 +652,26 @@ def reference_read_events_csv(path):
                     f"(expected 5 fields, got {len(r)})"
                 )
             try:
-                rows.append((int(r[0]), int(r[1]), float(r[2]), int(r[3]), float(r[4])))
-                lines.append(reader.line_num)
+                site, trial, ts, outcome, setting = (
+                    int(r[0]), int(r[1]), float(r[2]), int(r[3]), float(r[4])
+                )
             except ValueError as exc:
                 raise ValueError(
                     f"{path}, line {reader.line_num}: malformed event row ({exc})"
                 ) from exc
-    for line, (site, trial, ts, outcome, setting) in zip(lines, rows):
-        if (
-            site not in (1, 2)
-            or outcome not in (-1, 1)
-            or not -(2**63) <= trial < 2**63
-            or not math.isfinite(ts)
-            or not math.isfinite(setting)
-        ):
-            raise ValueError(
-                f"{path}, line {line}: site must be 1 or 2, outcome -1 or +1, timestamp "
-                f"and setting finite; got site={site}, trial={trial}, timestamp_ns={ts!r}, "
-                f"outcome={outcome}, setting_rad={setting!r}"
-            )
+            if (
+                site not in (1, 2)
+                or outcome not in (-1, 1)
+                or not -(2**63) <= trial < 2**63
+                or not math.isfinite(ts)
+                or not math.isfinite(setting)
+            ):
+                raise ValueError(
+                    f"{path}, line {reader.line_num}: site must be 1 or 2, outcome -1 or +1, "
+                    f"timestamp and setting finite; got site={site}, trial={trial}, "
+                    f"timestamp_ns={ts!r}, outcome={outcome}, setting_rad={setting!r}"
+                )
+            rows.append((site, trial, ts, outcome, setting))
     return EventColumns(*(list(zip(*rows)) or [()] * len(CSV_COLUMNS)))
 
 
@@ -902,13 +905,27 @@ class TestCsvReferee:
             assert outcome == read_outcome(reference_read_events_csv, path)
             assert shown in outcome
 
-    def test_a_malformed_row_is_named_before_an_earlier_bad_value(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "edits,shown",
+        [
+            # in different blocks: a row out of range on line 2, a malformed
+            # row on line 11
+            ({0: "3,0,1.0,1,0.5", 9: "1,0,x,1,0.5"}, ", line 2: site must be"),
+            ({0: "1,0,x,1,0.5", 9: "3,0,1.0,1,0.5"}, ", line 2: malformed"),
+            # in one block (lines 6-9), either first
+            ({5: "3,0,1.0,1,0.5", 6: "1,0,x,1,0.5"}, ", line 7: site must be"),
+            ({5: "1,0,x,1,0.5", 6: "3,0,1.0,1,0.5"}, ", line 7: malformed"),
+        ],
+        ids=["value-then-malformed", "malformed-then-value", "one-block-value-first",
+             "one-block-malformed-first"],
+    )
+    def test_the_first_bad_row_is_named(self, tmp_path, monkeypatch, edits, shown):
         monkeypatch.setattr(timing, "_CSV_BLOCK_ROWS", 4)
         path = tmp_path / "bad.csv"
-        self.block_file(path, {0: "3,0,1.0,1,0.5", 9: "1,0,x,1,0.5"})
+        self.block_file(path, edits)
         outcome = read_outcome(read_events_csv, path)
         assert outcome == read_outcome(reference_read_events_csv, path)
-        assert ", line 11: malformed" in outcome
+        assert shown in outcome
 
 
 # ---------------------------------------------------------------------------
