@@ -239,8 +239,9 @@ def _table_report(table: CorrelationTable, chain: SettingsChain, models) -> dict
 _CHUNK_TRIALS = 1 << 16
 
 # Chunks of fewer trials are sampled on the main thread: handing them to the
-# worker thread costs about what overlapping their sampling saves (at 10^4
-# trials a chunk the thread was slower, from 3*10^4 on faster, on 2 vCPUs).
+# worker thread costs about what overlapping their sampling saves (on 2 vCPUs
+# with the two threads on two CPUs, the thread was slower at 10^4 trials a
+# chunk and faster from 2*10^4 on; with both on one CPU it never pays).
 _BACKGROUND_MIN_TRIALS = 1 << 15
 
 

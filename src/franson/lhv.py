@@ -61,7 +61,7 @@ def _signs(positive: np.ndarray) -> np.ndarray:
     return out
 
 
-def _aklz_site1_arrays(phi: float, theta: np.ndarray, r: np.ndarray):
+def _aklz_site1_float64(phi: float, theta: np.ndarray, r: np.ndarray):
     # with u = theta + phi: outcome sign(cos u) (ties +1); early iff r < h/2
     # or 1/2 <= r < 1 - h/2, h = (pi/4)|cos u|, so P(early) = 1/2 per setting
     cu = np.add(theta, phi)
@@ -74,7 +74,76 @@ def _aklz_site1_arrays(phi: float, theta: np.ndarray, r: np.ndarray):
     window = r < ht
     window &= r >= 0.5
     early |= window
-    return outcome, np.invert(early, out=early), np.ones(theta.shape, dtype=bool)
+    return outcome, np.invert(early, out=early)
+
+
+# the bounds of site 1's float32 screen; see _aklz_site1_arrays
+_SCREEN_MARGIN = 2.0**-12
+_SCREEN_ANGLE = 16.0
+
+
+def _aklz_site1_arrays(phi: float, theta: np.ndarray, r: np.ndarray):
+    """Site 1's responses, bit for bit those of ``_aklz_site1_float64``.
+
+    A float32 screen decides the trials whose float64 decision it can
+    prove, and ``_aklz_site1_float64`` re-decides the rest: NaN, infinite
+    and large angles, and on random hidden variables about 0.1% of the
+    others.  With u = fl64(theta + phi), c its float64 cosine and
+    H = fl64(p|c|), p = fl64(pi)/8, the float64 formula gives outcome +1 iff
+    c >= 0 and calls a trial early iff r < H or 1/2 <= r < fl64(1 - H).  The
+    screen takes u' = fl32(u), c' its float32 cosine, h' = fl32(p'|c'|) with
+    p' = fl32(p), r' = fl32(r) and q' = min(r', fl32(1 - r')).  It gives
+    outcome +1 iff c' >= 0 and late = (q' < h') XOR (r < 1/2), and it
+    decides a trial when |u'| <= 16, |c'| >= 2^-12 and |q' - h'| >= 2^-12.
+
+    Proof that such a trial gets the float64 formula's answer.  As
+    |u'| <= 16, |u| <= 16 + 2^-20, where the float32 spacing is at most
+    2^-19, so |u' - u| <= 2^-20.  Float32 cosine is within 2^-20 of float64
+    cosine at every float32 in [-16, 16] (a premise that
+    ``tests/test_lhv.py`` sweeps), and float64 cosine is within 2^-53 of
+    cos near 1 and closer below, so
+    |c' - c| <= (2^-20 + 2^-53) + |u' - u| + 2^-53 < 2^-18.9.  With
+    |c'| >= 2^-12, c then has the sign of c' and is not zero.  p' and the
+    float32 product p'|c'| < 1/2 each round by at most 2^-26, and the
+    float64 product by at most 2^-55, so |h' - H| <= 2^-25 + p 2^-18.9 +
+    2^-55 < 2^-20.  For r in [0, 1], r' is within 2^-25 of r, 1 - r' is exact
+    when r' >= 1/2, and fl32(1 - r') >= 1/2 > r' otherwise, so
+    q' = min(r', 1 - r') is within 2^-25 of Q = min(r, 1 - r).  So
+    (q' - h') - (Q - H) is under 2^-19, more than 64 times inside the
+    margin: Q - H has the sign of q' - h' and |Q - H| > 2^-13.  For
+    r < 1/2, Q = r and the trial is early iff r < H iff q' < h'.  For
+    r >= 1/2, r < H fails as H < 1/2, fl64(1 - H) is within 2^-54 of 1 - H,
+    and the trial is early iff 1 - r > H iff q' > h', that is iff not
+    q' < h'.  For r outside [0, 1], both call the trial early when r < 0
+    (then q' <= 0 < h' and r < 0 < H) and late when r > 1 (then
+    q' <= 0 < h' and r > 1 >= fl64(1 - H)).  A NaN anywhere fails a
+    comparison of the screen, so its trial is re-decided.
+    """
+    n = theta.shape
+    # the float32 cast overflows beyond 3.4e38 and the cosine of an infinite
+    # angle is invalid: those trials are re-decided in float64, which warns
+    # where the float64 formula always did
+    with np.errstate(all="ignore"):
+        c = np.add(theta, phi, out=np.empty(n, np.float32), casting="same_kind")
+        tmp = np.abs(c)
+        decided = tmp <= _SCREEN_ANGLE
+        np.cos(c, out=c)
+        outcome = _signs(c >= 0.0)
+        ht = np.abs(c, out=c)
+        decided &= ht >= _SCREEN_MARGIN
+        ht *= np.float32(np.pi / 8.0)
+        q = r.astype(np.float32)
+        np.subtract(1.0, q, out=tmp)
+        np.minimum(q, tmp, out=q)
+        np.subtract(q, ht, out=tmp)
+        np.abs(tmp, out=tmp)
+        decided &= tmp >= _SCREEN_MARGIN
+        late = q < ht
+    late ^= r < 0.5
+    redo = np.flatnonzero(np.invert(decided, out=decided))
+    if redo.size:
+        outcome[redo], late[redo] = _aklz_site1_float64(phi, theta[redo], r[redo])
+    return outcome, late, np.ones(n, dtype=bool)
 
 
 def _aklz_site2_arrays(psi: float, theta: np.ndarray, r: np.ndarray):
@@ -129,8 +198,8 @@ def simulate_strategy_pairs(
     n = int(trials)
     u = draw_uniforms(rs, 2 * int(start_trial), 2 * n)
     theta = u[0::2] * TWO_PI
-    # contiguous: the responders compare r four times, and one comparison
-    # on the strided view costs about as much as this copy
+    # contiguous: the responders read r three times, and one read of the
+    # strided view costs about as much as this copy
     r = np.ascontiguousarray(u[1::2])
     return TrialBatch(*strategy.batch_site1(phi, theta, r), *strategy.batch_site2(psi, theta, r))
 

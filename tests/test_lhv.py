@@ -17,6 +17,7 @@ from franson import (
     monte_carlo_statistics,
     simulate_strategy_pairs,
 )
+from franson import lhv
 from franson.core import TWO_PI
 from franson.lhv import _HALF_PI, _THREE_HALVES_PI
 
@@ -139,18 +140,25 @@ def cosine_site2(psi, theta, r):
     return outcome, ~early, detected
 
 
+def assert_same_arrays(got, want):
+    assert len(got) == len(want) == 3
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert np.array_equal(g, w)
+
+
 def assert_same_responses(setting, theta, r):
     strategy = aklz_strategy()
-    for responder, reference in (
-        (strategy.batch_site1, cosine_site1),
-        (strategy.batch_site2, cosine_site2),
-    ):
-        got = responder(setting, theta, r)
-        want = reference(setting, theta, r)
-        assert len(got) == len(want) == 3
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype and g.shape == w.shape
-            assert np.array_equal(g, w)
+    assert_same_arrays(strategy.batch_site1(setting, theta, r), cosine_site1(setting, theta, r))
+    assert_same_arrays(strategy.batch_site2(setting, theta, r), cosine_site2(setting, theta, r))
+
+
+def site1_or_warning(responder, phi, theta, r):
+    """Site 1's responses, or the text of the warning that stopped them."""
+    try:
+        return responder(phi, theta, r)
+    except RuntimeWarning as w:
+        return str(w)
 
 
 # pi to 60 places, far finer than the spacing of doubles near 2*pi
@@ -236,6 +244,81 @@ class TestCosineReferee:
                 site2(psi, np.array([1.0, theta, 2.0]), np.full(3, 0.5))
         # an empty batch has nothing to refuse
         assert all(a.size == 0 for a in site2(9.0, np.empty(0), np.empty(0)))
+
+    @pytest.mark.parametrize("setting", CHAIN_PHASES)
+    def test_every_double_near_the_timing_thresholds(self, setting):
+        # r runs over every double within 4 ulps of h/2 and of 1 - h/2, as
+        # the float64 formula computes them, where site 1's delay flips
+        theta = np.random.default_rng(83).random(200) * TWO_PI
+        ht = np.abs(np.cos(theta + setting)) * (np.pi / 8.0)
+        thresholds = np.concatenate([ht, 1.0 - ht])
+        r = (thresholds.view(np.int64)[:, None] + np.arange(-4, 5)).ravel().view(np.float64)
+        assert_same_responses(setting, np.repeat(np.tile(theta, 2), 9), r)
+
+    @pytest.mark.parametrize("offset", [0.0, 2.0**-12, -(2.0**-12)])
+    @pytest.mark.parametrize(
+        "k,phi", [(1, 0.0), (3, 2.0), (5, 4.0), (7, 6.0), (-1, -2.0), (-3, -8.0)]
+    )
+    def test_every_double_near_the_zeros_of_site1s_cosine(self, k, phi, offset):
+        # theta + phi runs over every double within 10^4 ulps of k*pi/2, and
+        # of the points either side where the screen's |cos| reaches its
+        # margin, with theta in [0, 2*pi)
+        x = math.copysign(1.0, k) * doubles_around(float(abs(k) * PI / 2) + offset, 10_000)
+        theta = x - phi
+        assert np.array_equal(theta + phi, x)
+        assert np.all((0.0 <= theta) & (theta < TWO_PI))
+        r = np.random.default_rng(1999).random(x.size)
+        site1 = aklz_strategy().batch_site1
+        assert_same_arrays(site1(phi, theta, r), cosine_site1(phi, theta, r))
+
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf, 1e300, 1e30, -1e5, -0.0, 7.0])
+    def test_site1_takes_any_angle(self, phi):
+        # the same bits and the same warnings as the float64 formula
+        rng = np.random.default_rng(1999)
+        theta, r = rng.random(10_000) * TWO_PI, rng.random(10_000)
+        site1 = aklz_strategy().batch_site1
+        got = site1_or_warning(site1, phi, theta, r)
+        want = site1_or_warning(cosine_site1, phi, theta, r)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert_same_arrays(got, want)
+        with np.errstate(invalid="ignore"):
+            assert_same_arrays(site1(phi, theta, r), cosine_site1(phi, theta, r))
+
+    def test_an_empty_batch(self):
+        assert_same_responses(0.3, np.empty(0), np.empty(0))
+
+    def test_float32_cosine_is_within_2_to_the_minus_20_of_float64_cosine(self):
+        # the premise of site 1's float32 screen, on a dense sweep of
+        # [-16, 16] and at every float32 within 10^4 ulps of a zero there
+        def worst_error(x):
+            return np.abs(np.cos(x).astype(np.float64) - np.cos(x.astype(np.float64))).max()
+
+        n = 10**7
+        for start in range(0, n, n // 10):
+            t = np.arange(start, start + n // 10)
+            assert worst_error((t * (32.0 / (n - 1)) - 16.0).astype(np.float32)) <= 2.0**-20
+        zeros = np.array([float(k * PI / 2) for k in (1, 3, 5, 7, 9)], dtype=np.float32)
+        near = (zeros.view(np.int32)[:, None] + np.arange(-10_000, 10_001)).ravel()
+        near = near.astype(np.int32).view(np.float32)
+        assert np.abs(near).max() <= 16.0
+        assert worst_error(near) <= 2.0**-20
+        assert worst_error(-near) <= 2.0**-20
+
+    @pytest.mark.parametrize("setting", CHAIN_PHASES)
+    def test_the_float64_redecision_is_used_but_rare(self, hidden, setting, monkeypatch):
+        redecided = []
+        float64_formula = lhv._aklz_site1_float64
+
+        def counting(phi, theta, r):
+            redecided.append(theta.size)
+            return float64_formula(phi, theta, r)
+
+        monkeypatch.setattr(lhv, "_aklz_site1_float64", counting)
+        theta, r = hidden
+        aklz_strategy().batch_site1(setting, theta, r)
+        assert 0 < sum(redecided) < 0.01 * theta.size
 
 
 def early_measure_overlap_sum(u: float, n_r: int = 1024) -> float:
