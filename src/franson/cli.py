@@ -7,14 +7,21 @@ byte-identical.
 
 Exit codes: 0 success, 2 invalid arguments or configuration, 3 resource
 limit exceeded.
+
+On glibc, ``simulate``'s timing pipeline and ``report`` fix the allocator's
+thresholds for the rest of the process (see ``_keep_freed_heap``): a
+program that calls ``main`` in-process keeps up to 64 MiB of freed heap
+instead of returning it to the operating system.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import json
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -234,15 +241,50 @@ def _table_report(table: CorrelationTable, chain: SettingsChain, models) -> dict
 # Trials per chunk of a setting pair's block.  The pipeline holds about two
 # chunks' arrays at a time, one analysed while the next is sampled, however
 # many trials a pair has.  At 2^16 trials a float column is 512 kB, so the
-# numpy passes over a chunk run in cache (2^15, 2^17 and 2^18 trials were
-# slower on 2 vCPUs).
+# numpy passes over a chunk run in cache.  On 2 vCPUs, with freed heap kept
+# between chunks, 2^15 trials lost all 10 alternating benchmark pairs
+# (median throughput ratio 0.83), and 2^17 won 6 of 10 (1.08) at 73 MB
+# peak RSS against 59 MB.
 _CHUNK_TRIALS = 1 << 16
 
 # Chunks of fewer trials are sampled on the main thread: handing them to the
-# worker thread costs about what overlapping their sampling saves (on 2 vCPUs
-# with the two threads on two CPUs, the thread was slower at 10^4 trials a
-# chunk and faster from 2*10^4 on; with both on one CPU it never pays).
+# worker thread costs about what overlapping their sampling saves.  On 2
+# vCPUs, with freed heap kept between chunks, handing 10^6-trial runs' last
+# 16,960-trial chunk of each pair to the worker too (a threshold of 2^14)
+# lost 8 of 10 benchmark pairs (median throughput ratio 0.99).
 _BACKGROUND_MIN_TRIALS = 1 << 15
+
+# mallopt parameters, from glibc's <malloc.h>
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def _keep_freed_heap() -> None:
+    """On glibc, keep freed heap for reuse instead of returning it per chunk.
+
+    glibc's dynamic trim threshold (a few MB after the first freed
+    arrays) hands the freed top of the heap back to the operating system
+    after every chunk, so the next chunk's arrays fault their pages in
+    again: about 415 minor faults a 2^16-trial chunk of ``simulate
+    --source aklz``, most of them in emit and postselect.  Fixing the mmap
+    threshold at 32 MiB and the trim threshold at 64 MiB, the values
+    glibc's own dynamic rule reaches once a 32 MiB block has been freed,
+    keeps that heap for the next chunk.
+
+    The setting is process-wide and lasts as long as the process.
+    ``mallopt`` is MT-Unsafe, so this runs before the sampler thread
+    starts, once per process.  Elsewhere than glibc it does nothing.
+    """
+    try:
+        glibc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):
+        glibc = None
+    if not glibc:
+        return
+    libc = ctypes.CDLL(None)
+    libc.mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    libc.mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
 def _pair_emission_times(p: int, trials: int, gap_ns: float):
@@ -320,6 +362,7 @@ def _pipeline_tables(
     order straight into columns with room for the at most two events of
     every trial, where postselect then reads them.
     """
+    _keep_freed_heap()
     pairs = [
         (chain.site1_settings[i].phase, chain.site2_settings[j].phase, rs.substream(p + 1))
         for p, (i, j, _) in enumerate(chain.term_order)
@@ -677,6 +720,7 @@ def _postselect_blocks(events: EventColumns, timing: InterferometerTiming) -> _T
     window in magnitude: no pair, partner candidate or ambiguity spans it.
     Rows not in time order are one block, which postselect sorts.
     """
+    _keep_freed_heap()
     t, n, size = events["timestamp_ns"], len(events), _REPORT_BLOCK_ROWS
     # checked a block at a time, so that no temporary is as long as the rows
     in_order = all(

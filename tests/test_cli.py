@@ -92,18 +92,23 @@ def witness_from_json(payload):
     )
 
 
-def run_module(argv):
-    """``python -m franson`` in a fresh process: its stderr shows the
-    warnings that pytest captures in process."""
+def run_python(*args):
+    """``python *args`` in a fresh process that imports this franson."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(franson.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "franson", *argv],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
         timeout=120,
     )
+
+
+def run_module(argv):
+    """``python -m franson`` in a fresh process: its stderr shows the
+    warnings that pytest captures in process."""
+    return run_python("-m", "franson", *argv)
 
 
 class TestBounds:
@@ -1156,6 +1161,115 @@ class TestSimulate:
         # lower visibility scales the statistic down
         stats = [r["statistic"] for r in p["rows"]]
         assert stats[0] > stats[1] > stats[2]
+
+
+def on_glibc():
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+# three in-process runs of one command in a fresh process: the minor page
+# faults of each and whether all three printed the same bytes
+REPEATED_RUNS = """
+import contextlib, io, json, resource, sys
+from franson.cli import main
+faults, outs = [], []
+for _ in range(3):
+    out = io.StringIO()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with contextlib.redirect_stdout(out):
+        assert main(sys.argv[1:]) == 0
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    outs.append(out.getvalue())
+print(json.dumps({"faults": faults, "same": len(set(outs)) == 1}))
+"""
+
+
+class FakeLibc:
+    """Stands in for ``ctypes.CDLL``: records each load and mallopt call."""
+
+    def __init__(self):
+        self.loads, self.calls = [], []
+
+    def __call__(self, name):
+        self.loads.append(name)
+        return self
+
+    def mallopt(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+class TestAllocatorThresholds:
+    AKLZ = ["simulate", "--source", "aklz", "--trials", "70000", "--seed", "5"]
+
+    @pytest.fixture
+    def fresh_helper(self):
+        # the helper runs once per process: forget that it ran, and forget
+        # this test's run afterwards, so later runs set the thresholds again
+        cli._keep_freed_heap.cache_clear()
+        yield
+        cli._keep_freed_heap.cache_clear()
+
+    @pytest.mark.skipif(not on_glibc(), reason="the thresholds are set on glibc only")
+    def test_a_repeated_run_faults_no_pages_in_again(self):
+        # in a fresh process, as a process that already freed a large array
+        # has a high dynamic threshold of its own: with glibc's dynamic
+        # thresholds every chunk faults its arrays in again (about 8,000
+        # faults a run), with the fixed ones a repeated run reuses the heap
+        # the first one freed (about 20)
+        argv = ["simulate", "--source", "aklz", "--trials", "262144", "--seed", "5"]
+        run = run_python("-c", REPEATED_RUNS, *argv)
+        assert run.returncode == 0, run.stderr
+        result = json.loads(run.stdout)
+        assert result["same"]
+        assert result["faults"][1] < 1000, result["faults"]
+
+    def test_the_thresholds_are_set_once_per_process(self, fresh_helper, monkeypatch, capsys):
+        libc = FakeLibc()
+        monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.99")
+        monkeypatch.setattr(cli.ctypes, "CDLL", libc)
+        for _ in range(2):
+            assert main(self.AKLZ) == 0
+        assert libc.loads == [None]
+        assert libc.calls == [(cli._M_MMAP_THRESHOLD, 32 << 20),
+                              (cli._M_TRIM_THRESHOLD, 64 << 20)]
+        assert (cli._M_MMAP_THRESHOLD, cli._M_TRIM_THRESHOLD) == (-3, -1)
+
+    def test_elsewhere_than_glibc_nothing_is_loaded(self, fresh_helper, monkeypatch, capsys):
+        assert main(self.AKLZ) == 0
+        reference = capsys.readouterr().out
+        cli._keep_freed_heap.cache_clear()
+
+        def no_confstr(name):
+            raise ValueError(f"unrecognized configuration name {name!r}")
+
+        libc = FakeLibc()
+        monkeypatch.setattr(os, "confstr", no_confstr)
+        monkeypatch.setattr(cli.ctypes, "CDLL", libc)
+        assert main(self.AKLZ) == 0
+        assert capsys.readouterr().out == reference
+        assert libc.loads == libc.calls == []
+
+    def test_both_loops_set_them_before_the_sampler_starts(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # mallopt is MT-Unsafe: no sampler thread may be running at the call
+        samplers_at_call = []
+        monkeypatch.setattr(
+            cli,
+            "_keep_freed_heap",
+            lambda: samplers_at_call.append(
+                sum(t.name.startswith("franson-sampler") for t in threading.enumerate())
+            ),
+        )
+        events = str(tmp_path / "events.csv")
+        assert main(self.AKLZ + ["--events-csv", events]) == 0
+        assert main(["report", "--events", events]) == 0
+        capsys.readouterr()
+        assert samplers_at_call == [0, 0]
 
 
 class TestEventsRoundtrip:
