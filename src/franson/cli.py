@@ -11,12 +11,15 @@ limit exceeded.
 On glibc, ``simulate``'s timing pipeline and ``report`` fix the allocator's
 thresholds for the rest of the process (see ``_keep_freed_heap``): a
 program that calls ``main`` in-process keeps up to 64 MiB of freed heap
-instead of returning it to the operating system.
+instead of returning it to the operating system.  While the timing pipeline
+runs with its sampler thread, the calling thread's CPU mask is narrowed to
+leave one CPU to that thread, and restored on exit (see ``_disjoint_cpus``).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
 import functools
 import json
@@ -251,7 +254,12 @@ _CHUNK_TRIALS = 1 << 16
 # worker thread costs about what overlapping their sampling saves.  On 2
 # vCPUs, with freed heap kept between chunks, handing 10^6-trial runs' last
 # 16,960-trial chunk of each pair to the worker too (a threshold of 2^14)
-# lost 8 of 10 benchmark pairs (median throughput ratio 0.99).
+# lost 8 of 10 benchmark pairs (median throughput ratio 0.99).  With the
+# two threads on disjoint CPUs, in-process runs of one chunk a pair
+# (3.3*10^4, 5*10^4 and 6.5*10^4 trials) overlapped at process CPU / wall
+# 1.3-1.4, and the worker beat sampling on the main thread in 5-10 of 10
+# alternating runs (15.8 against 20.6 ms at 5*10^4), too few at
+# 3.3*10^4 to hand smaller chunks to it.
 _BACKGROUND_MIN_TRIALS = 1 << 15
 
 # mallopt parameters, from glibc's <malloc.h>
@@ -285,6 +293,44 @@ def _keep_freed_heap() -> None:
     libc = ctypes.CDLL(None)
     libc.mallopt(_M_MMAP_THRESHOLD, 32 << 20)
     libc.mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
+@contextlib.contextmanager
+def _disjoint_cpus(split: bool):
+    """Give the pipeline's worker one CPU and the calling thread the others.
+
+    Yields the worker's initializer: it pins the worker to one CPU of the
+    calling thread's mask (``sched_getaffinity(0)`` is per thread on
+    Linux), and the calling thread keeps the rest of the mask until the
+    block exits, where its mask is restored.  Unpinned, the two threads
+    were often scheduled on one CPU: on 2 vCPUs, with a pure-Python loop
+    run between in-process ``simulate --source aklz --trials 1000000``
+    runs (as the benchmark runs its reference loop), process CPU time /
+    wall time was at most 1.00 in 80 of 80 runs, and split its median was
+    1.58 (0.17 against 0.23-0.31 s a run).  Yields None, and changes
+    nothing, unless ``split`` holds, the platform has
+    ``sched_setaffinity`` and the mask has two CPUs or more; an affinity
+    call that fails leaves the threads unpinned.
+    """
+
+    def pin_to(cpus: set[int]) -> None:
+        with contextlib.suppress(OSError):
+            os.sched_setaffinity(0, cpus)
+
+    worker = None
+    if split and hasattr(os, "sched_setaffinity"):
+        with contextlib.suppress(OSError):
+            mask = os.sched_getaffinity(0)
+            if len(mask) >= 2:
+                os.sched_setaffinity(0, mask - {max(mask)})
+                worker = max(mask)
+    if worker is None:
+        yield None
+        return
+    try:
+        yield functools.partial(pin_to, {worker})
+    finally:
+        pin_to(mask)
 
 
 def _pair_emission_times(p: int, trials: int, gap_ns: float):
@@ -376,7 +422,10 @@ def _pipeline_tables(
     tally = _Tally()
     kept = EventColumns.empty(2 * trials * len(pairs)) if events_csv else None
     filled = 0
-    with ThreadPoolExecutor(1, thread_name_prefix="franson-sampler") as pool:
+    background = any(count >= _BACKGROUND_MIN_TRIALS for _, _, count in chunks)
+    with _disjoint_cpus(background) as pin_worker, ThreadPoolExecutor(
+        1, thread_name_prefix="franson-sampler", initializer=pin_worker
+    ) as pool:
 
         def prefetch(p, first, count):
             # the chunk's batch as a call that waits for it: a large chunk is
@@ -720,7 +769,6 @@ def _postselect_blocks(events: EventColumns, timing: InterferometerTiming) -> _T
     window in magnitude: no pair, partner candidate or ambiguity spans it.
     Rows not in time order are one block, which postselect sorts.
     """
-    _keep_freed_heap()
     t, n, size = events["timestamp_ns"], len(events), _REPORT_BLOCK_ROWS
     # checked a block at a time, so that no temporary is as long as the rows
     in_order = all(
@@ -753,6 +801,8 @@ def _cmd_report(args) -> dict:
             "short_arm_ns": 10.0,
         },
     )
+    # before the file's columns and parse blocks are allocated
+    _keep_freed_heap()
     events = read_events_csv(args.events)
     timing = _timing(args)
     tally = _postselect_blocks(events, timing)

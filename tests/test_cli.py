@@ -1088,10 +1088,13 @@ class TestSimulate:
         monkeypatch.setattr(cli, "_CHUNK_TRIALS", 100)
         monkeypatch.setattr(cli, "_BACKGROUND_MIN_TRIALS", 100)
         calls = []  # (stage, on the main thread)
+        analysis_masks = []  # the main thread's CPU mask in each analysis stage
 
         def traced(name, fn):
             def call(*args, **kwargs):
                 calls.append((name, threading.current_thread() is threading.main_thread()))
+                if name != "sampler":
+                    analysis_masks.append(cpu_mask())
                 if name == stage and [n for n, _ in calls].count(name) == 2:
                     raise ValueError(f"{stage} failed")
                 if name == "sampler":
@@ -1107,10 +1110,14 @@ class TestSimulate:
             ("tabulate", "correlation_from_pairs"),
         ]:
             monkeypatch.setattr(cli, attr, traced(name, getattr(cli, attr)))
-        threads = threading.active_count()
+        threads, mask = threading.active_count(), cpu_mask()
         code, p, err = run_cli(["simulate", *route, "--trials", "300", "--seed", "1"], capsys)
         assert (code, p, err) == (2, None, f"error: {stage} failed\n")
         assert threading.active_count() == threads
+        # the calling thread ran on fewer CPUs, and has them all back
+        assert cpu_mask() == mask
+        if can_split_cpus():
+            assert all(m < mask for m in analysis_masks)
         # sampling runs off the main thread; the analysis runs on it, in order
         assert all(not main for name, main in calls if name == "sampler")
         analysis = [(name, main) for name, main in calls if name != "sampler"]
@@ -1161,6 +1168,107 @@ class TestSimulate:
         # lower visibility scales the statistic down
         stats = [r["statistic"] for r in p["rows"]]
         assert stats[0] > stats[1] > stats[2]
+
+
+def cpu_mask():
+    """The calling thread's CPU mask, or None where it cannot be read."""
+    return os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+
+
+def can_split_cpus():
+    return hasattr(os, "sched_setaffinity") and len(os.sched_getaffinity(0)) >= 2
+
+
+# a fresh process on one CPU of its mask, then one command
+ONE_CPU_RUN = """
+import os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from franson.cli import main
+code = main(sys.argv[1:])
+assert len(os.sched_getaffinity(0)) == 1
+sys.exit(code)
+"""
+
+
+class TestCpuSplit:
+    AKLZ = ["simulate", "--source", "aklz", "--trials", "70000", "--seed", "5"]
+
+    @pytest.mark.skipif(not can_split_cpus(), reason="needs sched_setaffinity and 2 CPUs")
+    @pytest.mark.parametrize(
+        "route,sampler",
+        [
+            (["--source", "aklz"], "simulate_strategy_pairs"),
+            (["--pipeline"], "sample_franson_events"),
+        ],
+        ids=["aklz", "quantum-pipeline"],
+    )
+    def test_the_worker_and_the_calling_thread_run_on_disjoint_cpus(
+        self, capsys, monkeypatch, route, sampler
+    ):
+        masks = {"sampler": [], "postselect": []}  # (on the main thread, mask)
+
+        def recorded(name, fn):
+            def call(*args, **kwargs):
+                on_main = threading.current_thread() is threading.main_thread()
+                masks[name].append((on_main, frozenset(os.sched_getaffinity(0))))
+                return fn(*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(cli, sampler, recorded("sampler", getattr(cli, sampler)))
+        monkeypatch.setattr(cli, "postselect", recorded("postselect", cli.postselect))
+        before = os.sched_getaffinity(0)
+        # per pair a full chunk for the worker, then a small one on the main thread
+        trials = cli._CHUNK_TRIALS + cli._BACKGROUND_MIN_TRIALS - 1
+        assert run_cli(["simulate", *route, "--trials", str(trials)], capsys)[0] == 0
+        assert os.sched_getaffinity(0) == before
+        workers = {m for on_main, m in masks["sampler"] if not on_main}
+        assert len(workers) == 1
+        (worker,) = workers
+        assert len(worker) == 1 and worker < before
+        main_masks = [m for on_main, m in masks["sampler"] + masks["postselect"] if on_main]
+        assert len(main_masks) == 4 + 8
+        assert all(m == before - worker for m in main_masks)
+
+    def test_a_run_of_small_chunks_makes_no_affinity_call(self, capsys, monkeypatch):
+        calls = []
+        for name in ("sched_getaffinity", "sched_setaffinity"):
+            monkeypatch.setattr(
+                os, name, lambda *args, name=name: calls.append((name, args)), raising=False
+            )
+        argv = ["simulate", "--source", "aklz", "--trials", str(cli._BACKGROUND_MIN_TRIALS - 1)]
+        assert run_cli(argv, capsys)[0] == 0
+        assert calls == []
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+    @pytest.mark.parametrize("failure", ["raises", "raises-in-worker", "missing"])
+    def test_a_failed_split_runs_unpinned_with_the_same_output(
+        self, capsys, monkeypatch, failure
+    ):
+        mask = os.sched_getaffinity(0)
+        assert main(self.AKLZ) == 0
+        reference = capsys.readouterr().out
+        if failure == "missing":
+            monkeypatch.delattr(os, "sched_setaffinity")
+        else:
+            pin = os.sched_setaffinity
+
+            def failing(pid, cpus):
+                if failure == "raises" or threading.current_thread() is not threading.main_thread():
+                    raise OSError(22, "Invalid argument")
+                return pin(pid, cpus)
+
+            monkeypatch.setattr(os, "sched_setaffinity", failing)
+        assert main(self.AKLZ) == 0
+        assert capsys.readouterr().out == reference
+        assert os.sched_getaffinity(0) == mask
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+    def test_a_process_on_one_cpu_prints_the_same_bytes(self):
+        runs = [run_python("-m", "franson", *self.AKLZ),
+                run_python("-c", ONE_CPU_RUN, *self.AKLZ)]
+        assert [r.returncode for r in runs] == [0, 0], [r.stderr for r in runs]
+        assert runs[1].stdout == runs[0].stdout
 
 
 def on_glibc():
@@ -1222,6 +1330,22 @@ class TestAllocatorThresholds:
         # the first one freed (about 20)
         argv = ["simulate", "--source", "aklz", "--trials", "262144", "--seed", "5"]
         run = run_python("-c", REPEATED_RUNS, *argv)
+        assert run.returncode == 0, run.stderr
+        result = json.loads(run.stdout)
+        assert result["same"]
+        assert result["faults"][1] < 1000, result["faults"]
+
+    @pytest.mark.skipif(not on_glibc(), reason="the thresholds are set on glibc only")
+    def test_a_repeated_report_faults_no_pages_in_again(self, tmp_path, capsys):
+        # the thresholds are fixed before the file is read: set only once
+        # it had been read, the second report of this 60,000-trial file
+        # took about 3,000 faults, as the file's columns and parse blocks
+        # were allocated under glibc's dynamic thresholds
+        events = str(tmp_path / "events.csv")
+        argv = ["simulate", "--source", "aklz", "--trials", "60000", "--seed", "5"]
+        assert main(argv + ["--events-csv", events]) == 0
+        capsys.readouterr()
+        run = run_python("-c", REPEATED_RUNS, "report", "--events", events)
         assert run.returncode == 0, run.stderr
         result = json.loads(run.stdout)
         assert result["same"]
