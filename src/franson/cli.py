@@ -19,6 +19,7 @@ leave one CPU to that thread, and restored on exit (see ``_disjoint_cpus``).
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import ctypes
 import functools
@@ -241,13 +242,13 @@ def _table_report(table: CorrelationTable, chain: SettingsChain, models) -> dict
 # simulate
 
 
-# Trials per chunk of a setting pair's block.  The pipeline holds about two
-# chunks' arrays at a time, one analysed while the next is sampled, however
-# many trials a pair has.  At 2^16 trials a float column is 512 kB, so the
-# numpy passes over a chunk run in cache.  On 2 vCPUs, with freed heap kept
-# between chunks, 2^15 trials lost all 10 alternating benchmark pairs
-# (median throughput ratio 0.83), and 2^17 won 6 of 10 (1.08) at 73 MB
-# peak RSS against 59 MB.
+# Trials per chunk of a setting pair's block.  The pipeline holds about
+# three chunks' arrays at a time, one analysed while the next two are
+# sampled, however many trials a pair has.  At 2^16 trials a float column
+# is 512 kB, so the numpy passes over a chunk run in cache.  On 2 vCPUs,
+# with freed heap kept between chunks, 2^15 trials lost all 10 alternating
+# benchmark pairs (median throughput ratio 0.83), and 2^17 won 6 of 10
+# (1.08) at 73 MB peak RSS against 59 MB.
 _CHUNK_TRIALS = 1 << 16
 
 # Chunks of fewer trials are sampled on the main thread: handing them to the
@@ -255,12 +256,19 @@ _CHUNK_TRIALS = 1 << 16
 # vCPUs, with freed heap kept between chunks, handing 10^6-trial runs' last
 # 16,960-trial chunk of each pair to the worker too (a threshold of 2^14)
 # lost 8 of 10 benchmark pairs (median throughput ratio 0.99).  With the
-# two threads on disjoint CPUs, in-process runs of one chunk a pair
-# (3.3*10^4, 5*10^4 and 6.5*10^4 trials) overlapped at process CPU / wall
-# 1.3-1.4, and the worker beat sampling on the main thread in 5-10 of 10
-# alternating runs (15.8 against 20.6 ms at 5*10^4), too few at
-# 3.3*10^4 to hand smaller chunks to it.
+# two threads on disjoint CPUs, two chunks queued and separated runs paired
+# trial by trial, in-process runs of one chunk a pair, in two sets of 10
+# alternating runs: the worker beat sampling on the main thread in 6 and 8
+# of 10 at 3.3*10^4 trials (9.2 against 8.9 and 9.8 against 12.0 ms), 5
+# and 8 at 5*10^4 and 9 and 9 at 6.5*10^4.  Neither side won 8 of 10 in
+# both sets at the smaller sizes, so the threshold stays.
 _BACKGROUND_MIN_TRIALS = 1 << 15
+
+# Chunks handed to the worker ahead of the one the main thread analyses.
+# Once postselect pairs separated runs trial by trial, sampling a chunk
+# takes longer than analysing one; with one chunk queued, the worker idled
+# after each chunk until the main thread took it and queued the next.
+_QUEUED_CHUNKS = 2
 
 # mallopt parameters, from glibc's <malloc.h>
 _M_TRIM_THRESHOLD = -1
@@ -395,15 +403,19 @@ def _pipeline_tables(
     that slice of one call for the whole pair.  Each pair runs in chunks of
     ``_CHUNK_TRIALS`` trials, pair after pair; while the main thread emits,
     postselects and tabulates one chunk, one worker thread, kept for the
-    whole call, samples the next (a chunk of fewer than
+    whole call, samples the next ``_QUEUED_CHUNKS`` (two) in turn, so three
+    chunks' arrays are held at a time (a chunk of fewer than
     ``_BACKGROUND_MIN_TRIALS`` trials is sampled on the main thread when
-    its turn comes).  Emission gaps above twice the path difference keep
-    every coincidence inside one trial, so chunks pair and count exactly as
-    the whole block would.
+    its turn comes).  When a stage raises, the chunks still queued are
+    cancelled; the one being sampled finishes.  Emission gaps above twice
+    the path difference keep every coincidence inside one trial, so chunks
+    pair and count exactly as the whole block would.
 
-    Emit groups a chunk's events by site and postselect takes them so.
-    Each pair's block starts far beyond the previous one so a single merged
-    event file still pairs correctly.  A chunk's events are kept only when
+    Emit groups a chunk's events by site and postselect takes them so:
+    every trial detected at both sites, as in both of ``simulate``'s
+    sources, gives equal separated runs, which postselect pairs trial by
+    trial.  Each pair's block starts far beyond the previous one so a
+    single merged event file still pairs correctly.  A chunk's events are kept only when
     they are to be written to ``events_csv``: merged into the file's time
     order straight into columns with room for the at most two events of
     every trial, where postselect then reads them.
@@ -423,9 +435,10 @@ def _pipeline_tables(
     kept = EventColumns.empty(2 * trials * len(pairs)) if events_csv else None
     filled = 0
     background = any(count >= _BACKGROUND_MIN_TRIALS for _, _, count in chunks)
-    with _disjoint_cpus(background) as pin_worker, ThreadPoolExecutor(
-        1, thread_name_prefix="franson-sampler", initializer=pin_worker
-    ) as pool:
+    with _disjoint_cpus(background) as pin_worker, contextlib.ExitStack() as stack:
+        pool = ThreadPoolExecutor(1, thread_name_prefix="franson-sampler", initializer=pin_worker)
+        # on the way out, chunks still queued are dropped, not sampled
+        stack.callback(pool.shutdown, cancel_futures=True)
 
         def prefetch(p, first, count):
             # the chunk's batch as a call that waits for it: a large chunk is
@@ -435,11 +448,11 @@ def _pipeline_tables(
                 return lambda: sample(*args)
             return pool.submit(sample, *args).result
 
-        pending = prefetch(*chunks[0]) if chunks else None
+        pending = collections.deque(prefetch(*c) for c in chunks[:_QUEUED_CHUNKS])
         for k, (p, first, count) in enumerate(chunks):
-            batch = pending()
-            if k + 1 < len(chunks):
-                pending = prefetch(*chunks[k + 1])
+            batch = pending.popleft()()
+            if k + _QUEUED_CHUNKS < len(chunks):
+                pending.append(prefetch(*chunks[k + _QUEUED_CHUNKS]))
             if first == 0:
                 times = _pair_emission_times(p, trials, gap_ns)
                 check_emission_schedule(times, trials, timing, chunk)
@@ -460,6 +473,9 @@ def _pipeline_tables(
             # each setting shows up in two chain terms; the tally pools its
             # counts so the efficiency matches a re-analysis of the file
             tally.add(postselect(events, timing))
+            # freed now, not when the next chunk's replace them: a fresh
+            # 4*10^6-trial aklz run peaked about 3 MB lower
+            del batch, events
     _require_coverage(tally.table, chain)
     if kept is not None:
         write_events_csv(events_csv, kept.take(slice(0, filled)))

@@ -368,23 +368,19 @@ def _sum_by_key(code: np.ndarray, size: int, per_run: np.ndarray) -> np.ndarray:
 
 
 def _site_streams(events: EventColumns):
-    """Each site's (timestamps, outcomes, settings) in timestamp order, and
-    for each site-1 event the count of site-2 events ahead of it in one
-    time order of both sites, site 1 first at equal timestamps.
+    """Each site's (timestamps, outcomes, settings) in timestamp order, and,
+    for rows not grouped by site that came in time order, each site-1
+    event's count of site-2 events ahead of it (None for other rows).
 
     Rows grouped by site (site 1's, then site 2's) are sliced as they are;
     other orders are split by site first.  A site whose timestamps are not
     nondecreasing is sorted with a stable sort, so equal timestamps keep
-    their input order.  The counts come from the rows themselves when all
-    rows are in time order; from the runs' interleaving when grouped rows
-    alternate one to one, as the pipeline emits them; and otherwise from
-    one stable sort of the two sorted runs, which is a linear merge.
+    their input order.
     """
     ts, site = events["timestamp_ns"], events["site"]
     is1 = site == 1
     n1 = int(np.count_nonzero(is1))
-    grouped = bool(is1[:n1].all() and (site[n1:] == 2).all())
-    if grouped:
+    if is1[:n1].all() and (site[n1:] == 2).all():
         rows = (slice(0, n1), slice(n1, None))
     else:
         rows = (np.flatnonzero(is1), np.flatnonzero(site == 2))
@@ -393,33 +389,81 @@ def _site_streams(events: EventColumns):
         if np.all(ts[1:] >= ts[:-1]):
             streams = [(ts[r], events["outcome"][r], events["setting_rad"][r]) for r in rows]
             return streams, rows[0] - np.arange(n1)
-    # the two sorted runs as one column: grouped rows already are one
-    streams, runs = [], ts if grouped else None
+    streams = []
     for r in rows:
         t, outcome, setting = ts[r], events["outcome"][r], events["setting_rad"][r]
         if not np.all(t[1:] >= t[:-1]):
             order = np.argsort(t, kind="stable")
             t, outcome, setting = t[order], outcome[order], setting[order]
-            runs = None
         streams.append((t, outcome, setting))
-    t1, t2 = streams[0][0], streams[1][0]
-    # Equal runs of n > 1 that interleave, t1[i-1] <= t2[i] and t2[i-1] <
-    # t1[i]: site-2 events 0..i-1 lie below t1[i] and i+1.. at or above it,
-    # so i + (t2[i] < t1[i]) of them are ahead, ties putting site 1 first.
-    # A NaN fails a comparison (every time takes part in one when n > 1),
-    # so the counts are the stable merge's exactly.
-    if (
-        grouped
-        and n1 == t2.size > 1
-        and np.all(t2[:-1] < t1[1:])
-        and np.all(t1[:-1] <= t2[1:])
-    ):
-        return streams, np.arange(n1) + (t2 < t1)
-    if runs is None:
-        runs = np.concatenate([t1, t2])
-    # a site-1 event's place in the merge less its index among site 1's
-    places = np.flatnonzero(np.argsort(runs, kind="stable") < n1)
-    return streams, places - np.arange(n1)
+    return streams, None
+
+
+def _merge_rank(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
+    """For each time of the sorted run t1, the count of times of the sorted
+    run t2 ahead of it in one time order of both, t1's first at equal times:
+    its place in one stable sort of the two runs, which is a linear merge,
+    less its index in t1."""
+    places = np.flatnonzero(np.argsort(np.concatenate([t1, t2]), kind="stable") < t1.size)
+    return places - np.arange(t1.size)
+
+
+def _separated_runs(t1: np.ndarray, t2: np.ndarray, w: float) -> bool:
+    """Whether sorted runs t1 and t2 have one length n > 1 and every rounded
+    difference across neighbouring indices is at least ``w``:
+    fl(t1[i+1] - t2[i]) >= w and fl(t2[i+1] - t1[i]) >= w."""
+    if not t1.size == t2.size > 1:
+        return False
+    gap = np.subtract(t1[1:], t2[:-1])
+    if not np.all(gap >= w):
+        return False
+    np.subtract(t2[1:], t1[:-1], out=gap)
+    return bool(np.all(gap >= w))
+
+
+def _first_partners(
+    t1: np.ndarray, t2: np.ndarray, ahead: np.ndarray, w: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Indices (i, j) of each site-1 time t1[i] with a partner and its
+    earliest partner t2[j], |fl(t2[j] - t1[i])| < w, in site-1 order, given
+    ``ahead``, the merge rank of t1 among t2 (see :func:`_merge_rank`).
+
+    The partner is the first j with t2[j] - t1 > -w, the lower half of the
+    |dt| < w rule as the rounded difference gives it.  The difference is
+    nondecreasing in t2, and exact for t2 within a factor 2 of t1
+    (Sterbenz's lemma), so it does not round onto the edge the way t1 - w
+    does at large timestamps.  The first site-2 event behind a site-1 event
+    in the merge has t2 >= t1 and passes; its index is ahead unless the
+    site-2 event before it passes too.  There the index is bisected: every
+    site-2 event below fl(t1 - w) fails.  Which of equal timestamps the
+    merge puts first moves ahead only between passing indices, so it
+    changes no pair.
+    """
+    # t2 padded with -inf in front and +inf behind, neither ever a partner:
+    # at[j] is t2[j] and before[j] the site-2 time ahead of it
+    padded = np.concatenate([[-np.inf], t2, [np.inf]])
+    before, at = padded[:-1], padded[1:]
+    dist = before[ahead]
+    dist -= t1
+    miss = np.flatnonzero(dist > -w)
+    if miss.size:
+        # bisected in padded indices, where index 0 (-inf) fails
+        t1m = t1[miss]
+        lo = np.searchsorted(t2, t1m - w)
+        hi = ahead[miss] + 1
+        while np.any(hi - lo > 1):
+            mid = (lo + hi) // 2
+            inside = padded[mid] - t1m > -w
+            hi = np.where(inside, mid, hi)
+            lo = np.where(inside, lo, mid)
+        ahead[miss] = hi - 1
+    dist = at[ahead]
+    dist -= t1
+    i_idx = np.flatnonzero(np.abs(dist, out=dist) < w)
+    j_idx = ahead[i_idx]
+    if np.any(j_idx[1:] == j_idx[:-1]):
+        raise ValueError("ambiguous coincidences: one event matches several partners")
+    return i_idx, j_idx
 
 
 def postselect(events: EventColumns, timing: InterferometerTiming) -> PostselectionResult:
@@ -434,48 +478,30 @@ def postselect(events: EventColumns, timing: InterferometerTiming) -> Postselect
     site-1 event claims it too.  A site-2 event claimed twice makes the
     data ambiguous and raises; with emission gaps above twice the path
     difference that cannot happen.  Pairs come in site-1 order.
+
+    Separated runs pair trial by trial.  When both sites' sorted runs t1
+    and t2 have one length n > 1 and fl(t1[i+1] - t2[i]) >= W and
+    fl(t2[i+1] - t1[i]) >= W for every i (W the window), as a timing
+    pipeline chunk with every trial detected at both sites has, the pairs
+    are exactly the i with |fl(t2[i] - t1[i])| < W.  Proof: rounding is monotone and fl(-x) =
+    -fl(x), so for j < i, fl(t2[j] - t1[i]) <= fl(t2[i-1] - t1[i]) <= -W,
+    and for j > i, fl(t2[j] - t1[i]) >= fl(t2[i+1] - t1[i]) >= W; only
+    t2[i] can be t1[i]'s partner, and only t1[i] can claim t2[i], so no
+    ambiguity arises.  A NaN fails a comparison, and every time takes part
+    in one when n > 1, so runs with a NaN take the general search.
     """
-    # the count of site-2 events ahead of a site-1 event is the index in t2
-    # of its candidate
     ((t1, outcome1, phases1), (t2, outcome2, phases2)), ahead = _site_streams(events)
-    # t2 padded with -inf in front and +inf behind, neither ever a partner:
-    # at[j] is t2[j] and before[j] the site-2 time ahead of it
-    padded = np.concatenate([[-np.inf], t2, [np.inf]])
-    before, at = padded[:-1], padded[1:]
     w = timing.window_ns
-    # The partner is the first j with t2[j] - t1 > -w, the lower half of the
-    # |dt| < w rule as the rounded difference gives it.  The difference is
-    # nondecreasing in t2, and exact for t2 within a factor 2 of t1
-    # (Sterbenz's lemma), so it does not round onto the edge the way t1 - w
-    # does at large timestamps.  The first site-2 event behind a site-1
-    # event in the merge has t2 >= t1 and passes; its index is ahead unless
-    # the site-2 event before it passes too.  There the index is bisected:
-    # every site-2 event below fl(t1 - w) fails.  Which of equal timestamps
-    # the merge puts first moves ahead only between passing indices, so it
-    # changes no pair.
     # an infinite timestamp less its own infinity is NaN, never inside the
     # window, so the invalid-value warning is no news
     with np.errstate(invalid="ignore"):
-        dist = before[ahead]
-        dist -= t1
-        miss = np.flatnonzero(dist > -w)
-        if miss.size:
-            # bisected in padded indices, where index 0 (-inf) fails
-            t1m = t1[miss]
-            lo = np.searchsorted(t2, t1m - w)
-            hi = ahead[miss] + 1
-            while np.any(hi - lo > 1):
-                mid = (lo + hi) // 2
-                inside = padded[mid] - t1m > -w
-                hi = np.where(inside, mid, hi)
-                lo = np.where(inside, lo, mid)
-            ahead[miss] = hi - 1
-        dist = at[ahead]
-        dist -= t1
-        i_idx = np.flatnonzero(np.abs(dist, out=dist) < w)
-    j_idx = ahead[i_idx]
-    if np.any(j_idx[1:] == j_idx[:-1]):
-        raise ValueError("ambiguous coincidences: one event matches several partners")
+        if _separated_runs(t1, t2, w):
+            dist = np.subtract(t2, t1)
+            i_idx = j_idx = np.flatnonzero(np.abs(dist, out=dist) < w)
+        else:
+            if ahead is None:
+                ahead = _merge_rank(t1, t2)
+            i_idx, j_idx = _first_partners(t1, t2, ahead, w)
     pairs = PairColumns(
         timestamp1_ns=t1[i_idx],
         timestamp2_ns=t2[j_idx],

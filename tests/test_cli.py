@@ -41,6 +41,7 @@ from franson import (
     read_events_csv,
     simulate_setup,
     statistic_stderr,
+    timing,
 )
 from franson.cli import main
 
@@ -1071,6 +1072,62 @@ class TestSimulate:
         # the four background chunks of one run share one worker thread
         assert len(workers) == 1
 
+    @pytest.mark.parametrize(
+        "route", [["--source", "aklz"], ["--pipeline"]], ids=["aklz", "quantum-pipeline"]
+    )
+    def test_every_chunk_pairs_trial_by_trial(self, capsys, monkeypatch, route):
+        # per pair a full chunk and a small one, each of them separated runs
+        separated, rule = [], timing._separated_runs
+
+        def recorded(*args):
+            separated.append(rule(*args))
+            return separated[-1]
+
+        monkeypatch.setattr(timing, "_separated_runs", recorded)
+        trials = cli._CHUNK_TRIALS + 4464
+        assert run_cli(["simulate", *route, "--trials", str(trials)], capsys)[0] == 0
+        assert separated == [True] * 8
+
+    @pytest.mark.parametrize(
+        "route,sampler",
+        [
+            (["--source", "aklz"], "simulate_strategy_pairs"),
+            (["--pipeline"], "sample_franson_events"),
+        ],
+        ids=["aklz", "quantum-pipeline"],
+    )
+    def test_the_sampler_runs_at_most_two_chunks_ahead_of_emit(
+        self, capsys, monkeypatch, route, sampler
+    ):
+        # a slow emit lets the worker run as far ahead as it may
+        monkeypatch.setattr(cli, "_CHUNK_TRIALS", 100)
+        monkeypatch.setattr(cli, "_BACKGROUND_MIN_TRIALS", 100)
+        log = []  # "sampling" as each chunk's sampling starts, "emitted" after each emit
+        sample, emit = getattr(cli, sampler), cli.emit_events_from_batch
+
+        def sampling(*args):
+            log.append("sampling")
+            return sample(*args)
+
+        def emitted(*args, **kwargs):
+            time.sleep(0.02)
+            events = emit(*args, **kwargs)
+            log.append("emitted")
+            return events
+
+        monkeypatch.setattr(cli, sampler, sampling)
+        monkeypatch.setattr(cli, "emit_events_from_batch", emitted)
+        assert run_cli(["simulate", *route, "--trials", "300"], capsys)[0] == 0
+        # chunk j's sampling starts once emit has finished j - 2 chunks, and
+        # with emit this slow some chunk starts as soon as it may
+        ahead = [
+            log[:at].count("sampling") - log[:at].count("emitted")
+            for at, name in enumerate(log)
+            if name == "sampling"
+        ]
+        assert len(ahead) == log.count("emitted") == 12
+        assert max(ahead) == 2
+
     @pytest.mark.parametrize("stage", ["sampler", "postselect"])
     @pytest.mark.parametrize(
         "route,sampler",
@@ -1084,7 +1141,7 @@ class TestSimulate:
         self, capsys, monkeypatch, route, sampler, stage
     ):
         # the second chunk's sampling or the second chunk's postselection
-        # fails; the chunk after it is still being sampled
+        # fails; the chunks after it are handed out two ahead of emit
         monkeypatch.setattr(cli, "_CHUNK_TRIALS", 100)
         monkeypatch.setattr(cli, "_BACKGROUND_MIN_TRIALS", 100)
         calls = []  # (stage, on the main thread)
@@ -1125,6 +1182,12 @@ class TestSimulate:
         if stage == "postselect":
             expected += ["emit", "postselect"]
         assert analysis == [(name, True) for name in expected]
+        # no queued chunk is sampled after the failure: when postselect
+        # fails, chunk 2 is being sampled and chunk 3, queued, is cancelled;
+        # when chunk 1's sampling fails, chunk 2 may have started, and
+        # chunk 3 was never handed out
+        sampled = [name for name, _ in calls].count("sampler")
+        assert sampled == 3 if stage == "postselect" else sampled in (2, 3)
 
     def test_variant_comparison(self, capsys):
         code, p, _ = run_cli(

@@ -1275,13 +1275,33 @@ def random_runs(rng):
     return runs
 
 
+def separated(t1, t2):
+    """Equal sorted runs of two or more times, each cross-trial difference,
+    rounded as Python floats round it, at least the window."""
+    w = TIMING.window_ns
+    return bool(
+        t1.size == t2.size > 1
+        and np.all(t1[1:] >= t1[:-1])
+        and np.all(t2[1:] >= t2[:-1])
+        and all(float(a) - float(b) >= w for a, b in zip(t1[1:], t2[:-1]))
+        and all(float(a) - float(b) >= w for a, b in zip(t2[1:], t1[:-1]))
+    )
+
+
 class TestMergeRank:
     def check(self, events, n1):
-        """Grouped rows against the stable merge, the same rows with site 2
-        first and the brute-force referee."""
-        (s1, s2), ahead = timing._site_streams(events)
+        """The merge rank of grouped rows against the stable merge and
+        against the rank read off the same rows in time order, the same
+        rows with site 2 first, and the brute-force referee."""
+        (s1, s2), in_order = timing._site_streams(events)
+        assert in_order is None
+        ahead = timing._merge_rank(s1[0], s2[0])
         assert ahead.dtype == np.intp
         assert np.array_equal(ahead, stable_merge_counts(s1[0], s2[0]))
+        merged = events.take(np.argsort(events["timestamp_ns"], kind="stable"))
+        _, in_order = timing._site_streams(merged)
+        if in_order is not None:
+            assert np.array_equal(in_order, ahead)
         outcome = postselect_outcome(events)
         n = len(events)
         swapped = events.take(np.r_[n1:n, 0:n1])
@@ -1291,15 +1311,20 @@ class TestMergeRank:
 
     def test_random_grouped_runs_match_the_stable_merge(self):
         rng = np.random.default_rng(2024)
-        interleaved = paired = 0
+        interleaved = paired = apart = apart_paired = 0
         for _ in range(2000):
             t1, t2 = random_runs(rng)
             interleaved += interleave(t1, t2)
+            apart += separated(t1, t2)
             pairs, _ = self.check(grouped_events(t1, t2, rng), t1.size)
             paired += interleave(t1, t2) and pairs not in ("raises", "[]")
-        # the interleaving runs, with and without pairs, are well covered
+            apart_paired += separated(t1, t2) and pairs != "[]"
+        # the interleaving runs, with and without pairs, are well covered,
+        # and so are the separated ones that pair trial by trial
         assert interleaved > 400
         assert paired > 250
+        assert apart > 250
+        assert apart_paired > 200
 
     @pytest.mark.parametrize(
         "t1,t2",
@@ -1325,6 +1350,49 @@ class TestMergeRank:
     def test_edge_runs_match_the_stable_merge(self, t1, t2):
         t1, t2 = np.array(t1, dtype=float), np.array(t2, dtype=float)
         self.check(grouped_events(t1, t2, np.random.default_rng(5)), t1.size)
+
+    @pytest.mark.parametrize(
+        "t1,t2,apart",
+        [
+            ([0.0, 1.5], [0.5, 2.0], True),               # a cross-trial difference of exactly W
+            ([-3.0, 1.0], [2.0**-60, 1.5], True),         # 1 - 2^-60 rounds to W
+            ([-5.0, 1 - 2.0**-53], [0.0, 1.5], False),    # the largest double below W:
+            ([-0.5, 1 - 2.0**-53], [0.0, 1.5], False),    # t1[1] takes t2[0], maybe twice
+            ([0.0, 3.0], [-3.0, 1 - 2.0**-53], False),    # t1[0] takes t2[1]
+            ([0.0, 8.0], [-0.0, 8.25], True),             # -0.0 and 0.0 at either end
+            ([-0.0, 8.0], [0.0, 8.25], True),
+            ([-8.0, 0.0], [-8.25, -0.0], True),
+            ([-8.0, -0.0], [-7.75, 0.0], True),
+            ([-np.inf, 8.0], [0.25, 8.25], True),         # infinities at either end
+            ([0.0, 8.0], [-np.inf, 8.25], True),
+            ([-np.inf, 8.0], [-np.inf, 8.25], True),
+            ([0.0, np.inf], [0.25, 8.0], True),
+            ([0.0, 8.0], [0.25, np.inf], True),
+            ([0.0, np.inf], [0.25, np.inf], True),
+            ([np.inf, np.inf], [0.25, 8.0], False),
+            ([np.nan, 8.0], [0.25, 8.25], False),         # NaN at either end, sorted last
+            ([0.0, np.nan], [0.25, 8.25], False),
+            ([0.0, 8.0], [np.nan, 8.25], False),
+            ([0.0, 8.0], [0.25, np.nan], False),
+            ([0.0, 8.0], [0.5, 0.75], False),             # only one side apart
+            ([0.0], [0.5], False),                        # n = 1
+        ],
+    )
+    def test_separated_runs_pair_trial_by_trial(self, t1, t2, apart):
+        t1, t2 = np.array(t1, dtype=float), np.array(t2, dtype=float)
+        events = grouped_events(t1, t2, np.random.default_rng(7))
+        (s1, s2), _ = timing._site_streams(events)
+        with np.errstate(invalid="ignore"):
+            assert timing._separated_runs(s1[0], s2[0], TIMING.window_ns) is apart
+        assert separated(s1[0], s2[0]) is apart
+        self.check(events, t1.size)
+        if apart:
+            # trial by trial: site-1 time i pairs with site-2 time i or none
+            w = TIMING.window_ns
+            trial = [i for i in range(t1.size) if abs(float(s2[0][i]) - float(s1[0][i])) < w]
+            pairs = postselect(events, TIMING).pairs
+            assert np.array_equal(pairs["timestamp1_ns"], s1[0][trial])
+            assert np.array_equal(pairs["timestamp2_ns"], s2[0][trial])
 
     @pytest.mark.parametrize("lost", ["neither", "site 1", "site 2", "both alike", "both apart"])
     def test_batches_with_detection_loss_match_the_stable_merge(self, lost):
