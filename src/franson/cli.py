@@ -51,6 +51,7 @@ from .strategyopt import (
     GameSpec,
     OptimizerBudget,
     ResourceLimitError,
+    _side_size,
     verify_bound,
 )
 from .timing import (
@@ -730,7 +731,9 @@ def _cmd_verify_bounds(args) -> dict:
         },
     )
     model = _model_class(args.model_class, None)
-    chain = chain_settings(int(args.terms))
+    terms = int(args.terms)
+    _side_size(model.kind, terms // 2)  # site rows wider than int64 raise before the chain
+    chain = chain_settings(terms)
     game = GameSpec(model=model, chain=chain)
     # checked even when no search runs, so a bad --seed is never ignored
     budget = OptimizerBudget(

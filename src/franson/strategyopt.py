@@ -3,11 +3,11 @@
 Deterministic local strategies with finitely many settings form the
 vertices of each model class; mixtures over them span the whole class.
 Every finite class has an exact answer.  Classes whose statistic is
-linear in the mixture (plain local realism, path realism) are maximized
-exactly over the site-1 outcome maps, the best site-2 response in closed
-form.  The emission-time game's value is one LP, with a dual certificate
-that bounds every joint vertex.  Outcomes-only selection reaches the
-algebraic maximum with a closed-form mixture.
+linear in the mixture (plain local realism, path realism) reach their
+maximum, terms - 2, at the all-+1 vertex, which a parity argument shows
+optimal.  The emission-time game's value is one LP, with a dual
+certificate that bounds every joint vertex.  Outcomes-only selection
+reaches the algebraic maximum with a closed-form mixture.
 
 Classes with strategy-dependent postselection (outcomes-only selection,
 emission-time realism) have a ratio-form statistic; a multi-start
@@ -72,7 +72,7 @@ EMISSION_TIME_NOTE = (
 
 
 class ResourceLimitError(RuntimeError):
-    """A game exceeds the configured enumeration or optimization budget."""
+    """A game exceeds a size limit: int64 site rows, pricing or search atoms."""
 
 
 @dataclass(frozen=True)
@@ -155,7 +155,7 @@ class GameSpec:
 
 
 # ---------------------------------------------------------------------------
-# vertex enumeration
+# site vertices as rows
 
 
 def _map_bits(maps: np.ndarray, n: int) -> np.ndarray:
@@ -186,15 +186,29 @@ class _SideArrays:
         return self.early.shape[1] - np.einsum("ij->i", self.early.view(np.uint8)).astype(int)
 
 
+_ROW_BITS = 63  # site rows are int64 indices
+
+
 def _side_size(kind: ModelKind, n: int) -> int:
-    """Vertices per site of a class with n settings per site."""
+    """Vertices per site of a class with n settings per site.  Every decode
+    of site rows comes through here, and every encoded row is decoded, so a
+    row wider than ``_ROW_BITS`` raises ResourceLimitError: plain local
+    realism stops at 126 terms, path realism at 124, the three-map classes
+    at 42."""
     if kind is ModelKind.PLAIN_LOCAL_REALISM:
-        return 2**n
-    if kind is ModelKind.PATH_REALISM:
-        return 2 ** (n + 1)
-    if kind in (ModelKind.OUTCOMES_ONLY, ModelKind.EMISSION_TIME_REALISM):
-        return 8**n
-    raise ValueError(f"{kind.value} has no finite-settings game here")
+        bits = n
+    elif kind is ModelKind.PATH_REALISM:
+        bits = n + 1
+    elif kind in (ModelKind.OUTCOMES_ONLY, ModelKind.EMISSION_TIME_REALISM):
+        bits = 3 * n
+    else:
+        raise ValueError(f"{kind.value} has no finite-settings game here")
+    if bits > _ROW_BITS:
+        raise ResourceLimitError(
+            f"{kind.value} vertices of {n} settings per site need {bits}-bit site rows; "
+            f"int64 holds {_ROW_BITS} bits"
+        )
+    return 2**bits
 
 
 def _vertex_index(n: int, high, mid, low):
@@ -212,7 +226,7 @@ def _side_arrays(kind: ModelKind, n: int, rows=None) -> _SideArrays:
     maps (``_vertex_index``).  Emission-time: early-outcome, late-outcome
     and arrival maps, always detected.  Decodes ``rows``, or every row.
     """
-    size = _side_size(kind, n)  # a class without a finite game raises here
+    size = _side_size(kind, n)  # a class without a finite game, or too wide, raises here
     rows = np.arange(size) if rows is None else np.asarray(rows, dtype=np.int64)
     bits = _map_bits(rows, size.bit_length() - 1)  # the maps, last first
     signs = 1 - 2 * bits.view(np.int8)  # outcome maps: -1 where a bit is set
@@ -266,7 +280,7 @@ def _side_rows(kind: ModelKind, n: int, vertices: list[SiteVertex]) -> np.ndarra
         rows = 2 * out + (query["early"][:, 0] != 1)
     else:
         rows = out
-    decoded = _side_arrays(kind, n, rows)  # a class without a finite game raises here
+    decoded = _side_arrays(kind, n, rows)  # a class without a finite game, or too wide, raises here
     if not all(np.array_equal(getattr(decoded, f), query[f]) for f in fields):
         raise outside
     return rows
@@ -530,9 +544,9 @@ class MaxStatisticResult:
     """A class's largest statistic, with a witness mixture.
 
     ``method`` names how it was found: "exact-maximum" (plain and path
-    realism), "lp" (the emission-time game, with its ``certificate``),
-    "closed-form" (outcomes-only selection) or "successive-lp" (the
-    search, the one method that is not exact).
+    realism, at one vertex), "lp" (the emission-time game, with its
+    ``certificate``), "closed-form" (outcomes-only selection) or
+    "successive-lp" (the search, the one method that is not exact).
     """
 
     value: float
@@ -544,52 +558,37 @@ class MaxStatisticResult:
     certificate: DualCertificate | None = None
 
 
-# entries of the exact maximum's (site-1 map, term) arrays: the 38-term
-# games fit, and verify-bounds peaks at 293 MB there; at 40 terms it
-# would peak at 565 MB, above the 526 MB of the old 20-term enumeration
-_ENUMERATION_LIMIT = 1 << 25
+def _linear_closed_form(game: GameSpec) -> MaxStatisticResult:
+    """Exact maximum for classes whose statistic is linear in the mixture:
+    the all-+1 vertex, row 0 at both sites.
 
-
-def _exact_vertex_max(game: GameSpec) -> MaxStatisticResult:
-    """Exact maximum for classes whose statistic is linear in the mixture.
-
-    Conditional weights then do not depend on the settings, so the maximum
-    over mixtures is attained at a single deterministic vertex.  One sign
-    pattern of the groups, the all-+1 one, has every pattern's maximum
-    (see ``emission_time_lp_value``), and against each site-1 outcome map
-    the best site-2 map is the sign of its ``_column_sums``: a maximum over
-    the 2^n site-1 maps.  Path realism has the same value, with both
-    constant arrival classes early; mismatched classes never coincide.
+    Conditional weights then do not depend on the settings, so each
+    correlation is one weighted mean of the vertices' (under path realism,
+    of those whose arrival classes coincide), and by the triangle
+    inequality no mixture exceeds its best vertex.  A vertex with
+    outcomes a_i at site 1 and b_j at site 2 gives term t the signed value
+    s_t a_i b_j.  Each setting lies in exactly two terms, each group holds
+    two terms, and exactly one sign s_t is -1, so under any group sign
+    pattern the product of the vertex's signed terms is -1.  At least one
+    term is then -1, and no vertex exceeds terms - 2.  The all-+1 vertex
+    reaches it: its statistic, sum_k |s_2k + s_2k+1|, is computed here from
+    the chain's signs.  Path realism has the same value, with both constant
+    arrival classes early; mismatched classes never coincide.
     """
-    kind, n = game.model.kind, game.n_settings
-    size = 2**n * game.chain.terms
-    if size > _ENUMERATION_LIMIT:
-        raise ResourceLimitError(
-            f"{size} enumeration entries exceed the limit {_ENUMERATION_LIMIT}"
-        )
     _, _, signs = _cell_indices(game)
-    sums = _column_sums(game, _side_arrays(ModelKind.PLAIN_LOCAL_REALISM, n).outcomes, signs)
-    values = np.abs(sums).sum(axis=1)
-    k1 = int(np.argmax(values))
-    rows = np.array([k1, _sign_index(sums[k1])])
-    if kind is ModelKind.PATH_REALISM:
-        rows = 2 * rows  # the same outcome maps, early arrival class
+    row = np.zeros(1, dtype=np.int64)
     return MaxStatisticResult(
-        value=float(values[k1]),
-        witness=_witness(game, rows[:1], rows[1:], np.ones(1)),
+        value=float(np.abs(signs[0::2] + signs[1::2]).sum()),
+        witness=_witness(game, row, row, np.ones(1)),
         exact=True,
         restarts_used=0,
         method="exact-maximum",
         notes=(
-            "exact maximum over the site-1 outcome maps, "
-            "the site-2 best response in closed form"
+            "closed form at the all-+1 vertex: each setting lies in two terms "
+            "and one sign is -1, so every vertex has a -1 term under every "
+            "group sign pattern and none exceeds terms - 2"
         ),
     )
-
-
-# outcomes-only site rows are 3n-bit indices of int64: n = 21, 42 terms,
-# fills 63 bits
-_INDEX_BITS = 63
 
 
 def _outcomes_only_closed_form(game: GameSpec) -> MaxStatisticResult:
@@ -601,15 +600,9 @@ def _outcomes_only_closed_form(game: GameSpec) -> MaxStatisticResult:
     pairs them).  Every coincidence is early-early, and only vertex a
     selects cell (a, b), so every cell has mass 1/n and correlation equal
     to its term's sign: each term contributes +1, the statistic is
-    ``terms``.  A game wider than 42 terms raises ResourceLimitError, as
-    its site rows would not fit int64.
+    ``terms``.  Beyond 42 terms ``_side_size`` raises ResourceLimitError.
     """
     n = game.n_settings
-    if 3 * n > _INDEX_BITS:
-        raise ResourceLimitError(
-            f"{game.chain.terms}-term outcomes-only vertices need {3 * n}-bit "
-            f"site rows; int64 holds {_INDEX_BITS} bits (at most 42 terms)"
-        )
     a_idx, b_idx, signs = _cell_indices(game)
     outcomes2 = np.ones((n, n))
     outcomes2[a_idx, b_idx] = signs
@@ -944,9 +937,9 @@ def _add_columns(game: GameSpec, r: _Restart, signs) -> bool:
 def max_statistic(game: GameSpec, budget: OptimizerBudget | None = None) -> MaxStatisticResult:
     """Largest statistic found within the class, with a witness mixture.
 
-    Exact for plain local realism and path realism, which raises
-    ResourceLimitError past ``_ENUMERATION_LIMIT`` (beyond 38 terms).  Else
-    a multi-start successive-LP search with column rounds.  Each round's LP
+    Exact for plain local realism and path realism (``_linear_closed_form``),
+    which raise ResourceLimitError beyond 126 and 124 terms (``_side_size``).
+    Else a multi-start successive-LP search with column rounds.  Each round's LP
     steps keep every cell mass fixed: at 1/2 by the equal-mass constraints
     of emission-time realism, at the round's starting masses under
     outcomes-only selection.  A column round adds the joint vertices of
@@ -968,7 +961,7 @@ def max_statistic(game: GameSpec, budget: OptimizerBudget | None = None) -> MaxS
     """
     kind = game.model.kind
     if kind in (ModelKind.PLAIN_LOCAL_REALISM, ModelKind.PATH_REALISM):
-        return _exact_vertex_max(game)
+        return _linear_closed_form(game)
     if kind.takes_efficiency:
         raise ValueError(
             f"{kind.value} has no finite-settings game here; its bound is "
@@ -1189,7 +1182,7 @@ def _exact_answer(game: GameSpec) -> MaxStatisticResult:
         return emission_time_lp_value(game, solution=True)
     if kind is ModelKind.OUTCOMES_ONLY:
         return _outcomes_only_closed_form(game)
-    return max_statistic(game)  # exact for plain and path realism; refuses the rest
+    return max_statistic(game)  # plain and path realism's closed form; refuses the rest
 
 
 def verify_bound(

@@ -233,8 +233,9 @@ class TestVerifyBounds:
         assert p["search"] is None
         assert p["certificate"] is None
         assert p["notes"] == (
-            "exact maximum over the site-1 outcome maps, "
-            "the site-2 best response in closed form"
+            "closed form at the all-+1 vertex: each setting lies in two terms "
+            "and one sign is -1, so every vertex has a -1 term under every "
+            "group sign pattern and none exceeds terms - 2"
         )
         assert p["best_value"] == 2.0
         assert p["margin"] == 0.0
@@ -256,10 +257,6 @@ class TestVerifyBounds:
             # the search's pricing, past 12 terms
             ("--model-class", "outcomes-only", "--terms", "14", "--restarts", "48"),
             ("--model-class", "emission-time-realism", "--terms", "14"),
-            # exact maxima over 2^20 and 2^65 site-1 maps, past the 38-term limit
-            ("--model-class", "plain-local-realism", "--terms", "40"),
-            ("--model-class", "plain-local-realism", "--terms", "130"),
-            ("--model-class", "path-realism", "--terms", "40"),
             # games that fit, with budgets whose supports would not
             ("--restarts", "1000000"),
             ("--model-class", "outcomes-only", "--support-size", "1000000"),
@@ -269,6 +266,38 @@ class TestVerifyBounds:
             assert code == 3
             assert p is None
             assert "resource limit" in err
+
+    @pytest.mark.parametrize(
+        "model_class, top", [("plain-local-realism", 126), ("path-realism", 124)]
+    )
+    def test_linear_classes_answer_up_to_int64_rows(self, capsys, model_class, top):
+        for terms in (40, top):
+            argv = ["verify-bounds", "--model-class", model_class, "--terms", str(terms)]
+            code, p, _ = run_cli(argv, capsys)
+            assert code == 0
+            assert (p["method"], p["exact"], p["passed"]) == ("exact-maximum", True, True)
+            assert p["best_value"] == p["bound"] == terms - 2
+        argv = ["verify-bounds", "--model-class", model_class, "--terms", str(top + 2)]
+        code, p, err = run_cli(argv, capsys)
+        assert (code, p) == (3, None)
+        assert "64-bit site rows; int64 holds 63 bits" in err
+
+    def test_row_width_comes_before_the_chain(self, capsys, monkeypatch):
+        class Started(Exception):
+            pass
+
+        def fail(*args):
+            raise Started
+
+        monkeypatch.setattr(cli, "chain_settings", fail)
+        with pytest.raises(Started):
+            main(["verify-bounds", "--terms", "42"])
+        for model_class in ("emission-time-realism", "outcomes-only",
+                            "plain-local-realism", "path-realism"):
+            argv = ["verify-bounds", "--model-class", model_class, "--terms", "1000000"]
+            code, p, err = run_cli(argv, capsys)
+            assert (code, p) == (3, None)
+            assert "int64 holds 63 bits" in err
 
     def test_thousand_restarts_at_four_terms_run(self, capsys):
         code, p, _ = run_cli(["verify-bounds", "--restarts", "1000"], capsys)

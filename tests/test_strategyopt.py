@@ -284,29 +284,19 @@ def enumerated_vertex_max(g):
     return stats.max()
 
 
+LINEAR_NOTES = (
+    "closed form at the all-+1 vertex: each setting lies in two terms "
+    "and one sign is -1, so every vertex has a -1 term under every "
+    "group sign pattern and none exceeds terms - 2"
+)
+
+
 class TestExactMaxima:
     def test_plain_four_terms(self, chain4m):
         result = max_statistic(game(ModelClass.plain_local_realism, chain4m))
         assert result.exact
         assert result.value == pytest.approx(2.0, abs=1e-12)
         assert len(result.witness.vertices) == 1
-
-    def test_enumeration_limit_comes_before_any_array(self, monkeypatch):
-        class Started(Exception):
-            pass
-
-        def fail(*args):
-            raise Started
-
-        monkeypatch.setattr(strategyopt, "_side_arrays", fail)
-        # the guard counts 2^n site-1 maps times the terms for both classes:
-        # the 38-term games pass it; 40 and 130 terms do not
-        for factory in (ModelClass.plain_local_realism, ModelClass.path_realism):
-            with pytest.raises(Started):
-                max_statistic(game(factory, chain_settings(38)))
-            for terms in (40, 130):
-                with pytest.raises(ResourceLimitError, match="enumeration entries"):
-                    max_statistic(game(factory, chain_settings(terms)))
 
     @pytest.mark.parametrize(
         "factory, terms",
@@ -321,14 +311,74 @@ class TestExactMaxima:
             result = max_statistic(g)
             assert result.exact
             assert result.value == enumerated_vertex_max(g) == terms - 2
-            assert result.notes == (
-                "exact maximum over the site-1 outcome maps, "
-                "the site-2 best response in closed form"
-            )
+            assert result.notes == LINEAR_NOTES
             assert len(result.witness.vertices) == 1
             ev = evaluate_mixed(g, result.witness)
             assert ev.feasible
             assert ev.statistic == result.value
+
+    @pytest.mark.parametrize(
+        "factory, top", [(ModelClass.plain_local_realism, 126), (ModelClass.path_realism, 124)]
+    )
+    def test_closed_form_up_to_the_widest_int64_rows(self, factory, top):
+        # site rows of n (plain) or n + 1 (path) bits fill 63 bits at the top
+        rng = np.random.default_rng(top)
+        for terms in (40, 64, top):
+            for chain in (chain_settings(terms), random_term_chain(terms, rng)):
+                g = game(factory, chain)
+                result = max_statistic(g)
+                assert (result.method, result.exact) == ("exact-maximum", True)
+                assert result.value == terms - 2
+                ev = evaluate_mixed(g, result.witness)
+                assert ev.feasible
+                assert ev.statistic == result.value
+        with pytest.raises(ResourceLimitError, match="64-bit site rows; int64 holds 63 bits"):
+            max_statistic(game(factory, chain_settings(top + 2)))
+
+    @pytest.mark.parametrize(
+        "factory, top", [(ModelClass.plain_local_realism, 126), (ModelClass.path_realism, 124)]
+    )
+    def test_no_random_vertex_beats_the_parity_bound(self, factory, top):
+        """Parity referee beyond any enumeration: random +-1 vertices, alone
+        and mixed, never exceed terms - 2 under ``evaluate_mixed``.  On the
+        standard chain each site-1 setting's two terms form one group, so
+        random site-1 outcomes against an all-+1 site 2 reach the bound."""
+        rng = np.random.default_rng(top)
+        plain = factory().kind is ModelKind.PLAIN_LOCAL_REALISM
+        for terms in range(40, top + 1, 2):
+            n = terms // 2
+            standard = chain_settings(terms)
+            for chain in (standard, random_term_chain(terms, rng)):
+                g = game(factory, chain)
+                # path realism: one constant arrival class, shared by both sites
+                early = plain or bool(rng.integers(2))
+
+                def side(flip):
+                    outcomes = np.where(rng.random(n) < flip, -1, 1)
+                    return SiteVertex(tuple(int(x) for x in outcomes), (early,) * n, (True,) * n)
+
+                vertices = [
+                    DeterministicVertex(side(flip1), side(flip2))
+                    for flip1, flip2 in ((0.5, 0.5), (0.1, 0.1), (0.5, 0.0))
+                ]
+                stats = [evaluate_mixed(g, MixedStrategy((v,), (1.0,))).statistic for v in vertices]
+                assert max(stats) <= terms - 2
+                assert max(stats) == terms - 2 or chain is not standard
+                mixed = evaluate_mixed(g, MixedStrategy(tuple(vertices), (0.25, 0.25, 0.5)))
+                assert mixed.feasible
+                assert mixed.statistic <= terms - 2
+
+    @pytest.mark.parametrize(
+        "factory, terms, bits",
+        [(ModelClass.plain_local_realism, 130, 65), (ModelClass.path_realism, 126, 64)],
+    )
+    def test_a_vertex_wider_than_int64_is_a_resource_limit(self, factory, terms, bits):
+        # at 65 settings a -1 at setting 64 needs bit 64 of the row
+        n = terms // 2
+        side = SiteVertex((1,) * (n - 1) + (-1,), (True,) * n, (True,) * n)
+        g = game(factory, chain_settings(terms))
+        with pytest.raises(ResourceLimitError, match=f"{bits}-bit site rows; int64 holds 63 bits"):
+            evaluate_mixed(g, MixedStrategy((DeterministicVertex(side, side),), (1.0,)))
 
     def test_plain_six_terms(self, chain6m):
         result = max_statistic(game(ModelClass.plain_local_realism, chain6m))
