@@ -216,16 +216,16 @@ def _verdict_models() -> list[ModelClass]:
     return [ModelClass(kind=k) for k in kinds]
 
 
-def _require_coverage(table, chain: SettingsChain) -> None:
-    """Refuse a table without coincidences at some setting pair of the chain."""
-    for i, j, _ in chain.term_order:
-        phi, psi = chain.site1_settings[i], chain.site2_settings[j]
-        if not table.has(phi, psi):
-            raise ConfigError(
-                "events do not cover every setting pair of the "
-                f"{chain.terms}-term chain: no coincidences at (phi, psi) = "
-                f"({phi.phase!r}, {psi.phase!r})"
-            )
+def _require_pair(table, chain: SettingsChain, p: int) -> None:
+    """Refuse a table without coincidences at the chain's ``term_order[p]``."""
+    i, j, _ = chain.term_order[p]
+    phi, psi = chain.site1_settings[i], chain.site2_settings[j]
+    if not table.has(phi, psi):
+        raise ConfigError(
+            "events do not cover every setting pair of the "
+            f"{chain.terms}-term chain: no coincidences at (phi, psi) = "
+            f"({phi.phase!r}, {psi.phase!r})"
+        )
 
 
 def _table_report(table: CorrelationTable, chain: SettingsChain, models) -> dict:
@@ -410,16 +410,18 @@ def _pipeline_tables(
     its turn comes).  When a stage raises, the chunks still queued are
     cancelled; the one being sampled finishes.  Emission gaps above twice
     the path difference keep every coincidence inside one trial, so chunks
-    pair and count exactly as the whole block would.
+    pair and count exactly as the whole block would.  A setting pair
+    without coincidences is refused once its last chunk is tallied, before
+    the next pair is emitted.
 
     Emit groups a chunk's events by site and postselect takes them so:
     every trial detected at both sites, as in both of ``simulate``'s
     sources, gives equal separated runs, which postselect pairs trial by
     trial.  Each pair's block starts far beyond the previous one so a
-    single merged event file still pairs correctly.  A chunk's events are kept only when
-    they are to be written to ``events_csv``: merged into the file's time
-    order straight into columns with room for the at most two events of
-    every trial, where postselect then reads them.
+    single merged event file still pairs correctly.  Only the file needs
+    that merge: when ``events_csv`` is given, a copy of each chunk's events
+    goes in the file's time order straight into columns with room for the
+    at most two events of every trial, and is written once the run ends.
     """
     _keep_freed_heap()
     pairs = [
@@ -470,14 +472,15 @@ def _pipeline_tables(
                 rows = slice(filled, filled + order.size)
                 for name in CSV_COLUMNS:
                     np.take(events[name], order, out=kept[name][rows])
-                events, filled = kept.take(rows), rows.stop
+                filled = rows.stop
             # each setting shows up in two chain terms; the tally pools its
             # counts so the efficiency matches a re-analysis of the file
             tally.add(postselect(events, timing))
             # freed now, not when the next chunk's replace them: a fresh
             # 4*10^6-trial aklz run peaked about 3 MB lower
             del batch, events
-    _require_coverage(tally.table, chain)
+            if first + count == trials:
+                _require_pair(tally.table, chain, p)
     if kept is not None:
         write_events_csv(events_csv, kept.take(slice(0, filled)))
     return (
@@ -487,40 +490,7 @@ def _pipeline_tables(
     )
 
 
-def _simulate_report(
-    args, source: str, visibility: float, chain: SettingsChain, sample, models
-) -> dict:
-    """A ``simulate`` report of the franson variant.
-
-    Every franson run goes through the timing pipeline with ``sample`` (see
-    ``_pipeline_tables``): timestamps, the coincidence window and the
-    apparent efficiency, as a counting experiment sees them.
-    """
-    rs = RandomSource(seed=int(args.seed))
-    trials = int(args.trials)
-    timing = _timing(args)
-    table, coinc_fraction, efficiency = _pipeline_tables(
-        sample, rs, trials, chain, timing, _emission_gap(args, timing, chain), args.events_csv
-    )
-    return {
-        "command": "simulate",
-        "source": source,
-        "variant": "franson",
-        "terms": chain.terms,
-        "visibility": visibility,
-        "trials_per_pair": trials,
-        "seed": int(args.seed),
-        "quantum_value": chained_quantum_value(chain.terms),
-        "coincidence_fraction": coinc_fraction,
-        "efficiency": efficiency,
-        "events_csv": args.events_csv,
-        **_table_report(table, chain, models),
-    }
-
-
-def _simulate_quantum(args) -> dict:
-    chain = chain_settings(int(args.terms))
-    visibility = float(args.visibility)
+def _quantum_sampler(visibility: float):
     franson_correlation(0.0, 0.0, visibility)  # refuses a visibility outside [0, 1]
 
     def sample(phi, psi, rs, first, count):
@@ -528,35 +498,67 @@ def _simulate_quantum(args) -> dict:
         ones = np.ones(count, dtype=bool)
         return TrialBatch(x1, late1, ones, x2, late2, ones.copy())
 
-    return _simulate_report(
-        args, "quantum", visibility, chain, sample, _verdict_models()
+    return sample
+
+
+def _aklz_sampler(visibility: float):
+    if visibility != 1.0:
+        # the report states visibility 1.0, the delay model's only value
+        raise ConfigError(
+            f"--visibility {visibility!r} does not apply: the delay-model source has visibility 1"
+        )
+    strategy = aklz_strategy()
+    return lambda phi, psi, rs, first, count: simulate_strategy_pairs(
+        strategy, phi, psi, count, rs, first
     )
 
 
-def _simulate_aklz(args) -> dict:
-    terms = int(args.terms)
-    if terms != 4:
-        raise ConfigError(
-            f"--terms {terms} does not apply: the delay-model source is a 4-term demonstration"
-        )
-    if float(args.visibility) != 1.0:
-        # the report states visibility 1.0, the delay model's only value
-        raise ConfigError(
-            f"--visibility {args.visibility!r} does not apply: the delay-model "
-            "source has visibility 1"
-        )
+# the franson sources: each one's sampler for a visibility, which refuses a
+# visibility the source does not have, and the model classes its report
+# judges; the delay model's are all but emission-time realism, which
+# _verdict_models() lists first
+_SOURCES = {
+    "quantum": (_quantum_sampler, tuple(_verdict_models())),
+    "aklz": (_aklz_sampler, tuple(_verdict_models()[1:])),
+}
+
+
+def _simulate_franson(args, source: str, terms: int, visibility: float) -> dict:
+    """A franson ``simulate`` report from a source of ``_SOURCES``.
+
+    Every franson run goes through the timing pipeline (see
+    ``_pipeline_tables``): timestamps, the coincidence window and the
+    apparent efficiency, as a counting experiment sees them.
+    """
+    sampler, models = _SOURCES[source]
     chain = chain_settings(terms)
-    strategy = aklz_strategy()
+    sample, trials, timing = sampler(visibility), int(args.trials), _timing(args)
+    table, coinc_fraction, efficiency = _pipeline_tables(
+        sample, RandomSource(seed=int(args.seed)), trials, chain, timing,
+        _emission_gap(args, timing, chain), args.events_csv,
+    )
+    return {
+        "command": "simulate",
+        "source": source,
+        "variant": "franson",
+        "terms": terms,
+        "visibility": visibility,
+        "trials_per_pair": trials,
+        "seed": int(args.seed),
+        "quantum_value": chained_quantum_value(terms),
+        "coincidence_fraction": coinc_fraction,
+        "efficiency": efficiency,
+        "events_csv": args.events_csv,
+        **_table_report(table, chain, models),
+    }
 
-    def sample(phi, psi, rs, first, count):
-        return simulate_strategy_pairs(strategy, phi, psi, count, rs, first)
 
-    models = [
-        ModelClass(kind=ModelKind.PLAIN_LOCAL_REALISM),
-        ModelClass(kind=ModelKind.OUTCOMES_ONLY),
-        ModelClass(kind=ModelKind.PATH_REALISM),
-    ]
-    return _simulate_report(args, "aklz", 1.0, chain, sample, models)
+def _franson_route(source: str, terms: int | None = None):
+    """A franson route's runner: ``source`` at ``terms`` terms, or at
+    ``--terms`` when None, and at ``--visibility``."""
+    return lambda args: _simulate_franson(
+        args, source, int(args.terms) if terms is None else terms, float(args.visibility)
+    )
 
 
 def _simulate_variant(args) -> dict:
@@ -600,12 +602,7 @@ def _scenario_table1() -> dict:
 
 
 def _scenario_chained6(args) -> dict:
-    rows = []
-    for vis in (1.0, 0.97, 0.95):
-        sub = argparse.Namespace(**vars(args))
-        sub.terms = 6
-        sub.visibility = vis
-        rows.append(_simulate_quantum(sub))
+    rows = [_simulate_franson(args, "quantum", 6, vis) for vis in (1.0, 0.97, 0.95)]
     return {"command": "simulate", "scenario": "chained6", "rows": rows}
 
 
@@ -618,13 +615,15 @@ _OPTIONS = {
 }
 
 # simulate's routes: each one's own --source (None: it takes none), the
-# options it reads, and its runner.  The timing pipeline of a franson run
-# reads every option; chained6 sets its own terms and visibilities and
-# writes no single events file; table1 prints closed forms only; the other
-# variants run at distribution level, with no timestamps.
+# options it reads, and its runner.  The franson routes run a source of
+# _SOURCES through the timing pipeline, which reads every option; aklz-demo
+# fixes 4 terms, chained6 6 terms and its own visibilities, and writes no
+# single events file; table1 prints closed forms only; the other variants
+# run at distribution level, with no timestamps.
 _ROUTES = {
-    "quantum": ("quantum", _OPTIONS, _simulate_quantum),
-    "aklz": ("aklz", _OPTIONS, _simulate_aklz),
+    "quantum": ("quantum", _OPTIONS, _franson_route("quantum")),
+    "aklz": ("aklz", _OPTIONS, _franson_route("aklz")),
+    "aklz-demo": ("aklz", [o for o in _OPTIONS if o != "terms"], _franson_route("aklz", 4)),
     "chained6": (
         "quantum",
         ("pipeline", "trials", "seed",
@@ -638,16 +637,15 @@ _ROUTES = {
 
 def _route(args):
     """The runner of a ``simulate`` command from ``_ROUTES``, picked by
-    ``--scenario`` (aklz-demo is the aklz route), else a ``--variant``
-    other than franson, else ``--source``.  The route refuses, naming it,
-    an option given that it does not read, and a ``--source`` or
-    ``--variant`` other than its own (the variant route's own variant is
-    the one it names, every other route's franson).  Runs before the
-    defaults are filled in, so that a default value given is refused too.
+    ``--scenario``, else a ``--variant`` other than franson, else
+    ``--source``.  The route refuses, naming it, an option given that it
+    does not read, and a ``--source`` or ``--variant`` other than its own
+    (the variant route's own variant is the one it names, every other
+    route's franson).  Runs before the defaults are filled in, so that a
+    default value given is refused too.
     """
     if args.scenario:
-        route = "aklz" if args.scenario == "aklz-demo" else args.scenario
-        chosen_by = f"--scenario {args.scenario}"
+        route, chosen_by = args.scenario, f"--scenario {args.scenario}"
     elif args.variant not in (None, "franson"):
         route, chosen_by = "variant", f"--variant {args.variant}"
     else:
@@ -826,7 +824,8 @@ def _cmd_report(args) -> dict:
     timing = _timing(args)
     tally = _postselect_blocks(events, timing)
     chain = chain_settings(int(args.terms))
-    _require_coverage(tally.table, chain)
+    for p in range(chain.terms):
+        _require_pair(tally.table, chain, p)
     if args.eta is not None and not (
         args.model_class and ModelKind(args.model_class).takes_efficiency
     ):

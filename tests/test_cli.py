@@ -31,6 +31,7 @@ from franson import (
     RandomSource,
     SetupVariant,
     SiteVertex,
+    aklz_quadrature,
     chain_settings,
     chained_statistic,
     cli,
@@ -542,7 +543,7 @@ source-quantum         .      .       x          .        x       .
 source-aklz            .      .       .          x        x       x
 events-csv             .      .       .          x        x       x
 pipeline               .      .       .          .        x       x
-terms                  .      .       .          x        x       .
+terms                  .      .       x          x        x       .
 visibility             .      .       .          x        x       .
 trials                 .      .       .          .        x       .
 seed-0                 .      .       .          .        x       .
@@ -769,12 +770,31 @@ class TestSimulate:
         assert 0.0 in phases
         assert all(math.copysign(1.0, x) == 1.0 for x in phases)
 
-    def test_aklz_needs_four_terms(self, capsys):
-        code, p, err = run_cli(
-            ["simulate", "--source", "aklz", "--terms", "6"], capsys
+    @pytest.mark.parametrize("terms", [6, 8])
+    def test_aklz_source_at_longer_chains(self, capsys, terms):
+        # referee: the chained sum of aklz_quadrature's per-cell
+        # correlations, which is terms*cos(pi/terms)
+        argv = ["simulate", "--source", "aklz", "--terms", str(terms), "--trials", "200000",
+                "--seed", "3"]
+        code, p, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert p["terms"] == terms
+        chain = chain_settings(terms)
+        exact = sum(
+            abs(sum(
+                sign * aklz_quadrature(chain.site1_settings[i].phase,
+                                       chain.site2_settings[j].phase).conditional_correlation
+                for i, j, sign in group
+            ))
+            for group in chain.groups
         )
-        assert code == 2
-        assert "4-term" in err
+        assert exact == pytest.approx(terms * math.cos(math.pi / terms), abs=1e-9)
+        assert abs(p["statistic"] - exact) < 4 * p["stderr"]
+        assert p["efficiency"]["eta"] == pytest.approx(0.5, abs=0.005)
+        verdicts = {v["model"]["kind"]: v["violated"] for v in p["verdicts"]}
+        assert verdicts == {
+            "plain-local-realism": True, "outcomes-only": False, "path-realism": True
+        }
 
     @pytest.mark.parametrize(
         "argv",
@@ -789,6 +809,34 @@ class TestSimulate:
         assert err.startswith("error:")
         assert "no coincidences at (phi, psi)" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "route,sampler",
+        [([], "sample_franson_events"), (["--source", "aklz"], "simulate_strategy_pairs")],
+        ids=["quantum", "aklz"],
+    )
+    def test_an_uncovered_pair_stops_the_run(self, capsys, monkeypatch, route, sampler):
+        # a pair without coincidences is refused once its last chunk is
+        # tallied: one chunk a pair here, and the pairs after it are never
+        # sampled
+        calls, sample = [], getattr(cli, sampler)
+
+        def recorded(*args):
+            calls.append(args)
+            return sample(*args)
+
+        monkeypatch.setattr(cli, sampler, recorded)
+        argv = ["simulate", *route, "--terms", "40", "--trials", "1", "--seed", "1"]
+        code, p, err = run_cli(argv, capsys)
+        assert (code, p) == (2, None)
+        assert 1 <= len(calls) < 40
+        chain = chain_settings(40)
+        i, j, _ = chain.term_order[len(calls) - 1]
+        assert err == (
+            "error: events do not cover every setting pair of the 40-term chain: no "
+            f"coincidences at (phi, psi) = ({chain.site1_settings[i].phase!r}, "
+            f"{chain.site2_settings[j].phase!r})\n"
+        )
 
     @pytest.mark.parametrize("trials", ["-5", "0"])
     @pytest.mark.parametrize(
@@ -839,6 +887,8 @@ class TestSimulate:
              "--variant switched-mirrors"),
             (["--scenario", "aklz-demo", "--variant", "polarization-entangled"],
              "--variant polarization-entangled"),
+            # aklz-demo runs 4 terms: a given value is refused even at 4
+            (["--scenario", "aklz-demo", "--terms", "4"], "--terms 4"),
             (["--scenario", "aklz-demo", "--terms", "6"], "--terms 6"),
             # chained6 runs 6 terms at its own visibilities: a given value is
             # refused even where it equals a default
@@ -856,7 +906,8 @@ class TestSimulate:
         ],
         ids=["variant-source", "chained6-source", "table1-source", "chained6-events-csv",
              "table1-events-csv", "table1-pipeline", "chained6-variant",
-             "table1-variant", "aklz-demo-variant", "aklz-demo-terms", "chained6-terms-4",
+             "table1-variant", "aklz-demo-variant", "aklz-demo-terms-4", "aklz-demo-terms",
+             "chained6-terms-4",
              "chained6-terms-6", "chained6-visibility", "chained6-visibility-1",
              "table1-terms", "table1-visibility", "aklz-demo-quantum", "variant-window"],
     )
