@@ -4,10 +4,18 @@ The package simulates interferometric Bell tests photon pair by photon
 pair, postselects coincidences from raw detection times, evaluates chained
 correlation statistics against the bounds of several local-realist model
 classes, and searches those classes' strategy spaces to verify the bounds.
+
+The public names of ``strategyopt`` (the game solver) and ``spacetime``
+(the station geometry checker) are provided lazily: each module is
+imported on the first use of one of its names, so ``simulate``,
+``report``, ``bounds`` and ``visibility`` start without them.
 """
+
+import importlib
 
 from .core import (
     RandomSource,
+    ResourceLimitError,
     Setting,
     SettingsChain,
     chain_settings,
@@ -52,30 +60,6 @@ from .setups import (
     sample_setup_pairs,
     simulate_setup,
 )
-from .spacetime import (
-    EventOrder,
-    PremiseCheck,
-    StationGeometry,
-    TimelineEvent,
-    check_emission_time_premise,
-    classify_event_order,
-)
-from .strategyopt import (
-    BoundReport,
-    DeterministicVertex,
-    GameEvaluation,
-    GameSpec,
-    MaxStatisticResult,
-    MixedStrategy,
-    OptimizerBudget,
-    ResourceLimitError,
-    SiteVertex,
-    aklz_mixed_strategy,
-    emission_time_lp_value,
-    evaluate_mixed,
-    max_statistic,
-    verify_bound,
-)
 from .timing import (
     EfficiencyReport,
     EventColumns,
@@ -90,6 +74,54 @@ from .timing import (
 )
 
 __version__ = "0.1.0"
+
+# public names imported with their module on first use, and that module
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "EventOrder",
+            "PremiseCheck",
+            "StationGeometry",
+            "TimelineEvent",
+            "check_emission_time_premise",
+            "classify_event_order",
+        ),
+        "spacetime",
+    ),
+    **dict.fromkeys(
+        (
+            "BoundReport",
+            "DeterministicVertex",
+            "GameEvaluation",
+            "GameSpec",
+            "MaxStatisticResult",
+            "MixedStrategy",
+            "OptimizerBudget",
+            "SiteVertex",
+            "aklz_mixed_strategy",
+            "emission_time_lp_value",
+            "evaluate_mixed",
+            "max_statistic",
+            "verify_bound",
+        ),
+        "strategyopt",
+    ),
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        # so that ``from franson import strategyopt`` imports the submodule
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __all__ = [
     "BoundReport",

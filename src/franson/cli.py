@@ -23,6 +23,7 @@ import collections
 import contextlib
 import ctypes
 import functools
+import itertools
 import json
 import math
 import os
@@ -31,7 +32,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .core import RandomSource, SettingsChain, chain_settings, setting_key
+from .core import RandomSource, ResourceLimitError, SettingsChain, chain_settings, setting_key
 from .inequalities import (
     CorrelationTable,
     ModelClass,
@@ -46,14 +47,6 @@ from .inequalities import (
 from .lhv import TrialBatch, aklz_strategy, simulate_strategy_pairs
 from .quantum import chained_quantum_value, franson_correlation, sample_franson_events
 from .setups import SetupVariant, simulate_setup
-from .spacetime import StationGeometry, check_emission_time_premise, classify_event_order
-from .strategyopt import (
-    GameSpec,
-    OptimizerBudget,
-    ResourceLimitError,
-    _side_size,
-    verify_bound,
-)
 from .timing import (
     CSV_COLUMNS,
     EfficiencyEntry,
@@ -424,42 +417,52 @@ def _pipeline_tables(
     at most two events of every trial, and is written once the run ends.
     """
     _keep_freed_heap()
-    pairs = [
-        (chain.site1_settings[i].phase, chain.site2_settings[j].phase, rs.substream(p + 1))
-        for p, (i, j, _) in enumerate(chain.term_order)
-    ]
+
+    @functools.cache
+    def pair(p):
+        # made on the main thread when the pair's first chunk is queued, or
+        # sampled if it is small: a run refused at a pair makes none for the
+        # pairs after the chunks it queued
+        i, j, _ = chain.term_order[p]
+        return chain.site1_settings[i].phase, chain.site2_settings[j].phase, rs.substream(p + 1)
+
     chunk = _CHUNK_TRIALS
-    chunks = [
+    chunks = (
         (p, first, min(chunk, trials - first))
-        for p in range(len(pairs))
+        for p in range(chain.terms)
         for first in range(0, trials, chunk)
-    ]
+    )
     tally = _Tally()
-    kept = EventColumns.empty(2 * trials * len(pairs)) if events_csv else None
+    kept = EventColumns.empty(2 * trials * chain.terms) if events_csv else None
     filled = 0
-    background = any(count >= _BACKGROUND_MIN_TRIALS for _, _, count in chunks)
+    # a pair's first chunk is its largest
+    background = min(chunk, trials) >= _BACKGROUND_MIN_TRIALS
     with _disjoint_cpus(background) as pin_worker, contextlib.ExitStack() as stack:
         pool = ThreadPoolExecutor(1, thread_name_prefix="franson-sampler", initializer=pin_worker)
         # on the way out, chunks still queued are dropped, not sampled
         stack.callback(pool.shutdown, cancel_futures=True)
 
         def prefetch(p, first, count):
-            # the chunk's batch as a call that waits for it: a large chunk is
-            # sampled from now on by the worker, a small one when called
-            args = (*pairs[p], first, count)
+            # the chunk and its batch as a call that waits for it: a large
+            # chunk is sampled from now on by the worker, a small one when
+            # called
             if count < _BACKGROUND_MIN_TRIALS:
-                return lambda: sample(*args)
-            return pool.submit(sample, *args).result
+                return (p, first, count), lambda: sample(*pair(p), first, count)
+            return (p, first, count), pool.submit(sample, *pair(p), first, count).result
 
-        pending = collections.deque(prefetch(*c) for c in chunks[:_QUEUED_CHUNKS])
-        for k, (p, first, count) in enumerate(chunks):
-            batch = pending.popleft()()
-            if k + _QUEUED_CHUNKS < len(chunks):
-                pending.append(prefetch(*chunks[k + _QUEUED_CHUNKS]))
+        pending = collections.deque(
+            prefetch(*c) for c in itertools.islice(chunks, _QUEUED_CHUNKS)
+        )
+        while pending:
+            (p, first, count), wait = pending.popleft()
+            batch = wait()
+            following = next(chunks, None)
+            if following is not None:
+                pending.append(prefetch(*following))
             if first == 0:
                 times = _pair_emission_times(p, trials, gap_ns)
                 check_emission_schedule(times, trials, timing, chunk)
-            phi, psi, _ = pairs[p]
+            phi, psi, _ = pair(p)
             events = emit_events_from_batch(
                 batch, times(first, count), timing, phi, psi, first_trial=first
             )
@@ -485,7 +488,7 @@ def _pipeline_tables(
         write_events_csv(events_csv, kept.take(slice(0, filled)))
     return (
         tally.table,
-        tally.coincidences / (len(pairs) * trials),
+        tally.coincidences / (chain.terms * trials),
         tally.efficiency().to_json_dict(),
     )
 
@@ -716,6 +719,9 @@ _SEARCH_BUDGET = ("restarts", "iterations", "support_size")
 
 
 def _cmd_verify_bounds(args) -> dict:
+    # the game solver loads only here: the other subcommands start without it
+    from .strategyopt import GameSpec, OptimizerBudget, _side_size, verify_bound
+
     search = any(getattr(args, a) is not None for a in _SEARCH_BUDGET)
     _fill_defaults(
         args,
@@ -747,6 +753,8 @@ def _cmd_verify_bounds(args) -> dict:
 
 
 def _cmd_geometry(args) -> dict:
+    from .spacetime import StationGeometry, check_emission_time_premise, classify_event_order
+
     geometry = StationGeometry(
         path_difference_ns=float(args.path_difference_ns),
         modulator_to_detector_ns=float(args.modulator_to_detector_ns),
@@ -818,14 +826,9 @@ def _cmd_report(args) -> dict:
             "short_arm_ns": 10.0,
         },
     )
-    # before the file's columns and parse blocks are allocated
-    _keep_freed_heap()
-    events = read_events_csv(args.events)
+    # every flag is checked before the file is read
     timing = _timing(args)
-    tally = _postselect_blocks(events, timing)
     chain = chain_settings(int(args.terms))
-    for p in range(chain.terms):
-        _require_pair(tally.table, chain, p)
     if args.eta is not None and not (
         args.model_class and ModelKind(args.model_class).takes_efficiency
     ):
@@ -834,6 +837,11 @@ def _cmd_report(args) -> dict:
         models = [_model_class(args.model_class, args.eta)]
     else:
         models = _verdict_models()
+    # before the file's columns and parse blocks are allocated
+    _keep_freed_heap()
+    tally = _postselect_blocks(read_events_csv(args.events), timing)
+    for p in range(chain.terms):
+        _require_pair(tally.table, chain, p)
     return {
         "command": "report",
         "events": args.events,

@@ -22,6 +22,10 @@ _KEY_QUANTUM = 1e-10
 _KEY_WRAP = round(TWO_PI / _KEY_QUANTUM)
 
 
+class ResourceLimitError(RuntimeError):
+    """A game exceeds a size limit: int64 site rows, pricing or search atoms."""
+
+
 def reduce_phase(phase: float) -> float:
     """Map an angle in radians to the canonical interval [0, 2*pi)."""
     r = math.fmod(float(phase), TWO_PI)

@@ -16,7 +16,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._gauss import panel_nodes
 from .core import TWO_PI, RandomSource, draw_uniforms
 
 # Batch response: arrays (outcome int8, late bool, detected bool) from
@@ -259,6 +258,8 @@ def aklz_quadrature(
     """
     if n_theta < 1 or n_r < 1:
         raise ValueError("grid sizes must be positive")
+    from ._gauss import panel_nodes
+
     breaks = [
         math.pi / 2.0 - phi,
         3.0 * math.pi / 2.0 - phi,

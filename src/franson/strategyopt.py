@@ -47,8 +47,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._gauss import panel_nodes
-from .core import TWO_PI, SettingsChain
+from .core import TWO_PI, ResourceLimitError, SettingsChain
 from .inequalities import ModelClass, ModelKind, bound_for
 
 PASS_TOLERANCE = 1e-6
@@ -69,10 +68,6 @@ EMISSION_TIME_NOTE = (
     "1/4 per setting pair (other formalizations of emission-time realism "
     "exist; this one keeps late-side correlations local-realist)"
 )
-
-
-class ResourceLimitError(RuntimeError):
-    """A game exceeds a size limit: int64 site rows, pricing or search atoms."""
 
 
 @dataclass(frozen=True)
@@ -1266,6 +1261,8 @@ def aklz_mixed_strategy(chain: SettingsChain, n_base: int = 512, order: int = 16
     vertices.  The induced mixture is a feasible point of the
     outcomes-only game and reproduces the model's statistic.
     """
+    from ._gauss import panel_nodes
+
     a = [s.phase for s in chain.site1_settings]
     b = [s.phase for s in chain.site2_settings]
     n = len(a)

@@ -838,6 +838,19 @@ class TestSimulate:
             f"{chain.site2_settings[j].phase!r})\n"
         )
 
+    def test_a_run_refused_at_its_first_pair_makes_one_substream(self, capsys, monkeypatch):
+        # with nothing tabulated, the first pair is refused once its one
+        # small chunk is tallied; no later pair's substream is made
+        made, substream = [], RandomSource.substream
+        monkeypatch.setattr(
+            RandomSource, "substream", lambda rs, offset: made.append(offset) or substream(rs, offset)
+        )
+        monkeypatch.setattr(cli, "correlation_from_pairs", lambda pairs, table: table)
+        code, p, err = run_cli(["simulate", "--terms", "1000", "--trials", "10"], capsys)
+        assert (code, p) == (2, None)
+        assert "no coincidences at (phi, psi)" in err
+        assert made == [1]
+
     @pytest.mark.parametrize("trials", ["-5", "0"])
     @pytest.mark.parametrize(
         "argv",
@@ -1655,6 +1668,28 @@ class TestEventsRoundtrip:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flags,shown",
+        [
+            (["--terms", "5"], "terms must be an even number >= 4, got 5"),
+            (["--window-ns", "0"], "window must satisfy 0 < W < path difference"),
+            (["--path-difference-ns", "-1"], "path difference must be positive and finite"),
+            (["--short-arm-ns", "nan"], "short arm delay must be nonnegative and finite"),
+            (["--eta", "0.9"], "--eta needs --model-class inefficiency or delays"),
+            (["--model-class", "inefficiency"], "inefficiency requires --eta"),
+        ],
+        ids=["terms", "window", "path-difference", "short-arm", "eta", "model-class"],
+    )
+    def test_a_bad_flag_is_refused_before_the_file_is_read(
+        self, tmp_path, capsys, monkeypatch, flags, shown
+    ):
+        def read(path):
+            raise AssertionError(f"{path} was read")
+
+        monkeypatch.setattr(cli, "read_events_csv", read)
+        code, p, err = run_cli(["report", "--events", str(tmp_path / "events.csv"), *flags], capsys)
+        assert (code, p, err) == (2, None, f"error: {shown}\n")
+
 
 W = 1.0
 BLOCK_TIMING = InterferometerTiming(path_difference_ns=100.0, window_ns=W)
@@ -1983,3 +2018,47 @@ def test_python_dash_m_runs_the_same_command_line(capsys):
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout == in_process
+
+
+# run in a fresh interpreter: the modules that a command loads stay loaded
+# for the rest of the process, so only a new one shows which it needs
+LEAN_START = """
+import json, sys
+
+from franson.cli import main
+
+events = sys.argv[1]
+codes = [
+    main(argv)
+    for argv in (
+        ["simulate", "--trials", "2000", "--events-csv", events],
+        ["simulate", "--source", "aklz", "--trials", "2000"],
+        ["report", "--events", events],
+        ["bounds"],
+        ["visibility"],
+    )
+]
+heavy = ("franson.strategyopt", "franson.spacetime", "franson._gauss", "scipy")
+loaded = [name for name in heavy if name in sys.modules]
+codes += [
+    main(["verify-bounds", "--terms", "14"]),
+    main(["geometry", "--path-difference-ns", "100",
+          "--modulator-to-detector-ns", "20", "--switch-period-ns", "50"]),
+]
+import franson
+
+bound = {}
+exec("from franson import *", bound)
+unbound = [name for name in franson.__all__ if name not in bound]
+print(json.dumps({"codes": codes, "loaded": loaded, "unbound": unbound}))
+"""
+
+
+def test_simulate_report_bounds_and_visibility_start_without_the_solver(tmp_path):
+    run = run_python("-c", LEAN_START, str(tmp_path / "events.csv"))
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout.splitlines()[-1]) == {
+        "codes": [0, 0, 0, 0, 0, 3, 0], "loaded": [], "unbound": []
+    }
+    # the resource limit is caught as before, though the solver loads late
+    assert run.stderr.startswith("resource limit: ")

@@ -22,6 +22,7 @@ from franson import (
     SettingsChain,
     SiteVertex,
     aklz_mixed_strategy,
+    aklz_quadrature,
     chain_settings,
     chained_statistic,
     emission_time_lp_value,
@@ -1317,14 +1318,25 @@ class TestInsertionScores:
 
 
 class TestModelWitnessBridge:
-    def test_aklz_mixture_is_feasible_and_tight(self, chain4m):
-        g = game(ModelClass.outcomes_only, chain4m)
-        mixed = aklz_mixed_strategy(chain4m)
-        ev = evaluate_mixed(g, mixed)
-        assert ev.feasible
-        assert ev.statistic == pytest.approx(2 * SQRT2, abs=1e-9)
-        for m in ev.masses:
-            assert m == pytest.approx(0.5, abs=1e-9)
+    def test_aklz_mixture_is_feasible_and_tight(self):
+        # the projected mixture refereed against the model's own quadrature,
+        # term by term along the chain: 2.8284271, 5.1961524 and 7.3910363
+        for terms in (4, 6, 8):
+            chain = chain_settings(terms)
+            ev = evaluate_mixed(game(ModelClass.outcomes_only, chain), aklz_mixed_strategy(chain))
+            assert ev.feasible
+            chained = sum(
+                sign
+                * aklz_quadrature(
+                    chain.site1_settings[i].phase, chain.site2_settings[j].phase
+                ).conditional_correlation
+                for i, j, sign in chain.term_order
+            )
+            assert ev.statistic == pytest.approx(chained, abs=1e-9)
+            if terms == 4:
+                assert ev.statistic == pytest.approx(2 * SQRT2, abs=1e-9)
+            for m in ev.masses:
+                assert m == pytest.approx(0.5, abs=1e-9)
 
     def test_aklz_mixture_embeds_in_emission_time_game(self, chain4m):
         # the model's outcome never depends on arrival time, so pinning
