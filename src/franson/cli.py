@@ -526,6 +526,30 @@ _SOURCES = {
 }
 
 
+@contextlib.contextmanager
+def _events_file(path: str | None):
+    """Open ``path``, when given, for append before the run, so that a path
+    that cannot be written is refused before any trial is sampled; opening
+    for append neither truncates nor changes a file.  A file that this
+    opening made is removed again if the run fails."""
+    if path is None:
+        yield
+        return
+    try:
+        open(path, "x").close()
+        made = True
+    except FileExistsError:
+        open(path, "a").close()
+        made = False
+    try:
+        yield
+    except BaseException:
+        if made:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
+
+
 def _simulate_franson(args, source: str, terms: int, visibility: float) -> dict:
     """A franson ``simulate`` report from a source of ``_SOURCES``.
 
@@ -536,10 +560,12 @@ def _simulate_franson(args, source: str, terms: int, visibility: float) -> dict:
     sampler, models = _SOURCES[source]
     chain = chain_settings(terms)
     sample, trials, timing = sampler(visibility), int(args.trials), _timing(args)
-    table, coinc_fraction, efficiency = _pipeline_tables(
-        sample, RandomSource(seed=int(args.seed)), trials, chain, timing,
-        _emission_gap(args, timing, chain), args.events_csv,
-    )
+    gap_ns = _emission_gap(args, timing, chain)
+    with _events_file(args.events_csv):
+        table, coinc_fraction, efficiency = _pipeline_tables(
+            sample, RandomSource(seed=int(args.seed)), trials, chain, timing, gap_ns,
+            args.events_csv,
+        )
     return {
         "command": "simulate",
         "source": source,

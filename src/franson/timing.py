@@ -563,24 +563,43 @@ def correlation_from_pairs(
 # on 2 vCPUs and left the events round trip's peak memory about 3 MB higher.
 _CSV_BLOCK_ROWS = 1 << 12
 
-# The "site," text of every value of the uint8 site column.  A list: as a
-# module-level object array it raised the events round trip's peak memory
-# by about 0.2 MB, for no gain in speed.
-_SITE_TEXT = ["%d," % site for site in range(256)]
+# The "site," text of every value of the uint8 site column, and "" for the
+# row after the file's last.  A list: as a module-level object array it
+# raised the events round trip's peak memory by about 0.2 MB, for no gain in
+# speed.
+_SITE_TEXT = ["%d," % site for site in range(256)] + [""]
+_NO_SITE = 256
 
 # Bytes per chunk when the reader counts the file's lines: a chunk and its
 # three byte masks take 1 MB and stay in cache.  Chunks of 1 MiB were twice
 # as slow and raised the events round trip's peak memory by about 1 MB.
 _COUNT_CHUNK_BYTES = 1 << 18
 
-# The reader parses every integer column as int64 so that an out-of-range
-# site or outcome is caught by the row checks before narrowing.
+# np.loadtxt's record of a block of rows.  The site and outcome are parsed
+# into their columns' own dtypes: np.loadtxt refuses a value out of their
+# range, and the block then goes row by row.  The setting is kept as its
+# text, which float() converts once per distinct text of the block: a file
+# holds a handful of settings, each written as a repr of up to 17 digits,
+# which np.loadtxt would convert row by row.
 _CSV_PARSE_DTYPE = np.dtype(
+    [
+        (f.name, "S32" if f.name == "setting_rad" else f.metadata["dtype"])
+        for f in fields(EventColumns)
+    ]
+)
+
+# The row path parses every integer column as int64, so that an
+# out-of-range site or outcome is caught by its row checks before narrowing.
+_CSV_ROW_DTYPE = np.dtype(
     [
         (f.name, np.float64 if f.metadata["dtype"].kind == "f" else np.int64)
         for f in fields(EventColumns)
     ]
 )
+
+# The odd multiplier of the polynomial that keys a 32-byte setting text by
+# its four 64-bit words (the golden-ratio constant of Fibonacci hashing).
+_TEXT_KEY_FACTOR = np.uint64(0x9E3779B97F4A7C15)
 
 
 def write_events_csv(path, events: EventColumns) -> None:
@@ -607,31 +626,43 @@ def write_events_csv(path, events: EventColumns) -> None:
     """
     with open(path, "w", newline="") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\r\n")
+        if len(events):
+            fh.write(_SITE_TEXT[events["site"][0]])
         for start in range(0, len(events), _CSV_BLOCK_ROWS):
             block = slice(start, start + _CSV_BLOCK_ROWS)
             timestamps = events["timestamp_ns"][block]
             whole = _whole_numbers(timestamps)
-            # the block's values row by row, formatted by one %-template
-            values = [None] * (4 * timestamps.size)
-            values[0::4] = map(_SITE_TEXT.__getitem__, events["site"][block].tolist())
-            values[1::4] = events["trial"][block].tolist()
-            values[2::4] = (timestamps if whole is None else whole).tolist()
-            values[3::4] = _row_tails(events["outcome"][block], events["setting_rad"][block])
-            row = "%s%d,%r%s" if whole is None else "%s%d,%d.0%s"
+            # the block's values row by row, formatted by one %-template; a
+            # row's text ends with the next row's "site,"
+            values = [None] * (3 * timestamps.size)
+            values[0::3] = events["trial"][block].tolist()
+            values[1::3] = (timestamps if whole is None else whole).tolist()
+            values[2::3] = _row_ends(events, block)
+            row = "%d,%r%s" if whole is None else "%d,%d.0%s"
             fh.write(row * timestamps.size % tuple(values))
 
 
-def _row_tails(outcome: np.ndarray, setting: np.ndarray) -> list[str]:
-    """Each row's ``",outcome,setting\\r\\n"`` text, formatted once for
-    each distinct (outcome, setting) pair.  Settings are told apart by
+def _row_ends(events: EventColumns, block: slice) -> list[str]:
+    """Each row's text after its timestamp in ``block``: its
+    ``",outcome,setting\\r\\n"`` and the next row's ``"site,"``, none after
+    the file's last row.  Each text is formatted once for each distinct
+    (setting, outcome, next site) of the block.  Settings are told apart by
     their bits, not their values, so that -0.0 keeps its sign."""
+    outcome, setting = events["outcome"][block], events["setting_rad"][block]
+    following = events["site"][block.start + 1 : block.start + 1 + setting.size]
+    next_site = np.full(setting.size, _NO_SITE)
+    next_site[: following.size] = following
     bits, setting_codes = np.unique(setting.view(np.uint64), return_inverse=True)
     setting_text = [repr(x) for x in bits.view(np.float64).tolist()]
-    # a pair's key: its setting's index, then the int8 outcome's byte
-    pairs, codes = np.unique(setting_codes << 8 | outcome.view(np.uint8), return_inverse=True)
-    outcomes = pairs.astype(np.uint8).view(np.int8).tolist()
+    # a row's key: its setting's index, the int8 outcome's byte, then the
+    # next site in 9 bits, _NO_SITE after the file's last row
+    keys, codes = np.unique(
+        (setting_codes << 8 | outcome.view(np.uint8)) << 9 | next_site, return_inverse=True
+    )
+    outcomes = (keys >> 9).astype(np.uint8).view(np.int8).tolist()
     text = [
-        ",%d,%s\r\n" % (o, setting_text[k]) for o, k in zip(outcomes, (pairs >> 8).tolist())
+        ",%d,%s\r\n%s" % (o, setting_text[k], _SITE_TEXT[s])
+        for o, k, s in zip(outcomes, (keys >> 17).tolist(), (keys & 511).tolist())
     ]
     return np.array(text, dtype=object)[codes].tolist()
 
@@ -660,9 +691,11 @@ def read_events_csv(path) -> EventColumns:
     named, and reading stops there.
 
     Blocks of lines are parsed and checked one at a time into columns
-    sized by the file's line count, so the rows are held once.  A block
-    that ``np.loadtxt`` does not take as valid rows is parsed row by row,
-    as csv, int() and float() accept them.
+    sized by the file's line count, so the rows are held once.
+    ``np.loadtxt`` parses a block's fields, each setting as its text, and
+    float() converts each distinct setting text once.  A block that they
+    do not take as valid rows is parsed row by row, as csv, int() and
+    float() accept them.
     """
     with open(path, newline="") as fh:
         _check_header(csv.reader(fh))
@@ -673,7 +706,7 @@ def read_events_csv(path) -> EventColumns:
             block, used = _parse_block(lines), len(lines)
             if block is None:
                 rows, used = _read_rows(path, lines, fh, line)
-                block = np.array(rows, dtype=_CSV_PARSE_DTYPE)
+                block = np.array(rows, dtype=_CSV_ROW_DTYPE)
             for name in CSV_COLUMNS:
                 out[name][filled : filled + len(block)] = block[name]
             filled += len(block)
@@ -681,9 +714,13 @@ def read_events_csv(path) -> EventColumns:
     return out.take(slice(0, filled))
 
 
-def _parse_block(lines: list[str]) -> np.ndarray | None:
-    """``lines`` as checked records of the parse dtype, or None when a line
-    does not parse as a valid row."""
+def _parse_block(lines: list[str]) -> EventColumns | None:
+    """``lines`` as checked rows, or None when a line does not parse as a
+    valid row."""
+    # np.loadtxt's text of a setting drops the NUL bytes that end it, and
+    # float() refuses them
+    if "\0" in "".join(lines):
+        return None
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -694,9 +731,43 @@ def _parse_block(lines: list[str]) -> np.ndarray | None:
         return None
     # loadtxt skips blank lines, which are malformed rows here, so a row
     # count short of the line count is a bad block, as is a failed row check
-    if len(parsed) != len(lines) or _bad_rows(parsed).any():
+    if len(parsed) != len(lines):
         return None
-    return parsed
+    setting = _setting_values(parsed["setting_rad"])
+    if setting is None:
+        return None
+    block = EventColumns(*(parsed[name] for name in CSV_COLUMNS[:-1]), setting)
+    return None if _bad_rows(block).any() else block
+
+
+def _setting_values(text: np.ndarray) -> np.ndarray | None:
+    """The float() of each 32-byte setting text, one call per distinct
+    text, or None when a text fills all 32 bytes (it may have been cut),
+    float() refuses one, or two distinct texts share a key."""
+    words = np.ascontiguousarray(text).view(np.uint64).reshape(-1, 4)
+    keys, codes = np.unique(_text_keys(words), return_inverse=True)
+    # one row of each key, and every row must hold that row's words
+    row = np.empty(keys.size, np.intp)
+    row[codes] = np.arange(codes.size)
+    # np.take: words[row[codes]] took about ten times as long
+    if (np.take(words, row[codes], axis=0) != words).any():
+        return None
+    distinct = text[row].tolist()
+    if any(len(t) == text.itemsize for t in distinct):
+        return None
+    try:
+        return np.array([float(t) for t in distinct])[codes]
+    except ValueError:
+        return None
+
+
+def _text_keys(words: np.ndarray) -> np.ndarray:
+    """A 64-bit key of each row of four uint64 words, wrapping on overflow;
+    equal rows have equal keys."""
+    key = words[:, 0]
+    for k in range(1, words.shape[1]):
+        key = key * _TEXT_KEY_FACTOR + words[:, k]
+    return key
 
 
 def _check_header(reader) -> None:

@@ -1610,6 +1610,36 @@ class TestEventsRoundtrip:
             assert np.all(np.diff(trial[mine])[same_block] > 0)
             assert np.count_nonzero(~same_block) == len(set(block.tolist())) - 1
 
+    @pytest.mark.parametrize("kind", ["missing-directory", "directory"])
+    def test_an_unwritable_events_csv_is_refused_before_the_run(
+        self, tmp_path, capsys, monkeypatch, kind
+    ):
+        path = tmp_path / "missing" / "events.csv" if kind == "missing-directory" else tmp_path
+        with pytest.raises(OSError) as refused:
+            open(path, "w")
+
+        def no_run(*args):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "_pipeline_tables", no_run)
+        argv = ["simulate", "--source", "aklz", "--trials", "1000", "--events-csv", str(path)]
+        assert run_cli(argv, capsys) == (2, None, f"error: {refused.value}\n")
+
+    @pytest.mark.parametrize("before", [None, b"kept\r\n"], ids=["new", "existing"])
+    def test_a_refused_run_leaves_the_events_csv_path_as_it_was(
+        self, tmp_path, capsys, monkeypatch, before
+    ):
+        # with nothing tabulated, the first setting pair is refused
+        path = tmp_path / "events.csv"
+        if before is not None:
+            path.write_bytes(before)
+        monkeypatch.setattr(cli, "correlation_from_pairs", lambda pairs, table: table)
+        argv = ["simulate", "--trials", "10", "--events-csv", str(path)]
+        code, p, err = run_cli(argv, capsys)
+        assert (code, p) == (2, None)
+        assert "no coincidences at (phi, psi)" in err
+        assert (path.read_bytes() if path.exists() else None) == before
+
     def test_wrong_terms_is_detected(self, tmp_path, capsys):
         csv = str(tmp_path / "events.csv")
         run_cli(

@@ -21,7 +21,7 @@ from franson import (
     write_events_csv,
 )
 from franson import timing
-from franson.core import setting_key
+from franson.core import chain_settings, setting_key
 from franson.timing import _CSV_BLOCK_ROWS, CSV_COLUMNS
 
 TIMING = InterferometerTiming(path_difference_ns=100.0, window_ns=1.0)
@@ -485,6 +485,21 @@ class TestCsvRoundTrip:
             ("2,0,10.0,1,nan", "setting_rad=nan"),
             ("300,0,10.0,1,0.0", "site=300"),
             ("2,0,10.0,-200,0.0", "outcome=-200"),
+            # np.loadtxt refuses a site outside uint8 and an outcome outside
+            # int8, and parses the rest, which the row checks refuse
+            ("256,0,10.0,1,0.0", "site=256"),
+            ("257,0,10.0,1,0.0", "site=257"),
+            ("-1,0,10.0,1,0.0", "site=-1"),
+            ("-255,0,10.0,1,0.0", "site=-255"),
+            ("2,0,10.0,2,0.0", "outcome=2"),
+            ("2,0,10.0,128,0.0", "outcome=128"),
+            ("2,0,10.0,-129,0.0", "outcome=-129"),
+            ("2,0,10.0,255,0.0", "outcome=255"),
+            # setting texts that float() reads as not finite, or refuses
+            ("2,0,10.0,1,inf", "setting_rad=inf"),
+            ("2,0,10.0,1,1e999", "setting_rad=inf"),
+            ("2,0,10.0,1,0x1p-2", "malformed event row"),
+            ("2,0,10.0,1,0.5\0", "malformed event row"),  # loadtxt's text drops the NUL
         ],
     )
     def test_bad_row_names_its_line(self, tmp_path, row, shown):
@@ -494,6 +509,7 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="line 3") as exc:
             read_events_csv(path)
         assert shown in str(exc.value)
+        assert str(exc.value) == read_outcome(reference_read_events_csv, path)
 
     @pytest.mark.parametrize("row", ["1,0,x,1,0.5", "1,0"])
     def test_malformed_row_names_its_line(self, tmp_path, row):
@@ -595,12 +611,19 @@ class TestCsvRoundTrip:
             read_events_csv(path)
 
     def test_written_file_is_read_by_the_column_parser(self, tmp_path, monkeypatch):
-        def no_rows(path):
+        # two blocks of the six phases of the 6-term chain, written as reprs
+        # of up to 17 digits, then rows that each have a setting of their own
+        def no_rows(*args):
             raise AssertionError("a valid file fell back to the row-by-row reader")
 
         monkeypatch.setattr(timing, "_read_rows", no_rows)
-        raw = random_events(np.random.default_rng(3), 1000)
-        ts, setting = raw["timestamp_ns"], raw["setting_rad"]
+        rng = np.random.default_rng(3)
+        n = 3 * _CSV_BLOCK_ROWS + 5
+        raw = random_events(rng, n)
+        ts, setting = raw["timestamp_ns"], raw["setting_rad"].copy()
+        chain = chain_settings(6)
+        phases = [s.phase for s in chain.site1_settings + chain.site2_settings]
+        setting[: 2 * _CSV_BLOCK_ROWS] = rng.choice(phases, 2 * _CSV_BLOCK_ROWS)
         ev = EventColumns(
             site=np.where(raw["site"] == 1, 1, 2),
             trial=raw["trial"],
@@ -786,6 +809,32 @@ class TestCsvReferee:
         reference_write_events_csv(tmp_path / "ref.csv", ev)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
+    @pytest.mark.parametrize(
+        "site",
+        [
+            np.arange(13) // 4 % 2 + 1,  # changes at each edge of 4-row blocks
+            np.arange(12) // 4 % 2 + 1,  # and ends at one
+            np.array([0, 255, 3, 3, 17, 0, 0, 254, 1, 2, 128, 9, 200]),
+            np.array([7]),
+        ],
+        ids=["block-edges", "block-edges-to-the-end", "other-sites", "one-row"],
+    )
+    def test_writer_bytes_match_reference_as_the_site_changes(self, tmp_path, monkeypatch, site):
+        # a row's text ends with the next row's site, the last of a block
+        # with the first of the next block's
+        monkeypatch.setattr(timing, "_CSV_BLOCK_ROWS", 4)
+        n = site.size
+        ev = EventColumns(
+            site=site,
+            trial=np.arange(n),
+            timestamp_ns=np.arange(n) * 10.0,
+            outcome=np.where(np.arange(n) % 3, 1, -1),
+            setting_rad=np.arange(n) % 2 * 0.5,
+        )
+        write_events_csv(tmp_path / "new.csv", ev)
+        reference_write_events_csv(tmp_path / "ref.csv", ev)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
     @settings(max_examples=300, deadline=None)
     @given(timestamps=st.lists(_TIMESTAMPS, max_size=13))
     @example(timestamps=[0.0, 1.0, -1.0, 2.0**53 - 1, 0.5, -(2.0**53 - 1), 1e15, 1e16, 7.0])
@@ -866,7 +915,10 @@ class TestCsvReferee:
             lines[1 + row] = text
         path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
 
-    def test_only_the_block_with_an_odd_field_is_read_row_by_row(self, tmp_path, monkeypatch):
+    @pytest.fixture
+    def row_path_blocks(self, monkeypatch):
+        """Blocks of 4 rows; the (first line, line count) of each block
+        that is read row by row."""
         monkeypatch.setattr(timing, "_CSV_BLOCK_ROWS", 4)
         calls, read_rows_of_block = [], timing._read_rows
 
@@ -875,11 +927,14 @@ class TestCsvReferee:
             return read_rows_of_block(path, lines, more, line)
 
         monkeypatch.setattr(timing, "_read_rows", read_rows)
+        return calls
+
+    def test_only_the_block_with_an_odd_field_is_read_row_by_row(self, tmp_path, row_path_blocks):
         # int() takes 0_5 for 5, np.loadtxt does not
         self.block_file(tmp_path / "odd.csv", {5: "1,0_5,50.0,1,0.5"})
         self.block_file(tmp_path / "plain.csv", {})
         odd = read_events_csv(tmp_path / "odd.csv")
-        assert calls == [(6, 4)]
+        assert row_path_blocks == [(6, 4)]
         assert column_bytes(odd) == column_bytes(read_events_csv(tmp_path / "plain.csv"))
         assert column_bytes(odd) == column_bytes(reference_read_events_csv(tmp_path / "odd.csv"))
 
@@ -926,6 +981,41 @@ class TestCsvReferee:
         outcome = read_outcome(read_events_csv, path)
         assert outcome == read_outcome(reference_read_events_csv, path)
         assert shown in outcome
+
+    @pytest.mark.parametrize(
+        "text,by_column_parser",
+        [
+            ("0." + "0" * 28 + "1", True),  # 31 bytes
+            ("0." + "0" * 29 + "1", False),  # 32 bytes: it may have been cut
+            ("0." + "0" * 30 + "1", False),  # 33 bytes: cut, it would read 0.0
+            (" 0.5 ", True),
+            ("0.5\xa0", False),  # float() takes a no-break space in text only
+            ("1_0", True),
+        ],
+        ids=["31-bytes", "32-bytes", "33-bytes", "padded", "no-break-space", "underscore"],
+    )
+    def test_a_valid_setting_text_reads_as_float_reads_it(
+        self, tmp_path, row_path_blocks, text, by_column_parser
+    ):
+        path = tmp_path / "setting.csv"
+        self.block_file(path, {5: f"1,5,50.0,1,{text}"})
+        events = read_events_csv(path)
+        assert column_bytes(events) == column_bytes(reference_read_events_csv(path))
+        assert events["setting_rad"][5] == float(text)
+        assert row_path_blocks == ([] if by_column_parser else [(6, 4)])
+
+    def test_colliding_setting_keys_send_the_block_row_by_row(
+        self, tmp_path, monkeypatch, row_path_blocks
+    ):
+        # every text keyed 0: only the block holding two distinct settings
+        # (lines 6-9) is read row by row, and every row keeps its own value
+        monkeypatch.setattr(timing, "_text_keys", lambda words: np.zeros(len(words), np.uint64))
+        path = tmp_path / "collide.csv"
+        self.block_file(path, {5: "1,5,50.0,1,0.25", 7: "1,7,70.0,1,0.75"})
+        events = read_events_csv(path)
+        assert column_bytes(events) == column_bytes(reference_read_events_csv(path))
+        assert events["setting_rad"].tolist() == [0.5] * 5 + [0.25, 0.5, 0.75] + [0.5] * 4
+        assert row_path_blocks == [(6, 4)]
 
 
 # ---------------------------------------------------------------------------
