@@ -200,6 +200,7 @@ def simulate_strategy_pairs(
     # contiguous: the responders read r three times, and one read of the
     # strided view costs about as much as this copy
     r = np.ascontiguousarray(u[1::2])
+    del u  # theta and r are copies; free the uniforms before the responders run
     return TrialBatch(*strategy.batch_site1(phi, theta, r), *strategy.batch_site2(psi, theta, r))
 
 

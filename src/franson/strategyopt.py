@@ -6,7 +6,9 @@ Every finite class has an exact answer.  Classes whose statistic is
 linear in the mixture (plain local realism, path realism) reach their
 maximum, terms - 2, at the all-+1 vertex, which a parity argument shows
 optimal.  The emission-time game's value is one LP, with a dual
-certificate that bounds every joint vertex.  Outcomes-only selection
+certificate that bounds every joint vertex: its duals are a closed form,
+priced over every joint vertex, and the solver supplies only the primal
+witness and the LP's value.  Outcomes-only selection
 reaches the algebraic maximum with a closed-form mixture.
 
 Classes with strategy-dependent postselection (outcomes-only selection,
@@ -512,7 +514,8 @@ class DualCertificate:
     """An upper bound on the emission-time game value from the LP's duals.
 
     ``duals`` are y, one per equality row (the early-early mass of each
-    cell, the late-late mass, the simplex sum), and ``dual_value`` is y.b.
+    cell, the late-late mass, the simplex sum): the closed form of
+    ``emission_time_lp_value``, not the solver's.  ``dual_value`` is y.b.
     No joint vertex of the game, in the LP or not, has a reduced profit
     obj - A^T y above ``largest_profit``, and the weights sum to 1, so no
     mixture's objective exceeds y.b + max(0, largest_profit).  ``closed``
@@ -1034,14 +1037,19 @@ def emission_time_lp_value(game: GameSpec, solution: bool = False):
     its best outcome maps, in closed form; the rows and objective come
     from the search's own row builders.
 
-    The LP's equality duals give a ``DualCertificate``: the same oracle,
-    priced at y, finds the largest reduced profit over every joint
-    vertex.  The duals are 2 on each early-early row, 2(terms - 2) on the
-    late-late row and 0 on the simplex row, so y.b = terms - 1: each
-    early-early part of a correlation is at most its mass, and the
-    late-late part is a plain local-realist chained sum, at most
-    terms - 2, times lam1 lam2 >= 0.  When the certificate closes the value
-    is y.b, else the LP's own value.
+    The LP's equality duals are known in closed form: 2 on each
+    early-early row, 2(terms - 2) on the late-late row and 0 on the
+    simplex row, so y.b = terms - 1.  Each early-early part of a
+    correlation is at most its mass, and the late-late part is a plain
+    local-realist chained sum, at most terms - 2, times lam1 lam2 >= 0.
+    These y, not the solver's rounded marginals, give the
+    ``DualCertificate``: the same oracle, priced at y, finds the largest
+    reduced profit over every joint vertex, a sum of small integers that
+    is exactly 0 when the bound holds.  When the certificate closes the
+    value is y.b, else the LP's own value.  HiGHS supplies only the primal
+    witness and the LP's value, so its presolve, which changes no reported
+    number, is off: it cost about a quarter of each solve (the 12-term
+    ``linprog`` call takes about 28 ms with it and 21 ms without).
 
     Returns the value; with ``solution``, a ``MaxStatisticResult`` of
     method "lp" instead, exact when the certificate closes, whose witness
@@ -1062,17 +1070,26 @@ def emission_time_lp_value(game: GameSpec, solution: bool = False):
         raise ValueError("the LP cross-check applies to the emission-time game")
     _check_pricing_size(game)
     _, _, signs = _cell_indices(game)
+    terms = game.chain.terms
     # the all-+1 pattern; corr_t = 2 * (early part + late part) once masses are pinned
     coef = 2.0 * signs
-    _, i, j = _et_best_columns(game, coef, np.zeros(game.chain.terms + 2), 4**game.n_settings)
+    _, i, j = _et_best_columns(game, coef, np.zeros(terms + 2), 4**game.n_settings)
     s1, s2 = _atoms(game, i, j)
     _, num = _support_matrices(game, s1, s2)
     A_eq, b_eq = _constraints(game, s1, s2)
-    res = linprog(-(num @ coef), A_eq=A_eq, b_eq=b_eq, bounds=(0.0, None), method="highs")
+    res = linprog(
+        -(num @ coef),
+        A_eq=A_eq,
+        b_eq=b_eq,
+        bounds=(0.0, None),
+        method="highs",
+        options={"presolve": False},
+    )
     if not res.success:
         raise RuntimeError(f"LP cross-check failed: {res.message}")
     lp_value = float(-res.fun)
-    y = -res.eqlin.marginals + 0.0  # + 0.0 turns -0.0 into 0.0
+    # the closed-form duals: early-early rows, late-late row, simplex row
+    y = np.array([2.0] * terms + [2.0 * (terms - 2), 0.0])
     dual_value = float(y @ b_eq)
     (profit,), _, _ = _et_best_columns(game, coef, y, 1)
     certificate = DualCertificate(

@@ -242,7 +242,8 @@ def emit_events_from_batch(
     rows = [
         slice(None) if d.all() else np.flatnonzero(d) for d in (batch.detected1, batch.detected2)
     ]
-    trials = [np.arange(first_trial, first_trial + n)[r] for r in rows]
+    numbers = np.arange(first_trial, first_trial + n)
+    trials = [numbers[r] for r in rows]
     n1 = trials[0].size
     timestamps = np.empty(n1 + trials[1].size)
     for out, r, late in zip((timestamps[:n1], timestamps[n1:]), rows, (batch.late1, batch.late2)):

@@ -347,8 +347,8 @@ class TestVerifyBounds:
         assert code == 0
         certificate = p["certificate"]
         assert certificate["closed"] is True
-        assert certificate["largest_profit"] <= 1e-10
-        assert len(certificate["duals"]) == terms + 2
+        assert certificate["largest_profit"] == 0.0
+        assert certificate["duals"] == [2.0] * terms + [2.0 * (terms - 2), 0.0]
         assert p["lp_value"] == p["best_value"] == certificate["dual_value"] == terms - 1
 
     def test_outcomes_only_runs_to_42_terms(self, capsys):

@@ -1091,7 +1091,8 @@ class TestExactDefaults:
         certificate = result.certificate
         assert certificate.closed
         assert certificate.dual_value == terms - 1
-        assert certificate.largest_profit <= 1e-10
+        assert certificate.largest_profit == 0.0
+        assert certificate.duals == (2.0,) * terms + (2.0 * (terms - 2), 0.0)
         # the primal's positive weights only, at most one per equality row
         assert min(result.witness.weights) > 0.0
         assert len(result.witness.vertices) <= terms + 2
@@ -1101,6 +1102,40 @@ class TestExactDefaults:
         assert ev.statistic == pytest.approx(terms - 1, abs=1e-9)
         for m in ev.masses:
             assert m == pytest.approx(0.5, abs=1e-9)
+
+    @pytest.mark.parametrize("terms", [4, 6, 8, 10, 12])
+    def test_certificate_is_the_closed_form_exactly(self, terms):
+        # the duals are exact integers and no joint vertex earns a reduced
+        # profit, also on chains with random settings
+        rs = RandomSource(seed=100 + terms)
+        chains = [chain_settings(terms)]
+        chains += [random_settings_chain(terms, rs.substream(k)) for k in range(2)]
+        for chain in chains:
+            g = game(ModelClass.emission_time_realism, chain)
+            certificate = emission_time_lp_value(g, solution=True).certificate
+            assert certificate.duals == (2.0,) * terms + (2.0 * (terms - 2), 0.0)
+            assert certificate.largest_profit == 0.0
+            assert certificate.dual_value == terms - 1
+            assert certificate.closed
+
+    def test_certificate_does_not_read_the_solver_duals(self, chain6m, monkeypatch):
+        # the solver's equality marginals, moved on every row, change nothing
+        import scipy.optimize
+
+        g = game(ModelClass.emission_time_realism, chain6m)
+        expected = emission_time_lp_value(g, solution=True)
+        solve = scipy.optimize.linprog
+
+        def perturbed_linprog(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            res.eqlin.marginals = res.eqlin.marginals + 1e-3
+            return res
+
+        monkeypatch.setattr(scipy.optimize, "linprog", perturbed_linprog)
+        result = emission_time_lp_value(g, solution=True)
+        assert result.certificate.closed
+        assert result.certificate == expected.certificate
+        assert (result.value, result.exact) == (5.0, True)
 
     def test_positive_profit_leaves_the_certificate_open(self, chain4m, monkeypatch):
         # a joint vertex priced above 1e-10 under the duals: no bound, and
