@@ -5,11 +5,11 @@ vertices of each model class; mixtures over them span the whole class.
 Every finite class has an exact answer.  Classes whose statistic is
 linear in the mixture (plain local realism, path realism) reach their
 maximum, terms - 2, at the all-+1 vertex, which a parity argument shows
-optimal.  The emission-time game's value is one LP, with a dual
-certificate that bounds every joint vertex: its duals are a closed form,
-priced over every joint vertex, and the solver supplies only the primal
-witness and the LP's value.  Outcomes-only selection
-reaches the algebraic maximum with a closed-form mixture.
+optimal.  The emission-time game's value is one LP, solved in closed
+form: a mixture of terms + 2 atoms meets integer duals, whose dual
+certificate, priced over every joint vertex, bounds them all, so no
+solver runs.  Outcomes-only selection reaches the algebraic maximum with
+a closed-form mixture.  Only the search needs scipy.
 
 Classes with strategy-dependent postselection (outcomes-only selection,
 emission-time realism) have a ratio-form statistic; a multi-start
@@ -31,10 +31,8 @@ the other keeps the LP feasible, and moving it to the one of larger
 objective does not lower the objective: an LP that keeps only the best
 column of each constraint column has the same value.  So each search
 step hands the solver one atom per distinct constraint column of its
-support, and the emission-time game's exact value, under the all-+1
-sign pattern alone, is one LP over its 4^n arrival pairs, each with its
-best outcome maps.  The column rounds and the LP find those with
-structured oracles and never build a joint-vertex array:
+support.  The column rounds and the certificate price joint vertices
+with structured oracles and never build a joint-vertex array:
 ``_et_best_columns`` maximizes over arrival and site-1 outcome maps, the
 rest in closed form; ``_oo_best_columns`` separates over the site-2
 settings.  A site vertex is a mixed-radix index of its maps, decoded by
@@ -57,7 +55,7 @@ CONSTRAINT_TOLERANCE = 1e-9
 # an exact answer's witness must re-evaluate to its value within this
 WITNESS_TOLERANCE = 1e-9
 # a dual certificate closes when no joint vertex has a reduced profit above
-# this and its dual value is within WITNESS_TOLERANCE of the LP's value
+# this and a feasible witness's objective is within WITNESS_TOLERANCE of y.b
 PROFIT_TOLERANCE = 1e-10
 
 # emission-time game formalization note, included in reports
@@ -519,8 +517,9 @@ class DualCertificate:
     No joint vertex of the game, in the LP or not, has a reduced profit
     obj - A^T y above ``largest_profit``, and the weights sum to 1, so no
     mixture's objective exceeds y.b + max(0, largest_profit).  ``closed``
-    when that profit is at most ``PROFIT_TOLERANCE`` and y.b is within
-    ``WITNESS_TOLERANCE`` of the LP's value.
+    when that profit is at most ``PROFIT_TOLERANCE`` and a primal witness
+    meets it: constraint residual at most ``CONSTRAINT_TOLERANCE``,
+    objective within ``WITNESS_TOLERANCE`` of y.b.
     """
 
     duals: tuple[float, ...]
@@ -1006,11 +1005,66 @@ def max_statistic(game: GameSpec, budget: OptimizerBudget | None = None) -> MaxS
 
 
 # ---------------------------------------------------------------------------
-# linear-programming cross-check for the emission-time game
+# the emission-time game's LP, solved in closed form
+
+
+def _setting_walk(chain: SettingsChain) -> tuple[list[int], list[int]]:
+    """The chain's setting cycle, walked once from site-1 setting 0.
+
+    Site-1 setting a is node a and site-2 setting b node n + b; each term
+    is an edge.  Returns the nodes in walk order and, for each, the
+    product of the signs of the terms walked before it.
+    """
+    n = chain.terms // 2
+    edges = [(a, n + b, s) for a, b, s in chain.term_order]
+    node, walk, sign = 0, [], [1]
+    while edges:
+        u, v, s = edges.pop(next(t for t, e in enumerate(edges) if node in e[:2]))
+        walk.append(node)
+        sign.append(sign[-1] * s)
+        node = u + v - node
+    return walk, sign[:-1]
+
+
+def _et_witness(game: GameSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """An optimal emission-time mixture in closed form: terms + 2 atoms.
+
+    Weights are integer counts over their sum, 8(n - 1):
+    - one atom per setting, count 1: its site is early except at that
+      setting, the other site all early;
+    - both sites all late, late outcomes all +1, count 2(n - 1);
+    - site 1 all early against site 2 all late, count 2(2n - 3), which
+      enters no row but the simplex sum.
+    Only the all-late atom has late-late mass.  A single-late atom's
+    early-early terms are the setting cycle without its late setting's
+    node, a path, so outcome maps meeting o1 o2 = s_t on each of them
+    exist: the walk's sign prefixes meet every term but the last one
+    walked, and negating the nodes walked before the late one moves that
+    term onto an edge of the late node.  Every cell then has early-early
+    mass 2(n - 1) / 8(n - 1) = 1/4 and late-late mass 1/4, so
+    corr_t = (1 + s_t) / 2 and the statistic is terms - 1 under any
+    grouping: y.b of the closed-form duals.  Returns (site-1 rows,
+    site-2 rows, counts), the rows as ``_side_arrays`` lays them out.
+    """
+    n = game.n_settings
+    walk, prefix = _setting_walk(game.chain)
+    k = np.arange(2 * n)
+    outcomes = np.empty((2 * n, 2 * n), dtype=np.int64)  # [late node, node]
+    outcomes[np.ix_(walk, walk)] = np.where(k < k[:, None], -1, 1) * np.array(prefix)
+    every = 2**n - 1
+    late_at = every ^ (1 << np.arange(n, dtype=np.int64))
+    all_early = np.full(n, every)
+    rows1 = _vertex_index(n, _sign_index(outcomes[:, :n]), 0, np.append(late_at, all_early))
+    rows2 = _vertex_index(n, _sign_index(outcomes[:, n:]), 0, np.append(all_early, late_at))
+    return (
+        np.append(rows1, [0, _vertex_index(n, 0, 0, every)]),
+        np.append(rows2, [0, 0]),
+        np.array([1] * (2 * n) + [2 * (n - 1), 2 * (2 * n - 3)], dtype=np.int64),
+    )
 
 
 def emission_time_lp_value(game: GameSpec, solution: bool = False):
-    """Exact in-game maximum of the emission-time statistic, by one LP.
+    """Exact in-game maximum of the emission-time statistic, in closed form.
 
     On the equal-mass manifold every cell mass equals 1/(2 n^2), so each
     absolute-value sign pattern turns the statistic into a linear
@@ -1026,46 +1080,35 @@ def emission_time_lp_value(game: GameSpec, solution: bool = False):
     union of groups has even size, so every pattern becomes the all-+1
     pattern under some flip, with the same LP value.
 
-    The LP has one column per arrival pair, 4^n in all, not one per joint
-    vertex.  A joint vertex's constraint column (the early-early mass per
-    cell, the late-late mass and the simplex entry) depends only on its
-    two arrival maps.  Moving weight between two columns with the same
-    constraint column keeps every row, and moving it to the one of larger
-    objective does not lower the objective, so the LP over the best joint
-    vertex of each arrival pair has the value of the LP over all of them.
-    ``_et_best_columns`` at zero prices returns every arrival pair with
-    its best outcome maps, in closed form; the rows and objective come
-    from the search's own row builders.
-
-    The LP's equality duals are known in closed form: 2 on each
-    early-early row, 2(terms - 2) on the late-late row and 0 on the
-    simplex row, so y.b = terms - 1.  Each early-early part of a
-    correlation is at most its mass, and the late-late part is a plain
-    local-realist chained sum, at most terms - 2, times lam1 lam2 >= 0.
-    These y, not the solver's rounded marginals, give the
-    ``DualCertificate``: the same oracle, priced at y, finds the largest
-    reduced profit over every joint vertex, a sum of small integers that
-    is exactly 0 when the bound holds.  When the certificate closes the
-    value is y.b, else the LP's own value.  HiGHS supplies only the primal
-    witness and the LP's value, so its presolve, which changes no reported
-    number, is off: it cost about a quarter of each solve (the 12-term
-    ``linprog`` call takes about 28 ms with it and 21 ms without).
+    That LP is solved by a matching primal and dual, both closed forms,
+    so no solver runs.  The equality duals are 2 on each early-early row,
+    2(terms - 2) on the late-late row and 0 on the simplex row, so
+    y.b = terms - 1: each early-early part of a correlation is at most
+    its mass, and the late-late part is a plain local-realist chained
+    sum, at most terms - 2, times lam1 lam2 >= 0.  They give the
+    ``DualCertificate``: ``_et_best_columns``, priced at y, finds the
+    largest reduced profit over every joint vertex, a sum of small
+    integers that is exactly 0 when the bound holds.  The primal is
+    ``_et_witness``'s terms + 2 atoms, whose objective and constraint
+    residual come from the search's own row builders.  The certificate
+    closes when the profit is at most ``PROFIT_TOLERANCE``, the residual
+    at most ``CONSTRAINT_TOLERANCE`` and the witness's objective within
+    ``WITNESS_TOLERANCE`` of y.b; the value is then y.b, else the
+    witness's objective.  The pricing is nearly all of the call's cost
+    (about 3.5 ms at 12 terms on a 2-vCPU host).
 
     Returns the value; with ``solution``, a ``MaxStatisticResult`` of
     method "lp" instead, exact when the certificate closes, whose witness
-    is the LP's primal: its positive weights, normalised.  The result is
-    asked for by flag, not built by a separate helper, because
-    ``verify_bound`` must solve the LP through this module-level name,
-    which ``bench/spans.py`` wraps as its ``strategyopt.lp`` span; the
-    float return stays for the public API and the criterion tests.
+    is ``_et_witness``'s mixture.  The result is asked for by flag, not
+    built by a separate helper, because ``verify_bound`` must reach the
+    exact answer through this module-level name, which ``bench/spans.py``
+    wraps as its ``strategyopt.lp`` span; the float return stays for the
+    public API and the criterion tests.
 
-    A failed solve raises RuntimeError; a game beyond the pricing size
-    limit (more than 12 terms) raises ResourceLimitError.  Independent of
-    the successive-LP search, which solves only its restart's support
-    under the sign pattern it climbs.
+    A game beyond the pricing size limit (more than 12 terms) raises
+    ResourceLimitError.  Independent of the successive-LP search, which
+    solves only its restart's support under the sign pattern it climbs.
     """
-    from scipy.optimize import linprog
-
     if game.model.kind is not ModelKind.EMISSION_TIME_REALISM:
         raise ValueError("the LP cross-check applies to the emission-time game")
     _check_pricing_size(game)
@@ -1073,21 +1116,13 @@ def emission_time_lp_value(game: GameSpec, solution: bool = False):
     terms = game.chain.terms
     # the all-+1 pattern; corr_t = 2 * (early part + late part) once masses are pinned
     coef = 2.0 * signs
-    _, i, j = _et_best_columns(game, coef, np.zeros(terms + 2), 4**game.n_settings)
+    i, j, counts = _et_witness(game)
+    w = counts / counts.sum()
     s1, s2 = _atoms(game, i, j)
     _, num = _support_matrices(game, s1, s2)
     A_eq, b_eq = _constraints(game, s1, s2)
-    res = linprog(
-        -(num @ coef),
-        A_eq=A_eq,
-        b_eq=b_eq,
-        bounds=(0.0, None),
-        method="highs",
-        options={"presolve": False},
-    )
-    if not res.success:
-        raise RuntimeError(f"LP cross-check failed: {res.message}")
-    lp_value = float(-res.fun)
+    primal_value = float(w @ num @ coef)
+    residual = float(np.max(np.abs(A_eq @ w - b_eq)))
     # the closed-form duals: early-early rows, late-late row, simplex row
     y = np.array([2.0] * terms + [2.0 * (terms - 2), 0.0])
     dual_value = float(y @ b_eq)
@@ -1097,22 +1132,23 @@ def emission_time_lp_value(game: GameSpec, solution: bool = False):
         dual_value=dual_value,
         largest_profit=float(profit),
         closed=bool(
-            profit <= PROFIT_TOLERANCE and abs(lp_value - dual_value) <= WITNESS_TOLERANCE
+            profit <= PROFIT_TOLERANCE
+            and residual <= CONSTRAINT_TOLERANCE
+            and abs(primal_value - dual_value) <= WITNESS_TOLERANCE
         ),
     )
-    value = dual_value if certificate.closed else lp_value
+    value = dual_value if certificate.closed else primal_value
     if not solution:
         return value
-    keep = np.flatnonzero(res.x > 0.0)
     return MaxStatisticResult(
         value=value,
-        witness=_witness(game, i[keep], j[keep], res.x[keep]),
+        witness=_witness(game, i, j, counts),
         exact=certificate.closed,
         restarts_used=0,
         method="lp",
         notes=(
-            "one LP over the 4^n arrival pairs, each with its best outcome "
-            "maps; its dual certificate bounds every joint vertex; "
+            "closed-form LP: a mixture of terms + 2 atoms meets the integer "
+            "duals, whose certificate bounds every joint vertex; "
             + EMISSION_TIME_NOTE
         ),
         certificate=certificate,
@@ -1214,7 +1250,8 @@ def verify_bound(
     runs, on the emission-time and outcomes-only games only, and reports
     under ``search``; ``passed`` then needs both to pass.  With
     ``lp_check`` the emission-time report states the LP's value as
-    ``lp_value`` too; the LP is solved once either way.  An LP check or a
+    ``lp_value`` too; its closed form is computed once either way, and
+    only the search loads scipy.  An LP check or a
     budget outside its classes, or a 4-term-only bound on a longer chain,
     raises ValueError before any work; an oversized game or budget raises
     ResourceLimitError, the search's before the LP.

@@ -5,7 +5,8 @@
 arguments by parameter name (``events``, ``pairs``, ``path``, ``c``).  A
 renamed function or parameter, or a module-level ``linprog`` import, would
 silently zero a layer of the trace, so this loads the file as it is and
-checks that each timing layer and the LP record spans with non-zero counts.
+checks that each timing layer and the search's LP solves record spans with
+non-zero counts.
 Its search counter calls the private ``strategyopt._side_arrays``, so the
 search span's vertex count is checked too.
 """
@@ -89,11 +90,11 @@ def test_lp_layers_record_spans_with_columns(capsys):
     assert search["counts"]["restarts_budgeted"] > 0
     (lp,) = [s for s in tracer.spans if s["name"] == "strategyopt.lp"]
     solves = [s for s in tracer.spans if s["name"] == "strategyopt.lp.solve"]
-    # the LP is one solve, a child of its span, over the 4^2 arrival pairs
+    # the exact answer is a closed form: no solve is a child of its span
     lp_solves = [s for s in solves if s["parent"] == lp["id"]]
-    assert [s["counts"]["columns"] for s in lp_solves] == [16]
-    # every other solve is a successive-LP step of the search
+    assert [s["counts"]["columns"] for s in lp_solves] == []
+    # every solve is a successive-LP step of the search, with its columns
     search_ids = {s["id"] for s in tracer.spans if s["name"] == "strategyopt.search"}
-    steps = [s for s in solves if s["parent"] != lp["id"]]
-    assert steps
-    assert all(s["parent"] in search_ids for s in steps)
+    assert solves
+    assert all(s["parent"] in search_ids for s in solves)
+    assert all(s["counts"]["columns"] > 0 for s in solves)

@@ -2092,3 +2092,31 @@ def test_simulate_report_bounds_and_visibility_start_without_the_solver(tmp_path
     }
     # the resource limit is caught as before, though the solver loads late
     assert run.stderr.startswith("resource limit: ")
+
+
+# every class's exact answer is a closed form; only the search needs scipy
+LEAN_VERIFY = """
+import json, sys
+
+from franson.cli import main
+
+codes = []
+for terms in ("4", "6"):
+    for model_class in ("emission-time-realism", "outcomes-only",
+                        "plain-local-realism", "path-realism"):
+        lp_check = ["--lp-check"] if model_class == "emission-time-realism" else []
+        codes.append(main(["verify-bounds", "--model-class", model_class, "--terms", terms,
+                           "--witness", *lp_check]))
+lean = "scipy" in sys.modules
+codes.append(main(["verify-bounds", "--terms", "4", "--lp-check", "--witness",
+                   "--restarts", "1"]))
+print(json.dumps({"codes": codes, "lean": lean, "searched": "scipy" in sys.modules}))
+"""
+
+
+def test_verify_bounds_answers_every_class_without_scipy():
+    run = run_python("-c", LEAN_VERIFY)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout.splitlines()[-1]) == {
+        "codes": [0] * 9, "lean": False, "searched": True
+    }

@@ -1032,21 +1032,27 @@ class TestLpCrossCheck:
             np.testing.assert_allclose(price, best[e1, e2], rtol=0.0, atol=1e-9)
             np.testing.assert_allclose(obj[i * S + j], price, rtol=0.0, atol=1e-9)
 
-    @pytest.mark.parametrize("terms", [4, 6, 8])
-    def test_one_solve_over_the_arrival_pairs(self, terms, monkeypatch):
-        import scipy.optimize
+    @pytest.mark.parametrize("terms", [4, 6, 8, 10, 12])
+    def test_one_solve_over_the_arrival_pairs(self, terms):
+        # the referee: one HiGHS solve of the all-+1 LP over the 4^n arrival
+        # pairs, each with its best outcome maps, matches the closed form
+        from scipy.optimize import linprog
 
-        columns = []
-        solve = scipy.optimize.linprog
-
-        def counting_linprog(c, *args, **kwargs):
-            columns.append(len(c))
-            return solve(c, *args, **kwargs)
-
-        monkeypatch.setattr(scipy.optimize, "linprog", counting_linprog)
-        g = game(ModelClass.emission_time_realism, chain_settings(terms))
-        assert emission_time_lp_value(g) == pytest.approx(terms - 1.0, abs=1e-9)
-        assert columns == [4 ** (terms // 2)]
+        rng = np.random.default_rng(71 + terms)
+        for chain in (chain_settings(terms), random_term_chain(terms, rng)):
+            g = game(ModelClass.emission_time_realism, chain)
+            n = g.n_settings
+            _, _, signs = _cell_indices(g)
+            coef = 2.0 * signs
+            _, i, j = _et_best_columns(g, coef, np.zeros(terms + 2), 4**n)
+            assert i.size == 4**n
+            s1, s2 = _atoms(g, i, j)
+            _, num = _support_matrices(g, s1, s2)
+            A_eq, b_eq = _constraints(g, s1, s2)
+            res = linprog(-(num @ coef), A_eq=A_eq, b_eq=b_eq, bounds=(0.0, None),
+                          method="highs")
+            assert res.success, res.message
+            assert emission_time_lp_value(g) == pytest.approx(-res.fun, abs=1e-9)
 
     def test_eight_term_game_is_solved_exactly(self):
         g = game(ModelClass.emission_time_realism, chain_settings(8))
@@ -1118,24 +1124,57 @@ class TestExactDefaults:
             assert certificate.dual_value == terms - 1
             assert certificate.closed
 
-    def test_certificate_does_not_read_the_solver_duals(self, chain6m, monkeypatch):
-        # the solver's equality marginals, moved on every row, change nothing
-        import scipy.optimize
+    @pytest.mark.parametrize("terms", range(4, 44, 2))
+    def test_closed_form_witness_is_exact_in_rationals(self, terms):
+        # the (terms + 2)-atom witness in Fraction arithmetic: its weights,
+        # every equal-mass row and the statistic, on the standard chain and
+        # on one whose groups pair other cells
+        n = terms // 2
+        rng = np.random.default_rng(83 + terms)
+        for chain in (chain_settings(terms), random_term_chain(terms, rng)):
+            g = game(ModelClass.emission_time_realism, chain)
+            i, j, counts = strategyopt._et_witness(g)
+            total = int(counts.sum())
+            w = [Fraction(int(c), total) for c in counts]
+            single = Fraction(1, 8 * (n - 1))
+            assert w == [single] * terms + [Fraction(1, 4), Fraction(2 * n - 3, 4 * (n - 1))]
+            assert sum(w) == 1
+            s1, s2 = _atoms(g, i, j)
+            e1, e2 = s1.early.tolist(), s2.early.tolist()
+            o1, o2 = s1.outcomes.tolist(), s2.outcomes.tolist()
+            l1, l2 = s1.late_outcomes.tolist(), s2.late_outcomes.tolist()
+            lam = [Fraction(int(a * b), n * n) for a, b in zip(s1.n_late, s2.n_late)]
+            assert sum(wk * lk for wk, lk in zip(w, lam)) == Fraction(1, 4)
+            signed = []
+            for a, b, sign in chain.term_order:
+                ee = [wk * (e1[k][a] and e2[k][b]) for k, wk in enumerate(w)]
+                assert sum(ee) == Fraction(1, 4)
+                num = sum(
+                    ee[k] * o1[k][a] * o2[k][b] + w[k] * lam[k] * l1[k][a] * l2[k][b]
+                    for k in range(len(w))
+                )
+                # every cell mass is 1/4 + 1/4
+                signed.append(sign * num / Fraction(1, 2))
+            statistic = sum(abs(signed[k] + signed[k + 1]) for k in range(0, terms, 2))
+            assert statistic == terms - 1
 
-        g = game(ModelClass.emission_time_realism, chain6m)
-        expected = emission_time_lp_value(g, solution=True)
-        solve = scipy.optimize.linprog
-
-        def perturbed_linprog(*args, **kwargs):
-            res = solve(*args, **kwargs)
-            res.eqlin.marginals = res.eqlin.marginals + 1e-3
-            return res
-
-        monkeypatch.setattr(scipy.optimize, "linprog", perturbed_linprog)
-        result = emission_time_lp_value(g, solution=True)
-        assert result.certificate.closed
-        assert result.certificate == expected.certificate
-        assert (result.value, result.exact) == (5.0, True)
+    @pytest.mark.parametrize("terms", [4, 6, 12])
+    def test_shifted_witness_weight_leaves_the_certificate_open(self, terms, monkeypatch):
+        g = game(ModelClass.emission_time_realism, chain_settings(terms))
+        i, j, counts = strategyopt._et_witness(g)
+        # a weight shifted by 1e-6, atom by atom; then 1e-6 moved between
+        # two single-late atoms, which keeps the objective and the simplex
+        # row, so only the equal-mass residual can open the certificate
+        shifts = [np.eye(counts.size)[k] for k in range(counts.size)]
+        shifts.append(np.eye(counts.size)[0] - np.eye(counts.size)[1])
+        for shift in shifts:
+            mutant = counts + 1e-6 * counts.sum() * shift
+            monkeypatch.setattr(strategyopt, "_et_witness", lambda g: (i, j, mutant))
+            result = emission_time_lp_value(g, solution=True)
+            assert not result.certificate.closed
+            assert not result.exact
+            assert result.certificate.largest_profit == 0.0
+        assert result.value == pytest.approx(terms - 1, abs=1e-12)
 
     def test_positive_profit_leaves_the_certificate_open(self, chain4m, monkeypatch):
         # a joint vertex priced above 1e-10 under the duals: no bound, and
@@ -1205,20 +1244,26 @@ class TestVerifyBound:
         assert report.search.passed
         assert report.search.best_value == pytest.approx(3.0, abs=1e-6)
 
-    def test_lp_is_solved_once_with_lp_check(self, chain4m, monkeypatch):
+    def test_lp_check_calls_no_solver(self, chain4m, chain6m, monkeypatch):
+        # the exact answer and its certificate are closed forms, so a solver
+        # that raises changes no number and no dual
         import scipy.optimize
 
-        solves = []
-        solve = scipy.optimize.linprog
+        def no_solver(*args, **kwargs):
+            raise AssertionError("the exact answer called linprog")
 
-        def counting_linprog(*args, **kwargs):
-            solves.append(1)
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.optimize, "linprog", counting_linprog)
-        report = verify_bound(game(ModelClass.emission_time_realism, chain4m), lp_check=True)
-        assert report.lp_value == 3.0
-        assert solves == [1]
+        monkeypatch.setattr(scipy.optimize, "linprog", no_solver)
+        for chain in (chain4m, chain6m):
+            terms = chain.terms
+            report = verify_bound(game(ModelClass.emission_time_realism, chain), lp_check=True)
+            assert report.lp_value == report.best_value == terms - 1
+            assert (report.method, report.exact, report.passed) == ("lp", True, True)
+            assert report.certificate == strategyopt.DualCertificate(
+                duals=(2.0,) * terms + (2.0 * (terms - 2), 0.0),
+                dual_value=terms - 1,
+                largest_profit=0.0,
+                closed=True,
+            )
 
     def test_a_failed_search_fails_the_report(self, chain4m, monkeypatch):
         g = game(ModelClass.outcomes_only, chain4m)
