@@ -6,14 +6,15 @@ Every bound used in the verdicts is a statement about a finite game:
 mixtures over deterministic per-setting response maps.  One sign pattern
 of the absolute-value groups is enough everywhere: negating a set of
 settings' outcome maps carries any pattern to the all-+1 one and keeps
-every cell mass.  So each game has an exact answer.  The linear games
-are solved over one site's outcome maps, the other site answering each
-setting with the sign of its column sum.  The equal-mass game is one
-linear program with one column per pair of arrival maps (every vertex
-with the same arrival maps has the same constraint column, so only the
-best of them can matter), and its duals certify the value against every
-joint vertex.  Outcomes-only selection reaches the algebraic maximum
-with a closed-form mixture.
+every cell mass.  So each game has an exact answer, a closed form that
+needs no solver.  The linear games (plain local realism,
+path realism) reach terms - 2 at the all-+1 vertex: each setting lies in
+two terms and one sign is -1, so under every sign pattern each vertex
+has a -1 term.  The equal-mass game is one linear program, met by a
+mixture of terms + 2 atoms whose value, terms - 1, equals that of
+integer duals; those duals, priced over every joint vertex, certify the
+value.  Outcomes-only selection reaches the algebraic maximum with a
+closed-form mixture.
 
 The ratio-form games also get a multi-start search by successive LP,
 which tries to beat the exact answers.  With every cell mass held fixed,

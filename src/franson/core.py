@@ -9,7 +9,7 @@ arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -72,12 +72,19 @@ class SettingsChain:
     site-1 setting index, site-2 setting index, and a sign.  Consecutive
     pairs of terms form the absolute-value groups of the statistic; exactly
     one term (the closing one) carries sign -1.
+
+    The settings of both sites and the terms between them form the setting
+    graph, which must be one cycle.  ``cycle`` lists the terms, as indices
+    into ``term_order``, in the order one walk of it meets them: from
+    site-1 setting 0 along the first term that uses it, then along each
+    setting's other term, so the walk alternates between the sites.
     """
 
     terms: int
     site1_settings: tuple[Setting, ...]
     site2_settings: tuple[Setting, ...]
     term_order: tuple[tuple[int, int, int], ...]
+    cycle: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.terms
@@ -94,44 +101,32 @@ class SettingsChain:
         signs = [s for _, _, s in self.term_order]
         if any(s not in (-1, 1) for s in signs) or signs.count(-1) != 1:
             raise ValueError("term_order must carry exactly one -1 sign")
-        for i, j, _ in self.term_order:
+        for i, j in pairs:
             if not (0 <= i < half and 0 <= j < half):
                 raise ValueError("term_order references an unknown setting index")
-        counts1 = [0] * half
-        counts2 = [0] * half
-        for i, j in pairs:
-            counts1[i] += 1
-            counts2[j] += 1
-        if any(c != 2 for c in counts1) or any(c != 2 for c in counts2):
+        at = [[] for _ in range(n)]  # the terms at each setting, site 1's then site 2's
+        for t, (i, j) in enumerate(pairs):
+            at[i].append(t)
+            at[half + j].append(t)
+        if any(len(ts) != 2 for ts in at):
             raise ValueError("every setting must appear in exactly two terms")
-        if not _is_single_cycle(pairs, half):
+        walk, node = [at[0][0]], 0
+        while True:
+            i, j = pairs[walk[-1]]
+            node = i + half + j - node  # the other end of the last term
+            after = sum(at[node]) - walk[-1]  # the setting's other term
+            if after == walk[0]:
+                break
+            walk.append(after)
+        if len(walk) != n:
             raise ValueError("term pairs must form a single alternating cycle")
+        object.__setattr__(self, "cycle", tuple(walk))
 
     @property
     def groups(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
         """Terms grouped in consecutive pairs; one group per absolute value."""
         order = self.term_order
         return tuple(order[k : k + 2] for k in range(0, len(order), 2))
-
-
-def _is_single_cycle(pairs: list[tuple[int, int]], half: int) -> bool:
-    # The bipartite graph with one edge per term, two edges per node, must be
-    # connected, i.e. a single cycle through all settings.
-    adj: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for i, j in pairs:
-        a, b = (0, i), (1, j)
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    start = (0, 0)
-    seen = {start}
-    stack = [start]
-    while stack:
-        node = stack.pop()
-        for nxt in adj.get(node, ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return len(seen) == 2 * half
 
 
 def chain_settings(terms: int) -> SettingsChain:

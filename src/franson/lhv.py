@@ -242,14 +242,18 @@ class ModelStatistics:
 # deterministic quadrature
 
 
+# Gauss nodes per theta cell of ``aklz_quadrature``
+_QUADRATURE_ORDER = 4
+
+
 def aklz_quadrature(
-    phi: float, psi: float, n_theta: int = 4096, n_r: int = 1024, order: int = 4
+    phi: float, psi: float, n_theta: int = 4096, n_r: int = 1024
 ) -> ModelStatistics:
     """Integrate the delay-based model exactly on a (theta, r) grid.
 
     The theta axis uses an ``n_theta``-cell uniform grid whose cells are
     additionally split at the response breakpoints (the zeros of
-    cos(theta+phi) and cos(theta-psi)) with ``order``-point Gauss nodes per
+    cos(theta+phi) and cos(theta-psi)) with a fixed-order Gauss rule per
     cell; between breakpoints every integrand is a plain cosine, so the
     rule is exact to machine rounding.  Along r the responses are piecewise
     constant with analytically known interval endpoints, so each of the
@@ -267,7 +271,7 @@ def aklz_quadrature(
         psi + math.pi / 2.0,
         psi + 3.0 * math.pi / 2.0,
     ]
-    th, w = panel_nodes(breaks, n_base=n_theta, order=order)
+    th, w = panel_nodes(breaks, n_base=n_theta, order=_QUADRATURE_ORDER)
     cu = np.cos(th + phi)
     cw = np.cos(th - psi)
     x1 = np.where(cu >= 0.0, 1.0, -1.0)

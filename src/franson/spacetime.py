@@ -77,13 +77,9 @@ class TimelineEvent:
 
 @dataclass(frozen=True)
 class EventOrder:
-    """Events around one detection, sorted in time, with precedence pairs."""
+    """Events around one detection, sorted in time."""
 
     events: tuple[TimelineEvent, ...]
-    precedes: tuple[tuple[str, str], ...]
-
-    def before(self, a: str, b: str) -> bool:
-        return (a, b) in self.precedes
 
 
 def classify_event_order(geometry: StationGeometry) -> EventOrder:
@@ -91,8 +87,8 @@ def classify_event_order(geometry: StationGeometry) -> EventOrder:
 
     Times are relative to the early detection alternative.  The setting
     read off for an arrival is the one present at the modulator one
-    modulator-to-detector delay beforehand.  ``precedes`` lists every
-    strictly ordered pair; simultaneous events are omitted.
+    modulator-to-detector delay beforehand.  Simultaneous events keep
+    the order listed here.
     """
     mdd = geometry.modulator_to_detector_ns
     dt = geometry.path_difference_ns
@@ -102,10 +98,4 @@ def classify_event_order(geometry: StationGeometry) -> EventOrder:
         TimelineEvent("late_setting_readoff", dt - mdd),
         TimelineEvent("late_detection", dt),
     ]
-    ordered = tuple(sorted(raw, key=lambda e: e.time_ns))
-    rel = []
-    for a in raw:
-        for b in raw:
-            if a.time_ns < b.time_ns:
-                rel.append((a.label, b.label))
-    return EventOrder(events=ordered, precedes=tuple(rel))
+    return EventOrder(events=tuple(sorted(raw, key=lambda e: e.time_ns)))

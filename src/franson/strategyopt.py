@@ -140,9 +140,15 @@ class GameSpec:
     def n_settings(self) -> int:
         return self.chain.terms // 2
 
-    @property
-    def cells(self) -> tuple[tuple[int, int], ...]:
-        return tuple((i, j) for i, j, _ in self.chain.term_order)
+    @cached_property
+    def cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per term of ``term_order``: the site-1 setting, the site-2 setting
+        and the sign (float).  Read-only, since every caller shares them."""
+        a_idx, b_idx, signs = np.array(self.chain.term_order).T.copy()
+        cells = (a_idx, b_idx, signs.astype(float))
+        for x in cells:
+            x.flags.writeable = False
+        return cells
 
     @property
     def has_equal_mass_constraint(self) -> bool:
@@ -316,18 +322,11 @@ def _check_pricing_size(game: GameSpec) -> None:
 # mixture evaluation
 
 
-def _cell_indices(game: GameSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    a_idx = np.array([i for i, _, _ in game.chain.term_order])
-    b_idx = np.array([j for _, j, _ in game.chain.term_order])
-    signs = np.array([s for _, _, s in game.chain.term_order], dtype=float)
-    return a_idx, b_idx, signs
-
-
 def _column_sums(game: GameSpec, x: np.ndarray, c: np.ndarray) -> np.ndarray:
     """sum_{t: b_t = b} c_t x[..., a_t] per site-2 setting b, for site-1
     values x per setting.  Against a site-1 outcome map x, the best site-2
     outcome at b is the sign of its column sum, worth its absolute value."""
-    a_idx, b_idx, _ = _cell_indices(game)
+    a_idx, b_idx, _ = game.cells
     to_b = (b_idx[:, None] == np.arange(game.n_settings)).astype(np.float64)
     return (x[..., a_idx] * c) @ to_b
 
@@ -348,44 +347,32 @@ def _witness(game: GameSpec, idx1, idx2, w) -> MixedStrategy:
     )
 
 
-def _support_matrices(game: GameSpec, s1, s2) -> tuple[np.ndarray, np.ndarray]:
-    """Cell masses and signed numerators, shapes (K, terms), of ``_atoms``."""
-    a_idx, b_idx, _ = _cell_indices(game)
-    n = game.n_settings
+def _support_rows(game: GameSpec, s1, s2):
+    """Rows of the atoms of ``_atoms`` s1 and s2: cell masses and signed
+    numerators, shapes (K, terms), and the equality system A w = b.
+
+    The last row of A is always the simplex sum.  The equal-mass game puts
+    the per-cell early-early masses and the late-late mass, each pinned to
+    1/4, in front of it.
+    """
+    a_idx, b_idx, _ = game.cells
     kind = game.model.kind
     o = s1.outcomes[:, a_idx].astype(np.float64) * s2.outcomes[:, b_idx].astype(np.float64)
     e1, e2 = s1.early[:, a_idx], s2.early[:, b_idx]
+    ones = np.ones((1, s1.size))
     if kind is ModelKind.EMISSION_TIME_REALISM:
         ee = (e1 & e2).astype(np.float64)
-        llw = (s1.n_late * s2.n_late).astype(np.float64)[:, None] / n**2
+        ll = (s1.n_late * s2.n_late) / game.n_settings**2
         ol = s1.late_outcomes[:, a_idx].astype(np.float64) * s2.late_outcomes[:, b_idx]
-        mass = ee + llw
-        num = ee * o + llw * ol
-        return mass, num
-    det = s1.detected[:, a_idx] & s2.detected[:, b_idx]
+        A = np.vstack([ee.T, ll, ones])
+        b = np.array([0.25] * a_idx.size + [0.25, 1.0])
+        return ee + ll[:, None], ee * o + ll[:, None] * ol, A, b
     if kind is ModelKind.PLAIN_LOCAL_REALISM:
         sel = np.ones_like(o)
     else:
+        det = s1.detected[:, a_idx] & s2.detected[:, b_idx]
         sel = (det & (e1 == e2)).astype(np.float64)
-    return sel, sel * o
-
-
-def _constraints(game: GameSpec, s1, s2) -> tuple[np.ndarray, np.ndarray]:
-    """Equality system A w = b over the atoms of ``_atoms`` s1 and s2.
-
-    The last row is always the simplex sum.  The equal-mass game puts the
-    per-cell early-early masses and the late-late mass, each pinned to 1/4,
-    in front of it.
-    """
-    ones = np.ones((1, s1.size))
-    if not game.has_equal_mass_constraint:
-        return ones, np.ones(1)
-    a_idx, b_idx, _ = _cell_indices(game)
-    n = game.n_settings
-    ee = s1.early[:, a_idx] & s2.early[:, b_idx]
-    ll = (s1.n_late * s2.n_late) / n**2
-    A = np.vstack([ee.T.astype(np.float64), ll, ones])
-    return A, np.array([0.25] * a_idx.size + [0.25, 1.0])
+    return sel, sel * o, ones, np.ones(1)
 
 
 MIN_CELL_MASS = 1e-12
@@ -428,11 +415,9 @@ def evaluate_mixed(game: GameSpec, strategy: MixedStrategy) -> GameEvaluation:
     rows = _side_rows(game.model.kind, game.n_settings, sites)
     idx1, idx2 = rows[: len(vs)], rows[len(vs):]
     w = np.asarray(strategy.weights, dtype=float)
-    _, _, signs = _cell_indices(game)
-    s1, s2 = _atoms(game, idx1, idx2)
-    mass, num = _support_matrices(game, s1, s2)
+    _, _, signs = game.cells
+    mass, num, A, b = _support_rows(game, *_atoms(game, idx1, idx2))
     stat, corr, m, _ = _statistic(w, mass, num, signs)
-    A, b = _constraints(game, s1, s2)
     residual = float(np.max(np.abs(A @ w - b)))
     feasible = bool(np.all(m > MIN_CELL_MASS)) and residual <= CONSTRAINT_TOLERANCE
     return GameEvaluation(
@@ -572,7 +557,7 @@ def _linear_closed_form(game: GameSpec) -> MaxStatisticResult:
     the chain's signs.  Path realism has the same value, with both constant
     arrival classes early; mismatched classes never coincide.
     """
-    _, _, signs = _cell_indices(game)
+    _, _, signs = game.cells
     row = np.zeros(1, dtype=np.int64)
     return MaxStatisticResult(
         value=float(np.abs(signs[0::2] + signs[1::2]).sum()),
@@ -600,7 +585,7 @@ def _outcomes_only_closed_form(game: GameSpec) -> MaxStatisticResult:
     ``terms``.  Beyond 42 terms ``_side_size`` raises ResourceLimitError.
     """
     n = game.n_settings
-    a_idx, b_idx, signs = _cell_indices(game)
+    a_idx, b_idx, signs = game.cells
     outcomes2 = np.ones((n, n))
     outcomes2[a_idx, b_idx] = signs
     single = 1 << np.arange(n, dtype=np.int64)
@@ -677,7 +662,7 @@ def _et_best_columns(game: GameSpec, c: np.ndarray, y: np.ndarray, k: int):
     as (price, site-1 rows, site-2 rows) of ``_side_arrays``, highest first.
     """
     n = game.n_settings
-    a_idx, b_idx, _ = _cell_indices(game)
+    a_idx, b_idx, _ = game.cells
     T = a_idx.size
     arrivals = _map_bits(np.arange(2**n), n).astype(np.float64)  # row = arrival map
     signs = 1.0 - 2.0 * arrivals  # row = outcome map
@@ -792,14 +777,11 @@ def _open_round(game: GameSpec, r: _Restart, signs) -> None:
     """Set up a column round's LP for restart ``r`` at its current point:
     the support's rows and numerators, the statistic at ``w``, and the
     constraint classes of ``_column_classes``."""
-    s1, s2 = _atoms(game, r.idx1, r.idx2)
-    r.mass, r.num = _support_matrices(game, s1, s2)
-    if game.has_equal_mass_constraint:
-        A, r.b = _constraints(game, s1, s2)
-    else:
+    r.mass, r.num, A, r.b = _support_rows(game, *_atoms(game, r.idx1, r.idx2))
+    if not game.has_equal_mass_constraint:
         # pin every cell mass at the current point for this round
-        A = np.vstack([r.mass.T, np.ones(r.idx1.size)])
-        r.b = np.append(r.w @ r.mass, 1.0)
+        A = np.vstack([r.mass.T, A])
+        r.b = np.append(r.w @ r.mass, r.b)
     r.stat, r.corr, r.m, r.groups = _statistic(r.w, r.mass, r.num, signs)
     r.A, r.cls = _column_classes(A)
 
@@ -967,7 +949,7 @@ def max_statistic(game: GameSpec, budget: OptimizerBudget | None = None) -> MaxS
     _check_pricing_size(game)
     budget = budget or OptimizerBudget()
     _check_search_size(game, budget)
-    _, _, signs = _cell_indices(game)
+    _, _, signs = game.cells
     rng_master = np.random.default_rng(budget.seed)
     restarts = [
         _Restart(*_restart_support(game, budget, np.random.default_rng(seed)))
@@ -1008,24 +990,6 @@ def max_statistic(game: GameSpec, budget: OptimizerBudget | None = None) -> MaxS
 # the emission-time game's LP, solved in closed form
 
 
-def _setting_walk(chain: SettingsChain) -> tuple[list[int], list[int]]:
-    """The chain's setting cycle, walked once from site-1 setting 0.
-
-    Site-1 setting a is node a and site-2 setting b node n + b; each term
-    is an edge.  Returns the nodes in walk order and, for each, the
-    product of the signs of the terms walked before it.
-    """
-    n = chain.terms // 2
-    edges = [(a, n + b, s) for a, b, s in chain.term_order]
-    node, walk, sign = 0, [], [1]
-    while edges:
-        u, v, s = edges.pop(next(t for t, e in enumerate(edges) if node in e[:2]))
-        walk.append(node)
-        sign.append(sign[-1] * s)
-        node = u + v - node
-    return walk, sign[:-1]
-
-
 def _et_witness(game: GameSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """An optimal emission-time mixture in closed form: terms + 2 atoms.
 
@@ -1038,19 +1002,24 @@ def _et_witness(game: GameSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Only the all-late atom has late-late mass.  A single-late atom's
     early-early terms are the setting cycle without its late setting's
     node, a path, so outcome maps meeting o1 o2 = s_t on each of them
-    exist: the walk's sign prefixes meet every term but the last one
-    walked, and negating the nodes walked before the late one moves that
-    term onto an edge of the late node.  Every cell then has early-early
-    mass 2(n - 1) / 8(n - 1) = 1/4 and late-late mass 1/4, so
-    corr_t = (1 + s_t) / 2 and the statistic is terms - 1 under any
-    grouping: y.b of the closed-form duals.  Returns (site-1 rows,
+    exist: the sign prefixes of the chain's walk (``SettingsChain.cycle``)
+    meet every term but the last one walked, and negating the nodes
+    walked before the late one moves that term onto an edge of the late
+    node.  Every cell then has early-early mass 2(n - 1) / 8(n - 1) = 1/4
+    and late-late mass 1/4, so corr_t = (1 + s_t) / 2 and the statistic
+    is terms - 1 under any grouping: y.b of the closed-form duals.  Returns (site-1 rows,
     site-2 rows, counts), the rows as ``_side_arrays`` lays them out.
     """
     n = game.n_settings
-    walk, prefix = _setting_walk(game.chain)
+    a_idx, b_idx, signs = game.cells
+    cycle = np.array(game.chain.cycle)
     k = np.arange(2 * n)
+    # the cycle's settings as nodes, site 1's then site 2's, in walk order,
+    # each with the product of the signs of the terms walked before it
+    walk = np.where(k % 2, n + b_idx[cycle], a_idx[cycle])
+    prefix = np.cumprod(np.append(1.0, signs[cycle][:-1]))
     outcomes = np.empty((2 * n, 2 * n), dtype=np.int64)  # [late node, node]
-    outcomes[np.ix_(walk, walk)] = np.where(k < k[:, None], -1, 1) * np.array(prefix)
+    outcomes[np.ix_(walk, walk)] = np.where(k < k[:, None], -1, 1) * prefix
     every = 2**n - 1
     late_at = every ^ (1 << np.arange(n, dtype=np.int64))
     all_early = np.full(n, every)
@@ -1090,12 +1059,13 @@ def emission_time_lp_value(game: GameSpec, solution: bool = False):
     largest reduced profit over every joint vertex, a sum of small
     integers that is exactly 0 when the bound holds.  The primal is
     ``_et_witness``'s terms + 2 atoms, whose objective and constraint
-    residual come from the search's own row builders.  The certificate
-    closes when the profit is at most ``PROFIT_TOLERANCE``, the residual
-    at most ``CONSTRAINT_TOLERANCE`` and the witness's objective within
-    ``WITNESS_TOLERANCE`` of y.b; the value is then y.b, else the
-    witness's objective.  The pricing is nearly all of the call's cost
-    (about 3.5 ms at 12 terms on a 2-vCPU host).
+    residual come from the search's own row builder, ``_support_rows``.
+    The certificate closes when the profit is at most
+    ``PROFIT_TOLERANCE``, the residual at most ``CONSTRAINT_TOLERANCE``
+    and the witness's objective within ``WITNESS_TOLERANCE`` of y.b; the
+    value is then y.b, else the witness's objective.  The pricing is
+    nearly all of the call's cost (about 3.5 ms at 12 terms on a 2-vCPU
+    host).
 
     Returns the value; with ``solution``, a ``MaxStatisticResult`` of
     method "lp" instead, exact when the certificate closes, whose witness
@@ -1112,15 +1082,13 @@ def emission_time_lp_value(game: GameSpec, solution: bool = False):
     if game.model.kind is not ModelKind.EMISSION_TIME_REALISM:
         raise ValueError("the LP cross-check applies to the emission-time game")
     _check_pricing_size(game)
-    _, _, signs = _cell_indices(game)
+    _, _, signs = game.cells
     terms = game.chain.terms
     # the all-+1 pattern; corr_t = 2 * (early part + late part) once masses are pinned
     coef = 2.0 * signs
     i, j, counts = _et_witness(game)
     w = counts / counts.sum()
-    s1, s2 = _atoms(game, i, j)
-    _, num = _support_matrices(game, s1, s2)
-    A_eq, b_eq = _constraints(game, s1, s2)
+    _, num, A_eq, b_eq = _support_rows(game, *_atoms(game, i, j))
     primal_value = float(w @ num @ coef)
     residual = float(np.max(np.abs(A_eq @ w - b_eq)))
     # the closed-form duals: early-early rows, late-late row, simplex row
@@ -1305,7 +1273,13 @@ def verify_bound(
 # the delay-based local model as a finite-game witness
 
 
-def aklz_mixed_strategy(chain: SettingsChain, n_base: int = 512, order: int = 16) -> MixedStrategy:
+# theta panels of ``aklz_mixed_strategy``: a uniform base grid of this many
+# cells, split at the breakpoints, with this many Gauss nodes per panel
+_AKLZ_BASE_CELLS = 512
+_AKLZ_ORDER = 16
+
+
+def aklz_mixed_strategy(chain: SettingsChain) -> MixedStrategy:
     """Project the delay-based local model onto the finite game of a chain.
 
     For fixed theta the model's response maps over the chain's settings are
@@ -1329,23 +1303,23 @@ def aklz_mixed_strategy(chain: SettingsChain, n_base: int = 512, order: int = 16
         for j in range(i + 1, n):
             base = -(a[i] + a[j]) / 2.0
             breaks += [base + k * math.pi / 2.0 for k in range(4)]
-    nodes, wts = panel_nodes(breaks, n_base=n_base, order=order)
+    nodes, wts = panel_nodes(breaks, n_base=_AKLZ_BASE_CELLS, order=_AKLZ_ORDER)
     # panel boundaries: recover panels from the node layout
-    panels = nodes.reshape(-1, order)
-    pwts = wts.reshape(-1, order)
+    panels = nodes.reshape(-1, _AKLZ_ORDER)
+    pwts = wts.reshape(-1, _AKLZ_ORDER)
     acc: dict[tuple, float] = {}
     for p in range(panels.shape[0]):
         th = panels[p]
         ww = pwts[p]
-        mid = float(th[order // 2])
+        mid = float(th[_AKLZ_ORDER // 2])
         o1 = tuple(1 if math.cos(mid + ph) >= 0 else -1 for ph in a)
         o2 = tuple(1 if math.cos(mid - ps) >= 0 else -1 for ps in b)
-        t = np.stack([(np.pi / 8.0) * np.abs(np.cos(th + ph)) for ph in a])  # (n, order)
-        t_mid = t[:, order // 2]
+        t = np.stack([(np.pi / 8.0) * np.abs(np.cos(th + ph)) for ph in a])  # (n, _AKLZ_ORDER)
+        t_mid = t[:, _AKLZ_ORDER // 2]
         perm = np.argsort(t_mid, kind="stable")
         t_sorted = t[perm]  # ascending thresholds along each node
-        edges = np.vstack([np.zeros(order), t_sorted, np.full(order, 0.5)])
-        lengths = np.diff(edges, axis=0)  # (n+1, order)
+        edges = np.vstack([np.zeros(_AKLZ_ORDER), t_sorted, np.full(_AKLZ_ORDER, 0.5)])
+        lengths = np.diff(edges, axis=0)  # (n+1, _AKLZ_ORDER)
         for k in range(n + 1):
             weight = float((lengths[k] * ww).sum()) / TWO_PI
             if weight <= 0.0:

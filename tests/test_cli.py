@@ -449,6 +449,36 @@ class TestVerifyBounds:
         assert p["search"]["method"] == "successive-lp"
         assert p["search"]["best_value"] == pytest.approx(4.0, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "flags,digest",
+        [
+            (["--model-class", "plain-local-realism", "--terms", "4"],
+             "03ee98213790e89e212a317c6c678018058ccd2e4c9234dfc502909463ee6fbb"),
+            (["--model-class", "plain-local-realism", "--terms", "6"],
+             "33d9a561c888da68ff5010cf9909bc7d7b58af8c1d8ea8612574aa6c99d5ef94"),
+            (["--model-class", "path-realism", "--terms", "4"],
+             "cc749e6ea85bf429c7472ee3c420e72e618709457da6f1f405c09b8e3878cd3d"),
+            (["--model-class", "path-realism", "--terms", "6"],
+             "820dca02cedaef88fba69669d83bf6716739ae6aa212972f7465a35bf37d70ab"),
+            (["--model-class", "emission-time-realism", "--terms", "4"],
+             "22a59bea308c0a36281901fd12e5f9195666cfea2522be95e36836369b546263"),
+            (["--model-class", "emission-time-realism", "--terms", "6"],
+             "0cedb6bc344614fcaa7b120b4c2e8c57c91ec8fba60d58c9c3d8accce4ee4c48"),
+            (["--model-class", "outcomes-only", "--terms", "4"],
+             "0c0d22c881b5fd709f1ddd56749d4414db70644c7795b3464005f86acf2bdf9e"),
+            (["--model-class", "outcomes-only", "--terms", "6"],
+             "5cf131890065e4df7359add72ccd30e895993f9f039348f6d8c5248404a99c84"),
+            (["--lp-check", "--terms", "6"],
+             "7c07c8e7d6bc1072e5b83d9938d62a5ee2a97fc62a171fe0cd4e9a27316a2f70"),
+        ],
+    )
+    def test_witness_reports_are_pinned(self, flags, digest, capsys):
+        # SHA-256 of the whole report: a leaner game solver must print the
+        # same bytes, down to the last digit of every witness weight
+        assert main(["verify-bounds", *flags, "--witness"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestGeometry:
     def test_satisfied_premise(self, capsys):

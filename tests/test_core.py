@@ -196,6 +196,37 @@ class TestSettingsChainValidation:
             )
 
 
+    @pytest.mark.parametrize("zero_in_longer", [True, False])
+    def test_rejects_an_eight_and_a_four_cycle(self, zero_in_longer):
+        # settings 0-3 of each site in one cycle and 4-5 in the other, or
+        # 0-1 and 2-5: the walk from site-1 setting 0 meets 8 or 4 terms
+        def ring(first, size):
+            ends = range(first, first + size)
+            return [(i, j, 1) for i in ends for j in (i, first + (i - first + 1) % size)]
+
+        long, short = (ring(0, 4), ring(4, 2)) if zero_in_longer else (ring(2, 4), ring(0, 2))
+        order = long + short
+        order[-1] = order[-1][:2] + (-1,)
+        with pytest.raises(ValueError, match="single"):
+            SettingsChain(12, self._settings(6), self._settings(6), tuple(order))
+
+    def test_cycle_walks_every_term_once(self):
+        from test_strategyopt import random_term_chain
+
+        rng = np.random.default_rng(5)
+        for terms in range(4, 44, 2):
+            for chain in (chain_settings(terms), random_term_chain(terms, rng)):
+                cycle = chain.cycle
+                assert sorted(cycle) == list(range(terms))
+                cells = [chain.term_order[t][:2] for t in cycle]
+                assert cells[0][0] == 0
+                # from site-1 setting 0 the walk shares site-2 settings, then
+                # site-1 ones, alternately, and closes at site-1 setting 0
+                for k in range(terms):
+                    site = (k + 1) % 2
+                    assert cells[k][site] == cells[(k + 1) % terms][site]
+
+
 class TestRandomSettingsChain:
     def test_is_valid_and_deterministic(self):
         rs = RandomSource(seed=7)

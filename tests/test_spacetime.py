@@ -73,6 +73,11 @@ class TestPremiseCheck:
         assert d == {"satisfied": True, "margin_ns": 30.0}
 
 
+def times(order):
+    """Each event's time by its label."""
+    return {e.label: e.time_ns for e in order.events}
+
+
 class TestEventOrder:
     def test_good_geometry_orders_late_readoff_after_early_detection(self):
         order = classify_event_order(StationGeometry(100.0, 20.0, 50.0))
@@ -83,27 +88,27 @@ class TestEventOrder:
             "late_setting_readoff",
             "late_detection",
         ]
-        assert order.before("early_detection", "late_setting_readoff")
-        assert not order.before("late_setting_readoff", "early_detection")
+        t = times(order)
+        assert t["early_detection"] < t["late_setting_readoff"]
+        assert not t["late_setting_readoff"] < t["early_detection"]
 
     def test_bad_geometry_reads_late_setting_too_soon(self):
         # modulator so far from the detector that the late setting is fixed
         # before the early alternative has passed
-        order = classify_event_order(StationGeometry(100.0, 150.0, 10.0))
-        assert order.before("late_setting_readoff", "early_detection")
+        t = times(classify_event_order(StationGeometry(100.0, 150.0, 10.0)))
+        assert t["late_setting_readoff"] < t["early_detection"]
 
     def test_simultaneous_events_are_unordered(self):
         # path difference equal to the modulator delay puts the late
         # readoff exactly at the early detection
-        order = classify_event_order(StationGeometry(100.0, 100.0, 10.0))
-        assert not order.before("early_detection", "late_setting_readoff")
-        assert not order.before("late_setting_readoff", "early_detection")
-        assert order.before("early_setting_readoff", "late_detection")
+        t = times(classify_event_order(StationGeometry(100.0, 100.0, 10.0)))
+        assert not t["early_detection"] < t["late_setting_readoff"]
+        assert not t["late_setting_readoff"] < t["early_detection"]
+        assert t["early_setting_readoff"] < t["late_detection"]
 
     def test_times_are_relative_to_early_detection(self):
-        order = classify_event_order(StationGeometry(100.0, 20.0, 50.0))
-        times = {e.label: e.time_ns for e in order.events}
-        assert times["early_detection"] == 0.0
-        assert times["early_setting_readoff"] == -20.0
-        assert times["late_setting_readoff"] == 80.0
-        assert times["late_detection"] == 100.0
+        t = times(classify_event_order(StationGeometry(100.0, 20.0, 50.0)))
+        assert t["early_detection"] == 0.0
+        assert t["early_setting_readoff"] == -20.0
+        assert t["late_setting_readoff"] == 80.0
+        assert t["late_detection"] == 100.0

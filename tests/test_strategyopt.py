@@ -44,12 +44,10 @@ from franson.strategyopt import (
     _Restart,
     _arrival_core,
     _atoms,
-    _cell_indices,
     _check_pricing_size,
     _check_search_size,
     _climb_in_lockstep,
     _column_classes,
-    _constraints,
     _et_best_columns,
     _lp_step,
     _oo_best_columns,
@@ -61,7 +59,7 @@ from franson.strategyopt import (
     _site_vertex,
     _stacked_lp,
     _statistic,
-    _support_matrices,
+    _support_rows,
     _vertex_index,
 )
 
@@ -185,7 +183,10 @@ class TestGameSpec:
     def test_properties(self, chain4m, chain6m):
         g4 = game(ModelClass.emission_time_realism, chain4m)
         assert g4.n_settings == 2
-        assert g4.cells == ((0, 0), (0, 1), (1, 1), (1, 0))
+        cells = g4.cells
+        assert [c.tolist() for c in cells] == [[0, 0, 1, 1], [0, 1, 1, 0], [1.0, 1.0, 1.0, -1.0]]
+        assert not any(c.flags.writeable for c in cells)
+        assert g4.cells is cells
         assert g4.has_equal_mass_constraint
         g6 = game(ModelClass.outcomes_only, chain6m)
         assert g6.n_settings == 3
@@ -276,7 +277,7 @@ def enumerated_vertex_max(g):
     the whole (S, S, terms) array of signed correlations.  Path-realism
     vertices coincide only when their constant arrival classes match."""
     sides = _side_arrays(g.model.kind, g.n_settings)
-    a_idx, b_idx, signs = _cell_indices(g)
+    a_idx, b_idx, signs = g.cells
     signed = sides.outcomes[:, None, a_idx] * sides.outcomes[None, :, b_idx] * signs
     stats = np.abs(signed[:, :, 0::2] + signed[:, :, 1::2]).sum(axis=2)
     if g.model.kind is ModelKind.PATH_REALISM:
@@ -574,19 +575,16 @@ class TestOptimizer:
         from scipy.optimize import linprog
 
         g = game(factory, random_settings_chain(terms, RandomSource(seed=terms)))
-        _, _, signs = _cell_indices(g)
+        _, _, signs = g.cells
         rng = np.random.default_rng(terms)
         restarts, blocks = [], []
         for size in (8, 40, 192, 192):
             r = _Restart(*_restart_support(g, OptimizerBudget(support_size=size), rng))
             _open_round(g, r, signs)
             restarts.append(r)
-            # the block's whole LP, built here from the row builders
-            atoms = _atoms(g, r.idx1, r.idx2)
-            mass, num = _support_matrices(g, *atoms)
-            if g.has_equal_mass_constraint:
-                A, b = _constraints(g, *atoms)
-            else:
+            # the block's whole LP, built here from the row builder
+            mass, num, A, b = _support_rows(g, *_atoms(g, r.idx1, r.idx2))
+            if not g.has_equal_mass_constraint:
                 A, b = np.vstack([mass.T, np.ones(r.idx1.size)]), np.append(r.w @ mass, 1.0)
             blocks.append((num @ _pattern_coef(signs, r.m, r.groups), A, b))
         steps = _lp_step(restarts, signs)
@@ -833,7 +831,7 @@ def full_lp_matrices(g):
     n = g.n_settings
     s1 = _side_arrays(g.model.kind, n)
     s2 = _side_arrays(g.model.kind, n)
-    a_idx, b_idx, signs = _cell_indices(g)
+    a_idx, b_idx, signs = g.cells
     T = len(a_idx)
     S1, S2 = s1.size, s2.size
     e1 = s1.early[:, a_idx].astype(np.float64)
@@ -942,7 +940,7 @@ class TestOneSignPattern:
         g = game(factory, random_term_chain(6, rng))
         n = g.n_settings
         size = _side_arrays(g.model.kind, n).size
-        a_idx, b_idx, _ = _cell_indices(g)
+        a_idx, b_idx, _ = g.cells
 
         def flip(sides, settings):
             sign = np.where(settings, -1, 1).astype(np.int8)
@@ -956,14 +954,15 @@ class TestOneSignPattern:
         for _ in range(4):
             s1, s2 = _atoms(g, *rng.integers(size, size=(2, 50)))
             x1, x2 = rng.random((2, n)) < 0.5
-            mass, num = _support_matrices(g, s1, s2)
-            f1, f2 = flip(s1, x1), flip(s2, x2)
-            flipped_mass, flipped_num = _support_matrices(g, f1, f2)
+            mass, num, A, b = _support_rows(g, s1, s2)
+            flipped_mass, flipped_num, flipped_A, flipped_b = _support_rows(
+                g, flip(s1, x1), flip(s2, x2)
+            )
             crossing = x1[a_idx] != x2[b_idx]
             np.testing.assert_array_equal(flipped_mass, mass)
             np.testing.assert_array_equal(flipped_num, np.where(crossing, -num, num))
-            for before, after in zip(_constraints(g, s1, s2), _constraints(g, f1, f2)):
-                np.testing.assert_array_equal(after, before)
+            np.testing.assert_array_equal(flipped_A, A)
+            np.testing.assert_array_equal(flipped_b, b)
 
 
 class TestLpCrossCheck:
@@ -1000,7 +999,7 @@ class TestLpCrossCheck:
             g = game(ModelClass.emission_time_realism, chain)
             A_eq, b_eq, objs = full_lp_matrices(g)
             S = _side_arrays(g.model.kind, g.n_settings).size
-            _, _, signs = _cell_indices(g)
+            _, _, signs = g.cells
             for pattern, obj in objs.items():
                 coef = 2.0 * np.repeat(np.array(pattern), 2) * signs
                 y = rng.normal(size=b_eq.size)
@@ -1025,7 +1024,7 @@ class TestLpCrossCheck:
             S = _side_arrays(g.model.kind, n).size
             # a row's arrival map is its lowest n bits (_vertex_index)
             best = obj.reshape((2**n,) * 6).max(axis=(0, 1, 3, 4))
-            _, _, signs = _cell_indices(g)
+            _, _, signs = g.cells
             price, i, j = _et_best_columns(g, 2.0 * signs, np.zeros(2 * n + 2), 4**n)
             e1, e2 = i % 2**n, j % 2**n
             assert sorted((e1 * 2**n + e2).tolist()) == list(range(4**n))
@@ -1042,13 +1041,11 @@ class TestLpCrossCheck:
         for chain in (chain_settings(terms), random_term_chain(terms, rng)):
             g = game(ModelClass.emission_time_realism, chain)
             n = g.n_settings
-            _, _, signs = _cell_indices(g)
+            _, _, signs = g.cells
             coef = 2.0 * signs
             _, i, j = _et_best_columns(g, coef, np.zeros(terms + 2), 4**n)
             assert i.size == 4**n
-            s1, s2 = _atoms(g, i, j)
-            _, num = _support_matrices(g, s1, s2)
-            A_eq, b_eq = _constraints(g, s1, s2)
+            _, num, A_eq, b_eq = _support_rows(g, *_atoms(g, i, j))
             res = linprog(-(num @ coef), A_eq=A_eq, b_eq=b_eq, bounds=(0.0, None),
                           method="highs")
             assert res.success, res.message
@@ -1324,7 +1321,7 @@ def dense_outcomes_only_prices(g, c, y):
     of small matrix products; the selection is
     det1 det2 (e1 e2 + (1 - e1)(1 - e2)).  64^n entries, so the tests use
     it up to 6 terms."""
-    a_idx, b_idx, _ = _cell_indices(g)
+    a_idx, b_idx, _ = g.cells
     sides = _side_arrays(g.model.kind, g.n_settings)
 
     def prod(f1, f2, coeff):
@@ -1355,8 +1352,8 @@ class TestInsertionScores:
         idx1 = rng.integers(0, size, k)
         idx2 = rng.integers(0, size, k)
         w = rng.dirichlet(np.ones(k))
-        _, _, signs = _cell_indices(g)
-        mass, num = _support_matrices(g, *_atoms(g, idx1, idx2))
+        _, _, signs = g.cells
+        mass, num, _, _ = _support_rows(g, *_atoms(g, idx1, idx2))
         stat0, corr, m, groups = _statistic(w, mass, num, signs)
         sig = np.where(groups >= 0.0, 1.0, -1.0)
         coef_over_m = np.repeat(sig, 2) * signs / np.maximum(m, 1e-12)
@@ -1369,7 +1366,7 @@ class TestInsertionScores:
         eps = 1e-6
         for v1, v2, score in zip(v1s.tolist(), v2s.tolist(), scores.tolist()):
             atoms = _atoms(g, np.append(idx1, v1), np.append(idx2, v2))
-            mass_aug, num_aug = _support_matrices(g, *atoms)
+            mass_aug, num_aug, _, _ = _support_rows(g, *atoms)
             stat_eps, _, _, _ = _statistic(
                 np.append(w, eps), mass_aug, num_aug, signs
             )
