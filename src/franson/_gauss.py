@@ -14,9 +14,7 @@ from numpy.polynomial.legendre import leggauss
 from .core import TWO_PI, reduce_phase
 
 
-def panel_nodes(
-    breakpoints, n_base: int = 4096, order: int = 4
-) -> tuple[np.ndarray, np.ndarray]:
+def panel_nodes(breakpoints, *, n_base: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss nodes and weights covering [0, 2*pi).
 
     Panel edges are the union of an ``n_base``-cell uniform grid and the

@@ -32,11 +32,14 @@ objective does not lower the objective: an LP that keeps only the best
 column of each constraint column has the same value.  So each search
 step hands the solver one atom per distinct constraint column of its
 support.  The column rounds and the certificate price joint vertices
-with structured oracles and never build a joint-vertex array:
-``_et_best_columns`` maximizes over arrival and site-1 outcome maps, the
-rest in closed form; ``_oo_best_columns`` separates over the site-2
-settings.  A site vertex is a mixed-radix index of its maps, decoded by
-bit shifts where needed.
+with structured oracles and never build a joint-vertex array.  The
+search's top-k columns come from ``_et_best_columns``, which maximizes
+over arrival and site-1 outcome maps, the rest in closed form, and
+``_oo_best_columns``, which separates over the site-2 settings; both sum
+8^n items, so the search stops at 12 terms.  The certificate needs only
+the largest price, a max-plus DP around the setting cycle
+(``_et_best_price``) in O(terms n^2).  A site vertex is a mixed-radix
+index of its maps, decoded by bit shifts where needed.
 """
 
 from __future__ import annotations
@@ -244,14 +247,13 @@ def _side_arrays(kind: ModelKind, n: int, rows=None) -> _SideArrays:
     return _SideArrays(outcomes=out, early=early, detected=det, late_outcomes=late)
 
 
-def _site_vertex(sides: _SideArrays, k: int) -> SiteVertex:
+def _site_vertices(sides: _SideArrays) -> list[SiteVertex]:
+    """Every vertex of ``sides``, in row order; each map array is decoded
+    to Python ints and bools by one ``tolist``."""
     late = sides.late_outcomes
-    return SiteVertex(
-        outcomes=tuple(int(x) for x in sides.outcomes[k]),
-        early=tuple(bool(x) for x in sides.early[k]),
-        detected=tuple(bool(x) for x in sides.detected[k]),
-        late_outcomes=None if late is None else tuple(int(x) for x in late[k]),
-    )
+    lates = [None] * sides.size if late is None else map(tuple, late.tolist())
+    maps = zip(sides.outcomes.tolist(), sides.early.tolist(), sides.detected.tolist(), lates)
+    return [SiteVertex(tuple(o), tuple(e), tuple(d), lo) for o, e, d, lo in maps]
 
 
 def _side_rows(kind: ModelKind, n: int, vertices: list[SiteVertex]) -> np.ndarray:
@@ -306,11 +308,14 @@ _PRICING_LIMIT = 1 << 22
 
 
 def _check_pricing_size(game: GameSpec) -> None:
-    """Refuse a game whose pricing would outgrow ``_PRICING_LIMIT``.
+    """Refuse a search whose column pricing would outgrow ``_PRICING_LIMIT``.
 
-    Both searched classes have 8^n vertices per site, and both oracles sum
-    8^n items over every term: ``_et_best_columns`` (arrival, outcome,
-    arrival) map triples, ``_oo_best_columns`` site-1 vertices.
+    Both searched classes have 8^n vertices per site, and both top-k
+    oracles of the column rounds sum 8^n items over every term:
+    ``_et_best_columns`` (arrival, outcome, arrival) map triples,
+    ``_oo_best_columns`` site-1 vertices.  The emission-time certificate
+    needs only the largest price, which the cycle DP ``_et_best_price``
+    finds in O(terms n^2), so only the search is refused here.
     """
     size = 8**game.n_settings * game.chain.terms
     if size > _PRICING_LIMIT:
@@ -340,9 +345,7 @@ def _witness(game: GameSpec, idx1, idx2, w) -> MixedStrategy:
     """The mixture of the atoms (idx1, idx2), decoded, at weights ``w / w.sum()``."""
     s1, s2 = _atoms(game, idx1, idx2)
     return MixedStrategy(
-        vertices=tuple(
-            DeterministicVertex(_site_vertex(s1, k), _site_vertex(s2, k)) for k in range(w.size)
-        ),
+        vertices=tuple(map(DeterministicVertex, _site_vertices(s1), _site_vertices(s2))),
         weights=tuple(float(x) for x in w / w.sum()),
     )
 
@@ -500,7 +503,8 @@ class DualCertificate:
     cell, the late-late mass, the simplex sum): the closed form of
     ``emission_time_lp_value``, not the solver's.  ``dual_value`` is y.b.
     No joint vertex of the game, in the LP or not, has a reduced profit
-    obj - A^T y above ``largest_profit``, and the weights sum to 1, so no
+    obj - A^T y above ``largest_profit``, the maximum over every joint
+    vertex by the cycle DP ``_et_best_price``; the weights sum to 1, so no
     mixture's objective exceeds y.b + max(0, largest_profit).  ``closed``
     when that profit is at most ``PROFIT_TOLERANCE`` and a primal witness
     meets it: constraint residual at most ``CONSTRAINT_TOLERANCE``,
@@ -691,6 +695,50 @@ def _et_best_columns(game: GameSpec, c: np.ndarray, y: np.ndarray, k: int):
         _vertex_index(n, o1, l1, e1),
         _vertex_index(n, o2, l2, e2),
     )
+
+
+def _et_best_price(game: GameSpec, c: np.ndarray, y: np.ndarray):
+    """The largest emission-time price over every joint vertex, priced as
+    in ``_et_best_columns``, by a max-plus DP around the setting cycle in
+    O(terms n^2).
+
+    The settings of both sites are the 2n nodes of one cycle, and each term
+    t is an edge.  Given the arrival maps, the best early outcomes solve a
+    +-1 chain problem on the early-early edges: each earns |c_t| on a path,
+    and on the whole cycle, when the signs of c multiply to a negative
+    number, 2 min |c_t| less.  The late part is the same problem on the
+    whole cycle, its maximum L times the late shares' product
+    lam1 lam2 = (n - k1)(n - k2) / n^2 for k1 and k2 early settings.  So
+    the walk of ``SettingsChain.cycle``, from site-1 setting 0, carries
+    the best partial sum per state (node 0 early, this node early, k1,
+    k2), and each step takes the next node late or early, earning
+    w_t = |c_t| - y_t on an edge whose ends are both early.  Works in any
+    dtype numpy can compare: floats, or ``Fraction`` objects for an exact
+    price.
+    """
+    n = game.n_settings
+    T = game.chain.terms
+    cycle = game.chain.cycle
+    gain = np.abs(c)
+    w = gain - y[:T]
+    # a c_t of 0 opens the cycle, and then min |c_t| is 0 too
+    loss = 2 * gain.min() if np.count_nonzero(c < 0) % 2 else 0
+    V = np.full((2, 2, n + 1, n + 1), -np.inf, dtype=w.dtype)  # [node 0, node, k1, k2]
+    V[0, 0, 0, 0] = V[1, 1, 1, 0] = 0
+    for k in range(1, 2 * n):
+        late = np.maximum(V[:, 0], V[:, 1])
+        early = np.maximum(V[:, 0], V[:, 1] + w[cycle[k - 1]])
+        V = np.full_like(V, -np.inf)
+        V[:, 0] = late
+        if k % 2:  # site 2's settings are the odd nodes
+            V[:, 1, :, 1:] = early[..., :-1]
+        else:
+            V[:, 1, 1:] = early[:, :-1]
+    V[1, 1] += w[cycle[-1]]  # the edge that closes the cycle
+    V[1, 1, n, n] -= loss
+    lam = np.arange(n, -1, -1)
+    late_part = np.outer(lam, lam) * (gain.sum() - loss - y[T]) / (n * n)
+    return (V + late_part).max() - y[T + 1]
 
 
 def _oo_best_columns(game: GameSpec, c: np.ndarray, y: np.ndarray, k: int):
@@ -1055,17 +1103,16 @@ def emission_time_lp_value(game: GameSpec, solution: bool = False):
     y.b = terms - 1: each early-early part of a correlation is at most
     its mass, and the late-late part is a plain local-realist chained
     sum, at most terms - 2, times lam1 lam2 >= 0.  They give the
-    ``DualCertificate``: ``_et_best_columns``, priced at y, finds the
-    largest reduced profit over every joint vertex, a sum of small
-    integers that is exactly 0 when the bound holds.  The primal is
-    ``_et_witness``'s terms + 2 atoms, whose objective and constraint
+    ``DualCertificate``: the cycle DP ``_et_best_price``, priced at y,
+    finds the largest reduced profit over every joint vertex in
+    O(terms n^2), a sum of small integers that is exactly 0 when the
+    bound holds.  The primal is ``_et_witness``'s terms + 2 atoms,
+    whose objective and constraint
     residual come from the search's own row builder, ``_support_rows``.
     The certificate closes when the profit is at most
     ``PROFIT_TOLERANCE``, the residual at most ``CONSTRAINT_TOLERANCE``
     and the witness's objective within ``WITNESS_TOLERANCE`` of y.b; the
-    value is then y.b, else the witness's objective.  The pricing is
-    nearly all of the call's cost (about 3.5 ms at 12 terms on a 2-vCPU
-    host).
+    value is then y.b, else the witness's objective.
 
     Returns the value; with ``solution``, a ``MaxStatisticResult`` of
     method "lp" instead, exact when the certificate closes, whose witness
@@ -1075,13 +1122,13 @@ def emission_time_lp_value(game: GameSpec, solution: bool = False):
     wraps as its ``strategyopt.lp`` span; the float return stays for the
     public API and the criterion tests.
 
-    A game beyond the pricing size limit (more than 12 terms) raises
-    ResourceLimitError.  Independent of the successive-LP search, which
-    solves only its restart's support under the sign pattern it climbs.
+    Beyond 42 terms the witness's site rows outgrow int64 and
+    ``_side_size`` raises ResourceLimitError.  Independent of the
+    successive-LP search, which solves only its restart's support under
+    the sign pattern it climbs.
     """
     if game.model.kind is not ModelKind.EMISSION_TIME_REALISM:
         raise ValueError("the LP cross-check applies to the emission-time game")
-    _check_pricing_size(game)
     _, _, signs = game.cells
     terms = game.chain.terms
     # the all-+1 pattern; corr_t = 2 * (early part + late part) once masses are pinned
@@ -1094,7 +1141,7 @@ def emission_time_lp_value(game: GameSpec, solution: bool = False):
     # the closed-form duals: early-early rows, late-late row, simplex row
     y = np.array([2.0] * terms + [2.0 * (terms - 2), 0.0])
     dual_value = float(y @ b_eq)
-    (profit,), _, _ = _et_best_columns(game, coef, y, 1)
+    profit = _et_best_price(game, coef, y)
     certificate = DualCertificate(
         duals=tuple(float(v) for v in y),
         dual_value=dual_value,

@@ -257,7 +257,9 @@ class TestVerifyBounds:
             ("--model-class", "outcomes-only", "--terms", "44"),
             # the search's pricing, past 12 terms
             ("--model-class", "outcomes-only", "--terms", "14", "--restarts", "48"),
-            ("--model-class", "emission-time-realism", "--terms", "14"),
+            ("--model-class", "emission-time-realism", "--terms", "14", "--restarts", "48"),
+            # the emission-time witness's site rows need 66 bits at 44 terms
+            ("--model-class", "emission-time-realism", "--terms", "44"),
             # games that fit, with budgets whose supports would not
             ("--restarts", "1000000"),
             ("--model-class", "outcomes-only", "--support-size", "1000000"),
@@ -267,6 +269,19 @@ class TestVerifyBounds:
             assert code == 3
             assert p is None
             assert "resource limit" in err
+
+    @pytest.mark.parametrize("terms", [14, 24, 42])
+    def test_emission_time_answers_exactly_up_to_int64_rows(self, capsys, terms):
+        # the certificate's cycle DP prices every joint vertex past the
+        # search's 12-term limit
+        argv = ["verify-bounds", "--lp-check", "--witness", "--terms", str(terms)]
+        code, p, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert (p["method"], p["exact"], p["passed"]) == ("lp", True, True)
+        assert p["best_value"] == p["lp_value"] == terms - 1
+        assert p["certificate"]["closed"] is True
+        assert p["certificate"]["largest_profit"] == 0.0
+        assert len(p["witness"]["vertices"]) == terms + 2
 
     @pytest.mark.parametrize(
         "model_class, top", [("plain-local-realism", 126), ("path-realism", 124)]
@@ -2101,7 +2116,7 @@ codes = [
 heavy = ("franson.strategyopt", "franson.spacetime", "franson._gauss", "scipy")
 loaded = [name for name in heavy if name in sys.modules]
 codes += [
-    main(["verify-bounds", "--terms", "14"]),
+    main(["verify-bounds", "--terms", "44"]),
     main(["geometry", "--path-difference-ns", "100",
           "--modulator-to-detector-ns", "20", "--switch-period-ns", "50"]),
 ]
@@ -2124,9 +2139,10 @@ def test_simulate_report_bounds_and_visibility_start_without_the_solver(tmp_path
     assert run.stderr.startswith("resource limit: ")
 
 
-# every class's exact answer is a closed form; only the search needs scipy
+# every class's exact answer is a closed form; only the search needs scipy.
+# The largest emission-time game, 42 terms, is answered in under 1 s
 LEAN_VERIFY = """
-import json, sys
+import json, sys, time
 
 from franson.cli import main
 
@@ -2137,10 +2153,14 @@ for terms in ("4", "6"):
         lp_check = ["--lp-check"] if model_class == "emission-time-realism" else []
         codes.append(main(["verify-bounds", "--model-class", model_class, "--terms", terms,
                            "--witness", *lp_check]))
+start = time.perf_counter()
+codes.append(main(["verify-bounds", "--terms", "42", "--lp-check", "--witness"]))
+fast = time.perf_counter() - start < 1.0
 lean = "scipy" in sys.modules
 codes.append(main(["verify-bounds", "--terms", "4", "--lp-check", "--witness",
                    "--restarts", "1"]))
-print(json.dumps({"codes": codes, "lean": lean, "searched": "scipy" in sys.modules}))
+print(json.dumps({"codes": codes, "fast": fast, "lean": lean,
+                  "searched": "scipy" in sys.modules}))
 """
 
 
@@ -2148,5 +2168,5 @@ def test_verify_bounds_answers_every_class_without_scipy():
     run = run_python("-c", LEAN_VERIFY)
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout.splitlines()[-1]) == {
-        "codes": [0] * 9, "lean": False, "searched": True
+        "codes": [0] * 10, "fast": True, "lean": False, "searched": True
     }

@@ -49,6 +49,7 @@ from franson.strategyopt import (
     _climb_in_lockstep,
     _column_classes,
     _et_best_columns,
+    _et_best_price,
     _lp_step,
     _oo_best_columns,
     _open_round,
@@ -56,7 +57,7 @@ from franson.strategyopt import (
     _restart_support,
     _side_arrays,
     _side_rows,
-    _site_vertex,
+    _site_vertices,
     _stacked_lp,
     _statistic,
     _support_rows,
@@ -72,8 +73,8 @@ def game(kind_factory, chain):
 
 def joint_vertex(g, i, j):
     """Joint vertex of site-1 row i and site-2 row j of the game's sides."""
-    sides = _side_arrays(g.model.kind, g.n_settings)
-    return DeterministicVertex(_site_vertex(sides, i), _site_vertex(sides, j))
+    vertices = _site_vertices(_side_arrays(g.model.kind, g.n_settings))
+    return DeterministicVertex(vertices[i], vertices[j])
 
 
 def strategy_from_mixture(mixed: MixedStrategy, chain: SettingsChain) -> LocalStrategy:
@@ -208,7 +209,7 @@ class TestEnumeration:
         sides = _side_arrays(g.model.kind, g.n_settings)
         assert sides.size**2 == count
         # every row is a distinct vertex
-        assert len({_site_vertex(sides, k) for k in range(sides.size)}) == sides.size
+        assert len(set(_site_vertices(sides))) == sides.size
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize(
@@ -263,13 +264,20 @@ class TestEnumeration:
         assert len(v.site1.late_outcomes) == 2
 
     def test_resource_limit(self):
-        # both oracles price 8^n site-1 vertices over every term, so one
-        # rule lets the 12-term games of both searched classes fit
+        # both top-k oracles price 8^n site-1 vertices over every term, so
+        # one rule lets the 12-term games of both searched classes fit
         _check_pricing_size(game(ModelClass.emission_time_realism, chain_settings(12)))
         _check_pricing_size(game(ModelClass.outcomes_only, chain_settings(12)))
         big = game(ModelClass.emission_time_realism, chain_settings(14))
         with pytest.raises(ResourceLimitError, match="emission-time pricing entries"):
-            emission_time_lp_value(big)
+            _check_pricing_size(big)
+        with pytest.raises(ResourceLimitError, match="emission-time pricing entries"):
+            max_statistic(big, OptimizerBudget(restarts=1))
+        # the certificate is priced by the cycle DP, so the exact answer is
+        # refused only where its witness's site rows outgrow int64
+        assert emission_time_lp_value(big) == 13.0
+        with pytest.raises(ResourceLimitError, match="66-bit site rows"):
+            emission_time_lp_value(game(ModelClass.emission_time_realism, chain_settings(44)))
 
 
 def enumerated_vertex_max(g):
@@ -819,7 +827,8 @@ class TestEvaluateMixed:
         g = game(factory, chain4m)
         sides = _side_arrays(g.model.kind, g.n_settings)
         rows = np.random.default_rng(23).permutation(sides.size)
-        vertices = [_site_vertex(sides, int(k)) for k in rows]
+        decoded = _site_vertices(sides)
+        vertices = [decoded[k] for k in rows]
         found = _side_rows(g.model.kind, g.n_settings, vertices)
         assert found.tolist() == rows.tolist()
 
@@ -1060,6 +1069,72 @@ class TestLpCrossCheck:
         assert emission_time_lp_value(g) == pytest.approx(11.0, abs=1e-9)
 
 
+def closed_form_duals(terms, number=float):
+    """The certificate's integer duals: 2 on each early-early row,
+    2(terms - 2) on the late-late row and 0 on the simplex row."""
+    y = [number(2)] * terms + [number(2 * (terms - 2)), number(0)]
+    return np.array(y, dtype=object if number is Fraction else float)
+
+
+class TestCycleDp:
+    """The cycle DP that prices the emission-time certificate, refereed by
+    the 8^n top-k oracle of the search and checked exactly in rationals."""
+
+    @pytest.mark.parametrize("terms", [4, 6, 8, 10, 12])
+    def test_matches_the_top_k_oracle(self, terms):
+        rng = np.random.default_rng(97 + terms)
+        parities = set()
+        for chain in (chain_settings(terms), random_term_chain(terms, rng)):
+            g = game(ModelClass.emission_time_realism, chain)
+            for draw in range(6):
+                c = rng.normal(size=terms)
+                if draw < 2:  # the signs of c multiply to +1, then to -1
+                    c[0] = abs(c[0]) * np.prod(np.sign(c[1:])) * (-1) ** draw
+                elif draw == 2:
+                    c[rng.integers(terms)] = 0.0
+                y = rng.normal(size=terms + 2)
+                (price,), _, _ = _et_best_columns(g, c, y, 1)
+                assert _et_best_price(g, c, y) == pytest.approx(price, abs=1e-9)
+                parities.add(float(np.prod(np.sign(c))))
+        assert parities == {-1.0, 0.0, 1.0}
+
+    @pytest.mark.parametrize("terms", range(4, 44, 2))
+    def test_closed_form_duals_leave_no_profit(self, terms):
+        # in Fraction arithmetic the largest profit is exactly 0, and in
+        # floats it is 0.0 with a positive sign, as the report prints it
+        rng = np.random.default_rng(101 + terms)
+        for chain in (chain_settings(terms), random_term_chain(terms, rng)):
+            g = game(ModelClass.emission_time_realism, chain)
+            _, _, signs = g.cells
+            exact_c = np.array([Fraction(2 * int(s)) for s in signs], dtype=object)
+            profit = _et_best_price(g, exact_c, closed_form_duals(terms, Fraction))
+            assert isinstance(profit, Fraction)
+            assert profit == 0
+            profit = _et_best_price(g, 2.0 * signs, closed_form_duals(terms))
+            assert profit == 0.0
+            assert math.copysign(1.0, profit) == 1.0
+
+    @pytest.mark.parametrize("terms", [4, 6, 12, 42])
+    def test_a_lowered_dual_opens_the_certificate(self, terms, monkeypatch):
+        # one early-early dual lowered by 1: a vertex early at both ends of
+        # that term, and late elsewhere, earns exactly 1
+        g = game(ModelClass.emission_time_realism, chain_settings(terms))
+        _, _, signs = g.cells
+        for t in range(terms):
+            y = closed_form_duals(terms)
+            y[t] -= 1
+            assert _et_best_price(g, 2.0 * signs, y) == 1.0
+        oracle = strategyopt._et_best_price
+        lowered = np.eye(terms + 2)[terms - 1]
+        monkeypatch.setattr(strategyopt, "_et_best_price",
+                            lambda game, c, y: oracle(game, c, y - lowered))
+        result = emission_time_lp_value(g, solution=True)
+        assert result.certificate.largest_profit == 1.0
+        assert not result.certificate.closed
+        assert not result.exact
+        assert result.value == pytest.approx(terms - 1, abs=1e-9)
+
+
 class TestExactDefaults:
     """Referees for the exact answers ``verify_bound`` reports by default."""
 
@@ -1176,13 +1251,12 @@ class TestExactDefaults:
     def test_positive_profit_leaves_the_certificate_open(self, chain4m, monkeypatch):
         # a joint vertex priced above 1e-10 under the duals: no bound, and
         # the value is the LP's own, not y.b
-        oracle = strategyopt._et_best_columns
+        oracle = strategyopt._et_best_price
 
-        def profitable(game, c, y, k):
-            price, i, j = oracle(game, c, y, k)
-            return (price + 1e-6 if k == 1 else price), i, j
+        def profitable(game, c, y):
+            return oracle(game, c, y) + 1e-6
 
-        monkeypatch.setattr(strategyopt, "_et_best_columns", profitable)
+        monkeypatch.setattr(strategyopt, "_et_best_price", profitable)
         g = game(ModelClass.emission_time_realism, chain4m)
         result = emission_time_lp_value(g, solution=True)
         assert not result.certificate.closed
