@@ -6,7 +6,7 @@ counter-based from the given seed, so reruns with the same arguments are
 byte-identical.
 
 Exit codes: 0 success, 2 invalid arguments or configuration, 3 resource
-limit exceeded.
+limit exceeded or an allocation failed.
 
 On glibc, ``simulate``'s timing pipeline and ``report`` fix the allocator's
 thresholds for the rest of the process (see ``_keep_freed_heap``): a
@@ -66,14 +66,6 @@ EXIT_CONFIG = 2
 EXIT_RESOURCE = 3
 
 _TERM_COUNTS = (4, 6, 8, 10, 12)
-
-_SEARCHABLE = (
-    "plain-local-realism",
-    "path-realism",
-    "emission-time-realism",
-    "outcomes-only",
-)
-
 
 class ConfigError(ValueError):
     pass
@@ -635,8 +627,8 @@ def _scenario_chained6(args) -> dict:
     return {"command": "simulate", "scenario": "chained6", "rows": rows}
 
 
-# simulate's options that a route may read, with their defaults, in the
-# order a refusal names them
+# simulate's options that a route may read, with their defaults (report's
+# timing defaults too), in the order a refusal names them
 _OPTIONS = {
     "events_csv": None, "pipeline": False, "terms": 4, "visibility": 1.0,
     "trials": 200_000, "seed": 1, "path_difference_ns": 100.0, "window_ns": 1.0,
@@ -740,8 +732,8 @@ def _cmd_visibility(args) -> dict:
     return {"command": "visibility", "rows": rows, "best_terms": best_terms}
 
 
-# verify-bounds flags that budget the search; giving any of them runs it
-_SEARCH_BUDGET = ("restarts", "iterations", "support_size")
+# verify-bounds flags that budget the search; giving either of them runs it
+_SEARCH_BUDGET = ("restarts", "iterations")
 
 
 def _cmd_verify_bounds(args) -> dict:
@@ -749,28 +741,16 @@ def _cmd_verify_bounds(args) -> dict:
     from .strategyopt import GameSpec, OptimizerBudget, _side_size, verify_bound
 
     search = any(getattr(args, a) is not None for a in _SEARCH_BUDGET)
-    _fill_defaults(
-        args,
-        {
-            "terms": 4,
-            "model_class": "emission-time-realism",
-            "restarts": 48,
-            "iterations": 220,
-            "support_size": 192,
-            "seed": 0,
-        },
-    )
+    _fill_defaults(args, {"terms": 4, "model_class": "emission-time-realism"})
     model = _model_class(args.model_class, None)
     terms = int(args.terms)
     _side_size(model.kind, terms // 2)  # site rows wider than int64 raise before the chain
     chain = chain_settings(terms)
     game = GameSpec(model=model, chain=chain)
-    # checked even when no search runs, so a bad --seed is never ignored
+    # the flags given, checked even when no search runs, so a bad --seed is
+    # never ignored; the rest at OptimizerBudget's defaults
     budget = OptimizerBudget(
-        restarts=int(args.restarts),
-        iterations=int(args.iterations),
-        support_size=int(args.support_size),
-        seed=int(args.seed),
+        **{a: getattr(args, a) for a in (*_SEARCH_BUDGET, "seed") if getattr(args, a) is not None}
     )
     report = verify_bound(game, budget if search else None, lp_check=bool(args.lp_check))
     payload = report.to_json_dict(include_witness=bool(args.witness))
@@ -843,14 +823,9 @@ def _postselect_blocks(events: EventColumns, timing: InterferometerTiming) -> _T
 
 
 def _cmd_report(args) -> dict:
+    # simulate's defaults: a file simulated at them is reported at its timing
     _fill_defaults(
-        args,
-        {
-            "terms": 4,
-            "path_difference_ns": 100.0,
-            "window_ns": 1.0,
-            "short_arm_ns": 10.0,
-        },
+        args, {o: _OPTIONS[o] for o in ("terms", "path_difference_ns", "window_ns", "short_arm_ns")}
     )
     # every flag is checked before the file is read
     timing = _timing(args)
@@ -939,20 +914,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument(
         "--model-class",
-        choices=_SEARCHABLE,
+        choices=tuple(k.value for k in ModelKind if not k.takes_efficiency),
         help="efficiency-based bounds are closed-form (see the bounds command)",
     )
     p_verify.add_argument("--terms", type=int)
     p_verify.add_argument(
         "--restarts",
         type=int,
-        help="search restarts (default 48); any of the three budget flags also "
+        help="search restarts (default 48); either budget flag also "
         "runs the successive-LP search (emission-time and outcomes-only games)",
     )
     p_verify.add_argument(
         "--iterations", type=int, help="search ascent steps per column round (default 220)"
     )
-    p_verify.add_argument("--support-size", type=int, help="search support atoms (default 192)")
     p_verify.add_argument("--seed", type=int, help="seeds the search only")
     p_verify.add_argument(
         "--lp-check",
@@ -993,7 +967,7 @@ def main(argv: list[str] | None = None) -> int:
         args = _merge_config(args, parser)
         payload = args.func(args)
         _emit(payload, args.out)
-    except ResourceLimitError as exc:
+    except (ResourceLimitError, MemoryError) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (ConfigError, ValueError, OSError) as exc:

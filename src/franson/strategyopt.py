@@ -303,26 +303,6 @@ def _arrival_core(n: int) -> tuple[tuple[int, int], ...]:
     )
 
 
-# pricing size a searched game may reach; the 12-term games of both fit
-_PRICING_LIMIT = 1 << 22
-
-
-def _check_pricing_size(game: GameSpec) -> None:
-    """Refuse a search whose column pricing would outgrow ``_PRICING_LIMIT``.
-
-    Both searched classes have 8^n vertices per site, and both top-k
-    oracles of the column rounds sum 8^n items over every term:
-    ``_et_best_columns`` (arrival, outcome, arrival) map triples,
-    ``_oo_best_columns`` site-1 vertices.  The emission-time certificate
-    needs only the largest price, which the cycle DP ``_et_best_price``
-    finds in O(terms n^2), so only the search is refused here.
-    """
-    size = 8**game.n_settings * game.chain.terms
-    if size > _PRICING_LIMIT:
-        name = "emission-time" if game.has_equal_mass_constraint else "outcomes-only"
-        raise ResourceLimitError(f"{size} {name} pricing entries exceed the limit {_PRICING_LIMIT}")
-
-
 # ---------------------------------------------------------------------------
 # mixture evaluation
 
@@ -443,12 +423,18 @@ _COLUMN_WINDOW = 4 * 16
 _COLUMNS_PER_ROUND = 16
 _PRICE_TOLERANCE = 1e-12
 
+# pricing size a searched game may reach; the 12-term games of both fit
+_PRICING_LIMIT = 1 << 22
+
 # support atoms the restarts of one search may hold at once.  The search's
 # memory (the restarts' matrices and the stacked LP, whose columns are at
 # most these atoms) grows with them: peak RSS rose by 0.26 kB per atom at
 # 4 terms and 1.6 kB at 12 terms, and a 12-term search at the limit
 # peaked at 875 MB.  1000 restarts at 4 terms hold 224,000.
 _SEARCH_ATOM_LIMIT = 1 << 19
+
+# atoms a restart's support draws, core included
+_SUPPORT_ATOMS = 192
 
 
 @dataclass(frozen=True)
@@ -457,18 +443,16 @@ class OptimizerBudget:
 
     ``restarts`` independent starts, each running to completion; the
     restarts advance in lockstep, one stacked LP per step, and each takes
-    at most ``iterations`` LP steps per column round; ``support_size``
-    atoms in a restart's restricted support.
-    Each of the three must be at least 1, and ``seed`` at least 0.
+    at most ``iterations`` LP steps per column round.  Both must be at
+    least 1, and ``seed``, which seeds the restarts' supports, at least 0.
     """
 
-    restarts: int = 64
+    restarts: int = 48
     iterations: int = 220
-    support_size: int = 192
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("restarts", "iterations", "support_size"):
+        for name in ("restarts", "iterations"):
             value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
@@ -477,17 +461,26 @@ class OptimizerBudget:
 
 
 def _check_search_size(game: GameSpec, budget: OptimizerBudget) -> None:
-    """Refuse a budget whose supports could outgrow ``_SEARCH_ATOM_LIMIT``.
+    """Refuse a search whose pricing or supports would outgrow their limits.
 
-    After its last column round a restart's support holds
-    ``_restart_support``'s draw, at least ``support_size`` atoms and at
-    least 8 beyond the emission-time core (the four ``_arrival_core`` pairs
-    and two pairs per cell), plus ``_COLUMNS_PER_ROUND`` per round.
+    Pricing first: both top-k oracles of the column rounds,
+    ``_et_best_columns`` and ``_oo_best_columns``, sum 8^n items over every
+    term, and past ``_PRICING_LIMIT`` such entries the search is refused.
+    The emission-time certificate's cycle DP ``_et_best_price`` is not
+    limited here.  Then the atoms, against ``_SEARCH_ATOM_LIMIT``: after
+    its last column round a restart's support holds ``_restart_support``'s
+    draw, at least ``_SUPPORT_ATOMS`` atoms and at least 8 beyond the
+    emission-time core (the four ``_arrival_core`` pairs and two pairs per
+    cell), plus ``_COLUMNS_PER_ROUND`` per round.
     """
     n = game.n_settings
+    size = 8**n * game.chain.terms
+    if size > _PRICING_LIMIT:
+        name = "emission-time" if game.has_equal_mass_constraint else "outcomes-only"
+        raise ResourceLimitError(f"{size} {name} pricing entries exceed the limit {_PRICING_LIMIT}")
     core = len(_arrival_core(n)) + 2 * n * n if game.has_equal_mass_constraint else 0
     added = _COLUMN_ROUNDS * _COLUMNS_PER_ROUND
-    atoms = budget.restarts * (max(budget.support_size, core + 8) + added)
+    atoms = budget.restarts * (max(_SUPPORT_ATOMS, core + 8) + added)
     if atoms > _SEARCH_ATOM_LIMIT:
         raise ResourceLimitError(
             f"{atoms} support atoms (restarts x (support of {core} core atoms "
@@ -611,8 +604,9 @@ def _outcomes_only_closed_form(game: GameSpec) -> MaxStatisticResult:
     )
 
 
-def _restart_support(game, budget, rng):
-    """Support atoms for one restart: a feasibility core plus random atoms.
+def _restart_support(game, rng):
+    """Support atoms for one restart: a feasibility core plus random atoms,
+    ``_SUPPORT_ATOMS`` in all and at least 8 beyond the core.
 
     In the emission-time game the core is the four ``_arrival_core`` pairs,
     which keep the equal-mass system solvable from the first iterate, then
@@ -630,7 +624,7 @@ def _restart_support(game, budget, rng):
         arrivals1 = np.concatenate([core1, np.repeat(single, 2 * n)])
         arrivals2 = np.concatenate([core2, np.tile(np.repeat(single, 2), n)])
     o1, l1, o2, l2 = rng.integers(2**n, size=(arrivals1.size, 4)).T
-    extra = max(budget.support_size - arrivals1.size, 8)
+    extra = max(_SUPPORT_ATOMS - arrivals1.size, 8)
     idx1 = np.concatenate([_vertex_index(n, o1, l1, arrivals1), rng.integers(8**n, size=extra)])
     idx2 = np.concatenate([_vertex_index(n, o2, l2, arrivals2), rng.integers(8**n, size=extra)])
     w0 = np.zeros(idx1.size)
@@ -972,9 +966,10 @@ def max_statistic(game: GameSpec, budget: OptimizerBudget | None = None) -> MaxS
     outcomes-only selection.  A column round adds the joint vertices of
     largest insertion derivative from the game's structured oracle,
     ``_et_best_columns`` or ``_oo_best_columns``, which open both games up
-    to 12 terms.  A larger game raises ResourceLimitError, as does a budget
-    whose supports could outgrow ``_SEARCH_ATOM_LIMIT`` atoms
-    (``_check_search_size``), before any support is drawn.  A restart ends
+    to 12 terms.  A larger game, or a budget whose supports could outgrow
+    ``_SEARCH_ATOM_LIMIT`` atoms, raises ResourceLimitError from the one
+    check ``_check_search_size``, before any support is drawn.  Without a
+    budget the search runs at ``OptimizerBudget()``.  A restart ends
     after its last round, or earlier once no column has a positive price
     (above 1e-12).  The restarts advance through the rounds in lockstep:
     each LP step is one stacked LP over every restart still climbing
@@ -994,13 +989,12 @@ def max_statistic(game: GameSpec, budget: OptimizerBudget | None = None) -> MaxS
             f"{kind.value} has no finite-settings game here; its bound is "
             "analytic in the efficiency (see bound_for)"
         )
-    _check_pricing_size(game)
     budget = budget or OptimizerBudget()
     _check_search_size(game, budget)
     _, _, signs = game.cells
     rng_master = np.random.default_rng(budget.seed)
     restarts = [
-        _Restart(*_restart_support(game, budget, np.random.default_rng(seed)))
+        _Restart(*_restart_support(game, np.random.default_rng(seed)))
         for seed in rng_master.integers(2**63, size=budget.restarts)
     ]
     # restarts still in their column rounds, climbing in lockstep

@@ -262,8 +262,8 @@ class TestVerifyBounds:
             ("--model-class", "emission-time-realism", "--terms", "44"),
             # games that fit, with budgets whose supports would not
             ("--restarts", "1000000"),
-            ("--model-class", "outcomes-only", "--support-size", "1000000"),
-            ("--terms", "12", "--support-size", "1", "--restarts", "5000", "--lp-check"),
+            ("--model-class", "outcomes-only", "--restarts", "1000000"),
+            ("--terms", "12", "--restarts", "5000", "--lp-check"),
         ):
             code, p, err = run_cli(["verify-bounds", *flags], capsys)
             assert code == 3
@@ -388,9 +388,8 @@ class TestVerifyBounds:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--restarts", "2"], ["--iterations", "5"], ["--support-size", "8"],
-         ["--config", "CONFIG"]],
-        ids=["restarts", "iterations", "support-size", "config-restarts"],
+        [["--restarts", "2"], ["--iterations", "5"], ["--config", "CONFIG"]],
+        ids=["restarts", "iterations", "config-restarts"],
     )
     def test_search_runs_on_request(self, tmp_path, capsys, flags):
         config = tmp_path / "cfg.json"
@@ -416,8 +415,7 @@ class TestVerifyBounds:
 
     @pytest.mark.parametrize(
         "flag, field",
-        [("--restarts", "restarts"), ("--iterations", "iterations"),
-         ("--support-size", "support_size"), ("--seed", "seed")],
+        [("--restarts", "restarts"), ("--iterations", "iterations"), ("--seed", "seed")],
     )
     def test_budget_below_one_is_a_clean_error(self, capsys, flag, field):
         # the seed's floor is 0, the counts' floor 1
@@ -1684,6 +1682,19 @@ class TestEventsRoundtrip:
         assert (code, p) == (2, None)
         assert "no coincidences at (phi, psi)" in err
         assert (path.read_bytes() if path.exists() else None) == before
+
+    def test_a_failed_allocation_exits_with_resource_code(self, tmp_path, capsys, monkeypatch):
+        # raised, not allocated: a host that overcommits memory grants 7 TiB
+        def fail(cls, size):
+            raise MemoryError(f"Unable to allocate {size} rows")
+
+        monkeypatch.setattr(EventColumns, "empty", classmethod(fail))
+        path = tmp_path / "events.csv"
+        argv = ["simulate", "--trials", "1000000000000", "--seed", "1", "--events-csv", str(path)]
+        code, p, err = run_cli(argv, capsys)
+        assert (code, p) == (3, None)
+        assert err == "resource limit: Unable to allocate 8000000000000 rows\n"
+        assert not path.exists()
 
     def test_wrong_terms_is_detected(self, tmp_path, capsys):
         csv = str(tmp_path / "events.csv")

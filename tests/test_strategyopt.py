@@ -41,10 +41,10 @@ from franson.strategyopt import (
     _COLUMN_ROUNDS,
     _COLUMNS_PER_ROUND,
     _SEARCH_ATOM_LIMIT,
+    _SUPPORT_ATOMS,
     _Restart,
     _arrival_core,
     _atoms,
-    _check_pricing_size,
     _check_search_size,
     _climb_in_lockstep,
     _column_classes,
@@ -266,11 +266,11 @@ class TestEnumeration:
     def test_resource_limit(self):
         # both top-k oracles price 8^n site-1 vertices over every term, so
         # one rule lets the 12-term games of both searched classes fit
-        _check_pricing_size(game(ModelClass.emission_time_realism, chain_settings(12)))
-        _check_pricing_size(game(ModelClass.outcomes_only, chain_settings(12)))
+        for factory in (ModelClass.emission_time_realism, ModelClass.outcomes_only):
+            _check_search_size(game(factory, chain_settings(12)), OptimizerBudget(restarts=1))
         big = game(ModelClass.emission_time_realism, chain_settings(14))
         with pytest.raises(ResourceLimitError, match="emission-time pricing entries"):
-            _check_pricing_size(big)
+            _check_search_size(big, OptimizerBudget(restarts=1))
         with pytest.raises(ResourceLimitError, match="emission-time pricing entries"):
             max_statistic(big, OptimizerBudget(restarts=1))
         # the certificate is priced by the cycle DP, so the exact answer is
@@ -457,7 +457,7 @@ class TestOptimizer:
             for m in ev.masses:
                 assert m == pytest.approx(0.5, abs=1e-9)
 
-    @pytest.mark.parametrize("field", ["restarts", "iterations", "support_size"])
+    @pytest.mark.parametrize("field", ["restarts", "iterations"])
     def test_budget_counts_must_be_positive(self, field):
         with pytest.raises(ValueError, match=f"{field} must be at least 1"):
             OptimizerBudget(**{field: 0})
@@ -587,7 +587,9 @@ class TestOptimizer:
         rng = np.random.default_rng(terms)
         restarts, blocks = [], []
         for size in (8, 40, 192, 192):
-            r = _Restart(*_restart_support(g, OptimizerBudget(support_size=size), rng))
+            # blocks of unequal sizes
+            monkeypatch.setattr(strategyopt, "_SUPPORT_ATOMS", size)
+            r = _Restart(*_restart_support(g, rng))
             _open_round(g, r, signs)
             restarts.append(r)
             # the block's whole LP, built here from the row builder
@@ -692,7 +694,7 @@ class TestOptimizer:
         ],
     )
     def test_restart_support_matches_scalar_draws(self, factory, terms):
-        def scalar_support(g, sides, budget, rng):
+        def scalar_support(g, sides, rng):
             """One ``rng.integers`` call per map, pick by pick."""
             n = g.n_settings
             picks1, picks2 = [], []
@@ -705,7 +707,7 @@ class TestOptimizer:
                     o2, l2 = rng.integers(2**n), rng.integers(2**n)
                     picks1.append(_vertex_index(n, o1, l1, ep1))
                     picks2.append(_vertex_index(n, o2, l2, ep2))
-            extra = max(budget.support_size - len(picks1), 8)
+            extra = max(_SUPPORT_ATOMS - len(picks1), 8)
             picks1.extend(int(x) for x in rng.integers(sides.size, size=extra))
             picks2.extend(int(x) for x in rng.integers(sides.size, size=extra))
             w0 = np.zeros(len(picks1))
@@ -718,37 +720,34 @@ class TestOptimizer:
 
         g = game(factory, chain_settings(terms))
         sides = _side_arrays(g.model.kind, g.n_settings)
-        for seed, size in itertools.product((0, 5, 7, 2**40 + 3), (1, 40, 192)):
-            budget = OptimizerBudget(support_size=size)
-            got = _restart_support(g, budget, np.random.default_rng(seed))
-            ref = scalar_support(g, sides, budget, np.random.default_rng(seed))
+        for seed in (0, 5, 7, 2**40 + 3):
+            got = _restart_support(g, np.random.default_rng(seed))
+            ref = scalar_support(g, sides, np.random.default_rng(seed))
             for a, b in zip(got, ref):
                 np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize(
-        "factory, terms, support",
+        "factory, terms",
         [
-            (ModelClass.emission_time_realism, 4, 192),
-            (ModelClass.emission_time_realism, 4, 1),
-            (ModelClass.emission_time_realism, 10, 40),
-            (ModelClass.emission_time_realism, 12, 1),
-            (ModelClass.outcomes_only, 4, 1),
-            (ModelClass.outcomes_only, 6, 192),
+            (ModelClass.emission_time_realism, 4),
+            (ModelClass.emission_time_realism, 10),
+            (ModelClass.emission_time_realism, 12),
+            (ModelClass.outcomes_only, 4),
+            (ModelClass.outcomes_only, 6),
         ],
     )
-    def test_search_size_counts_every_atom_a_support_can_hold(self, factory, terms, support):
+    def test_search_size_counts_every_atom_a_support_can_hold(self, factory, terms):
         g = game(factory, chain_settings(terms))
-        budget = OptimizerBudget(support_size=support)
-        drawn = _restart_support(g, budget, np.random.default_rng(0))[0].size
+        drawn = _restart_support(g, np.random.default_rng(0))[0].size
         per_restart = drawn + _COLUMN_ROUNDS * _COLUMNS_PER_ROUND
         at_limit = _SEARCH_ATOM_LIMIT // per_restart
-        _check_search_size(g, OptimizerBudget(restarts=at_limit, support_size=support))
+        _check_search_size(g, OptimizerBudget(restarts=at_limit))
         with pytest.raises(ResourceLimitError, match="support atoms"):
-            _check_search_size(g, OptimizerBudget(restarts=at_limit + 1, support_size=support))
+            _check_search_size(g, OptimizerBudget(restarts=at_limit + 1))
 
     @pytest.mark.parametrize(
         "budget",
-        [OptimizerBudget(restarts=1000), OptimizerBudget(restarts=320, support_size=400)],
+        [OptimizerBudget(restarts=1000), OptimizerBudget(restarts=2000)],
     )
     def test_search_size_admits_large_four_term_budgets(self, chain4m, budget):
         for factory in (ModelClass.emission_time_realism, ModelClass.outcomes_only):
@@ -761,11 +760,11 @@ class TestOptimizer:
         monkeypatch.setattr(strategyopt, "_restart_support", fail)
         monkeypatch.setattr(strategyopt, "emission_time_lp_value", fail)
         for factory in (ModelClass.emission_time_realism, ModelClass.outcomes_only):
-            for budget in (
-                OptimizerBudget(restarts=10**12),
-                OptimizerBudget(restarts=1, support_size=10**12),
+            # the atoms of a game that fits, and the pricing of one that does not
+            for g, budget in (
+                (game(factory, chain4m), OptimizerBudget(restarts=10**12)),
+                (game(factory, chain_settings(14)), OptimizerBudget(restarts=1)),
             ):
-                g = game(factory, chain4m)
                 with pytest.raises(ResourceLimitError):
                     max_statistic(g, budget)
                 if g.has_equal_mass_constraint:

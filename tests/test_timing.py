@@ -450,6 +450,18 @@ class TestSettingRuns:
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype and np.array_equal(g, w)
 
+    def test_keys_match_the_scalar_setting_key(self):
+        # the table's cells and the efficiency entries are pooled by these
+        # keys, so the vectorized np.mod and the scalar fmod must agree
+        two_pi = 2 * math.pi
+        edges = [0.0, -0.0, two_pi, -two_pi, np.nextafter(two_pi, 0.0),
+                 -np.nextafter(two_pi, 0.0), 1e300, -1e300]
+        near = [e + np.linspace(-1e-9, 1e-9, 2001) for e in (0.0, two_pi, -two_pi)]
+        rng = np.random.default_rng(7)
+        spread = rng.uniform(-1.0, 1.0, 20_000) * 10.0 ** rng.uniform(-3.0, 15.0, 20_000)
+        phases = np.concatenate([edges, *near, spread])
+        assert timing._setting_keys(phases).tolist() == [setting_key(p) for p in phases]
+
 
 class TestCsvRoundTrip:
     def test_exact_roundtrip(self, tmp_path):
