@@ -8,10 +8,10 @@ byte-identical.
 Exit codes: 0 success, 2 invalid arguments or configuration, 3 resource
 limit exceeded or an allocation failed.
 
-On glibc, ``simulate``'s timing pipeline and ``report`` fix the allocator's
-thresholds for the rest of the process (see ``_keep_freed_heap``): a
-program that calls ``main`` in-process keeps up to 64 MiB of freed heap
-instead of returning it to the operating system.  While the timing pipeline
+On glibc, ``simulate``'s timing pipeline, ``report`` and the search of
+``verify-bounds`` fix the allocator's thresholds for the rest of the process
+(see ``_keep_freed_heap``): a program that calls ``main`` in-process keeps
+up to 64 MiB of freed heap instead of returning it to the operating system.  While the timing pipeline
 runs with its sampler thread, the calling thread's CPU mask is narrowed to
 leave one CPU to that thread, and restored on exit (see ``_disjoint_cpus``).
 """
@@ -752,6 +752,10 @@ def _cmd_verify_bounds(args) -> dict:
     budget = OptimizerBudget(
         **{a: getattr(args, a) for a in (*_SEARCH_BUDGET, "seed") if getattr(args, a) is not None}
     )
+    if search:
+        # each column round's pricing frees several MB of temporaries, which
+        # glibc's dynamic thresholds would hand back and fault in again
+        _keep_freed_heap()
     report = verify_bound(game, budget if search else None, lp_check=bool(args.lp_check))
     payload = report.to_json_dict(include_witness=bool(args.witness))
     payload["command"] = "verify-bounds"

@@ -9,7 +9,7 @@ optimal.  The emission-time game's value is one LP, solved in closed
 form: a mixture of terms + 2 atoms meets integer duals, whose dual
 certificate, priced over every joint vertex, bounds them all, so no
 solver runs.  Outcomes-only selection reaches the algebraic maximum with
-a closed-form mixture.  Only the search needs scipy.
+a closed-form mixture.  Nothing here needs scipy.
 
 Classes with strategy-dependent postselection (outcomes-only selection,
 emission-time realism) have a ratio-form statistic; a multi-start
@@ -21,9 +21,10 @@ point, so each ascent step is one exact LP under that pattern (the full
 conditional-gradient step of Frank and Wolfe).  In the emission-time game
 the equal-mass constraints pin every cell mass to 1/2; under outcomes-only
 selection each column round pins the masses at its starting point.  The
-restarts climb in lockstep: each step stacks the LPs of every restart
-still climbing into one block-diagonal LP, which is separable, so one
-solve gives each restart its own optimum.
+restarts climb in lockstep: each step solves the LPs of every restart
+still climbing with one batched dense simplex (``_batched_simplex``),
+whose blocks pivot together but share no variable and no row, so each
+restart gets its own optimum.
 
 Every LP here rests on one argument.  Two columns with the same
 constraint column are alike in every row, so moving weight from one to
@@ -427,10 +428,11 @@ _PRICE_TOLERANCE = 1e-12
 _PRICING_LIMIT = 1 << 22
 
 # support atoms the restarts of one search may hold at once.  The search's
-# memory (the restarts' matrices and the stacked LP, whose columns are at
-# most these atoms) grows with them: peak RSS rose by 0.26 kB per atom at
-# 4 terms and 1.6 kB at 12 terms, and a 12-term search at the limit
-# peaked at 875 MB.  1000 restarts at 4 terms hold 224,000.
+# memory (the restarts' matrices and the simplex tableaus, whose columns
+# are at most these atoms) grows with them: peak RSS rises by about
+# 0.13 kB per atom at 4 terms and 0.6 kB at 12 terms, and a 12-term
+# emission-time search at the limit (2,340 restarts) peaks at about
+# 370 MB.  1000 restarts at 4 terms hold 224,000.
 _SEARCH_ATOM_LIMIT = 1 << 19
 
 # atoms a restart's support draws, core included
@@ -442,9 +444,9 @@ class OptimizerBudget:
     """Effort knobs for the mixture search.
 
     ``restarts`` independent starts, each running to completion; the
-    restarts advance in lockstep, one stacked LP per step, and each takes
-    at most ``iterations`` LP steps per column round.  Both must be at
-    least 1, and ``seed``, which seeds the restarts' supports, at least 0.
+    restarts advance in lockstep, one batched simplex per step, and each
+    takes at most ``iterations`` LP steps per column round.  Both must be
+    at least 1, and ``seed``, which seeds the restarts' supports, at least 0.
     """
 
     restarts: int = 48
@@ -828,53 +830,126 @@ def _open_round(game: GameSpec, r: _Restart, signs) -> None:
     r.A, r.cls = _column_classes(A)
 
 
-def _block_diagonal(As):
-    """The block-diagonal CSC matrix of dense blocks with equal row counts.
+# the batched simplex: a reduced cost counts as positive above
+# _COST_TOLERANCE times its block's largest objective coefficient (at least
+# 1); a pivot element must exceed _PIVOT_TOLERANCE, and a block whose
+# artificials still sum to more than that after phase 1 is infeasible; a
+# step of at most _STEP_TOLERANCE is degenerate, and ratios that close tie
+_COST_TOLERANCE = 1e-11
+_PIVOT_TOLERANCE = 1e-9
+_STEP_TOLERANCE = 1e-12
+# a block pivots by Bland's rule after this many degenerate pivots in a
+# row, until one gains; a phase fails after _PIVOT_CAP times its tableau's
+# columns and rows of batched pivots
+_DEGENERATE_RUN = 8
+_PIVOT_CAP = 50
 
-    One ``np.nonzero`` over the blocks placed side by side gives the
-    nonzeros' rows and columns; each block's row indices are offset by the
-    rows of the blocks before it.  The indices are int32, as scipy's own
-    sparse constructors pick at these sizes: int64 ones are copied again on
-    their way into HiGHS, which raises the solve's peak memory.
+
+def _pivot_phase(T, R, basis, n: int, tol) -> None:
+    """Pivot every block of the tableaus ``T`` until no reduced cost in
+    ``R[:, :n]`` exceeds its block's ``tol``; updates T, R and basis.
+
+    The blocks pivot together.  A block's entering column is the one of
+    largest reduced cost (Dantzig's rule), and its leaving row, among the
+    rows tied at the least ratio, the one of largest pivot element.  After
+    ``_DEGENERATE_RUN`` degenerate pivots in a row the block uses Bland's
+    rule (the lowest-indexed improving column, the tied row whose basic
+    column has the lowest index), which cannot cycle (Bland, 1977), until
+    a pivot gains.  Finished blocks leave the working arrays, which are
+    written back as they do.
     """
-    from scipy.sparse import csc_array
+    live = np.arange(T.shape[0])
+    t, r, bas, degenerate = T, R, basis, np.zeros(live.size, dtype=np.int64)
+    for _ in range(_PIVOT_CAP * (n + T.shape[1])):
+        improving = r[:, :n] > tol[live, None]
+        going = improving.any(axis=1)
+        if not going.all():
+            done = live[~going]
+            T[done], R[done], basis[done] = t[~going], r[~going], bas[~going]
+            live, t, r, bas, degenerate, improving = (
+                x[going] for x in (live, t, r, bas, degenerate, improving)
+            )
+            if not live.size:
+                return
+        at = np.arange(live.size)
+        bland = degenerate >= _DEGENERATE_RUN
+        q = np.where(bland, improving.argmax(axis=1), r[:, :n].argmax(axis=1))
+        col = t[at, :, q]
+        positive = col > _PIVOT_TOLERANCE
+        if not positive.any(axis=1).all():
+            raise RuntimeError("successive-LP step failed: the LP is unbounded")
+        rhs = np.maximum(t[:, :, -1], 0.0)
+        ratio = np.where(positive, rhs / np.where(positive, col, 1.0), np.inf)
+        step = ratio.min(axis=1)
+        tied = ratio <= step[:, None] + _STEP_TOLERANCE
+        p = np.where(
+            bland,
+            np.where(tied, bas, np.iinfo(np.int64).max).argmin(axis=1),
+            np.where(tied, col, -np.inf).argmax(axis=1),
+        )
+        degenerate = np.where(step <= _STEP_TOLERANCE, degenerate + 1, 0)
+        row = t[at, p, :] / col[at, p, None]
+        t -= col[:, :, None] * row[:, None, :]
+        t[at, p, :] = row
+        r -= r[at, q, None] * row
+        bas[at, p] = q
+    raise RuntimeError("successive-LP step failed: pivot cap reached")
 
-    side_by_side = np.hstack(As)
-    rows, cols = side_by_side.shape
-    row, col = np.nonzero(side_by_side)
-    data = side_by_side[row, col]
-    row += rows * np.repeat(np.arange(len(As)), [A.shape[1] for A in As])[col]
-    return csc_array(
-        (data, (row.astype(np.int32), col.astype(np.int32))), shape=(rows * len(As), cols)
-    )
 
+def _batched_simplex(objs, As, bs) -> list[np.ndarray]:
+    """Maximize every ``objs[k] @ x`` over {As[k] x = bs[k], x >= 0}: one
+    dense two-phase primal simplex for all blocks at once.
 
-def _stacked_lp(objs, As, bs) -> list[np.ndarray]:
-    """Maximize every ``objs[k] @ x`` over {As[k] x = bs[k], x >= 0} in one LP.
-
-    The blocks share no variable and no row, so the stacked LP is separable
-    (Dantzig and Wolfe, 1960): its optimum restricted to each block is that
-    block's optimum, and one solve serves every block.  Every block has the
-    same number of rows, and ``A_eq`` is their ``_block_diagonal``, built
-    before the solve so that its dense scratch is freed by then.  Returns
-    the solution split back by block; a failed solve raises RuntimeError.
+    Every block has the same number of rows m.  Its tableau holds its
+    columns, padded with zero columns to the widest block's n, then m
+    artificial columns and the right-hand side; the tableaus stack into one
+    (blocks, m, n + m + 1) array.  A zero column of zero cost keeps a
+    reduced cost of exactly 0, so padding never enters.  Phase 1 maximizes
+    minus the artificials' sum from the artificial basis; a block that
+    cannot drive it to 0 is infeasible.  An artificial still basic, at 0,
+    is then pivoted out on the row's largest structural entry, of either
+    sign, which its zero right-hand side keeps feasible; a row with no
+    structural entry is redundant and is dropped.  Phase 2 runs on the
+    structural columns only, so no artificial can come back.  Both phases
+    are ``_pivot_phase``.  Returns each block's basic optimal solution, at
+    most one nonzero per row; an infeasible or unbounded block, or one
+    that reaches the pivot cap, raises RuntimeError.
     """
-    from scipy.optimize import linprog
-
-    res = linprog(
-        -np.concatenate(objs),
-        A_eq=_block_diagonal(As),
-        b_eq=np.concatenate(bs),
-        bounds=(0.0, None),
-        method="highs",
-    )
-    if not res.success:
-        raise RuntimeError(f"successive-LP step failed: {res.message}")
-    return np.split(res.x, np.cumsum([o.size for o in objs[:-1]]))
+    blocks, m, n = len(objs), As[0].shape[0], max(o.size for o in objs)
+    T = np.zeros((blocks, m, n + m + 1))
+    c = np.zeros((blocks, n))
+    for k, (obj, A, b) in enumerate(zip(objs, As, bs)):
+        sign = np.where(b < 0.0, -1.0, 1.0)[:, None]
+        T[k, :, : A.shape[1]] = sign * A
+        T[k, :, -1] = sign[:, 0] * b
+        c[k, : obj.size] = obj
+    T[:, :, n:-1] = np.eye(m)
+    basis = np.tile(np.arange(n, n + m), (blocks, 1))
+    _pivot_phase(T, T.sum(axis=1), basis, n, np.full(blocks, _COST_TOLERANCE))
+    infeasible = T[:, :, -1].sum(axis=1, where=basis >= n) > _PIVOT_TOLERANCE
+    if infeasible.any():
+        raise RuntimeError(f"successive-LP step failed: {infeasible.sum()} infeasible blocks")
+    for k, i in zip(*np.nonzero(basis >= n)):
+        j = int(np.abs(T[k, i, :n]).argmax())
+        if abs(T[k, i, j]) <= _PIVOT_TOLERANCE:
+            T[k, i], basis[k, i] = 0.0, -1  # redundant: every structural entry is 0
+            continue
+        T[k, i, -1] = 0.0
+        row = T[k, i] / T[k, i, j]
+        T[k] -= T[k, :, j, None] * row
+        T[k, i], basis[k, i] = row, j
+    T = np.concatenate([T[:, :, :n], T[:, :, -1:]], axis=2)
+    costs = np.take_along_axis(c, np.maximum(basis, 0), axis=1) * (basis >= 0)
+    R = np.append(c, np.zeros((blocks, 1)), axis=1) - np.einsum("ki,kij->kj", costs, T)
+    tol = _COST_TOLERANCE * np.maximum(np.abs(c).max(axis=1), 1.0)
+    _pivot_phase(T, R, basis, n, tol)
+    x = np.zeros((blocks, n + 1))
+    np.put_along_axis(x, np.where(basis >= 0, basis, n), np.maximum(T[:, :, -1], 0.0), axis=1)
+    return [x[k, : obj.size] for k, obj in enumerate(objs)]
 
 
 def _lp_step(restarts: list[_Restart], signs) -> list[np.ndarray]:
-    """One successive-LP step of every restart, in one stacked LP.
+    """One successive-LP step of every restart, in one batched simplex.
 
     Each restart maximizes the linear objective of its current sign pattern
     over its round's feasible set.  Two atoms with the same constraint
@@ -893,7 +968,7 @@ def _lp_step(restarts: list[_Restart], signs) -> list[np.ndarray]:
         keep = by_class[np.flatnonzero(np.diff(r.cls[by_class], prepend=-1))]
         objs.append(obj[keep])
         keeps.append(keep)
-    xs = _stacked_lp(objs, [r.A for r in restarts], [r.b for r in restarts])
+    xs = _batched_simplex(objs, [r.A for r in restarts], [r.b for r in restarts])
     ws = []
     for r, keep, x in zip(restarts, keeps, xs):
         w = np.zeros(r.w.size)
@@ -972,7 +1047,7 @@ def max_statistic(game: GameSpec, budget: OptimizerBudget | None = None) -> MaxS
     budget the search runs at ``OptimizerBudget()``.  A restart ends
     after its last round, or earlier once no column has a positive price
     (above 1e-12).  The restarts advance through the rounds in lockstep:
-    each LP step is one stacked LP over every restart still climbing
+    each LP step is one batched simplex over every restart still climbing
     (``_lp_step``), and ``iterations`` still caps the steps of each restart
     per round.  Each restart draws its support from its own generator,
     seeded in turn from ``seed``, and gets the same LP values as a solve of
@@ -1259,11 +1334,10 @@ def verify_bound(
     runs, on the emission-time and outcomes-only games only, and reports
     under ``search``; ``passed`` then needs both to pass.  With
     ``lp_check`` the emission-time report states the LP's value as
-    ``lp_value`` too; its closed form is computed once either way, and
-    only the search loads scipy.  An LP check or a
-    budget outside its classes, or a 4-term-only bound on a longer chain,
-    raises ValueError before any work; an oversized game or budget raises
-    ResourceLimitError, the search's before the LP.
+    ``lp_value`` too; its closed form is computed once either way.  An LP
+    check or a budget outside its classes, or a 4-term-only bound on a
+    longer chain, raises ValueError before any work; an oversized game or
+    budget raises ResourceLimitError, the search's before the LP.
     """
     bound = bound_for(game.model, game.chain.terms)
     kind = game.model.kind

@@ -3,10 +3,10 @@
 ``bench/spans.py`` rebinds the pipeline functions that ``franson.cli`` calls,
 ``emission_time_lp_value`` and ``scipy.optimize.linprog``, and reads their
 arguments by parameter name (``events``, ``pairs``, ``path``, ``c``).  A
-renamed function or parameter, or a module-level ``linprog`` import, would
-silently zero a layer of the trace, so this loads the file as it is and
-checks that each timing layer and the search's LP solves record spans with
-non-zero counts.
+renamed function or parameter would silently zero a layer of the trace, so
+this loads the file as it is and checks that each timing layer records
+spans with non-zero counts.  No code of the package calls ``linprog``, so
+its solve spans must stay absent.
 Its search counter calls the private ``strategyopt._side_arrays``, so the
 search span's vertex count is checked too.
 """
@@ -88,13 +88,6 @@ def test_lp_layers_record_spans_with_columns(capsys):
     side = _side_arrays(ModelKind.EMISSION_TIME_REALISM, 2)
     assert search["counts"]["joint_vertices"] == side.size**2
     assert search["counts"]["restarts_budgeted"] > 0
-    (lp,) = [s for s in tracer.spans if s["name"] == "strategyopt.lp"]
-    solves = [s for s in tracer.spans if s["name"] == "strategyopt.lp.solve"]
-    # the exact answer is a closed form: no solve is a child of its span
-    lp_solves = [s for s in solves if s["parent"] == lp["id"]]
-    assert [s["counts"]["columns"] for s in lp_solves] == []
-    # every solve is a successive-LP step of the search, with its columns
-    search_ids = {s["id"] for s in tracer.spans if s["name"] == "strategyopt.search"}
-    assert solves
-    assert all(s["parent"] in search_ids for s in solves)
-    assert all(s["counts"]["columns"] > 0 for s in solves)
+    # the exact answer is a closed form and the search solves its LPs
+    # in-package, so no ``linprog`` call records a solve span
+    assert names.count("strategyopt.lp.solve") == 0

@@ -178,6 +178,19 @@ class TestVisibility:
 
 
 class TestVerifyBounds:
+    def test_help_states_the_search_budgets_defaults(self, capsys):
+        # the parser is built without importing the solver, so its help
+        # spells the defaults out; they must be OptimizerBudget's own
+        from franson.strategyopt import OptimizerBudget
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify-bounds", "--help"])
+        assert exit_info.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        budget = OptimizerBudget()
+        assert f"search restarts (default {budget.restarts})" in text
+        assert f"ascent steps per column round (default {budget.iterations})" in text
+
     def test_emission_time_search_with_lp(self, capsys):
         code, p, _ = run_cli(
             [
@@ -1550,6 +1563,20 @@ class TestAllocatorThresholds:
         assert result["same"]
         assert result["faults"][1] < 1000, result["faults"]
 
+    @pytest.mark.skipif(not on_glibc(), reason="the thresholds are set on glibc only")
+    def test_a_repeated_search_faults_no_pages_in_again(self):
+        # the pricing of each column round frees several MB of temporaries:
+        # under glibc's dynamic thresholds a repeated 10-term outcomes-only
+        # search faulted about 70,000 pages in again, with the fixed ones
+        # about none
+        argv = ["verify-bounds", "--model-class", "outcomes-only", "--terms", "10",
+                "--restarts", "48", "--seed", "1"]
+        run = run_python("-c", REPEATED_RUNS, *argv)
+        assert run.returncode == 0, run.stderr
+        result = json.loads(run.stdout)
+        assert result["same"]
+        assert result["faults"][1] < 1000, result["faults"]
+
     def test_the_thresholds_are_set_once_per_process(self, fresh_helper, monkeypatch, capsys):
         libc = FakeLibc()
         monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.99")
@@ -2150,8 +2177,9 @@ def test_simulate_report_bounds_and_visibility_start_without_the_solver(tmp_path
     assert run.stderr.startswith("resource limit: ")
 
 
-# every class's exact answer is a closed form; only the search needs scipy.
-# The largest emission-time game, 42 terms, is answered in under 1 s
+# every class's exact answer is a closed form, and the search solves its LPs
+# in-package, so no verify-bounds run loads scipy.  The largest
+# emission-time game, 42 terms, is answered in under 1 s
 LEAN_VERIFY = """
 import json, sys, time
 
@@ -2170,6 +2198,8 @@ fast = time.perf_counter() - start < 1.0
 lean = "scipy" in sys.modules
 codes.append(main(["verify-bounds", "--terms", "4", "--lp-check", "--witness",
                    "--restarts", "1"]))
+codes.append(main(["verify-bounds", "--terms", "6", "--restarts", "48"]))
+codes.append(main(["verify-bounds", "--model-class", "outcomes-only", "--restarts", "1"]))
 print(json.dumps({"codes": codes, "fast": fast, "lean": lean,
                   "searched": "scipy" in sys.modules}))
 """
@@ -2179,5 +2209,5 @@ def test_verify_bounds_answers_every_class_without_scipy():
     run = run_python("-c", LEAN_VERIFY)
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout.splitlines()[-1]) == {
-        "codes": [0] * 10, "fast": True, "lean": False, "searched": True
+        "codes": [0] * 12, "fast": True, "lean": False, "searched": False
     }

@@ -38,6 +38,7 @@ from franson import (
 from franson import strategyopt
 from franson.core import TWO_PI, RandomSource
 from franson.strategyopt import (
+    CONSTRAINT_TOLERANCE,
     _COLUMN_ROUNDS,
     _COLUMNS_PER_ROUND,
     _SEARCH_ATOM_LIMIT,
@@ -45,6 +46,7 @@ from franson.strategyopt import (
     _Restart,
     _arrival_core,
     _atoms,
+    _batched_simplex,
     _check_search_size,
     _climb_in_lockstep,
     _column_classes,
@@ -58,7 +60,6 @@ from franson.strategyopt import (
     _side_arrays,
     _side_rows,
     _site_vertices,
-    _stacked_lp,
     _statistic,
     _support_rows,
     _vertex_index,
@@ -518,16 +519,14 @@ class TestOptimizer:
         assert len(result.witness.vertices) <= terms + 2
 
     def test_restarts_share_each_lp_step(self, chain4m, monkeypatch):
-        import scipy.optimize
-
         rows = []
-        solve = scipy.optimize.linprog
+        solve = strategyopt._batched_simplex
 
-        def counting_linprog(*args, **kwargs):
-            rows.append(kwargs["A_eq"].shape[0])
-            return solve(*args, **kwargs)
+        def counting_simplex(objs, As, bs):
+            rows.append([A.shape[0] for A in As])
+            return solve(objs, As, bs)
 
-        monkeypatch.setattr(scipy.optimize, "linprog", counting_linprog)
+        monkeypatch.setattr(strategyopt, "_batched_simplex", counting_simplex)
         budget = OptimizerBudget(restarts=48, iterations=3, seed=0)
         # rows per restart: one per cell, the late-late mass under emission-time
         # realism, and the simplex row
@@ -536,9 +535,9 @@ class TestOptimizer:
         ):
             rows.clear()
             max_statistic(game(factory, chain4m), budget)
-            # one stacked LP per step, not one or more per restart
+            # one batched solve per step, not one or more per restart
             assert 1 <= len(rows) <= (_COLUMN_ROUNDS + 1) * budget.iterations
-            assert rows[0] == budget.restarts * block_rows
+            assert rows[0] == [block_rows] * budget.restarts
 
     def test_lockstep_climb_keeps_each_restarts_stopping_rule(self, monkeypatch):
         # one group of two cells at unit mass: the statistic is |w @ (-2, 1, 2)|
@@ -600,12 +599,12 @@ class TestOptimizer:
         steps = _lp_step(restarts, signs)
         passed = []
 
-        def marking_stacked_lp(objs, As, bs):
+        def marking_simplex(objs, As, bs):
             # weight k + 1 on the k-th column handed over, to see its atom
             passed.extend(zip(objs, As))
             return [np.arange(1.0, obj.size + 1) for obj in objs]
 
-        monkeypatch.setattr(strategyopt, "_stacked_lp", marking_stacked_lp)
+        monkeypatch.setattr(strategyopt, "_batched_simplex", marking_simplex)
         marked = _lp_step(restarts, signs)
         # each block hands over its own distinct constraint columns, one
         # atom each: of those sharing the column, the first of the largest
@@ -621,8 +620,13 @@ class TestOptimizer:
                 assert obj_k[j] == best
                 assert w[alike[obj[alike] == best][0]] == j + 1
             assert np.count_nonzero(w) == obj_k.size
+        # blocks of unequal widths solve in one batch as each would alone
+        together = _batched_simplex(*zip(*blocks))
+        for block, x in zip(blocks, together):
+            (alone,) = _batched_simplex(*([part] for part in block))
+            np.testing.assert_array_equal(x, alone)
         # every column stacked, and the climb's step over the columns it keeps
-        for xs in (_stacked_lp(*zip(*blocks)), steps):
+        for xs in (together, steps):
             assert len(xs) == len(blocks)
             for (obj, A, b), x in zip(blocks, xs):
                 res = linprog(-obj, A_eq=A, b_eq=b, bounds=(0.0, None), method="highs")
@@ -649,40 +653,6 @@ class TestOptimizer:
         assert distinct.shape == ref_A.shape
         np.testing.assert_array_equal(cls[:, None] == cls, ref_cls[:, None] == ref_cls)
         np.testing.assert_array_equal(distinct[:, cls], A)
-
-    @pytest.mark.parametrize("with_zero_columns", [False, True])
-    @pytest.mark.parametrize("blocks", [1, 4])
-    def test_stacked_constraint_matrix_is_the_block_diagonal(
-        self, blocks, with_zero_columns, monkeypatch
-    ):
-        import scipy.optimize
-        from scipy.sparse import block_diag, csc_array
-
-        rng = np.random.default_rng(blocks)
-        As = [
-            rng.integers(0, 3, size=(5, size)) * rng.choice([-0.5, 0.25, 1.0], size=(5, size))
-            for size in rng.integers(1, 12, size=blocks)
-        ]
-        if with_zero_columns:
-            for A in As:
-                A[:, rng.integers(A.shape[1])] = 0.0
-        A_eqs = []
-
-        def capturing_linprog(c, **kwargs):
-            A_eqs.append(kwargs["A_eq"])
-            return type("Result", (), {"success": True, "x": np.zeros(c.size)})
-
-        monkeypatch.setattr(scipy.optimize, "linprog", capturing_linprog)
-        xs = _stacked_lp([np.ones(A.shape[1]) for A in As], As, [np.ones(5)] * blocks)
-        assert [x.size for x in xs] == [A.shape[1] for A in As]
-        ref = block_diag([csc_array(A) for A in As], format="csc")
-        (got,) = A_eqs
-        assert got.format == "csc"
-        assert got.shape == ref.shape
-        assert got.indices.dtype == got.indptr.dtype == ref.indices.dtype == np.int32
-        np.testing.assert_array_equal(got.indptr, ref.indptr)
-        np.testing.assert_array_equal(got.indices, ref.indices)
-        np.testing.assert_array_equal(got.data, ref.data)
 
     @pytest.mark.parametrize(
         "factory, terms",
@@ -770,6 +740,120 @@ class TestOptimizer:
                 if g.has_equal_mass_constraint:
                     with pytest.raises(ResourceLimitError):
                         verify_bound(g, budget, lp_check=True)
+
+
+# Beale (1955): maximize 3/4 x4 - 20 x5 + 1/2 x6 - 6 x7 over the slack form
+# below, x1..x3 the slacks.  Dantzig's rule with the first tied row cycles on
+# it from the slack basis; the optimum is 5/4 at x4 = x6 = 1, x1 = 3/4.
+BEALE = (
+    np.array([0.75, -20.0, 0.5, -6.0, 0.0, 0.0, 0.0]),
+    np.array([
+        [0.25, -8.0, -1.0, 9.0, 1.0, 0.0, 0.0],
+        [0.5, -12.0, -0.5, 3.0, 0.0, 1.0, 0.0],
+        [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0],
+    ]),
+    np.array([0.0, 0.0, 1.0]),
+)
+
+
+class TestBatchedSimplex:
+    @pytest.mark.parametrize("terms", [4, 6, 8])
+    @pytest.mark.parametrize(
+        "factory", [ModelClass.emission_time_realism, ModelClass.outcomes_only]
+    )
+    def test_highs_referees_every_block_of_a_search(self, terms, factory, monkeypatch):
+        from scipy.optimize import linprog
+        from scipy.sparse import block_diag
+
+        solve = strategyopt._batched_simplex
+        calls = []
+
+        def capturing_simplex(objs, As, bs):
+            xs = solve(objs, As, bs)
+            calls.append((objs, As, bs, xs))
+            return xs
+
+        monkeypatch.setattr(strategyopt, "_batched_simplex", capturing_simplex)
+        g = game(factory, chain_settings(terms))
+        for seed in (1, 2, 3):
+            max_statistic(g, OptimizerBudget(restarts=48, seed=seed))
+        assert sum(len(objs) for objs, *_ in calls) >= 3 * 48
+        for objs, As, bs, xs in calls:
+            # one HiGHS solve of the blocks stacked block-diagonally: they
+            # share no variable and no row, so its optimum is each block's
+            res = linprog(
+                -np.concatenate(objs), A_eq=block_diag(As, format="csc"),
+                b_eq=np.concatenate(bs), bounds=(0.0, None), method="highs",
+            )
+            assert res.success, res.message
+            refs = np.split(res.x, np.cumsum([obj.size for obj in objs[:-1]]))
+            for obj, A, b, x, ref in zip(objs, As, bs, xs, refs):
+                assert x.shape == obj.shape
+                assert np.all(x >= 0.0)
+                assert obj @ x == pytest.approx(obj @ ref, abs=1e-9)
+                assert np.max(np.abs(A @ x - b)) <= CONSTRAINT_TOLERANCE
+                # a basic solution: at most one nonzero per row
+                assert np.count_nonzero(x) <= A.shape[0]
+
+    @pytest.mark.parametrize("bland_from_the_start", [False, True])
+    @pytest.mark.parametrize("slacks_first", [False, True])
+    def test_beales_cycling_lp_reaches_its_optimum(
+        self, bland_from_the_start, slacks_first, monkeypatch
+    ):
+        if bland_from_the_start:
+            monkeypatch.setattr(strategyopt, "_DEGENERATE_RUN", 0)
+        c, A, b = BEALE
+        order = [4, 5, 6, 0, 1, 2, 3] if slacks_first else list(range(7))
+        (x,) = _batched_simplex([c[order]], [A[:, order]], [b])
+        assert c[order] @ x == pytest.approx(1.25, abs=1e-12)
+        assert np.max(np.abs(A[:, order] @ x - b)) <= 1e-12
+        assert np.all(x >= 0.0)
+
+    @pytest.mark.parametrize(
+        "A, b, c, message",
+        [
+            # x1 + x2 = 1 and x1 + x2 = 2
+            (np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 2.0]), np.ones(2), "infeasible"),
+            # x1 - x2 = 0 lets x1 grow without bound
+            (np.array([[1.0, -1.0]]), np.zeros(1), np.array([1.0, 0.0]), "unbounded"),
+        ],
+    )
+    def test_an_infeasible_or_unbounded_block_raises(self, A, b, c, message):
+        # beside a block that solves, the batch still raises
+        fine = (np.ones(A.shape[1]), np.ones((A.shape[0], A.shape[1])), np.ones(A.shape[0]))
+        with pytest.raises(RuntimeError, match=f"successive-LP step failed: .*{message}"):
+            _batched_simplex([fine[0], c], [fine[1], A], [fine[2], b])
+
+    def test_the_pivot_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(strategyopt, "_PIVOT_CAP", 0)
+        with pytest.raises(RuntimeError, match="successive-LP step failed: pivot cap"):
+            _batched_simplex(*([part] for part in BEALE))
+
+    @pytest.mark.parametrize(
+        "A, c, x_opt, phase2_basis",
+        [
+            # the artificial of row 2 ends phase 1 basic at 0 with a -2 in
+            # x2's column: pivoted out there
+            (np.array([[1.0, 1.0], [1.0, -1.0]]), np.array([1.0, 1.0]), [1.0, 0.0], [0, 1]),
+            # row 2 repeats row 1: dropped, and x2 enters in phase 2
+            (np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 2.0]), [0.0, 1.0], [0, -1]),
+        ],
+    )
+    def test_an_artificial_left_at_zero_is_pivoted_out_or_its_row_dropped(
+        self, A, c, x_opt, phase2_basis, monkeypatch
+    ):
+        phase = strategyopt._pivot_phase
+        bases = []
+
+        def recording_phase(T, R, basis, n, tol):
+            bases.append(basis.tolist())
+            return phase(T, R, basis, n, tol)
+
+        monkeypatch.setattr(strategyopt, "_pivot_phase", recording_phase)
+        (x,) = _batched_simplex([c], [A], [np.ones(2)])
+        assert x.tolist() == x_opt
+        # phase 1 starts from the artificials; phase 2 from structural columns
+        assert bases == [[[2, 3]], [phase2_basis]]
 
 
 class TestEvaluateMixed:
@@ -1317,12 +1401,10 @@ class TestVerifyBound:
     def test_lp_check_calls_no_solver(self, chain4m, chain6m, monkeypatch):
         # the exact answer and its certificate are closed forms, so a solver
         # that raises changes no number and no dual
-        import scipy.optimize
-
         def no_solver(*args, **kwargs):
-            raise AssertionError("the exact answer called linprog")
+            raise AssertionError("the exact answer called the simplex")
 
-        monkeypatch.setattr(scipy.optimize, "linprog", no_solver)
+        monkeypatch.setattr(strategyopt, "_batched_simplex", no_solver)
         for chain in (chain4m, chain6m):
             terms = chain.terms
             report = verify_bound(game(ModelClass.emission_time_realism, chain), lp_check=True)
