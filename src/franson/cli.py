@@ -935,7 +935,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--lp-check",
         action="store_true",
-        help="also state the emission-time game's LP value as lp_value",
+        help="also state the emission-time game's LP value as lp_value: the "
+        "closed form's certified value, not an independent solve",
     )
     p_verify.add_argument(
         "--witness", action="store_true", help="include the witness mixture"

@@ -190,6 +190,11 @@ class _SideArrays:
         """(K,) late arrival classes; einsum sums short rows faster than sum."""
         return self.early.shape[1] - np.einsum("ij->i", self.early.view(np.uint8)).astype(int)
 
+    def take(self, rows: slice) -> _SideArrays:
+        """The vertices at ``rows``, as views of these maps."""
+        late = None if self.late_outcomes is None else self.late_outcomes[rows]
+        return _SideArrays(self.outcomes[rows], self.early[rows], self.detected[rows], late)
+
 
 _ROW_BITS = 63  # site rows are int64 indices
 
@@ -257,10 +262,13 @@ def _site_vertices(sides: _SideArrays) -> list[SiteVertex]:
     return [SiteVertex(tuple(o), tuple(e), tuple(d), lo) for o, e, d, lo in maps]
 
 
-def _side_rows(kind: ModelKind, n: int, vertices: list[SiteVertex]) -> np.ndarray:
+def _side_rows(
+    kind: ModelKind, n: int, vertices: list[SiteVertex]
+) -> tuple[np.ndarray, _SideArrays]:
     """Rows of ``vertices`` among the class's site vertices: their maps
     encoded as ``_side_arrays`` lays them out, which must decode to the
-    same maps exactly.  A vertex outside the game's class raises ValueError.
+    same maps exactly.  Returns the rows and that decode.  A vertex outside
+    the game's class raises ValueError.
     """
     two_phase = kind is ModelKind.EMISSION_TIME_REALISM
     fields = ("outcomes", "early", "detected", "late_outcomes")[: 3 + two_phase]
@@ -268,26 +276,26 @@ def _side_rows(kind: ModelKind, n: int, vertices: list[SiteVertex]) -> np.ndarra
     if any((v.late_outcomes is not None) != two_phase for v in vertices):
         raise outside
     try:  # ragged, non-integer or wrong-length maps fail here
-        query = {
-            f: np.array([getattr(v, f) for v in vertices], dtype=np.int64).reshape(len(vertices), n)
-            for f in fields
-        }
+        query = np.array(
+            [[getattr(v, f) for f in fields] for v in vertices], dtype=np.int64
+        ).reshape(len(vertices), len(fields), n)
     except (TypeError, ValueError, OverflowError):
         raise outside from None
+    outcomes, early, detected = query[:, 0], query[:, 1], query[:, 2]
     # a flag map encodes as the outcome map 1 - 2 flag does
-    out, early = _sign_index(query["outcomes"]), _sign_index(1 - 2 * query["early"])
+    out, arrival = _sign_index(outcomes), _sign_index(1 - 2 * early)
     if two_phase:
-        rows = _vertex_index(n, out, _sign_index(query["late_outcomes"]), early)
+        rows = _vertex_index(n, out, _sign_index(query[:, 3]), arrival)
     elif kind is ModelKind.OUTCOMES_ONLY:
-        rows = _vertex_index(n, out, early, _sign_index(1 - 2 * query["detected"]))
+        rows = _vertex_index(n, out, arrival, _sign_index(1 - 2 * detected))
     elif kind is ModelKind.PATH_REALISM:
-        rows = 2 * out + (query["early"][:, 0] != 1)
+        rows = 2 * out + (early[:, 0] != 1)
     else:
         rows = out
     decoded = _side_arrays(kind, n, rows)  # a class without a finite game, or too wide, raises here
-    if not all(np.array_equal(getattr(decoded, f), query[f]) for f in fields):
+    if not all(np.array_equal(getattr(decoded, f), query[:, k]) for k, f in enumerate(fields)):
         raise outside
-    return rows
+    return rows, decoded
 
 
 def _arrival_core(n: int) -> tuple[tuple[int, int], ...]:
@@ -322,9 +330,8 @@ def _atoms(game: GameSpec, idx1, idx2) -> tuple[_SideArrays, _SideArrays]:
     return tuple(_side_arrays(game.model.kind, game.n_settings, idx) for idx in (idx1, idx2))
 
 
-def _witness(game: GameSpec, idx1, idx2, w) -> MixedStrategy:
-    """The mixture of the atoms (idx1, idx2), decoded, at weights ``w / w.sum()``."""
-    s1, s2 = _atoms(game, idx1, idx2)
+def _witness(s1: _SideArrays, s2: _SideArrays, w) -> MixedStrategy:
+    """The mixture of the atoms of ``_atoms`` s1 and s2 at weights ``w / w.sum()``."""
     return MixedStrategy(
         vertices=tuple(map(DeterministicVertex, _site_vertices(s1), _site_vertices(s2))),
         weights=tuple(float(x) for x in w / w.sum()),
@@ -393,14 +400,15 @@ class GameEvaluation:
 
 def evaluate_mixed(game: GameSpec, strategy: MixedStrategy) -> GameEvaluation:
     """Re-evaluate a mixture in the game; checks class membership and
-    constraint residuals rather than trusting the caller."""
+    constraint residuals rather than trusting the caller.  The rows come
+    from the one decode that checks membership."""
     vs = strategy.vertices
     sites = [v.site1 for v in vs] + [v.site2 for v in vs]  # one vertex set
-    rows = _side_rows(game.model.kind, game.n_settings, sites)
-    idx1, idx2 = rows[: len(vs)], rows[len(vs):]
+    _, sides = _side_rows(game.model.kind, game.n_settings, sites)
+    s1, s2 = sides.take(slice(len(vs))), sides.take(slice(len(vs), None))
     w = np.asarray(strategy.weights, dtype=float)
     _, _, signs = game.cells
-    mass, num, A, b = _support_rows(game, *_atoms(game, idx1, idx2))
+    mass, num, A, b = _support_rows(game, s1, s2)
     stat, corr, m, _ = _statistic(w, mass, num, signs)
     residual = float(np.max(np.abs(A @ w - b)))
     feasible = bool(np.all(m > MIN_CELL_MASS)) and residual <= CONSTRAINT_TOLERANCE
@@ -560,7 +568,7 @@ def _linear_closed_form(game: GameSpec) -> MaxStatisticResult:
     row = np.zeros(1, dtype=np.int64)
     return MaxStatisticResult(
         value=float(np.abs(signs[0::2] + signs[1::2]).sum()),
-        witness=_witness(game, row, row, np.ones(1)),
+        witness=_witness(*_atoms(game, row, row), np.ones(1)),
         exact=True,
         restarts_used=0,
         method="exact-maximum",
@@ -593,7 +601,7 @@ def _outcomes_only_closed_form(game: GameSpec) -> MaxStatisticResult:
     rows2 = _vertex_index(n, _sign_index(outcomes2), every, every)
     return MaxStatisticResult(
         value=float(game.chain.terms),
-        witness=_witness(game, rows1, rows2, np.ones(n)),
+        witness=_witness(*_atoms(game, rows1, rows2), np.ones(n)),
         exact=True,
         restarts_used=0,
         method="closed-form",
@@ -721,15 +729,19 @@ def _et_best_price(game: GameSpec, c: np.ndarray, y: np.ndarray):
     loss = 2 * gain.min() if np.count_nonzero(c < 0) % 2 else 0
     V = np.full((2, 2, n + 1, n + 1), -np.inf, dtype=w.dtype)  # [node 0, node, k1, k2]
     V[0, 0, 0, 0] = V[1, 1, 1, 0] = 0
+    # the steps write two buffers in turn: the odd steps' buffer never holds
+    # an early node with k2 = 0, the even steps' never one with k1 = 0, so
+    # those entries keep their -inf and no step refills them
+    last = np.full_like(V, -np.inf)
     for k in range(1, 2 * n):
-        late = np.maximum(V[:, 0], V[:, 1])
-        early = np.maximum(V[:, 0], V[:, 1] + w[cycle[k - 1]])
-        V = np.full_like(V, -np.inf)
-        V[:, 0] = late
+        V, last = last, V
+        np.maximum(last[:, 0], last[:, 1], out=V[:, 0])  # this node late
         if k % 2:  # site 2's settings are the odd nodes
-            V[:, 1, :, 1:] = early[..., :-1]
+            before, early = last[..., :-1], V[:, 1, :, 1:]
         else:
-            V[:, 1, 1:] = early[:, :-1]
+            before, early = last[:, :, :-1], V[:, 1, 1:]
+        np.add(before[:, 1], w[cycle[k - 1]], out=early)
+        np.maximum(before[:, 0], early, out=early)  # this node early
     V[1, 1] += w[cycle[-1]]  # the edge that closes the cycle
     V[1, 1, n, n] -= loss
     lam = np.arange(n, -1, -1)
@@ -1089,7 +1101,8 @@ def max_statistic(game: GameSpec, budget: OptimizerBudget | None = None) -> MaxS
             best_support = (r.idx1[keep], r.idx2[keep], r.w[keep])
     if best_support is None:
         raise RuntimeError("optimizer found no feasible mixture; raise the budget")
-    witness = _witness(game, *best_support)
+    idx1, idx2, w = best_support
+    witness = _witness(*_atoms(game, idx1, idx2), w)
     notes = "multi-start successive LP over mixture weights"
     if game.has_equal_mass_constraint:
         notes += "; " + EMISSION_TIME_NOTE
@@ -1124,27 +1137,43 @@ def _et_witness(game: GameSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     walked before the late one moves that term onto an edge of the late
     node.  Every cell then has early-early mass 2(n - 1) / 8(n - 1) = 1/4
     and late-late mass 1/4, so corr_t = (1 + s_t) / 2 and the statistic
-    is terms - 1 under any grouping: y.b of the closed-form duals.  Returns (site-1 rows,
-    site-2 rows, counts), the rows as ``_side_arrays`` lays them out.
+    is terms - 1 under any grouping: y.b of the closed-form duals.  The
+    walk runs in Python, each row an integer of bit masks.  Returns
+    (site-1 rows, site-2 rows, counts), the rows as ``_side_arrays`` lays
+    them out; rows wider than int64, past 42 terms, raise
+    ResourceLimitError from ``_side_size``.
     """
     n = game.n_settings
-    a_idx, b_idx, signs = game.cells
-    cycle = np.array(game.chain.cycle)
-    k = np.arange(2 * n)
-    # the cycle's settings as nodes, site 1's then site 2's, in walk order,
-    # each with the product of the signs of the terms walked before it
-    walk = np.where(k % 2, n + b_idx[cycle], a_idx[cycle])
-    prefix = np.cumprod(np.append(1.0, signs[cycle][:-1]))
-    outcomes = np.empty((2 * n, 2 * n), dtype=np.int64)  # [late node, node]
-    outcomes[np.ix_(walk, walk)] = np.where(k < k[:, None], -1, 1) * prefix
+    _side_size(game.model.kind, n)  # rows wider than int64 raise before one is encoded
+    order = game.chain.term_order
+    # walk the cycle's settings, site 1's at even steps and site 2's at odd
+    # ones, as bits of each site's outcome map: per node, the settings of
+    # each site walked before it, and per site the settings whose sign
+    # prefix (the product of the signs of the terms walked before) is -1
+    before = {}
+    walked, negative, prefix = [0, 0], [0, 0], 1
+    for k, t in enumerate(game.chain.cycle):
+        site = k % 2
+        bit = 1 << order[t][site]
+        before[site, bit] = tuple(walked)
+        walked[site] |= bit
+        if prefix < 0:
+            negative[site] |= bit
+        prefix *= order[t][2]
+    # the single-late atoms, site 1's settings first: a node's outcome is
+    # its sign prefix, negated at the nodes walked before the late one
     every = 2**n - 1
-    late_at = every ^ (1 << np.arange(n, dtype=np.int64))
-    all_early = np.full(n, every)
-    rows1 = _vertex_index(n, _sign_index(outcomes[:, :n]), 0, np.append(late_at, all_early))
-    rows2 = _vertex_index(n, _sign_index(outcomes[:, n:]), 0, np.append(all_early, late_at))
+    rows = ([], [])
+    for late_site in (0, 1):
+        for a in range(n):
+            walked_before = before[late_site, 1 << a]
+            for side in (0, 1):
+                arrival = every ^ (1 << a) if side == late_site else every
+                outcome = negative[side] ^ walked_before[side]
+                rows[side].append(_vertex_index(n, outcome, 0, arrival))
     return (
-        np.append(rows1, [0, _vertex_index(n, 0, 0, every)]),
-        np.append(rows2, [0, 0]),
+        np.array(rows[0] + [0, _vertex_index(n, 0, 0, every)], dtype=np.int64),
+        np.array(rows[1] + [0, 0], dtype=np.int64),
         np.array([1] * (2 * n) + [2 * (n - 1), 2 * (2 * n - 3)], dtype=np.int64),
     )
 
@@ -1204,7 +1233,8 @@ def emission_time_lp_value(game: GameSpec, solution: bool = False):
     coef = 2.0 * signs
     i, j, counts = _et_witness(game)
     w = counts / counts.sum()
-    _, num, A_eq, b_eq = _support_rows(game, *_atoms(game, i, j))
+    sides = _atoms(game, i, j)  # decoded once: the rows and the witness's maps
+    _, num, A_eq, b_eq = _support_rows(game, *sides)
     primal_value = float(w @ num @ coef)
     residual = float(np.max(np.abs(A_eq @ w - b_eq)))
     # the closed-form duals: early-early rows, late-late row, simplex row
@@ -1226,7 +1256,7 @@ def emission_time_lp_value(game: GameSpec, solution: bool = False):
         return value
     return MaxStatisticResult(
         value=value,
-        witness=_witness(game, i, j, counts),
+        witness=_witness(*sides, counts),
         exact=certificate.closed,
         restarts_used=0,
         method="lp",
@@ -1334,7 +1364,8 @@ def verify_bound(
     runs, on the emission-time and outcomes-only games only, and reports
     under ``search``; ``passed`` then needs both to pass.  With
     ``lp_check`` the emission-time report states the LP's value as
-    ``lp_value`` too; its closed form is computed once either way.  An LP
+    ``lp_value`` too: the closed form's certified value, computed once
+    either way, not an independent solve.  An LP
     check or a budget outside its classes, or a 4-term-only bound on a
     longer chain, raises ValueError before any work; an oversized game or
     budget raises ResourceLimitError, the search's before the LP.

@@ -496,6 +496,13 @@ class TestVerifyBounds:
              "5cf131890065e4df7359add72ccd30e895993f9f039348f6d8c5248404a99c84"),
             (["--lp-check", "--terms", "6"],
              "7c07c8e7d6bc1072e5b83d9938d62a5ee2a97fc62a171fe0cd4e9a27316a2f70"),
+            # the long cycles: the witness's walk and its widest rows
+            (["--lp-check", "--terms", "12"],
+             "933798703be583364086ca18960e39a79a3ec28c180aff183dd360d97f10aec6"),
+            (["--lp-check", "--terms", "42"],
+             "8f276255337441a65bc45b04ed2ffaa1f5a04490446ab1116cfb43d5ef2d5482"),
+            (["--model-class", "outcomes-only", "--terms", "12"],
+             "d39d386e46639ff472a755ce8ec4bc20c3df30567478b8da680ea1a181aa7794"),
         ],
     )
     def test_witness_reports_are_pinned(self, flags, digest, capsys):

@@ -72,6 +72,15 @@ def game(kind_factory, chain):
     return GameSpec(model=kind_factory(), chain=chain)
 
 
+# the classes with a finite game
+FINITE_CLASSES = [
+    ModelClass.plain_local_realism,
+    ModelClass.path_realism,
+    ModelClass.emission_time_realism,
+    ModelClass.outcomes_only,
+]
+
+
 def joint_vertex(g, i, j):
     """Joint vertex of site-1 row i and site-2 row j of the game's sides."""
     vertices = _site_vertices(_side_arrays(g.model.kind, g.n_settings))
@@ -912,8 +921,62 @@ class TestEvaluateMixed:
         rows = np.random.default_rng(23).permutation(sides.size)
         decoded = _site_vertices(sides)
         vertices = [decoded[k] for k in rows]
-        found = _side_rows(g.model.kind, g.n_settings, vertices)
+        found, found_sides = _side_rows(g.model.kind, g.n_settings, vertices)
         assert found.tolist() == rows.tolist()
+        # the decode it checks against comes back with the rows
+        assert _site_vertices(found_sides) == vertices
+
+    @pytest.mark.parametrize("terms", [4, 6, 8])
+    @pytest.mark.parametrize("factory", FINITE_CLASSES)
+    def test_reused_decode_matches_a_fresh_one(self, factory, terms):
+        # evaluate_mixed reads site 1's and site 2's rows off the decode of
+        # its membership check; a reference that finds each vertex's row by
+        # lookup and decodes both sites again with _atoms gets the same
+        # evaluation, on random mixtures, on mixtures that play one vertex
+        # at both sites, and on the class's exact witness
+        g = game(factory, chain_settings(terms))
+        everything = _site_vertices(_side_arrays(g.model.kind, g.n_settings))
+        row_of = {v: k for k, v in enumerate(everything)}
+        _, _, signs = g.cells
+
+        def reference(strategy):
+            idx1, idx2 = (
+                np.array([row_of[getattr(v, site)] for v in strategy.vertices], dtype=np.int64)
+                for site in ("site1", "site2")
+            )
+            w = np.asarray(strategy.weights, dtype=float)
+            mass, num, A, b = _support_rows(g, *_atoms(g, idx1, idx2))
+            stat, corr, m, _ = _statistic(w, mass, num, signs)
+            residual = float(np.max(np.abs(A @ w - b)))
+            return strategyopt.GameEvaluation(
+                statistic=stat,
+                correlations=tuple(float(c) for c in corr),
+                masses=tuple(float(x) for x in m),
+                constraint_residual=residual,
+                feasible=bool(np.all(m > strategyopt.MIN_CELL_MASS))
+                and residual <= strategyopt.CONSTRAINT_TOLERANCE,
+            )
+
+        rng = np.random.default_rng(terms)
+        strategies = [strategyopt._exact_answer(g).witness]
+        differ = 0
+        for k in range(200):
+            atoms = int(rng.integers(1, 9))
+            idx1 = rng.integers(len(everything), size=atoms)
+            idx2 = idx1 if k % 4 == 0 else rng.integers(len(everything), size=atoms)
+            differ += bool((idx1 != idx2).any())
+            strategies.append(
+                MixedStrategy(
+                    vertices=tuple(
+                        DeterministicVertex(everything[i], everything[j])
+                        for i, j in zip(idx1, idx2)
+                    ),
+                    weights=tuple(rng.dirichlet(np.ones(atoms)).tolist()),
+                )
+            )
+        assert differ >= 100
+        for strategy in strategies:
+            assert evaluate_mixed(g, strategy) == reference(strategy)
 
 
 def full_lp_matrices(g):
@@ -1416,6 +1479,24 @@ class TestVerifyBound:
                 largest_profit=0.0,
                 closed=True,
             )
+
+    @pytest.mark.parametrize("terms", [4, 6])
+    @pytest.mark.parametrize("factory", FINITE_CLASSES)
+    def test_each_answer_decodes_its_witness_once_each_way(self, factory, terms, monkeypatch):
+        # one decode per site for the answer and its witness, one of both
+        # sites' vertices for the re-check: three in all, whatever the class
+        decode = strategyopt._side_arrays
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return decode(*args, **kwargs)
+
+        monkeypatch.setattr(strategyopt, "_side_arrays", counted)
+        g = game(factory, chain_settings(terms))
+        report = verify_bound(g, lp_check=g.has_equal_mass_constraint)
+        assert report.exact and report.passed
+        assert len(calls) == 3
 
     def test_a_failed_search_fails_the_report(self, chain4m, monkeypatch):
         g = game(ModelClass.outcomes_only, chain4m)
